@@ -19,7 +19,7 @@ LEDGER="BENCH_PR10.json"
 go build -o /tmp/benchrec ./cmd/benchrec
 
 {
-	go test -run=NONE -bench='BenchmarkSleepEvents|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention|BenchmarkSharded' \
+	go test -run=NONE -bench='BenchmarkSleepEvents|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention' \
 		-benchtime=200000x ./internal/sim/
 	go test -run=NONE -bench='BenchmarkScaleEvents' -benchtime=100000x ./internal/sim/
 	go test -run=NONE -bench='BenchmarkCapacityEvict' -benchtime=200000x ./internal/capacity/

@@ -10,7 +10,7 @@ import (
 
 // runCalibSubcommand handles the calibrate and search subcommands. Fit
 // and search reports go to out (stdout or -o) and are byte-identical for
-// any -j / -pdes-j; progress goes to stderr and is suppressed by -q.
+// any -j; progress goes to stderr and is suppressed by -q.
 func runCalibSubcommand(cmd string, rest []string, co repro.CalibOptions, out, stderr io.Writer, quiet bool) int {
 	fatal := func(err error) int {
 		fmt.Fprintln(stderr, "experiments:", err)

@@ -38,7 +38,7 @@ func main() {
 // report bytes.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs.SetOutput(io.Discard) // parse errors are reported below, in one line
 	var (
 		list       = fs.Bool("list", false, "list available experiment ids and exit")
 		reps       = fs.Int("reps", 0, "repetitions per configuration (0 = paper default)")
@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Uint64("seed", 0, "base RNG seed (0 = default)")
 		quick      = fs.Bool("quick", false, "reduced sweep for smoke runs")
 		workers    = fs.Int("j", 0, "parallel simulation workers (0 = one per core); results are identical for any -j")
-		pdesJ      = fs.Int("pdes-j", 0, "intra-run event-queue shards (parallel discrete-event engine; 0 or 1 = serial); output is byte-identical for any -pdes-j")
 		headstart  = fs.Duration("headstart", 0, "producer job head start over each consumer (paper launch protocol; 0 = none, byte-identical to builds without the knob; 'calibrate' fits it)")
 		budget     = fs.Int("budget", 0, "calibrate/search evaluation budget (0 = default)")
 		asJSON     = fs.Bool("json", false, "emit reports as JSON instead of text tables")
@@ -64,8 +63,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
 			return 0
 		}
+		fmt.Fprintln(stderr, "experiments:", err)
 		return 2
 	}
 	fatal := func(err error) int {
@@ -94,8 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-frames must be a positive integer (got %d); omit the flag for the paper default", *frames)
 	case *workers < 0:
 		return usage("-j must be >= 0 (got %d); 0 means one worker per core", *workers)
-	case *pdesJ < 0:
-		return usage("-pdes-j must be >= 0 (got %d); 0 or 1 means the serial engine", *pdesJ)
 	case *headstart < 0:
 		return usage("-headstart must be >= 0 (got %v)", *headstart)
 	case *budget < 0:
@@ -136,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		opts := repro.ExperimentOptions{
 			Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick,
-			Workers: *workers, ShardWorkers: *pdesJ, ConsumerHeadStart: *headstart,
+			Workers: *workers, ConsumerHeadStart: *headstart,
 		}
 		for _, target := range ids[1:] {
 			rep, err := repro.ExplainBackends(target, opts)
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		co := repro.CalibOptions{
 			Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick,
-			Workers: *workers, ShardWorkers: *pdesJ, Budget: *budget,
+			Workers: *workers, Budget: *budget,
 		}
 		return runCalibSubcommand(ids[0], ids[1:], co, out, stderr, *quiet)
 	}
@@ -188,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = f
 	}
 
-	opts := repro.ExperimentOptions{Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick, Workers: *workers, ShardWorkers: *pdesJ, ConsumerHeadStart: *headstart}
+	opts := repro.ExperimentOptions{Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick, Workers: *workers, ConsumerHeadStart: *headstart}
 	if *traceOut != "" && *traceStrm != "" {
 		return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
 	}

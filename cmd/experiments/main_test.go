@@ -125,7 +125,8 @@ func TestErrorsGoToStderr(t *testing.T) {
 
 // Nonsense counts are usage errors caught before any simulation: exit 2,
 // one line on stderr, nothing on stdout. An explicit -reps 0 is rejected
-// (0 only means "paper default" when the flag is omitted).
+// (0 only means "paper default" when the flag is omitted). Unknown flags —
+// such as the removed -pdes-j — fail the same way, without the usage dump.
 func TestFlagValidationUpFront(t *testing.T) {
 	cases := [][]string{
 		{"-reps", "0", "table1"},
@@ -133,7 +134,7 @@ func TestFlagValidationUpFront(t *testing.T) {
 		{"-frames", "0", "fig5"},
 		{"-frames", "-1", "fig5"},
 		{"-j", "-2", "table1"},
-		{"-pdes-j", "-1", "table1"},
+		{"-pdes-j", "-1", "table1"}, // unknown flag
 		{"-headstart", "-5ms", "fig5"},
 		{"-budget", "-1", "calibrate"},
 	}

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -33,7 +35,6 @@ func main() {
 		singleNode  = flag.Bool("single-node", false, "collocate producers and consumers on one node")
 		reps        = flag.Int("reps", 1, "repetitions (distinct seeds)")
 		workers     = flag.Int("j", 0, "parallel workers for repetitions (0 = one per core); results are identical for any -j")
-		pdesJ       = flag.Int("pdes-j", 0, "intra-run event-queue shards (parallel discrete-event engine; 0 or 1 = serial); results are identical for any -pdes-j")
 		seed        = flag.Uint64("seed", 1, "base RNG seed")
 		jitter      = flag.Float64("jitter", 0.004, "relative std of per-frame MD compute time")
 		noise       = flag.Bool("lustre-noise", true, "background interference on Lustre OSTs")
@@ -42,7 +43,18 @@ func main() {
 		saveDir     = flag.String("save-profiles", "", "write per-process Caliper profiles (JSON) into this directory for cmd/thicketql")
 		tracePath   = flag.String("trace", "", "write a per-event execution timeline to this file")
 	)
-	flag.Parse()
+	// Parse errors are one line on stderr (exit 2); -h still prints usage.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			flag.CommandLine.SetOutput(os.Stderr)
+			flag.Usage()
+			os.Exit(0)
+		}
+		fmt.Fprintln(os.Stderr, "mdworkflow:", err)
+		os.Exit(2)
+	}
 
 	backend, err := repro.ParseBackend(*backendName)
 	if err != nil {
@@ -68,7 +80,6 @@ func main() {
 		ComputeJitter: *jitter,
 		LustreNoise:   *noise,
 		RealFrames:    *real,
-		ShardWorkers:  *pdesJ,
 		KeepProfiles:  *profiles || *saveDir != "",
 	}
 	if *tracePath != "" {

@@ -28,10 +28,9 @@ type Options struct {
 	// Quick fits against the Fig 5–6 targets only (full adds Fig 7's
 	// 64-pair ensembles) with fewer reps and a smaller budget.
 	Quick bool
-	// Workers / ShardWorkers fan runs out exactly like the experiment
-	// harness flags -j / -pdes-j; neither changes a single fitted byte.
-	Workers      int
-	ShardWorkers int
+	// Workers fans runs out exactly like the experiment harness flag -j;
+	// it never changes a single fitted byte.
+	Workers int
 	// Budget caps fresh objective evaluations (default 96; quick 48).
 	// Memoized re-evaluations are free.
 	Budget int
@@ -202,7 +201,7 @@ func (f *fitter) eval(pt []float64) (v float64, ok bool) {
 // (the defaults point, an axial scan per parameter, and six pseudo-random
 // probes) followed by bounds-clamped Nelder–Mead refinement seeded from
 // the best coarse points. Deterministic: same (space, options) in, same
-// fit out, at any Workers/ShardWorkers.
+// fit out, at any Workers.
 func Calibrate(space Space, o Options) (*Fit, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
@@ -212,7 +211,7 @@ func Calibrate(space Space, o Options) (*Fit, error) {
 		space: space, o: o,
 		eo: experiments.Options{
 			Reps: o.Reps, Frames: o.Frames, Seed: o.Seed, Quick: o.Quick,
-			Workers: o.Workers, ShardWorkers: o.ShardWorkers,
+			Workers: o.Workers,
 		},
 		targets: Targets(!o.Quick),
 		full:    !o.Quick,

@@ -92,7 +92,6 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 		dyCfg := core.Config{
 			Backend: core.DYAD, Model: m, Pairs: 4, SingleNode: true,
 			Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-			ShardWorkers:    o.ShardWorkers,
 			ForceCoarseSync: sc.coarse,
 		}
 		if sc.ablated {
@@ -102,7 +101,6 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 		xfCfg := core.Config{
 			Backend: core.XFS, Model: m, Pairs: 4, SingleNode: true,
 			Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-			ShardWorkers: o.ShardWorkers,
 		}
 		cfgs = append(cfgs, dyCfg, xfCfg)
 	}
@@ -157,7 +155,7 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 			stats.FormatRatioPrec(best.ratio, 3)),
 			"mechanism: forcing coarse-grained synchronization removes the idle-time gap that DYAD's loose coupling buys, leaving DYAD's per-frame metadata commit (dyad_produce > raw XFS write) as pure overhead — the paper's Finding 1 run in reverse")
 	}
-	r.Notes = append(r.Notes, "scenario grid and verdicts are deterministic: byte-identical for any -j / -pdes-j")
+	r.Notes = append(r.Notes, "scenario grid and verdicts are deterministic: byte-identical for any -j")
 	return r, nil
 }
 
@@ -200,7 +198,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 
 	luCfg := core.Config{
 		Backend: core.Lustre, Model: jac, Pairs: pairs, Frames: o.Frames,
-		ComputeJitter: 0.004, ShardWorkers: o.ShardWorkers, LustreNoise: true,
+		ComputeJitter: 0.004, LustreNoise: true,
 	}
 	luCons, _, err := meanCons(luCfg)
 	if err != nil {
@@ -217,7 +215,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 		spec := base.Scale(rate)
 		cfg := core.Config{
 			Backend: core.DYAD, Model: jac, Pairs: pairs, Frames: o.Frames,
-			ComputeJitter: 0.004, ShardWorkers: o.ShardWorkers,
+			ComputeJitter:  0.004,
 			LustreFallback: true,
 		}
 		if rate > 0 {
@@ -281,7 +279,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 			hi, lo, hi, iters))
 	}
 	r.Notes = append(r.Notes,
-		"fault plans are pure functions of (spec, seed): the bisection path and every cell are byte-identical for any -j / -pdes-j")
+		"fault plans are pure functions of (spec, seed): the bisection path and every cell are byte-identical for any -j")
 	return r, nil
 }
 

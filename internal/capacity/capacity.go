@@ -29,7 +29,7 @@
 // Determinism contract: all Store state is mutated inside serialized event
 // execution, victims come from evictor-owned lists (never map iteration),
 // and stall wake-ups broadcast in waiter arrival order — a run with finite
-// capacity is byte-identical across worker and shard counts.
+// capacity is byte-identical across worker counts.
 package capacity
 
 import (

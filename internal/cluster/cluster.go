@@ -52,27 +52,6 @@ type Spec struct {
 	QueueHint int
 }
 
-// MinLinkLatency returns the minimum latency any cross-node interaction
-// pays on this hardware: NIC overhead plus one fabric hop. Sharded runs
-// (sim.Engine.SetLookahead) use it as the conservative lookahead bound —
-// no event scheduled on another node can land sooner than this floor.
-func (s Spec) MinLinkLatency() time.Duration {
-	return s.NIC.Overhead + s.Fabric.HopLatency
-}
-
-// ShardForNode deterministically assigns a node to one of shards event
-// shards. Nodes are striped round-robin so producer/consumer pairs placed
-// on consecutive nodes spread across shards.
-func ShardForNode(nodeID, shards int) int {
-	if shards < 1 {
-		return 0
-	}
-	if nodeID < 0 {
-		nodeID = -nodeID
-	}
-	return nodeID % shards
-}
-
 // CoronaProfile returns a profile approximating LLNL Corona (the paper's
 // testbed): 3.5 TB NVMe node-local SSDs and an InfiniBand QDR fabric.
 // Bandwidths are effective application-level figures, not datasheet peaks.

@@ -188,13 +188,6 @@ type Config struct {
 	// hook site and zero allocations. Mutually exclusive with TraceStream
 	// (flow-event merging needs buffered spans).
 	CritPath bool
-	// ShardWorkers selects the intra-run engine mode: values > 1 shard the
-	// event queue across that many concurrently-maintained partitions
-	// (processes grouped by compute node, lookahead bounded by the cluster's
-	// minimum link latency — DESIGN.md §3g). The virtual timeline and every
-	// measurement are byte-identical at any value; only host wall-clock
-	// behavior changes. 0 or 1 (the default) is the serial engine.
-	ShardWorkers int
 	// MetricsInterval, when > 0, attaches a virtual-time metrics registry
 	// sampling every resource series at this fixed interval, surfaced on
 	// Result.Metrics. Sampling is observation-only — probes read state
@@ -313,9 +306,6 @@ func (c Config) Validate() error {
 	}
 	if c.MetricsInterval < 0 {
 		return fmt.Errorf("core: MetricsInterval %v < 0", c.MetricsInterval)
-	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("core: ShardWorkers %d < 0", c.ShardWorkers)
 	}
 	if c.TraceStream != nil && c.RecordSpans {
 		return fmt.Errorf("core: TraceStream and RecordSpans are mutually exclusive (streamed spans are not retained)")

@@ -35,25 +35,32 @@ func TestCritPathObservationOnly(t *testing.T) {
 	}
 }
 
-// The graph — and everything derived from it — is byte-identical at any
-// intra-run shard count and across pooled engine reuse.
-func TestCritPathDeterministicAcrossShardWorkers(t *testing.T) {
+// The graph — and everything derived from it — is byte-identical across
+// pooled engine reuse: a recording run on a recycled engine matches the
+// same run on a fresh one.
+func TestCritPathDeterministicAcrossPooledReuse(t *testing.T) {
 	for _, b := range []Backend{DYAD, XFS, Lustre} {
 		cfg := critCfg(b)
-		serial, err := Run(cfg)
+		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
-		cfg.ShardWorkers = 4
-		sharded, err := Run(cfg)
+		pool := &runPool{}
+		if _, err := runPooled(cfg, pool); err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		if pool.eng == nil {
+			t.Fatalf("%s: first run retired no engine", b)
+		}
+		reused, err := runPooled(cfg, pool)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
-		if !reflect.DeepEqual(serial.Crit.Path, sharded.Crit.Path) {
-			t.Errorf("%s: critical path differs across shard workers", b)
+		if !reflect.DeepEqual(fresh.Crit.Path, reused.Crit.Path) {
+			t.Errorf("%s: critical path differs on a reused engine", b)
 		}
-		if !reflect.DeepEqual(serial.Crit.Frames, sharded.Crit.Frames) {
-			t.Errorf("%s: frame lineages differ across shard workers", b)
+		if !reflect.DeepEqual(fresh.Crit.Frames, reused.Crit.Frames) {
+			t.Errorf("%s: frame lineages differ on a reused engine", b)
 		}
 	}
 }

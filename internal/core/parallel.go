@@ -90,12 +90,12 @@ type runPool struct {
 }
 
 // take hands out pooled state compatible with cfg, or nils where the pool
-// cannot help. The engine is reusable when its shard-worker shape matches;
-// the cluster additionally needs the same hardware spec (Spec is a value
-// type, so == compares the full profile) and always rides on its own
-// engine. The registry is handed out only to runs that will stream it to a
-// MetricsSink — buffered runs retain their registry on Result.Metrics, so
-// those registries never enter the pool in the first place. Nil-safe.
+// cannot help. The engine is always reusable; the cluster additionally
+// needs the same hardware spec (Spec is a value type, so == compares the
+// full profile) and always rides on its own engine. The registry is handed
+// out only to runs that will stream it to a MetricsSink — buffered runs
+// retain their registry on Result.Metrics, so those registries never enter
+// the pool in the first place. Nil-safe.
 func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry) {
 	if pl == nil {
 		return nil, nil, nil
@@ -103,11 +103,7 @@ func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cl
 	var eng *sim.Engine
 	var cl *cluster.Cluster
 	var reg *metrics.Registry
-	want := 0
-	if cfg.ShardWorkers > 1 {
-		want = cfg.ShardWorkers
-	}
-	if pl.eng != nil && pl.eng.ShardWorkers() == want {
+	if pl.eng != nil {
 		eng = pl.eng
 		eng.Reset(cfg.Seed)
 		if pl.cl != nil && pl.clSpec == spec {

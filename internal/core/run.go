@@ -130,30 +130,6 @@ func newRig(cfg Config, pool *runPool) *rig {
 	}
 	r := &rig{cfg: rc, eng: eng, cl: cl, reg: reg}
 
-	if cfg.ShardWorkers > 1 {
-		// Sharded intra-run engine (DESIGN.md §3g): processes are grouped by
-		// the compute node the placement puts them on, and the conservative
-		// window width is the hardware's cross-node latency floor. Both
-		// choices affect only which worker maintains which events — the
-		// timeline is byte-identical to the serial engine at any count.
-		workers := cfg.ShardWorkers
-		eng.SetShardWorkers(workers)
-		eng.SetLookahead(sim.Time(spec.MinLinkLatency()))
-		shardByName := make(map[string]int, 2*cfg.Pairs)
-		for pair := 0; pair < cfg.Pairs; pair++ {
-			shardByName[fmt.Sprintf("producer%03d", pair)] = cluster.ShardForNode(r.producerNode(pair).ID, workers)
-			shardByName[fmt.Sprintf("consumer%03d", pair)] = cluster.ShardForNode(r.consumerNode(pair).ID, workers)
-		}
-		eng.SetShardAssign(func(proc int32, name string) int {
-			if s, ok := shardByName[name]; ok {
-				return s
-			}
-			// Backend helpers (Lustre noise, broker callbacks) stripe by
-			// spawn order.
-			return cluster.ShardForNode(int(proc), workers)
-		})
-	}
-
 	if cfg.Trace != nil {
 		eng.SetTracer(func(t time.Duration, proc, msg string) {
 			fmt.Fprintf(cfg.Trace, "%12.6f %-14s %s\n", t.Seconds(), proc, msg)
@@ -480,29 +456,30 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			r.consIdleNanos += int64(p.Now() - start)
 		}
 		readStart := p.Now()
+		path := pairPath(pair, f)
 		var data vfs.Payload
 		switch r.cfg.Backend {
 		case DYAD:
-			got, err := client.Consume(p, ann, pairPath(pair, f))
+			got, err := client.Consume(p, ann, path)
 			if err != nil {
-				panic(fmt.Errorf("core: consumer %s: %w", pairPath(pair, f), err))
+				panic(fmt.Errorf("core: consumer %s: %w", path, err))
 			}
 			data = got
 		default:
 			ann.Begin("read_single_buf")
 			p.CritBegin("workflow", "read_single_buf", trace.ClassMovement)
 			start := p.Now()
-			got, err := fs.ReadFile(p, pairPath(pair, f))
+			got, err := fs.ReadFile(p, path)
 			if err != nil {
-				panic(fmt.Errorf("core: consumer read %s: %w", pairPath(pair, f), err))
+				panic(fmt.Errorf("core: consumer read %s: %w", path, err))
 			}
 			emitSpan(p, "read_single_buf", trace.ClassMovement, start)
 			p.CritEnd()
 			ann.End("read_single_buf")
 			data = got
 		}
-		p.CritDepend(pairPath(pair, f), "consume")
-		p.CritHop(pairPath(pair, f), "consume", readStart, data.Size())
+		p.CritDepend(path, "consume")
+		p.CritHop(path, "consume", readStart, data.Size())
 		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: "frame_consumed",
 			Start: p.Now(), Bytes: data.Size()})
 		p.Tracef("consumed frame %d (%d bytes)", f, data.Size())

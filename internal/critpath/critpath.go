@@ -13,11 +13,11 @@
 // pointer compare and zero allocations (TestCritpathZeroAllocs).
 //
 // Determinism contract: recorder methods are only called from event
-// execution, which the kernel serializes on one goroutine even under PDES
-// sharding (DESIGN.md §3g). Node identity is positional — a segment is
-// (proc, append index), an edge's id is its append index, both stamped in
-// execution order, which the (at, seq) event tie-break makes identical at
-// any -j / -pdes-j. No map is ever iterated to produce output.
+// execution, which the kernel serializes on one goroutine. Node identity is
+// positional — a segment is (proc, append index), an edge's id is its
+// append index, both stamped in execution order, which the (at, seq) event
+// tie-break makes identical at any -j. No map is ever iterated to produce
+// output.
 package critpath
 
 import (

@@ -39,7 +39,7 @@ import (
 //     fails fast with capacity.ErrNoSpace (graceful ENOSPC, never a hang).
 //
 // Eviction order, spill decisions, and stall accounting are all
-// event-serialized, so every cell is byte-identical for any -j / -pdes-j.
+// event-serialized, so every cell is byte-identical for any -j.
 func CapSweep(o Options) (*Report, error) {
 	o = o.Defaults()
 	jac := mustModel("JAC")
@@ -121,7 +121,6 @@ func CapSweep(o Options) (*Report, error) {
 				Backend: s.backend, Model: jac, Pairs: s.pairs,
 				SingleNode: s.single, Frames: o.Frames,
 				ComputeJitter:     0.004,
-				ShardWorkers:      o.ShardWorkers,
 				ConsumerHeadStart: o.ConsumerHeadStart,
 			}
 			switch s.backend {
@@ -148,7 +147,7 @@ func CapSweep(o Options) (*Report, error) {
 	nospaceKey := key{len(setups), 0}
 	addCell(nospaceKey, core.Config{
 		Backend: core.XFS, Model: jac, Pairs: pairsXFS, SingleNode: true,
-		Frames: o.Frames, ComputeJitter: 0.004, ShardWorkers: o.ShardWorkers,
+		Frames: o.Frames, ComputeJitter: 0.004,
 		ConsumerHeadStart: o.ConsumerHeadStart,
 		Capacity:          &capacity.Spec{StagingBytes: frame / 2},
 	}, "cap XFS half-frame")
@@ -280,7 +279,7 @@ func CapSweep(o Options) (*Report, error) {
 	r.Notes = append(r.Notes,
 		"consumed-drop never evicts an unconsumed frame: overfull buffers back-pressure producers (stall_s) instead of dropping data, so runs survive without a mirror",
 		"XFS under LRU dies once victims reach unconsumed frames (reads fail with capacity.ErrEvicted); under a sub-frame budget every write fails fast with capacity.ErrNoSpace — counted above, never a hang or panic",
-		"budgets and eviction order are event-serialized state: this table is byte-identical for any -j / -pdes-j",
+		"budgets and eviction order are event-serialized state: this table is byte-identical for any -j",
 		"extends the paper: finite burst-buffer capacity; not a paper figure",
 	)
 	return r, nil

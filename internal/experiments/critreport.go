@@ -138,7 +138,6 @@ func ExplainTargets() []ExplainTarget {
 func critConfig(cfg core.Config, o Options) core.Config {
 	cfg.Frames = o.Frames
 	cfg.Seed = o.Seed
-	cfg.ShardWorkers = o.ShardWorkers
 	if cfg.ConsumerHeadStart == 0 {
 		cfg.ConsumerHeadStart = o.ConsumerHeadStart
 	}

@@ -34,11 +34,6 @@ type Options struct {
 	// per available core). Results are identical for any worker count; only
 	// wall-clock time changes.
 	Workers int
-	// ShardWorkers shards each run's event queue across this many
-	// concurrently-maintained partitions (core.Config.ShardWorkers, the
-	// -pdes-j flag). Like Workers, it never changes results — output is
-	// byte-identical at any value; 0 or 1 is the serial engine.
-	ShardWorkers int
 	// ConsumerHeadStart gives every producer job this much head start over
 	// its consumer (core.Config.ConsumerHeadStart, the -headstart flag).
 	// The paper's protocol launches producers first; calibration fits this
@@ -227,7 +222,6 @@ func mustModel(name string) models.Model {
 func runAgg(cfg core.Config, o Options) (core.Aggregate, error) {
 	cfg.Frames = o.Frames
 	cfg.Seed = o.Seed
-	cfg.ShardWorkers = o.ShardWorkers
 	if cfg.ConsumerHeadStart == 0 {
 		// Option-level default only: a calibration tune hook that already
 		// set the per-config head start wins over the -headstart flag.

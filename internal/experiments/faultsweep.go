@@ -66,7 +66,6 @@ func FaultSweep(o Options) (*Report, error) {
 					SingleNode: s.single, Frames: o.Frames,
 					Seed:              o.Seed + uint64(rep)*0x9e3779b9,
 					ComputeJitter:     0.004,
-					ShardWorkers:      o.ShardWorkers,
 					ConsumerHeadStart: o.ConsumerHeadStart,
 					Faults:            &spec,
 				}

@@ -68,7 +68,6 @@ func consumerEnsemble(b core.Backend, model models.Model, o Options) (*thicket.E
 	cfg := core.Config{
 		Backend: b, Model: model, Pairs: fig8Pairs,
 		Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-		ShardWorkers: o.ShardWorkers,
 		KeepProfiles: true,
 	}
 	if b == core.Lustre {

@@ -37,7 +37,6 @@ func Straggler(o Options) (*Report, error) {
 			cfg := core.Config{
 				Backend: b, Model: jac, Pairs: pairs,
 				Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-				ShardWorkers:      o.ShardWorkers,
 				ConsumerHeadStart: o.ConsumerHeadStart,
 				KeepProfiles:      true,
 			}

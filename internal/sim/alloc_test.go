@@ -6,16 +6,11 @@ import (
 )
 
 // steadyAllocs measures the total heap allocations of one engine lifetime
-// delivering `events` sleep events, with the given shard worker count
-// (<= 1 serial).
-func steadyAllocs(t *testing.T, events, shards int) float64 {
+// delivering `events` sleep events.
+func steadyAllocs(t *testing.T, events int) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
-		if shards > 1 {
-			e.SetShardWorkers(shards)
-			e.SetLookahead(4 * time.Microsecond)
-		}
 		e.Spawn("p", func(p *Proc) {
 			for i := 0; i < events; i++ {
 				p.Sleep(time.Microsecond)
@@ -37,25 +32,10 @@ func TestSteadyStateZeroAllocsWithTracingOff(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
-	base := steadyAllocs(t, 200, 1)
-	long := steadyAllocs(t, 20_000, 1)
+	base := steadyAllocs(t, 200)
+	long := steadyAllocs(t, 20_000)
 	if delta := long - base; delta > 0 {
 		t.Fatalf("steady state allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)", delta, base, long)
-	}
-}
-
-// The sharded engine inherits the same budget: once the per-shard heaps,
-// inboxes, and window merge heap have grown to the workload's high-water
-// mark, windows recycle them — 100x more events, zero extra allocations
-// (DESIGN.md §3g overhead budget).
-func TestShardedSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation budget checked without -race")
-	}
-	base := steadyAllocs(t, 200, 8)
-	long := steadyAllocs(t, 20_000, 8)
-	if delta := long - base; delta > 0 {
-		t.Fatalf("sharded steady state allocates: %0.f allocs over 19800 extra events (base %.0f, long %.0f)", delta, base, long)
 	}
 }
 

@@ -45,38 +45,6 @@ func BenchmarkManyProcs(b *testing.B) {
 	}
 }
 
-// BenchmarkSharded measures the sharded engine's per-event cost against the
-// serial loop on the same workload (100 procs, interleaved sleeps), at 1
-// (serial), 2, and 8 shards. On a single-core host the delta IS the PDES
-// overhead budget: window barriers plus merge-heap churn, with no cores to
-// win the heap maintenance back. DESIGN.md §3g records the measurements.
-func BenchmarkSharded(b *testing.B) {
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			e := NewEngine(1)
-			if workers > 1 {
-				e.SetShardWorkers(workers)
-				e.SetLookahead(4 * time.Microsecond)
-			}
-			const procs = 100
-			steps := b.N/procs + 1
-			e.Prealloc(procs, procs+1)
-			for i := 0; i < procs; i++ {
-				e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-					for s := 0; s < steps; s++ {
-						p.Sleep(time.Duration(1+i%7) * time.Microsecond)
-					}
-				})
-			}
-			b.ResetTimer()
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 // BenchmarkResourceContention measures queued grants under contention.
 func BenchmarkResourceContention(b *testing.B) {
 	b.ReportAllocs()
@@ -172,14 +140,17 @@ func BenchmarkHeapChurn10k(b *testing.B) {
 
 // BenchmarkScaleEvents is the macro queue ladder: steady-state hold-model
 // churn (pop the earliest event, push its successor a random hold later) at
-// 1k, 100k, and 1M resident events, for the 4-ary heap, the ladder queue,
-// and the adaptive default. The heap-vs-ladder spread at each depth is what
-// fixed ladderThreshold (DESIGN.md §3h); BENCH_PR7.json records the ledger.
+// 16 to 1M resident events, for the 4-ary heap, the ladder queue, and the
+// adaptive default. The heap-vs-ladder spread at each depth is what fixed
+// ladderThreshold (DESIGN.md §3h); BENCH_PR7.json records the ledger.
 func BenchmarkScaleEvents(b *testing.B) {
 	depths := []struct {
 		name    string
 		pending int
 	}{
+		{"16", 16},
+		{"64", 64},
+		{"256", 256},
 		{"1k", 1_000},
 		{"100k", 100_000},
 		{"1M", 1_000_000},

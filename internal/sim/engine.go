@@ -75,7 +75,6 @@ type Engine struct {
 	// the inlined 4-ary min-heap for paper-sized runs and migrates to an
 	// amortized-O(1) ladder queue past ~1k pending events (queue.go).
 	pq       eventq
-	evHint   int           // Prealloc events hint; sizes sharded queues too
 	kernelCh chan struct{} // procs hand the baton back on this channel
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
@@ -96,18 +95,6 @@ type Engine struct {
 	sampleEvery Time
 	sampleNext  Time
 	sampleFn    func(t Time)
-
-	// Sharded parallel (PDES) mode; see shard.go. shardWorkers <= 1 keeps
-	// the serial engine: the exact code path above this comment, untouched.
-	shardWorkers int
-	lookahead    Time
-	assign       func(proc int32, name string) int
-	shards       []shard
-	shardOf      []int32 // proc index -> owning shard, resolved lazily
-	sharded      bool    // sharded routing active (inside runSharded)
-	windowEnd    Time    // current fire window end (-1 between windows)
-	fireq        eventq  // current window's merge queue, kernel-owned
-	ack          chan struct{}
 }
 
 // NewEngine returns an engine with its virtual clock at zero. The seed
@@ -133,20 +120,15 @@ func (e *Engine) Prealloc(procs, events int) {
 		e.procs = grown
 	}
 	e.pq.grow(events)
-	if events > e.evHint {
-		e.evHint = events
-	}
 }
 
 // Reset returns the engine to its initial state under a new seed, keeping
-// every backing array — the event queue, the process table, and (when the
-// engine ran sharded) the shard structures — so harnesses can reuse one
-// engine across repetitions instead of reallocating the rig per rep
-// (core's pooled RunMany; DESIGN.md §3h). A reset engine is observationally
-// identical to NewEngine(seed): every run-visible field is cleared, and
-// per-process random streams derive only from the seed and the spawn order.
-// The shard worker count is structural and survives the reset (it cannot
-// change once shard structures exist); call between Runs only.
+// every backing array — the event queue and the process table — so
+// harnesses can reuse one engine across repetitions instead of reallocating
+// the rig per rep (core's pooled RunMany; DESIGN.md §3h). A reset engine is
+// observationally identical to NewEngine(seed): every run-visible field is
+// cleared, and per-process random streams derive only from the seed and the
+// spawn order. Call between Runs only.
 func (e *Engine) Reset(seed uint64) {
 	if e.live > 0 {
 		panic("sim: Reset while processes are live")
@@ -168,15 +150,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.maxEvents, e.maxTime = 0, 0
 	e.sampleEvery, e.sampleNext, e.sampleFn = 0, 0, nil
 	e.pq.reset()
-	e.fireq.reset()
-	for i := range e.shards {
-		e.shards[i].pq.reset()
-	}
-	e.lookahead = 0
-	e.assign = nil
-	e.shardOf = e.shardOf[:0]
-	e.windowEnd = 0
-	e.sharded = false
 }
 
 // Now returns the current virtual time.
@@ -250,9 +223,7 @@ func (e *Engine) SetSampler(every Time, fn func(t Time)) {
 
 // heapPush inserts ev into the inlined 4-ary min-heap pq (ordered by
 // (at, seq)) and returns the updated slice. The heap is the small-N mode of
-// eventq (queue.go), which serves the serial queue, the per-shard queues,
-// and the window merge queue alike, so the ordering contract cannot drift
-// between serial and sharded execution.
+// eventq (queue.go).
 func heapPush(pq []event, ev event) []event {
 	pq = append(pq, ev)
 	i := len(pq) - 1
@@ -304,22 +275,6 @@ func heapPop(pq []event) (event, []event) {
 	return top, pq
 }
 
-// push inserts ev into the pending-event structure: the serial queue, or —
-// while a sharded run is active — the owning shard's inbox / the current
-// window's merge queue (see route in shard.go).
-func (e *Engine) push(ev event) {
-	if e.sharded {
-		e.route(ev)
-		return
-	}
-	e.pq.push(ev)
-}
-
-// pop removes and returns the earliest event of the serial queue.
-func (e *Engine) pop() event {
-	return e.pq.pop()
-}
-
 // schedule enqueues fn to run at absolute virtual time at. Scheduling in
 // the past is a programming error.
 func (e *Engine) schedule(at Time, fn func()) {
@@ -327,7 +282,7 @@ func (e *Engine) schedule(at Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	e.push(event{at: at, seq: e.seq, proc: noProc, fn: fn})
+	e.pq.push(event{at: at, seq: e.seq, proc: noProc, fn: fn})
 }
 
 // scheduleDeliver enqueues baton delivery to the process at index idx —
@@ -338,7 +293,7 @@ func (e *Engine) scheduleDeliver(at Time, idx int32) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	e.push(event{at: at, seq: e.seq, proc: idx})
+	e.pq.push(event{at: at, seq: e.seq, proc: idx})
 }
 
 // fire executes one popped event.
@@ -364,67 +319,46 @@ func (e *Engine) After(d Time, fn func()) {
 // blocked with no pending events (a lost-signal deadlock). All stranded
 // processes are aborted before Run returns, so no goroutines leak.
 //
-// With SetShardWorkers(n > 1) the run executes on the sharded parallel
-// engine (see shard.go); the virtual timeline, every measurement, and every
-// observation stream are byte-identical to the serial engine's.
+// Events pop in (at, seq) order. Before each one fires, the watchdog is
+// checked, then the sampler runs for every boundary the event carries the
+// timeline across.
 func (e *Engine) Run() error {
-	if e.shardWorkers > 1 {
-		e.runSharded()
-	} else {
-		e.runSerial()
+	for e.pq.len() > 0 {
+		ev := e.pq.pop()
+		// The watchdog is checked before the sampler so an aborting run
+		// takes no samples for boundaries its final, never-executed event
+		// would have crossed (see SetSampler).
+		if (e.maxEvents > 0 && e.fired+1 > e.maxEvents) || (e.maxTime > 0 && ev.at > e.maxTime) {
+			e.now = ev.at
+			e.fired++
+			e.failure = fmt.Errorf("%w: %d events fired, virtual time %v (limits: %d events, %v)",
+				ErrWatchdog, e.fired, e.now, e.maxEvents, e.maxTime)
+			break
+		}
+		if e.sampleFn != nil {
+			// Fire every sample boundary the timeline is about to cross,
+			// with the clock parked on the boundary so time-integrated
+			// probes (Resource.BusyUnitNanos) integrate exactly to it.
+			// Boundaries at the event's own instant sample before it fires.
+			for e.sampleNext <= ev.at {
+				e.now = e.sampleNext
+				e.sampleFn(e.sampleNext)
+				e.sampleNext += e.sampleEvery
+			}
+		}
+		e.now = ev.at
+		e.fired++
+		e.fire(&ev)
+		if e.failure != nil {
+			break
+		}
 	}
 	return e.finish()
 }
 
-// runSerial is the classic engine loop: pop and execute events in (at, seq)
-// order from the single queue.
-func (e *Engine) runSerial() {
-	for e.pq.len() > 0 {
-		ev := e.pop()
-		if !e.step(&ev) {
-			break
-		}
-	}
-}
-
-// step advances the run by one popped event: it checks the watchdog, fires
-// the sampler for every boundary the event carries the timeline across, and
-// executes the event. It returns false when the run must stop (watchdog
-// trip or process failure). Both the serial loop and the sharded window
-// loop drive the run exclusively through step, so the two modes cannot
-// diverge in sampling, watchdog, or failure semantics.
-func (e *Engine) step(ev *event) bool {
-	// The watchdog is checked before the sampler so an aborting run takes
-	// no samples for boundaries its final, never-executed event would have
-	// crossed (see SetSampler).
-	if (e.maxEvents > 0 && e.fired+1 > e.maxEvents) || (e.maxTime > 0 && ev.at > e.maxTime) {
-		e.now = ev.at
-		e.fired++
-		e.failure = fmt.Errorf("%w: %d events fired, virtual time %v (limits: %d events, %v)",
-			ErrWatchdog, e.fired, e.now, e.maxEvents, e.maxTime)
-		return false
-	}
-	if e.sampleFn != nil {
-		// Fire every sample boundary the timeline is about to cross,
-		// with the clock parked on the boundary so time-integrated
-		// probes (Resource.BusyUnitNanos) integrate exactly to it.
-		// Boundaries at the event's own instant sample before it fires.
-		for e.sampleNext <= ev.at {
-			e.now = e.sampleNext
-			e.sampleFn(e.sampleNext)
-			e.sampleNext += e.sampleEvery
-		}
-	}
-	e.now = ev.at
-	e.fired++
-	e.fire(ev)
-	return e.failure == nil
-}
-
 // finish unwinds the run: stranded and orphaned processes are aborted,
 // cleanup events are drained, and the first failure (or strandedness) is
-// reported. Sharded runs collapse back to the serial heap before finish, so
-// there is exactly one unwinding path.
+// reported.
 func (e *Engine) finish() error {
 	var stranded []string
 	for _, p := range e.procs {
@@ -445,7 +379,7 @@ func (e *Engine) finish() error {
 	// the first failure: a panic during cleanup must not keep executing
 	// subsequent events against now-inconsistent state.
 	for e.pq.len() > 0 && e.failure == nil {
-		ev := e.pop()
+		ev := e.pq.pop()
 		e.now = ev.at
 		e.fire(&ev)
 	}

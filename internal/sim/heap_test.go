@@ -42,10 +42,10 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 			at := Time(rng.Intn(64)) * time.Millisecond
 			ev := event{at: at, seq: seq, proc: noProc}
 			seq++
-			e.push(ev)
+			e.pq.push(ev)
 			heap.Push(ref, ev)
 		} else {
-			got := e.pop()
+			got := e.pq.pop()
 			want := heap.Pop(ref).(event)
 			if got.at != want.at || got.seq != want.seq {
 				t.Fatalf("op %d: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
@@ -58,7 +58,7 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 	}
 	// Drain: the tail must come out in exactly reference order too.
 	for ref.Len() > 0 {
-		got := e.pop()
+		got := e.pq.pop()
 		want := heap.Pop(ref).(event)
 		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("drain: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
@@ -76,10 +76,10 @@ func TestHeapPopZeroesVacatedSlots(t *testing.T) {
 	e := NewEngine(0)
 	marker := func() {}
 	for i := 0; i < 32; i++ {
-		e.push(event{at: Time(i), seq: int64(i), proc: noProc, fn: marker})
+		e.pq.push(event{at: Time(i), seq: int64(i), proc: noProc, fn: marker})
 	}
 	for i := 0; i < 32; i++ {
-		e.pop()
+		e.pq.pop()
 	}
 	for i, ev := range e.pq.heap[:cap(e.pq.heap)] {
 		if ev.fn != nil {

@@ -49,29 +49,6 @@ cmp "$TRACETMP/m1.csv" "$TRACETMP/m8.csv"
 cmp "$TRACETMP/p1.prom" "$TRACETMP/p8.prom"
 cmp "$TRACETMP/mout1.txt" "$TRACETMP/mout8.txt"
 
-echo "== PDES determinism: -pdes-j 1 vs -pdes-j 8 (race, clean + faulted) =="
-# The sharded intra-run engine must be invisible in the output: report,
-# Chrome trace, metrics CSV, and Prometheus snapshot bytes are identical at
-# any shard count, for clean (fig5) and faulted (faultsweep) seeds alike
-# (DESIGN.md §3g).
-"$TRACETMP/experiments" -quick -q -pdes-j 1 -trace "$TRACETMP/pt1.json" -metrics "$TRACETMP/pm1.csv" -metrics-prom "$TRACETMP/pp1.prom" fig5 faultsweep > "$TRACETMP/pout1.txt"
-"$TRACETMP/experiments" -quick -q -pdes-j 8 -trace "$TRACETMP/pt8.json" -metrics "$TRACETMP/pm8.csv" -metrics-prom "$TRACETMP/pp8.prom" fig5 faultsweep > "$TRACETMP/pout8.txt"
-cmp "$TRACETMP/pout1.txt" "$TRACETMP/pout8.txt"
-cmp "$TRACETMP/pt1.json" "$TRACETMP/pt8.json"
-cmp "$TRACETMP/pm1.csv" "$TRACETMP/pm8.csv"
-cmp "$TRACETMP/pp1.prom" "$TRACETMP/pp8.prom"
-
-echo "== serial-mode invisibility: default vs -pdes-j 1 =="
-# ShardWorkers <= 1 must be the untouched serial engine: the default run
-# (no -pdes-j) and an explicit -pdes-j 1 produce identical bytes. (The PR
-# that introduced the sharded engine additionally checked this output
-# against the preserved pre-PR binary; that binary is not archived in-repo,
-# so the ongoing gate is default-vs-explicit plus the golden fixtures,
-# which pin the serial timeline against the pre-PR state.)
-"$TRACETMP/experiments" -quick -q fig5 faultsweep > "$TRACETMP/sout_default.txt"
-"$TRACETMP/experiments" -quick -q -pdes-j 1 fig5 faultsweep > "$TRACETMP/sout_serial.txt"
-cmp "$TRACETMP/sout_default.txt" "$TRACETMP/sout_serial.txt"
-
 echo "== streaming-sink determinism: -trace-stream / -metrics-stream vs buffered =="
 # The bounded-memory streaming sinks must be byte-identical to buffered
 # collection: the Chrome trace streamed span-by-span equals the buffered
@@ -94,60 +71,50 @@ echo "== capacity smoke: experiments capsweep -quick (race) =="
 # hangs, or data races (DESIGN.md §3i).
 go run -race ./cmd/experiments -quick -q capsweep
 
-echo "== capacity invisibility: capacities off are byte-identical at any -j/-pdes-j =="
+echo "== capacity invisibility: capacities off are byte-identical at any -j =="
 # With every capacity infinite (the default), the capacity layer must be
-# invisible: the full quick sweep produces identical bytes serial, parallel,
-# and sharded. (The PR that introduced the capacity layer additionally
+# invisible: the full quick sweep produces identical bytes serial and
+# parallel. (The PR that introduced the capacity layer additionally
 # checked these bytes against the preserved pre-PR binary via cmp; that
 # binary is not archived in-repo, so the ongoing gate is cross-worker
 # identity plus the golden fixtures, which pin the capacity-off timeline.)
 "$TRACETMP/experiments" -quick -q -j 1 all > "$TRACETMP/cap_j1.txt"
 "$TRACETMP/experiments" -quick -q -j 8 all > "$TRACETMP/cap_j8.txt"
-"$TRACETMP/experiments" -quick -q -j 8 -pdes-j 8 all > "$TRACETMP/cap_pdes8.txt"
 cmp "$TRACETMP/cap_j1.txt" "$TRACETMP/cap_j8.txt"
-cmp "$TRACETMP/cap_j1.txt" "$TRACETMP/cap_pdes8.txt"
 
 echo "== head-start invisibility: default vs explicit -headstart 0 =="
 # With the consumer head start off (the default), the knob must be
 # invisible: a run with no -headstart flag and one with an explicit
 # -headstart 0 produce identical bytes. (The PR that introduced the knob
 # additionally checked these bytes against the preserved pre-PR binary at
-# -j1, -j8, and -pdes-j 8; that binary is not archived in-repo, so the
+# -j1 and -j8; that binary is not archived in-repo, so the
 # ongoing gate is default-vs-explicit plus the golden fixtures.)
 "$TRACETMP/experiments" -quick -q fig5 ablation > "$TRACETMP/hs_default.txt"
 "$TRACETMP/experiments" -quick -q -headstart 0 fig5 ablation > "$TRACETMP/hs_zero.txt"
 cmp "$TRACETMP/hs_default.txt" "$TRACETMP/hs_zero.txt"
 
-echo "== calibration determinism: calibrate -j1 vs -j8 vs -pdes-j 8 (race) =="
-# The fit report must be byte-identical for any run-worker and PDES-shard
-# fan-out: same evaluations, same optimizer path, same fitted parameters
+echo "== calibration determinism: calibrate -j1 vs -j8 (race) =="
+# The fit report must be byte-identical for any run-worker fan-out: same
+# evaluations, same optimizer path, same fitted parameters
 # (DESIGN.md §3j).
 "$TRACETMP/experiments" -q -quick -reps 1 -frames 16 -budget 6 -j 1 calibrate > "$TRACETMP/cal_j1.txt"
 "$TRACETMP/experiments" -q -quick -reps 1 -frames 16 -budget 6 -j 8 calibrate > "$TRACETMP/cal_j8.txt"
-"$TRACETMP/experiments" -q -quick -reps 1 -frames 16 -budget 6 -j 8 -pdes-j 8 calibrate > "$TRACETMP/cal_pdes8.txt"
 cmp "$TRACETMP/cal_j1.txt" "$TRACETMP/cal_j8.txt"
-cmp "$TRACETMP/cal_j1.txt" "$TRACETMP/cal_pdes8.txt"
 
-echo "== critpath determinism: explain + -critpath artifacts at -j1/-j8/-pdes-j 8 (race) =="
+echo "== critpath determinism: explain + -critpath artifacts at -j1/-j8 (race) =="
 # The causal-graph recorder must be worker-count-independent end to end:
 # the differential critical-path report, the per-experiment blame reports,
 # the frame-provenance waterfall CSV, and the flow-merged Chrome trace are
-# byte-identical at any -j and -pdes-j, on clean (fig5) and faulted
+# byte-identical at any -j, on clean (fig5) and faulted
 # (faultsweep) seeds alike (DESIGN.md §3k).
 "$TRACETMP/experiments" -q -quick -reps 1 -frames 16 -j 1 explain fig5 fig6 > "$TRACETMP/ex_j1.txt"
 "$TRACETMP/experiments" -q -quick -reps 1 -frames 16 -j 8 explain fig5 fig6 > "$TRACETMP/ex_j8.txt"
-"$TRACETMP/experiments" -q -quick -reps 1 -frames 16 -j 8 -pdes-j 8 explain fig5 fig6 > "$TRACETMP/ex_pdes8.txt"
 cmp "$TRACETMP/ex_j1.txt" "$TRACETMP/ex_j8.txt"
-cmp "$TRACETMP/ex_j1.txt" "$TRACETMP/ex_pdes8.txt"
 "$TRACETMP/experiments" -quick -q -j 1 -critpath "$TRACETMP/wf1.csv" -trace "$TRACETMP/ct1.json" fig5 faultsweep > "$TRACETMP/crep1.txt"
 "$TRACETMP/experiments" -quick -q -j 8 -critpath "$TRACETMP/wf8.csv" -trace "$TRACETMP/ct8.json" fig5 faultsweep > "$TRACETMP/crep8.txt"
-"$TRACETMP/experiments" -quick -q -j 8 -pdes-j 8 -critpath "$TRACETMP/wfp8.csv" -trace "$TRACETMP/ctp8.json" fig5 faultsweep > "$TRACETMP/crepp8.txt"
 cmp "$TRACETMP/crep1.txt" "$TRACETMP/crep8.txt"
-cmp "$TRACETMP/crep1.txt" "$TRACETMP/crepp8.txt"
 cmp "$TRACETMP/wf1.csv" "$TRACETMP/wf8.csv"
-cmp "$TRACETMP/wf1.csv" "$TRACETMP/wfp8.csv"
 cmp "$TRACETMP/ct1.json" "$TRACETMP/ct8.json"
-cmp "$TRACETMP/ct1.json" "$TRACETMP/ctp8.json"
 
 echo "== critpath invisibility: recording is observation-only =="
 # Recording must not perturb the simulation: dropping the -critpath blame
@@ -163,8 +130,10 @@ cmp "$TRACETMP/out1.txt" "$TRACETMP/crep1_filtered.txt"
 echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
 # The span-tracer, metrics hooks, and capacity layer must be free when
 # disabled: the delta tests scale event/op counts ~100x and require zero
-# extra allocations (run without -race; race instrumentation allocates).
-go test -run 'ZeroAllocs' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/
+# extra allocations. The core budget pins the per-run allocation count of
+# a Fig5-shaped DYAD and XFS run with every sink off (run without -race;
+# race instrumentation allocates).
+go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
