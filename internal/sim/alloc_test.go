@@ -43,7 +43,7 @@ func TestSteadyStateZeroAllocsWithTracingOff(t *testing.T) {
 // lifetime driving a Block/Wake-heavy workload: a waiter parked in a
 // Signal and a peer that broadcasts every microsecond — one release edge
 // per round, exercising exactly the kernel paths the critical-path
-// recorder hooks (Block, Wake, Spawn, deliver).
+// recorder hooks (Block, Wake, Spawn, next).
 func pingPongAllocs(t *testing.T, rounds int) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(5, func() {

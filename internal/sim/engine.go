@@ -1,11 +1,16 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock over a priority queue of events and
-// runs simulated processes as goroutine coroutines: at any instant at most
-// one process goroutine executes, and control passes between the kernel and
-// the running process through unbuffered channels ("baton passing"). Given
-// the same seed and the same spawn order, a simulation is fully
-// deterministic and independent of wall-clock scheduling.
+// runs simulated processes as goroutine coroutines. Exactly one goroutine
+// holds the baton at any instant, and only the holder touches engine state.
+// There is no scheduler goroutine in the loop: a process that sleeps or
+// blocks pops the next events itself (Engine.next), runs callback events
+// inline, and hands the baton over an unbuffered channel straight to the
+// process the next delivery targets — or simply keeps running when that
+// process is itself. The goroutine that called Run gets the baton back only
+// when the run is over. Given the same seed and the same spawn order, a
+// simulation is fully deterministic and independent of wall-clock
+// scheduling.
 //
 // The kernel is the substrate for every simulated subsystem in this
 // repository: storage devices, network fabrics, filesystems, the Lustre and
@@ -75,7 +80,7 @@ type Engine struct {
 	// the inlined 4-ary min-heap for paper-sized runs and migrates to an
 	// amortized-O(1) ladder queue past ~1k pending events (queue.go).
 	pq       eventq
-	kernelCh chan struct{} // procs hand the baton back on this channel
+	kernelCh chan struct{} // the baton returns to Run's goroutine on this channel
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
 	blocked  int // procs blocked on signals/resources (not timed events)
@@ -84,7 +89,11 @@ type Engine struct {
 	tracer   func(t Time, procName, msg string)
 	rec      *trace.Recorder
 	cp       *critpath.Recorder
-	curProc  int32 // proc currently holding the baton, noProc in the kernel
+	// curProc is the proc whose turn it is, for release attribution in
+	// Wake and Spawn. next sets it on each delivery and resets it to
+	// noProc before running a callback or returning the baton to Run, so
+	// a callback popped on a process's goroutine is still the kernel's.
+	curProc int32
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
 	maxEvents int64
@@ -296,15 +305,6 @@ func (e *Engine) scheduleDeliver(at Time, idx int32) {
 	e.pq.push(event{at: at, seq: e.seq, proc: idx})
 }
 
-// fire executes one popped event.
-func (e *Engine) fire(ev *event) {
-	if ev.proc >= 0 {
-		e.deliver(e.procs[ev.proc])
-		return
-	}
-	ev.fn()
-}
-
 // After schedules fn to run d from now. It may be called before Run or from
 // within a process.
 func (e *Engine) After(d Time, fn func()) {
@@ -314,16 +314,31 @@ func (e *Engine) After(d Time, fn func()) {
 	e.schedule(e.now+d, fn)
 }
 
-// Run executes events until the queue is empty or a process panics.
-// It returns the first process failure, or ErrStranded if processes remain
-// blocked with no pending events (a lost-signal deadlock). All stranded
-// processes are aborted before Run returns, so no goroutines leak.
+// Run executes events until the queue is empty or the run fails. It
+// returns the first failure (a process or event panic, or a watchdog
+// abort), or ErrStranded if processes remain blocked with no pending
+// events (a lost-signal deadlock). All stranded processes are aborted
+// before Run returns, so no goroutines leak.
 //
-// Events pop in (at, seq) order. Before each one fires, the watchdog is
-// checked, then the sampler runs for every boundary the event carries the
-// timeline across.
+// Run hands the baton to the first process due and waits for it to come
+// back (see next).
 func (e *Engine) Run() error {
-	for e.pq.len() > 0 {
+	if q := e.next(); q != nil {
+		q.resume <- struct{}{}
+		<-e.kernelCh
+	}
+	return e.finish()
+}
+
+// next is the one dispatch loop, run by whichever goroutine holds the
+// baton. It pops events in (at, seq) order, runs callback events inline,
+// and returns the target of the first delivery event with waiting cleared
+// and curProc set; the caller hands that process the baton, or keeps it.
+// It returns nil, the cue to give the baton back to Run, when the queue
+// drains, the run has failed, or the watchdog trips. A panic in a callback
+// or the sampler fails the run, whichever goroutine popped the event.
+func (e *Engine) next() *Proc {
+	for e.failure == nil && e.pq.len() > 0 {
 		ev := e.pq.pop()
 		// The watchdog is checked before the sampler so an aborting run
 		// takes no samples for boundaries its final, never-executed event
@@ -335,53 +350,99 @@ func (e *Engine) Run() error {
 				ErrWatchdog, e.fired, e.now, e.maxEvents, e.maxTime)
 			break
 		}
-		if e.sampleFn != nil {
-			// Fire every sample boundary the timeline is about to cross,
-			// with the clock parked on the boundary so time-integrated
-			// probes (Resource.BusyUnitNanos) integrate exactly to it.
-			// Boundaries at the event's own instant sample before it fires.
-			for e.sampleNext <= ev.at {
-				e.now = e.sampleNext
-				e.sampleFn(e.sampleNext)
-				e.sampleNext += e.sampleEvery
+		if e.sampleFn != nil && e.sampleNext <= ev.at {
+			if e.sample(ev.at); e.failure != nil {
+				break
 			}
 		}
 		e.now = ev.at
 		e.fired++
-		e.fire(&ev)
-		if e.failure != nil {
+		if ev.proc == noProc {
+			e.curProc = noProc // callbacks are the kernel's, whoever pops them
+			e.call(ev.fn)
+			continue
+		}
+		p := e.procs[ev.proc]
+		if p.done {
+			e.failure = fmt.Errorf("sim: event at %v: wake of finished process %q", e.now, p.name)
 			break
 		}
+		p.waiting = false
+		e.curProc = p.idx
+		return p
 	}
-	return e.finish()
+	e.curProc = noProc
+	return nil
+}
+
+// sample fires every sample boundary the timeline is about to cross on
+// its way to upTo, with the clock parked on the boundary so
+// time-integrated probes (Resource.BusyUnitNanos) integrate exactly to it.
+// Boundaries at upTo itself sample before the event there fires.
+func (e *Engine) sample(upTo Time) {
+	defer e.recoverEvent()
+	for e.sampleNext <= upTo {
+		e.now = e.sampleNext
+		e.sampleFn(e.sampleNext)
+		e.sampleNext += e.sampleEvery
+	}
+}
+
+// call runs a callback event, converting a panic into a run failure.
+func (e *Engine) call(fn func()) {
+	defer e.recoverEvent()
+	fn()
+}
+
+// recoverEvent is deferred around code next runs inline: it records a
+// panic as the run's failure, keeping an error value's chain.
+func (e *Engine) recoverEvent() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if err, ok := r.(error); ok {
+		e.failure = fmt.Errorf("sim: event at %v panicked: %w", e.now, err)
+	} else {
+		e.failure = fmt.Errorf("sim: event at %v panicked: %v", e.now, r)
+	}
 }
 
 // finish unwinds the run: stranded and orphaned processes are aborted,
-// cleanup events are drained, and the first failure (or strandedness) is
-// reported.
+// events their cleanup code scheduled are drained through next, and the
+// first failure (or strandedness) is reported. It repeats while processes
+// are still exiting, so cleanup that spawns or strands further processes
+// leaks no goroutines either.
 func (e *Engine) finish() error {
 	var stranded []string
-	for _, p := range e.procs {
-		switch {
-		case p.done:
-		case p.waiting:
-			stranded = append(stranded, p.name)
-			p.abort()
-		case e.failure != nil:
-			// An aborted run (process failure or watchdog) can strand
-			// processes that are merely sleeping — their delivery events
-			// die with the queue. Unwind them too so no goroutines leak.
-			p.abort()
+	for {
+		live := e.live
+		// Index, not range: cleanup code may spawn while being aborted.
+		for i := 0; i < len(e.procs); i++ {
+			p := e.procs[i]
+			switch {
+			case p.done:
+			case p.waiting:
+				if !p.aborted { // cleanup that blocks again is not news
+					stranded = append(stranded, p.name)
+				}
+				p.abort()
+			case e.failure != nil:
+				// An aborted run (process failure or watchdog) can strand
+				// processes that are merely sleeping — their delivery events
+				// die with the queue. Unwind them too so no goroutines leak.
+				p.abort()
+			}
 		}
-	}
-	// Drain any events scheduled by aborting procs (there should be none,
-	// but be safe against user cleanup code). Like the main loop, stop at
-	// the first failure: a panic during cleanup must not keep executing
-	// subsequent events against now-inconsistent state.
-	for e.pq.len() > 0 && e.failure == nil {
-		ev := e.pq.pop()
-		e.now = ev.at
-		e.fire(&ev)
+		// Like the main loop, next stops at the first failure: a panic
+		// during cleanup must not keep executing subsequent events against
+		// now-inconsistent state.
+		if q := e.next(); q != nil {
+			q.resume <- struct{}{}
+			<-e.kernelCh
+		} else if e.live == 0 || e.live == live {
+			break // all exited, or a pass freed none (code swallowing procAbort)
+		}
 	}
 	// Keep the backing arrays for engines that run again; clear residual
 	// events (present only after a failure) so their callbacks are freed.

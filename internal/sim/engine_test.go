@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -384,8 +385,10 @@ func TestNegativeSleepPanics(t *testing.T) {
 // Regression: the post-abort drain loop must stop at the first failure,
 // exactly like the main loop. A panic raised while running a stranded
 // process's cleanup events used to leave the drain executing every
-// subsequent event against the now-inconsistent engine state.
+// subsequent event against the now-inconsistent engine state. The cleanup
+// process that never ran must still be unwound.
 func TestDrainStopsOnCleanupFailure(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(1)
 	var sig Signal
 	ranAfter := false
@@ -408,5 +411,50 @@ func TestDrainStopsOnCleanupFailure(t *testing.T) {
 	}
 	if ranAfter {
 		t.Fatal("drain kept executing events after a cleanup failure")
+	}
+	assertNoGoroutineLeak(t, before)
+}
+
+// A panicking callback fails the run with an event error, whichever
+// goroutine popped the event: the kernel goroutine before any process has
+// run, or a process goroutine dispatching on its own turn. Either way it
+// must not be blamed on that process, and every process must unwind.
+func TestCallbackPanicFailsRun(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(e *Engine)
+		want  string
+	}{
+		{"before any process", func(e *Engine) {
+			e.After(0, func() { panic("boom") })
+			e.Spawn("idle", func(p *Proc) { p.Sleep(time.Hour) })
+		}, "sim: event at 0s panicked: boom"},
+		{"after a process slept", func(e *Engine) {
+			e.Spawn("sleeper", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				e.After(3*time.Millisecond, func() { panic("boom") })
+				p.Sleep(time.Hour)
+			})
+		}, "sim: event at 4ms panicked: boom"},
+		{"wake of finished process", func(e *Engine) {
+			done := e.Spawn("done", func(p *Proc) {})
+			e.Spawn("waker", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				done.Wake()
+				p.Sleep(time.Hour)
+			})
+		}, `sim: event at 1ms: wake of finished process "done"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine(1)
+			tc.build(e)
+			err := e.Run()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			assertNoGoroutineLeak(t, before)
+		})
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Proc is a simulated process: a goroutine that runs user code and yields to
-// the kernel whenever it sleeps or blocks. Exactly one Proc executes at a
-// time, so user code never needs locks for simulation state.
+// Proc is a simulated process: a goroutine that runs user code and gives up
+// the baton whenever it sleeps or blocks. Exactly one goroutine — a Proc or
+// the kernel goroutine inside Run — holds the baton at a time, and every
+// handoff is a channel operation, so user code never needs locks for
+// simulation state.
 type Proc struct {
 	e       *Engine
 	name    string
@@ -57,7 +59,11 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			p.done = true
 			e.live--
-			e.kernelCh <- struct{}{} // final baton back to the kernel
+			var q *Proc // final handoff; an aborted p returns to the kernel
+			if !p.aborted {
+				q = e.next()
+			}
+			e.pass(q)
 		}()
 		if !p.aborted { // aborted before first delivery: never run user code
 			fn(p)
@@ -70,33 +76,38 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// deliver hands the baton to p and blocks until p yields it back (by
-// sleeping, blocking, or finishing).
-func (e *Engine) deliver(p *Proc) {
-	if p.done {
-		panic(fmt.Sprintf("sim: wake of finished process %q", p.name))
-	}
-	p.waiting = false
-	// curProc lets Wake and Spawn hooks attribute releases to the proc
-	// that caused them; the kernel goroutine is parked in kernelCh while
-	// p runs, so the field is stable for p's whole turn.
-	e.curProc = p.idx
-	p.resume <- struct{}{}
-	<-e.kernelCh
-	e.curProc = noProc
-}
-
-// yield hands the baton back to the kernel and blocks until re-delivered.
+// yield gives up the baton and blocks until it is handed back. The
+// yielding goroutine runs the dispatch loop itself: it hands the baton
+// straight to the next process due, keeps it without any channel operation
+// when that process is p, and returns it to the kernel goroutine only when
+// the run is over. An aborted process (unwinding in finish) always returns
+// it to the kernel, which is waiting in abort.
 func (p *Proc) yield() {
-	p.e.kernelCh <- struct{}{}
+	var q *Proc
+	if !p.aborted {
+		if q = p.e.next(); q == p {
+			return
+		}
+	}
+	p.e.pass(q)
 	<-p.resume
 	if p.aborted {
 		panic(procAbort{})
 	}
 }
 
-// abort unwinds a stranded (blocked) process so its goroutine exits.
-// Called by the kernel only, for procs with waiting==true.
+// pass hands the baton to q, or back to Run's goroutine when q is nil.
+func (e *Engine) pass(q *Proc) {
+	if q != nil {
+		q.resume <- struct{}{}
+	} else {
+		e.kernelCh <- struct{}{}
+	}
+}
+
+// abort unwinds a process that will never be delivered to (stranded, or
+// orphaned by a failed run) so its goroutine exits. Called by the kernel
+// goroutine only, from finish; p hands the baton straight back.
 func (p *Proc) abort() {
 	p.aborted = true
 	p.e.curProc = p.idx
@@ -149,7 +160,7 @@ func (p *Proc) Block() {
 
 // Wake schedules delivery of a process parked in Block at the current
 // virtual time. Calling Wake on a process that is not blocked (or waking it
-// twice) is a programming error and will panic inside the kernel.
+// twice) is a programming error; waking a finished process fails the run.
 func (p *Proc) Wake() {
 	if cp := p.e.cp; cp != nil {
 		cp.Release(p.e.curProc, p.idx, p.e.now)

@@ -17,8 +17,7 @@ package sim
 // (at, seq) — the same total order the heap yields — for ANY interleaving
 // of pushes and pops, including pushes of events earlier than everything
 // pending. Both modes therefore produce identical timelines, and the mode
-// switch is invisible to the engine, the shards, and the merge path (one
-// eventq implementation serves all three). queue_test.go locks the contract
+// switch is invisible to the engine. queue_test.go locks the contract
 // against a container/heap reference over tie-heavy randomized workloads.
 //
 // Structure of the ladder mode:
@@ -157,8 +156,8 @@ func (r *rung) bucketSpread(b int) (mn, mx Time) {
 }
 
 // eventq is the adaptive pending-event queue. The zero value is an empty
-// queue in heap mode. Not safe for concurrent use; in sharded runs each
-// shard owns one and the phase barriers hand ownership around (shard.go).
+// queue in heap mode. Not safe for concurrent use: only the goroutine
+// holding the engine's baton touches it.
 type eventq struct {
 	heap   []event // heap-mode storage (donated to top on migration)
 	size   int     // pending events, both modes

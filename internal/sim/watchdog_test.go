@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -43,39 +44,80 @@ func TestWatchdogAbortsVirtualTimeRunaway(t *testing.T) {
 	}
 }
 
-// A watchdog abort strands well-behaved sleeping processes: their delivery
-// events die with the queue. They must be unwound so no goroutines leak.
+// Every way a run can end must unwind every process goroutine: a watchdog
+// abort strands well-behaved sleepers (their delivery events die with the
+// queue), a failure strands whoever was not running, and ErrStranded
+// leaves blocked processes parked. After each Run the goroutine count must
+// return to its baseline.
 func TestWatchdogAbortLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		e := NewEngine(uint64(i))
-		e.SetWatchdog(1_000, 0)
+	sleepers := func(e *Engine) {
 		for j := 0; j < 8; j++ {
-			e.Spawn("sleeper", func(p *Proc) {
-				p.Sleep(time.Hour)
-			})
-		}
-		e.Spawn("livelock", func(p *Proc) {
-			for {
-				p.Sleep(0)
-			}
-		})
-		if err := e.Run(); !errors.Is(err, ErrWatchdog) {
-			t.Fatalf("iteration %d: err = %v, want ErrWatchdog", i, err)
+			e.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
 		}
 	}
-	// Aborted procs unwind synchronously in Run, but give the runtime a
-	// moment to retire them before counting.
+	cases := []struct {
+		name  string
+		build func(e *Engine)
+		ok    func(err error) bool
+	}{
+		{"clean finish", func(e *Engine) {
+			sleepers(e)
+		}, func(err error) bool { return err == nil }},
+		{"stranded", func(e *Engine) {
+			sleepers(e)
+			var sig Signal
+			for j := 0; j < 4; j++ {
+				e.Spawn("waiter", func(p *Proc) { sig.Wait(p) })
+			}
+		}, func(err error) bool { return errors.Is(err, ErrStranded) }},
+		{"process panic", func(e *Engine) {
+			sleepers(e)
+			e.Spawn("bad", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				panic("boom")
+			})
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), `process "bad" panicked`) }},
+		{"callback panic", func(e *Engine) {
+			sleepers(e)
+			e.After(time.Millisecond, func() { panic("boom") })
+		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "event at 1ms panicked") }},
+		{"watchdog abort", func(e *Engine) {
+			e.SetWatchdog(1_000, 0)
+			sleepers(e)
+			e.Spawn("livelock", func(p *Proc) {
+				for {
+					p.Sleep(0)
+				}
+			})
+		}, func(err error) bool { return errors.Is(err, ErrWatchdog) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 10; i++ {
+				e := NewEngine(uint64(i))
+				tc.build(e)
+				if err := e.Run(); !tc.ok(err) {
+					t.Fatalf("iteration %d: unexpected err = %v", i, err)
+				}
+			}
+			assertNoGoroutineLeak(t, before)
+		})
+	}
+}
+
+// assertNoGoroutineLeak fails t unless the goroutine count settles back to
+// before. Unwound procs exit synchronously in Run, but give the runtime a
+// moment to retire them before counting.
+func assertNoGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for {
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.GC()
-		if runtime.NumGoroutine() <= before || time.Now().After(deadline) {
-			break
-		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if after := runtime.NumGoroutine(); after > before+2 {
-		t.Fatalf("goroutines grew from %d to %d: aborted runs leak", before, after)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew from %d to %d: runs leak", before, after)
 	}
 }
 

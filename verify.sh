@@ -20,6 +20,13 @@ go vet ./...
 echo "== go test -race ./... =="
 go test -race ./...
 
+echo "== baton-handoff stress: sim exit paths x10 (race) =="
+# Engine state is handed between process goroutines directly (each one
+# runs the dispatch loop on its own turn; DESIGN.md §3c), so the failure,
+# unwind, attribution and ordering paths run repeatedly under the race
+# detector to shake out any handoff that is not a happens-before edge.
+go test -race -count=10 -timeout 300s -run 'Panic|Leak|Stranded|Drain|Crit|Watchdog|Ordering' ./internal/sim/
+
 echo "== fault-matrix smoke: experiments faultsweep -quick (race) =="
 # The injected-failure matrix must complete — every run either recovers or
 # dies with a wrapped sentinel; no panics, hangs, or data races.
