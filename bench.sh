@@ -1,10 +1,11 @@
 #!/bin/sh
 # bench.sh — measured benchmark run recorded into a JSON ledger.
 #
-# Runs the kernel microbenchmarks plus the end-to-end figure benchmarks the
-# perf acceptance criteria track, and merges ns/op, B/op, and allocs/op
-# into BENCH_PR10.json under the given label (default: "current"). With a
-# baseline label already present in the ledger, benchrec prints deltas.
+# Runs the kernel microbenchmarks, the end-to-end figure benchmarks the
+# perf acceptance criteria track, and the trace/metrics/waterfall export
+# benchmarks, and merges ns/op, B/op, and allocs/op into BENCH_PR10.json
+# under the given label (default: "current"). With a baseline label
+# already present in the ledger, benchrec prints deltas.
 #
 # Usage:
 #   ./bench.sh            # record under label "current"
@@ -27,6 +28,7 @@ go build -o /tmp/benchrec ./cmd/benchrec
 	go test -run=NONE -bench='BenchmarkCritpathExtract' -benchtime=20000x ./internal/critpath/
 	go test -run=NONE -bench='BenchmarkProvenanceRecord' -benchtime=500x ./internal/critpath/
 	go test -run=NONE -bench='BenchmarkFig5$|BenchmarkFig6$|BenchmarkWorkflowLargePairs$|BenchmarkRepeatPooled$' -benchtime=2x .
+	go test -run=NONE -bench='BenchmarkWriteChrome$|BenchmarkWriteMetrics$|BenchmarkWriteWaterfall$' -benchtime=20x .
 } | tee /dev/stderr | /tmp/benchrec -label "$LABEL" -o "$LEDGER"
 
 echo "bench.sh: recorded under label \"$LABEL\" in $LEDGER"

@@ -125,3 +125,77 @@ func BenchmarkRepeatPooled(b *testing.B) {
 		}
 	}
 }
+
+// exportRuns runs the Fig 5 (one node, DYAD vs XFS, 1-4 pairs) and Fig 6
+// (two nodes, DYAD vs Lustre, 1-8 pairs) sweeps at 32 frames per pair with
+// spans, metrics and critical paths all recorded, and collects them the way
+// cmd/experiments does — the run set the exporter benchmarks serialize.
+func exportRuns(b *testing.B) (*TraceCollector, *MetricsCollector, *CritPathCollector) {
+	b.Helper()
+	jac, err := ModelByName("JAC")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tc, mc, cc := NewTraceCollector(), NewMetricsCollector(), NewCritPathCollector()
+	sweep := func(other Backend, pairs []int, single bool) {
+		for _, p := range pairs {
+			for _, be := range []Backend{DYAD, other} {
+				cfg := Config{Backend: be, Model: jac, Pairs: p, Frames: 32, SingleNode: single, Seed: 1,
+					ComputeJitter: 0.004, LustreNoise: be == Lustre,
+					RecordSpans: true, MetricsInterval: mc.SampleInterval(), CritPath: true}
+				res, err := RunMany([]Config{cfg}, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc.Add(cfg.Label(), res)
+				mc.Add(cfg.Label(), res)
+				cc.Add(cfg.Label(), res)
+			}
+		}
+	}
+	sweep(XFS, []int{1, 2, 4}, true)
+	sweep(Lustre, []int{1, 2, 4, 8}, false)
+	return tc, mc, cc
+}
+
+// BenchmarkWriteChrome measures the Chrome trace export of the Fig 5/6 run
+// set: spans, critical-path flow arrows and metrics counter tracks.
+func BenchmarkWriteChrome(b *testing.B) {
+	tc, _, _ := exportRuns(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteChromeTrace(io.Discard, tc.Runs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteMetrics measures the metrics time-series CSV plus the
+// Prometheus snapshot of the Fig 5/6 run set.
+func BenchmarkWriteMetrics(b *testing.B) {
+	_, mc, _ := exportRuns(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteMetricsCSV(io.Discard, mc.Runs); err != nil {
+			b.Fatal(err)
+		}
+		if err := WriteMetricsProm(io.Discard, mc.Runs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteWaterfall measures the frame-provenance waterfall CSV of
+// the Fig 5/6 run set.
+func BenchmarkWriteWaterfall(b *testing.B) {
+	_, _, cc := exportRuns(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cc.WriteWaterfall(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package critpath
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -263,5 +264,36 @@ func TestFinishStrandedWaiter(t *testing.T) {
 	last := segs[len(segs)-1]
 	if last.Kind != Wait || last.End != 10*ms {
 		t.Errorf("stranded wait not closed at finish: %+v", last)
+	}
+}
+
+// TestExportAllocBudget pins the waterfall writer's allocations to a
+// constant: eight times the hops over the same frames and procs must
+// allocate no more than one time.
+func TestExportAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	build := func(hops int) []LineageSet {
+		r := NewRecorder()
+		r.StartProc(0, "producer000", -1, 0)
+		r.StartProc(1, "consumer000", -1, 0)
+		for i := 0; i < hops; i++ {
+			at := Time(i%16) * ms
+			r.Hop("/f0", "write", 0, at, at+1500, 64)
+			r.Hop("/f1", "read", 1, at, at+2*ms, 32)
+		}
+		return []LineageSet{{Label: "run1", Frames: r.Finish(20 * ms).Lineages}}
+	}
+	allocs := func(runs []LineageSet) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := WriteWaterfall(io.Discard, runs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, eight := allocs(build(16)), allocs(build(128))
+	if eight > one {
+		t.Errorf("WriteWaterfall: %v allocs for 8x the hops, %v for 1x; want no growth", eight, one)
 	}
 }

@@ -1,8 +1,9 @@
 package critpath
 
 import (
-	"fmt"
+	"bufio"
 	"io"
+	"strconv"
 
 	"repro/internal/trace"
 )
@@ -16,34 +17,36 @@ type LineageSet struct {
 
 // WriteWaterfall writes frame provenance as a long-format CSV: one row per
 // lineage hop, ordered by run, then frame first appearance, then hop
-// recording order — a plotting-ready waterfall.
+// recording order — a plotting-ready waterfall. Rows are append-encoded
+// into one reused line buffer (times via trace.AppendMicros, the Chrome
+// trace's microsecond format) and written through one buffered writer, so
+// a row costs no allocation and no write call of its own on w.
 func WriteWaterfall(w io.Writer, runs []LineageSet) error {
-	if _, err := io.WriteString(w, "run,frame,hop,proc,start_us,dur_us,bytes\n"); err != nil {
-		return err
-	}
+	bw := bufio.NewWriter(w)
+	bw.WriteString("run,frame,hop,proc,start_us,dur_us,bytes\n")
+	line := make([]byte, 0, 256)
 	for _, set := range runs {
 		for _, fl := range set.Frames {
 			for _, h := range fl.Hops {
-				_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%s,%s,%d\n",
-					set.Label, fl.Key, h.Name, h.Proc, us(h.Start), us(h.End-h.Start), h.Bytes)
-				if err != nil {
-					return err
-				}
+				line = append(line[:0], set.Label...)
+				line = append(line, ',')
+				line = append(line, fl.Key...)
+				line = append(line, ',')
+				line = append(line, h.Name...)
+				line = append(line, ',')
+				line = append(line, h.Proc...)
+				line = append(line, ',')
+				line = trace.AppendMicros(line, h.Start)
+				line = append(line, ',')
+				line = trace.AppendMicros(line, h.End-h.Start)
+				line = append(line, ',')
+				line = strconv.AppendInt(line, h.Bytes, 10)
+				line = append(line, '\n')
+				bw.Write(line)
 			}
 		}
 	}
-	return nil
-}
-
-// us renders a duration in microseconds: integer when whole, three
-// fractional digits otherwise (the same fixed formatting trace uses, so
-// artifacts stay byte-stable across platforms).
-func us(d Time) string {
-	micros := d.Nanoseconds() / 1000
-	if rem := d.Nanoseconds() % 1000; rem != 0 {
-		return fmt.Sprintf("%d.%03d", micros, rem)
-	}
-	return fmt.Sprintf("%d", micros)
+	return bw.Flush()
 }
 
 // FlowEvents converts frame lineages into Chrome flow events: one flow per

@@ -25,7 +25,6 @@ import (
 	"bufio"
 	"io"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/trace"
@@ -304,14 +303,12 @@ func (r *Registry) Sample(t time.Duration) {
 		return
 	}
 	sec := r.interval.Seconds()
-	if r.sink != nil {
-		bw := r.sink.bw
-		bw.WriteString(fmtF(t.Seconds()))
+	if k := r.sink; k != nil {
+		k.vals = k.vals[:0]
 		for _, s := range r.series {
-			bw.WriteByte(',')
-			bw.WriteString(fmtF(s.sample(r.interval, sec)))
+			k.vals = append(k.vals, s.sample(r.interval, sec))
 		}
-		bw.WriteByte('\n')
+		k.row(t, k.vals)
 		return
 	}
 	r.times = append(r.times, t)
@@ -399,65 +396,53 @@ type Run struct {
 	Reg   *Registry
 }
 
-// fmtF renders a float64 with strconv's shortest round-trip formatting —
-// fixed, locale-free, and deterministic, the property the -j1 vs -j8
-// byte-identity check relies on.
-func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// writeCSVRunHeader writes one run's "# label" comment and header row —
-// shared by WriteCSV and CSVSink so buffered and streamed exports of the
-// same runs are byte-identical by construction.
-func writeCSVRunHeader(bw *bufio.Writer, label string, series []*Series) {
-	bw.WriteString("# ")
-	bw.WriteString(csvComment(label))
-	bw.WriteByte('\n')
-	bw.WriteString("time_s")
-	for _, s := range series {
-		bw.WriteByte(',')
-		bw.WriteString(s.Name)
-	}
-	bw.WriteByte('\n')
-}
+// appendFloat appends a float64 with strconv's shortest round-trip
+// formatting — fixed, locale-free, and deterministic, the property the -j1
+// vs -j8 byte-identity check relies on.
+func appendFloat(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', -1, 64) }
 
 // WriteCSV writes the sampled time series of every run: per run, a "# label"
 // comment line, a header (time_s then series names in registration order),
 // and one row per elapsed sample interval. Runs are separated by one blank
 // line. Column order and number formatting are fixed, so deterministic
-// samples serialize to deterministic bytes.
+// samples serialize to deterministic bytes. It feeds the retained samples
+// through a CSVSink's header and row encoders, so buffered and streamed
+// exports of the same runs are byte-identical by construction.
 func WriteCSV(w io.Writer, runs []Run) error {
-	bw := bufio.NewWriter(w)
-	for ri, run := range runs {
-		if ri > 0 {
-			bw.WriteByte('\n')
-		}
-		writeCSVRunHeader(bw, run.Label, run.Reg.Series())
+	k := NewCSVSink(w)
+	for _, run := range runs {
+		series := run.Reg.Series()
+		k.header(run.Label, series)
 		for i, t := range run.Reg.Times() {
-			bw.WriteString(fmtF(t.Seconds()))
-			for _, s := range run.Reg.Series() {
-				bw.WriteByte(',')
-				bw.WriteString(fmtF(s.Samples[i]))
+			k.vals = k.vals[:0]
+			for _, s := range series {
+				k.vals = append(k.vals, s.Samples[i])
 			}
-			bw.WriteByte('\n')
+			k.row(t, k.vals)
 		}
 	}
-	return bw.Flush()
+	return k.Flush()
 }
 
 // CSVSink streams sampled metrics as they are taken: StartRun binds a
 // run's registry to the sink, and every subsequent sample boundary writes
 // one CSV row through the sink's buffer instead of growing the registry's
 // sample vectors. The byte stream is identical to WriteCSV over the same
-// runs (shared header and row formatting), while memory stays O(series
-// count + one I/O buffer) on runs of any length. A sink serializes one run
-// at a time: concurrently executing sampled runs must not share it.
+// runs (shared header and row encoders), while memory stays O(series
+// count + one I/O buffer) on runs of any length. Rows are append-encoded
+// into one reused line buffer, so writing a row allocates nothing. A sink
+// serializes one run at a time: concurrently executing sampled runs must
+// not share it.
 type CSVSink struct {
 	bw   *bufio.Writer
+	line []byte    // the row being encoded, reused across rows
+	vals []float64 // one boundary's values, reused across rows
 	runs int
 }
 
 // NewCSVSink returns a sink streaming CSV rows to w.
 func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{bw: bufio.NewWriter(w)}
+	return &CSVSink{bw: bufio.NewWriter(w), line: make([]byte, 0, 256)}
 }
 
 // StartRun opens the next run on the sink: it writes the run separator,
@@ -465,12 +450,44 @@ func NewCSVSink(w io.Writer) *CSVSink {
 // be registered — and redirects the registry's subsequent Sample calls
 // into the sink.
 func (k *CSVSink) StartRun(label string, reg *Registry) {
+	k.header(label, reg.Series())
+	reg.sink = k
+}
+
+// header writes one run's separator (a blank line after the first run),
+// "# label" comment and header row.
+func (k *CSVSink) header(label string, series []*Series) {
+	b := k.line[:0]
 	if k.runs > 0 {
-		k.bw.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	k.runs++
-	writeCSVRunHeader(k.bw, label, reg.Series())
-	reg.sink = k
+	b = append(b, "# "...)
+	b = appendCSVComment(b, label)
+	b = append(b, "\ntime_s"...)
+	for _, s := range series {
+		b = append(b, ',')
+		b = append(b, s.Name...)
+	}
+	k.write(append(b, '\n'))
+}
+
+// row writes one sample boundary: the time in seconds, then one value per
+// series in registration order.
+func (k *CSVSink) row(t time.Duration, vals []float64) {
+	b := appendFloat(k.line[:0], t.Seconds())
+	for _, v := range vals {
+		b = append(b, ',')
+		b = appendFloat(b, v)
+	}
+	k.write(append(b, '\n'))
+}
+
+// write copies an encoded line into the I/O buffer and keeps the line
+// buffer's grown capacity for the next one.
+func (k *CSVSink) write(b []byte) {
+	k.bw.Write(b)
+	k.line = b
 }
 
 // Flush forces buffered rows to the underlying writer. Call it before
@@ -505,47 +522,80 @@ func (s *Series) snapshot() (promType string, v float64) {
 	}
 }
 
-// promName sanitizes a series name into a Prometheus metric name.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("repro_")
+// appendPromName appends a series name sanitized into a Prometheus metric
+// name: the repro_ prefix, then every rune outside [A-Za-z0-9] as '_'.
+func appendPromName(dst []byte, name string) []byte {
+	dst = append(dst, "repro_"...)
 	for _, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
+			dst = append(dst, byte(r))
 		default:
-			b.WriteByte('_')
+			dst = append(dst, '_')
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// promLabel escapes a label value per the Prometheus text exposition
-// format: backslash first (so the escapes it introduces are not
-// re-escaped), then quote, then newline.
-func promLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return strings.ReplaceAll(v, "\n", `\n`)
+// appendPromLabel appends a label value escaped per the Prometheus text
+// exposition format: backslash, quote and newline get a backslash escape.
+func appendPromLabel(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\', '"':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
-// csvComment escapes a run label for the single-line "# label" comment of
-// the CSV export: embedded line breaks become visible \n / \r escapes so a
-// hostile label cannot inject rows into the data block.
-func csvComment(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, "\r", `\r`)
+// appendCSVComment appends a run label escaped for the single-line
+// "# label" comment of the CSV export: backslashes double and embedded line
+// breaks become visible \n / \r escapes, so a hostile label cannot inject
+// rows into the data block.
+func appendCSVComment(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			dst = append(dst, '\\', '\\')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
-// histUpper returns bucket b's inclusive upper bound in seconds for the
+// appendHistUpper appends bucket b's inclusive upper bound in seconds, the
 // Prometheus le label ("+Inf" for the unbounded last bucket).
-func histUpper(b int) string {
+func appendHistUpper(dst []byte, b int) []byte {
 	if b >= trace.HistBuckets-1 {
-		return "+Inf"
+		return append(dst, "+Inf"...)
 	}
 	us := int64(1) << (2 * uint(b)) // 4^b microseconds
-	return fmtF(float64(us) * 1e-6)
+	return appendFloat(dst, float64(us)*1e-6)
+}
+
+// appendSample appends one sample line's metric name, run label and space:
+// metric{run="label"} — or metric{run="label",le="upper"} for a histogram
+// bucket (le < 0 for none) — ready for the value.
+func appendSample(dst, metric []byte, suffix, run string, le int) []byte {
+	dst = append(dst, metric...)
+	dst = append(dst, suffix...)
+	dst = append(dst, `{run="`...)
+	dst = appendPromLabel(dst, run)
+	if le >= 0 {
+		dst = append(dst, `",le="`...)
+		dst = appendHistUpper(dst, le)
+	}
+	return append(dst, `"} `...)
 }
 
 // WriteProm writes an end-of-run snapshot of every run in the Prometheus
@@ -572,17 +622,29 @@ func WriteProm(w io.Writer, runs []Run) error {
 			byName[s.Name] = append(byName[s.Name], entry{run.Label, s})
 		}
 	}
+	// Lines are append-encoded into one reused buffer and written once per
+	// run's block (a TYPE line rides with the first block), so the buffer
+	// stays bounded by one block, not by the run count.
+	line := make([]byte, 0, 256)
+	var metric []byte
 	for _, name := range order {
 		entries := byName[name]
 		promType, _ := entries[0].s.snapshot()
-		metric := promName(name)
+		metric = appendPromName(metric[:0], name)
 		if promType == "counter" {
-			metric += "_total"
+			metric = append(metric, "_total"...)
 		}
-		bw.WriteString("# TYPE " + metric + " " + promType + "\n")
+		line = append(line[:0], "# TYPE "...)
+		line = append(line, metric...)
+		line = append(line, ' ')
+		line = append(line, promType...)
+		line = append(line, '\n')
 		for _, e := range entries {
 			_, v := e.s.snapshot()
-			bw.WriteString(metric + `{run="` + promLabel(e.run) + `"} ` + fmtF(v) + "\n")
+			line = appendSample(line, metric, "", e.run, -1)
+			line = append(appendFloat(line, v), '\n')
+			bw.Write(line)
+			line = line[:0]
 		}
 	}
 
@@ -601,17 +663,23 @@ func WriteProm(w io.Writer, runs []Run) error {
 		}
 	}
 	for _, name := range horder {
-		metric := promName(name) + "_seconds"
-		bw.WriteString("# TYPE " + metric + " histogram\n")
+		metric = append(appendPromName(metric[:0], name), "_seconds"...)
+		line = append(line[:0], "# TYPE "...)
+		line = append(line, metric...)
+		line = append(line, " histogram\n"...)
 		for _, e := range hByName[name] {
 			var cum int64
 			for b := 0; b < trace.HistBuckets; b++ {
 				cum += e.h.Buckets[b]
-				bw.WriteString(metric + `_bucket{run="` + promLabel(e.run) + `",le="` + histUpper(b) + `"} ` +
-					strconv.FormatInt(cum, 10) + "\n")
+				line = appendSample(line, metric, "_bucket", e.run, b)
+				line = append(strconv.AppendInt(line, cum, 10), '\n')
 			}
-			bw.WriteString(metric + `_sum{run="` + promLabel(e.run) + `"} ` + fmtF(e.h.Sum.Seconds()) + "\n")
-			bw.WriteString(metric + `_count{run="` + promLabel(e.run) + `"} ` + strconv.FormatInt(e.h.Count, 10) + "\n")
+			line = appendSample(line, metric, "_sum", e.run, -1)
+			line = append(appendFloat(line, e.h.Sum.Seconds()), '\n')
+			line = appendSample(line, metric, "_count", e.run, -1)
+			line = append(strconv.AppendInt(line, e.h.Count, 10), '\n')
+			bw.Write(line)
+			line = line[:0]
 		}
 	}
 	return bw.Flush()

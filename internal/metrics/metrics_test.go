@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -333,5 +334,39 @@ func TestObserveZeroAllocs(t *testing.T) {
 	var nilH *Histogram
 	if n := testing.AllocsPerRun(100, func() { nilH.Observe(3 * time.Microsecond) }); n != 0 {
 		t.Fatalf("nil Histogram.Observe allocates %.0f/op", n)
+	}
+}
+
+// TestExportAllocBudget pins the append-based exporters' allocations to
+// O(series and runs): WriteCSV plus WriteProm over eight times the sample
+// boundaries of the same registries must allocate no more than over one.
+func TestExportAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation budget checked without -race")
+	}
+	build := func(boundaries int) []Run {
+		var runs []Run
+		for _, label := range []string{"run one", "run two"} {
+			r := New(time.Second)
+			var total, busy, inFlight float64
+			h := registerSinkSeries(r, &total, &busy, &inFlight)
+			drive(r, h, &total, &busy, &inFlight, boundaries)
+			runs = append(runs, Run{Label: label, Reg: r})
+		}
+		return runs
+	}
+	allocs := func(runs []Run) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if err := WriteCSV(io.Discard, runs); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteProm(io.Discard, runs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, eight := allocs(build(20)), allocs(build(160))
+	if eight > one {
+		t.Errorf("WriteCSV+WriteProm: %v allocs for 8x the samples, %v for 1x; want no growth", eight, one)
 	}
 }

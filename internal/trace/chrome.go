@@ -1,10 +1,12 @@
 package trace
 
 import (
-	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // Run is one traced workflow run: a label (config + repetition), its span
@@ -51,8 +53,12 @@ type Counter struct {
 // The output is written with a fixed field order and fixed number
 // formatting, so a deterministic span stream serializes to deterministic
 // bytes — the property the -j1 vs -j8 trace identity check relies on. It is
-// a thin loop over ChromeStream, so buffered and streamed exports of the
-// same runs are byte-identical by construction.
+// valid JSON for any input: times keep one leading sign, strings are
+// JSON-escaped (invalid UTF-8 becomes U+FFFD) and non-finite counter values
+// render as null. It is a thin loop over ChromeStream — buffered, with each
+// event append-encoded into one reused line buffer and no strings cached —
+// so buffered and streamed exports of the same runs are byte-identical by
+// construction.
 func WriteChrome(w io.Writer, runs []Run) error {
 	cs := NewChromeStream(w)
 	for _, run := range runs {
@@ -68,17 +74,97 @@ func WriteChrome(w io.Writer, runs []Run) error {
 	return cs.Close()
 }
 
-// us renders a virtual duration as microseconds at nanosecond resolution:
-// an integer when whole, otherwise exactly three fractional digits. Fixed
-// formatting keeps the serialized trace byte-stable.
-func us(d time.Duration) string {
-	ns := int64(d)
-	if ns%1000 == 0 {
-		return strconv.FormatInt(ns/1000, 10)
+// AppendMicros appends a virtual duration as microseconds at nanosecond
+// resolution: an integer when whole, otherwise exactly three fractional
+// digits, with one leading sign for negative durations. Fixed formatting
+// keeps the serialized trace and the waterfall CSV byte-stable, and every
+// rendering is a valid JSON number.
+func AppendMicros(dst []byte, d time.Duration) []byte {
+	u := uint64(d)
+	if d < 0 {
+		dst = append(dst, '-')
+		u = -u // two's complement magnitude; exact for math.MinInt64 too
 	}
-	return fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
+	dst = strconv.AppendUint(dst, u/1000, 10)
+	if frac := u % 1000; frac != 0 {
+		dst = append(dst, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+	}
+	return dst
 }
 
-// quote JSON-escapes a string (names and labels are ASCII identifiers, but
-// escaping keeps arbitrary attributes safe).
-func quote(s string) string { return strconv.Quote(s) }
+// appendFloat appends a counter value with strconv's shortest round-trip
+// formatting. JSON has no NaN or infinity, so non-finite values render as
+// null (the rendering JavaScript's JSON.stringify uses).
+func appendFloat(dst []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(dst, "null"...)
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// appendString appends s as a quoted JSON string.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	dst = appendEscaped(dst, s)
+	return append(dst, '"')
+}
+
+// appendEscaped appends the JSON-escaped body of s, without quotes. It
+// produces exactly strconv.Quote's bytes wherever those are valid JSON —
+// printable runes raw, \" \\ \b \f \n \r \t, and \uXXXX for the other
+// non-printable runes below U+10000 — and replaces the Go-only forms:
+// other control bytes and DEL become \u00XX, runes above U+FFFF become a
+// UTF-16 surrogate pair, and each byte of invalid UTF-8 becomes \ufffd (the
+// replacement encoding/json makes when decoding such input).
+func appendEscaped(dst []byte, s string) []byte {
+	done := 0 // s[:done] is already in dst; runs needing no escape copy at once
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= ' ' && c < 0x7f && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		r, w := rune(c), 1
+		if c >= utf8.RuneSelf {
+			r, w = utf8.DecodeRuneInString(s[i:])
+			if w > 1 && strconv.IsPrint(r) {
+				i += w
+				continue
+			}
+		}
+		dst = append(dst, s[done:i]...)
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		default:
+			// Other control bytes, DEL, non-printable runes, and invalid
+			// UTF-8 (decoded as utf8.RuneError, one byte at a time).
+			if r < 0x10000 {
+				dst = appendU4(dst, r)
+			} else {
+				r1, r2 := utf16.EncodeRune(r)
+				dst = appendU4(appendU4(dst, r1), r2)
+			}
+		}
+		i += w
+		done = i
+	}
+	return append(dst, s[done:]...)
+}
+
+// appendU4 appends a \uXXXX escape with lowercase hex digits, as
+// strconv.Quote writes them.
+func appendU4(dst []byte, r rune) []byte {
+	const hex = "0123456789abcdef"
+	return append(dst, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+}

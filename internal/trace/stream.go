@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -12,6 +11,12 @@ import (
 // in memory. The document is written front to back — header at creation,
 // one process block per StartRun, spans as they are emitted, footer at
 // Close — so writer memory stays O(buffer), independent of run length.
+//
+// Each event is append-encoded into one line buffer the stream reuses, then
+// copied into a buffered writer: no per-event formatting allocations, and
+// no string is cached — names, categories, attributes and labels are
+// escaped straight into the line buffer — so the stream's memory is the two
+// buffers plus each run's proc-to-tid table.
 //
 // WriteChrome is itself built on ChromeStream, so the streamed bytes of a
 // run are identical to the buffered export of the same span sequence by
@@ -23,24 +28,50 @@ import (
 // the next run. Concurrently executing traced runs must not share a stream.
 type ChromeStream struct {
 	bw    *bufio.Writer
-	first bool // no event line emitted yet (comma placement)
-	runs  int  // runs started; pid = run index + 1, as in WriteChrome
+	line  []byte // the event being encoded, reused across events
+	first bool   // no event line emitted yet (comma placement)
+	runs  int    // runs started; pid = run index + 1, as in WriteChrome
 }
 
 // NewChromeStream starts a Chrome trace-event JSON document on w.
 func NewChromeStream(w io.Writer) *ChromeStream {
-	cs := &ChromeStream{bw: bufio.NewWriter(w), first: true}
+	cs := &ChromeStream{bw: bufio.NewWriter(w), line: make([]byte, 0, 256), first: true}
 	cs.bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
 	return cs
 }
 
-// emit writes one event line with the document's comma discipline.
-func (cs *ChromeStream) emit(line string) {
+// event starts the next event line in the stream's line buffer: the comma
+// separating it from the previous event, then the phase fields (ph, plus bp
+// for flow steps, as a JSON fragment) and the pid/tid pair.
+func (cs *ChromeStream) event(phase string, pid, tid int) []byte {
+	b := cs.line[:0]
 	if !cs.first {
-		cs.bw.WriteString(",\n")
+		b = append(b, ",\n"...)
 	}
 	cs.first = false
-	cs.bw.WriteString(line)
+	b = append(b, `{"ph":`...)
+	b = append(b, phase...)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	return strconv.AppendInt(b, int64(tid), 10)
+}
+
+// emit closes the event line and writes it, keeping the grown buffer.
+func (cs *ChromeStream) emit(b []byte) {
+	b = append(b, '}')
+	cs.bw.Write(b)
+	cs.line = b
+}
+
+// meta emits a process_name or thread_name metadata event.
+func (cs *ChromeStream) meta(pid, tid int, kind, name string) {
+	b := cs.event(`"M"`, pid, tid)
+	b = append(b, `,"name":"`...)
+	b = append(b, kind...)
+	b = append(b, `","args":{"name":`...)
+	b = appendString(b, name)
+	cs.emit(append(b, '}'))
 }
 
 // StartRun opens the next run as a Chrome process named by label and
@@ -49,60 +80,82 @@ func (cs *ChromeStream) emit(line string) {
 // statistics (Recorder.Stats) are folded incrementally.
 func (cs *ChromeStream) StartRun(label string) *Recorder {
 	cs.runs++
-	cs.emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
-		cs.runs, quote(label)))
+	cs.meta(cs.runs, 0, "process_name", label)
 	return &Recorder{stream: cs, pid: cs.runs, tids: make(map[string]int)}
 }
 
-// span serializes one span of rec's run, emitting the proc's thread-name
+// thread returns proc's Chrome tid in rec's run, emitting its thread-name
 // metadata on first appearance — the exact event sequence WriteChrome
 // produces for a buffered run.
-func (cs *ChromeStream) span(rec *Recorder, s Span) {
-	tid, ok := rec.tids[s.Proc]
+func (cs *ChromeStream) thread(rec *Recorder, proc string) int {
+	tid, ok := rec.tids[proc]
 	if !ok {
 		tid = len(rec.tids) + 1
-		rec.tids[s.Proc] = tid
-		cs.emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}",
-			rec.pid, tid, quote(s.Proc)))
+		rec.tids[proc] = tid
+		cs.meta(rec.pid, tid, "thread_name", proc)
 	}
-	args := ""
-	if s.Bytes != 0 {
-		args = fmt.Sprintf(",\"args\":{\"bytes\":%d}", s.Bytes)
-	}
-	if s.Attr != "" {
-		if args == "" {
-			args = fmt.Sprintf(",\"args\":{\"attr\":%s}", quote(s.Attr))
-		} else {
-			args = fmt.Sprintf(",\"args\":{\"bytes\":%d,\"attr\":%s}", s.Bytes, quote(s.Attr))
-		}
-	}
+	return tid
+}
+
+// span serializes one span of rec's run: a complete event (ph "X"), or an
+// instant (ph "i") when it has no duration.
+func (cs *ChromeStream) span(rec *Recorder, s Span) {
+	tid := cs.thread(rec, s.Proc)
+	var b []byte
 	if s.Dur == 0 {
-		cs.emit(fmt.Sprintf("{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"name\":%s,\"cat\":%s%s}",
-			rec.pid, tid, us(s.Start), quote(s.Name), quote(s.Component+","+s.Class.String()), args))
-		return
+		b = cs.event(`"i"`, rec.pid, tid)
+		b = append(b, `,"ts":`...)
+		b = AppendMicros(b, s.Start)
+		b = append(b, `,"s":"t"`...)
+	} else {
+		b = cs.event(`"X"`, rec.pid, tid)
+		b = append(b, `,"ts":`...)
+		b = AppendMicros(b, s.Start)
+		b = append(b, `,"dur":`...)
+		b = AppendMicros(b, s.Dur)
 	}
-	cs.emit(fmt.Sprintf("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":%s,\"cat\":%s%s}",
-		rec.pid, tid, us(s.Start), us(s.Dur), quote(s.Name), quote(s.Component+","+s.Class.String()), args))
+	b = append(b, `,"name":`...)
+	b = appendString(b, s.Name)
+	b = append(b, `,"cat":"`...)
+	b = appendEscaped(b, s.Component)
+	b = append(b, ',')
+	b = append(b, s.Class.String()...)
+	b = append(b, '"')
+	if s.Bytes != 0 || s.Attr != "" {
+		b = append(b, `,"args":{`...)
+		if s.Bytes != 0 {
+			b = append(b, `"bytes":`...)
+			b = strconv.AppendInt(b, s.Bytes, 10)
+			if s.Attr != "" {
+				b = append(b, ',')
+			}
+		}
+		if s.Attr != "" {
+			b = append(b, `"attr":`...)
+			b = appendString(b, s.Attr)
+		}
+		b = append(b, '}')
+	}
+	cs.emit(b)
 }
 
 // flow serializes one flow event of rec's run, reusing the run's thread
 // table (a flow anchored to a proc that never emitted a span still gets
 // its thread-name metadata first, exactly like span does).
 func (cs *ChromeStream) flow(rec *Recorder, f Flow) {
-	tid, ok := rec.tids[f.Proc]
-	if !ok {
-		tid = len(rec.tids) + 1
-		rec.tids[f.Proc] = tid
-		cs.emit(fmt.Sprintf("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":%s}}",
-			rec.pid, tid, quote(f.Proc)))
-	}
+	tid := cs.thread(rec, f.Proc)
+	phase := `"f","bp":"e"`
 	if f.Start {
-		cs.emit(fmt.Sprintf("{\"ph\":\"s\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"id\":%d,\"name\":%s,\"cat\":\"provenance\"}",
-			rec.pid, tid, us(f.At), f.ID, quote(f.Name)))
-		return
+		phase = `"s"`
 	}
-	cs.emit(fmt.Sprintf("{\"ph\":\"f\",\"bp\":\"e\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"id\":%d,\"name\":%s,\"cat\":\"provenance\"}",
-		rec.pid, tid, us(f.At), f.ID, quote(f.Name)))
+	b := cs.event(phase, rec.pid, tid)
+	b = append(b, `,"ts":`...)
+	b = AppendMicros(b, f.At)
+	b = append(b, `,"id":`...)
+	b = strconv.AppendInt(b, f.ID, 10)
+	b = append(b, `,"name":`...)
+	b = appendString(b, f.Name)
+	cs.emit(append(b, `,"cat":"provenance"`...))
 }
 
 // EndRun closes rec's run, emitting its sampled counter tracks (nil for
@@ -111,8 +164,14 @@ func (cs *ChromeStream) flow(rec *Recorder, f Flow) {
 func (cs *ChromeStream) EndRun(rec *Recorder, counters []Counter) {
 	for _, c := range counters {
 		for i, t := range c.Times {
-			cs.emit(fmt.Sprintf("{\"ph\":\"C\",\"pid\":%d,\"tid\":0,\"ts\":%s,\"name\":%s,\"args\":{\"value\":%s}}",
-				rec.pid, us(t), quote(c.Name), strconv.FormatFloat(c.Values[i], 'g', -1, 64)))
+			b := cs.event(`"C"`, rec.pid, 0)
+			b = append(b, `,"ts":`...)
+			b = AppendMicros(b, t)
+			b = append(b, `,"name":`...)
+			b = appendString(b, c.Name)
+			b = append(b, `,"args":{"value":`...)
+			b = appendFloat(b, c.Values[i])
+			cs.emit(append(b, '}'))
 		}
 	}
 }

@@ -160,7 +160,8 @@ type TraceRun = trace.Run
 
 // WriteChromeTrace serializes traced runs as a Chrome trace-event JSON
 // document (loadable in Perfetto / chrome://tracing). Output is
-// byte-deterministic for deterministic span streams.
+// byte-deterministic for deterministic span streams, and valid JSON for
+// any span, label or counter value.
 func WriteChromeTrace(w io.Writer, runs []TraceRun) error { return trace.WriteChrome(w, runs) }
 
 // TraceCollector accumulates traced runs and paper-style time-breakdown

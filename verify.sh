@@ -138,9 +138,11 @@ echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
 # The span-tracer, metrics hooks, and capacity layer must be free when
 # disabled: the delta tests scale event/op counts ~100x and require zero
 # extra allocations. The core budget pins the per-run allocation count of
-# a Fig5-shaped DYAD and XFS run with every sink off (run without -race;
-# race instrumentation allocates).
-go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/
+# a Fig5-shaped DYAD and XFS run with every sink off. The export budgets
+# (trace, metrics, critpath) require the Chrome, CSV/Prometheus and
+# waterfall writers to allocate no more for 8x the events (run without
+# -race; race instrumentation allocates).
+go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/ ./internal/trace/ ./internal/critpath/
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
