@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/critpath"
 	"repro/internal/trace"
 )
 
@@ -165,5 +170,53 @@ func TestCritPathTilesMakespan(t *testing.T) {
 		if p.Makespan != res.Makespan {
 			t.Errorf("%s: path makespan %v != run makespan %v", b, p.Makespan, res.Makespan)
 		}
+	}
+}
+
+// TestNoisyLustreCritPathGolden locks the critical-path artifacts of a
+// Fig 6-shaped pair of runs against a committed fixture: a two-node Lustre
+// run with background noise and the DYAD run of the same shape, rendered
+// as the waterfall CSV, each extracted path, and their differential. The
+// noise processes contend with the workflow at the OSTs, so the release
+// edges they hand the critical path pin how the kernel attributes wakes
+// to background processes — drift the measured numbers alone cannot see.
+// Regenerate deliberately with: go test ./internal/core -run NoisyLustreCritPathGolden -update
+func TestNoisyLustreCritPathGolden(t *testing.T) {
+	base := Config{Model: jac(t), Pairs: 2, Frames: 8, Seed: 5, CritPath: true}
+	dy, lu := base, base
+	dy.Backend = DYAD
+	lu.Backend, lu.LustreNoise = Lustre, true
+	results, err := RunMany([]Config{dy, lu}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, r := range results {
+		fmt.Fprintf(&b, "== %s\n", r.Cfg.Label())
+		if err := critpath.WriteWaterfall(&b, []critpath.LineageSet{{Label: r.Cfg.Label(), Frames: r.Crit.Frames}}); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "path %+v\n", *r.Crit.Path)
+	}
+	d := critpath.Diff(results[0].Cfg.Label(), results[0].Crit.Path, results[1].Cfg.Label(), results[1].Crit.Path)
+	fmt.Fprintf(&b, "diff %+v\n", *d)
+	got := b.String()
+	if !strings.Contains(got, "background_noise") {
+		t.Fatal("noise never reached the critical path; the fixture would not pin its attribution")
+	}
+
+	golden := filepath.Join("testdata", "noisy_lustre_critpath_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden fixture (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("critical-path artifacts drifted from golden fixture:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
