@@ -196,11 +196,11 @@ func (e *lruEvictor) Victim(forced bool) *Entry {
 // the oldest entry regardless.
 type consumedDropEvictor struct{ l entryList }
 
-func (e *consumedDropEvictor) Name() string        { return PolicyConsumedDrop }
-func (e *consumedDropEvictor) Reset()              { e.l.init() }
-func (e *consumedDropEvictor) Added(en *Entry)     { e.l.pushBack(en) }
-func (e *consumedDropEvictor) Accessed(en *Entry)  {}
-func (e *consumedDropEvictor) Removed(en *Entry)   { e.l.remove(en) }
+func (e *consumedDropEvictor) Name() string       { return PolicyConsumedDrop }
+func (e *consumedDropEvictor) Reset()             { e.l.init() }
+func (e *consumedDropEvictor) Added(en *Entry)    { e.l.pushBack(en) }
+func (e *consumedDropEvictor) Accessed(en *Entry) {}
+func (e *consumedDropEvictor) Removed(en *Entry)  { e.l.remove(en) }
 func (e *consumedDropEvictor) Victim(forced bool) *Entry {
 	for en := e.l.root.next; en != &e.l.root; en = en.next {
 		if en.Consumed {

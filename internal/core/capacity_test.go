@@ -178,7 +178,7 @@ func TestDYADCapacityDropIsExhaustedError(t *testing.T) {
 	params.ClientOverhead = 25 * time.Millisecond
 	cfg := Config{Backend: DYAD, Model: m, Frames: 8, Pairs: 1, Seed: 5,
 		DYADOverride: &params,
-		Capacity: &capacity.Spec{StagingBytes: 2 * m.FrameBytes()}}
+		Capacity:     &capacity.Spec{StagingBytes: 2 * m.FrameBytes()}}
 	res, err := Run(cfg)
 	if err == nil {
 		t.Fatal("dropped-frame run succeeded")

@@ -187,27 +187,73 @@ func (f *FS) StartNoise() {
 	if f.params.BackgroundLoad <= 0 {
 		return
 	}
+	// Busy bursts of mean 2 ms separated by idle gaps sized to hit the
+	// target utilization.
+	burst := 2 * time.Millisecond
+	gap := time.Duration(float64(burst) * (1 - f.params.BackgroundLoad) / f.params.BackgroundLoad)
 	for i, o := range f.osts {
-		o := o
-		f.cl.Engine().Spawn(fmt.Sprintf("lustre-noise-%d", i), func(p *sim.Proc) {
-			// Busy bursts of mean 2 ms separated by idle gaps sized to hit
-			// the target utilization. Call StopNoise when the measured
-			// workload has drained so the engine can finish.
-			// Background for the critical-path extractor: the run is over
-			// when the workflow finishes, not when noise winds down.
-			p.CritBackground()
-			p.CritBegin("lustre", "background_noise", trace.ClassDetail)
-			burst := 2 * time.Millisecond
-			gap := time.Duration(float64(burst) * (1 - f.params.BackgroundLoad) / f.params.BackgroundLoad)
-			for n := 0; n < 1_000_000; n++ {
-				p.Sleep(p.Rand().Exp(gap))
-				o.srv.Use(p, p.Rand().Exp(burst))
-				if f.noiseStop {
-					return
-				}
-			}
-		})
+		nz := &noise{f: f, srv: o.srv, gap: gap, burst: burst}
+		nz.step = nz.advance
+		f.cl.Engine().SpawnFunc(fmt.Sprintf("lustre-noise-%d", i), nz.step)
 	}
+}
+
+// noise is one OST's background-interference process: a goroutine-free
+// state machine that sleeps an exponential gap, queues at the OST, holds
+// it for an exponential burst, and repeats until StopNoise (checked after
+// each burst) or a million bursts. Call StopNoise when the measured
+// workload has drained so the engine can finish.
+type noise struct {
+	f          *FS
+	srv        *sim.Resource
+	gap, burst time.Duration // means of the exponential draws
+	phase      noisePhase
+	hold       time.Duration // the burst drawn when the gap ended
+	bursts     int
+	step       func(p *sim.Proc) // advance, bound once so no event allocates
+}
+
+type noisePhase uint8
+
+const (
+	noiseStart  noisePhase = iota // first delivery, at spawn time
+	noiseGap                      // sleeping out the idle gap
+	noiseQueued                   // waiting for the OST
+	noiseBusy                     // holding the OST for the burst
+)
+
+// advance runs the continuation due in the current phase. Each phase ends
+// where the goroutine loop it replaces yielded, so the events, their
+// sequence numbers and the random draws (gap, then burst before the
+// acquire) are the loop's one for one.
+func (nz *noise) advance(p *sim.Proc) {
+	switch nz.phase {
+	case noiseStart:
+		// Background for the critical-path extractor: the run is over
+		// when the workflow finishes, not when noise winds down.
+		p.CritBackground()
+		p.CritBegin("lustre", "background_noise", trace.ClassDetail)
+		nz.idle(p)
+	case noiseGap:
+		nz.hold = p.Rand().Exp(nz.burst)
+		nz.phase = noiseQueued
+		nz.srv.AcquireThen(p, 1, nz.step)
+	case noiseQueued:
+		nz.phase = noiseBusy
+		p.SleepThen(nz.hold, nz.step)
+	case noiseBusy:
+		nz.srv.Release(1)
+		if nz.bursts++; nz.f.noiseStop || nz.bursts == 1_000_000 {
+			return // no successor: the process ends now
+		}
+		nz.idle(p)
+	}
+}
+
+// idle starts an idle gap.
+func (nz *noise) idle(p *sim.Proc) {
+	nz.phase = noiseGap
+	p.SleepThen(p.Rand().Exp(nz.gap), nz.step)
 }
 
 // StopNoise asks noise processes to exit at their next wakeup.

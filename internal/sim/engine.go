@@ -5,9 +5,10 @@
 // holds the baton at any instant, and only the holder touches engine state.
 // There is no scheduler goroutine in the loop: a process that sleeps or
 // blocks pops the next events itself (Engine.next), runs callback events
-// inline, and hands the baton over an unbuffered channel straight to the
-// process the next delivery targets — or simply keeps running when that
-// process is itself. The goroutine that called Run gets the baton back only
+// and the continuations of goroutine-free processes (SpawnFunc) inline,
+// and hands the baton over an unbuffered channel straight to the process
+// the next delivery targets — or simply keeps running when that process is
+// itself. The goroutine that called Run gets the baton back only
 // when the run is over. Given the same seed and the same spawn order, a
 // simulation is fully deterministic and independent of wall-clock
 // scheduling.
@@ -34,7 +35,8 @@ import (
 type Time = time.Duration
 
 // event is a scheduled occurrence. The dominant kind — delivering the baton
-// to a sleeping or woken process — is encoded as the process's index, so
+// to a sleeping or woken process, or running a goroutine-free process's
+// pending continuation — is encoded as the owning process's index, so
 // scheduling it allocates nothing; the general kind carries a callback.
 // Events with equal time fire in schedule order (seq), which makes runs
 // deterministic.
@@ -83,16 +85,16 @@ type Engine struct {
 	kernelCh chan struct{} // the baton returns to Run's goroutine on this channel
 	procs    []*Proc
 	live     int // procs spawned and not yet finished
-	blocked  int // procs blocked on signals/resources (not timed events)
 	seed     uint64
 	failure  error
 	tracer   func(t Time, procName, msg string)
 	rec      *trace.Recorder
 	cp       *critpath.Recorder
 	// curProc is the proc whose turn it is, for release attribution in
-	// Wake and Spawn. next sets it on each delivery and resets it to
-	// noProc before running a callback or returning the baton to Run, so
-	// a callback popped on a process's goroutine is still the kernel's.
+	// Wake and Spawn. next sets it on each delivery (a goroutine-free
+	// process's continuation runs as its owner) and resets it to noProc
+	// before running a callback or returning the baton to Run, so a
+	// callback popped on a process's goroutine is still the kernel's.
 	curProc int32
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
@@ -149,7 +151,6 @@ func (e *Engine) Reset(seed uint64) {
 		e.procs[i] = nil
 	}
 	e.procs = e.procs[:0]
-	e.blocked = 0
 	e.seed = seed
 	e.failure = nil
 	e.tracer = nil
@@ -331,12 +332,13 @@ func (e *Engine) Run() error {
 }
 
 // next is the one dispatch loop, run by whichever goroutine holds the
-// baton. It pops events in (at, seq) order, runs callback events inline,
-// and returns the target of the first delivery event with waiting cleared
-// and curProc set; the caller hands that process the baton, or keeps it.
-// It returns nil, the cue to give the baton back to Run, when the queue
-// drains, the run has failed, or the watchdog trips. A panic in a callback
-// or the sampler fails the run, whichever goroutine popped the event.
+// baton. It pops events in (at, seq) order, runs callback events and
+// goroutine-free continuations inline, and returns the target of the first
+// delivery to a goroutine process with waiting cleared and curProc set;
+// the caller hands that process the baton, or keeps it. It returns nil,
+// the cue to give the baton back to Run, when the queue drains, the run
+// has failed, or the watchdog trips. A panic in a callback or the sampler
+// fails the run, whichever goroutine popped the event.
 func (e *Engine) next() *Proc {
 	for e.failure == nil && e.pq.len() > 0 {
 		ev := e.pq.pop()
@@ -367,9 +369,13 @@ func (e *Engine) next() *Proc {
 			e.failure = fmt.Errorf("sim: event at %v: wake of finished process %q", e.now, p.name)
 			break
 		}
+		waited := p.waiting
 		p.waiting = false
 		e.curProc = p.idx
-		return p
+		if p.resume != nil {
+			return p
+		}
+		e.resumeFunc(p, waited) // goroutine-free: run its continuation here
 	}
 	e.curProc = noProc
 	return nil

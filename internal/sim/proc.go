@@ -11,12 +11,14 @@ import (
 // the baton whenever it sleeps or blocks. Exactly one goroutine — a Proc or
 // the kernel goroutine inside Run — holds the baton at a time, and every
 // handoff is a channel operation, so user code never needs locks for
-// simulation state.
+// simulation state. A goroutine-free process (SpawnFunc) has no goroutine:
+// its code is a chain of continuations the dispatch loop runs inline.
 type Proc struct {
 	e       *Engine
 	name    string
-	idx     int32 // index in Engine.procs; identifies the proc in events
-	resume  chan struct{}
+	idx     int32         // index in Engine.procs; identifies the proc in events
+	resume  chan struct{} // nil for a goroutine-free process
+	cont    func(p *Proc) // a goroutine-free process's pending continuation
 	done    bool
 	waiting bool // blocked on a signal/resource (not a timed event)
 	aborted bool
@@ -30,35 +32,17 @@ type procAbort struct{}
 // Spawn creates a process named name running fn, starting at the current
 // virtual time. It may be called before Run or from within another process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		name:   name,
-		idx:    int32(len(e.procs)),
-		resume: make(chan struct{}),
-		rng:    NewRNG(e.seed ^ hash64(name) ^ uint64(len(e.procs)+1)*0x9e3779b97f4a7c15),
-	}
-	e.procs = append(e.procs, p)
-	e.live++
+	p := e.newProc(name)
+	p.resume = make(chan struct{})
 	go func() {
 		<-p.resume // wait for first delivery
 		defer func() {
 			if r := recover(); r != nil {
-				if _, isAbort := r.(procAbort); !isAbort && e.failure == nil {
-					if err, ok := r.(error); ok {
-						// Processes abort by panicking with an error value;
-						// keep the chain so callers can errors.Is against
-						// the wrapped sentinel (faults.ErrDeviceFailed, ...).
-						e.failure = fmt.Errorf("sim: process %q failed: %w", p.name, err)
-					} else {
-						e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-					}
+				if _, isAbort := r.(procAbort); !isAbort {
+					e.failProc(p, r)
 				}
 			}
-			if cp := e.cp; cp != nil && !p.aborted {
-				cp.EndProc(p.idx, e.now)
-			}
-			p.done = true
-			e.live--
+			e.exit(p)
 			var q *Proc // final handoff; an aborted p returns to the kernel
 			if !p.aborted {
 				q = e.next()
@@ -69,11 +53,100 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		}
 	}()
+	e.start(p)
+	return p
+}
+
+// SpawnFunc creates a goroutine-free process named name: its code is a
+// chain of continuations that the dispatch loop runs inline on whichever
+// goroutine holds the baton, so no event of it costs a goroutine switch.
+// It gets everything Spawn gives a process — an index, the random stream
+// of its spawn slot, the critical-path spawn edge — and fn runs on its
+// first delivery at the current instant. Each continuation either names
+// the next one (SleepThen, Resource.AcquireThen) or returns without doing
+// so, which ends the process at that instant as a goroutine's return
+// would. Continuations must not call the blocking methods (Sleep, Block,
+// Resource.Acquire, Use); a panic in one fails the run under the
+// process's name.
+func (e *Engine) SpawnFunc(name string, fn func(p *Proc)) *Proc {
+	p := e.newProc(name)
+	p.cont = fn
+	e.start(p)
+	return p
+}
+
+// newProc registers a live process in the next spawn slot. Its random
+// stream derives from the seed, the name and the slot only, so the two
+// kinds of process can interleave without shifting anyone's stream.
+func (e *Engine) newProc(name string) *Proc {
+	p := &Proc{
+		e:    e,
+		name: name,
+		idx:  int32(len(e.procs)),
+		rng:  NewRNG(e.seed ^ hash64(name) ^ uint64(len(e.procs)+1)*0x9e3779b97f4a7c15),
+	}
+	e.procs = append(e.procs, p)
+	e.live++
+	return p
+}
+
+// start records p's spawn edge and schedules its first delivery now.
+func (e *Engine) start(p *Proc) {
 	if cp := e.cp; cp != nil {
-		cp.StartProc(p.idx, name, e.curProc, e.now)
+		cp.StartProc(p.idx, p.name, e.curProc, e.now)
 	}
 	e.scheduleDeliver(e.now, p.idx)
-	return p
+}
+
+// failProc records r, a panic out of p's code, as the run's failure unless
+// the run has already failed.
+func (e *Engine) failProc(p *Proc, r any) {
+	if e.failure != nil {
+		return
+	}
+	if err, ok := r.(error); ok {
+		// Processes abort by panicking with an error value; keep the chain
+		// so callers can errors.Is against the wrapped sentinel
+		// (faults.ErrDeviceFailed, ...).
+		e.failure = fmt.Errorf("sim: process %q failed: %w", p.name, err)
+	} else {
+		e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+	}
+}
+
+// exit retires p now: its critical-path end edge (none when aborted), then
+// the done mark and the live count.
+func (e *Engine) exit(p *Proc) {
+	if cp := e.cp; cp != nil && !p.aborted {
+		cp.EndProc(p.idx, e.now)
+	}
+	p.done = true
+	e.live--
+}
+
+// resumeFunc runs goroutine-free p's pending continuation inline, with
+// curProc already set to p so the wakes it issues are attributed to it. A
+// wait ends here, where Block would record it on resumption. A
+// continuation that names no successor ends the process.
+func (e *Engine) resumeFunc(p *Proc, waited bool) {
+	defer e.recoverProc(p)
+	if cp := e.cp; cp != nil && waited {
+		cp.EndWait(p.idx, e.now)
+	}
+	fn := p.cont
+	p.cont = nil
+	if fn(p); p.cont == nil {
+		e.exit(p)
+	}
+}
+
+// recoverProc fails the run when goroutine-free p's continuation panics
+// and retires p, as a panicking goroutine process is retired.
+func (e *Engine) recoverProc(p *Proc) {
+	if r := recover(); r != nil {
+		e.failProc(p, r)
+		e.exit(p)
+	}
 }
 
 // yield gives up the baton and blocks until it is handed back. The
@@ -83,6 +156,9 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // the run is over. An aborted process (unwinding in finish) always returns
 // it to the kernel, which is waiting in abort.
 func (p *Proc) yield() {
+	if p.resume == nil {
+		panic(fmt.Sprintf("sim: goroutine-free process %q cannot block", p.name))
+	}
 	var q *Proc
 	if !p.aborted {
 		if q = p.e.next(); q == p {
@@ -107,9 +183,14 @@ func (e *Engine) pass(q *Proc) {
 
 // abort unwinds a process that will never be delivered to (stranded, or
 // orphaned by a failed run) so its goroutine exits. Called by the kernel
-// goroutine only, from finish; p hands the baton straight back.
+// goroutine only, from finish; p hands the baton straight back. A
+// goroutine-free process has nothing to unwind and is simply retired.
 func (p *Proc) abort() {
 	p.aborted = true
+	if p.resume == nil {
+		p.e.exit(p)
+		return
+	}
 	p.e.curProc = p.idx
 	p.resume <- struct{}{}
 	<-p.e.kernelCh
@@ -141,6 +222,34 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	p.e.scheduleDeliver(p.e.now+d, p.idx)
 	p.yield()
+}
+
+// SleepThen is Sleep for a goroutine-free process: fn runs as its next
+// continuation d of virtual time from now.
+func (p *Proc) SleepThen(d time.Duration, fn func(p *Proc)) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))
+	}
+	p.then(fn)
+	p.e.scheduleDeliver(p.e.now+d, p.idx)
+}
+
+// blockThen is Block for a goroutine-free process: it parks until Wake,
+// and fn runs as its next continuation on that delivery.
+func (p *Proc) blockThen(fn func(p *Proc)) {
+	p.then(fn)
+	if cp := p.e.cp; cp != nil {
+		cp.BeginWait(p.idx, p.e.now)
+	}
+	p.waiting = true
+}
+
+// then installs fn as goroutine-free p's one pending continuation.
+func (p *Proc) then(fn func(p *Proc)) {
+	if p.resume != nil || p.cont != nil {
+		panic(fmt.Sprintf("sim: process %q: continuation on a goroutine process or over a pending one", p.name))
+	}
+	p.cont = fn
 }
 
 // Block parks the calling process until another process calls Wake on it.

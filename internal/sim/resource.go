@@ -105,19 +105,41 @@ func (r *Resource) Utilization() float64 {
 
 // Acquire blocks p until n units are granted. n must be in [1, capacity].
 func (r *Resource) Acquire(p *Proc, n int) {
+	if !r.grantOrQueue(p, n) {
+		p.Block()
+	}
+}
+
+// AcquireThen is Acquire for a goroutine-free process (Engine.SpawnFunc):
+// when the units are granted at once, fn runs inline; otherwise p queues
+// FIFO and fn runs as its continuation when Release grants it. The grant
+// is a Wake, so it lands at the same instant, with the same sequence
+// number and critical-path edge, as a blocked Acquire's.
+func (r *Resource) AcquireThen(p *Proc, n int, fn func(p *Proc)) {
+	if r.grantOrQueue(p, n) {
+		fn(p)
+		return
+	}
+	p.blockThen(fn)
+}
+
+// grantOrQueue grants n units to p when they are free and nobody is
+// queued, reporting true; otherwise it queues p at the tail and reports
+// false, leaving p to park until Release grants it.
+func (r *Resource) grantOrQueue(p *Proc, n int) bool {
 	if n < 1 || n > r.cap {
 		panic(fmt.Sprintf("sim: acquire %d of resource %q with capacity %d", n, r.name, r.cap))
 	}
 	if r.qhead == len(r.queue) && r.inUse+n <= r.cap {
 		r.account()
 		r.inUse += n
-		return
+		return true
 	}
 	if r.queue == nil && r.queueHint > 0 {
 		r.queue = make([]resWaiter, 0, r.queueHint)
 	}
 	r.queue = append(r.queue, resWaiter{p: p, n: n})
-	p.Block()
+	return false
 }
 
 // Release returns n units and grants the queue head(s) in FIFO order.

@@ -11,6 +11,16 @@ cd "$(dirname "$0")"
 echo "== tier-1: go build ./... =="
 go build ./...
 
+echo "== gofmt: every Go file is formatted =="
+# gofmt -l lists the files whose formatting differs; any listed file fails
+# the gate. The benchmark's build directory holds no source of ours.
+unformatted="$(gofmt -l . | grep -v '^\.bench_build/' || true)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists unformatted files:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== tier-1: go test ./... =="
 go test ./...
 
