@@ -218,8 +218,10 @@ func (e *consumedDropEvictor) Victim(forced bool) *Entry {
 // immediately after one nil check, so backends instrument their hot paths
 // unconditionally and the capacity-off timeline is untouched.
 //
-// Paths are used as given — backends pass canonical (vfs.Clean-ed) paths,
-// matching the keys of the trees they guard.
+// Paths are used as given. Each backend cleans a path once, on the first
+// line of its public entry point (the xfs and lustre vfs.FS methods, dyad's
+// Produce and Consume), and passes that one string here, so store keys
+// match the keys of the trees they guard.
 type Store struct {
 	name     string
 	cache    bool // cache stores count eviction activity separately and keep no tombstones

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Per-run allocation budget of a Fig5-shaped run (JAC, 4 pairs on one node,
 // the experiment harness's compute jitter) with every sink off: no spans,
@@ -17,9 +20,9 @@ func TestRunAllocBudget(t *testing.T) {
 		backend Backend
 		budget  float64
 	}{
-		{DYAD, 2775},
-		{XFS, 1803},
-		{Lustre, 1722},
+		{DYAD, 786},
+		{XFS, 651},
+		{Lustre, 954},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,
@@ -32,5 +35,25 @@ func TestRunAllocBudget(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: Fig5-shaped run allocates %.0f objects, budget %.0f", tc.backend, got, tc.budget)
 		}
+	}
+}
+
+// pairPath must spell every frame path exactly as the %03d/%05d format it
+// replaced, including pairs past 999 and frames past 99999, and allocate
+// only the string itself.
+func TestPairPathMatchesSprintf(t *testing.T) {
+	for _, pair := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 1023, 12345} {
+		for _, f := range []int{0, 1, 9, 10, 9999, 10000, 99999, 100000, 1234567} {
+			want := fmt.Sprintf("/ensemble/pair%03d/frame%05d.pb", pair, f)
+			if got := pairPath(pair, f); got != want {
+				t.Errorf("pairPath(%d, %d) = %q, want %q", pair, f, got, want)
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = pairPath(1023, 3) }); got != 1 {
+		t.Errorf("pairPath allocates %.0f objects, want 1 (the string)", got)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/caliper"
@@ -287,9 +288,30 @@ func (r *rig) consumerNode(pair int) *cluster.Node {
 	return r.cl.Node(r.cfg.ComputeNodes()/2 + pair/MaxProcsPerNode)
 }
 
-// pairPath names frame f of a pair's flow.
+// pairPath names frame f of a pair's flow: the canonical path
+// "/ensemble/pair%03d/frame%05d.pb", built in a stack buffer so that the
+// string itself is the one allocation. Every layer below takes it as is.
 func pairPath(pair, f int) string {
-	return fmt.Sprintf("/ensemble/pair%03d/frame%05d.pb", pair, f)
+	var buf [64]byte // fits both numbers at any int width
+	b := append(buf[:0], "/ensemble/pair"...)
+	b = appendPadded(b, pair, 3)
+	b = append(b, "/frame"...)
+	b = appendPadded(b, f, 5)
+	b = append(b, ".pb"...)
+	return string(b)
+}
+
+// appendPadded appends the decimal form of a non-negative n, zero-padded
+// to width digits as by %0*d.
+func appendPadded(b []byte, n, width int) []byte {
+	digits := 1
+	for x := n; x >= 10; x /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // spawnAll creates all producer and consumer processes.

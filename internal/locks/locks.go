@@ -31,10 +31,18 @@ func DefaultParams() Params {
 	return Params{SyscallLatency: 1500 * time.Nanosecond}
 }
 
-// Manager grants advisory locks keyed by cleaned path.
+// Manager grants advisory locks keyed by cleaned path. The table holds
+// only paths that are locked or contended: the unlock that leaves a path
+// with no holders and no waiters deletes its entry and keeps the struct on
+// a free list for the next path, so a run that locks one path per frame
+// neither grows the table nor allocates per lock in the steady state.
 type Manager struct {
 	params Params
 	locks  map[string]*pathLock
+	// free holds idle entries (no holders, no waiters), each with its
+	// queue's backing array, for reuse. An idle entry behaves exactly like
+	// a missing one, so recycling changes no grant or wake order.
+	free []*pathLock
 
 	// Contended counts acquisitions that had to wait.
 	Contended int64
@@ -57,12 +65,19 @@ func NewManager(params Params) *Manager {
 	return &Manager{params: params, locks: make(map[string]*pathLock)}
 }
 
+// lockFor returns the entry for a cleaned path, taking one from the free
+// list (or a new one) when the path has none.
 func (m *Manager) lockFor(path string) *pathLock {
-	p := vfs.Clean(path)
-	l, ok := m.locks[p]
+	l, ok := m.locks[path]
 	if !ok {
-		l = &pathLock{}
-		m.locks[p] = l
+		if n := len(m.free) - 1; n >= 0 {
+			l = m.free[n]
+			m.free[n] = nil
+			m.free = m.free[:n]
+		} else {
+			l = &pathLock{}
+		}
+		m.locks[path] = l
 	}
 	return l
 }
@@ -70,6 +85,7 @@ func (m *Manager) lockFor(path string) *pathLock {
 // Lock blocks until the lock on path is granted in the requested mode.
 // Grants are FIFO: a shared request queued behind an exclusive one waits.
 func (m *Manager) Lock(p *sim.Proc, path string, mode Mode) {
+	path = vfs.Clean(path)
 	p.Sleep(m.params.SyscallLatency)
 	l := m.lockFor(path)
 	if l.grantable(mode) && len(l.queue) == 0 {
@@ -85,6 +101,7 @@ func (m *Manager) Lock(p *sim.Proc, path string, mode Mode) {
 
 // Unlock releases one holder of the lock on path.
 func (m *Manager) Unlock(p *sim.Proc, path string, mode Mode) {
+	path = vfs.Clean(path)
 	p.Sleep(m.params.SyscallLatency)
 	l := m.lockFor(path)
 	switch mode {
@@ -118,6 +135,10 @@ func (m *Manager) Unlock(p *sim.Proc, path string, mode Mode) {
 			l.queue[i] = waiter{} // release the proc reference
 		}
 		l.queue = l.queue[:live]
+	}
+	if l.sharedHolders == 0 && !l.exclusive && len(l.queue) == 0 {
+		delete(m.locks, path)
+		m.free = append(m.free, l)
 	}
 }
 

@@ -2,6 +2,7 @@ package locks
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -138,5 +139,73 @@ func TestPathSpellingNormalized(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "a-done" || got[1] != "b-in" {
 		t.Fatalf("order %v: path spellings mapped to different locks", got)
+	}
+}
+
+// The table holds only live locks: balanced Lock/Unlock over many distinct
+// paths, contended or not, leaves it empty, with the recycled entries on
+// the free list bounded by the peak number of live locks.
+func TestTableEmptiesAfterBalancedLocks(t *testing.T) {
+	e := sim.NewEngine(1)
+	m := NewManager(DefaultParams())
+	for i := 0; i < 4; i++ {
+		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
+			for f := 0; f < 100; f++ {
+				// Workers share every other path, so some locks contend.
+				path := fmt.Sprintf("/d/%d/%d", i%2, f)
+				mode := Shared
+				if f%3 == 0 {
+					mode = Exclusive
+				}
+				m.Lock(p, path, mode)
+				p.Sleep(time.Microsecond)
+				m.Unlock(p, path, mode)
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Contended == 0 {
+		t.Fatal("no lock contended; the test exercises no queue")
+	}
+	if len(m.locks) != 0 {
+		t.Fatalf("%d entries left in the lock table after balanced use", len(m.locks))
+	}
+	if len(m.free) > 4 {
+		t.Fatalf("free list holds %d entries, more than the 4 locks ever live at once", len(m.free))
+	}
+}
+
+// A steady lock/unlock cycle over fresh paths reuses the recycled entries
+// and allocates nothing.
+func TestSteadyLockCycleZeroAllocs(t *testing.T) {
+	paths := make([]string, 64)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/ensemble/pair%03d/frame%05d.pb", i%4, i)
+	}
+	e := sim.NewEngine(1)
+	m := NewManager(DefaultParams())
+	var allocs uint64
+	e.Spawn("p", func(p *sim.Proc) {
+		cycle := func() {
+			for _, path := range paths {
+				m.Lock(p, path, Exclusive)
+				m.Unlock(p, path, Exclusive)
+				m.WithShared(p, path, func() {})
+			}
+		}
+		cycle() // warm up the free list, the map and the event queue
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cycle()
+		runtime.ReadMemStats(&after)
+		allocs = after.Mallocs - before.Mallocs
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady lock/unlock cycle over %d paths allocated %d objects, want 0", len(paths), allocs)
 	}
 }

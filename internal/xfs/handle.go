@@ -16,8 +16,8 @@ type handle struct {
 
 // Open implements vfs.HandleFS.
 func (f *FS) Open(p *sim.Proc, path string) (vfs.Handle, error) {
-	p.Sleep(f.params.MetaLatency)
 	path = vfs.Clean(path)
+	p.Sleep(f.params.MetaLatency)
 	if _, ok := f.tree.Get(path); !ok {
 		return nil, vfs.PathError("open", path, vfs.ErrNotExist)
 	}
@@ -26,12 +26,12 @@ func (f *FS) Open(p *sim.Proc, path string) (vfs.Handle, error) {
 
 // CreateFile implements vfs.HandleFS: creates/truncates path.
 func (f *FS) CreateFile(p *sim.Proc, path string) (vfs.Handle, error) {
+	path = vfs.Clean(path)
 	p.Sleep(f.params.MetaLatency)
 	// Inode create/truncate journal.
 	if _, err := f.node.SSD.Write(p, f.params.JournalBytes); err != nil {
 		return nil, vfs.PathError("create", path, err)
 	}
-	path = vfs.Clean(path)
 	f.tree.Put(path, vfs.Payload{})
 	return &handle{fs: f, path: path}, nil
 }

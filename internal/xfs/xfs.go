@@ -98,6 +98,7 @@ func (f *FS) Tree() *vfs.Tree { return f.tree }
 // WriteFile implements vfs.FS: journal commit + data write on the local SSD.
 // The payload is stored by reference, never copied.
 func (f *FS) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
+	path = vfs.Clean(path)
 	wStart := p.Now()
 	p.CritBegin("xfs", "write", trace.ClassDetail)
 	defer p.CritEnd()
@@ -105,7 +106,7 @@ func (f *FS) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 	if f.cap != nil {
 		// Claim the bytes before paying any device cost: eviction or
 		// back-pressure happens here, and ErrNoSpace fails the write fast.
-		if err := f.cap.Reserve(p, vfs.Clean(path), pl.Size()); err != nil {
+		if err := f.cap.Reserve(p, path, pl.Size()); err != nil {
 			return vfs.PathError("write", path, err)
 		}
 	}
@@ -116,7 +117,7 @@ func (f *FS) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 	if _, err := f.node.SSD.Write(p, f.params.JournalBytes); err != nil {
 		f.journalPending--
 		if f.cap != nil {
-			f.cap.Remove(vfs.Clean(path)) // roll back the reservation
+			f.cap.Remove(path) // roll back the reservation
 		}
 		return vfs.PathError("write", path, err)
 	}
@@ -126,25 +127,26 @@ func (f *FS) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 		Start: jStart, Dur: p.Now() - jStart, Bytes: f.params.JournalBytes, Attr: path})
 	if _, err := f.node.SSD.Write(p, pl.Size()); err != nil {
 		if f.cap != nil {
-			f.cap.Remove(vfs.Clean(path))
+			f.cap.Remove(path)
 		}
 		return vfs.PathError("write", path, err)
 	}
 	f.tree.Put(path, pl)
-	p.CritProduce(vfs.Clean(path), pl.Size())
-	p.CritHop(vfs.Clean(path), "write", wStart, pl.Size())
+	p.CritProduce(path, pl.Size())
+	p.CritHop(path, "write", wStart, pl.Size())
 	return nil
 }
 
 // ReadFile implements vfs.FS: data read from the local SSD.
 func (f *FS) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
+	path = vfs.Clean(path)
 	rStart := p.Now()
 	p.CritBegin("xfs", "read", trace.ClassDetail)
 	defer p.CritEnd()
 	p.Sleep(f.params.MetaLatency)
 	pl, ok := f.tree.Get(path)
 	if !ok {
-		if f.cap != nil && f.cap.State(vfs.Clean(path)) != capacity.StateUnknown {
+		if f.cap != nil && f.cap.State(path) != capacity.StateUnknown {
 			// The frame existed and was evicted: XFS has no mirror, so the
 			// data is gone for good.
 			return vfs.Payload{}, vfs.PathError("read", path, capacity.ErrEvicted)
@@ -152,7 +154,7 @@ func (f *FS) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 		return vfs.Payload{}, vfs.PathError("read", path, vfs.ErrNotExist)
 	}
 	if f.cap != nil {
-		switch f.cap.State(vfs.Clean(path)) {
+		switch f.cap.State(path) {
 		case capacity.StateSpilled, capacity.StateDropped:
 			// An eviction raced this frame's in-flight write: the victim scan
 			// ran between our reservation and the journal commit landing the
@@ -166,25 +168,27 @@ func (f *FS) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 		return vfs.Payload{}, vfs.PathError("read", path, err)
 	}
 	if f.cap != nil {
-		f.cap.MarkConsumed(vfs.Clean(path))
+		f.cap.MarkConsumed(path)
 	}
-	p.CritDepend(vfs.Clean(path), "read")
-	p.CritHop(vfs.Clean(path), "read", rStart, pl.Size())
+	p.CritDepend(path, "read")
+	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
 }
 
 // Stat implements vfs.FS: metadata only, no data transfer.
 func (f *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
+	path = vfs.Clean(path)
 	p.Sleep(f.params.MetaLatency)
 	sz, ok := f.tree.Size(path)
 	if !ok {
 		return vfs.FileInfo{}, vfs.PathError("stat", path, vfs.ErrNotExist)
 	}
-	return vfs.FileInfo{Path: vfs.Clean(path), Size: sz}, nil
+	return vfs.FileInfo{Path: path, Size: sz}, nil
 }
 
 // Unlink implements vfs.FS: journal commit, entry removal.
 func (f *FS) Unlink(p *sim.Proc, path string) error {
+	path = vfs.Clean(path)
 	p.Sleep(f.params.MetaLatency)
 	f.journalPending++
 	f.journalOps++
@@ -198,7 +202,7 @@ func (f *FS) Unlink(p *sim.Proc, path string) error {
 		return vfs.PathError("unlink", path, vfs.ErrNotExist)
 	}
 	if f.cap != nil {
-		f.cap.Remove(vfs.Clean(path))
+		f.cap.Remove(path)
 	}
 	return nil
 }

@@ -148,11 +148,20 @@ echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
 # The span-tracer, metrics hooks, and capacity layer must be free when
 # disabled: the delta tests scale event/op counts ~100x and require zero
 # extra allocations. The core budget pins the per-run allocation count of
-# a Fig5-shaped DYAD and XFS run with every sink off. The export budgets
-# (trace, metrics, critpath) require the Chrome, CSV/Prometheus and
-# waterfall writers to allocate no more for 8x the events (run without
-# -race; race instrumentation allocates).
-go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/ ./internal/trace/ ./internal/critpath/
+# a Fig5-shaped DYAD, XFS and Lustre run with every sink off; cleaning a
+# canonical path and a steady lock/unlock cycle allocate nothing. The
+# export budgets (trace, metrics, critpath) require the Chrome,
+# CSV/Prometheus and waterfall writers to allocate no more for 8x the
+# events (run without -race; race instrumentation allocates).
+go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/ ./internal/trace/ ./internal/critpath/ ./internal/vfs/ ./internal/locks/
+
+echo "== fuzz smoke: every committed fuzz target, briefly =="
+# Tier-1 replays each target's committed seeds (testdata/fuzz); here each
+# one also mutates for a few seconds. A find fails the gate, and go test
+# writes the failing input under the package's testdata/fuzz for a
+# regression seed.
+go test -run '^$' -fuzz '^FuzzClean$' -fuzztime 10s ./internal/vfs
+go test -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s ./internal/trace
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
