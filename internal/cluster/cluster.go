@@ -11,6 +11,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -234,24 +235,6 @@ func (n *Node) FailLinkUntil(t sim.Time) {
 // LinkDown reports whether the node's link is down at the current time.
 func (n *Node) LinkDown() bool { return n.cl.e.Now() < n.linkDownUntil }
 
-// awaitLink stalls p until the node's link is back up, charging the wait to
-// the cluster's recovery accounting. Healthy links cost one comparison.
-func (n *Node) awaitLink(p *sim.Proc) {
-	if n.linkDownUntil == 0 {
-		return
-	}
-	if wait := n.linkDownUntil - p.Now(); wait > 0 {
-		n.cl.LinkStalls++
-		n.cl.LinkStallTime += wait
-		n.stallTime += wait
-		p.Sleep(wait)
-		if rec := p.Rec(); rec != nil {
-			rec.Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "link_stall",
-				Class: trace.ClassRecovery, Start: p.Now() - wait, Dur: wait, Attr: n.Name()})
-		}
-	}
-}
-
 func (n *Node) nicScale(d time.Duration) time.Duration {
 	if n.nicDegrade > 1 {
 		return time.Duration(float64(d) * n.nicDegrade)
@@ -358,58 +341,23 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 // endpoints' NICs (FIFO) and the hop latency. Same-node transfers cost a
 // memcpy-like fraction of NIC time with no hop latency. It returns the
 // total elapsed time.
+//
+// The sender serializes the message onto the wire in segments (the fabric
+// is packet-switched: a small control message never waits for a whole
+// multi-megabyte transfer ahead of it, only for the segment in flight),
+// the message crosses the fabric, and the receiver's NIC completion posts
+// in FIFO order. Acquiring the two NICs sequentially (never holding both)
+// keeps the model deadlock-free while still producing incast and fan-out
+// contention at shared endpoints. A link outage at either endpoint stalls
+// the transfer until the link returns: the fabric retransmits below the
+// application, which sees only the lost time. The whole wire phase runs
+// as one chain of continuations (see wire), so p's goroutine resumes
+// once, when the message is done.
 func (c *Cluster) Transfer(p *sim.Proc, src, dst *Node, n int64) time.Duration {
-	if n < 0 {
-		panic("cluster: negative transfer size")
-	}
 	start := p.Now()
-	c.Transfers++
-	// Detail class: the critical-path blame inherits whatever workflow
-	// region the transfer runs inside (movement for data, idle for sync).
-	p.CritBegin("net", "transfer", trace.ClassDetail)
-	defer p.CritEnd()
-	if src == dst {
-		// Loopback: no wire, just a cheap copy at memory speed.
-		p.Sleep(bwTime(n, 8*c.Spec.NIC.Bandwidth))
-		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "transfer",
-			Start: start, Dur: p.Now() - start, Bytes: n, Attr: "loopback"})
-		return p.Now() - start
-	}
-	c.BytesOnWire += n
-	// A link outage at either endpoint stalls the transfer until the link
-	// returns: the fabric retransmits below the application, which sees
-	// only the lost time.
-	src.awaitLink(p)
-	dst.awaitLink(p)
-	wireStart := p.Now()
-	// The sender serializes the message onto the wire in segments (the
-	// fabric is packet-switched: a small control message never waits for a
-	// whole multi-megabyte transfer ahead of it, only for the segment in
-	// flight), the message crosses the fabric, and the receiver's NIC
-	// completion posts in FIFO order. Acquiring the two NICs sequentially
-	// (never holding both) keeps the model deadlock-free while still
-	// producing incast and fan-out contention at shared endpoints.
-	rest := n
-	first := true
-	for rest > 0 || first {
-		seg := rest
-		if seg > wireSegment {
-			seg = wireSegment
-		}
-		wire := bwTime(seg, c.Spec.NIC.Bandwidth)
-		if first {
-			wire += c.Spec.NIC.Overhead
-			first = false
-		}
-		src.nic.Use(p, src.nicScale(wire))
-		rest -= seg
-	}
-	p.Sleep(c.Spec.Fabric.HopLatency)
-	dst.nic.Use(p, 0) // receive completion posts in FIFO order behind local sends
-	// The transfer span covers the wire time only; link-outage stalls are
-	// separate recovery spans emitted by awaitLink.
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "transfer",
-		Start: wireStart, Dur: p.Now() - wireStart, Bytes: n})
+	w := newWire(c, src, dst, n, wireBegin)
+	p.Inline(w.step)
+	w.free()
 	return p.Now() - start
 }
 
@@ -418,28 +366,278 @@ const wireSegment = 256 << 10
 
 // RPC models a small request/response exchange between nodes: one message
 // each way plus the remote service time, which is executed while holding
-// the given service resource (if non-nil).
+// the given service resource (if non-nil). Like Transfer, it is one chain.
 func (c *Cluster) RPC(p *sim.Proc, src, dst *Node, reqBytes, respBytes int64, server *sim.Resource, service time.Duration) time.Duration {
 	start := p.Now()
-	p.CritBegin("net", "rpc", trace.ClassDetail)
-	defer p.CritEnd()
-	c.Transfer(p, src, dst, reqBytes)
-	svcStart := p.Now()
-	if server != nil {
-		server.Use(p, service)
-	} else {
-		p.Sleep(service)
-	}
-	if rec := p.Rec(); rec != nil {
-		attr := ""
-		if server != nil {
-			attr = server.Name()
-		}
-		rec.Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "rpc_service",
-			Start: svcStart, Dur: p.Now() - svcStart, Attr: attr})
-	}
-	c.Transfer(p, dst, src, respBytes)
+	w := newWire(c, src, dst, reqBytes, rpcBegin)
+	w.respBytes, w.server, w.service = respBytes, server, service
+	p.Inline(w.step)
+	w.free()
 	return p.Now() - start
+}
+
+// wire is one Transfer or RPC in flight: a flat state machine run as the
+// calling process's Inline chain. Each phase ends where the goroutine
+// loop it replaced yielded — a link stall, each segment's FIFO hold on the
+// sender NIC, the hop, the receive completion, an RPC's service — so the
+// events, their sequence numbers, the wakes, the critical-path edges and
+// the spans are that loop's one for one (TestWireChainMatchesGoroutineLoop
+// keeps the loop as its reference).
+type wire struct {
+	c        *Cluster
+	src, dst *Node // the current message's endpoints
+	n        int64 // the current message's size
+	rest     int64 // bytes of it not yet on the wire
+	first    bool  // the next segment carries the NIC overhead
+	phase    wirePhase
+	after    wirePhase     // where the chain goes when the message is done
+	hold     time.Duration // the current segment's wire time, or link stall
+	start    sim.Time      // start of the span being timed
+
+	// RPC only.
+	respBytes int64
+	server    *sim.Resource
+	service   time.Duration
+
+	step func(p *sim.Proc) // advance, bound once so no step allocates
+	next *wire             // free-list link
+}
+
+type wirePhase uint8
+
+const (
+	rpcBegin       wirePhase = iota // open the rpc region, send the request
+	wireBegin                       // a message starts: count it, loopback or wire
+	wireSrcStalled                  // waited out the source's link outage
+	wireDstLink                     // check the destination's link
+	wireDstStalled                  // waited out the destination's link outage
+	wireOnWire                      // links up: start serializing segments
+	wireSeg                         // queue the next segment on the sender NIC
+	wireSegHeld                     // sender NIC granted: hold it for the segment
+	wireSegDone                     // segment on the wire: release, next or hop
+	wireHop                         // crossed the fabric: queue the receive completion
+	wireRecvHeld                    // receiver NIC granted: post the completion
+	wireRecvDone                    // completion posted: the message is done
+	wireLoopback                    // the memory-speed copy is done
+	rpcService                      // request delivered: serve it
+	rpcServerHeld                   // server granted: hold it for the service time
+	rpcServed                       // service done: release the server, respond
+	rpcEnd                          // response delivered: close the rpc region
+	wireDone                        // a lone Transfer is done
+)
+
+// wires is the process-wide free list of wire states: a Transfer takes
+// one and returns it when its chain is done, so a warmed Transfer
+// allocates nothing, even on a fresh cluster per run. sync.Pool would not
+// do (the GC empties it, which would make allocation budgets flaky), nor
+// would a per-cluster list (harnesses build a cluster per run). A chain
+// unwound by a failed run is never returned: its state may still be
+// referenced as a pending continuation.
+var wires struct {
+	sync.Mutex
+	free *wire
+}
+
+// newWire returns a wire state for one message, starting in phase.
+func newWire(c *Cluster, src, dst *Node, n int64, phase wirePhase) *wire {
+	wires.Lock()
+	w := wires.free
+	if w != nil {
+		wires.free = w.next
+	}
+	wires.Unlock()
+	if w == nil {
+		w = new(wire)
+		w.step = w.advance
+	}
+	w.c, w.src, w.dst, w.n, w.phase, w.after = c, src, dst, n, phase, wireDone
+	return w
+}
+
+// free returns w to the free list, dropping its references.
+func (w *wire) free() {
+	*w = wire{step: w.step}
+	wires.Lock()
+	w.next = wires.free
+	wires.free = w
+	wires.Unlock()
+}
+
+// advance runs the chain from the current phase until it must wait (it
+// names its successor, w.step) or is done (it names none). Phases that do
+// not wait fall through in the loop, immediate grants included
+// (TryAcquireThen), so the machine never recurses into itself.
+func (w *wire) advance(p *sim.Proc) {
+	c := w.c
+	for {
+		switch w.phase {
+		case rpcBegin:
+			p.CritBegin("net", "rpc", trace.ClassDetail)
+			w.phase, w.after = wireBegin, rpcService
+		case wireBegin:
+			if w.n < 0 {
+				panic("cluster: negative transfer size")
+			}
+			c.Transfers++
+			// Detail class: the critical-path blame inherits whatever
+			// workflow region the transfer runs inside (movement for data,
+			// idle for sync).
+			p.CritBegin("net", "transfer", trace.ClassDetail)
+			if w.src == w.dst {
+				// Loopback: no wire, just a cheap copy at memory speed.
+				w.start = p.Now()
+				w.phase = wireLoopback
+				p.SleepThen(bwTime(w.n, 8*c.Spec.NIC.Bandwidth), w.step)
+				return
+			}
+			c.BytesOnWire += w.n
+			if w.stall(p, w.src, wireSrcStalled) {
+				return
+			}
+			w.phase = wireDstLink
+		case wireSrcStalled:
+			w.emitStall(p, w.src)
+			w.phase = wireDstLink
+		case wireDstLink:
+			if w.stall(p, w.dst, wireDstStalled) {
+				return
+			}
+			w.phase = wireOnWire
+		case wireDstStalled:
+			w.emitStall(p, w.dst)
+			w.phase = wireOnWire
+		case wireOnWire:
+			w.start = p.Now()
+			w.rest, w.first = w.n, true
+			w.phase = wireSeg
+		case wireSeg:
+			seg := min(w.rest, wireSegment)
+			t := bwTime(seg, c.Spec.NIC.Bandwidth)
+			if w.first {
+				t += c.Spec.NIC.Overhead
+				w.first = false
+			}
+			w.rest -= seg
+			// Scaled when requested, before the grant, like the wire time
+			// a blocked Use was handed.
+			w.hold = w.src.nicScale(t)
+			w.phase = wireSegHeld
+			if !w.src.nic.TryAcquireThen(p, 1, w.step) {
+				return
+			}
+		case wireSegHeld:
+			w.phase = wireSegDone
+			p.SleepThen(w.hold, w.step)
+			return
+		case wireSegDone:
+			w.src.nic.Release(1)
+			if w.rest > 0 {
+				w.phase = wireSeg
+				continue
+			}
+			w.phase = wireHop
+			p.SleepThen(c.Spec.Fabric.HopLatency, w.step)
+			return
+		case wireHop:
+			// The receive completion posts in FIFO order behind local sends.
+			w.phase = wireRecvHeld
+			if !w.dst.nic.TryAcquireThen(p, 1, w.step) {
+				return
+			}
+		case wireRecvHeld:
+			w.phase = wireRecvDone
+			p.SleepThen(0, w.step)
+			return
+		case wireRecvDone:
+			w.dst.nic.Release(1)
+			w.endMessage(p, "")
+		case wireLoopback:
+			w.endMessage(p, "loopback")
+		case rpcService:
+			w.start = p.Now()
+			if w.server == nil {
+				w.phase = rpcServed
+				p.SleepThen(w.service, w.step)
+				return
+			}
+			w.phase = rpcServerHeld
+			if !w.server.TryAcquireThen(p, 1, w.step) {
+				return
+			}
+		case rpcServerHeld:
+			w.phase = rpcServed
+			p.SleepThen(w.service, w.step)
+			return
+		case rpcServed:
+			if w.server != nil {
+				w.server.Release(1)
+			}
+			if p.Rec() != nil {
+				w.emitService(p)
+			}
+			w.src, w.dst, w.n = w.dst, w.src, w.respBytes
+			w.phase, w.after = wireBegin, rpcEnd
+		case rpcEnd:
+			p.CritEnd()
+			return
+		case wireDone:
+			return
+		}
+	}
+}
+
+// stall starts waiting out a link outage at n, charging the wait to the
+// cluster's recovery accounting, and reports whether there is one: then
+// the chain goes on in phase `then` when the link is back. A healthy link
+// costs one comparison. The wait lives in w, not in n: two processes can
+// stall on one node at once.
+func (w *wire) stall(p *sim.Proc, n *Node, then wirePhase) bool {
+	wait := n.linkDownUntil - p.Now()
+	if wait <= 0 {
+		return false
+	}
+	n.cl.LinkStalls++
+	n.cl.LinkStallTime += wait
+	n.stallTime += wait
+	w.hold = wait
+	w.phase = then
+	p.SleepThen(wait, w.step)
+	return true
+}
+
+// endMessage closes the current message: its span when tracing is on (the
+// wire time only; link-outage stalls have their own recovery spans) and
+// its transfer region, then moves on to what follows it.
+func (w *wire) endMessage(p *sim.Proc, attr string) {
+	if p.Rec() != nil {
+		w.emitTransfer(p, attr)
+	}
+	p.CritEnd()
+	w.phase = w.after
+}
+
+//go:noinline
+func (w *wire) emitTransfer(p *sim.Proc, attr string) {
+	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "transfer",
+		Start: w.start, Dur: p.Now() - w.start, Bytes: w.n, Attr: attr})
+}
+
+//go:noinline
+func (w *wire) emitStall(p *sim.Proc, n *Node) {
+	if rec := p.Rec(); rec != nil {
+		rec.Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "link_stall",
+			Class: trace.ClassRecovery, Start: p.Now() - w.hold, Dur: w.hold, Attr: n.Name()})
+	}
+}
+
+//go:noinline
+func (w *wire) emitService(p *sim.Proc) {
+	attr := ""
+	if w.server != nil {
+		attr = w.server.Name()
+	}
+	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "net", Name: "rpc_service",
+		Start: w.start, Dur: p.Now() - w.start, Attr: attr})
 }
 
 // bwTime converts size at a bandwidth into a duration.

@@ -57,3 +57,34 @@ func TestPairPathMatchesSprintf(t *testing.T) {
 		t.Errorf("pairPath allocates %.0f objects, want 1 (the string)", got)
 	}
 }
+
+// Per-run event and baton-handoff budget of the same Fig5-shaped runs.
+// Both counts are deterministic, like allocations, so each is pinned
+// exactly: the event count is the simulated timeline's size and must not
+// move without a deliberate model change; the handoff count is the number
+// of goroutine switches the kernel paid for it and may only go down.
+func TestRunHandoffBudget(t *testing.T) {
+	for _, tc := range []struct {
+		backend          Backend
+		events, handoffs int64
+	}{
+		{DYAD, 1326, 220},
+		{XFS, 840, 286},
+		{Lustre, 28533, 439},
+	} {
+		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
+			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,
+			Seed: 1, ComputeJitter: 0.004}
+		pool := &runPool{}
+		if _, err := runPooled(cfg, pool); err != nil {
+			t.Fatal(err)
+		}
+		e := pool.eng
+		if got := e.Events(); got != tc.events {
+			t.Errorf("%s: Fig5-shaped run fires %d events, pinned at %d", tc.backend, got, tc.events)
+		}
+		if got := e.Handoffs(); got > tc.handoffs {
+			t.Errorf("%s: Fig5-shaped run makes %d baton handoffs, budget %d", tc.backend, got, tc.handoffs)
+		}
+	}
+}

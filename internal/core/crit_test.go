@@ -170,6 +170,9 @@ func TestCritPathTilesMakespan(t *testing.T) {
 		if p.Makespan != res.Makespan {
 			t.Errorf("%s: path makespan %v != run makespan %v", b, p.Makespan, res.Makespan)
 		}
+		if res.Crit.Unclosed != 0 {
+			t.Errorf("%s: %d processes ended with a critical-path region open", b, res.Crit.Unclosed)
+		}
 	}
 }
 
@@ -192,6 +195,9 @@ func TestNoisyLustreCritPathGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, r := range results {
+		if r.Crit.Unclosed != 0 {
+			t.Errorf("%s: %d processes ended with a critical-path region open", r.Cfg.Label(), r.Crit.Unclosed)
+		}
 		fmt.Fprintf(&b, "== %s\n", r.Cfg.Label())
 		if err := critpath.WriteWaterfall(&b, []critpath.LineageSet{{Label: r.Cfg.Label(), Frames: r.Crit.Frames}}); err != nil {
 			t.Fatal(err)

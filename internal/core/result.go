@@ -146,7 +146,7 @@ func (r *rig) collect() (*Result, error) {
 	}
 	if r.cp != nil {
 		g := r.cp.Finish(r.eng.Now())
-		res.Crit = &critpath.Summary{Path: critpath.Extract(g), Frames: g.Lineages}
+		res.Crit = &critpath.Summary{Path: critpath.Extract(g), Frames: g.Lineages, Unclosed: g.Unclosed}
 	}
 	if r.reg != nil && r.cfg.MetricsSink == nil {
 		// A streamed registry's samples are already on disk and its series

@@ -125,13 +125,20 @@ type Graph struct {
 	Edges    []Edge
 	Deps     []Dep
 	Lineages []FrameLineage
+	// Unclosed counts the foreground processes that ended with a labeled
+	// region still open: a Begin without its End. Background processes
+	// (noise winding down mid-region) and aborted ones, which never
+	// reach EndProc, are not counted. A successful run should have none;
+	// a nonzero count means blame leaked out of its region.
+	Unclosed int
 }
 
 // Summary bundles the per-run artifacts a Result retains: the extracted
 // critical path and the frame lineages (the raw graph is dropped).
 type Summary struct {
-	Path   *CritPath
-	Frames []FrameLineage
+	Path     *CritPath
+	Frames   []FrameLineage
+	Unclosed int // Graph.Unclosed of the recorded run
 }
 
 type procState struct {
@@ -167,6 +174,7 @@ type Recorder struct {
 	tokens   map[string]tokenInfo
 	lineIdx  map[string]int32
 	lineages []FrameLineage
+	unclosed int // see Graph.Unclosed
 
 	// OnDep, when set, observes every dependency's slack (age of the
 	// token at consumption) keyed by dep kind. OnHop observes every
@@ -230,11 +238,15 @@ func (r *Recorder) StartProc(idx int32, name string, parent int32, at Time) {
 	ps.pending = -1
 }
 
-// EndProc records a proc's completion, closing its open run segment.
+// EndProc records a proc's completion, closing its open run segment. A
+// foreground proc that ends inside a region counts toward Graph.Unclosed.
 func (r *Recorder) EndProc(idx int32, at Time) {
 	ps := r.ps(idx)
 	ps.closeRun(at)
 	ps.ended = true
+	if len(ps.stack) > 0 && !ps.background {
+		r.unclosed++
+	}
 }
 
 // SetBackground excludes the proc from critical-path root selection: the
@@ -347,6 +359,7 @@ func (r *Recorder) Finish(at Time) *Graph {
 		Edges:    r.edges,
 		Deps:     r.deps,
 		Lineages: r.lineages,
+		Unclosed: r.unclosed,
 	}
 	g.Procs = make([]ProcTimeline, len(r.procs))
 	for i := range r.procs {

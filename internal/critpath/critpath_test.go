@@ -297,3 +297,26 @@ func TestExportAllocBudget(t *testing.T) {
 		t.Errorf("WriteWaterfall: %v allocs for 8x the hops, %v for 1x; want no growth", eight, one)
 	}
 }
+
+// Graph.Unclosed counts only foreground procs that end inside a region:
+// a balanced proc, a background proc ending mid-region, and a proc that
+// never ends (aborted, so EndProc never comes) are not counted.
+func TestUnclosedCountsForegroundEndsInsideRegion(t *testing.T) {
+	if g := chain(); g.Unclosed != 0 {
+		t.Fatalf("balanced run: Unclosed = %d, want 0", g.Unclosed)
+	}
+	r := NewRecorder()
+	for i, name := range []string{"leaky", "noise", "aborted", "nested"} {
+		r.StartProc(int32(i), name, -1, 0)
+		r.Begin(int32(i), "net", "transfer", trace.ClassDetail, 0)
+	}
+	r.SetBackground(1)
+	r.Begin(3, "net", "inner", trace.ClassDetail, ms)
+	r.End(3, 2*ms) // closes the inner region only
+	r.EndProc(0, 3*ms)
+	r.EndProc(1, 3*ms)
+	r.EndProc(3, 3*ms)
+	if g := r.Finish(4 * ms); g.Unclosed != 2 {
+		t.Fatalf("Unclosed = %d, want 2 (leaky, nested)", g.Unclosed)
+	}
+}

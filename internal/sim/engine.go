@@ -8,10 +8,12 @@
 // and the continuations of goroutine-free processes (SpawnFunc) inline,
 // and hands the baton over an unbuffered channel straight to the process
 // the next delivery targets — or simply keeps running when that process is
-// itself. The goroutine that called Run gets the baton back only
-// when the run is over. Given the same seed and the same spawn order, a
-// simulation is fully deterministic and independent of wall-clock
-// scheduling.
+// itself. A goroutine process can also run a stretch of its own code as
+// continuations (Proc.Inline), so a multi-step operation costs it one
+// handoff instead of one per step. The goroutine that called Run gets the
+// baton back only when the run is over. Given the same seed and the same
+// spawn order, a simulation is fully deterministic and independent of
+// wall-clock scheduling.
 //
 // The kernel is the substrate for every simulated subsystem in this
 // repository: storage devices, network fabrics, filesystems, the Lustre and
@@ -101,6 +103,7 @@ type Engine struct {
 	maxEvents int64
 	maxTime   Time
 	fired     int64 // events fired so far
+	handoffs  int64 // baton passes to a process goroutine so far
 
 	// Sampler hook (nil = off); see SetSampler.
 	sampleEvery Time
@@ -147,6 +150,7 @@ func (e *Engine) Reset(seed uint64) {
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
+	e.handoffs = 0
 	for i := range e.procs {
 		e.procs[i] = nil
 	}
@@ -198,6 +202,13 @@ func (e *Engine) SetWatchdog(maxEvents int64, maxTime Time) {
 
 // Events returns the number of events fired so far.
 func (e *Engine) Events() int64 { return e.fired }
+
+// Handoffs returns the number of times the baton has passed to a process
+// goroutine so far: the goroutine switches the run paid for. A delivery
+// the yielding process keeps for itself, a callback, and a continuation
+// run inline are not handoffs. Like Events it is deterministic and
+// observation-only.
+func (e *Engine) Handoffs() int64 { return e.handoffs }
 
 // SetSampler installs a fixed-interval virtual-time sampler: before each
 // event fires, fn runs once for every elapsed boundary t = every, 2*every,
@@ -289,7 +300,7 @@ func heapPop(pq []event) (event, []event) {
 // the past is a programming error.
 func (e *Engine) schedule(at Time, fn func()) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+		e.schedulePast(at)
 	}
 	e.seq++
 	e.pq.push(event{at: at, seq: e.seq, proc: noProc, fn: fn})
@@ -300,10 +311,20 @@ func (e *Engine) schedule(at Time, fn func()) {
 // schedule it captures no closure, so it allocates nothing.
 func (e *Engine) scheduleDeliver(at Time, idx int32) {
 	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+		e.schedulePast(at)
 	}
 	e.seq++
 	e.pq.push(event{at: at, seq: e.seq, proc: idx})
+}
+
+// schedulePast panics on an event scheduled before now. Cold paths such as
+// this one are kept out of line throughout the kernel: continuations run
+// on whichever goroutine holds the baton, often deep in a blocked
+// process's stack, so every byte of a hot frame counts (DESIGN.md §3c).
+//
+//go:noinline
+func (e *Engine) schedulePast(at Time) {
+	panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 }
 
 // After schedules fn to run d from now. It may be called before Run or from
@@ -325,7 +346,7 @@ func (e *Engine) After(d Time, fn func()) {
 // back (see next).
 func (e *Engine) Run() error {
 	if q := e.next(); q != nil {
-		q.resume <- struct{}{}
+		e.pass(q)
 		<-e.kernelCh
 	}
 	return e.finish()
@@ -333,8 +354,9 @@ func (e *Engine) Run() error {
 
 // next is the one dispatch loop, run by whichever goroutine holds the
 // baton. It pops events in (at, seq) order, runs callback events and
-// goroutine-free continuations inline, and returns the target of the first
-// delivery to a goroutine process with waiting cleared and curProc set;
+// continuations (of goroutine-free processes and Inline chains) inline,
+// and returns the target of the first delivery to a goroutine process —
+// or of the last step of its chain — with waiting cleared and curProc set;
 // the caller hands that process the baton, or keeps it. It returns nil,
 // the cue to give the baton back to Run, when the queue drains, the run
 // has failed, or the watchdog trips. A panic in a callback or the sampler
@@ -346,10 +368,7 @@ func (e *Engine) next() *Proc {
 		// takes no samples for boundaries its final, never-executed event
 		// would have crossed (see SetSampler).
 		if (e.maxEvents > 0 && e.fired+1 > e.maxEvents) || (e.maxTime > 0 && ev.at > e.maxTime) {
-			e.now = ev.at
-			e.fired++
-			e.failure = fmt.Errorf("%w: %d events fired, virtual time %v (limits: %d events, %v)",
-				ErrWatchdog, e.fired, e.now, e.maxEvents, e.maxTime)
+			e.tripWatchdog(ev.at)
 			break
 		}
 		if e.sampleFn != nil && e.sampleNext <= ev.at {
@@ -366,19 +385,42 @@ func (e *Engine) next() *Proc {
 		}
 		p := e.procs[ev.proc]
 		if p.done {
-			e.failure = fmt.Errorf("sim: event at %v: wake of finished process %q", e.now, p.name)
+			e.wakeFinished(p)
 			break
 		}
 		waited := p.waiting
 		p.waiting = false
 		e.curProc = p.idx
-		if p.resume != nil {
+		if p.resume != nil && p.cont == nil {
 			return p
 		}
-		e.resumeFunc(p, waited) // goroutine-free: run its continuation here
+		// A goroutine-free process, or an Inline chain: run the
+		// continuation here, and resume a chain's goroutine once the
+		// chain is done.
+		if e.resumeFunc(p, waited) {
+			return p
+		}
 	}
 	e.curProc = noProc
 	return nil
+}
+
+// tripWatchdog fails the run on the event at `at`, which exceeds a
+// watchdog limit; the event counts as fired but does not execute.
+//
+//go:noinline
+func (e *Engine) tripWatchdog(at Time) {
+	e.now = at
+	e.fired++
+	e.failure = fmt.Errorf("%w: %d events fired, virtual time %v (limits: %d events, %v)",
+		ErrWatchdog, e.fired, e.now, e.maxEvents, e.maxTime)
+}
+
+// wakeFinished fails the run on a delivery to a retired process.
+//
+//go:noinline
+func (e *Engine) wakeFinished(p *Proc) {
+	e.failure = fmt.Errorf("sim: event at %v: wake of finished process %q", e.now, p.name)
 }
 
 // sample fires every sample boundary the timeline is about to cross on
@@ -444,7 +486,7 @@ func (e *Engine) finish() error {
 		// during cleanup must not keep executing subsequent events against
 		// now-inconsistent state.
 		if q := e.next(); q != nil {
-			q.resume <- struct{}{}
+			e.pass(q)
 			<-e.kernelCh
 		} else if e.live == 0 || e.live == live {
 			break // all exited, or a pass freed none (code swallowing procAbort)

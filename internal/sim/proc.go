@@ -18,7 +18,8 @@ type Proc struct {
 	name    string
 	idx     int32         // index in Engine.procs; identifies the proc in events
 	resume  chan struct{} // nil for a goroutine-free process
-	cont    func(p *Proc) // a goroutine-free process's pending continuation
+	cont    func(p *Proc) // pending continuation: goroutine-free, or an Inline chain's
+	inline  bool          // a goroutine process running an Inline chain
 	done    bool
 	waiting bool // blocked on a signal/resource (not a timed event)
 	aborted bool
@@ -60,6 +61,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnFunc creates a goroutine-free process named name: its code is a
 // chain of continuations that the dispatch loop runs inline on whichever
 // goroutine holds the baton, so no event of it costs a goroutine switch.
+// (Proc.Inline gives a goroutine process the same for a stretch of code.)
 // It gets everything Spawn gives a process — an index, the random stream
 // of its spawn slot, the critical-path spawn edge — and fn runs on its
 // first delivery at the current instant. Each continuation either names
@@ -124,11 +126,12 @@ func (e *Engine) exit(p *Proc) {
 	e.live--
 }
 
-// resumeFunc runs goroutine-free p's pending continuation inline, with
-// curProc already set to p so the wakes it issues are attributed to it. A
-// wait ends here, where Block would record it on resumption. A
-// continuation that names no successor ends the process.
-func (e *Engine) resumeFunc(p *Proc, waited bool) {
+// resumeFunc runs p's pending continuation inline, with curProc already
+// set to p so the wakes it issues are attributed to it. A wait ends here,
+// where Block would record it on resumption. A continuation that names no
+// successor ends a goroutine-free process; for an Inline chain it ends the
+// chain, and resumeFunc reports true: p's goroutine resumes now.
+func (e *Engine) resumeFunc(p *Proc, waited bool) (resume bool) {
 	defer e.recoverProc(p)
 	if cp := e.cp; cp != nil && waited {
 		cp.EndWait(p.idx, e.now)
@@ -136,16 +139,23 @@ func (e *Engine) resumeFunc(p *Proc, waited bool) {
 	fn := p.cont
 	p.cont = nil
 	if fn(p); p.cont == nil {
+		if p.resume != nil {
+			return true
+		}
 		e.exit(p)
 	}
+	return false
 }
 
-// recoverProc fails the run when goroutine-free p's continuation panics
-// and retires p, as a panicking goroutine process is retired.
+// recoverProc fails the run when p's continuation panics. A goroutine-free
+// p is retired, as a panicking goroutine process is; an Inline chain's
+// owner stays live, parked in Inline, for finish to unwind.
 func (e *Engine) recoverProc(p *Proc) {
 	if r := recover(); r != nil {
 		e.failProc(p, r)
-		e.exit(p)
+		if p.resume == nil {
+			e.exit(p)
+		}
 	}
 }
 
@@ -156,9 +166,24 @@ func (e *Engine) recoverProc(p *Proc) {
 // the run is over. An aborted process (unwinding in finish) always returns
 // it to the kernel, which is waiting in abort.
 func (p *Proc) yield() {
+	if p.resume == nil || p.inline {
+		p.cannotBlock()
+	}
+	p.park()
+}
+
+// cannotBlock panics on a blocking call from a continuation.
+//
+//go:noinline
+func (p *Proc) cannotBlock() {
 	if p.resume == nil {
 		panic(fmt.Sprintf("sim: goroutine-free process %q cannot block", p.name))
 	}
+	panic(fmt.Sprintf("sim: process %q cannot block inside Inline", p.name))
+}
+
+// park is yield's handoff, also the wait of an Inline chain's owner.
+func (p *Proc) park() {
 	var q *Proc
 	if !p.aborted {
 		if q = p.e.next(); q == p {
@@ -173,8 +198,10 @@ func (p *Proc) yield() {
 }
 
 // pass hands the baton to q, or back to Run's goroutine when q is nil.
+// Only the former is a handoff (Engine.Handoffs).
 func (e *Engine) pass(q *Proc) {
 	if q != nil {
+		e.handoffs++
 		q.resume <- struct{}{}
 	} else {
 		e.kernelCh <- struct{}{}
@@ -218,24 +245,30 @@ func (p *Proc) Rec() *trace.Recorder { return p.e.rec }
 // zero d still yields (other events at the same instant run first).
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))
+		p.negativeSleep(d)
 	}
 	p.e.scheduleDeliver(p.e.now+d, p.idx)
 	p.yield()
 }
 
-// SleepThen is Sleep for a goroutine-free process: fn runs as its next
-// continuation d of virtual time from now.
+// SleepThen is Sleep for a continuation (of a goroutine-free process or
+// an Inline chain): fn runs as the next continuation d of virtual time
+// from now.
 func (p *Proc) SleepThen(d time.Duration, fn func(p *Proc)) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))
+		p.negativeSleep(d)
 	}
 	p.then(fn)
 	p.e.scheduleDeliver(p.e.now+d, p.idx)
 }
 
-// blockThen is Block for a goroutine-free process: it parks until Wake,
-// and fn runs as its next continuation on that delivery.
+//go:noinline
+func (p *Proc) negativeSleep(d time.Duration) {
+	panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))
+}
+
+// blockThen is Block for a continuation: it parks until Wake, and fn runs
+// as the next continuation on that delivery.
 func (p *Proc) blockThen(fn func(p *Proc)) {
 	p.then(fn)
 	if cp := p.e.cp; cp != nil {
@@ -244,12 +277,50 @@ func (p *Proc) blockThen(fn func(p *Proc)) {
 	p.waiting = true
 }
 
-// then installs fn as goroutine-free p's one pending continuation.
+// then installs fn as p's one pending continuation.
 func (p *Proc) then(fn func(p *Proc)) {
-	if p.resume != nil || p.cont != nil {
-		panic(fmt.Sprintf("sim: process %q: continuation on a goroutine process or over a pending one", p.name))
+	if p.cont != nil || (p.resume != nil && !p.inline) {
+		p.badThen()
 	}
 	p.cont = fn
+}
+
+//go:noinline
+func (p *Proc) badThen() {
+	panic(fmt.Sprintf("sim: process %q: continuation on a goroutine process outside Inline or over a pending one", p.name))
+}
+
+// Inline runs fn as a chain of continuations of goroutine process p, the
+// way a goroutine-free process (SpawnFunc) runs. fn runs at once; every
+// continuation it names (SleepThen, Resource.AcquireThen and
+// TryAcquireThen) runs inline in the dispatch loop on whichever goroutine
+// holds the baton, with p as the current process. When a continuation
+// names no successor the chain is done and Inline returns: p's goroutine
+// resumes at that same delivery, with no extra event. The events, their
+// sequence numbers, the wakes and the critical-path edges are those of
+// the blocking calls the chain stands in for; what goes is the goroutine
+// handoff per step, so a chain of any length costs p at most one.
+//
+// Continuations must not block (Sleep, Block, Resource.Acquire, Use); a
+// panic in one fails the run under p's name and leaves p parked for the
+// run's unwind. Inline panics on a goroutine-free process and when nested.
+func (p *Proc) Inline(fn func(p *Proc)) {
+	if p.resume == nil || p.inline {
+		p.badInline()
+	}
+	p.inline = true
+	if fn(p); p.cont != nil {
+		p.park()
+	}
+	p.inline = false
+}
+
+//go:noinline
+func (p *Proc) badInline() {
+	if p.resume == nil {
+		panic(fmt.Sprintf("sim: Inline on goroutine-free process %q", p.name))
+	}
+	panic(fmt.Sprintf("sim: nested Inline in process %q", p.name))
 }
 
 // Block parks the calling process until another process calls Wake on it.
@@ -271,10 +342,18 @@ func (p *Proc) Block() {
 // virtual time. Calling Wake on a process that is not blocked (or waking it
 // twice) is a programming error; waking a finished process fails the run.
 func (p *Proc) Wake() {
-	if cp := p.e.cp; cp != nil {
-		cp.Release(p.e.curProc, p.idx, p.e.now)
+	if p.e.cp != nil {
+		p.critRelease()
 	}
 	p.e.scheduleDeliver(p.e.now, p.idx)
+}
+
+// critRelease records the release edge of a Wake: from the current
+// process (or a kernel callback) to p.
+//
+//go:noinline
+func (p *Proc) critRelease() {
+	p.e.cp.Release(p.e.curProc, p.idx, p.e.now)
 }
 
 // Tracef emits a trace line through the engine's tracer, if one is set.

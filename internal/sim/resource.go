@@ -110,17 +110,29 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	}
 }
 
-// AcquireThen is Acquire for a goroutine-free process (Engine.SpawnFunc):
-// when the units are granted at once, fn runs inline; otherwise p queues
-// FIFO and fn runs as its continuation when Release grants it. The grant
-// is a Wake, so it lands at the same instant, with the same sequence
-// number and critical-path edge, as a blocked Acquire's.
+// AcquireThen is Acquire for a continuation (of a goroutine-free process,
+// Engine.SpawnFunc, or an Inline chain): when the units are granted at
+// once, fn runs inline; otherwise p queues FIFO and fn runs as its
+// continuation when Release grants it. The grant is a Wake, so it lands at
+// the same instant, with the same sequence number and critical-path edge,
+// as a blocked Acquire's.
 func (r *Resource) AcquireThen(p *Proc, n int, fn func(p *Proc)) {
-	if r.grantOrQueue(p, n) {
+	if r.TryAcquireThen(p, n, fn) {
 		fn(p)
-		return
+	}
+}
+
+// TryAcquireThen is AcquireThen without the inline call: it reports true
+// when the units are granted at once, leaving the caller to go on itself,
+// and otherwise queues p, with fn as the continuation its grant runs. A
+// flat state machine steps through an immediate grant with it instead of
+// recursing into itself.
+func (r *Resource) TryAcquireThen(p *Proc, n int, fn func(p *Proc)) bool {
+	if r.grantOrQueue(p, n) {
+		return true
 	}
 	p.blockThen(fn)
+	return false
 }
 
 // grantOrQueue grants n units to p when they are free and nobody is
@@ -128,7 +140,7 @@ func (r *Resource) AcquireThen(p *Proc, n int, fn func(p *Proc)) {
 // false, leaving p to park until Release grants it.
 func (r *Resource) grantOrQueue(p *Proc, n int) bool {
 	if n < 1 || n > r.cap {
-		panic(fmt.Sprintf("sim: acquire %d of resource %q with capacity %d", n, r.name, r.cap))
+		r.badAcquire(n)
 	}
 	if r.qhead == len(r.queue) && r.inUse+n <= r.cap {
 		r.account()
@@ -145,7 +157,7 @@ func (r *Resource) grantOrQueue(p *Proc, n int) bool {
 // Release returns n units and grants the queue head(s) in FIFO order.
 func (r *Resource) Release(n int) {
 	if n < 1 || n > r.inUse {
-		panic(fmt.Sprintf("sim: release %d of resource %q with %d in use", n, r.name, r.inUse))
+		r.badRelease(n)
 	}
 	r.account()
 	r.inUse -= n
@@ -171,6 +183,16 @@ func (r *Resource) Release(n int) {
 		r.queue = r.queue[:live]
 		r.qhead = 0
 	}
+}
+
+//go:noinline
+func (r *Resource) badAcquire(n int) {
+	panic(fmt.Sprintf("sim: acquire %d of resource %q with capacity %d", n, r.name, r.cap))
+}
+
+//go:noinline
+func (r *Resource) badRelease(n int) {
+	panic(fmt.Sprintf("sim: release %d of resource %q with %d in use", n, r.name, r.inUse))
 }
 
 // Use acquires one unit, holds it for the service duration d, and releases
