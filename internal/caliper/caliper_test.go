@@ -12,11 +12,11 @@ import (
 type fakeClock struct{ now time.Duration }
 
 func (f *fakeClock) tick(d time.Duration) { f.now += d }
-func (f *fakeClock) clock() time.Duration { return f.now }
+func (f *fakeClock) Now() time.Duration   { return f.now }
 
 func TestNestedRegionsAccumulate(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("outer")
 	fc.tick(10 * time.Millisecond)
 	a.Begin("inner")
@@ -44,7 +44,7 @@ func TestNestedRegionsAccumulate(t *testing.T) {
 
 func TestRepeatVisitsMerge(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	for i := 0; i < 3; i++ {
 		a.Begin("r")
 		fc.tick(2 * time.Millisecond)
@@ -62,7 +62,7 @@ func TestRepeatVisitsMerge(t *testing.T) {
 
 func TestSiblingsKeptSeparate(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("parent")
 	a.Begin("x")
 	fc.tick(time.Millisecond)
@@ -88,7 +88,7 @@ func TestMismatchedEndPanics(t *testing.T) {
 		}
 	}()
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("a")
 	a.End("b")
 }
@@ -100,7 +100,7 @@ func TestProfileWithOpenRegionPanics(t *testing.T) {
 		}
 	}()
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("a")
 	a.Profile()
 }
@@ -119,7 +119,7 @@ func TestNilAnnotatorIsInert(t *testing.T) {
 
 func TestTotalOfSumsAcrossPaths(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("a")
 	a.Begin("io")
 	fc.tick(time.Millisecond)
@@ -138,7 +138,7 @@ func TestTotalOfSumsAcrossPaths(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	done := a.Region("r")
 	fc.tick(7 * time.Millisecond)
 	done()
@@ -159,7 +159,7 @@ func TestJSONRoundTrip(t *testing.T) {
 
 func TestRenderShowsTree(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("dyad_consume")
 	a.Begin("dyad_fetch")
 	fc.tick(time.Millisecond)
@@ -175,7 +175,7 @@ func TestRenderShowsTree(t *testing.T) {
 
 func TestWalkPaths(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("a")
 	a.Begin("b")
 	a.End("b")
@@ -220,7 +220,7 @@ func TestZeroValueAnnotatorInert(t *testing.T) {
 // used to inflate TotalOf("io") by the inner time.
 func TestTotalOfCountsOutermostOnly(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("io")
 	fc.tick(2 * time.Millisecond)
 	a.Begin("io") // nested same-named region (e.g. a retry)
@@ -234,7 +234,7 @@ func TestTotalOfCountsOutermostOnly(t *testing.T) {
 		t.Fatalf("TotalOf(io) = %v, want 7ms (outermost only, no double count)", got)
 	}
 	// Disjoint occurrences under different parents must still both count.
-	a2 := New("p1", fc.clock)
+	a2 := New("p1", fc)
 	for _, parent := range []string{"a", "b"} {
 		a2.Begin(parent)
 		a2.Begin("io")
@@ -253,7 +253,7 @@ func TestTotalOfCountsOutermostOnly(t *testing.T) {
 // could disagree. Ties must keep first-visit order.
 func TestRenderStableOnTies(t *testing.T) {
 	fc := &fakeClock{}
-	a := New("p0", fc.clock)
+	a := New("p0", fc)
 	a.Begin("parent")
 	// Interleave two tied groups (2ms "hi", 1ms "lo") so the sort has real
 	// work to do; a non-stable sort scrambles within each tied group.

@@ -20,9 +20,9 @@ func TestRunAllocBudget(t *testing.T) {
 		backend Backend
 		budget  float64
 	}{
-		{DYAD, 786},
-		{XFS, 651},
-		{Lustre, 954},
+		{DYAD, 540},
+		{XFS, 349},
+		{Lustre, 524},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,

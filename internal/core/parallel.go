@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/caliper"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -71,7 +72,8 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 
 // runPool recycles the expensive parts of a rig — engine (event queue,
 // process table, RNG streams), cluster (nodes, device resources, queue
-// backing arrays), and metrics registry (series sample vectors) — across
+// backing arrays), metrics registry (series sample vectors), and the
+// per-process caliper annotators (region tables) — across
 // the runs one worker executes. Batch repetitions share shape, so after the
 // first run a repetition allocates O(1) rig state instead of rebuilding the
 // whole kernel (DESIGN.md §3h). Pooling is strictly per worker (never
@@ -87,6 +89,7 @@ type runPool struct {
 	cl     *cluster.Cluster
 	clSpec cluster.Spec
 	reg    *metrics.Registry
+	anns   []caliper.Annotator
 }
 
 // take hands out pooled state compatible with cfg, or nils where the pool
@@ -95,10 +98,10 @@ type runPool struct {
 // full profile) and always rides on its own engine. The registry is handed
 // out only to runs that will stream it to a MetricsSink — buffered runs
 // retain their registry on Result.Metrics, so those registries never enter
-// the pool in the first place. Nil-safe.
-func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry) {
+// the pool in the first place. The annotator slab fits any run. Nil-safe.
+func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry, []caliper.Annotator) {
 	if pl == nil {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	var eng *sim.Engine
 	var cl *cluster.Cluster
@@ -114,13 +117,15 @@ func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cl
 	if cfg.MetricsInterval > 0 && cfg.MetricsSink != nil {
 		reg = pl.reg
 	}
-	pl.eng, pl.cl, pl.reg = nil, nil, nil
-	return eng, cl, reg
+	anns := pl.anns
+	pl.eng, pl.cl, pl.reg, pl.anns = nil, nil, nil, nil
+	return eng, cl, reg, anns
 }
 
 // retire stores a successfully collected rig's state for the next take.
 // The registry is kept only when the run streamed it (otherwise the Result
-// retains it and it must not be reused).
+// retains it and it must not be reused). The annotators go back inert, so
+// the pooled slab pins none of the finished run's processes.
 func (pl *runPool) retire(r *rig) {
 	if pl == nil {
 		return
@@ -131,6 +136,10 @@ func (pl *runPool) retire(r *rig) {
 	if r.reg != nil && r.cfg.MetricsSink != nil {
 		pl.reg = r.reg
 	}
+	for i := range r.anns {
+		r.anns[i].Reset("", nil)
+	}
+	pl.anns = r.anns
 }
 
 // runPooled is Run with an optional per-worker state pool.

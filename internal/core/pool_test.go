@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/caliper"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -247,5 +249,75 @@ func TestFailedRunRetiresNothing(t *testing.T) {
 	}
 	if pool.eng != nil || pool.cl != nil || pool.reg != nil {
 		t.Error("failed run leaked state into the pool")
+	}
+}
+
+// profileBytes renders every kept profile of a result, JSON then tree.
+func profileBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, prof := range append(append([]*caliper.Profile(nil), res.ProducerProfiles...), res.ConsumerProfiles...) {
+		if err := prof.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		prof.Render(&buf)
+	}
+	return buf.Bytes()
+}
+
+// One pool carries its annotator slab through runs of changing shape —
+// fewer pairs, a different backend, more pairs than the slab holds, and a
+// run that fails — and every run's totals and kept profiles still equal an
+// unpooled run of the same config. Between runs the pooled annotators are
+// inert, holding no finished process as their clock.
+func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
+	base := Config{Model: tinyModel(), Frames: 5, KeepProfiles: true, Seed: 9}
+	dyad4 := base
+	dyad4.Backend, dyad4.Pairs, dyad4.SingleNode = DYAD, 4, true
+	lustre2 := base
+	lustre2.Backend, lustre2.Pairs, lustre2.LustreNoise = Lustre, 2, true
+	dyad8 := base
+	dyad8.Backend, dyad8.Pairs = DYAD, 8
+	bad := dyad4
+	bad.MaxEvents = 50 // the watchdog kills it mid-region
+	xfs1 := base
+	xfs1.Backend, xfs1.Pairs, xfs1.SingleNode = XFS, 1, true
+
+	pool := &runPool{}
+	for i, cfg := range []Config{dyad4, lustre2, dyad8, bad, xfs1, dyad4} {
+		got, err := runPooled(cfg, pool)
+		if cfg.MaxEvents > 0 {
+			if err == nil {
+				t.Fatalf("run %d: watchdog-limited run unexpectedly succeeded", i)
+			}
+			if pool.anns != nil {
+				t.Fatalf("run %d: failed run returned its annotators to the pool", i)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("run %d (%s): %v", i, cfg.Label(), err)
+		}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("run %d (%s)", i, cfg.Label())
+		resultScalars(t, what, got, want)
+		if len(got.ProducerProfiles) != cfg.Pairs || len(got.ConsumerProfiles) != cfg.Pairs {
+			t.Fatalf("%s: kept %d/%d profiles, want %d each", what, len(got.ProducerProfiles), len(got.ConsumerProfiles), cfg.Pairs)
+		}
+		if g, w := profileBytes(t, got), profileBytes(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s: pooled profiles diverged from an unpooled run:\n%s\nwant\n%s", what, g, w)
+		}
+		if len(pool.anns) != 2*cfg.Pairs {
+			t.Fatalf("%s: pool holds %d annotators, want %d", what, len(pool.anns), 2*cfg.Pairs)
+		}
+		all := pool.anns[:cap(pool.anns)]
+		for j := range all {
+			if p := all[j].Profile(); p.Proc != "" || len(p.Root.Children) != 0 {
+				t.Errorf("%s: pooled annotator %d still records for %q", what, j, p.Proc)
+			}
+		}
 	}
 }

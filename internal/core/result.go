@@ -114,13 +114,11 @@ func (r *rig) collect() (*Result, error) {
 	}
 	res.Recovery.LinkStalls += r.cl.LinkStalls
 	res.Recovery.RecoveryTime += r.cl.LinkStallTime
-	for _, prof := range r.prodProfiles {
-		t := SplitProducer(r.cfg.Backend, prof)
+	for pair := 0; pair < r.cfg.Pairs; pair++ {
+		t := SplitProducer(r.cfg.Backend, &r.anns[2*pair])
 		res.Producer.Movement += t.Movement
 		res.Producer.Idle += t.Idle
-	}
-	for _, prof := range r.consProfiles {
-		t := SplitConsumer(r.cfg.Backend, prof)
+		t = SplitConsumer(r.cfg.Backend, &r.anns[2*pair+1])
 		res.Consumer.Movement += t.Movement
 		res.Consumer.Idle += t.Idle
 	}
@@ -131,8 +129,12 @@ func (r *rig) collect() (*Result, error) {
 	res.Consumer.Idle /= n
 
 	if r.cfg.KeepProfiles {
-		res.ProducerProfiles = r.prodProfiles
-		res.ConsumerProfiles = r.consProfiles
+		res.ProducerProfiles = make([]*caliper.Profile, r.cfg.Pairs)
+		res.ConsumerProfiles = make([]*caliper.Profile, r.cfg.Pairs)
+		for pair := range res.ProducerProfiles {
+			res.ProducerProfiles[pair] = r.anns[2*pair].Profile()
+			res.ConsumerProfiles[pair] = r.anns[2*pair+1].Profile()
+		}
 	}
 	if r.rec != nil {
 		if r.rec.Streaming() {
@@ -161,12 +163,18 @@ func (r *rig) collect() (*Result, error) {
 	return res, nil
 }
 
+// RegionTotals is a per-process record of region times: a finished
+// *caliper.Profile, or the *caliper.Annotator that is recording one.
+type RegionTotals interface {
+	TotalOf(name string) time.Duration
+}
+
 // SplitProducer decomposes a producer profile into data movement and idle
 // time exactly as §IV-C describes: for DYAD, all time inside the DYAD
 // produce path counts as movement (including metadata management — the
 // source of DYAD's production overhead); for XFS/Lustre, movement is the
 // POSIX write and idle is the explicit synchronization.
-func SplitProducer(b Backend, prof *caliper.Profile) Totals {
+func SplitProducer(b Backend, prof RegionTotals) Totals {
 	if b == DYAD {
 		return Totals{
 			Movement: prof.TotalOf("dyad_produce"),
@@ -183,7 +191,7 @@ func SplitProducer(b Backend, prof *caliper.Profile) Totals {
 // SplitConsumer decomposes a consumer profile: for DYAD, idle is the KVS
 // synchronization (dyad_fetch) and movement is the rest of dyad_consume;
 // for XFS/Lustre, movement is the POSIX read and idle is explicit_sync.
-func SplitConsumer(b Backend, prof *caliper.Profile) Totals {
+func SplitConsumer(b Backend, prof RegionTotals) Totals {
 	if b == DYAD {
 		consume := prof.TotalOf("dyad_consume")
 		fetch := prof.TotalOf("dyad_fetch")

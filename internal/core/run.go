@@ -25,6 +25,13 @@ import (
 // one MDS plus eight OSTs on dedicated server nodes.
 const lustreServers = 9
 
+// annNodes and annDepth size each process's region table (DESIGN.md §3h)
+// to the most any process of the experiment sweeps was measured to use: a
+// coarse-synced DYAD consumer reading across nodes visits 10 call paths,
+// the root included, and DYAD consumers nest 3 regions deep (dyad_consume >
+// dyad_fetch > dyad_kvs_wait).
+const annNodes, annDepth = 10, 3
+
 // Run executes one workflow run and returns its measurements.
 func Run(cfg Config) (*Result, error) {
 	return runPooled(cfg, nil)
@@ -43,11 +50,13 @@ type rig struct {
 
 	payload vfs.Payload // shared synthetic frame payload (size-exact)
 
-	prodProfiles []*caliper.Profile
-	consProfiles []*caliper.Profile
-	framesRead   int
-	bytesRead    int64
-	decodeErrs   []error
+	// anns holds one region annotator per process: pair i's producer at
+	// 2i, its consumer at 2i+1. The slab, and the tables inside it, come
+	// back from the pool run after run.
+	anns       []caliper.Annotator
+	framesRead int
+	bytesRead  int64
+	decodeErrs []error
 
 	consumersDone int
 
@@ -112,7 +121,7 @@ func newRig(cfg Config, pool *runPool) *rig {
 		// value, so a tuned run can never inherit an untuned cluster.
 		cfg.SpecTune(&spec)
 	}
-	eng, cl, reg := pool.take(cfg, spec)
+	eng, cl, reg, anns := pool.take(cfg, spec)
 	if eng == nil {
 		eng = sim.NewEngine(cfg.Seed)
 	}
@@ -129,7 +138,7 @@ func newRig(cfg Config, pool *runPool) *rig {
 	if cl == nil {
 		cl = cluster.New(eng, spec)
 	}
-	r := &rig{cfg: rc, eng: eng, cl: cl, reg: reg}
+	r := &rig{cfg: rc, eng: eng, cl: cl, reg: reg, anns: anns}
 
 	if cfg.Trace != nil {
 		eng.SetTracer(func(t time.Duration, proc, msg string) {
@@ -316,8 +325,7 @@ func appendPadded(b []byte, n, width int) []byte {
 
 // spawnAll creates all producer and consumer processes.
 func (r *rig) spawnAll() {
-	r.prodProfiles = make([]*caliper.Profile, r.cfg.Pairs)
-	r.consProfiles = make([]*caliper.Profile, r.cfg.Pairs)
+	r.anns = caliper.Grow(r.anns, 2*r.cfg.Pairs, annNodes, annDepth)
 	for pair := 0; pair < r.cfg.Pairs; pair++ {
 		pair := pair
 		var gate *pairGate
@@ -352,7 +360,8 @@ func newPairGate(cl *cluster.Cluster, prodNode, consNode *cluster.Node) *pairGat
 
 // runProducer emulates the MD simulation side of one pair.
 func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
-	ann := caliper.New(p.Name(), func() time.Duration { return p.Now() })
+	ann := &r.anns[2*pair]
+	ann.Reset(p.Name(), p)
 	var client *dyad.Client
 	var fs vfs.FS
 	switch r.cfg.Backend {
@@ -433,12 +442,12 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 			Start: p.Now(), Bytes: data.Size(), Attr: path})
 		p.Tracef("produced frame %d (%d bytes)", f, data.Size())
 	}
-	r.prodProfiles[pair] = ann.Profile()
 }
 
 // runConsumer emulates the in situ analytics side of one pair.
 func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
-	ann := caliper.New(p.Name(), func() time.Duration { return p.Now() })
+	ann := &r.anns[2*pair+1]
+	ann.Reset(p.Name(), p)
 	var client *dyad.Client
 	var fs vfs.FS
 	switch r.cfg.Backend {
@@ -530,8 +539,6 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 		p.CritEnd()
 		ann.End("analytics")
 	}
-	r.consProfiles[pair] = ann.Profile()
-
 	r.consumersDone++
 	if r.consumersDone == r.cfg.Pairs && r.lfs != nil {
 		r.lfs.StopNoise()

@@ -19,7 +19,7 @@ func rig(e *sim.Engine, n int) (*cluster.Cluster, *System) {
 }
 
 func annotator(p *sim.Proc) *caliper.Annotator {
-	return caliper.New(p.Name(), func() time.Duration { return p.Now() })
+	return caliper.New(p.Name(), p)
 }
 
 func TestProduceConsumeSameNode(t *testing.T) {

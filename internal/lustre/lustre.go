@@ -343,28 +343,14 @@ func (f *FS) ostFor(first, k int) *ost {
 	return f.osts[(first+k)%len(f.osts)]
 }
 
-// chunks splits n bytes into stripe-size pieces.
-func (f *FS) chunks(n int64) []int64 {
-	if n == 0 {
-		return []int64{0}
-	}
-	var out []int64
-	for n > 0 {
-		c := f.params.StripeSize
-		if n < c {
-			c = n
-		}
-		out = append(out, c)
-		n -= c
-	}
-	return out
-}
-
 // writeChunks pushes data chunks to the file's OSTs in order (RPC pipeline
-// depth 1, as a single POSIX writer sees). The first chunk carries the
-// per-file object setup overhead.
+// depth 1, as a single POSIX writer sees): n bytes in stripe-size pieces,
+// the last one short, and one empty chunk for an empty file. The first
+// chunk carries the per-file object setup overhead.
 func (f *FS) writeChunks(p *sim.Proc, from *cluster.Node, first int, n int64) {
-	for k, c := range f.chunks(n) {
+	for k := 0; k == 0 || n > 0; k++ {
+		c := min(n, f.params.StripeSize)
+		n -= c
 		o := f.ostFor(first, k%f.params.StripeCount)
 		service := f.params.OSTService + bwTime(c, f.params.OSTWriteBandwidth)
 		if k == 0 {
@@ -374,9 +360,12 @@ func (f *FS) writeChunks(p *sim.Proc, from *cluster.Node, first int, n int64) {
 	}
 }
 
-// readChunks pulls data chunks from the file's OSTs in order.
+// readChunks pulls data chunks from the file's OSTs in order, cut as
+// writeChunks cuts them.
 func (f *FS) readChunks(p *sim.Proc, from *cluster.Node, first int, n int64) {
-	for k, c := range f.chunks(n) {
+	for k := 0; k == 0 || n > 0; k++ {
+		c := min(n, f.params.StripeSize)
+		n -= c
 		o := f.ostFor(first, k%f.params.StripeCount)
 		service := f.params.OSTService + bwTime(c, f.params.OSTReadBandwidth)
 		if k == 0 {

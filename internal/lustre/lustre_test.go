@@ -72,18 +72,36 @@ func TestMissingFileErrors(t *testing.T) {
 	}
 }
 
+// A file moves in stripe-size chunks, one OST RPC each, and an empty file
+// still costs one (empty) chunk each way.
 func TestChunking(t *testing.T) {
-	e := sim.NewEngine(1)
-	_, fs := testRig(e, 1, 2)
 	cases := []struct {
 		n    int64
-		want int
+		want int64
 	}{
 		{0, 1}, {1, 1}, {1 << 20, 1}, {1<<20 + 1, 2}, {3 << 20, 3},
 	}
 	for _, c := range cases {
-		if got := len(fs.chunks(c.n)); got != c.want {
-			t.Errorf("chunks(%d) = %d pieces, want %d", c.n, got, c.want)
+		e := sim.NewEngine(1)
+		cl, fs := testRig(e, 1, 2)
+		cli := fs.Client(cl.Node(0))
+		var wrote, read int64
+		e.Spawn("io", func(p *sim.Proc) {
+			if err := cli.WriteFile(p, "/f", vfs.SizeOnly(c.n)); err != nil {
+				t.Errorf("write %d: %v", c.n, err)
+				return
+			}
+			wrote = fs.OSTOps
+			if _, err := cli.ReadFile(p, "/f"); err != nil {
+				t.Errorf("read %d: %v", c.n, err)
+			}
+			read = fs.OSTOps - wrote
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if wrote != c.want || read != c.want {
+			t.Errorf("%d bytes: %d write and %d read chunks, want %d each", c.n, wrote, read, c.want)
 		}
 	}
 }

@@ -88,7 +88,7 @@ type Notify struct {
 	cl       *cluster.Cluster
 	src, dst *cluster.Node
 	posted   int
-	waiters  []*waiter
+	waiters  []waiter
 }
 
 type waiter struct {
@@ -113,6 +113,7 @@ func (n *Notify) Post(p *sim.Proc) {
 			rest = append(rest, w)
 		}
 	}
+	clear(n.waiters[len(rest):]) // unpin the woken processes
 	n.waiters = rest
 }
 
@@ -121,7 +122,7 @@ func (n *Notify) Post(p *sim.Proc) {
 func (n *Notify) WaitSeq(p *sim.Proc, seqno int) time.Duration {
 	start := p.Now()
 	if n.posted < seqno {
-		n.waiters = append(n.waiters, &waiter{p: p, seqno: seqno})
+		n.waiters = append(n.waiters, waiter{p: p, seqno: seqno})
 		p.Block()
 	}
 	return p.Now() - start

@@ -122,6 +122,45 @@ func TestNotifyWaitSeqAlreadyPosted(t *testing.T) {
 	}
 }
 
+// Post wakes every satisfied waiter in the order they began waiting, keeps
+// the rest queued, and clears the slots it vacates so a finished process is
+// not pinned by the doorbell.
+func TestNotifyPostWakeOrderAndUnpin(t *testing.T) {
+	e := sim.NewEngine(1)
+	cl := cluster.New(e, cluster.CoronaProfile(2))
+	n := NewNotify(cl, cl.Node(0), cl.Node(1))
+	var woke []string
+	for _, w := range []struct {
+		name  string
+		seqno int
+	}{{"a", 1}, {"b", 2}, {"c", 1}, {"d", 2}} {
+		e.Spawn(w.name, func(p *sim.Proc) {
+			n.WaitSeq(p, w.seqno)
+			woke = append(woke, p.Name())
+		})
+	}
+	e.Spawn("producer", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		n.Post(p)
+		if len(n.waiters) != 2 || n.waiters[0].p.Name() != "b" || n.waiters[1].p.Name() != "d" {
+			t.Errorf("after one post, %d waiters left, want b and d", len(n.waiters))
+		}
+		p.Sleep(time.Millisecond)
+		n.Post(p)
+		for i, w := range n.waiters[:cap(n.waiters)] {
+			if w.p != nil {
+				t.Errorf("slot %d still pins %s after every waiter woke", i, w.p.Name())
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(woke); got != "[a c b d]" {
+		t.Errorf("wake order %s, want [a c b d]", got)
+	}
+}
+
 func TestSendChargesWire(t *testing.T) {
 	e := sim.NewEngine(1)
 	cl := cluster.New(e, cluster.CoronaProfile(2))

@@ -13,7 +13,7 @@ import (
 func ExampleEnsemble_Query() {
 	mkProfile := func(proc string, fetch time.Duration) *caliper.Profile {
 		var now time.Duration
-		a := caliper.New(proc, func() time.Duration { return now })
+		a := caliper.New(proc, caliper.ClockFunc(func() time.Duration { return now }))
 		a.Begin("dyad_consume")
 		a.Begin("dyad_fetch")
 		now += fetch

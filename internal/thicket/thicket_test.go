@@ -14,7 +14,7 @@ type clk struct{ now time.Duration }
 
 func profileOf(proc string, build func(a *caliper.Annotator, c *clk)) *caliper.Profile {
 	c := &clk{}
-	a := caliper.New(proc, func() time.Duration { return c.now })
+	a := caliper.New(proc, caliper.ClockFunc(func() time.Duration { return c.now }))
 	build(a, c)
 	return a.Profile()
 }

@@ -47,8 +47,8 @@ func Profiles(spans []Span) []*caliper.Profile {
 	return out
 }
 
-// childNode finds or appends the named child, preserving insertion order
-// (the same structure caliper.Annotator builds).
+// childNode finds or appends the named child, preserving insertion order,
+// so children keep first-visit order as in caliper.Annotator.Profile.
 func childNode(n *caliper.Node, name string) *caliper.Node {
 	for _, c := range n.Children {
 		if c.Name == name {

@@ -149,11 +149,12 @@ echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
 # disabled: the delta tests scale event/op counts ~100x and require zero
 # extra allocations. The core budget pins the per-run allocation count of
 # a Fig5-shaped DYAD, XFS and Lustre run with every sink off; cleaning a
-# canonical path and a steady lock/unlock cycle allocate nothing. The
+# canonical path, a steady lock/unlock cycle and a warmed caliper
+# annotator's Reset and region cycle allocate nothing. The
 # export budgets (trace, metrics, critpath) require the Chrome,
 # CSV/Prometheus and waterfall writers to allocate no more for 8x the
 # events (run without -race; race instrumentation allocates).
-go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/ ./internal/trace/ ./internal/critpath/ ./internal/vfs/ ./internal/locks/
+go test -run 'ZeroAllocs|AllocBudget' -count=1 ./internal/sim/ ./internal/cluster/ ./internal/metrics/ ./internal/capacity/ ./internal/core/ ./internal/trace/ ./internal/critpath/ ./internal/vfs/ ./internal/locks/ ./internal/caliper/
 
 echo "== fuzz smoke: every committed fuzz target, briefly =="
 # Tier-1 replays each target's committed seeds (testdata/fuzz); here each
@@ -162,6 +163,7 @@ echo "== fuzz smoke: every committed fuzz target, briefly =="
 # regression seed.
 go test -run '^$' -fuzz '^FuzzClean$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s ./internal/trace
+go test -run '^$' -fuzz '^FuzzAnnotator$' -fuzztime 10s ./internal/caliper
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
