@@ -369,15 +369,33 @@ const wireSegment = 256 << 10
 // the given service resource (if non-nil). Like Transfer, it is one chain.
 func (c *Cluster) RPC(p *sim.Proc, src, dst *Node, reqBytes, respBytes int64, server *sim.Resource, service time.Duration) time.Duration {
 	start := p.Now()
-	w := newWire(c, src, dst, reqBytes, rpcBegin)
-	w.respBytes, w.server, w.service = respBytes, server, service
+	w := c.newRPC(src, dst, reqBytes, respBytes, server, service)
 	p.Inline(w.step)
 	w.free()
 	return p.Now() - start
 }
 
+// RPCThen is RPC as one step of p's Inline chain (or of a goroutine-free
+// process): it sends the request now and, in the continuation that
+// delivers the response, calls then(p), which names the chain's next step
+// or ends it. The exchange's events, spans and critical-path edges are
+// RPC's, and a chain of any number of them costs p's goroutine at most
+// one handoff. It must be called from a continuation.
+func (c *Cluster) RPCThen(p *sim.Proc, src, dst *Node, reqBytes, respBytes int64, server *sim.Resource, service time.Duration, then func(p *sim.Proc)) {
+	w := c.newRPC(src, dst, reqBytes, respBytes, server, service)
+	w.then = then
+	w.step(p)
+}
+
+// newRPC returns a wire state for an RPC's request leg.
+func (c *Cluster) newRPC(src, dst *Node, reqBytes, respBytes int64, server *sim.Resource, service time.Duration) *wire {
+	w := newWire(c, src, dst, reqBytes, rpcBegin)
+	w.respBytes, w.server, w.service = respBytes, server, service
+	return w
+}
+
 // wire is one Transfer or RPC in flight: a flat state machine run as the
-// calling process's Inline chain. Each phase ends where the goroutine
+// calling process's Inline chain, or as one step of it (RPCThen). Each phase ends where the goroutine
 // loop it replaced yielded — a link stall, each segment's FIFO hold on the
 // sender NIC, the hop, the receive completion, an RPC's service — so the
 // events, their sequence numbers, the wakes, the critical-path edges and
@@ -398,6 +416,7 @@ type wire struct {
 	respBytes int64
 	server    *sim.Resource
 	service   time.Duration
+	then      func(p *sim.Proc) // RPCThen's successor, run at the response
 
 	step func(p *sim.Proc) // advance, bound once so no step allocates
 	next *wire             // free-list link
@@ -427,8 +446,9 @@ const (
 )
 
 // wires is the process-wide free list of wire states: a Transfer takes
-// one and returns it when its chain is done, so a warmed Transfer
-// allocates nothing, even on a fresh cluster per run. sync.Pool would not
+// one and returns it when its chain (an RPCThen, its step) is done, so a
+// warmed Transfer allocates nothing, even on a fresh cluster per run.
+// sync.Pool would not
 // do (the GC empties it, which would make allocation budgets flaky), nor
 // would a per-cluster list (harnesses build a cluster per run). A chain
 // unwound by a failed run is never returned: its state may still be
@@ -579,6 +599,11 @@ func (w *wire) advance(p *sim.Proc) {
 			w.phase, w.after = wireBegin, rpcEnd
 		case rpcEnd:
 			p.CritEnd()
+			if then := w.then; then != nil {
+				// The wire goes back first: then may start the next one.
+				w.free()
+				then(p)
+			}
 			return
 		case wireDone:
 			return

@@ -98,8 +98,22 @@ type wireImpl struct {
 
 var (
 	chainWire = wireImpl{(*Cluster).Transfer, (*Cluster).RPC}
+	thenWire  = wireImpl{(*Cluster).Transfer, thenRPC}
 	refWire   = wireImpl{refTransfer, refRPC}
 )
+
+// thenRPC is an RPC run as an Inline chain of one RPCThen step, whose
+// successor ends the chain.
+func thenRPC(c *Cluster, p *sim.Proc, src, dst *Node, reqBytes, respBytes int64, server *sim.Resource, service time.Duration) time.Duration {
+	start := p.Now()
+	var took time.Duration
+	p.Inline(func(p *sim.Proc) {
+		c.RPCThen(p, src, dst, reqBytes, respBytes, server, service, func(p *sim.Proc) {
+			took = p.Now() - start
+		})
+	})
+	return took
+}
 
 // wireOp is one process's completed operation: when it ended and what the
 // operation reported as its elapsed time.
@@ -271,48 +285,109 @@ func runWire(sc wireScenario, w wireImpl) (wireRun, error) {
 
 // The chained Transfer and RPC are the goroutine loop's timeline one for
 // one: the same events, completions, spans, critical-path graph, NIC
-// occupancy and link-stall accounting, with fewer goroutine handoffs.
+// occupancy and link-stall accounting, with fewer goroutine handoffs. So
+// is an RPC made as one RPCThen step of an Inline chain.
 func TestWireChainMatchesGoroutineLoop(t *testing.T) {
 	for _, sc := range wireScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			ref, err := runWire(sc, refWire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := runWire(sc, chainWire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ref.graph.Edges) == 0 {
-				t.Fatal("weak scenario: no release edges")
-			}
-			if got.events != ref.events {
-				t.Errorf("events: %d, goroutine loop %d", got.events, ref.events)
-			}
-			if !reflect.DeepEqual(got.ops, ref.ops) {
-				t.Errorf("completions differ:\n got %v\nwant %v", got.ops, ref.ops)
-			}
-			if !reflect.DeepEqual(got.spans, ref.spans) {
-				t.Errorf("spans differ:\n got %v\nwant %v", got.spans, ref.spans)
-			}
-			if !reflect.DeepEqual(got.graph, ref.graph) {
-				t.Errorf("critical-path graph differs:\n got %+v\nwant %+v", got.graph, ref.graph)
-			}
-			if got.graph.Unclosed != 0 {
-				t.Errorf("%d processes ended with a region open", got.graph.Unclosed)
-			}
-			if !reflect.DeepEqual(got.nicBusy, ref.nicBusy) {
-				t.Errorf("NIC busy integrals: %v, goroutine loop %v", got.nicBusy, ref.nicBusy)
-			}
-			if got.linkStalls != ref.linkStalls || got.linkStallTime != ref.linkStallTime ||
-				!reflect.DeepEqual(got.nodeStall, ref.nodeStall) {
-				t.Errorf("link stalls: %d / %v / %v, goroutine loop %d / %v / %v",
-					got.linkStalls, got.linkStallTime, got.nodeStall, ref.linkStalls, ref.linkStallTime, ref.nodeStall)
-			}
-			if got.handoffs >= ref.handoffs {
-				t.Errorf("handoffs: %d, goroutine loop %d; want fewer", got.handoffs, ref.handoffs)
-			}
+			checkWireMatches(t, sc, chainWire)
+			t.Run("RPCThen", func(t *testing.T) { checkWireMatches(t, sc, thenWire) })
 		})
+	}
+}
+
+// checkWireMatches runs sc through the goroutine loop and through w and
+// compares the two runs.
+func checkWireMatches(t *testing.T, sc wireScenario, w wireImpl) {
+	t.Helper()
+	ref, err := runWire(sc, refWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runWire(sc, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ref.graph.Edges) == 0 {
+		t.Fatal("weak scenario: no release edges")
+	}
+	if got.events != ref.events {
+		t.Errorf("events: %d, goroutine loop %d", got.events, ref.events)
+	}
+	if !reflect.DeepEqual(got.ops, ref.ops) {
+		t.Errorf("completions differ:\n got %v\nwant %v", got.ops, ref.ops)
+	}
+	if !reflect.DeepEqual(got.spans, ref.spans) {
+		t.Errorf("spans differ:\n got %v\nwant %v", got.spans, ref.spans)
+	}
+	if !reflect.DeepEqual(got.graph, ref.graph) {
+		t.Errorf("critical-path graph differs:\n got %+v\nwant %+v", got.graph, ref.graph)
+	}
+	if got.graph.Unclosed != 0 {
+		t.Errorf("%d processes ended with a region open", got.graph.Unclosed)
+	}
+	if !reflect.DeepEqual(got.nicBusy, ref.nicBusy) {
+		t.Errorf("NIC busy integrals: %v, goroutine loop %v", got.nicBusy, ref.nicBusy)
+	}
+	if got.linkStalls != ref.linkStalls || got.linkStallTime != ref.linkStallTime ||
+		!reflect.DeepEqual(got.nodeStall, ref.nodeStall) {
+		t.Errorf("link stalls: %d / %v / %v, goroutine loop %d / %v / %v",
+			got.linkStalls, got.linkStallTime, got.nodeStall, ref.linkStalls, ref.linkStallTime, ref.nodeStall)
+	}
+	if got.handoffs >= ref.handoffs {
+		t.Errorf("handoffs: %d, goroutine loop %d; want fewer", got.handoffs, ref.handoffs)
+	}
+}
+
+// A chain of RPCThen steps is the same RPCs made one after another: each
+// step's wire goes back to the free list before its successor runs, which
+// takes it again at once.
+func TestRPCThenChainMatchesConsecutiveRPCs(t *testing.T) {
+	sequence := func(chain bool) wireScenario {
+		return wireScenario{"rpc sequence", func(e *sim.Engine, c *Cluster, _ wireImpl, done func(*sim.Proc, time.Duration)) {
+			srv := sim.NewResource(e, "srv", 1)
+			sizes := []int64{64, 300 << 10, 0, 1 << 20}
+			for i := 0; i < 3; i++ {
+				src := c.Node(i)
+				sender(e, fmt.Sprintf("s%d", i), time.Duration(i)*time.Microsecond, done, func(p *sim.Proc) time.Duration {
+					start := p.Now()
+					if !chain {
+						for _, n := range sizes {
+							c.RPC(p, src, c.Node(3), 128, n, srv, 20*time.Microsecond)
+						}
+						return p.Now() - start
+					}
+					k := 0
+					var step func(p *sim.Proc)
+					step = func(p *sim.Proc) {
+						if k < len(sizes) {
+							k++
+							c.RPCThen(p, src, c.Node(3), 128, sizes[k-1], srv, 20*time.Microsecond, step)
+						}
+					}
+					p.Inline(step)
+					return p.Now() - start
+				})
+			}
+		}}
+	}
+	ref, err := runWire(sequence(false), chainWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runWire(sequence(true), chainWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.events != ref.events || !reflect.DeepEqual(got.ops, ref.ops) || !reflect.DeepEqual(got.spans, ref.spans) {
+		t.Errorf("chain: %d events, completions %v; consecutive RPCs: %d events, completions %v",
+			got.events, got.ops, ref.events, ref.ops)
+	}
+	if !reflect.DeepEqual(got.graph, ref.graph) {
+		t.Errorf("critical-path graph differs:\n got %+v\nwant %+v", got.graph, ref.graph)
+	}
+	if got.handoffs >= ref.handoffs {
+		t.Errorf("handoffs: %d, consecutive RPCs %d; want fewer", got.handoffs, ref.handoffs)
 	}
 }
 

@@ -70,7 +70,7 @@ func TestRunHandoffBudget(t *testing.T) {
 	}{
 		{DYAD, 1326, 220},
 		{XFS, 840, 286},
-		{Lustre, 28533, 439},
+		{Lustre, 28533, 390},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,

@@ -226,3 +226,30 @@ func TestNoisyLustreCritPathGolden(t *testing.T) {
 		t.Fatalf("critical-path artifacts drifted from golden fixture:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// A recorded run fails when its critical path does not tile the makespan
+// or a process ended inside a region; checkCrit is that check, so a
+// forged summary of either kind must fail it and an exact one pass.
+func TestCheckCritRejectsNonTilingSummary(t *testing.T) {
+	ok := &critpath.Summary{Path: &critpath.CritPath{Makespan: 10, Attributed: 7, Untracked: 3}}
+	if err := checkCrit(ok); err != nil {
+		t.Fatalf("tiling summary rejected: %v", err)
+	}
+	for name, s := range map[string]*critpath.Summary{
+		"gap":      {Path: &critpath.CritPath{Makespan: 10, Attributed: 7, Untracked: 2}},
+		"overlap":  {Path: &critpath.CritPath{Makespan: 10, Attributed: 8, Untracked: 3}},
+		"unclosed": {Path: &critpath.CritPath{Makespan: 10, Attributed: 10}, Unclosed: 1},
+	} {
+		if err := checkCrit(s); err == nil {
+			t.Errorf("%s: forged summary %+v accepted", name, s.Path)
+		}
+	}
+	// Every recorded run of each backend passes it.
+	for _, b := range []Backend{DYAD, XFS, Lustre} {
+		cfg := critCfg(b)
+		cfg.LustreNoise = b == Lustre
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("%s: %v", b, err)
+		}
+	}
+}

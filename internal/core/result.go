@@ -149,6 +149,9 @@ func (r *rig) collect() (*Result, error) {
 	if r.cp != nil {
 		g := r.cp.Finish(r.eng.Now())
 		res.Crit = &critpath.Summary{Path: critpath.Extract(g), Frames: g.Lineages, Unclosed: g.Unclosed}
+		if err := checkCrit(res.Crit); err != nil {
+			return nil, err
+		}
 	}
 	if r.reg != nil && r.cfg.MetricsSink == nil {
 		// A streamed registry's samples are already on disk and its series
@@ -161,6 +164,23 @@ func (r *rig) collect() (*Result, error) {
 		r.cfg.TraceStream.EndRun(r.rec, metrics.CounterTracks(res.Metrics))
 	}
 	return res, nil
+}
+
+// checkCrit is a recorded run's critical-path conservation check: the
+// extracted path tiles its makespan exactly, every instant attributed or
+// untracked, and no foreground process ended inside a labeled region.
+// (The path's makespan is the last foreground process's end; it is not
+// compared with Result.Makespan, which on noisy Lustre runs includes the
+// background noise winding down after StopNoise.)
+func checkCrit(s *critpath.Summary) error {
+	if p := s.Path; p.Attributed+p.Untracked != p.Makespan {
+		return fmt.Errorf("core: critical path covers %v attributed + %v untracked of its makespan %v",
+			p.Attributed, p.Untracked, p.Makespan)
+	}
+	if s.Unclosed != 0 {
+		return fmt.Errorf("core: %d processes ended with a critical-path region open", s.Unclosed)
+	}
+	return nil
 }
 
 // RegionTotals is a per-process record of region times: a finished

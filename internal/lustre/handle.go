@@ -87,7 +87,7 @@ func (h *handle) ReadAt(p *sim.Proc, off, n int64) ([]byte, error) {
 			service += f.params.PerFileReadOverhead
 			firstRPC = false
 		}
-		f.ostRPC(p, h.c.node, o, 256, bytes, service)
+		f.rpc(p, h.c.node, o, 256, bytes, service)
 	})
 	return pl.Bytes()[off : off+n], nil
 }
@@ -114,7 +114,7 @@ func (h *handle) WriteAt(p *sim.Proc, off int64, data []byte) error {
 			service += f.params.PerFileWriteOverhead
 			firstRPC = false
 		}
-		f.ostRPC(p, h.c.node, o, bytes, 64, service)
+		f.rpc(p, h.c.node, o, bytes, 64, service)
 	})
 	f.tree.Put(h.path, vfs.SplicePayload(cur, off, vfs.BytesPayload(data)))
 	return nil

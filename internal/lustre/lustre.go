@@ -12,6 +12,7 @@ package lustre
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -276,14 +277,37 @@ func (f *FS) FailMDS(d time.Duration) {
 	}
 }
 
-// await applies the Lustre client recovery policy for a server that may be
-// down: an RPC sent to it gets no reply within RPCTimeout and is resent
-// under the Retry backoff; exhausted resends trigger failover to the standby
-// (FailoverDelay once, then normal service for the rest of the run). When
-// the server is up — the only case on healthy runs — this is two compares.
-func (f *FS) await(p *sim.Proc, downUntil *sim.Time, failedOver *bool) {
-	if *failedOver || p.Now() >= *downUntil {
+// server returns the node and service queue of OST o, or of the MDS when
+// o is nil.
+func (f *FS) server(o *ost) (*cluster.Node, *sim.Resource) {
+	if o == nil {
+		return f.mdsNode, f.mds
+	}
+	return o.node, o.srv
+}
+
+// down reports whether the server of o (the MDS when o is nil) is down
+// now, so that an RPC to it would go unanswered: the one case in which
+// await has anything to do. On healthy runs it is two compares.
+func (f *FS) down(p *sim.Proc, o *ost) bool {
+	if o == nil {
+		return !f.mdsFailedOver && p.Now() < f.mdsDownUntil
+	}
+	return !o.failedOver && p.Now() < o.downUntil
+}
+
+// await applies the Lustre client recovery policy for the server of o
+// (the MDS when o is nil), which may be down: an RPC sent to it gets no
+// reply within RPCTimeout and is resent under the Retry backoff; exhausted
+// resends trigger failover to the standby (FailoverDelay once, then normal
+// service for the rest of the run).
+func (f *FS) await(p *sim.Proc, o *ost) {
+	if !f.down(p, o) {
 		return
+	}
+	downUntil, failedOver := &f.mdsDownUntil, &f.mdsFailedOver
+	if o != nil {
+		downUntil, failedOver = &o.downUntil, &o.failedOver
 	}
 	for attempt := 0; ; attempt++ {
 		f.Recovery.Timeouts++
@@ -313,28 +337,46 @@ func (f *FS) await(p *sim.Proc, downUntil *sim.Time, failedOver *bool) {
 		Class: trace.ClassRecovery, Start: p.Now() - f.params.FailoverDelay, Dur: f.params.FailoverDelay})
 }
 
-// mdsRPC charges one metadata round trip from the client node, waiting out
-// an MDS outage first.
-func (f *FS) mdsRPC(p *sim.Proc, from *cluster.Node) {
-	f.await(p, &f.mdsDownUntil, &f.mdsFailedOver)
-	f.MDSOps++
-	start := p.Now()
-	f.cl.RPC(p, from, f.mdsNode, 256, 128, f.mds, f.params.MDSService)
-	f.mdsLat.Observe(p.Now() - start)
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "lustre", Name: "mds_rpc",
-		Start: start, Dur: p.Now() - start})
-}
-
-// ostRPC charges one OST round trip, waiting out an OSS outage first.
-func (f *FS) ostRPC(p *sim.Proc, from *cluster.Node, o *ost, reqBytes, respBytes int64, service time.Duration) {
-	f.await(p, &o.downUntil, &o.failedOver)
+// sent counts an RPC to o (the MDS when o is nil) as it goes out.
+func (f *FS) sent(o *ost, reqBytes, respBytes int64) {
+	if o == nil {
+		f.MDSOps++
+		return
+	}
 	f.OSTOps++
 	o.bytes += reqBytes + respBytes
-	start := p.Now()
-	f.cl.RPC(p, from, o.node, reqBytes, respBytes, o.srv, service)
+}
+
+// replied records an RPC to o (the MDS when o is nil), sent at start and
+// carrying bytes both ways, once its reply is in: its latency and its span.
+func (f *FS) replied(p *sim.Proc, o *ost, start sim.Time, bytes int64) {
+	if o == nil {
+		f.mdsLat.Observe(p.Now() - start)
+		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "lustre", Name: "mds_rpc",
+			Start: start, Dur: p.Now() - start})
+		return
+	}
 	f.ostLat.Observe(p.Now() - start)
 	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "lustre", Name: "ost_rpc",
-		Start: start, Dur: p.Now() - start, Bytes: reqBytes + respBytes, Attr: o.srv.Name()})
+		Start: start, Dur: p.Now() - start, Bytes: bytes, Attr: o.srv.Name()})
+}
+
+// rpc charges one round trip from the client node to o (the MDS when o is
+// nil), waiting out an outage of its server first. File reads and writes
+// run their RPCs as a fileOp chain instead; this blocking form serves the
+// single-RPC calls.
+func (f *FS) rpc(p *sim.Proc, from *cluster.Node, o *ost, reqBytes, respBytes int64, service time.Duration) {
+	f.await(p, o)
+	f.sent(o, reqBytes, respBytes)
+	start := p.Now()
+	node, srv := f.server(o)
+	f.cl.RPC(p, from, node, reqBytes, respBytes, srv, service)
+	f.replied(p, o, start, reqBytes+respBytes)
+}
+
+// mdsRPC charges one metadata round trip from the client node.
+func (f *FS) mdsRPC(p *sim.Proc, from *cluster.Node) {
+	f.rpc(p, from, nil, 256, 128, f.params.MDSService)
 }
 
 // ostFor returns the OST index for chunk k of a file whose layout starts
@@ -343,40 +385,183 @@ func (f *FS) ostFor(first, k int) *ost {
 	return f.osts[(first+k)%len(f.osts)]
 }
 
-// writeChunks pushes data chunks to the file's OSTs in order (RPC pipeline
-// depth 1, as a single POSIX writer sees): n bytes in stripe-size pieces,
-// the last one short, and one empty chunk for an empty file. The first
-// chunk carries the per-file object setup overhead.
-func (f *FS) writeChunks(p *sim.Proc, from *cluster.Node, first int, n int64) {
-	for k := 0; k == 0 || n > 0; k++ {
-		c := min(n, f.params.StripeSize)
-		n -= c
-		o := f.ostFor(first, k%f.params.StripeCount)
-		service := f.params.OSTService + bwTime(c, f.params.OSTWriteBandwidth)
-		if k == 0 {
-			service += f.params.PerFileWriteOverhead
-		}
-		f.ostRPC(p, from, o, c, 64, service)
-	}
-}
-
-// readChunks pulls data chunks from the file's OSTs in order, cut as
-// writeChunks cuts them.
-func (f *FS) readChunks(p *sim.Proc, from *cluster.Node, first int, n int64) {
-	for k := 0; k == 0 || n > 0; k++ {
-		c := min(n, f.params.StripeSize)
-		n -= c
-		o := f.ostFor(first, k%f.params.StripeCount)
-		service := f.params.OSTService + bwTime(c, f.params.OSTReadBandwidth)
-		if k == 0 {
-			service += f.params.PerFileReadOverhead
-		}
-		f.ostRPC(p, from, o, 256, c, service)
-	}
-}
-
 func bwTime(n int64, bw float64) time.Duration {
 	return time.Duration(float64(n) / bw * float64(time.Second))
+}
+
+// fileOp is one WriteFile or ReadFile in flight: a flat state machine run
+// as the calling process's Inline chain, one cluster.RPCThen per RPC. Its
+// RPCs are the POSIX call's in order: the MDS open/create (or lookup),
+// the file's stripe chunks to its OSTs (RPC pipeline depth 1, as a single
+// writer sees: n bytes in stripe-size pieces, the last one short, one
+// empty chunk for an empty file, the per-file object setup on the first),
+// and for a write the MDS close. Each RPC is counted when sent and
+// recorded when its reply is in, and the layout is resolved after the
+// first MDS reply (another client may assign nextOST before it), as the
+// blocking sequence did, so the events, spans and counters are that
+// sequence's one for one (TestFileOpChainMatchesBlockingSequence keeps it
+// as the reference). Before each RPC the chain checks the server: when it
+// is down the chain stops at that step, and run waits the outage out on
+// the goroutine (await) and re-enters it there.
+type fileOp struct {
+	c     *Client
+	path  string
+	write bool
+	pl    vfs.Payload // the payload written, or the one a read found
+	found bool        // a read's lookup found the file
+	phase opPhase
+	first int   // the layout's first OST
+	k     int   // the next chunk
+	rest  int64 // bytes not yet sent in a chunk
+
+	// The RPC in flight, or the down server the chain stopped at.
+	o     *ost // nil for the MDS
+	sent  bool // o's reply is due
+	start sim.Time
+	bytes int64
+
+	step func(p *sim.Proc) // advance, bound once so no step allocates
+	next *fileOp           // free-list link
+}
+
+type opPhase uint8
+
+const (
+	opOpen   opPhase = iota // send the MDS open/create or lookup
+	opLayout                // MDS replied: resolve the layout
+	opChunk                 // send the next chunk's OST RPC
+	opClose                 // send the MDS close (writes)
+	opDone                  // the last reply is in (or a read found nothing)
+)
+
+// fileOps is the process-wide free list of fileOp states, for the reasons
+// cluster's wire list gives. An op unwound by a failed run is never
+// returned: its state may still be referenced as a pending continuation.
+var fileOps struct {
+	sync.Mutex
+	free *fileOp
+}
+
+// newFileOp returns a fileOp state for one call of c on path.
+func newFileOp(c *Client, path string, write bool) *fileOp {
+	fileOps.Lock()
+	op := fileOps.free
+	if op != nil {
+		fileOps.free = op.next
+	}
+	fileOps.Unlock()
+	if op == nil {
+		op = new(fileOp)
+		op.step = op.advance
+	}
+	op.c, op.path, op.write = c, path, write
+	return op
+}
+
+// free returns op to the free list, dropping its references.
+func (op *fileOp) free() {
+	*op = fileOp{step: op.step}
+	fileOps.Lock()
+	op.next = fileOps.free
+	fileOps.free = op
+	fileOps.Unlock()
+}
+
+// run runs op to its end on p: one Inline chain on healthy runs, re-entered
+// after each wait for a down server.
+func (op *fileOp) run(p *sim.Proc) {
+	for {
+		p.Inline(op.step)
+		if op.phase == opDone {
+			return
+		}
+		op.c.fs.await(p, op.o)
+	}
+}
+
+// advance records the reply just in, if any, and runs the chain on to its
+// next RPC, or to its end.
+func (op *fileOp) advance(p *sim.Proc) {
+	f := op.c.fs
+	if op.sent {
+		op.sent = false
+		f.replied(p, op.o, op.start, op.bytes)
+	}
+	switch op.phase {
+	case opOpen:
+		op.call(p, nil, 256, 128, f.params.MDSService, opLayout)
+	case opLayout:
+		if op.write {
+			first, ok := f.layout[op.path]
+			if !ok {
+				first = f.nextOST
+				f.nextOST = (f.nextOST + 1) % len(f.osts)
+				f.layout[op.path] = first
+			}
+			op.first = first
+		} else {
+			if op.pl, op.found = f.tree.Get(op.path); !op.found {
+				op.phase = opDone
+				return
+			}
+			op.first = f.layout[op.path]
+		}
+		op.rest = op.pl.Size()
+		op.phase = opChunk
+		op.chunk(p)
+	case opChunk:
+		op.chunk(p)
+	case opClose:
+		op.call(p, nil, 256, 128, f.params.MDSService, opDone)
+	}
+}
+
+// chunk sends the next stripe chunk's OST RPC.
+func (op *fileOp) chunk(p *sim.Proc) {
+	f := op.c.fs
+	c := min(op.rest, f.params.StripeSize)
+	o := f.ostFor(op.first, op.k%f.params.StripeCount)
+	req, resp := int64(256), c
+	service := f.params.OSTService
+	if op.write {
+		req, resp = c, 64
+		service += bwTime(c, f.params.OSTWriteBandwidth)
+		if op.k == 0 {
+			service += f.params.PerFileWriteOverhead
+		}
+	} else {
+		service += bwTime(c, f.params.OSTReadBandwidth)
+		if op.k == 0 {
+			service += f.params.PerFileReadOverhead
+		}
+	}
+	next := opChunk
+	if op.rest == c {
+		next = opDone
+		if op.write {
+			next = opClose
+		}
+	}
+	if op.call(p, o, req, resp, service, next) {
+		op.rest -= c
+		op.k++
+	}
+}
+
+// call sends op's next RPC, to o (the MDS when o is nil), going on in
+// phase next when its reply is in, and reports whether it did: when o's
+// server is down the chain stops instead, at the same step.
+func (op *fileOp) call(p *sim.Proc, o *ost, reqBytes, respBytes int64, service time.Duration, next opPhase) bool {
+	f := op.c.fs
+	op.o = o
+	if f.down(p, o) {
+		return false
+	}
+	f.sent(o, reqBytes, respBytes)
+	op.phase, op.sent, op.start, op.bytes = next, true, p.Now(), reqBytes+respBytes
+	node, srv := f.server(o)
+	f.cl.RPCThen(p, op.c.node, node, reqBytes, respBytes, srv, service, op.step)
+	return true
 }
 
 // Client returns a vfs.FS view of the filesystem for processes on node.
@@ -396,42 +581,37 @@ func (c *Client) Name() string { return "lustre" }
 // Node returns the client's node.
 func (c *Client) Node() *cluster.Node { return c.node }
 
-// WriteFile implements vfs.FS: MDS create + striped OST writes + MDS close.
-// The payload is stored by reference, never copied.
+// WriteFile implements vfs.FS: MDS create + striped OST writes + MDS close,
+// as one fileOp chain. The payload is stored by reference, never copied.
 func (c *Client) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 	path = vfs.Clean(path)
-	f := c.fs
 	wStart := p.Now()
 	p.CritBegin("lustre", "write", trace.ClassDetail)
 	defer p.CritEnd()
-	f.mdsRPC(p, c.node) // open/create with layout allocation
-	first, ok := f.layout[path]
-	if !ok {
-		first = f.nextOST
-		f.nextOST = (f.nextOST + 1) % len(f.osts)
-		f.layout[path] = first
-	}
-	f.writeChunks(p, c.node, first, pl.Size())
-	f.mdsRPC(p, c.node) // close: size/attr update at the MDS
-	f.tree.Put(path, pl)
+	op := newFileOp(c, path, true)
+	op.pl = pl
+	op.run(p)
+	op.free()
+	c.fs.tree.Put(path, pl)
 	p.CritProduce(path, pl.Size())
 	p.CritHop(path, "write", wStart, pl.Size())
 	return nil
 }
 
-// ReadFile implements vfs.FS: MDS lookup + striped OST reads.
+// ReadFile implements vfs.FS: MDS lookup + striped OST reads, as one
+// fileOp chain.
 func (c *Client) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 	path = vfs.Clean(path)
-	f := c.fs
 	rStart := p.Now()
 	p.CritBegin("lustre", "read", trace.ClassDetail)
 	defer p.CritEnd()
-	f.mdsRPC(p, c.node)
-	pl, ok := f.tree.Get(path)
-	if !ok {
+	op := newFileOp(c, path, false)
+	op.run(p)
+	pl, found := op.pl, op.found
+	op.free()
+	if !found {
 		return vfs.Payload{}, vfs.PathError("read", path, vfs.ErrNotExist)
 	}
-	f.readChunks(p, c.node, f.layout[path], pl.Size())
 	p.CritDepend(path, "read")
 	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
@@ -459,7 +639,7 @@ func (c *Client) Unlink(p *sim.Proc, path string) error {
 		return vfs.PathError("unlink", path, vfs.ErrNotExist)
 	}
 	if had {
-		f.ostRPC(p, c.node, f.osts[first], 256, 64, f.params.OSTService/4)
+		f.rpc(p, c.node, f.osts[first], 256, 64, f.params.OSTService/4)
 		delete(f.layout, path)
 	}
 	return nil

@@ -86,7 +86,6 @@ type Engine struct {
 	pq       eventq
 	kernelCh chan struct{} // the baton returns to Run's goroutine on this channel
 	procs    []*Proc
-	live     int // procs spawned and not yet finished
 	seed     uint64
 	failure  error
 	tracer   func(t Time, procName, msg string)
@@ -98,6 +97,10 @@ type Engine struct {
 	// before running a callback or returning the baton to Run, so a
 	// callback popped on a process's goroutine is still the kernel's.
 	curProc int32
+	// live counts the procs spawned and not yet finished. It is an int32
+	// beside curProc, like eventq's lane indices, so that an Engine with
+	// its allocation header fits the 1536-byte size class.
+	live int32
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
 	maxEvents int64
@@ -297,13 +300,19 @@ func heapPop(pq []event) (event, []event) {
 }
 
 // schedule enqueues fn to run at absolute virtual time at. Scheduling in
-// the past is a programming error.
+// the past is a programming error. An event due now goes to the queue's
+// same-instant lane (its seq is the largest yet, so it follows every
+// pending event of this instant), any other to the main queue.
 func (e *Engine) schedule(at Time, fn func()) {
 	if at < e.now {
 		e.schedulePast(at)
 	}
 	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, proc: noProc, fn: fn})
+	if ev := (event{at: at, seq: e.seq, proc: noProc, fn: fn}); at == e.now {
+		e.pq.pushNow(ev)
+	} else {
+		e.pq.push(ev)
+	}
 }
 
 // scheduleDeliver enqueues baton delivery to the process at index idx —
@@ -314,7 +323,11 @@ func (e *Engine) scheduleDeliver(at Time, idx int32) {
 		e.schedulePast(at)
 	}
 	e.seq++
-	e.pq.push(event{at: at, seq: e.seq, proc: idx})
+	if ev := (event{at: at, seq: e.seq, proc: idx}); at == e.now {
+		e.pq.pushNow(ev)
+	} else {
+		e.pq.push(ev)
+	}
 }
 
 // schedulePast panics on an event scheduled before now. Cold paths such as

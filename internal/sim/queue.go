@@ -3,21 +3,35 @@ package sim
 // This file is the pending-event queue behind the kernel: an adaptive
 // two-mode structure that starts as the inlined 4-ary min-heap (exactly the
 // PR 2 kernel) and migrates to a ladder queue — a multi-resolution calendar
-// of time buckets — once the pending set grows past ladderThreshold events.
+// of time buckets — once the pending set grows past ladderThreshold events,
+// plus a same-instant lane beside either mode.
 //
 // Why two modes (DESIGN.md §3h): the heap pays O(log n) sift work per
 // operation, which is unbeatable below ~1k pending events but dominates the
-// kernel at fleet scale (ROADMAP item 2: thousands of nodes, millions of
-// pending timers). The ladder pays amortized O(1) per operation by spreading
-// events into buckets so fine that ordering inside one bucket is nearly
-// free. Below the threshold the ladder's constant factors lose, so small
-// paper-sized runs keep the heap bit-for-bit.
+// kernel on large pending sets (the 1024-pair ensembles,
+// BenchmarkScaleEvents). The ladder pays amortized O(1) per operation by
+// spreading events into buckets so fine that ordering inside one bucket is
+// nearly free. Below the threshold the ladder's constant factors lose, so
+// small paper-sized runs keep the heap bit-for-bit.
+//
+// Why a lane (DESIGN.md §3h): about a quarter of a paper run's events are
+// due at the instant they are scheduled (receive completions, grants,
+// wakes). Such an event is later in (at, seq) than every event already
+// pending at that instant and earlier than every event at a later one, so
+// the engine appends it to a FIFO (pushNow) instead of sifting it through
+// the main queue, and pop merges the two: the lane's head unless the main
+// queue's minimum is before it. The lane drains before the clock moves on.
+// Its slots are a share of the array grow reserves, never an allocation of
+// their own: when the lane is full an event goes to the main queue, which
+// keeps the merge exact, and when the main queue needs the slots it takes
+// them back.
 //
 // Ordering contract: pop returns pending events in exactly ascending
 // (at, seq) — the same total order the heap yields — for ANY interleaving
 // of pushes and pops, including pushes of events earlier than everything
-// pending. Both modes therefore produce identical timelines, and the mode
-// switch is invisible to the engine. queue_test.go locks the contract
+// pending, as long as lane pushes come in ascending (at, seq) order. Every
+// mode therefore produces identical timelines, and neither the mode switch
+// nor the lane is visible to the engine. queue_test.go locks the contract
 // against a container/heap reference over tie-heavy randomized workloads.
 //
 // Structure of the ladder mode:
@@ -160,8 +174,7 @@ func (r *rung) bucketSpread(b int) (mn, mx Time) {
 // holding the engine's baton touches it.
 type eventq struct {
 	heap   []event // heap-mode storage (donated to top on migration)
-	size   int     // pending events, both modes
-	ladder bool    // ladder mode active (sticky until reset)
+	size   int     // pending events in the main queue, both modes
 	thresh int     // migration threshold; 0 = ladderThreshold (test hook)
 
 	bottom   []event // earliest band, ascending (at, seq)
@@ -170,14 +183,35 @@ type eventq struct {
 	topStart Time
 	rungs    [maxRungs]rung
 	nr       int // active rungs; rungs[nr-1] is the finest/earliest
+
+	// buf is the heap-mode array: the heap in buf[:split] and the
+	// same-instant lane's slots in buf[split:], which hold its events,
+	// ascending (at, seq), in buf[lh:lt]. When the heap fills its share
+	// it reclaims the lane's (split = len(buf)), and the lane takes it
+	// back once the heap has shrunk (laneRoom); in ladder mode the top
+	// band does the same. The indices are int32 so that an Engine with
+	// its allocation header still fits the 1536-byte size class (see
+	// Engine.live).
+	buf    []event
+	split  int32
+	lh, lt int32
+	ladder bool // ladder mode active (sticky until reset)
 }
 
+// minQueue is the length of the array a queue that grow never sized makes
+// on its first push.
+const minQueue = 32
+
 // len returns the number of pending events.
-func (q *eventq) len() int { return q.size }
+func (q *eventq) len() int { return q.size + int(q.lt-q.lh) }
 
 // grow reserves capacity for n simultaneously pending events (Prealloc).
-// The reserved array serves heap mode directly and becomes the top band on
-// migration, so the hint covers the churn depth of both modes.
+// In heap mode it makes buf n events long: a quarter for the lane, the
+// rest for the heap, whose slice is capped at its share so an append
+// never runs into the lane. The split costs the main queue nothing it
+// would need: an event in the lane is one the heap would otherwise hold,
+// a full lane hands events to the heap, and a full heap reclaims the lane.
+// On migration the heap's share becomes the top band.
 func (q *eventq) grow(n int) {
 	if q.ladder {
 		if n > cap(q.top) {
@@ -187,17 +221,87 @@ func (q *eventq) grow(n int) {
 		}
 		return
 	}
-	if n > cap(q.heap) {
-		grown := make([]event, len(q.heap), n)
-		copy(grown, q.heap)
-		q.heap = grown
+	if n <= len(q.buf) {
+		return
 	}
+	buf := make([]event, n)
+	split := max(n-n/4, len(q.heap))
+	copy(buf, q.heap)
+	lt := split + copy(buf[split:], q.buf[q.lh:q.lt])
+	q.buf, q.heap = buf, buf[:len(q.heap):split]
+	q.split, q.lh, q.lt = int32(split), int32(split), int32(lt)
+}
+
+// pushNow inserts ev, which must be later in (at, seq) than every event in
+// the lane: the engine's events due at the current instant, in schedule
+// order. When the lane has no room ev goes to the main queue, which keeps
+// pop's merge exact.
+func (q *eventq) pushNow(ev event) {
+	if int(q.lt) == len(q.buf) {
+		q.pushNowFull(ev)
+		return
+	}
+	q.buf[q.lt] = ev
+	q.lt++
+}
+
+// pushNowFull is pushNow's path when the lane has no room at its end.
+func (q *eventq) pushNowFull(ev event) {
+	if !q.laneRoom() {
+		q.push(ev)
+		return
+	}
+	q.buf[q.lt] = ev
+	q.lt++
+}
+
+// laneRoom makes room at the end of a lane with none, and reports whether
+// it could: it moves the lane's events to the front of its slots, or
+// takes the lane's share of buf back from the heap (or the top band it
+// became) once that has shrunk to half of buf, or makes buf on a queue's
+// first push.
+func (q *eventq) laneRoom() bool {
+	if int(q.split) < len(q.buf) {
+		if q.lh == q.split {
+			return false // full
+		}
+		n := int32(copy(q.buf[q.split:], q.buf[q.lh:q.lt]))
+		clear(q.buf[q.split+n : q.lt])
+		q.lh, q.lt = q.split, q.split+n
+		return true
+	}
+	k := len(q.buf) / 4
+	split := len(q.buf) - k
+	switch {
+	case q.buf == nil:
+		q.grow(minQueue)
+		return true
+	case k == 0:
+		return false
+	case !q.ladder:
+		if len(q.heap) > split-k {
+			return false
+		}
+		q.heap = q.heap[:len(q.heap):split]
+	case sameArray(q.top, q.buf):
+		// The top band still fills buf's heap share.
+		if len(q.top) > split-k {
+			return false
+		}
+		q.top = q.top[:len(q.top):split]
+	}
+	// Otherwise the top band has an array of its own, and buf is free.
+	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
+	return true
 }
 
 // push inserts ev.
 func (q *eventq) push(ev event) {
 	q.size++
 	if !q.ladder {
+		if len(q.heap) == cap(q.heap) {
+			q.makeRoom()
+		}
 		q.heap = heapPush(q.heap, ev)
 		th := q.thresh
 		if th == 0 {
@@ -211,9 +315,42 @@ func (q *eventq) push(ev event) {
 	q.enqueue(ev)
 }
 
-// pop removes and returns the earliest pending event. The queue must be
+// makeRoom gives a full heap room for one more event: the lane's slots,
+// its events moving into the heap (any event may wait in the main queue),
+// or, failing that, a buf twice as long.
+//
+//go:noinline
+func (q *eventq) makeRoom() {
+	if int(q.split) < len(q.buf) {
+		// The heap fills buf[:split]: the i-th lane event moved lands at
+		// split+i, never past a slot not yet read.
+		lh, lt := q.lh, q.lt
+		q.heap = q.buf[:len(q.heap)]
+		for i := lh; i < lt; i++ {
+			q.heap = heapPush(q.heap, q.buf[i])
+		}
+		clear(q.buf[q.split+lt-lh : lt])
+		q.size += int(lt - lh)
+		q.split = int32(len(q.buf))
+		q.lh, q.lt = q.split, q.split
+	}
+	if len(q.heap) == cap(q.heap) {
+		q.grow(max(2*len(q.buf), minQueue))
+	}
+}
+
+// pop removes and returns the earliest pending event: the lane's head
+// unless the main queue's minimum is before it. The queue must be
 // non-empty.
 func (q *eventq) pop() event {
+	if q.lh != q.lt && q.laneFirst() {
+		ev := q.buf[q.lh]
+		q.buf[q.lh] = event{} // do not pin fired callbacks
+		if q.lh++; q.lh == q.lt {
+			q.lh, q.lt = q.split, q.split
+		}
+		return ev
+	}
 	q.size--
 	if !q.ladder {
 		var top event
@@ -236,6 +373,27 @@ func (q *eventq) pop() event {
 // peek returns the earliest pending event without removing it. The queue
 // must be non-empty. In ladder mode a peek may prime the bottom band.
 func (q *eventq) peek() event {
+	if q.lh != q.lt && q.laneFirst() {
+		return q.buf[q.lh]
+	}
+	return q.peekMain()
+}
+
+// laneFirst reports whether the earliest pending event is the head of the
+// lane, which must be non-empty: the two-way merge of pop and peek.
+func (q *eventq) laneFirst() bool {
+	if q.size == 0 {
+		return true
+	}
+	if !q.ladder {
+		return !q.heap[0].before(&q.buf[q.lh])
+	}
+	m := q.peekMain()
+	return !m.before(&q.buf[q.lh])
+}
+
+// peekMain is peek over the main queue alone, which must be non-empty.
+func (q *eventq) peekMain() event {
 	if !q.ladder {
 		return q.heap[0]
 	}
@@ -246,7 +404,8 @@ func (q *eventq) peek() event {
 }
 
 // reset empties the queue, zeroes every slot (so no callback outlives the
-// run), keeps all backing arrays for reuse, and reverts to heap mode.
+// run), keeps all backing arrays for reuse, and reverts to heap mode with
+// the lane holding its share of buf.
 func (q *eventq) reset() {
 	for i := range q.heap {
 		q.heap[i] = event{}
@@ -274,14 +433,31 @@ func (q *eventq) reset() {
 	}
 	q.nr = 0
 	q.size = 0
+	clear(q.buf[q.lh:q.lt])
 	if q.ladder {
 		q.ladder = false
-		// The migration donated the heap array to the top band; take the
-		// larger array back so the next run's heap phase keeps its capacity.
-		if cap(q.top) > cap(q.heap) {
-			q.heap, q.top = q.top[:0], q.heap[:0]
+		// The migration donated buf's heap share to the top band, which
+		// may have outgrown it into an array of its own since. The larger
+		// array backs the heap and the lane from now on, so the next
+		// run's heap phase keeps its capacity; the top band keeps another.
+		other := q.heap // the top band's array before the migration
+		if !sameArray(q.top, q.buf) {
+			clear(q.buf) // stale copies of the events the top band moved
+			other = q.top
+			if cap(q.top) > len(q.buf) {
+				other, q.buf = q.buf, q.top[:cap(q.top)]
+			}
 		}
+		q.top = other[:0]
 	}
+	split := len(q.buf) - len(q.buf)/4
+	q.heap = q.buf[:0:split]
+	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
+}
+
+// sameArray reports whether a and b share a backing array.
+func sameArray(a, b []event) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // migrate switches the queue from heap to ladder mode, donating the heap
@@ -298,6 +474,9 @@ func (q *eventq) migrate() {
 // span contains it, or sorted into bottom.
 func (q *eventq) enqueue(ev event) {
 	if ev.at >= q.topStart {
+		if len(q.top) == cap(q.top) {
+			q.topRoom()
+		}
 		q.top = append(q.top, ev)
 		return
 	}
@@ -309,6 +488,28 @@ func (q *eventq) enqueue(ev event) {
 		}
 	}
 	q.bottomInsert(ev)
+}
+
+// topRoom gives a full top band that still fills buf's heap share (the
+// migration donated it) the lane's slots, its events moving into the
+// ladder, as makeRoom does for the heap.
+//
+//go:noinline
+func (q *eventq) topRoom() {
+	if int(q.split) == len(q.buf) || cap(q.top) != int(q.split) || !sameArray(q.top, q.buf) {
+		return
+	}
+	lh, lt := q.lh, q.lt
+	q.top = q.buf[:len(q.top)]
+	q.split = int32(len(q.buf))
+	q.lh, q.lt = q.split, q.split
+	// Appends to the top band land at the old split and on, never past a
+	// lane slot not yet read.
+	for i := lh; i < lt; i++ {
+		q.size++
+		q.enqueue(q.buf[i])
+	}
+	clear(q.buf[len(q.top):lt])
 }
 
 // bottomInsert sorted-inserts ev into the pending run bottom[bpos:]. The

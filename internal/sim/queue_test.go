@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,10 +12,14 @@ import (
 // adaptive queue — in heap mode, in forced ladder mode, and crossing the
 // migration threshold mid-workload — must pop in exactly the reference
 // container/heap's (at, seq) order under randomized push/pop interleavings
-// with heavy at collisions. Two workload shapes are driven: "arbitrary"
-// pushes times in any order (stronger than the engine needs), and
-// "advancing" mimics the engine's hold model, where pushes never go behind
-// the last popped time. Runs in the -race suite (no alloc assertions here).
+// with heavy at collisions. Three workload shapes are driven: "arbitrary"
+// pushes times in any order (stronger than the engine needs), "advancing"
+// mimics the engine's hold model, where pushes never go behind the last
+// popped time, and "same-instant" pushes half its events at the last
+// popped time through the engine's routing rule (the lane for the current
+// instant, the main queue otherwise), on a queue sized by grow or not, and
+// resets once with the lane holding events. Runs in the -race suite (no
+// alloc assertions here).
 func TestQueueEquivalenceRandom(t *testing.T) {
 	modes := []struct {
 		name   string
@@ -25,7 +30,7 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 		{"heap", 1 << 30},
 		{"migrating", 100},
 	}
-	shapes := []string{"arbitrary", "advancing"}
+	shapes := []string{"arbitrary", "advancing", "same-instant", "same-instant-grown"}
 	for _, mode := range modes {
 		for _, shape := range shapes {
 			for seed := uint64(1); seed <= 3; seed++ {
@@ -33,11 +38,23 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					rng := NewRNG(seed * 0x9e3779b97f4a7c15)
 					q := eventq{thresh: mode.thresh}
+					sameInstant := strings.HasPrefix(shape, "same-instant")
+					if shape == "same-instant-grown" {
+						q.grow(64)
+					}
 					ref := &refHeap{}
 					var seq int64
 					var now Time
+					reset := false
 					const ops = 30_000
 					for i := 0; i < ops; i++ {
+						if sameInstant && !reset && i >= ops/2 && q.lt > q.lh {
+							// A failed run's queue is reset with events
+							// left in the lane.
+							q.reset()
+							checkQueueClear(t, &q)
+							ref, now, reset = &refHeap{}, 0, true
+						}
 						// Push-heavy growth for the first third, drain-heavy
 						// afterwards, so the queue crosses its high-water mark
 						// and the ladder exercises transfer/spawn/retire.
@@ -53,10 +70,23 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 								at = Time(rng.Intn(64)) * time.Millisecond
 							case "advancing":
 								at = now + Time(rng.Intn(2000))*time.Microsecond
+							default:
+								switch rng.Intn(4) {
+								case 0, 1:
+									at = now
+								case 2:
+									at = now + Time(rng.Intn(4))*time.Microsecond
+								case 3:
+									at = now + Time(rng.Intn(2000))*time.Microsecond
+								}
 							}
 							ev := event{at: at, seq: seq, proc: noProc}
 							seq++
-							q.push(ev)
+							if sameInstant && at == now {
+								q.pushNow(ev)
+							} else {
+								q.push(ev)
+							}
 							heap.Push(ref, ev)
 						} else {
 							got := q.pop()
@@ -65,13 +95,16 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 								t.Fatalf("op %d: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
 									i, got.at, got.seq, want.at, want.seq)
 							}
-							if shape == "advancing" {
+							if shape != "arbitrary" {
 								now = got.at
 							}
 						}
 						if q.len() != ref.Len() {
 							t.Fatalf("op %d: size %d vs reference %d", i, q.len(), ref.Len())
 						}
+					}
+					if sameInstant && !reset {
+						t.Fatal("weak workload: the lane was never non-empty to reset")
 					}
 					for ref.Len() > 0 {
 						got := q.pop()
@@ -87,6 +120,29 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// checkQueueClear fails unless a just-reset queue is empty, in heap mode,
+// and holds no event in any slot of any of its arrays.
+func checkQueueClear(t *testing.T, q *eventq) {
+	t.Helper()
+	if q.len() != 0 || q.ladder {
+		t.Fatalf("reset queue: len=%d ladder=%v, want empty heap mode", q.len(), q.ladder)
+	}
+	check := func(name string, a []event) {
+		for i, ev := range a[:cap(a)] {
+			if ev.at != 0 || ev.seq != 0 || ev.proc != 0 || ev.fn != nil {
+				t.Fatalf("%s slot %d still holds an event (at=%v seq=%d)", name, i, ev.at, ev.seq)
+			}
+		}
+	}
+	check("heap", q.heap)
+	check("buf", q.buf)
+	check("bottom", q.bottom)
+	check("top", q.top)
+	for ri := range q.rungs {
+		check(fmt.Sprintf("rung %d slab", ri), q.rungs[ri].slab)
 	}
 }
 
@@ -238,22 +294,7 @@ func TestQueueResetClearsSlots(t *testing.T) {
 		q.pop()
 	}
 	q.reset()
-	if q.len() != 0 || q.ladder {
-		t.Fatalf("reset queue: len=%d ladder=%v, want empty heap mode", q.len(), q.ladder)
-	}
-	check := func(name string, a []event) {
-		for i, ev := range a[:cap(a)] {
-			if ev.fn != nil {
-				t.Fatalf("%s slot %d still holds a closure reference", name, i)
-			}
-		}
-	}
-	check("heap", q.heap)
-	check("bottom", q.bottom)
-	check("top", q.top)
-	for ri := range q.rungs {
-		check(fmt.Sprintf("rung %d slab", ri), q.rungs[ri].slab)
-	}
+	checkQueueClear(t, &q)
 }
 
 // TestQueueReuseAfterReset reuses one queue across reset cycles, crossing
@@ -292,7 +333,10 @@ func TestQueueReuseAfterReset(t *testing.T) {
 // TestEngineTimelineUnchangedByQueueMode runs one interleaved workload on a
 // default engine and on an engine whose queues are forced into ladder mode
 // from the first event, and requires the traced virtual timelines to match
-// exactly: the queue mode must be invisible to the simulation.
+// exactly: the queue mode must be invisible to the simulation. Many of the
+// workload's events are due at the instant they are scheduled — zero
+// sleeps, broadcast wakes, zero-delay callbacks — so the same-instant lane
+// merges with both modes.
 func TestEngineTimelineUnchangedByQueueMode(t *testing.T) {
 	workload := func(forceLadder bool) []string {
 		e := NewEngine(99)
@@ -303,14 +347,40 @@ func TestEngineTimelineUnchangedByQueueMode(t *testing.T) {
 		e.SetTracer(func(at Time, proc, msg string) {
 			log = append(log, fmt.Sprintf("%v %s %s", at, proc, msg))
 		})
+		var sig Signal
 		for i := 0; i < 50; i++ {
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				for s := 0; s < 40; s++ {
-					p.Sleep(time.Duration(1+p.Rand().Intn(500)) * time.Microsecond)
+					switch p.Rand().Intn(4) {
+					case 0:
+						p.Sleep(0)
+					case 1:
+						if i%5 == 0 {
+							sig.Broadcast()
+							e.After(0, func() { p.Tracef("callback %d", s) })
+						}
+						fallthrough
+					default:
+						p.Sleep(time.Duration(1+p.Rand().Intn(500)) * time.Microsecond)
+					}
 					p.Tracef("step %d", s)
 				}
 			})
 		}
+		for i := 0; i < 10; i++ {
+			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				for s := 0; s < 20; s++ {
+					sig.Wait(p)
+					p.Tracef("woken %d", s)
+				}
+			})
+		}
+		e.Spawn("ticker", func(p *Proc) {
+			for s := 0; s < 400; s++ {
+				p.Sleep(50 * time.Microsecond)
+				sig.Broadcast()
+			}
+		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -326,4 +396,79 @@ func TestEngineTimelineUnchangedByQueueMode(t *testing.T) {
 			t.Fatalf("timeline diverges at entry %d:\n  heap:   %s\n  ladder: %s", i, base[i], ladder[i])
 		}
 	}
+}
+
+// FuzzEventQueue is the differential fuzz test of the queue: each input
+// byte is one operation — a push a few nanoseconds ahead, routed as the
+// engine routes (the lane when due now, the main queue otherwise), a push
+// due now, a pop, a grow, or a reset — on a queue whose mode the first byte
+// picks (adaptive, ladder, heap, or migrating at 8 pending). Every peek and
+// pop must match the container/heap reference, and a reset must leave no
+// event in any slot.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte("\x00\x20\x20\xa0\x21\x60\x80\x61\x80"))
+	f.Add([]byte("\x01\x20\x20\x20\x20\x02\x03\xa0\xa0\x21\x21\x80\x80\x80\xff\x20\x80"))
+	f.Add([]byte("\x03\x01\x02\x03\x04\x05\x06\x07\x08\x09\x20\x20\x20\x20\x80\x20\x80\x80\xe8\x80"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		threshes := [...]int{0, 1, 1 << 30, 8}
+		q := eventq{thresh: threshes[ops[0]%4]}
+		ref := &refHeap{}
+		marker := func() {}
+		var seq int64
+		var now Time
+		for i, b := range ops[1:] {
+			arg := Time(b & 0x1f)
+			switch b >> 5 {
+			case 0, 1, 2: // push arg ns ahead
+				ev := event{at: now + arg, seq: seq, proc: noProc, fn: marker}
+				seq++
+				if ev.at == now {
+					q.pushNow(ev)
+				} else {
+					q.push(ev)
+				}
+				heap.Push(ref, ev)
+			case 3: // push due now
+				ev := event{at: now, seq: seq, proc: noProc, fn: marker}
+				seq++
+				q.pushNow(ev)
+				heap.Push(ref, ev)
+			case 4, 5, 6: // pop
+				if ref.Len() == 0 {
+					continue
+				}
+				if got, want := q.peek(), (*ref)[0]; got.at != want.at || got.seq != want.seq {
+					t.Fatalf("op %d: peek = (at=%v seq=%d), reference = (at=%v seq=%d)",
+						i, got.at, got.seq, want.at, want.seq)
+				}
+				got, want := q.pop(), heap.Pop(ref).(event)
+				if got.at != want.at || got.seq != want.seq {
+					t.Fatalf("op %d: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
+						i, got.at, got.seq, want.at, want.seq)
+				}
+				now = got.at
+			case 7:
+				if b&1 == 0 {
+					q.grow(int(arg) * 4)
+				} else {
+					q.reset()
+					checkQueueClear(t, &q)
+					ref, now = &refHeap{}, 0
+				}
+			}
+			if q.len() != ref.Len() {
+				t.Fatalf("op %d: size %d vs reference %d", i, q.len(), ref.Len())
+			}
+		}
+		for ref.Len() > 0 {
+			got, want := q.pop(), heap.Pop(ref).(event)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("drain: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
+					got.at, got.seq, want.at, want.seq)
+			}
+		}
+	})
 }

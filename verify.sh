@@ -164,6 +164,7 @@ echo "== fuzz smoke: every committed fuzz target, briefly =="
 go test -run '^$' -fuzz '^FuzzClean$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzAnnotator$' -fuzztime 10s ./internal/caliper
+go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
 # One iteration of every benchmark: catches benchmarks that panic or hang
