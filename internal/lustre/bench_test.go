@@ -34,9 +34,17 @@ func BenchmarkWrite1MiB(b *testing.B) {
 // BenchmarkLustreFileOps is whole-file I/O by overlapping clients: 4
 // clients on 4 nodes each write 4 files of 3 stripe chunks over 2 OSTs
 // and read a neighbour's back, under background load. One op is one fresh
-// engine and rig run to completion; handoffs/op counts the goroutine
-// switches it paid for (each file operation's RPCs run as one chain).
+// engine and rig run to completion; handoffs/op counts the coroutine
+// switches it paid for. The chain sub-benchmark runs each file operation's
+// RPCs as one chain (WriteFile, ReadFile), the ref one as the blocking
+// reference sequence they replaced (refWriteFile, refReadFile), which
+// resumes its process after every RPC.
 func BenchmarkLustreFileOps(b *testing.B) {
+	b.Run("chain", func(b *testing.B) { benchFileOps(b, chainFile) })
+	b.Run("ref", func(b *testing.B) { benchFileOps(b, refFile) })
+}
+
+func benchFileOps(b *testing.B, impl fileImpl) {
 	b.ReportAllocs()
 	const clients, osts = 4, 2
 	paths := make([][]string, clients)
@@ -56,12 +64,12 @@ func BenchmarkLustreFileOps(b *testing.B) {
 			client := fs.Client(cl.Node(c))
 			e.Spawn("client", func(p *sim.Proc) {
 				for _, path := range paths[c] {
-					if err := client.WriteFile(p, path, vfs.SizeOnly(640<<10)); err != nil {
+					if err := impl.write(client, p, path, vfs.SizeOnly(640<<10)); err != nil {
 						b.Error(err)
 					}
 				}
 				for _, path := range paths[(c+1)%clients] {
-					if _, err := client.ReadFile(p, path); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+					if _, err := impl.read(client, p, path); err != nil && !errors.Is(err, vfs.ErrNotExist) {
 						b.Error(err)
 					}
 				}

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkSleepEvents measures kernel throughput: one process sleeping
-// b.N times (schedule + heap + baton passing per event). The steady-state
-// allocation budget is zero: deliver events carry a proc index, not a
-// closure, and the heap slice is reused.
+// b.N times (schedule + heap + the parking fast path per event). The
+// steady-state allocation budget is zero: deliver events carry a proc
+// index, not a closure, and the heap slice is reused.
 func BenchmarkSleepEvents(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -25,7 +25,8 @@ func BenchmarkSleepEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkManyProcs measures baton passing across 100 interleaved procs.
+// BenchmarkManyProcs measures coroutine handoffs across 100 interleaved
+// procs: each op is one sleep event and one switch to another process.
 func BenchmarkManyProcs(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -65,7 +66,7 @@ func BenchmarkResourceContention(b *testing.B) {
 	}
 }
 
-// BenchmarkWakeBlock measures the Block/Wake baton-passing fast path: two
+// BenchmarkWakeBlock measures the Block/Wake handoff fast path: two
 // processes handing control back and forth with no timer events involved.
 func BenchmarkWakeBlock(b *testing.B) {
 	b.ReportAllocs()
@@ -96,10 +97,15 @@ func BenchmarkWakeBlock(b *testing.B) {
 // paper-scale regime (thousands of concurrent producer/consumer/server
 // processes). A warm run grows every queue structure and runtime pool to
 // its high-water mark before the timer, and the timed region asserts the
-// steady-state zero-allocation contract: 0 B/op.
+// steady-state zero-allocation contract: 0 B/op. The engine is retained,
+// so the measured run's processes reuse the warm run's coroutines, whose
+// set-up (iter.Pull's yield closure, made on a coroutine's first resume)
+// is then already paid.
 func BenchmarkHeapChurn10k(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
+	e.Retain()
+	defer e.Close()
 	const procs = 10_000
 	spawn := func(steps int) {
 		for i := 0; i < procs; i++ {

@@ -415,10 +415,10 @@ func TestDrainStopsOnCleanupFailure(t *testing.T) {
 	assertNoGoroutineLeak(t, before)
 }
 
-// A panicking callback fails the run with an event error, whichever
-// goroutine popped the event: the kernel goroutine before any process has
-// run, or a process goroutine dispatching on its own turn. Either way it
-// must not be blamed on that process, and every process must unwind.
+// A panicking callback fails the run with an event error, whoever popped
+// the event: the driver before any process has run, or a process
+// dispatching as it parks. Either way it must not be blamed on that
+// process, and every process must unwind.
 func TestCallbackPanicFailsRun(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -7,19 +7,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Proc is a simulated process: a goroutine that runs user code and gives up
-// the baton whenever it sleeps or blocks. Exactly one goroutine — a Proc or
-// the kernel goroutine inside Run — holds the baton at a time, and every
-// handoff is a channel operation, so user code never needs locks for
-// simulation state. A goroutine-free process (SpawnFunc) has no goroutine:
-// its code is a chain of continuations the dispatch loop runs inline.
+// Proc is a simulated process: user code that gives up control whenever
+// it sleeps or blocks. A process made by Spawn runs on a runtime coroutine
+// that Run's goroutine, the only driver, resumes; a goroutine-free process
+// (SpawnFunc) has no coroutine: its code is a chain of continuations the
+// dispatch loop runs inline. Exactly one of them runs at a time, and every
+// switch is a coroutine switch, so user code never needs locks for
+// simulation state.
 type Proc struct {
 	e       *Engine
 	name    string
 	idx     int32         // index in Engine.procs; identifies the proc in events
-	resume  chan struct{} // nil for a goroutine-free process
+	co      *coro         // nil for a goroutine-free process
 	cont    func(p *Proc) // pending continuation: goroutine-free, or an Inline chain's
-	inline  bool          // a goroutine process running an Inline chain
+	inline  bool          // a coroutine process running an Inline chain
 	done    bool
 	waiting bool // blocked on a signal/resource (not a timed event)
 	aborted bool
@@ -27,49 +28,49 @@ type Proc struct {
 }
 
 // procAbort is panicked inside a stranded process to unwind it at the end
-// of a run. It is recovered by the spawn wrapper and never escapes.
+// of a run. It is recovered by run and never escapes.
 type procAbort struct{}
 
 // Spawn creates a process named name running fn, starting at the current
 // virtual time. It may be called before Run or from within another process.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := e.newProc(name)
-	p.resume = make(chan struct{})
-	go func() {
-		<-p.resume // wait for first delivery
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isAbort := r.(procAbort); !isAbort {
-					e.failProc(p, r)
-				}
-			}
-			e.exit(p)
-			var q *Proc // final handoff; an aborted p returns to the kernel
-			if !p.aborted {
-				q = e.next()
-			}
-			e.pass(q)
-		}()
-		if !p.aborted { // aborted before first delivery: never run user code
-			fn(p)
-		}
-	}()
+	p.co = e.takeCoro()
+	p.co.p, p.co.fn = p, fn
 	e.start(p)
 	return p
 }
 
+// run is the life of a coroutine process: fn, unless p was aborted before
+// its first delivery, then p's exit. A panic out of fn fails the run under
+// p's name; the abort unwind ends here too. Either way the coroutine goes
+// on to its next process.
+func (p *Proc) run(fn func(p *Proc)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isAbort := r.(procAbort); !isAbort {
+				p.e.failProc(p, r)
+			}
+		}
+		p.e.exit(p)
+	}()
+	if !p.aborted {
+		fn(p)
+	}
+}
+
 // SpawnFunc creates a goroutine-free process named name: its code is a
-// chain of continuations that the dispatch loop runs inline on whichever
-// goroutine holds the baton, so no event of it costs a goroutine switch.
-// (Proc.Inline gives a goroutine process the same for a stretch of code.)
-// It gets everything Spawn gives a process — an index, the random stream
-// of its spawn slot, the critical-path spawn edge — and fn runs on its
-// first delivery at the current instant. Each continuation either names
-// the next one (SleepThen, Resource.AcquireThen) or returns without doing
-// so, which ends the process at that instant as a goroutine's return
-// would. Continuations must not call the blocking methods (Sleep, Block,
-// Resource.Acquire, Use); a panic in one fails the run under the
-// process's name.
+// chain of continuations that the dispatch loop runs inline, on the driver
+// or in whichever process is parking, so no event of it costs a coroutine
+// switch. (Proc.Inline gives a coroutine process the same for a stretch of
+// code.) It gets everything Spawn gives a process — an index, the random
+// stream of its spawn slot, the critical-path spawn edge — and fn runs on
+// its first delivery at the current instant. Each continuation either
+// names the next one (SleepThen, Resource.AcquireThen) or returns without
+// doing so, which ends the process at that instant as a coroutine
+// process's return would. Continuations must not call the blocking
+// methods (Sleep, Block, Resource.Acquire, Use); a panic in one fails the
+// run under the process's name.
 func (e *Engine) SpawnFunc(name string, fn func(p *Proc)) *Proc {
 	p := e.newProc(name)
 	p.cont = fn
@@ -130,7 +131,7 @@ func (e *Engine) exit(p *Proc) {
 // set to p so the wakes it issues are attributed to it. A wait ends here,
 // where Block would record it on resumption. A continuation that names no
 // successor ends a goroutine-free process; for an Inline chain it ends the
-// chain, and resumeFunc reports true: p's goroutine resumes now.
+// chain, and resumeFunc reports true: p's coroutine resumes now.
 func (e *Engine) resumeFunc(p *Proc, waited bool) (resume bool) {
 	defer e.recoverProc(p)
 	if cp := e.cp; cp != nil && waited {
@@ -139,7 +140,7 @@ func (e *Engine) resumeFunc(p *Proc, waited bool) (resume bool) {
 	fn := p.cont
 	p.cont = nil
 	if fn(p); p.cont == nil {
-		if p.resume != nil {
+		if p.co != nil {
 			return true
 		}
 		e.exit(p)
@@ -148,25 +149,20 @@ func (e *Engine) resumeFunc(p *Proc, waited bool) (resume bool) {
 }
 
 // recoverProc fails the run when p's continuation panics. A goroutine-free
-// p is retired, as a panicking goroutine process is; an Inline chain's
+// p is retired, as a panicking coroutine process is; an Inline chain's
 // owner stays live, parked in Inline, for finish to unwind.
 func (e *Engine) recoverProc(p *Proc) {
 	if r := recover(); r != nil {
 		e.failProc(p, r)
-		if p.resume == nil {
+		if p.co == nil {
 			e.exit(p)
 		}
 	}
 }
 
-// yield gives up the baton and blocks until it is handed back. The
-// yielding goroutine runs the dispatch loop itself: it hands the baton
-// straight to the next process due, keeps it without any channel operation
-// when that process is p, and returns it to the kernel goroutine only when
-// the run is over. An aborted process (unwinding in finish) always returns
-// it to the kernel, which is waiting in abort.
+// yield gives up control until p is next delivered to.
 func (p *Proc) yield() {
-	if p.resume == nil || p.inline {
+	if p.co == nil || p.inline {
 		p.cannotBlock()
 	}
 	p.park()
@@ -176,13 +172,18 @@ func (p *Proc) yield() {
 //
 //go:noinline
 func (p *Proc) cannotBlock() {
-	if p.resume == nil {
+	if p.co == nil {
 		panic(fmt.Sprintf("sim: goroutine-free process %q cannot block", p.name))
 	}
 	panic(fmt.Sprintf("sim: process %q cannot block inside Inline", p.name))
 }
 
-// park is yield's handoff, also the wait of an Inline chain's owner.
+// park is yield's switch, also the wait of an Inline chain's owner. The
+// parking process runs the dispatch loop itself and keeps running, with no
+// switch, when the next process due is p; otherwise it yields that process
+// (nil once the run is over) to the driver, which resumes it. An aborted
+// process (unwinding in finish) goes straight back to the driver, which is
+// waiting in abort.
 func (p *Proc) park() {
 	var q *Proc
 	if !p.aborted {
@@ -190,37 +191,24 @@ func (p *Proc) park() {
 			return
 		}
 	}
-	p.e.pass(q)
-	<-p.resume
+	p.co.yield(q)
 	if p.aborted {
 		panic(procAbort{})
 	}
 }
 
-// pass hands the baton to q, or back to Run's goroutine when q is nil.
-// Only the former is a handoff (Engine.Handoffs).
-func (e *Engine) pass(q *Proc) {
-	if q != nil {
-		e.handoffs++
-		q.resume <- struct{}{}
-	} else {
-		e.kernelCh <- struct{}{}
-	}
-}
-
 // abort unwinds a process that will never be delivered to (stranded, or
-// orphaned by a failed run) so its goroutine exits. Called by the kernel
-// goroutine only, from finish; p hands the baton straight back. A
+// orphaned by a failed run) so its coroutine is freed. Called by the
+// driver only, from finish; p's coroutine yields straight back. A
 // goroutine-free process has nothing to unwind and is simply retired.
 func (p *Proc) abort() {
 	p.aborted = true
-	if p.resume == nil {
+	if p.co == nil {
 		p.e.exit(p)
 		return
 	}
 	p.e.curProc = p.idx
-	p.resume <- struct{}{}
-	<-p.e.kernelCh
+	p.co.next()
 	p.e.curProc = noProc
 }
 
@@ -279,7 +267,7 @@ func (p *Proc) blockThen(fn func(p *Proc)) {
 
 // then installs fn as p's one pending continuation.
 func (p *Proc) then(fn func(p *Proc)) {
-	if p.cont != nil || (p.resume != nil && !p.inline) {
+	if p.cont != nil || (p.co != nil && !p.inline) {
 		p.badThen()
 	}
 	p.cont = fn
@@ -290,22 +278,23 @@ func (p *Proc) badThen() {
 	panic(fmt.Sprintf("sim: process %q: continuation on a goroutine process outside Inline or over a pending one", p.name))
 }
 
-// Inline runs fn as a chain of continuations of goroutine process p, the
+// Inline runs fn as a chain of continuations of coroutine process p, the
 // way a goroutine-free process (SpawnFunc) runs. fn runs at once; every
 // continuation it names (SleepThen, Resource.AcquireThen and
-// TryAcquireThen) runs inline in the dispatch loop on whichever goroutine
-// holds the baton, with p as the current process. When a continuation
-// names no successor the chain is done and Inline returns: p's goroutine
-// resumes at that same delivery, with no extra event. The events, their
-// sequence numbers, the wakes and the critical-path edges are those of
-// the blocking calls the chain stands in for; what goes is the goroutine
-// handoff per step, so a chain of any length costs p at most one.
+// TryAcquireThen) runs inline in the dispatch loop, on the driver or in
+// whichever process is parking, with p as the current process. When a
+// continuation names no successor the chain is done and Inline returns:
+// p's coroutine resumes at that same delivery, with no extra event. The
+// events, their sequence numbers, the wakes and the critical-path edges
+// are those of the blocking calls the chain stands in for; what goes is
+// the coroutine handoff per step, so a chain of any length costs p at
+// most one.
 //
 // Continuations must not block (Sleep, Block, Resource.Acquire, Use); a
 // panic in one fails the run under p's name and leaves p parked for the
 // run's unwind. Inline panics on a goroutine-free process and when nested.
 func (p *Proc) Inline(fn func(p *Proc)) {
-	if p.resume == nil || p.inline {
+	if p.co == nil || p.inline {
 		p.badInline()
 	}
 	p.inline = true
@@ -317,7 +306,7 @@ func (p *Proc) Inline(fn func(p *Proc)) {
 
 //go:noinline
 func (p *Proc) badInline() {
-	if p.resume == nil {
+	if p.co == nil {
 		panic(fmt.Sprintf("sim: Inline on goroutine-free process %q", p.name))
 	}
 	panic(fmt.Sprintf("sim: nested Inline in process %q", p.name))

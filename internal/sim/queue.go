@@ -170,8 +170,8 @@ func (r *rung) bucketSpread(b int) (mn, mx Time) {
 }
 
 // eventq is the adaptive pending-event queue. The zero value is an empty
-// queue in heap mode. Not safe for concurrent use: only the goroutine
-// holding the engine's baton touches it.
+// queue in heap mode. Not safe for concurrent use: only the engine's
+// running code (its driver or the process it resumed) touches it.
 type eventq struct {
 	heap   []event // heap-mode storage (donated to top on migration)
 	size   int     // pending events in the main queue, both modes
