@@ -119,7 +119,8 @@ func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 
 // Repeat runs cfg reps times with distinct seeds, in parallel across one
 // worker per available core. Results are deterministic: identical to
-// serial execution for any worker count.
+// serial execution for any worker count. Like RunMany, it keeps its
+// workers' engines pooled until ReleasePools.
 func Repeat(cfg Config, reps int) ([]*Result, error) { return core.Repeat(cfg, reps) }
 
 // RepeatWorkers is Repeat with an explicit worker count (<= 0 means one
@@ -130,8 +131,15 @@ func RepeatWorkers(cfg Config, reps, workers int) ([]*Result, error) {
 
 // RunMany executes independent workflow runs across a worker pool,
 // preserving input order and collecting every run's error instead of
-// aborting the batch on the first. See core.RunMany.
+// aborting the batch on the first. Its workers reuse engines from
+// process-wide pools, which keep one parked goroutine per process of the
+// largest run each pool served until ReleasePools. See core.RunMany.
 func RunMany(cfgs []Config, workers int) ([]*Result, error) { return core.RunMany(cfgs, workers) }
+
+// ReleasePools frees the engines that RunMany, Repeat and RepeatWorkers
+// keep pooled between calls, with their parked goroutines. Later calls
+// build new ones.
+func ReleasePools() { core.ReleasePools() }
 
 // Aggregated summarizes repeated results of one configuration.
 func Aggregated(results []*Result) Aggregate { return core.Aggregated(results) }
