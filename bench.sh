@@ -1,34 +1,28 @@
 #!/bin/sh
-# bench.sh — measured benchmark run recorded into a JSON ledger.
+# bench.sh — measured benchmark run, printed to stdout.
 #
 # Runs the kernel microbenchmarks, the end-to-end figure benchmarks the
 # perf acceptance criteria track, and the trace/metrics/waterfall export
-# benchmarks, and merges ns/op, B/op, and allocs/op into BENCH_PR10.json
-# under the given label (default: "current"). With a baseline label
-# already present in the ledger, benchrec prints deltas.
+# benchmarks, six samples each (-count 6), so ns/op, B/op and allocs/op
+# come with a spread. Compare two runs with benchstat, if installed.
+# perfbench/ carries the end-to-end history.
 #
 # Usage:
-#   ./bench.sh            # record under label "current"
-#   ./bench.sh mylabel    # record under "mylabel"
+#   ./bench.sh > new.txt
 set -eu
 
 cd "$(dirname "$0")"
 
-LABEL="${1:-current}"
-LEDGER="BENCH_PR10.json"
+run() {
+	go test -run=NONE -count 6 "$@"
+}
 
-go build -o /tmp/benchrec ./cmd/benchrec
-
-{
-	go test -run=NONE -bench='BenchmarkSleepEvents|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention' \
-		-benchtime=200000x ./internal/sim/
-	go test -run=NONE -bench='BenchmarkScaleEvents' -benchtime=100000x ./internal/sim/
-	go test -run=NONE -bench='BenchmarkCapacityEvict' -benchtime=200000x ./internal/capacity/
-	go test -run=NONE -bench='BenchmarkCalibrateEval' -benchtime=2x ./internal/calib/
-	go test -run=NONE -bench='BenchmarkCritpathExtract' -benchtime=20000x ./internal/critpath/
-	go test -run=NONE -bench='BenchmarkProvenanceRecord' -benchtime=500x ./internal/critpath/
-	go test -run=NONE -bench='BenchmarkFig5$|BenchmarkFig6$|BenchmarkWorkflowLargePairs$|BenchmarkRepeatPooled$' -benchtime=2x .
-	go test -run=NONE -bench='BenchmarkWriteChrome$|BenchmarkWriteMetrics$|BenchmarkWriteWaterfall$' -benchtime=20x .
-} | tee /dev/stderr | /tmp/benchrec -label "$LABEL" -o "$LEDGER"
-
-echo "bench.sh: recorded under label \"$LABEL\" in $LEDGER"
+run -bench='BenchmarkSleepEvents|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention' \
+	-benchtime=200000x ./internal/sim/
+run -bench='BenchmarkScaleEvents' -benchtime=100000x ./internal/sim/
+run -bench='BenchmarkCapacityEvict' -benchtime=200000x ./internal/capacity/
+run -bench='BenchmarkCalibrateEval' -benchtime=2x ./internal/calib/
+run -bench='BenchmarkCritpathExtract' -benchtime=20000x ./internal/critpath/
+run -bench='BenchmarkProvenanceRecord' -benchtime=500x ./internal/critpath/
+run -bench='BenchmarkFig5$|BenchmarkFig6$|BenchmarkWorkflowLargePairs$|BenchmarkRepeatPooled$' -benchtime=2x .
+run -bench='BenchmarkWriteChrome$|BenchmarkWriteMetrics$|BenchmarkWriteWaterfall$' -benchtime=20x .

@@ -92,10 +92,10 @@ func BenchmarkWorkflowLustre(b *testing.B) {
 }
 
 // BenchmarkWorkflowLargePairs measures a fleet-scale DYAD run: 1024
-// producer-consumer pairs (2048 processes, 256 compute nodes), enough
-// pending events to push the kernel's event queue past its ladder
-// threshold. This is the end-to-end view of the queue-scaling work: the
-// macro benchmark behind the micro-level BenchmarkScaleEvents ladder.
+// producer-consumer pairs (2048 processes, 256 compute nodes), with over a
+// thousand events pending in the kernel's event queue. This is the
+// end-to-end view of the queue's scaling: the macro benchmark behind the
+// micro-level BenchmarkScaleEvents.
 func BenchmarkWorkflowLargePairs(b *testing.B) {
 	b.ReportAllocs()
 	jac, err := ModelByName("JAC")

@@ -8,9 +8,9 @@ import (
 )
 
 // BenchmarkSleepEvents measures kernel throughput: one process sleeping
-// b.N times (schedule + heap + the parking fast path per event). The
+// b.N times (schedule + queue + the parking fast path per event). The
 // steady-state allocation budget is zero: deliver events carry a proc
-// index, not a closure, and the heap slice is reused.
+// index, not a closure, and the queue's arrays are reused.
 func BenchmarkSleepEvents(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -93,7 +93,7 @@ func BenchmarkWakeBlock(b *testing.B) {
 
 // BenchmarkHeapChurn10k measures push/pop throughput with 10k+ events
 // resident in the queue: every proc keeps one pending timer, so each Sleep
-// churns a deep pending set (ladder mode at this depth). This is the
+// churns a deep pending set through the ladder's rungs. This is the
 // paper-scale regime (thousands of concurrent producer/consumer/server
 // processes). A warm run grows every queue structure and runtime pool to
 // its high-water mark before the timer, and the timed region asserts the
@@ -144,11 +144,10 @@ func BenchmarkHeapChurn10k(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleEvents is the macro queue ladder: steady-state hold-model
-// churn (pop the earliest event, push its successor a random hold later) at
-// 16 to 1M resident events, for the 4-ary heap, the ladder queue, and the
-// adaptive default. The heap-vs-ladder spread at each depth is what fixed
-// ladderThreshold (DESIGN.md §3h); BENCH_PR7.json records the ledger.
+// BenchmarkScaleEvents measures the queue's steady-state hold-model churn
+// (pop the earliest event, push its successor a random hold later) at 16
+// to 1M resident events, from paper-sized runs to fleet scale; DESIGN.md
+// §3h compares the depths against a 4-ary heap.
 func BenchmarkScaleEvents(b *testing.B) {
 	depths := []struct {
 		name    string
@@ -161,48 +160,38 @@ func BenchmarkScaleEvents(b *testing.B) {
 		{"100k", 100_000},
 		{"1M", 1_000_000},
 	}
-	modes := []struct {
-		name   string
-		thresh int
-	}{
-		{"heap", 1 << 30},
-		{"ladder", 1},
-		{"adaptive", 0},
-	}
 	for _, d := range depths {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("pending=%s/q=%s", d.name, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				q := eventq{thresh: mode.thresh}
-				q.grow(d.pending + 1)
-				rng := NewRNG(9)
-				hold := func() Time { return Time(1 + rng.Intn(1_000_000)) } // 1ns..1ms
-				var seq int64
-				push := func(at Time) {
-					q.push(event{at: at, seq: seq, proc: noProc})
-					seq++
-				}
-				for i := 0; i < d.pending; i++ {
-					push(hold())
-				}
-				// Churn to the steady-state high-water mark before timing:
-				// at least one full band-recycle of the queue, and no
-				// shorter than the measured run itself.
-				warm := 2 * d.pending
-				if warm < b.N {
-					warm = b.N
-				}
-				for i := 0; i < warm; i++ {
-					ev := q.pop()
-					push(ev.at + hold())
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev := q.pop()
-					push(ev.at + hold())
-				}
-			})
-		}
+		b.Run("pending="+d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var q eventq
+			q.grow(d.pending + 1)
+			rng := NewRNG(9)
+			hold := func() Time { return Time(1 + rng.Intn(1_000_000)) } // 1ns..1ms
+			var seq int64
+			push := func(at Time) {
+				q.push(event{at: at, seq: seq, proc: noProc})
+				seq++
+			}
+			for i := 0; i < d.pending; i++ {
+				push(hold())
+			}
+			// Churn to the steady-state high-water mark before timing:
+			// at least one full band-recycle of the queue, and no
+			// shorter than the measured run itself.
+			warm := 2 * d.pending
+			if warm < b.N {
+				warm = b.N
+			}
+			for i := 0; i < warm; i++ {
+				ev := q.pop()
+				push(ev.at + hold())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := q.pop()
+				push(ev.at + hold())
+			}
+		})
 	}
 }
 

@@ -1,40 +1,34 @@
 package sim
 
-// This file is the pending-event queue behind the kernel: an adaptive
-// two-mode structure that starts as the inlined 4-ary min-heap (exactly the
-// PR 2 kernel) and migrates to a ladder queue — a multi-resolution calendar
-// of time buckets — once the pending set grows past ladderThreshold events,
-// plus a same-instant lane beside either mode.
+// This file is the pending-event queue behind the kernel: a ladder queue —
+// a multi-resolution calendar of time buckets — plus a same-instant lane
+// beside it.
 //
-// Why two modes (DESIGN.md §3h): the heap pays O(log n) sift work per
-// operation, which is unbeatable below ~1k pending events but dominates the
-// kernel on large pending sets (the 1024-pair ensembles,
-// BenchmarkScaleEvents). The ladder pays amortized O(1) per operation by
-// spreading events into buckets so fine that ordering inside one bucket is
-// nearly free. Below the threshold the ladder's constant factors lose, so
-// small paper-sized runs keep the heap bit-for-bit.
+// Why a ladder (DESIGN.md §3h): a heap pays O(log n) sift work per
+// operation; the ladder pays amortized O(1) by spreading events into
+// buckets so fine that ordering inside one bucket is nearly free. Measured
+// against an inlined 4-ary heap it is no slower even at 16 pending events,
+// so one queue serves every run size.
 //
 // Why a lane (DESIGN.md §3h): about a quarter of a paper run's events are
 // due at the instant they are scheduled (receive completions, grants,
 // wakes). Such an event is later in (at, seq) than every event already
 // pending at that instant and earlier than every event at a later one, so
-// the engine appends it to a FIFO (pushNow) instead of sifting it through
-// the main queue, and pop merges the two: the lane's head unless the main
-// queue's minimum is before it. The lane drains before the clock moves on.
-// Its slots are a share of the array grow reserves, never an allocation of
-// their own: when the lane is full an event goes to the main queue, which
-// keeps the merge exact, and when the main queue needs the slots it takes
+// the engine appends it to a FIFO (pushNow) instead of placing it in the
+// ladder, and pop merges the two: the lane's head unless the ladder's
+// minimum is before it. The lane drains before the clock moves on. Its
+// slots are a share of the array grow reserves, never an allocation of
+// their own: when the lane is full an event goes to the ladder, which
+// keeps the merge exact, and when the top band needs the slots it takes
 // them back.
 //
 // Ordering contract: pop returns pending events in exactly ascending
-// (at, seq) — the same total order the heap yields — for ANY interleaving
-// of pushes and pops, including pushes of events earlier than everything
-// pending, as long as lane pushes come in ascending (at, seq) order. Every
-// mode therefore produces identical timelines, and neither the mode switch
-// nor the lane is visible to the engine. queue_test.go locks the contract
-// against a container/heap reference over tie-heavy randomized workloads.
+// (at, seq) for ANY interleaving of pushes and pops, including pushes of
+// events earlier than everything pending, as long as lane pushes come in
+// ascending (at, seq) order. queue_test.go locks the contract against a
+// container/heap reference over tie-heavy randomized workloads.
 //
-// Structure of the ladder mode:
+// Structure of the ladder:
 //
 //   - bottom: the earliest band of events, sorted ascending (at, seq) and
 //     consumed from the front (bpos). Pushes that land inside the bottom's
@@ -52,17 +46,11 @@ package sim
 // and sorts it; oversized buckets spanning more than one instant are first
 // spread across a new, finer rung (spawn), so sort cost per event stays
 // bounded. Every band keeps its backing arrays when it empties: after the
-// high-water mark the ladder allocates nothing (the steady-state zero-alloc
-// contract of DESIGN.md §3c), and bench_test.go's churn benchmarks assert
-// 0 B/op across both modes.
+// high-water mark the queue allocates nothing (the steady-state zero-alloc
+// contract of DESIGN.md §3c), and bench_test.go's churn benchmark asserts
+// 0 B/op.
 
 const (
-	// ladderThreshold is the pending-event count at which a queue migrates
-	// from heap to ladder mode. Measured on BenchmarkScaleEvents (see
-	// DESIGN.md §3h): the ladder wins clearly at 100k+ pending, is near par
-	// at ~1k, and loses below — 1024 keeps every paper-sized run on the
-	// exact PR 2 heap.
-	ladderThreshold = 1024
 	// maxRungs bounds spread recursion; a bucket that is still oversized at
 	// the deepest rung is sorted directly (correct, just not O(1) for that
 	// pathological band).
@@ -77,10 +65,6 @@ const (
 	bucketTarget = 8
 )
 
-// minTime is the topStart sentinel before the first transfer: every event
-// routes to the top band (virtual time is never negative).
-const minTime = Time(-1 << 62)
-
 // rung is one calendar: nb buckets of width-wide time slices starting at
 // start. Buckets before cur have been consumed (or spread) and are empty.
 //
@@ -89,8 +73,8 @@ const minTime = Time(-1 << 62)
 // would ratchet capacity forever — every band spreads differently, so some
 // bucket always outgrows its history — while the slab's high-water mark is
 // simply the rung's maximum resident count, which the warm-up of a
-// steady-state run (or Prealloc) reaches once. That is what makes ladder
-// mode hold the kernel's zero-allocs-in-steady-state contract.
+// steady-state run reaches once. That is what makes the ladder hold the
+// kernel's zero-allocs-in-steady-state contract.
 type rung struct {
 	start Time
 	width Time
@@ -106,15 +90,20 @@ type rung struct {
 // curStart is the lower edge of the rung's unconsumed span.
 func (r *rung) curStart() Time { return r.start + Time(r.cur)*r.width }
 
-// reset re-arms the rung for a new band, reusing every backing array.
-func (r *rung) reset(start, width Time, nb int) {
+// reset re-arms the rung for a band of n events, reusing every backing
+// array that is large enough and making each one that is not in one go.
+func (r *rung) reset(start, width Time, nb, n int) {
 	r.start, r.width, r.cur, r.nb = start, width, 0, nb
+	if cap(r.slab) < n {
+		r.slab = make([]event, 0, n)
+		r.next = make([]int32, 0, n)
+	}
 	r.slab = r.slab[:0]
 	r.next = r.next[:0]
-	for len(r.head) < nb {
-		r.head = append(r.head, -1)
-		r.tail = append(r.tail, -1)
-		r.cnt = append(r.cnt, 0)
+	if len(r.head) < nb {
+		r.head = make([]int32, nb)
+		r.tail = make([]int32, nb)
+		r.cnt = make([]int32, nb)
 	}
 	for i := 0; i < nb; i++ {
 		r.head[i], r.tail[i], r.cnt[i] = -1, -1, 0
@@ -169,33 +158,29 @@ func (r *rung) bucketSpread(b int) (mn, mx Time) {
 	return mn, mx
 }
 
-// eventq is the adaptive pending-event queue. The zero value is an empty
-// queue in heap mode. Not safe for concurrent use: only the engine's
-// running code (its driver or the process it resumed) touches it.
+// eventq is the pending-event queue. The zero value is an empty queue. Not
+// safe for concurrent use: only the engine's running code (its driver or
+// the process it resumed) touches it.
 type eventq struct {
-	heap   []event // heap-mode storage (donated to top on migration)
-	size   int     // pending events in the main queue, both modes
-	thresh int     // migration threshold; 0 = ladderThreshold (test hook)
+	size int // pending events in the ladder (bands and rungs)
 
 	bottom   []event // earliest band, ascending (at, seq)
 	bpos     int     // bottom consumption cursor
 	top      []event // unsorted overflow: events with at >= topStart
-	topStart Time
+	topStart Time    // 0 before the first transfer: virtual time is never negative
 	rungs    [maxRungs]rung
 	nr       int // active rungs; rungs[nr-1] is the finest/earliest
 
-	// buf is the heap-mode array: the heap in buf[:split] and the
-	// same-instant lane's slots in buf[split:], which hold its events,
-	// ascending (at, seq), in buf[lh:lt]. When the heap fills its share
-	// it reclaims the lane's (split = len(buf)), and the lane takes it
-	// back once the heap has shrunk (laneRoom); in ladder mode the top
-	// band does the same. The indices are int32 so that an Engine with
-	// its allocation header still fits the 1536-byte size class (see
-	// Engine.live).
+	// buf is the array grow reserves: the top band in buf[:split] (top is
+	// buf[:len(top):split]) and the same-instant lane's slots in
+	// buf[split:], which hold its events, ascending (at, seq), in
+	// buf[lh:lt]. When the top band fills its share it reclaims the lane's
+	// (split = len(buf)), and the lane takes it back once the band has
+	// shrunk (laneRoom). The indices are int32 so that an Engine with its
+	// allocation header stays in its size class (see Engine.live).
 	buf    []event
 	split  int32
 	lh, lt int32
-	ladder bool // ladder mode active (sticky until reset)
 }
 
 // minQueue is the length of the array a queue that grow never sized makes
@@ -205,36 +190,27 @@ const minQueue = 32
 // len returns the number of pending events.
 func (q *eventq) len() int { return q.size + int(q.lt-q.lh) }
 
-// grow reserves capacity for n simultaneously pending events (Prealloc).
-// In heap mode it makes buf n events long: a quarter for the lane, the
-// rest for the heap, whose slice is capped at its share so an append
-// never runs into the lane. The split costs the main queue nothing it
-// would need: an event in the lane is one the heap would otherwise hold,
-// a full lane hands events to the heap, and a full heap reclaims the lane.
-// On migration the heap's share becomes the top band.
+// grow reserves capacity for n simultaneously pending events (Prealloc):
+// it makes buf n events long, a quarter for the lane and the rest for the
+// top band, whose slice is capped at its share so an append never runs
+// into the lane. The split costs the ladder nothing it would need: an
+// event in the lane is one the top band might otherwise hold, a full lane
+// hands events to the ladder, and a full top band reclaims the lane.
 func (q *eventq) grow(n int) {
-	if q.ladder {
-		if n > cap(q.top) {
-			grown := make([]event, len(q.top), n)
-			copy(grown, q.top)
-			q.top = grown
-		}
-		return
-	}
 	if n <= len(q.buf) {
 		return
 	}
 	buf := make([]event, n)
-	split := max(n-n/4, len(q.heap))
-	copy(buf, q.heap)
+	split := max(n-n/4, len(q.top))
+	copy(buf, q.top)
 	lt := split + copy(buf[split:], q.buf[q.lh:q.lt])
-	q.buf, q.heap = buf, buf[:len(q.heap):split]
+	q.buf, q.top = buf, buf[:len(q.top):split]
 	q.split, q.lh, q.lt = int32(split), int32(split), int32(lt)
 }
 
 // pushNow inserts ev, which must be later in (at, seq) than every event in
 // the lane: the engine's events due at the current instant, in schedule
-// order. When the lane has no room ev goes to the main queue, which keeps
+// order. When the lane has no room ev goes to the ladder, which keeps
 // pop's merge exact.
 func (q *eventq) pushNow(ev event) {
 	if int(q.lt) == len(q.buf) {
@@ -257,9 +233,8 @@ func (q *eventq) pushNowFull(ev event) {
 
 // laneRoom makes room at the end of a lane with none, and reports whether
 // it could: it moves the lane's events to the front of its slots, or
-// takes the lane's share of buf back from the heap (or the top band it
-// became) once that has shrunk to half of buf, or makes buf on a queue's
-// first push.
+// takes the lane's share of buf back from the top band once that has
+// shrunk to half of buf, or makes buf on a queue's first push.
 func (q *eventq) laneRoom() bool {
 	if int(q.split) < len(q.buf) {
 		if q.lh == q.split {
@@ -270,209 +245,24 @@ func (q *eventq) laneRoom() bool {
 		q.lh, q.lt = q.split, q.split+n
 		return true
 	}
-	k := len(q.buf) / 4
-	split := len(q.buf) - k
-	switch {
-	case q.buf == nil:
+	if q.buf == nil {
 		q.grow(minQueue)
 		return true
-	case k == 0:
-		return false
-	case !q.ladder:
-		if len(q.heap) > split-k {
-			return false
-		}
-		q.heap = q.heap[:len(q.heap):split]
-	case sameArray(q.top, q.buf):
-		// The top band still fills buf's heap share.
-		if len(q.top) > split-k {
-			return false
-		}
-		q.top = q.top[:len(q.top):split]
 	}
-	// Otherwise the top band has an array of its own, and buf is free.
+	k := len(q.buf) / 4
+	split := len(q.buf) - k
+	if k == 0 || len(q.top) > split-k {
+		return false
+	}
+	q.top = q.top[:len(q.top):split]
 	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
 	return true
 }
 
-// push inserts ev.
+// push inserts ev into the ladder: the top band, the first rung whose
+// unconsumed span contains it, or sorted into bottom.
 func (q *eventq) push(ev event) {
 	q.size++
-	if !q.ladder {
-		if len(q.heap) == cap(q.heap) {
-			q.makeRoom()
-		}
-		q.heap = heapPush(q.heap, ev)
-		th := q.thresh
-		if th == 0 {
-			th = ladderThreshold
-		}
-		if len(q.heap) > th {
-			q.migrate()
-		}
-		return
-	}
-	q.enqueue(ev)
-}
-
-// makeRoom gives a full heap room for one more event: the lane's slots,
-// its events moving into the heap (any event may wait in the main queue),
-// or, failing that, a buf twice as long.
-//
-//go:noinline
-func (q *eventq) makeRoom() {
-	if int(q.split) < len(q.buf) {
-		// The heap fills buf[:split]: the i-th lane event moved lands at
-		// split+i, never past a slot not yet read.
-		lh, lt := q.lh, q.lt
-		q.heap = q.buf[:len(q.heap)]
-		for i := lh; i < lt; i++ {
-			q.heap = heapPush(q.heap, q.buf[i])
-		}
-		clear(q.buf[q.split+lt-lh : lt])
-		q.size += int(lt - lh)
-		q.split = int32(len(q.buf))
-		q.lh, q.lt = q.split, q.split
-	}
-	if len(q.heap) == cap(q.heap) {
-		q.grow(max(2*len(q.buf), minQueue))
-	}
-}
-
-// pop removes and returns the earliest pending event: the lane's head
-// unless the main queue's minimum is before it. The queue must be
-// non-empty.
-func (q *eventq) pop() event {
-	if q.lh != q.lt && q.laneFirst() {
-		ev := q.buf[q.lh]
-		q.buf[q.lh] = event{} // do not pin fired callbacks
-		if q.lh++; q.lh == q.lt {
-			q.lh, q.lt = q.split, q.split
-		}
-		return ev
-	}
-	q.size--
-	if !q.ladder {
-		var top event
-		top, q.heap = heapPop(q.heap)
-		return top
-	}
-	if q.bpos >= len(q.bottom) {
-		q.refill()
-	}
-	ev := q.bottom[q.bpos]
-	q.bottom[q.bpos] = event{} // do not pin fired callbacks
-	q.bpos++
-	if q.bpos == len(q.bottom) {
-		q.bottom = q.bottom[:0]
-		q.bpos = 0
-	}
-	return ev
-}
-
-// peek returns the earliest pending event without removing it. The queue
-// must be non-empty. In ladder mode a peek may prime the bottom band.
-func (q *eventq) peek() event {
-	if q.lh != q.lt && q.laneFirst() {
-		return q.buf[q.lh]
-	}
-	return q.peekMain()
-}
-
-// laneFirst reports whether the earliest pending event is the head of the
-// lane, which must be non-empty: the two-way merge of pop and peek.
-func (q *eventq) laneFirst() bool {
-	if q.size == 0 {
-		return true
-	}
-	if !q.ladder {
-		return !q.heap[0].before(&q.buf[q.lh])
-	}
-	m := q.peekMain()
-	return !m.before(&q.buf[q.lh])
-}
-
-// peekMain is peek over the main queue alone, which must be non-empty.
-func (q *eventq) peekMain() event {
-	if !q.ladder {
-		return q.heap[0]
-	}
-	if q.bpos >= len(q.bottom) {
-		q.refill()
-	}
-	return q.bottom[q.bpos]
-}
-
-// reset empties the queue, zeroes every slot (so no callback outlives the
-// run), keeps all backing arrays for reuse, and reverts to heap mode with
-// the lane holding its share of buf.
-func (q *eventq) reset() {
-	for i := range q.heap {
-		q.heap[i] = event{}
-	}
-	q.heap = q.heap[:0]
-	for i := range q.bottom {
-		q.bottom[i] = event{}
-	}
-	q.bottom = q.bottom[:0]
-	q.bpos = 0
-	for i := range q.top {
-		q.top[i] = event{}
-	}
-	q.top = q.top[:0]
-	for i := 0; i < q.nr; i++ {
-		r := &q.rungs[i]
-		for j := range r.slab {
-			r.slab[j] = event{}
-		}
-		r.slab = r.slab[:0]
-		r.next = r.next[:0]
-		for b := 0; b < r.nb; b++ {
-			r.head[b], r.tail[b], r.cnt[b] = -1, -1, 0
-		}
-	}
-	q.nr = 0
-	q.size = 0
-	clear(q.buf[q.lh:q.lt])
-	if q.ladder {
-		q.ladder = false
-		// The migration donated buf's heap share to the top band, which
-		// may have outgrown it into an array of its own since. The larger
-		// array backs the heap and the lane from now on, so the next
-		// run's heap phase keeps its capacity; the top band keeps another.
-		other := q.heap // the top band's array before the migration
-		if !sameArray(q.top, q.buf) {
-			clear(q.buf) // stale copies of the events the top band moved
-			other = q.top
-			if cap(q.top) > len(q.buf) {
-				other, q.buf = q.buf, q.top[:cap(q.top)]
-			}
-		}
-		q.top = other[:0]
-	}
-	split := len(q.buf) - len(q.buf)/4
-	q.heap = q.buf[:0:split]
-	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
-}
-
-// sameArray reports whether a and b share a backing array.
-func sameArray(a, b []event) bool {
-	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
-}
-
-// migrate switches the queue from heap to ladder mode, donating the heap
-// array to the top band (heap order is irrelevant there: the band is sorted
-// as it is spread into rungs and bottom).
-func (q *eventq) migrate() {
-	q.ladder = true
-	q.heap, q.top = q.top[:0], q.heap
-	q.topStart = minTime
-	q.bpos = 0
-}
-
-// enqueue inserts ev in ladder mode: top band, first rung whose unconsumed
-// span contains it, or sorted into bottom.
-func (q *eventq) enqueue(ev event) {
 	if ev.at >= q.topStart {
 		if len(q.top) == cap(q.top) {
 			q.topRoom()
@@ -490,26 +280,102 @@ func (q *eventq) enqueue(ev event) {
 	q.bottomInsert(ev)
 }
 
-// topRoom gives a full top band that still fills buf's heap share (the
-// migration donated it) the lane's slots, its events moving into the
-// ladder, as makeRoom does for the heap.
+// topRoom gives a full top band room for one more event: the lane's
+// slots, its events moving into the ladder (any event may wait there),
+// or, failing that, a buf twice as long.
 //
 //go:noinline
 func (q *eventq) topRoom() {
-	if int(q.split) == len(q.buf) || cap(q.top) != int(q.split) || !sameArray(q.top, q.buf) {
-		return
+	if int(q.split) < len(q.buf) {
+		lh, lt := q.lh, q.lt
+		q.top = q.buf[:len(q.top)]
+		q.split = int32(len(q.buf))
+		q.lh, q.lt = q.split, q.split
+		// Appends to the top band land at the old split and on, never past
+		// a lane slot not yet read.
+		for i := lh; i < lt; i++ {
+			q.push(q.buf[i])
+		}
+		clear(q.buf[len(q.top):lt])
 	}
-	lh, lt := q.lh, q.lt
-	q.top = q.buf[:len(q.top)]
-	q.split = int32(len(q.buf))
-	q.lh, q.lt = q.split, q.split
-	// Appends to the top band land at the old split and on, never past a
-	// lane slot not yet read.
-	for i := lh; i < lt; i++ {
-		q.size++
-		q.enqueue(q.buf[i])
+	if len(q.top) == cap(q.top) {
+		q.grow(max(2*len(q.buf), minQueue))
 	}
-	clear(q.buf[len(q.top):lt])
+}
+
+// pop removes and returns the earliest pending event: the lane's head
+// unless the ladder's minimum is before it. The queue must be non-empty.
+func (q *eventq) pop() event {
+	if q.lh != q.lt && q.laneFirst() {
+		ev := q.buf[q.lh]
+		q.buf[q.lh] = event{} // do not pin fired callbacks
+		if q.lh++; q.lh == q.lt {
+			q.lh, q.lt = q.split, q.split
+		}
+		return ev
+	}
+	q.size--
+	if q.bpos >= len(q.bottom) {
+		q.refill()
+	}
+	ev := q.bottom[q.bpos]
+	q.bottom[q.bpos] = event{} // do not pin fired callbacks
+	q.bpos++
+	if q.bpos == len(q.bottom) {
+		q.bottom = q.bottom[:0]
+		q.bpos = 0
+	}
+	return ev
+}
+
+// peek returns the earliest pending event without removing it. The queue
+// must be non-empty. A peek may prime the bottom band.
+func (q *eventq) peek() event {
+	if q.lh != q.lt && q.laneFirst() {
+		return q.buf[q.lh]
+	}
+	return *q.peekMain()
+}
+
+// laneFirst reports whether the earliest pending event is the head of the
+// lane, which must be non-empty: the two-way merge of pop and peek.
+func (q *eventq) laneFirst() bool {
+	return q.size == 0 || !q.peekMain().before(&q.buf[q.lh])
+}
+
+// peekMain returns the ladder's earliest event, priming the bottom band.
+// The ladder must be non-empty.
+func (q *eventq) peekMain() *event {
+	if q.bpos >= len(q.bottom) {
+		q.refill()
+	}
+	return &q.bottom[q.bpos]
+}
+
+// reset empties the queue, zeroes every slot (so no callback outlives the
+// run), and keeps all backing arrays for reuse, with the lane holding its
+// share of buf.
+func (q *eventq) reset() {
+	clear(q.bottom)
+	q.bottom = q.bottom[:0]
+	q.bpos = 0
+	clear(q.top)
+	for i := 0; i < q.nr; i++ {
+		r := &q.rungs[i]
+		clear(r.slab)
+		r.slab = r.slab[:0]
+		r.next = r.next[:0]
+		for b := 0; b < r.nb; b++ {
+			r.head[b], r.tail[b], r.cnt[b] = -1, -1, 0
+		}
+	}
+	q.nr = 0
+	q.size = 0
+	q.topStart = 0
+	clear(q.buf[q.lh:q.lt])
+	split := len(q.buf) - len(q.buf)/4
+	q.top = q.buf[:0:split]
+	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
 }
 
 // bottomInsert sorted-inserts ev into the pending run bottom[bpos:]. The
@@ -557,7 +423,7 @@ func (q *eventq) refill() {
 		}
 		if r.cur == r.nb {
 			// A rung is retired only once truly empty. Buckets behind the
-			// cursor cannot be repopulated (enqueue admits only
+			// cursor cannot be repopulated (push admits only
 			// at >= curStart(), which maps at or ahead of the cursor), so a
 			// non-zero count here means the no-hole invariant broke — fail
 			// loudly rather than drop events.
@@ -591,11 +457,12 @@ func (q *eventq) refill() {
 // (whose cursor has moved past the bucket), and once the child's cursor
 // reaches the end the clamped placement lands BEHIND it — the event would
 // be silently dropped when the drained rung is retired. Full-span children
-// keep the no-hole invariant: every event admitted by enqueue's
+// keep the no-hole invariant: every event admitted by push's
 // at >= curStart() check maps to a bucket at or ahead of the cursor.
 func (q *eventq) spawn(parent *rung) {
 	start := parent.curStart()
-	nb := int(parent.cnt[parent.cur]) / bucketTarget
+	n := int(parent.cnt[parent.cur])
+	nb := n / bucketTarget
 	if nb < minBuckets {
 		nb = minBuckets
 	} else if nb > maxBuckets {
@@ -603,7 +470,7 @@ func (q *eventq) spawn(parent *rung) {
 	}
 	child := &q.rungs[q.nr]
 	q.nr++
-	child.reset(start, (parent.width-1)/Time(nb)+1, nb)
+	child.reset(start, (parent.width-1)/Time(nb)+1, nb, n)
 	b := parent.cur
 	for i := parent.head[b]; i >= 0; i = parent.next[i] {
 		child.place(parent.slab[i])
@@ -636,7 +503,7 @@ func (q *eventq) transfer() {
 	width := (mx-mn)/Time(nb) + 1
 	r := &q.rungs[0]
 	q.nr = 1
-	r.reset(mn, width, nb)
+	r.reset(mn, width, nb, len(q.top))
 	for _, ev := range q.top {
 		r.place(ev)
 	}

@@ -8,36 +8,73 @@ import (
 	"time"
 )
 
+// refHeap is a container/heap reference implementation with the kernel's
+// exact ordering contract: ascending (at, seq).
+type refHeap []event
+
+func (h refHeap) Len() int      { return len(h) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].before(&h[j])
+}
+func (h *refHeap) Push(x any) { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	*h = old[:n-1]
+	return ev
+}
+
 // TestQueueEquivalenceRandom is the queue-equivalence property test: the
-// adaptive queue — in heap mode, in forced ladder mode, and crossing the
-// migration threshold mid-workload — must pop in exactly the reference
-// container/heap's (at, seq) order under randomized push/pop interleavings
-// with heavy at collisions. Three workload shapes are driven: "arbitrary"
-// pushes times in any order (stronger than the engine needs), "advancing"
-// mimics the engine's hold model, where pushes never go behind the last
-// popped time, and "same-instant" pushes half its events at the last
-// popped time through the engine's routing rule (the lane for the current
-// instant, the main queue otherwise), on a queue sized by grow or not, and
-// resets once with the lane holding events. Runs in the -race suite (no
-// alloc assertions here).
+// queue must pop in exactly the reference container/heap's (at, seq) order
+// under randomized push/pop interleavings with heavy at collisions. Three
+// workload shapes are driven: "arbitrary" pushes times in any order
+// (stronger than the engine needs), "advancing" mimics the engine's hold
+// model, where pushes never go behind the last popped time, and
+// "same-instant" pushes half its events at the last popped time through
+// the engine's routing rule (the lane for the current instant, the ladder
+// otherwise), on a queue sized by grow or not, and resets once with the
+// lane holding events. Each shape runs from four starting states of the
+// queue's arrays, named by the first level of the subtest name (see
+// starts). Runs in the -race suite (no alloc assertions here).
 func TestQueueEquivalenceRandom(t *testing.T) {
-	modes := []struct {
-		name   string
-		thresh int
+	starts := []struct {
+		name  string
+		setup func(q *eventq)
 	}{
-		{"adaptive", 0},
-		{"ladder", 1},
-		{"heap", 1 << 30},
-		{"migrating", 100},
+		// The zero queue: buf is made on the first push and doubled as
+		// the top band fills.
+		{"adaptive", func(q *eventq) {}},
+		// A pooled engine's queue: rungs, bottom and buf left behind by
+		// an earlier workload, then reset.
+		{"ladder", func(q *eventq) {
+			rng := NewRNG(5)
+			for i := 0; i < 5000; i++ {
+				q.push(event{at: Time(rng.Intn(1 << 20)), seq: int64(i), proc: noProc})
+			}
+			for i := 0; i < 2500; i++ {
+				q.pop()
+			}
+			q.reset()
+		}},
+		// Preallocated past the workload's peak: the top band never
+		// leaves its first array (checked after the run).
+		{"heap", func(q *eventq) { q.grow(1 << 14) }},
+		// A 4-event buf: the top band reclaims the lane's slots and moves
+		// to a longer array again and again while the workload grows.
+		{"migrating", func(q *eventq) { q.grow(4) }},
 	}
 	shapes := []string{"arbitrary", "advancing", "same-instant", "same-instant-grown"}
-	for _, mode := range modes {
+	for _, start := range starts {
 		for _, shape := range shapes {
 			for seed := uint64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("%s/%s/seed=%d", mode.name, shape, seed)
+				name := fmt.Sprintf("%s/%s/seed=%d", start.name, shape, seed)
 				t.Run(name, func(t *testing.T) {
 					rng := NewRNG(seed * 0x9e3779b97f4a7c15)
-					q := eventq{thresh: mode.thresh}
+					var q eventq
+					start.setup(&q)
+					startBuf := len(q.buf)
 					sameInstant := strings.HasPrefix(shape, "same-instant")
 					if shape == "same-instant-grown" {
 						q.grow(64)
@@ -117,18 +154,67 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 					if q.len() != 0 {
 						t.Fatalf("drained queue still reports %d events", q.len())
 					}
+					if start.name == "heap" && len(q.buf) != startBuf {
+						t.Fatalf("weak start: buf grew from %d to %d events", startBuf, len(q.buf))
+					}
 				})
 			}
 		}
 	}
 }
 
-// checkQueueClear fails unless a just-reset queue is empty, in heap mode,
-// and holds no event in any slot of any of its arrays.
+// TestHeapMatchesContainerHeap drives an engine's event queue and a
+// container/heap reference with the same randomized push/pop interleaving
+// and demands identical pop order — including the seq tie-break on
+// heavily duplicated timestamps.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := NewRNG(42)
+	e := NewEngine(0)
+	ref := &refHeap{}
+	seq := int64(0)
+
+	const ops = 20_000
+	for i := 0; i < ops; i++ {
+		if rng.Intn(3) != 0 || e.pq.len() == 0 {
+			// Tie-heavy times: only 64 distinct timestamps across 20k
+			// events, so ordering is usually decided by seq alone.
+			at := Time(rng.Intn(64)) * time.Millisecond
+			ev := event{at: at, seq: seq, proc: noProc}
+			seq++
+			e.pq.push(ev)
+			heap.Push(ref, ev)
+		} else {
+			got := e.pq.pop()
+			want := heap.Pop(ref).(event)
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("op %d: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
+					i, got.at, got.seq, want.at, want.seq)
+			}
+		}
+		if e.pq.len() != ref.Len() {
+			t.Fatalf("op %d: size %d vs reference %d", i, e.pq.len(), ref.Len())
+		}
+	}
+	// Drain: the tail must come out in exactly reference order too.
+	for ref.Len() > 0 {
+		got := e.pq.pop()
+		want := heap.Pop(ref).(event)
+		if got.at != want.at || got.seq != want.seq {
+			t.Fatalf("drain: pop = (at=%v seq=%d), reference = (at=%v seq=%d)",
+				got.at, got.seq, want.at, want.seq)
+		}
+	}
+	if e.pq.len() != 0 {
+		t.Fatalf("drained queue still holds %d events", e.pq.len())
+	}
+}
+
+// checkQueueClear fails unless a reset or drained queue is empty and holds
+// no event in any slot of any of its arrays.
 func checkQueueClear(t *testing.T, q *eventq) {
 	t.Helper()
-	if q.len() != 0 || q.ladder {
-		t.Fatalf("reset queue: len=%d ladder=%v, want empty heap mode", q.len(), q.ladder)
+	if q.len() != 0 {
+		t.Fatalf("queue reports %d pending, want empty", q.len())
 	}
 	check := func(name string, a []event) {
 		for i, ev := range a[:cap(a)] {
@@ -137,7 +223,6 @@ func checkQueueClear(t *testing.T, q *eventq) {
 			}
 		}
 	}
-	check("heap", q.heap)
 	check("buf", q.buf)
 	check("bottom", q.bottom)
 	check("top", q.top)
@@ -159,7 +244,7 @@ func checkQueueClear(t *testing.T, q *eventq) {
 // then pushes into the tail of the parent bucket's span and demands the
 // event pop before the far one.
 func TestQueueSpawnCoverageHole(t *testing.T) {
-	q := eventq{thresh: 1} // ladder mode from the first push
+	var q eventq
 	var seq int64
 	push := func(at Time) {
 		q.push(event{at: at, seq: seq, proc: noProc})
@@ -200,7 +285,7 @@ func TestQueueHoldModelSteadyState(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := NewRNG(seed * 0x9e3779b97f4a7c15)
-			q := eventq{thresh: 256}
+			var q eventq
 			ref := &refHeap{}
 			var seq int64
 			push := func(at Time) {
@@ -246,7 +331,7 @@ func TestQueueHoldModelSteadyState(t *testing.T) {
 // transfers — and checks exact pop order.
 func TestQueueWideHorizon(t *testing.T) {
 	rng := NewRNG(7)
-	q := eventq{thresh: 1}
+	var q eventq
 	ref := &refHeap{}
 	var seq int64
 	const n = 20_000
@@ -279,30 +364,45 @@ func TestQueueWideHorizon(t *testing.T) {
 	}
 }
 
-// TestQueueResetClearsSlots drains and resets a ladder-mode queue and
-// verifies no backing slot still pins a callback — the anti-retention
-// invariant TestHeapPopZeroesVacatedSlots checks for heap mode.
+// TestQueueResetClearsSlots checks the anti-retention invariant: once its
+// events are gone, no backing slot of a queue still pins a callback —
+// neither after a reset with half the events pending nor after a drain
+// with no reset, where every popped slot must have been zeroed.
 func TestQueueResetClearsSlots(t *testing.T) {
-	marker := func() {}
-	q := eventq{thresh: 1}
-	rng := NewRNG(3)
-	for i := 0; i < 5000; i++ {
-		q.push(event{at: Time(rng.Intn(64)) * time.Millisecond, seq: int64(i), proc: noProc, fn: marker})
+	for _, drain := range []bool{false, true} {
+		name := "reset"
+		if drain {
+			name = "drained"
+		}
+		t.Run(name, func(t *testing.T) {
+			marker := func() {}
+			var q eventq
+			rng := NewRNG(3)
+			for i := 0; i < 5000; i++ {
+				q.push(event{at: Time(rng.Intn(64)) * time.Millisecond, seq: int64(i), proc: noProc, fn: marker})
+			}
+			if drain {
+				for q.len() > 0 {
+					q.pop()
+				}
+			} else {
+				// Consume half (fired events must not be pinned), then
+				// reset the rest.
+				for i := 0; i < 2500; i++ {
+					q.pop()
+				}
+				q.reset()
+			}
+			checkQueueClear(t, &q)
+		})
 	}
-	// Consume half (fired events must not be pinned), then reset the rest.
-	for i := 0; i < 2500; i++ {
-		q.pop()
-	}
-	q.reset()
-	checkQueueClear(t, &q)
 }
 
-// TestQueueReuseAfterReset reuses one queue across reset cycles, crossing
-// the migration threshold each time, and demands identical pop sequences —
-// the invariant pooled engines rely on (Engine.Reset keeps queue arrays).
+// TestQueueReuseAfterReset reuses one queue across reset cycles and
+// demands identical pop sequences — the invariant pooled engines rely on
+// (Engine.Reset keeps queue arrays).
 func TestQueueReuseAfterReset(t *testing.T) {
 	var q eventq
-	q.thresh = 64
 	var first []event
 	for cycle := 0; cycle < 3; cycle++ {
 		rng := NewRNG(11)
@@ -330,96 +430,22 @@ func TestQueueReuseAfterReset(t *testing.T) {
 	}
 }
 
-// TestEngineTimelineUnchangedByQueueMode runs one interleaved workload on a
-// default engine and on an engine whose queues are forced into ladder mode
-// from the first event, and requires the traced virtual timelines to match
-// exactly: the queue mode must be invisible to the simulation. Many of the
-// workload's events are due at the instant they are scheduled — zero
-// sleeps, broadcast wakes, zero-delay callbacks — so the same-instant lane
-// merges with both modes.
-func TestEngineTimelineUnchangedByQueueMode(t *testing.T) {
-	workload := func(forceLadder bool) []string {
-		e := NewEngine(99)
-		if forceLadder {
-			e.pq.thresh = 1
-		}
-		var log []string
-		e.SetTracer(func(at Time, proc, msg string) {
-			log = append(log, fmt.Sprintf("%v %s %s", at, proc, msg))
-		})
-		var sig Signal
-		for i := 0; i < 50; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for s := 0; s < 40; s++ {
-					switch p.Rand().Intn(4) {
-					case 0:
-						p.Sleep(0)
-					case 1:
-						if i%5 == 0 {
-							sig.Broadcast()
-							e.After(0, func() { p.Tracef("callback %d", s) })
-						}
-						fallthrough
-					default:
-						p.Sleep(time.Duration(1+p.Rand().Intn(500)) * time.Microsecond)
-					}
-					p.Tracef("step %d", s)
-				}
-			})
-		}
-		for i := 0; i < 10; i++ {
-			e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-				for s := 0; s < 20; s++ {
-					sig.Wait(p)
-					p.Tracef("woken %d", s)
-				}
-			})
-		}
-		e.Spawn("ticker", func(p *Proc) {
-			for s := 0; s < 400; s++ {
-				p.Sleep(50 * time.Microsecond)
-				sig.Broadcast()
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return log
-	}
-	base := workload(false)
-	ladder := workload(true)
-	if len(base) != len(ladder) {
-		t.Fatalf("ladder timeline has %d entries, heap timeline %d", len(ladder), len(base))
-	}
-	for i := range base {
-		if base[i] != ladder[i] {
-			t.Fatalf("timeline diverges at entry %d:\n  heap:   %s\n  ladder: %s", i, base[i], ladder[i])
-		}
-	}
-}
-
 // FuzzEventQueue is the differential fuzz test of the queue: each input
 // byte is one operation — a push a few nanoseconds ahead, routed as the
 // engine routes (the lane when due now, the main queue otherwise), a push
-// due now, a pop, a grow, or a reset — on a queue whose mode the first byte
-// picks (adaptive, ladder, heap, or migrating at 8 pending). Every peek and
-// pop must match the container/heap reference, and a reset must leave no
-// event in any slot.
+// due now, a pop, a grow, or a reset. Every peek and pop must match the
+// container/heap reference, and a reset must leave no event in any slot.
 func FuzzEventQueue(f *testing.F) {
-	f.Add([]byte("\x00\x20\x20\xa0\x21\x60\x80\x61\x80"))
-	f.Add([]byte("\x01\x20\x20\x20\x20\x02\x03\xa0\xa0\x21\x21\x80\x80\x80\xff\x20\x80"))
-	f.Add([]byte("\x03\x01\x02\x03\x04\x05\x06\x07\x08\x09\x20\x20\x20\x20\x80\x20\x80\x80\xe8\x80"))
+	f.Add([]byte("\x20\x20\xa0\x21\x60\x80\x61\x80"))
+	f.Add([]byte("\x20\x20\x20\x20\x02\x03\xa0\xa0\x21\x21\x80\x80\x80\xff\x20\x80"))
+	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x20\x20\x20\x20\x80\x20\x80\x80\xe8\x80"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) == 0 {
-			return
-		}
-		threshes := [...]int{0, 1, 1 << 30, 8}
-		q := eventq{thresh: threshes[ops[0]%4]}
+		var q eventq
 		ref := &refHeap{}
 		marker := func() {}
 		var seq int64
 		var now Time
-		for i, b := range ops[1:] {
+		for i, b := range ops {
 			arg := Time(b & 0x1f)
 			switch b >> 5 {
 			case 0, 1, 2: // push arg ns ahead
