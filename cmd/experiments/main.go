@@ -100,6 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-headstart must be >= 0 (got %v)", *headstart)
 	case *budget < 0:
 		return usage("-budget must be >= 0 (got %d); 0 means the default budget", *budget)
+	case *metricsInt < 0:
+		return usage("-metrics-interval must be >= 0 (got %v); 0 means 250ms", *metricsInt)
 	}
 
 	if *list {

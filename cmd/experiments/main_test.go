@@ -137,6 +137,7 @@ func TestFlagValidationUpFront(t *testing.T) {
 		{"-pdes-j", "-1", "table1"}, // unknown flag
 		{"-headstart", "-5ms", "fig5"},
 		{"-budget", "-1", "calibrate"},
+		{"-metrics-interval", "-1s", "-metrics", "x.csv", "fig5"},
 	}
 	for _, args := range cases {
 		code, out, errOut := capture(t, args...)

@@ -499,15 +499,10 @@ func (s *Store) evictOne(p *sim.Proc, forced bool) bool {
 // stall blocks the writer until consumption/eviction/provisioning frees
 // space, accounting the wait as back-pressure time.
 func (s *Store) stall(p *sim.Proc) {
-	start := p.Now()
 	s.met.Stalls++
-	p.CritBegin("capacity", "backpressure_wait", trace.ClassBackpressure)
+	r := p.Region(nil, "capacity", "backpressure_wait", trace.ClassBackpressure)
 	s.waiters.Wait(p)
-	p.CritEnd()
-	d := p.Now() - start
-	s.met.StallNanos += int64(d)
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "capacity", Name: "backpressure_wait",
-		Class: trace.ClassBackpressure, Start: start, Dur: d, Attr: s.name})
+	s.met.StallNanos += int64(r.End(0, s.name))
 }
 
 // Metrics is the per-run capacity-pressure record, shared by every store of

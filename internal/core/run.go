@@ -390,33 +390,21 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 			// consumed the previous frame. Not part of production time —
 			// in a real coarse-grained workflow this producer task has not
 			// been scheduled yet (hence a detail span, not idle).
-			ann.Begin("task_launch_wait")
-			p.CritBegin("workflow", "task_launch_wait", trace.ClassDetail)
-			start := p.Now()
+			rg := p.Region(ann, "workflow", "task_launch_wait", trace.ClassDetail)
 			gate.request.WaitSeq(p, f+1)
-			emitSpan(p, "task_launch_wait", trace.ClassDetail, start)
-			p.CritEnd()
-			ann.End("task_launch_wait")
+			rg.End(0, "")
 		}
 
 		// MD compute: one stride of steps (jittered as a block).
-		ann.Begin("md_compute")
-		p.CritBegin("workflow", "md_compute", trace.ClassCompute)
-		start := p.Now()
+		rg := p.Region(ann, "workflow", "md_compute", trace.ClassCompute)
 		p.Sleep(p.Rand().Jitter(r.cfg.frequency, r.cfg.ComputeJitter))
-		emitSpan(p, "md_compute", trace.ClassCompute, start)
-		p.CritEnd()
-		ann.End("md_compute")
+		rg.End(0, "")
 
 		// Serialize the frame (CPU cost proportional to size).
-		ann.Begin("serialize")
-		p.CritBegin("workflow", "serialize", trace.ClassCompute)
-		start = p.Now()
+		rg = p.Region(ann, "workflow", "serialize", trace.ClassCompute)
 		data := r.framePayload(pair, f)
 		p.Sleep(cpuTime(data.Size(), 2.5e9))
-		emitSpan(p, "serialize", trace.ClassCompute, start)
-		p.CritEnd()
-		ann.End("serialize")
+		rg.End(0, "")
 
 		path := pairPath(pair, f)
 		switch r.cfg.Backend {
@@ -428,29 +416,19 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 				panic(fmt.Errorf("core: producer %s: %w", path, err))
 			}
 		default:
-			ann.Begin("write_single_buf")
-			p.CritBegin("workflow", "write_single_buf", trace.ClassMovement)
-			start = p.Now()
+			rg = p.Region(ann, "workflow", "write_single_buf", trace.ClassMovement)
 			if err := fs.WriteFile(p, path, data); err != nil {
 				panic(fmt.Errorf("core: producer write %s: %w", path, err))
 			}
-			emitSpan(p, "write_single_buf", trace.ClassMovement, start)
-			p.CritEnd()
-			ann.End("write_single_buf")
+			rg.End(0, "")
 		}
 		if gate != nil {
-			ann.Begin("explicit_sync")
-			p.CritBegin("workflow", "explicit_sync", trace.ClassIdle)
-			start = p.Now()
+			rg = p.Region(ann, "workflow", "explicit_sync", trace.ClassIdle)
 			gate.post.Post(p)
-			emitSpan(p, "explicit_sync", trace.ClassIdle, start)
-			p.CritEnd()
-			ann.End("explicit_sync")
-			r.prodIdleNanos += int64(p.Now() - start)
+			r.prodIdleNanos += int64(rg.End(0, ""))
 		}
 		r.framesProduced++
-		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: "frame_produced",
-			Start: p.Now(), Bytes: data.Size(), Attr: path})
+		frameMark(p, "frame_produced", data.Size(), path)
 		p.Tracef("produced frame %d (%d bytes)", f, data.Size())
 	}
 }
@@ -475,11 +453,9 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 		// consumer job ConsumerHeadStart after the producers. Job-launch
 		// scheduling, not consumption — no caliper region, so it lands in
 		// neither the movement nor the idle column of the §IV-C split.
-		p.CritBegin("workflow", "job_start_delay", trace.ClassDetail)
-		start := p.Now()
+		rg := p.Region(nil, "workflow", "job_start_delay", trace.ClassDetail)
 		p.Sleep(r.cfg.ConsumerHeadStart)
-		emitSpan(p, "job_start_delay", trace.ClassDetail, start)
-		p.CritEnd()
+		rg.End(0, "")
 	}
 
 	for f := 0; f < r.cfg.Frames; f++ {
@@ -488,14 +464,9 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			// then wait for the data: the explicit synchronization whose
 			// cost the paper reports as consumer idle time.
 			gate.request.Post(p)
-			ann.Begin("explicit_sync")
-			p.CritBegin("workflow", "explicit_sync", trace.ClassIdle)
-			start := p.Now()
+			rg := p.Region(ann, "workflow", "explicit_sync", trace.ClassIdle)
 			gate.post.WaitSeq(p, f+1)
-			emitSpan(p, "explicit_sync", trace.ClassIdle, start)
-			p.CritEnd()
-			ann.End("explicit_sync")
-			r.consIdleNanos += int64(p.Now() - start)
+			r.consIdleNanos += int64(rg.End(0, ""))
 		}
 		readStart := p.Now()
 		path := pairPath(pair, f)
@@ -508,22 +479,17 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			}
 			data = got
 		default:
-			ann.Begin("read_single_buf")
-			p.CritBegin("workflow", "read_single_buf", trace.ClassMovement)
-			start := p.Now()
+			rg := p.Region(ann, "workflow", "read_single_buf", trace.ClassMovement)
 			got, err := fs.ReadFile(p, path)
 			if err != nil {
 				panic(fmt.Errorf("core: consumer read %s: %w", path, err))
 			}
-			emitSpan(p, "read_single_buf", trace.ClassMovement, start)
-			p.CritEnd()
-			ann.End("read_single_buf")
+			rg.End(0, "")
 			data = got
 		}
 		p.CritDepend(path, "consume")
 		p.CritHop(path, "consume", readStart, data.Size())
-		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: "frame_consumed",
-			Start: p.Now(), Bytes: data.Size()})
+		frameMark(p, "frame_consumed", data.Size(), "")
 		p.Tracef("consumed frame %d (%d bytes)", f, data.Size())
 		r.framesRead++
 		r.bytesRead += data.Size()
@@ -535,20 +501,12 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 
 		// Deserialize, then emulate the analytics computation for one
 		// frame period (paper §IV-C).
-		ann.Begin("deserialize")
-		p.CritBegin("workflow", "deserialize", trace.ClassCompute)
-		start := p.Now()
+		rg := p.Region(ann, "workflow", "deserialize", trace.ClassCompute)
 		p.Sleep(cpuTime(data.Size(), 3.0e9))
-		emitSpan(p, "deserialize", trace.ClassCompute, start)
-		p.CritEnd()
-		ann.End("deserialize")
-		ann.Begin("analytics")
-		p.CritBegin("workflow", "analytics", trace.ClassCompute)
-		start = p.Now()
+		rg.End(0, "")
+		rg = p.Region(ann, "workflow", "analytics", trace.ClassCompute)
 		p.Sleep(r.cfg.frequency)
-		emitSpan(p, "analytics", trace.ClassCompute, start)
-		p.CritEnd()
-		ann.End("analytics")
+		rg.End(0, "")
 	}
 	r.consumersDone++
 	if r.consumersDone == r.cfg.Pairs && r.lfs != nil {
@@ -585,11 +543,17 @@ func cpuTime(n int64, bytesPerSec float64) time.Duration {
 	return time.Duration(float64(n) / bytesPerSec * float64(time.Second))
 }
 
-// emitSpan records one workflow-level span covering [start, now). A no-op
-// (one nil check, zero allocations) when span tracing is off.
-func emitSpan(p *sim.Proc, name string, class trace.Class, start sim.Time) {
+// frameMark emits a zero-length workflow span marking a frame's production
+// or consumption. It is outlined so the span, passed on the stack, does not
+// widen the frames of runProducer and runConsumer: every coroutine parks
+// below one of them, and a frame a few words wider keeps more parked
+// stacks above the quarter-full mark that lets a GC shrink them
+// (DESIGN.md §3c).
+//
+//go:noinline
+func frameMark(p *sim.Proc, name string, bytes int64, attr string) {
 	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "workflow", Name: name,
-		Class: class, Start: start, Dur: p.Now() - start})
+		Start: p.Now(), Bytes: bytes, Attr: attr})
 }
 
 // defaultDyadParams re-exports dyad.DefaultParams for ablation tests and

@@ -442,19 +442,10 @@ func (c *Client) Node() *cluster.Node { return c.broker.node }
 func (c *Client) Produce(p *sim.Proc, ann *caliper.Annotator, path string, pl vfs.Payload) error {
 	path = vfs.Clean(path)
 	pStart := p.Now()
-	defer ann.Region("dyad_produce")()
-	p.CritBegin("dyad", "dyad_produce", trace.ClassMovement)
-	defer p.CritEnd()
 	// The whole produce call is data movement in the paper's decomposition
-	// (the producer never waits on consumers), so one Movement span covers
+	// (the producer never waits on consumers), so one Movement region covers
 	// it; component detail (ssd, kvs, net) nests inside.
-	if rec := p.Rec(); rec != nil {
-		start := p.Now()
-		defer func() {
-			rec.Emit(trace.Span{Proc: p.Name(), Component: "dyad", Name: "dyad_produce",
-				Class: trace.ClassMovement, Start: start, Dur: p.Now() - start, Bytes: pl.Size(), Attr: path})
-		}()
-	}
+	defer p.Region(ann, "dyad", "dyad_produce", trace.ClassMovement).End(pl.Size(), path)
 
 	ann.Begin("dyad_prod_write")
 	var werr error
@@ -511,8 +502,7 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 
 	// --- Synchronization (dyad_fetch) ---
 	fetchStart := p.Now()
-	ann.Begin("dyad_fetch")
-	p.CritBegin("dyad", "dyad_fetch", trace.ClassIdle)
+	fetch := p.Region(ann, "dyad", "dyad_fetch", trace.ClassIdle)
 	var m meta
 	if c.sys.params.NoAdaptiveSync {
 		// Ablation: always use the loosely-coupled watch protocol.
@@ -538,26 +528,17 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 		}
 		m = decodeMeta(raw)
 	}
-	ann.End("dyad_fetch")
-	p.CritEnd()
+	idle := fetch.End(0, path)
 	p.CritHop(path, "sync_wait", fetchStart, 0)
 	p.CritDepend(path, "fetch")
-	p.CritBegin("dyad", "dyad_xfer", trace.ClassMovement)
-	defer p.CritEnd()
-	c.sys.FetchIdleNanos += int64(p.Now() - fetchStart)
-	c.sys.fetchLat.Observe(p.Now() - fetchStart)
 	// Paper decomposition (SplitConsumer): the metadata fetch is idle time,
 	// everything after it — client overhead, remote pull, cache store, local
-	// read — is data movement. Two disjoint workflow spans mirror that.
-	if rec := p.Rec(); rec != nil {
-		rec.Emit(trace.Span{Proc: p.Name(), Component: "dyad", Name: "dyad_fetch",
-			Class: trace.ClassIdle, Start: fetchStart, Dur: p.Now() - fetchStart, Attr: path})
-		xferStart := p.Now()
-		defer func() {
-			rec.Emit(trace.Span{Proc: p.Name(), Component: "dyad", Name: "dyad_xfer",
-				Class: trace.ClassMovement, Start: xferStart, Dur: p.Now() - xferStart, Attr: path})
-		}()
-	}
+	// read — is data movement. Two disjoint workflow regions mirror that;
+	// the second stays out of the caliper profile, whose sub-regions below
+	// carry the movement split.
+	defer p.Region(nil, "dyad", "dyad_xfer", trace.ClassMovement).End(0, path)
+	c.sys.FetchIdleNanos += int64(idle)
+	c.sys.fetchLat.Observe(idle)
 
 	// Client-library path resolution and cache management (movement
 	// overhead of the middleware versus a raw filesystem call).

@@ -99,12 +99,9 @@ func (s *Store) Server() *sim.Resource { return s.server }
 func (s *Store) Commit(p *sim.Proc, from *cluster.Node, key string, value []byte) {
 	s.Commits++
 	start := p.Now()
-	p.CritBegin("kvs", "commit", trace.ClassDetail)
+	r := p.Region(nil, "kvs", "commit", trace.ClassDetail)
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes+int64(len(value)), 64, s.server, s.params.CommitService)
-	p.CritEnd()
-	s.commitLat.Observe(p.Now() - start)
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "kvs", Name: "commit",
-		Start: start, Dur: p.Now() - start, Bytes: int64(len(value)), Attr: key})
+	s.commitLat.Observe(r.End(int64(len(value)), key))
 	p.CritHop(key, "kvs_commit", start, int64(len(value)))
 	s.data[key] = value
 	if l, ok := s.watches[key]; ok {
@@ -122,12 +119,9 @@ func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) ([]byte, err
 	if ok {
 		resp += int64(len(v))
 	}
-	start := p.Now()
-	p.CritBegin("kvs", "lookup", trace.ClassDetail)
+	r := p.Region(nil, "kvs", "lookup", trace.ClassDetail)
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes, resp, s.server, s.params.LookupService)
-	p.CritEnd()
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "kvs", Name: "lookup",
-		Start: start, Dur: p.Now() - start, Attr: key})
+	r.End(0, key)
 	if ok {
 		p.CritDepend(key, "kvs_lookup")
 	}
@@ -161,12 +155,9 @@ func (s *Store) WaitFor(p *sim.Proc, from *cluster.Node, key string) []byte {
 		l = &sim.Latch{}
 		s.watches[key] = l
 	}
-	blockStart := p.Now()
-	p.CritBegin("kvs", "watch_block", trace.ClassDetail)
+	r := p.Region(nil, "kvs", "watch_block", trace.ClassDetail)
 	l.Wait(p)
-	p.CritEnd()
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "kvs", Name: "watch_block",
-		Start: blockStart, Dur: p.Now() - blockStart, Attr: key})
+	r.End(0, key)
 	v := s.data[key]
 	p.CritDepend(key, "kvs_watch")
 	s.cl.Transfer(p, s.node, from, 64+int64(len(v)))
@@ -188,12 +179,9 @@ func (s *Store) WatchWait(p *sim.Proc, from *cluster.Node, key string) []byte {
 		l = &sim.Latch{}
 		s.watches[key] = l
 	}
-	blockStart := p.Now()
-	p.CritBegin("kvs", "watch_block", trace.ClassDetail)
+	r := p.Region(nil, "kvs", "watch_block", trace.ClassDetail)
 	l.Wait(p)
-	p.CritEnd()
-	p.Rec().Emit(trace.Span{Proc: p.Name(), Component: "kvs", Name: "watch_block",
-		Start: blockStart, Dur: p.Now() - blockStart, Attr: key})
+	r.End(0, key)
 	v := s.data[key]
 	p.CritDepend(key, "kvs_watch")
 	s.cl.Transfer(p, s.node, from, 64+int64(len(v)))

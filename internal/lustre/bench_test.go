@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -78,6 +79,50 @@ func benchFileOps(b *testing.B, impl fileImpl) {
 				}
 			})
 		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		handoffs += e.Handoffs()
+	}
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
+}
+
+// BenchmarkLustreNoise is background load with little else: 4 OSTs at 40%
+// load while one client writes 8 files of 2 stripe chunks, 10 ms apart,
+// then stops the noise. One op is one fresh engine and rig run to
+// completion; handoffs/op counts the coroutine switches it paid for. The
+// chain sub-benchmark runs each OST's noise as the goroutine-free state
+// machine (StartNoise), the ref one as the goroutine loop it replaced
+// (startNoiseGoroutines), which resumes its process after every gap and
+// every burst.
+func BenchmarkLustreNoise(b *testing.B) {
+	b.Run("chain", func(b *testing.B) { benchNoise(b, (*FS).StartNoise) })
+	b.Run("ref", func(b *testing.B) { benchNoise(b, startNoiseGoroutines) })
+}
+
+func benchNoise(b *testing.B, start func(*FS)) {
+	b.ReportAllocs()
+	const osts = 4
+	paths := make([]string, 8)
+	for k := range paths {
+		paths[k] = fmt.Sprintf("/f%d", k)
+	}
+	var handoffs int64
+	for i := 0; i < b.N; i++ {
+		e := sim.NewEngine(1)
+		cl, fs := testRig(e, 1, osts)
+		fs.params.StripeSize, fs.params.StripeCount, fs.params.BackgroundLoad = 256<<10, 2, 0.4
+		start(fs)
+		client := fs.Client(cl.Node(0))
+		e.Spawn("client", func(p *sim.Proc) {
+			for _, path := range paths {
+				if err := client.WriteFile(p, path, vfs.SizeOnly(512<<10)); err != nil {
+					b.Error(err)
+				}
+				p.Sleep(10 * time.Millisecond)
+			}
+			fs.StopNoise()
+		})
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}

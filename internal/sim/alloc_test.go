@@ -3,17 +3,26 @@ package sim
 import (
 	"testing"
 	"time"
+
+	"repro/internal/caliper"
+	"repro/internal/trace"
 )
 
 // steadyAllocs measures the total heap allocations of one engine lifetime
-// delivering `events` sleep events.
+// delivering `events` sleep events, each inside a phase recorded through a
+// warmed caliper annotator, followed by a zero-length phase without one.
 func steadyAllocs(t *testing.T, events int) float64 {
 	t.Helper()
+	var ann caliper.Annotator
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
 		e.Spawn("p", func(p *Proc) {
+			ann.Reset(p.Name(), p)
 			for i := 0; i < events; i++ {
+				r := p.Region(&ann, "test", "step", trace.ClassCompute)
 				p.Sleep(time.Microsecond)
+				r.End(0, "")
+				p.Region(nil, "test", "mark", trace.ClassDetail).End(0, "")
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -43,15 +52,22 @@ func TestSteadyStateZeroAllocsWithTracingOff(t *testing.T) {
 // lifetime driving a Block/Wake-heavy workload: a waiter parked in a
 // Signal and a peer that broadcasts every microsecond — one release edge
 // per round, exercising exactly the kernel paths the critical-path
-// recorder hooks (Block, Wake, Spawn, next).
+// recorder hooks (Block, Wake, Spawn, next). Each wait is a phase, with a
+// warmed caliper annotator around a phase without one.
 func pingPongAllocs(t *testing.T, rounds int) float64 {
 	t.Helper()
+	var ann caliper.Annotator
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
 		var sig Signal
 		e.Spawn("waiter", func(p *Proc) {
+			ann.Reset(p.Name(), p)
 			for i := 0; i < rounds; i++ {
+				outer := p.Region(&ann, "test", "sync", trace.ClassIdle)
+				inner := p.Region(nil, "test", "wait", trace.ClassDetail)
 				sig.Wait(p)
+				inner.End(0, "")
+				outer.End(0, "")
 			}
 		})
 		e.Spawn("waker", func(p *Proc) {

@@ -8,9 +8,13 @@ import (
 // This file is the kernel's side of the critical-path hook layer
 // (internal/critpath). The lifecycle edges — spawn, block, wake, finish —
 // are recorded inside the kernel itself (proc.go); everything here is the
-// convenience surface instrumentation sites call. Every entry point is a
-// single nil check when no recorder is installed, so a run without one
-// pays nothing and allocates nothing (TestCritpathZeroAllocs).
+// convenience surface instrumentation sites call. A phase that also feeds
+// the caliper profile or the span trace opens its label through
+// Proc.Region (region.go), which calls CritBegin/CritEnd itself; sites
+// call CritBegin directly only for labels no other sink records over the
+// same extent. Every entry point is a single nil check when no recorder
+// is installed, so a run without one pays nothing and allocates nothing
+// (TestCritpathZeroAllocs).
 
 // SetCritRecorder installs a critical-path recorder: the kernel records
 // spawn/block/wake causality through it and instrumented subsystems add

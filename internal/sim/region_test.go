@@ -1,0 +1,111 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/caliper"
+	"repro/internal/critpath"
+	"repro/internal/trace"
+)
+
+// openPhase opens a phase and returns the call that closes it.
+type openPhase func(p *Proc, ann *caliper.Annotator, component, name string, class trace.Class) func(bytes int64, attr string) time.Duration
+
+func viaRegion(p *Proc, ann *caliper.Annotator, component, name string, class trace.Class) func(int64, string) time.Duration {
+	return p.Region(ann, component, name, class).End
+}
+
+// handHooks is the reference Region replaced: each sink's hook written
+// out by hand, in the order every instrumented site used.
+func handHooks(p *Proc, ann *caliper.Annotator, component, name string, class trace.Class) func(int64, string) time.Duration {
+	ann.Begin(name)
+	p.CritBegin(component, name, class)
+	start := p.Now()
+	return func(bytes int64, attr string) time.Duration {
+		d := p.Now() - start
+		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: component, Name: name,
+			Class: class, Start: start, Dur: d, Bytes: bytes, Attr: attr})
+		p.CritEnd()
+		ann.End(name)
+		return d
+	}
+}
+
+// regionRun is everything a phase recorder can change about a run.
+type regionRun struct {
+	spans    []trace.Span
+	graph    *critpath.Graph
+	path     *critpath.CritPath
+	profiles []*caliper.Profile
+	lengths  []time.Duration
+}
+
+// runRegions drives two processes through nested phases, a phase that
+// spans a Block/Wake, and a zero-length phase, with every sink on.
+func runRegions(t *testing.T, phase openPhase) regionRun {
+	t.Helper()
+	e := NewEngine(7)
+	rec := trace.NewRecorder()
+	e.SetRecorder(rec)
+	cp := critpath.NewRecorder()
+	e.SetCritRecorder(cp)
+	var out regionRun
+	var prodAnn, consAnn caliper.Annotator
+	consumer := e.Spawn("consumer", func(p *Proc) {
+		consAnn.Reset(p.Name(), p)
+		wait := phase(p, &consAnn, "workflow", "wait", trace.ClassIdle)
+		p.Block()
+		out.lengths = append(out.lengths, wait(0, "/f0"))
+		work := phase(p, &consAnn, "workflow", "analytics", trace.ClassCompute)
+		p.Sleep(2 * time.Millisecond)
+		out.lengths = append(out.lengths, work(0, ""))
+	})
+	e.Spawn("producer", func(p *Proc) {
+		prodAnn.Reset(p.Name(), p)
+		produce := phase(p, &prodAnn, "workflow", "produce", trace.ClassMovement)
+		write := phase(p, nil, "dev", "write", trace.ClassDetail)
+		p.Sleep(3 * time.Millisecond)
+		out.lengths = append(out.lengths, write(4096, "/f0"))
+		mark := phase(p, &prodAnn, "workflow", "mark", trace.ClassDetail)
+		out.lengths = append(out.lengths, mark(0, ""))
+		p.Sleep(time.Millisecond)
+		consumer.Wake()
+		out.lengths = append(out.lengths, produce(4096, "/f0"))
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	out.spans = rec.Spans()
+	out.graph = cp.Finish(e.Now())
+	out.path = critpath.Extract(out.graph)
+	out.profiles = []*caliper.Profile{prodAnn.Profile(), consAnn.Profile()}
+	return out
+}
+
+// Region records exactly what the hand-written hooks did: the same spans,
+// the same critical-path graph and path, the same caliper profiles, and
+// the same phase lengths.
+func TestRegionMatchesHandHooks(t *testing.T) {
+	ref := runRegions(t, handHooks)
+	got := runRegions(t, viaRegion)
+	if len(ref.spans) != 5 || ref.graph.Unclosed != 0 {
+		t.Fatalf("weak scenario: %d spans, %d unclosed regions", len(ref.spans), ref.graph.Unclosed)
+	}
+	if !reflect.DeepEqual(got.spans, ref.spans) {
+		t.Errorf("spans differ:\n got %+v\nwant %+v", got.spans, ref.spans)
+	}
+	if !reflect.DeepEqual(got.graph, ref.graph) {
+		t.Errorf("critical-path graphs differ:\n got %+v\nwant %+v", got.graph, ref.graph)
+	}
+	if !reflect.DeepEqual(got.path, ref.path) {
+		t.Errorf("critical paths differ:\n got %+v\nwant %+v", got.path, ref.path)
+	}
+	if !reflect.DeepEqual(got.profiles, ref.profiles) {
+		t.Errorf("caliper profiles differ:\n got %+v\nwant %+v", got.profiles, ref.profiles)
+	}
+	if !reflect.DeepEqual(got.lengths, ref.lengths) {
+		t.Errorf("phase lengths %v, want %v", got.lengths, ref.lengths)
+	}
+}

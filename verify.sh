@@ -154,7 +154,9 @@ cmp "$TRACETMP/out1.txt" "$TRACETMP/crep1_filtered.txt"
 echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
 # The span-tracer, metrics hooks, and capacity layer must be free when
 # disabled: the delta tests scale event/op counts ~100x and require zero
-# extra allocations. The core budget pins the per-run allocation count of
+# extra allocations; the sim delta tests run each event inside
+# sim.Proc.Region phases, so the region primitive is covered with every
+# sink off. The core budget pins the per-run allocation count of
 # a Fig5-shaped DYAD, XFS and Lustre run with every sink off; cleaning a
 # canonical path, a steady lock/unlock cycle and a warmed caliper
 # annotator's Reset and region cycle allocate nothing. The
