@@ -34,6 +34,8 @@ var digestCases = []digestCase{
 	},
 	{name: "headstart", flags: []string{"-quick", "-q", "-headstart", "375ms"}, ids: []string{"fig5", "fig6"}},
 	{name: "explain", flags: []string{"-q", "-quick", "-reps", "1", "-frames", "16"}, ids: []string{"explain", "fig5", "fig6"}},
+	{name: "calibrate", flags: []string{"-q", "-quick", "-reps", "1", "-frames", "16", "-budget", "6"}, ids: []string{"calibrate"}},
+	{name: "search", flags: []string{"-q", "-quick", "-reps", "1", "-frames", "16"}, ids: []string{"search", "xfs-beats-dyad", "fault-breaks-10x"}},
 }
 
 // TestOutputDigests is byte identity as a test: each case runs the command

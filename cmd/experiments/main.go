@@ -120,26 +120,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// calibrate/search/explain are subcommands, not experiments: they never
 	// join the append-only experiment list, so `all` output stays a stable
 	// prefix across builds.
-	if ids[0] == "explain" {
+	switch ids[0] {
+	case "explain", "calibrate", "search":
 		if *asJSON || *asCSV {
-			return usage("explain emits a text report only; -json/-csv are not supported")
+			return usage("%s emits a text report only; -json/-csv are not supported", ids[0])
 		}
-		if len(ids) < 2 {
-			return usage("explain needs a target (have %s)", explainTargetIDs())
+	}
+	if ids[0] == "explain" && len(ids) < 2 {
+		return usage("explain needs a target (have %s)", explainTargetIDs())
+	}
+
+	out := stdout
+	if *outPath != "" {
+		f, err := os.Create(*outPath)
+		if err != nil {
+			return fatal(err)
 		}
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		opts := repro.ExperimentOptions{
-			Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick,
-			Workers: *workers, ConsumerHeadStart: *headstart,
-		}
+		defer f.Close()
+		out = f
+	}
+
+	opts := repro.ExperimentOptions{
+		Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick,
+		Workers: *workers, ConsumerHeadStart: *headstart,
+	}
+	switch ids[0] {
+	case "explain":
 		for _, target := range ids[1:] {
 			rep, err := repro.ExplainBackends(target, opts)
 			if err != nil {
@@ -149,20 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(out)
 		}
 		return 0
-	}
-	if ids[0] == "calibrate" || ids[0] == "search" {
-		if *asJSON || *asCSV {
-			return usage("%s emits a text report only; -json/-csv are not supported", ids[0])
-		}
-		out := stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				return fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
+	case "calibrate", "search":
 		co := repro.CalibOptions{
 			Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick,
 			Workers: *workers, Budget: *budget,
@@ -180,17 +173,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-
-	opts := repro.ExperimentOptions{Reps: *reps, Frames: *frames, Seed: *seed, Quick: *quick, Workers: *workers, ConsumerHeadStart: *headstart}
 	if *traceOut != "" && *traceStrm != "" {
 		return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
 	}

@@ -19,6 +19,7 @@ import (
 
 	"repro"
 	"repro/internal/caliper"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/thicket"
 )
@@ -41,7 +42,7 @@ func main() {
 		real        = flag.Bool("real-frames", false, "encode/verify genuine frame payloads")
 		profiles    = flag.Bool("profiles", false, "print the ensembled Thicket call trees")
 		saveDir     = flag.String("save-profiles", "", "write per-process Caliper profiles (JSON) into this directory for cmd/thicketql")
-		tracePath   = flag.String("trace", "", "write a per-event execution timeline to this file")
+		tracePath   = flag.String("trace", "", "write the first repetition's per-event execution timeline to this file")
 	)
 	// Parse errors are one line on stderr (exit 2); -h still prints usage.
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
@@ -93,13 +94,22 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
+	if *reps < 1 {
+		fatal(fmt.Errorf("-reps must be >= 1 (got %d)", *reps))
+	}
 
 	fmt.Printf("config: %s\n", cfg.Label())
 	fmt.Printf("frame size: %d bytes, frequency: %v, nodes: %d\n",
 		model.FrameBytes(), cfg.Frequency(), cfg.ComputeNodes())
 
+	// The timeline is one repetition's, as the experiments trace only their
+	// first: repetitions run concurrently and would interleave in the file.
+	cfgs := core.RepeatConfigs(cfg, *reps)
+	for i := 1; i < len(cfgs); i++ {
+		cfgs[i].Trace = nil
+	}
 	start := time.Now()
-	results, err := repro.RepeatWorkers(cfg, *reps, *workers)
+	results, err := repro.RunMany(cfgs, *workers)
 	if err != nil {
 		fatal(err)
 	}

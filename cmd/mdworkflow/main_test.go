@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,5 +48,33 @@ func TestUnknownFlagIsOneLineUsageError(t *testing.T) {
 	}
 	if !strings.HasPrefix(errOut, "mdworkflow: ") || strings.Count(errOut, "\n") != 1 || !strings.Contains(errOut, "-pdes-j") {
 		t.Errorf("want one 'mdworkflow: ...' line naming -pdes-j on stderr, got %q", errOut)
+	}
+}
+
+// -trace writes the first repetition's timeline only: repetitions running
+// on parallel workers would otherwise interleave their lines in a
+// different order each time. Each of the 2 pairs' producer and consumer
+// logs one line per frame.
+func TestTraceIsOneRepetitionsTimeline(t *testing.T) {
+	const pairs, frames = 2, 4
+	var timelines [2][]byte
+	for i := range timelines {
+		path := filepath.Join(t.TempDir(), "timeline.txt")
+		code, _, errOut := command(t, "-backend", "DYAD", "-pairs", strconv.Itoa(pairs),
+			"-frames", strconv.Itoa(frames), "-reps", "4", "-j", "4", "-trace", path)
+		if code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, errOut)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timelines[i] = b
+	}
+	if !bytes.Equal(timelines[0], timelines[1]) {
+		t.Error("two identical invocations wrote different timelines")
+	}
+	if n := bytes.Count(timelines[0], []byte("\n")); n != 2*pairs*frames {
+		t.Errorf("timeline has %d lines, want 2*pairs*frames = %d", n, 2*pairs*frames)
 	}
 }

@@ -61,6 +61,15 @@ func (o Options) Defaults() Options {
 	return o
 }
 
+// sweep returns the experiment options that run o's protocol: its reps,
+// frames, seed and worker count, with every sink off.
+func (o Options) sweep() experiments.Options {
+	return experiments.Options{
+		Reps: o.Reps, Frames: o.Frames, Seed: o.Seed, Quick: o.Quick,
+		Workers: o.Workers,
+	}
+}
+
 // Fit is a completed calibration: the best point found, its objective
 // value, and the measurements backing it.
 type Fit struct {
@@ -209,10 +218,7 @@ func Calibrate(space Space, o Options) (*Fit, error) {
 	o = o.Defaults()
 	f := &fitter{
 		space: space, o: o,
-		eo: experiments.Options{
-			Reps: o.Reps, Frames: o.Frames, Seed: o.Seed, Quick: o.Quick,
-			Workers: o.Workers,
-		},
+		eo:      o.sweep(),
 		targets: Targets(!o.Quick),
 		full:    !o.Quick,
 		memo:    map[string]float64{},

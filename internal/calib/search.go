@@ -1,7 +1,6 @@
 package calib
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/models"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -84,27 +82,23 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 		}
 	}
 	// One flat batch: per scenario a DYAD variant and an XFS reference on
-	// the same strided model.
-	var cfgs []core.Config
+	// the same strided model, one repetition each.
+	var cells []experiments.Cell
 	for _, sc := range scenarios {
 		m := jac
 		m.Stride = sc.stride
 		dyCfg := core.Config{
 			Backend: core.DYAD, Model: m, Pairs: 4, SingleNode: true,
-			Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
 			ForceCoarseSync: sc.coarse,
 		}
 		if sc.ablated {
 			params := noAll
 			dyCfg.DYADOverride = &params
 		}
-		xfCfg := core.Config{
-			Backend: core.XFS, Model: m, Pairs: 4, SingleNode: true,
-			Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-		}
-		cfgs = append(cfgs, dyCfg, xfCfg)
+		xfCfg := core.Config{Backend: core.XFS, Model: m, Pairs: 4, SingleNode: true}
+		cells = append(cells, experiments.Cell{Cfg: dyCfg, Reps: 1}, experiments.Cell{Cfg: xfCfg, Reps: 1})
 	}
-	results, err := core.RunMany(cfgs, o.Workers)
+	results, err := o.sweep().Run(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +114,7 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 	}
 	var hits []hit
 	for i, sc := range scenarios {
-		dy, xf := results[2*i], results[2*i+1]
+		dy, xf := results[2*i][0], results[2*i+1][0]
 		dyCons := dy.Consumer.Sum().Seconds()
 		xfCons := xf.Consumer.Sum().Seconds()
 		ratio := stats.Ratio(xfCons, dyCons)
@@ -173,20 +167,15 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 	const pairs = 8
 	base := faults.Spec{DeviceStalls: 1, LinkDegrades: 2, LinkOutages: 1, BrokerCrashes: 1}
 
-	// meanCons runs reps of cfg on the RepeatWorkers seed schedule and
-	// returns the mean consumption over survivors (NaN if none survive).
+	// meanCons runs o.Reps repetitions of cfg and returns the mean
+	// consumption over survivors (NaN if none survive).
 	meanCons := func(cfg core.Config) (float64, int, error) {
-		cfgs := make([]core.Config, o.Reps)
-		for rep := range cfgs {
-			cfgs[rep] = cfg
-			cfgs[rep].Seed = o.Seed + uint64(rep)*0x9e3779b9
-		}
-		results, err := core.RunMany(cfgs, o.Workers)
-		if err := tolerateKills(err); err != nil {
+		results, err := o.sweep().Run([]experiments.Cell{{Cfg: cfg}}, experiments.SearchKills...)
+		if err != nil {
 			return 0, 0, err
 		}
 		sum, ok := 0.0, 0
-		for _, res := range results {
+		for _, res := range results[0] {
 			if res == nil {
 				continue
 			}
@@ -196,11 +185,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 		return stats.Ratio(sum, float64(ok)), o.Reps - ok, nil
 	}
 
-	luCfg := core.Config{
-		Backend: core.Lustre, Model: jac, Pairs: pairs, Frames: o.Frames,
-		ComputeJitter: 0.004, LustreNoise: true,
-	}
-	luCons, _, err := meanCons(luCfg)
+	luCons, _, err := meanCons(core.Config{Backend: core.Lustre, Model: jac, Pairs: pairs})
 	if err != nil {
 		return nil, err
 	}
@@ -213,11 +198,7 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 	}
 	probe := func(rate float64) (broken bool, err error) {
 		spec := base.Scale(rate)
-		cfg := core.Config{
-			Backend: core.DYAD, Model: jac, Pairs: pairs, Frames: o.Frames,
-			ComputeJitter:  0.004,
-			LustreFallback: true,
-		}
+		cfg := core.Config{Backend: core.DYAD, Model: jac, Pairs: pairs, LustreFallback: true}
 		if rate > 0 {
 			cfg.Faults = &spec
 		}
@@ -281,24 +262,4 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 	r.Notes = append(r.Notes,
 		"fault plans are pure functions of (spec, seed): the bisection path and every cell are byte-identical for any -j")
 	return r, nil
-}
-
-// tolerateKills filters a RunMany batch error down to the sentinels an
-// injected fault can legitimately kill a run with; anything else aborts
-// the search.
-func tolerateKills(err error) error {
-	if err == nil {
-		return nil
-	}
-	errs := []error{err}
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		errs = joined.Unwrap()
-	}
-	for _, e := range errs {
-		if !errors.Is(e, faults.ErrDeviceFailed) && !errors.Is(e, faults.ErrExhausted) &&
-			!errors.Is(e, sim.ErrWatchdog) {
-			return e
-		}
-	}
-	return nil
 }

@@ -325,6 +325,10 @@ func (c Config) Label() string {
 	if c.SingleNode {
 		placement = "single-node"
 	}
-	return fmt.Sprintf("%s/%s pairs=%d stride=%d frames=%d %s",
+	label := fmt.Sprintf("%s/%s pairs=%d stride=%d frames=%d %s",
 		c.Backend, c.Model.Name, c.Pairs, c.EffectiveStride(), c.Frames, placement)
+	if c.StragglerFactor > 1 {
+		label += fmt.Sprintf(" straggler=%gx", c.StragglerFactor)
+	}
+	return label
 }

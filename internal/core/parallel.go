@@ -244,12 +244,17 @@ func runIndexed(i int, cfg Config, pool *runPool) (res *Result, err error) {
 // RepeatWorkers use. Callers that need to adjust individual repetitions
 // (e.g. enable span tracing on one) can edit the slice before RunMany.
 func RepeatConfigs(cfg Config, reps int) []Config {
-	cfgs := make([]Config, reps)
-	for i := range cfgs {
-		cfgs[i] = cfg
-		cfgs[i].Seed = cfg.Seed + uint64(i)*0x9e3779b9
+	return AppendRepeats(make([]Config, 0, reps), cfg, reps)
+}
+
+// AppendRepeats appends RepeatConfigs(cfg, reps) to dst, so a sweep can
+// lay every configuration's repetitions into one batch.
+func AppendRepeats(dst []Config, cfg Config, reps int) []Config {
+	for i := 0; i < reps; i++ {
+		dst = append(dst, cfg)
+		dst[len(dst)-1].Seed = cfg.Seed + uint64(i)*0x9e3779b9
 	}
-	return cfgs
+	return dst
 }
 
 // RepeatWorkers runs cfg reps times with distinct seeds, fanning the

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/capacity"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -86,47 +84,17 @@ func CapSweep(o Options) (*Report, error) {
 		return fmt.Sprintf("%gW", mult)
 	}
 
-	// One flat batch over (setup, cap, rep), exactly like faultsweep: every
-	// run is independent and fans across the worker pool at once, with the
-	// RepeatWorkers seed schedule per repetition index.
+	// One flat batch over (setup, cap), exactly like faultsweep: every run
+	// is independent and fans across the worker pool at once.
 	type key struct{ setup, cap int }
 	var keys []key
-	var cfgs []core.Config
-	var traceLabels []string
-	addCell := func(k key, cfg core.Config, label string) {
-		for rep := 0; rep < o.Reps; rep++ {
-			c := cfg
-			c.Seed = o.Seed + uint64(rep)*0x9e3779b9
-			lbl := ""
-			if rep == 0 && (o.Trace != nil || o.Metrics != nil || o.CritPath != nil) {
-				lbl = label
-				if o.Trace != nil {
-					c.RecordSpans = true
-				}
-				if o.Metrics != nil {
-					c.MetricsInterval = o.Metrics.SampleInterval()
-				}
-				if o.CritPath != nil {
-					c.CritPath = true
-				}
-			}
-			keys = append(keys, k)
-			cfgs = append(cfgs, c)
-			traceLabels = append(traceLabels, lbl)
-		}
-	}
+	var cells []Cell
 	for si, s := range setups {
 		for ci, mult := range s.caps {
 			cfg := core.Config{
-				Backend: s.backend, Model: jac, Pairs: s.pairs,
-				SingleNode: s.single, Frames: o.Frames,
-				ComputeJitter:     0.004,
-				ConsumerHeadStart: o.ConsumerHeadStart,
+				Backend: s.backend, Model: jac, Pairs: s.pairs, SingleNode: s.single,
 			}
-			switch s.backend {
-			case core.Lustre:
-				cfg.LustreNoise = true
-			case core.DYAD:
+			if s.backend == core.DYAD {
 				cfg.LustreFallback = s.mirror
 				// The mirror is the same busy shared filesystem the Lustre
 				// baseline runs on: spilled frames are fetched through the
@@ -139,36 +107,22 @@ func CapSweep(o Options) (*Report, error) {
 					Policy:       s.policy,
 				}
 			}
-			addCell(key{si, ci}, cfg, fmt.Sprintf("cap %s %s", s.name, capLabel(mult)))
+			keys = append(keys, key{si, ci})
+			cells = append(cells, Cell{Cfg: cfg, Label: fmt.Sprintf("cap %s %s", s.name, capLabel(mult))})
 		}
 	}
 	// The ENOSPC cell: a budget smaller than a single frame can never stage
 	// anything; every producer write fails fast with capacity.ErrNoSpace.
 	nospaceKey := key{len(setups), 0}
-	addCell(nospaceKey, core.Config{
+	keys = append(keys, nospaceKey)
+	cells = append(cells, Cell{Cfg: core.Config{
 		Backend: core.XFS, Model: jac, Pairs: pairsXFS, SingleNode: true,
-		Frames: o.Frames, ComputeJitter: 0.004,
-		ConsumerHeadStart: o.ConsumerHeadStart,
-		Capacity:          &capacity.Spec{StagingBytes: frame / 2},
-	}, "cap XFS half-frame")
+		Capacity: &capacity.Spec{StagingBytes: frame / 2},
+	}, Label: "cap XFS half-frame"})
 
-	results, err := core.RunMany(cfgs, o.Workers)
-	if err := tolerateCapacityKills(err); err != nil {
+	results, err := o.Run(cells, CapacityKills...)
+	if err != nil {
 		return nil, err
-	}
-	for i, label := range traceLabels {
-		if label == "" {
-			continue
-		}
-		if o.Trace != nil {
-			o.Trace.Add(label, results[i:i+1])
-		}
-		if o.Metrics != nil {
-			o.Metrics.Add(label, results[i:i+1])
-		}
-		if o.CritPath != nil {
-			o.CritPath.Add(label, results[i:i+1])
-		}
 	}
 
 	r := &Report{
@@ -186,29 +140,28 @@ func CapSweep(o Options) (*Report, error) {
 		evict, spillMB, degradedMB, stallSecs float64
 		readMB                                float64
 	}
-	cells := map[key]*cell{}
-	for i, res := range results {
-		c := cells[keys[i]]
-		if c == nil {
-			c = &cell{}
-			cells[keys[i]] = c
+	cellOf := map[key]*cell{}
+	for i, reps := range results {
+		c := &cell{}
+		cellOf[keys[i]] = c
+		for _, res := range reps {
+			if res == nil {
+				c.failed++
+				continue
+			}
+			c.ok++
+			c.makespan += res.Makespan.Seconds()
+			c.prodMove += res.Producer.Movement.Seconds()
+			c.consMove += res.Consumer.Movement.Seconds()
+			c.evict += float64(res.Capacity.Evictions + res.Capacity.CacheEvictions)
+			c.spillMB += float64(res.Capacity.SpilledBytes) / (1 << 20)
+			c.degradedMB += float64(res.Recovery.DegradedBytes) / (1 << 20)
+			c.stallSecs += res.Capacity.StallTime().Seconds()
+			c.readMB += float64(res.BytesRead) / (1 << 20)
 		}
-		if res == nil {
-			c.failed++
-			continue
-		}
-		c.ok++
-		c.makespan += res.Makespan.Seconds()
-		c.prodMove += res.Producer.Movement.Seconds()
-		c.consMove += res.Consumer.Movement.Seconds()
-		c.evict += float64(res.Capacity.Evictions + res.Capacity.CacheEvictions)
-		c.spillMB += float64(res.Capacity.SpilledBytes) / (1 << 20)
-		c.degradedMB += float64(res.Recovery.DegradedBytes) / (1 << 20)
-		c.stallSecs += res.Capacity.StallTime().Seconds()
-		c.readMB += float64(res.BytesRead) / (1 << 20)
 	}
 	mean := func(c *cell, sum float64) float64 { return sum / float64(c.ok) }
-	lustre := cells[key{0, 0}]
+	lustre := cellOf[key{0, 0}]
 	baseCons := 0.0
 	if lustre.ok > 0 {
 		baseCons = mean(lustre, lustre.consMove)
@@ -241,17 +194,17 @@ func CapSweep(o Options) (*Report, error) {
 	}
 	for si, s := range setups {
 		for ci, mult := range s.caps {
-			row(s.name, capLabel(mult), cells[key{si, ci}])
+			row(s.name, capLabel(mult), cellOf[key{si, ci}])
 		}
 	}
-	row("XFS lru", "0.5frame", cells[nospaceKey])
+	row("XFS lru", "0.5frame", cellOf[nospaceKey])
 
 	// Headlines: how fast does the consumer data-movement speedup decay as
 	// the budget shrinks, and where does DYAD's data movement cross over to
 	// the shared filesystem?
 	dySetup := setups[1]
 	last := len(dySetup.caps) - 1
-	c0, c1 := cells[key{1, 0}], cells[key{1, last}]
+	c0, c1 := cellOf[key{1, 0}], cellOf[key{1, last}]
 	if baseCons > 0 && c0.ok > 0 && c1.ok > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"DYAD+mirror consumer data-movement speedup decays monotonically from %.1fx (inf) to %.1fx (%s) as spills push reads to the mirror — the capacity axis erodes the node-local term of DYAD's advantage; the synchronization term (idle time) survives starvation",
@@ -265,7 +218,7 @@ func CapSweep(o Options) (*Report, error) {
 		}
 	}
 	for ci := range dySetup.caps {
-		c := cells[key{1, ci}]
+		c := cellOf[key{1, ci}]
 		if c.ok == 0 || c.readMB == 0 {
 			continue
 		}
@@ -283,26 +236,4 @@ func CapSweep(o Options) (*Report, error) {
 		"extends the paper: finite burst-buffer capacity; not a paper figure",
 	)
 	return r, nil
-}
-
-// tolerateCapacityKills filters a RunMany batch error: runs killed by
-// capacity starvation (their chains wrap capacity.ErrNoSpace or
-// capacity.ErrEvicted, the latter possibly via faults.ErrExhausted after
-// the degraded-read ladder) are expected sweep outcomes; anything else is a
-// real failure and aborts.
-func tolerateCapacityKills(err error) error {
-	if err == nil {
-		return nil
-	}
-	errs := []error{err}
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		errs = joined.Unwrap()
-	}
-	for _, e := range errs {
-		if !errors.Is(e, capacity.ErrNoSpace) && !errors.Is(e, capacity.ErrEvicted) &&
-			!errors.Is(e, faults.ErrExhausted) {
-			return e
-		}
-	}
-	return nil
 }

@@ -133,22 +133,6 @@ func ExplainTargets() []ExplainTarget {
 	}
 }
 
-// critConfig applies runAgg's per-run option plumbing to one explain side
-// and turns critical-path recording on.
-func critConfig(cfg core.Config, o Options) core.Config {
-	cfg.Frames = o.Frames
-	cfg.Seed = o.Seed
-	if cfg.ConsumerHeadStart == 0 {
-		cfg.ConsumerHeadStart = o.ConsumerHeadStart
-	}
-	cfg.ComputeJitter = 0.004
-	if cfg.Backend == core.Lustre {
-		cfg.LustreNoise = true
-	}
-	cfg.CritPath = true
-	return cfg
-}
-
 // Explain runs one workload under DYAD and under the target's traditional
 // backend with critical-path recording on, extracts both gating chains,
 // and diffs them edge-by-edge: every makespan-gap contribution is
@@ -176,15 +160,16 @@ func Explain(targetID string, o Options) (*Report, error) {
 
 	a := target.Base
 	a.Backend = core.DYAD
-	b := target.Base
+	a.CritPath = true
+	b := a
 	b.Backend = target.Other
-	cfgs := []core.Config{critConfig(a, o), critConfig(b, o)}
-	results, err := core.RunMany(cfgs, o.Workers)
+	runs, err := o.Run([]Cell{{Cfg: a, Reps: 1}, {Cfg: b, Reps: 1}})
 	if err != nil {
 		return nil, err
 	}
+	resA, resB := runs[0][0], runs[1][0]
 	labelA, labelB := core.DYAD.String(), target.Other.String()
-	diff := critpath.Diff(labelA, results[0].Crit.Path, labelB, results[1].Crit.Path)
+	diff := critpath.Diff(labelA, resA.Crit.Path, labelB, resB.Crit.Path)
 
 	r := &Report{
 		ID:      "explain:" + target.ID,
@@ -217,8 +202,8 @@ func Explain(targetID string, o Options) (*Report, error) {
 	}
 	// The consumption-ratio headline next to the edge it decomposes into:
 	// the paper's "how big", this report's "where from".
-	consA := results[0].Consumer.Sum().Seconds()
-	consB := results[1].Consumer.Sum().Seconds()
+	consA := resA.Consumer.Sum().Seconds()
+	consB := resB.Consumer.Sum().Seconds()
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"%s/%s overall consumption: %s (paper Fig 5-6 headline ratio decomposed above)",
 		labelB, labelA, stats.FormatRatioPrec(stats.Ratio(consB, consA), 1)))

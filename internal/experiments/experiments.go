@@ -218,63 +218,13 @@ func mustModel(name string) models.Model {
 	return m
 }
 
-// runAgg runs a config Reps times and aggregates.
+// runAgg runs a config Reps times through Options.Run and aggregates.
 func runAgg(cfg core.Config, o Options) (core.Aggregate, error) {
-	cfg.Frames = o.Frames
-	cfg.Seed = o.Seed
-	if cfg.ConsumerHeadStart == 0 {
-		// Option-level default only: a calibration tune hook that already
-		// set the per-config head start wins over the -headstart flag.
-		cfg.ConsumerHeadStart = o.ConsumerHeadStart
-	}
-	cfg.ComputeJitter = 0.004
-	if cfg.Backend == core.Lustre {
-		cfg.LustreNoise = true
-	}
-	cfgs := core.RepeatConfigs(cfg, o.Reps)
-	if o.Trace != nil {
-		// Trace the first repetition only: one representative timeline per
-		// configuration keeps trace volume linear in the sweep, and the
-		// schedule keeps every rep's seed identical to the untraced run.
-		cfgs[0].RecordSpans = true
-	} else if o.TraceStream != nil {
-		// Streaming variant of the same policy. Only the first repetition
-		// writes to the stream and configuration batches run sequentially,
-		// so the shared stream has one writer at a time and its run order
-		// matches buffered collection order.
-		cfgs[0].TraceStream = o.TraceStream
-	}
-	if o.CritPath != nil {
-		// Record the dependency graph on the first repetition only,
-		// mirroring the trace policy: one representative gating chain per
-		// configuration, with every rep's seed identical to the unrecorded
-		// run.
-		cfgs[0].CritPath = true
-	}
-	if o.Metrics != nil {
-		// Sample the first repetition only, mirroring the trace policy; a
-		// rep that is both traced and sampled gets its counter tracks merged
-		// into the Chrome trace.
-		cfgs[0].MetricsInterval = o.Metrics.SampleInterval()
-	} else if o.MetricsStream != nil {
-		cfgs[0].MetricsInterval = o.MetricsStream.SampleInterval()
-		cfgs[0].MetricsSink = o.MetricsStream.Sink
-		cfgs[0].MetricsRunLabel = o.MetricsStream.runLabel(cfg.Label())
-	}
-	results, err := core.RunMany(cfgs, o.Workers)
+	results, err := o.Run([]Cell{{Cfg: cfg}})
 	if err != nil {
 		return core.Aggregate{}, err
 	}
-	if o.Trace != nil {
-		o.Trace.Add(cfg.Label(), results)
-	}
-	if o.Metrics != nil {
-		o.Metrics.Add(cfg.Label(), results)
-	}
-	if o.CritPath != nil {
-		o.CritPath.Add(cfg.Label(), results)
-	}
-	return core.Aggregated(results), nil
+	return core.Aggregated(results[0]), nil
 }
 
 // fmtMS renders a seconds summary as mean±std.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // quickOpts keeps experiment tests fast while exercising the full paths.
@@ -109,6 +110,28 @@ func TestFig10TreesShowExplicitSync(t *testing.T) {
 	for _, tree := range rep.Trees {
 		if !strings.Contains(tree, "explicit_sync") {
 			t.Error("tree missing explicit_sync")
+		}
+	}
+}
+
+// The head start is part of the sweep protocol, so it reaches the call-tree
+// figures too: delaying each consumer changes what it waits for.
+func TestHeadStartReachesCallTreeFigures(t *testing.T) {
+	render := func(run func(Options) (*Report, error), headStart time.Duration) string {
+		t.Helper()
+		o := quickOpts()
+		o.ConsumerHeadStart = headStart
+		rep, err := run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		rep.Render(&buf)
+		return buf.String()
+	}
+	for id, run := range map[string]func(Options) (*Report, error){"fig9": Fig9, "fig10": Fig10} {
+		if render(run, 0) == render(run, 375*time.Millisecond) {
+			t.Errorf("%s: report unchanged by a 375ms consumer head start", id)
 		}
 	}
 }

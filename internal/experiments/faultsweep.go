@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -50,71 +49,28 @@ func FaultSweep(o Options) (*Report, error) {
 			MeanOutage: 1500 * time.Millisecond}},
 	}
 
-	// One flat batch over (backend, rate, rep): every run is independent, so
-	// the whole sweep fans across the worker pool at once. Seeds follow the
-	// RepeatWorkers schedule so a cell's reps match a standalone Repeat.
+	// One flat batch over (backend, rate): every run is independent, so the
+	// whole sweep fans across the worker pool at once. The fault plan is
+	// seed-deterministic, so a cell's observed first repetition's recovery
+	// spans line up with its metrics exactly.
 	type key struct{ setup, rate int }
 	var keys []key
-	var cfgs []core.Config
-	var traceLabels []string
+	var cells []Cell
 	for si, s := range setups {
 		for ri, rate := range rates {
 			spec := s.spec.Scale(rate)
-			for rep := 0; rep < o.Reps; rep++ {
-				cfg := core.Config{
-					Backend: s.backend, Model: jac, Pairs: s.pairs,
-					SingleNode: s.single, Frames: o.Frames,
-					Seed:              o.Seed + uint64(rep)*0x9e3779b9,
-					ComputeJitter:     0.004,
-					ConsumerHeadStart: o.ConsumerHeadStart,
-					Faults:            &spec,
-				}
-				switch s.backend {
-				case core.Lustre:
-					cfg.LustreNoise = true
-				case core.DYAD:
-					cfg.LustreFallback = true
-				}
-				label := ""
-				if rep == 0 && (o.Trace != nil || o.Metrics != nil || o.CritPath != nil) {
-					// One traced/metered/recorded rep per (backend, rate)
-					// cell: the fault plan is seed-deterministic, so the
-					// traced rep's recovery spans line up with the cell's
-					// rep-0 metrics exactly.
-					label = fmt.Sprintf("faults %s %gx", s.backend, rate)
-					if o.Trace != nil {
-						cfg.RecordSpans = true
-					}
-					if o.Metrics != nil {
-						cfg.MetricsInterval = o.Metrics.SampleInterval()
-					}
-					if o.CritPath != nil {
-						cfg.CritPath = true
-					}
-				}
-				keys = append(keys, key{si, ri})
-				cfgs = append(cfgs, cfg)
-				traceLabels = append(traceLabels, label)
+			cfg := core.Config{
+				Backend: s.backend, Model: jac, Pairs: s.pairs,
+				SingleNode: s.single, Faults: &spec,
+				LustreFallback: s.backend == core.DYAD,
 			}
+			keys = append(keys, key{si, ri})
+			cells = append(cells, Cell{Cfg: cfg, Label: fmt.Sprintf("faults %s %gx", s.backend, rate)})
 		}
 	}
-	results, err := core.RunMany(cfgs, o.Workers)
-	if err := tolerateFaultKills(err); err != nil {
+	results, err := o.Run(cells, FaultKills...)
+	if err != nil {
 		return nil, err
-	}
-	for i, label := range traceLabels {
-		if label == "" {
-			continue
-		}
-		if o.Trace != nil {
-			o.Trace.Add(label, results[i:i+1])
-		}
-		if o.Metrics != nil {
-			o.Metrics.Add(label, results[i:i+1])
-		}
-		if o.CritPath != nil {
-			o.CritPath.Add(label, results[i:i+1])
-		}
 	}
 
 	r := &Report{
@@ -129,26 +85,25 @@ func FaultSweep(o Options) (*Report, error) {
 		makespan, cons                                          float64
 		timeouts, retries, failovers, degradedMB, recovery, inj float64
 	}
-	cells := map[key]*cell{}
-	for i, res := range results {
-		c := cells[keys[i]]
-		if c == nil {
-			c = &cell{}
-			cells[keys[i]] = c
+	cellOf := map[key]*cell{}
+	for i, reps := range results {
+		c := &cell{}
+		cellOf[keys[i]] = c
+		for _, res := range reps {
+			if res == nil {
+				c.failed++
+				continue
+			}
+			c.ok++
+			c.makespan += res.Makespan.Seconds()
+			c.cons += res.Consumer.Sum().Seconds()
+			c.timeouts += float64(res.Recovery.Timeouts)
+			c.retries += float64(res.Recovery.Retries)
+			c.failovers += float64(res.Recovery.Failovers)
+			c.degradedMB += float64(res.Recovery.DegradedBytes) / (1 << 20)
+			c.recovery += res.Recovery.RecoveryTime.Seconds()
+			c.inj += float64(res.Recovery.Injected)
 		}
-		if res == nil {
-			c.failed++
-			continue
-		}
-		c.ok++
-		c.makespan += res.Makespan.Seconds()
-		c.cons += res.Consumer.Sum().Seconds()
-		c.timeouts += float64(res.Recovery.Timeouts)
-		c.retries += float64(res.Recovery.Retries)
-		c.failovers += float64(res.Recovery.Failovers)
-		c.degradedMB += float64(res.Recovery.DegradedBytes) / (1 << 20)
-		c.recovery += res.Recovery.RecoveryTime.Seconds()
-		c.inj += float64(res.Recovery.Injected)
 	}
 	// meanMakespan is the per-cell mean over surviving reps (NaN if none —
 	// a cell with no survivors has no defined makespan, and downstream
@@ -161,7 +116,7 @@ func FaultSweep(o Options) (*Report, error) {
 	}
 	for si, s := range setups {
 		for ri, rate := range rates {
-			c := cells[key{si, ri}]
+			c := cellOf[key{si, ri}]
 			row := []string{s.backend.String(), fmt.Sprintf("%gx", rate)}
 			if c.ok == 0 {
 				row = append(row, "-", "-", "-", "-", "-", "-", "-")
@@ -185,8 +140,8 @@ func FaultSweep(o Options) (*Report, error) {
 	// The headline is always emitted: a backend whose every rep died at
 	// some rate reports "n/a" for its inflation instead of vanishing.
 	last := len(rates) - 1
-	dy0, dy4 := cells[key{0, 0}], cells[key{0, last}]
-	lu0, lu4 := cells[key{2, 0}], cells[key{2, last}]
+	dy0, dy4 := cellOf[key{0, 0}], cellOf[key{0, last}]
+	lu0, lu4 := cellOf[key{2, 0}], cellOf[key{2, last}]
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"makespan inflation at %gx faults — DYAD: %s, Lustre: %s",
 		rates[last],
@@ -194,7 +149,7 @@ func FaultSweep(o Options) (*Report, error) {
 		stats.FormatRatioPrec(stats.Ratio(meanMakespan(lu4), meanMakespan(lu0)), 2)))
 	xfsFailed := 0
 	for ri := range rates {
-		xfsFailed += cells[key{1, ri}].failed
+		xfsFailed += cellOf[key{1, ri}].failed
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("XFS runs killed by device failure: %d of %d (no redundancy below node-local XFS; errors wrap faults.ErrDeviceFailed)", xfsFailed, len(rates)*o.Reps),
@@ -203,23 +158,4 @@ func FaultSweep(o Options) (*Report, error) {
 		"extends the paper: fault injection; not a paper figure",
 	)
 	return r, nil
-}
-
-// tolerateFaultKills filters a RunMany batch error: runs killed by an
-// injected fault (their chains wrap the faults package sentinels) are
-// expected sweep outcomes; anything else is a real failure and aborts.
-func tolerateFaultKills(err error) error {
-	if err == nil {
-		return nil
-	}
-	errs := []error{err}
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		errs = joined.Unwrap()
-	}
-	for _, e := range errs {
-		if !errors.Is(e, faults.ErrDeviceFailed) && !errors.Is(e, faults.ErrExhausted) {
-			return e
-		}
-	}
-	return nil
 }

@@ -65,31 +65,16 @@ func Fig8(o Options) (*Report, error) {
 // consumerEnsemble runs one fig8-style configuration with profiles kept and
 // ensembles the consumer call trees across pairs and repetitions.
 func consumerEnsemble(b core.Backend, model models.Model, o Options) (*thicket.Ensemble, error) {
-	cfg := core.Config{
-		Backend: b, Model: model, Pairs: fig8Pairs,
-		Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-		KeepProfiles: true,
-	}
-	if b == core.Lustre {
-		cfg.LustreNoise = true
-	}
-	var profiles []*caliper.Profile
-	reps := o.Reps
-	if reps > 3 {
-		reps = 3 // trees are stable; keep profile memory bounded
-	}
-	cfgs := core.RepeatConfigs(cfg, reps)
-	if o.Trace != nil {
-		cfgs[0].RecordSpans = true
-	}
-	results, err := core.RunMany(cfgs, o.Workers)
+	// Trees are stable across repetitions; three keep profile memory bounded.
+	results, err := o.Run([]Cell{{
+		Cfg:  core.Config{Backend: b, Model: model, Pairs: fig8Pairs, KeepProfiles: true},
+		Reps: min(o.Reps, 3),
+	}})
 	if err != nil {
 		return nil, err
 	}
-	if o.Trace != nil {
-		o.Trace.Add(cfg.Label(), results)
-	}
-	for _, res := range results {
+	var profiles []*caliper.Profile
+	for _, res := range results[0] {
 		profiles = append(profiles, res.ConsumerProfiles...)
 	}
 	return thicket.FromProfiles(profiles), nil

@@ -64,20 +64,25 @@ func (c *MetricsCollector) SetScope(id string) {
 // shift, or "-" when the series stays in one regime.
 var dashboardCols = []string{"config", "resource", "activity", "mean", "peak", "p99", "shift@"}
 
-// Add records every result in the batch that carries sampled metrics: one
-// exporter run each, plus one dashboard row per dashboard-marked series.
-// Results without samples (unmetered repetitions, runs killed by an
-// injected fault) are skipped.
+// Add records every result in the batch that was metered: one exporter run
+// each, plus one dashboard row per dashboard-marked series. Results without
+// a registry (unmetered repetitions, runs killed by an injected fault) are
+// skipped. A metered run that ended before its first sample boundary is
+// exported as a header-only block, as the streaming sink writes it, and
+// has no dashboard rows.
 func (c *MetricsCollector) Add(label string, results []*core.Result) {
 	if c.scope != "" {
 		label = c.scope + " " + label
 	}
 	for _, res := range results {
-		if res == nil || res.Metrics.Len() == 0 {
+		if res == nil || res.Metrics == nil {
 			continue
 		}
 		c.Runs = append(c.Runs, metrics.Run{Label: label, Reg: res.Metrics})
 		times := res.Metrics.Times()
+		if len(times) == 0 {
+			continue
+		}
 		for _, s := range res.Metrics.Series() {
 			if s.Dash {
 				c.rows = append(c.rows, dashboardRow(label, s, times))

@@ -29,46 +29,29 @@ func Straggler(o Options) (*Report, error) {
 		b        core.Backend
 		injected bool
 	}
-	// All four runs are independent: batch them through the worker pool.
+	// All four runs are distinct configurations: one batch, one repetition
+	// each, every one observed by the sinks.
 	var keys []key
-	var cfgs []core.Config
+	var cells []Cell
 	for _, b := range []core.Backend{core.DYAD, core.Lustre} {
 		for _, injected := range []bool{false, true} {
-			cfg := core.Config{
-				Backend: b, Model: jac, Pairs: pairs,
-				Frames: o.Frames, Seed: o.Seed, ComputeJitter: 0.004,
-				ConsumerHeadStart: o.ConsumerHeadStart,
-				KeepProfiles:      true,
-			}
-			if b == core.Lustre {
-				cfg.LustreNoise = true
-			}
+			cfg := core.Config{Backend: b, Model: jac, Pairs: pairs, KeepProfiles: true}
 			if injected {
 				cfg.StragglerFactor = factor
 			}
-			if o.Trace != nil {
-				// All four runs are distinct configurations; trace each so
-				// the straggler's recovery-free skew is visible per process.
-				cfg.RecordSpans = true
-			}
 			keys = append(keys, key{b, injected})
-			cfgs = append(cfgs, cfg)
+			cells = append(cells, Cell{Cfg: cfg, Reps: 1})
 		}
 	}
-	runs, err := core.RunMany(cfgs, o.Workers)
+	runs, err := o.Run(cells)
 	if err != nil {
 		return nil, err
-	}
-	if o.Trace != nil {
-		for i, res := range runs {
-			o.Trace.Add(fmt.Sprintf("straggler %s injected=%v", keys[i].b, keys[i].injected), []*core.Result{res})
-		}
 	}
 	results := map[key][2]float64{} // mean, worst (seconds)
 	for i, res := range runs {
 		k := keys[i]
 		var sum, worst float64
-		for _, prof := range res.ConsumerProfiles {
+		for _, prof := range res[0].ConsumerProfiles {
 			t := core.SplitConsumer(k.b, prof).Sum().Seconds()
 			sum += t
 			if t > worst {
