@@ -10,7 +10,8 @@ import (
 
 // runCalibSubcommand handles the calibrate and search subcommands. Fit
 // and search reports go to out (stdout or -o) and are byte-identical for
-// any -j; progress goes to stderr and is suppressed by -q.
+// any -j; progress goes to stderr and is suppressed by -q. run has
+// already checked rest: calibrate takes none, search at least one goal.
 func runCalibSubcommand(cmd string, rest []string, co repro.CalibOptions, out, stderr io.Writer, quiet bool) int {
 	fatal := func(err error) int {
 		fmt.Fprintln(stderr, "experiments:", err)
@@ -18,10 +19,6 @@ func runCalibSubcommand(cmd string, rest []string, co repro.CalibOptions, out, s
 	}
 	switch cmd {
 	case "calibrate":
-		if len(rest) > 0 {
-			fmt.Fprintf(stderr, "experiments: calibrate takes no further arguments (got %v)\n", rest)
-			return 2
-		}
 		eff := co.Defaults()
 		if !quiet {
 			fmt.Fprintf(stderr, "calibrate (reps=%d frames=%d budget=%d quick=%v) ...",
@@ -42,13 +39,6 @@ func runCalibSubcommand(cmd string, rest []string, co repro.CalibOptions, out, s
 		return 0
 
 	case "search":
-		if len(rest) == 0 {
-			fmt.Fprintln(stderr, "experiments: search needs a goal id:")
-			for _, g := range repro.CalibGoals() {
-				fmt.Fprintf(stderr, "  %-18s %s\n", g.ID, g.Title)
-			}
-			return 2
-		}
 		for i, id := range rest {
 			if !quiet {
 				fmt.Fprintf(stderr, "[%d/%d] search %s ...", i+1, len(rest), id)

@@ -32,6 +32,12 @@ var digestCases = []digestCase{
 		files: []string{"trace", "metrics", "metrics-prom", "critpath"},
 		ids:   []string{"fig5", "fig6", "fig9", "fig10", "faultsweep"},
 	},
+	{
+		name:  "capacity",
+		flags: []string{"-quick", "-q"},
+		files: []string{"trace", "metrics", "metrics-prom", "critpath"},
+		ids:   []string{"capsweep"},
+	},
 	{name: "headstart", flags: []string{"-quick", "-q", "-headstart", "375ms"}, ids: []string{"fig5", "fig6"}},
 	{name: "explain", flags: []string{"-q", "-quick", "-reps", "1", "-frames", "16"}, ids: []string{"explain", "fig5", "fig6"}},
 	{name: "calibrate", flags: []string{"-q", "-quick", "-reps", "1", "-frames", "16", "-budget", "6"}, ids: []string{"calibrate"}},

@@ -119,15 +119,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// calibrate/search/explain are subcommands, not experiments: they never
 	// join the append-only experiment list, so `all` output stays a stable
-	// prefix across builds.
+	// prefix across builds. Every argument is checked here, before -o
+	// creates its file, so a usage error leaves no empty report behind.
 	switch ids[0] {
 	case "explain", "calibrate", "search":
-		if *asJSON || *asCSV {
+		switch {
+		case *asJSON || *asCSV:
 			return usage("%s emits a text report only; -json/-csv are not supported", ids[0])
+		case ids[0] == "explain" && len(ids) < 2:
+			return usage("explain needs a target (have %s)", explainTargetIDs())
+		case ids[0] == "calibrate" && len(ids) > 1:
+			return usage("calibrate takes no further arguments (got %v)", ids[1:])
+		case ids[0] == "search" && len(ids) < 2:
+			fmt.Fprintln(stderr, "experiments: search needs a goal id:")
+			for _, g := range repro.CalibGoals() {
+				fmt.Fprintf(stderr, "  %-18s %s\n", g.ID, g.Title)
+			}
+			return 2
 		}
-	}
-	if ids[0] == "explain" && len(ids) < 2 {
-		return usage("explain needs a target (have %s)", explainTargetIDs())
+	default:
+		for _, id := range ids {
+			if id == "all" {
+				ids = ids[:0]
+				for _, e := range repro.Experiments() {
+					ids = append(ids, e.ID)
+				}
+				break
+			}
+		}
+		for _, id := range ids {
+			if _, err := repro.ExperimentByID(id); err != nil {
+				return fatal(err)
+			}
+		}
+		if *traceOut != "" && *traceStrm != "" {
+			return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
+		}
+		if *metricsStm != "" && (*metricsOut != "" || *promOut != "") {
+			return fatal(errors.New("-metrics-stream cannot be combined with -metrics or -metrics-prom (streamed samples are not retained for dashboards or snapshots)"))
+		}
+		if *critOut != "" && *traceStrm != "" {
+			return fatal(errors.New("-critpath and -trace-stream are mutually exclusive (flow-event merging needs buffered spans)"))
+		}
 	}
 
 	out := stdout
@@ -163,25 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runCalibSubcommand(ids[0], ids[1:], co, out, stderr, *quiet)
 	}
 
-	for _, id := range ids {
-		if id == "all" {
-			ids = ids[:0]
-			for _, e := range repro.Experiments() {
-				ids = append(ids, e.ID)
-			}
-			break
-		}
-	}
-
-	if *traceOut != "" && *traceStrm != "" {
-		return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
-	}
-	if *metricsStm != "" && (*metricsOut != "" || *promOut != "") {
-		return fatal(errors.New("-metrics-stream cannot be combined with -metrics or -metrics-prom (streamed samples are not retained for dashboards or snapshots)"))
-	}
-	if *critOut != "" && *traceStrm != "" {
-		return fatal(errors.New("-critpath and -trace-stream are mutually exclusive (flow-event merging needs buffered spans)"))
-	}
 	var collector *repro.TraceCollector
 	if *traceOut != "" {
 		collector = repro.NewTraceCollector()

@@ -123,6 +123,42 @@ func TestErrorsGoToStderr(t *testing.T) {
 	}
 }
 
+// A run refused for its arguments leaves no -o file: ids, subcommand
+// arguments and sink-flag conflicts are all checked before the file is
+// created.
+func TestRefusedRunCreatesNoOutput(t *testing.T) {
+	cases := []struct {
+		args []string
+		code int
+	}{
+		{[]string{"search"}, 2},
+		{[]string{"calibrate", "extra"}, 2},
+		{[]string{"nosuchfig"}, 1},
+		{[]string{"-trace", "$DIR/a", "-trace-stream", "$DIR/b", "fig5"}, 1},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		args := []string{"-o", filepath.Join(dir, "out.txt")}
+		for _, a := range c.args {
+			args = append(args, strings.ReplaceAll(a, "$DIR", dir))
+		}
+		code, out, errOut := capture(t, args...)
+		if code != c.code {
+			t.Errorf("%v: exit %d, want %d (stderr %q)", c.args, code, c.code, errOut)
+		}
+		if out != "" || !strings.HasPrefix(errOut, "experiments: ") {
+			t.Errorf("%v: stdout %q stderr %q, want the error on stderr only", c.args, out, errOut)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%v: left %s behind", c.args, e.Name())
+		}
+	}
+}
+
 // Nonsense counts are usage errors caught before any simulation: exit 2,
 // one line on stderr, nothing on stdout. An explicit -reps 0 is rejected
 // (0 only means "paper default" when the flag is omitted). Unknown flags —

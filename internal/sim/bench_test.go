@@ -147,18 +147,25 @@ func BenchmarkHeapChurn10k(b *testing.B) {
 // BenchmarkScaleEvents measures the queue's steady-state hold-model churn
 // (pop the earliest event, push its successor a random hold later) at 16
 // to 1M resident events, from paper-sized runs to fleet scale; DESIGN.md
-// §3h compares the depths against a 4-ary heap.
+// §3h compares the depths against a 4-ary heap. Those rows draw holds
+// uniformly from 1 ns to 1 ms. The 32/near row has the shape of the paper
+// workloads instead: a few events held 1–3 s (Lustre noise, frame compute)
+// fix wide rung buckets, and the rest churn with short holds, 7 in 8 of
+// 1–10 µs (wire, hop) and the others up to 1 ms (SSD op), so nearly every
+// push lands in the bottom band ahead of most of it.
 func BenchmarkScaleEvents(b *testing.B) {
 	depths := []struct {
 		name    string
 		pending int
+		far     int // events held 1–3 s; the rest take short holds
 	}{
-		{"16", 16},
-		{"64", 64},
-		{"256", 256},
-		{"1k", 1_000},
-		{"100k", 100_000},
-		{"1M", 1_000_000},
+		{"16", 16, 0},
+		{"64", 64, 0},
+		{"256", 256, 0},
+		{"1k", 1_000, 0},
+		{"100k", 100_000, 0},
+		{"1M", 1_000_000, 0},
+		{"32/near", 32, 4},
 	}
 	for _, d := range depths {
 		b.Run("pending="+d.name, func(b *testing.B) {
@@ -166,14 +173,30 @@ func BenchmarkScaleEvents(b *testing.B) {
 			var q eventq
 			q.grow(d.pending + 1)
 			rng := NewRNG(9)
-			hold := func() Time { return Time(1 + rng.Intn(1_000_000)) } // 1ns..1ms
+			hold := func(far bool) Time {
+				switch {
+				case far:
+					return Time(1+rng.Intn(3000)) * time.Millisecond
+				case d.far == 0:
+					return Time(1 + rng.Intn(1_000_000)) // 1ns..1ms
+				case rng.Intn(8) == 0:
+					return Time(10_000 + rng.Intn(990_000)) // 10µs..1ms
+				default:
+					return Time(1_000 + rng.Intn(9_000)) // 1µs..10µs
+				}
+			}
 			var seq int64
-			push := func(at Time) {
-				q.push(event{at: at, seq: seq, proc: noProc})
+			// A far event is tagged proc 0 so that its successor is far too.
+			push := func(at Time, far bool) {
+				proc := noProc
+				if far {
+					proc = 0
+				}
+				q.push(event{at: at, seq: seq, proc: proc})
 				seq++
 			}
 			for i := 0; i < d.pending; i++ {
-				push(hold())
+				push(hold(i < d.far), i < d.far)
 			}
 			// Churn to the steady-state high-water mark before timing:
 			// at least one full band-recycle of the queue, and no
@@ -182,14 +205,17 @@ func BenchmarkScaleEvents(b *testing.B) {
 			if warm < b.N {
 				warm = b.N
 			}
-			for i := 0; i < warm; i++ {
+			churn := func() {
 				ev := q.pop()
-				push(ev.at + hold())
+				far := ev.proc == 0
+				push(ev.at+hold(far), far)
+			}
+			for i := 0; i < warm; i++ {
+				churn()
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev := q.pop()
-				push(ev.at + hold())
+				churn()
 			}
 		})
 	}

@@ -283,6 +283,10 @@ type ExperimentReport = experiments.Report
 // Experiments lists the reproducible paper artifacts in paper order.
 func Experiments() []experiments.Experiment { return experiments.All() }
 
+// ExperimentByID returns the experiment with the given id, or an error
+// listing every valid id.
+func ExperimentByID(id string) (experiments.Experiment, error) { return experiments.ByID(id) }
+
 // RunExperiment regenerates one paper table or figure by id ("table1",
 // "table2", "fig5" ... "fig12").
 func RunExperiment(id string, o ExperimentOptions) (*ExperimentReport, error) {
