@@ -137,6 +137,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return 2
 		}
+		for _, arg := range ids[1:] {
+			var err error
+			switch ids[0] {
+			case "explain":
+				_, err = repro.ExplainWorkloadByID(arg)
+			case "search":
+				_, err = repro.CalibGoalByID(arg)
+			}
+			if err != nil {
+				return fatal(err)
+			}
+		}
 	default:
 		for _, id := range ids {
 			if id == "all" {

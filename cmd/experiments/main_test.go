@@ -134,6 +134,8 @@ func TestRefusedRunCreatesNoOutput(t *testing.T) {
 		{[]string{"search"}, 2},
 		{[]string{"calibrate", "extra"}, 2},
 		{[]string{"nosuchfig"}, 1},
+		{[]string{"explain", "nosuch"}, 1},
+		{[]string{"search", "nosuchgoal"}, 1},
 		{[]string{"-trace", "$DIR/a", "-trace-stream", "$DIR/b", "fig5"}, 1},
 	}
 	for _, c := range cases {
@@ -148,6 +150,9 @@ func TestRefusedRunCreatesNoOutput(t *testing.T) {
 		}
 		if out != "" || !strings.HasPrefix(errOut, "experiments: ") {
 			t.Errorf("%v: stdout %q stderr %q, want the error on stderr only", c.args, out, errOut)
+		}
+		if strings.Contains(errOut, "experiments: experiments:") {
+			t.Errorf("%v: doubled prefix in %q", c.args, errOut)
 		}
 		entries, err := os.ReadDir(dir)
 		if err != nil {

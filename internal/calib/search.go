@@ -34,19 +34,27 @@ func Goals() []Goal {
 	}
 }
 
-// RunGoal runs the goal with the given id.
-func RunGoal(id string, o Options) (*experiments.Report, error) {
-	for _, g := range Goals() {
-		if g.ID == id {
-			return g.Run(o)
-		}
-	}
+// GoalByID returns the goal with the given id, or an error listing every
+// valid id.
+func GoalByID(id string) (Goal, error) {
 	var ids []string
 	for _, g := range Goals() {
+		if g.ID == id {
+			return g, nil
+		}
 		ids = append(ids, g.ID)
 	}
 	sort.Strings(ids)
-	return nil, fmt.Errorf("calib: unknown search goal %q (have %s)", id, strings.Join(ids, ", "))
+	return Goal{}, fmt.Errorf("calib: unknown search goal %q (have %s)", id, strings.Join(ids, ", "))
+}
+
+// RunGoal runs the goal with the given id.
+func RunGoal(id string, o Options) (*experiments.Report, error) {
+	g, err := GoalByID(id)
+	if err != nil {
+		return nil, err
+	}
+	return g.Run(o)
 }
 
 // searchXFSBeatsDYAD scans a deterministic scenario grid — output stride

@@ -80,6 +80,18 @@ type Result struct {
 	// Crit holds the run's extracted critical path and per-frame provenance
 	// lineages when Config.CritPath is set (nil otherwise).
 	Crit *critpath.Summary
+
+	// HostCost is what the run cost the simulator's kernel.
+	HostCost HostCost
+}
+
+// HostCost counts a run's kernel work. Both counts are deterministic and
+// observation-only, like the measurements: they size the simulated
+// timeline (Events) and the coroutine switches paid for it (Handoffs), and
+// change only with the model or the kernel, never with the host.
+type HostCost struct {
+	Events   int64 // events fired (sim.Engine.Events)
+	Handoffs int64 // coroutine resumes by the driver (sim.Engine.Handoffs)
 }
 
 // collect derives the Result from the rig's profiles and counters.
@@ -101,6 +113,7 @@ func (r *rig) collect() (*Result, error) {
 		Makespan:   r.eng.Now(),
 		FramesRead: r.framesRead,
 		BytesRead:  r.bytesRead,
+		HostCost:   HostCost{Events: r.eng.Events(), Handoffs: r.eng.Handoffs()},
 	}
 	res.Recovery = r.recovery
 	if r.capMet != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -133,6 +134,19 @@ func ExplainTargets() []ExplainTarget {
 	}
 }
 
+// ExplainTargetByID returns the explain workload with the given id, or an
+// error listing every valid id.
+func ExplainTargetByID(id string) (ExplainTarget, error) {
+	var ids []string
+	for _, t := range ExplainTargets() {
+		if t.ID == id {
+			return t, nil
+		}
+		ids = append(ids, t.ID)
+	}
+	return ExplainTarget{}, fmt.Errorf("unknown explain target %q (have %s)", id, strings.Join(ids, ", "))
+}
+
 // Explain runs one workload under DYAD and under the target's traditional
 // backend with critical-path recording on, extracts both gating chains,
 // and diffs them edge-by-edge: every makespan-gap contribution is
@@ -142,20 +156,9 @@ func ExplainTargets() []ExplainTarget {
 // adds nothing but jitter in the compute rows.
 func Explain(targetID string, o Options) (*Report, error) {
 	o = o.Defaults()
-	var target ExplainTarget
-	found := false
-	for _, t := range ExplainTargets() {
-		if t.ID == targetID {
-			target, found = t, true
-			break
-		}
-	}
-	if !found {
-		var ids []string
-		for _, t := range ExplainTargets() {
-			ids = append(ids, t.ID)
-		}
-		return nil, fmt.Errorf("experiments: unknown explain target %q (have %v)", targetID, ids)
+	target, err := ExplainTargetByID(targetID)
+	if err != nil {
+		return nil, err
 	}
 
 	a := target.Base

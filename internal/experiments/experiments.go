@@ -150,7 +150,7 @@ func ByID(id string) (Experiment, error) {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
+	return Experiment{}, fmt.Errorf("unknown id %q (have %s)", id, strings.Join(ids, ", "))
 }
 
 // Render writes the report as an aligned text table.

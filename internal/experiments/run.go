@@ -113,6 +113,9 @@ func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error)
 		}
 	}
 
+	if observeBatch != nil {
+		observeBatch(results)
+	}
 	out := make([][]*core.Result, len(cells))
 	for i, sp := range spans {
 		out[i] = results[sp.lo:sp.hi]
@@ -128,6 +131,10 @@ func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error)
 	}
 	return out, nil
 }
+
+// observeBatch, when set, sees the results of every Run, killed runs as
+// nil. Tests use it to count a sweep's kernel work (core.Result.HostCost).
+var observeBatch func([]*core.Result)
 
 // observe turns every sink in o on for one run. A run both traced and
 // metered gets its counter tracks merged into the Chrome trace; one both

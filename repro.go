@@ -274,6 +274,12 @@ type ExplainWorkload = experiments.ExplainTarget
 // ExplainWorkloads lists the available explain workloads.
 func ExplainWorkloads() []ExplainWorkload { return experiments.ExplainTargets() }
 
+// ExplainWorkloadByID returns the explain workload with the given id, or
+// an error listing every valid id.
+func ExplainWorkloadByID(id string) (ExplainWorkload, error) {
+	return experiments.ExplainTargetByID(id)
+}
+
 // ExperimentOptions tune paper-experiment execution.
 type ExperimentOptions = experiments.Options
 
@@ -344,6 +350,10 @@ func CalibTargets(full bool) []CalibTarget { return calib.Targets(full) }
 
 // CalibGoals lists the scenario-search predicates.
 func CalibGoals() []CalibGoal { return calib.Goals() }
+
+// CalibGoalByID returns the scenario-search predicate with the given id,
+// or an error listing every valid id.
+func CalibGoalByID(id string) (CalibGoal, error) { return calib.GoalByID(id) }
 
 // RunCalibGoal runs one scenario search by goal id and returns its
 // report.
