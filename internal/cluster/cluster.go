@@ -11,7 +11,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/faults"
@@ -200,17 +199,37 @@ type Node struct {
 	// stallTime accumulates this node's share of link-outage waits (the
 	// per-node split of Cluster.LinkStallTime).
 	stallTime time.Duration
+	// train is the message whose segment train holds this node's NIC, or
+	// nil (see wire.train).
+	train *wire
 
 	cl *Cluster
 }
 
 // DegradeNIC multiplies all subsequent wire service time at this node's
-// NIC by factor (>= 1), modelling a flaky link or misbehaving HCA.
+// NIC by factor (>= 1), modelling a flaky link or misbehaving HCA. A
+// segment's wire time is scaled when the segment is requested, so a
+// segment train holding the NIC splits first: the segments it booked
+// ahead are requested again under the new factor.
 func (n *Node) DegradeNIC(factor float64) {
 	if factor < 1 {
 		panic("cluster: NIC degradation factor < 1")
 	}
+	if n.train != nil && factor != n.NICDegradeFactor() {
+		n.train.split()
+	}
 	n.nicDegrade = factor
+}
+
+// nicWatch is a node as the watcher of its NIC's queue (sim.Resource's
+// OnQueue): a waiter splits the segment train that holds the NIC, if one
+// does.
+type nicWatch Node
+
+func (w *nicWatch) Queued() {
+	if n := (*Node)(w); n.train != nil {
+		n.train.split()
+	}
 }
 
 // NICDegradeFactor returns the current wire-time multiplier (1 = healthy).
@@ -283,6 +302,7 @@ func New(e *sim.Engine, spec Spec) *Cluster {
 			nic: sim.NewResource(e, fmt.Sprintf("node%d/nic", i), 1),
 			cl:  c,
 		}
+		n.nic.OnQueue((*nicWatch)(n))
 		if spec.QueueHint > 0 {
 			n.SSD.dev.SetQueueHint(spec.QueueHint)
 			n.nic.SetQueueHint(spec.QueueHint)
@@ -311,6 +331,7 @@ func (c *Cluster) Reset() {
 		n.nicDegrade = 0
 		n.linkDownUntil = 0
 		n.stallTime = 0
+		n.train = nil
 		n.nic.Reset()
 		s := n.SSD
 		s.degrade = 0
@@ -395,12 +416,14 @@ func (c *Cluster) newRPC(src, dst *Node, reqBytes, respBytes int64, server *sim.
 }
 
 // wire is one Transfer or RPC in flight: a flat state machine run as the
-// calling process's Inline chain, or as one step of it (RPCThen). Each phase ends where the goroutine
-// loop it replaced yielded — a link stall, each segment's FIFO hold on the
-// sender NIC, the hop, the receive completion, an RPC's service — so the
-// events, their sequence numbers, the wakes, the critical-path edges and
-// the spans are that loop's one for one (TestWireChainMatchesGoroutineLoop
-// keeps the loop as its reference).
+// calling process's Inline chain, or as one step of it (RPCThen). Each
+// phase ends where the goroutine loop it replaced yielded — a link stall,
+// each segment's FIFO hold on the sender NIC, the hop, the receive
+// completion, an RPC's service — except that an uncontended run of
+// segments is one hold, a segment train (see train), until a waiter
+// splits it. So the completions, the wakes, the critical-path edges and
+// the spans are that loop's one for one, with fewer events
+// (TestWireChainMatchesGoroutineLoop keeps the loop as its reference).
 type wire struct {
 	c        *Cluster
 	src, dst *Node // the current message's endpoints
@@ -412,6 +435,13 @@ type wire struct {
 	hold     time.Duration // the current segment's wire time, or link stall
 	start    sim.Time      // start of the span being timed
 
+	// The segment train, while one holds the sender NIC (src.train == w).
+	holder   *sim.Proc     // the process whose hold it is
+	boundary sim.Time      // the end of its first segment
+	segHold  time.Duration // the wire time of each full segment after that
+	booked   int64         // bytes booked after the first segment
+	mark     int64         // engine watermark when it was booked
+
 	// RPC only.
 	respBytes int64
 	server    *sim.Resource
@@ -419,7 +449,6 @@ type wire struct {
 	then      func(p *sim.Proc) // RPCThen's successor, run at the response
 
 	step func(p *sim.Proc) // advance, bound once so no step allocates
-	next *wire             // free-list link
 }
 
 type wirePhase uint8
@@ -445,27 +474,19 @@ const (
 	wireDone                        // a lone Transfer is done
 )
 
-// wires is the process-wide free list of wire states: a Transfer takes
-// one and returns it when its chain (an RPCThen, its step) is done, so a
-// warmed Transfer allocates nothing, even on a fresh cluster per run.
-// sync.Pool would not
-// do (the GC empties it, which would make allocation budgets flaky), nor
-// would a per-cluster list (harnesses build a cluster per run). A chain
-// unwound by a failed run is never returned: its state may still be
-// referenced as a pending continuation.
-var wires struct {
-	sync.Mutex
-	free *wire
-}
+// wires is the engine's free list of wire states: a Transfer takes one
+// and returns it when its chain (an RPCThen, its step) is done, so a
+// Transfer on a warmed engine allocates nothing, even on a fresh cluster
+// per run. sync.Pool would not do (the GC empties it, which would make
+// allocation budgets flaky), nor would a per-cluster list (harnesses
+// build a cluster per run when the spec changes; the engine is kept). A
+// chain unwound by a failed run is never returned: its state may still
+// be referenced as a pending continuation.
+var wires = sim.NewFreeList[wire]()
 
 // newWire returns a wire state for one message, starting in phase.
 func newWire(c *Cluster, src, dst *Node, n int64, phase wirePhase) *wire {
-	wires.Lock()
-	w := wires.free
-	if w != nil {
-		wires.free = w.next
-	}
-	wires.Unlock()
+	w := wires.Get(c.e)
 	if w == nil {
 		w = new(wire)
 		w.step = w.advance
@@ -476,11 +497,9 @@ func newWire(c *Cluster, src, dst *Node, n int64, phase wirePhase) *wire {
 
 // free returns w to the free list, dropping its references.
 func (w *wire) free() {
+	e := w.c.e
 	*w = wire{step: w.step}
-	wires.Lock()
-	w.next = wires.free
-	wires.free = w
-	wires.Unlock()
+	wires.Put(e, w)
 }
 
 // advance runs the chain from the current phase until it must wait (it
@@ -547,9 +566,14 @@ func (w *wire) advance(p *sim.Proc) {
 			}
 		case wireSegHeld:
 			w.phase = wireSegDone
-			p.SleepThen(w.hold, w.step)
+			hold := w.hold
+			if w.rest > 0 && w.src.nic.QueueLen() == 0 {
+				hold = w.train(p)
+			}
+			p.SleepThen(hold, w.step)
 			return
 		case wireSegDone:
+			w.src.train = nil // w's train, if any, has run out or split here
 			w.src.nic.Release(1)
 			if w.rest > 0 {
 				w.phase = wireSeg
@@ -608,6 +632,54 @@ func (w *wire) advance(p *sim.Proc) {
 		case wireDone:
 			return
 		}
+	}
+}
+
+// train books the rest of the message behind the granted segment as one
+// hold of the sender NIC, a segment train, and returns its length: the
+// sum of the segment holds the per-segment model would take in turn, each
+// truncated on its own. Every segment after the granted one is a full
+// wireSegment but the last, so the sum is O(1), as is finding a boundary
+// in split. The NIC stays held throughout, so a process that wants it
+// queues, and the queue's watcher splits the train (nicWatch); so does a
+// change of the NIC's degradation. Zero-time segments (an absurd
+// bandwidth) leave no boundary to split at, so they are never booked.
+func (w *wire) train(p *sim.Proc) time.Duration {
+	n, bw := w.src, w.c.Spec.NIC.Bandwidth
+	seg := n.nicScale(bwTime(wireSegment, bw))
+	if seg <= 0 {
+		return w.hold
+	}
+	full := (w.rest - 1) / wireSegment // full segments before the last
+	last := n.nicScale(bwTime(w.rest-full*wireSegment, bw))
+	w.holder, w.boundary, w.segHold, w.booked = p, p.Now()+w.hold, seg, w.rest
+	w.mark = w.c.e.Watermark()
+	w.rest = 0
+	n.train = w
+	return w.hold + time.Duration(full)*seg + last
+}
+
+// split ends w's train at its first segment boundary strictly after now:
+// the holder's delivery moves there (sim.Proc.Retime) and the bytes after
+// it go back to per-segment requests, so whoever queued meanwhile is
+// granted there, as in the per-segment model. A boundary at now itself
+// counts when the event being run was scheduled before the train was
+// booked: then it would have fired before the per-segment delivery there,
+// as a waiter that queued just ahead of the release. With no boundary
+// left the train runs to its end.
+func (w *wire) split() {
+	w.src.train = nil
+	now := w.c.e.Now()
+	at, k := w.boundary, time.Duration(0)
+	if now > at {
+		k = (now - at + w.segHold - 1) / w.segHold // first boundary at or after now
+	}
+	if at+k*w.segHold == now && !w.c.e.FiringBefore(w.mark) {
+		k++
+	}
+	if rest := w.booked - int64(k)*wireSegment; rest > 0 {
+		w.rest = rest
+		w.holder.Retime(at + k*w.segHold)
 	}
 }
 

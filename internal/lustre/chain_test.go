@@ -346,11 +346,11 @@ func TestFileOpChainMatchesBlockingSequence(t *testing.T) {
 	}
 }
 
-// File-op states come from one free list shared by every engine in the
-// process, as under a parallel experiment runner: engines running at once
-// on their own goroutines must each get the serial run's timeline (run
-// with -race to check the list's locking).
-func TestFileOpFreeListSharedByConcurrentEngines(t *testing.T) {
+// File-op states come from the free list of the engine that runs the op,
+// so engines running at once on their own goroutines, as under a parallel
+// experiment runner, share none and each get the serial run's timeline
+// (run with -race to check that no state crosses engines).
+func TestFileOpFreeListPerConcurrentEngine(t *testing.T) {
 	sc := fileScenarios[0]
 	want, err := runFiles(sc, chainFile)
 	if err != nil {

@@ -12,7 +12,6 @@ package lustre
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -421,7 +420,6 @@ type fileOp struct {
 	bytes int64
 
 	step func(p *sim.Proc) // advance, bound once so no step allocates
-	next *fileOp           // free-list link
 }
 
 type opPhase uint8
@@ -434,22 +432,14 @@ const (
 	opDone                  // the last reply is in (or a read found nothing)
 )
 
-// fileOps is the process-wide free list of fileOp states, for the reasons
+// fileOps is the engine's free list of fileOp states, for the reasons
 // cluster's wire list gives. An op unwound by a failed run is never
 // returned: its state may still be referenced as a pending continuation.
-var fileOps struct {
-	sync.Mutex
-	free *fileOp
-}
+var fileOps = sim.NewFreeList[fileOp]()
 
 // newFileOp returns a fileOp state for one call of c on path.
 func newFileOp(c *Client, path string, write bool) *fileOp {
-	fileOps.Lock()
-	op := fileOps.free
-	if op != nil {
-		fileOps.free = op.next
-	}
-	fileOps.Unlock()
+	op := fileOps.Get(c.fs.cl.Engine())
 	if op == nil {
 		op = new(fileOp)
 		op.step = op.advance
@@ -460,11 +450,9 @@ func newFileOp(c *Client, path string, write bool) *fileOp {
 
 // free returns op to the free list, dropping its references.
 func (op *fileOp) free() {
+	e := op.c.fs.cl.Engine()
 	*op = fileOp{step: op.step}
-	fileOps.Lock()
-	op.next = fileOps.free
-	fileOps.free = op
-	fileOps.Unlock()
+	fileOps.Put(e, op)
 }
 
 // run runs op to its end on p: one Inline chain on healthy runs, re-entered
