@@ -96,6 +96,9 @@ type runPool struct {
 	clSpec cluster.Spec
 	reg    *metrics.Registry
 	anns   []caliper.Annotator
+	// free holds the chain states of every engine the pool builds, so
+	// they outlive an engine dropped after a failed run.
+	free sim.FreeLists
 }
 
 // runPools is the process-wide free list of run pools. Every RunMany

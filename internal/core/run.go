@@ -126,6 +126,7 @@ func newRig(cfg Config, pool *runPool) *rig {
 		eng = sim.NewEngine(cfg.Seed)
 		if pool != nil {
 			eng.Retain() // its coroutines serve the pool's next run
+			eng.SetFreeLists(&pool.free)
 		}
 	}
 	// A pooled engine holds idle coroutines, and a panic while wiring
