@@ -16,8 +16,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures")
 // TestMixedRunGolden locks the simulation's observable measurements against
 // a committed fixture. The event-kernel and payload-handle internals are
 // free to change, but a mixed DYAD/XFS/Lustre batch must keep producing
-// byte-identical reports: virtual time is the product of this repository,
-// and a perf refactor that shifts it is a correctness bug, not a speedup.
+// byte-identical reports, down to every process's call-path profile:
+// virtual time is the product of this repository, and a perf refactor
+// that shifts it is a correctness bug, not a speedup.
 // Regenerate deliberately with: go test ./internal/core -run MixedRunGolden -update
 func TestMixedRunGolden(t *testing.T) {
 	jac, err := models.ByName("JAC")
@@ -29,10 +30,10 @@ func TestMixedRunGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := []Config{
-		{Backend: DYAD, Model: jac, Pairs: 4, Frames: 12, Seed: 11, ComputeJitter: 0.05},
-		{Backend: XFS, Model: jac, Pairs: 2, Frames: 12, Seed: 22, SingleNode: true, ComputeJitter: 0.05},
-		{Backend: Lustre, Model: stmv, Pairs: 4, Frames: 8, Seed: 33, LustreNoise: true},
-		{Backend: DYAD, Model: stmv, Pairs: 2, Frames: 8, Seed: 44, RealFrames: true},
+		{Backend: DYAD, Model: jac, Pairs: 4, Frames: 12, Seed: 11, ComputeJitter: 0.05, KeepProfiles: true},
+		{Backend: XFS, Model: jac, Pairs: 2, Frames: 12, Seed: 22, SingleNode: true, ComputeJitter: 0.05, KeepProfiles: true},
+		{Backend: Lustre, Model: stmv, Pairs: 4, Frames: 8, Seed: 33, LustreNoise: true, KeepProfiles: true},
+		{Backend: DYAD, Model: stmv, Pairs: 2, Frames: 8, Seed: 44, RealFrames: true, KeepProfiles: true},
 	}
 	results, err := RunMany(cfgs, 4)
 	if err != nil {
@@ -46,6 +47,10 @@ func TestMixedRunGolden(t *testing.T) {
 		fmt.Fprintf(&b, "  producer %v\n", r.Producer)
 		fmt.Fprintf(&b, "  consumer %v\n", r.Consumer)
 		fmt.Fprintf(&b, "  frames=%d bytes=%d\n", r.FramesRead, r.BytesRead)
+		for pair := range r.ProducerProfiles {
+			r.ProducerProfiles[pair].Render(&b)
+			r.ConsumerProfiles[pair].Render(&b)
+		}
 	}
 	got := b.String()
 
