@@ -110,7 +110,9 @@ func Decode(buf []byte) (*Frame, error) {
 		return nil, fmt.Errorf("frame: implausible atom count %d", atoms64)
 	}
 	atoms := int(atoms64)
-	want := EncodedSize(string(make([]byte, nameLen)), atoms)
+	// The name length comes from the input: size the frame in int64
+	// arithmetic, allocating nothing until the buffer is known to hold it.
+	want := int64(headerFixed) + int64(nameLen) + int64(atoms)*bytesPerAtom
 	if int64(len(buf)) != want {
 		return nil, fmt.Errorf("frame: size %d, want %d for %d atoms", len(buf), want, atoms)
 	}
