@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // -critpath must drain a report for the experiment, and a streaming sink
 // must write the bytes its buffered twin writes. faultsweep and capsweep
 // are exempt from the byte comparison only: a run killed mid-stream leaves
-// a partial block in the stream, while buffered collection drops it.
+// a partial block in the stream, while buffered collection drops it. Their
+// streamed runs must still carry the buffered runs' names.
 func TestEverySinkReachesEveryExperiment(t *testing.T) {
 	noSim := map[string]bool{"table1": true, "table2": true}
 	killsRuns := map[string]bool{"faultsweep": true, "capsweep": true}
@@ -61,6 +63,14 @@ func TestEverySinkReachesEveryExperiment(t *testing.T) {
 			// paired with buffered metrics, as the buffered trace was.
 			runOK("-trace-stream", path("streamed.json"), "-metrics", path("paired.csv"))
 			if killsRuns[id] {
+				// Killed runs leave partial blocks in the stream, but every
+				// run the buffered trace kept is streamed under its name.
+				streamed := processNames(read("streamed.json"))
+				for name := range processNames(read("buffered.json")) {
+					if !streamed[name] {
+						t.Errorf("-trace names run %s; -trace-stream has no such process", name)
+					}
+				}
 				return
 			}
 			if !bytes.Equal(read("streamed.json"), read("buffered.json")) {
@@ -73,4 +83,17 @@ func TestEverySinkReachesEveryExperiment(t *testing.T) {
 			}
 		})
 	}
+}
+
+// processNamePattern matches a Chrome process_name metadata event and
+// captures the run's name as a JSON string.
+var processNamePattern = regexp.MustCompile(`"name":"process_name","args":\{"name":("(?:[^"\\]|\\.)*")\}`)
+
+// processNames returns the set of run names in a Chrome trace.
+func processNames(chrome []byte) map[string]bool {
+	names := map[string]bool{}
+	for _, m := range processNamePattern.FindAllSubmatch(chrome, -1) {
+		names[string(m[1])] = true
+	}
+	return names
 }

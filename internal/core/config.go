@@ -215,10 +215,11 @@ type Config struct {
 	// batch may set it. Because the samples are not retained, streaming
 	// runs cannot feed the Prometheus/dashboard exporters.
 	MetricsSink *metrics.CSVSink
-	// MetricsRunLabel overrides the CSV run header label for MetricsSink
-	// (the experiments layer scopes it as "<figure> <config>"). Empty means
-	// Label().
-	MetricsRunLabel string
+	// RunLabel names the run in the streaming sinks: the Chrome process of
+	// TraceStream and the CSV block of MetricsSink, as buffered collection
+	// names it (the experiments layer passes its sweep cell's label).
+	// Empty means Label().
+	RunLabel string
 }
 
 // EffectiveStride returns the configured stride, or the model's default.

@@ -137,8 +137,6 @@ type MetricsStream struct {
 	Sink *metrics.CSVSink
 	// Interval is the virtual sampling period (0 = 250ms default).
 	Interval time.Duration
-
-	scope string
 }
 
 // SampleInterval returns the virtual sampling period runs should use.
@@ -149,21 +147,12 @@ func (c *MetricsStream) SampleInterval() time.Duration {
 	return 250 * time.Millisecond
 }
 
-// SetScope prefixes subsequent run labels with an experiment id, mirroring
-// MetricsCollector.SetScope. Nil-safe.
+// SetScope prefixes the labels of the sink's subsequent runs with an
+// experiment id, mirroring MetricsCollector.SetScope. Nil-safe.
 func (c *MetricsStream) SetScope(id string) {
 	if c != nil {
-		c.scope = id
+		c.Sink.SetScope(id)
 	}
-}
-
-// runLabel renders the scoped run label a metered run writes in its CSV
-// header — identical to the label MetricsCollector.Add would record.
-func (c *MetricsStream) runLabel(label string) string {
-	if c.scope != "" {
-		return c.scope + " " + label
-	}
-	return label
 }
 
 // Drain returns the dashboard rows accumulated since the last call as a

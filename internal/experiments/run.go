@@ -150,7 +150,9 @@ func (o Options) observe(cfg *core.Config, label string) {
 	} else if o.MetricsStream != nil {
 		cfg.MetricsInterval = o.MetricsStream.SampleInterval()
 		cfg.MetricsSink = o.MetricsStream.Sink
-		cfg.MetricsRunLabel = o.MetricsStream.runLabel(label)
+	}
+	if cfg.TraceStream != nil || cfg.MetricsSink != nil {
+		cfg.RunLabel = label
 	}
 	if o.CritPath != nil {
 		cfg.CritPath = true

@@ -434,10 +434,11 @@ func WriteCSV(w io.Writer, runs []Run) error {
 // serializes one run at a time: concurrently executing sampled runs must
 // not share it.
 type CSVSink struct {
-	bw   *bufio.Writer
-	line []byte    // the row being encoded, reused across rows
-	vals []float64 // one boundary's values, reused across rows
-	runs int
+	bw    *bufio.Writer
+	line  []byte    // the row being encoded, reused across rows
+	vals  []float64 // one boundary's values, reused across rows
+	runs  int
+	scope string // prefix of StartRun's labels (SetScope)
 }
 
 // NewCSVSink returns a sink streaming CSV rows to w.
@@ -450,9 +451,16 @@ func NewCSVSink(w io.Writer) *CSVSink {
 // be registered — and redirects the registry's subsequent Sample calls
 // into the sink.
 func (k *CSVSink) StartRun(label string, reg *Registry) {
+	if k.scope != "" {
+		label = k.scope + " " + label
+	}
 	k.header(label, reg.Series())
 	reg.sink = k
 }
+
+// SetScope prefixes the labels of subsequently started runs with scope and
+// a space, as a scoped buffered collection labels its runs; "" clears it.
+func (k *CSVSink) SetScope(scope string) { k.scope = scope }
 
 // header writes one run's separator (a blank line after the first run),
 // "# label" comment and header row.
