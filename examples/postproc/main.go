@@ -112,13 +112,13 @@ func runInSitu(model models.Model, payload *frame.Frame) (first, last time.Durat
 		c := sys.NewClient(cl.Node(0))
 		for f := 0; f < frames; f++ {
 			p.Sleep(model.DefaultFrequency())
-			c.Produce(p, nil, fmt.Sprintf("/flow/f%d", f), enc)
+			c.Produce(p, fmt.Sprintf("/flow/f%d", f), enc)
 		}
 	})
 	e.Spawn("analyst", func(p *sim.Proc) {
 		c := sys.NewClient(cl.Node(1))
 		for f := 0; f < frames; f++ {
-			c.Consume(p, nil, fmt.Sprintf("/flow/f%d", f))
+			c.Consume(p, fmt.Sprintf("/flow/f%d", f))
 			p.Sleep(analysisTime(model))
 			if f == 0 {
 				first = p.Now()

@@ -96,9 +96,6 @@ const (
 	PolicyConsumedDrop = "consumed-drop"
 )
 
-// Policies returns the known eviction policy names.
-func Policies() []string { return []string{PolicyLRU, PolicyConsumedDrop} }
-
 // Entry is one resident frame of a store. The evictor threads entries on an
 // intrusive list, so policy bookkeeping allocates nothing beyond the entry.
 type Entry struct {
@@ -500,7 +497,7 @@ func (s *Store) evictOne(p *sim.Proc, forced bool) bool {
 // space, accounting the wait as back-pressure time.
 func (s *Store) stall(p *sim.Proc) {
 	s.met.Stalls++
-	r := p.Region(nil, "capacity", "backpressure_wait", trace.ClassBackpressure)
+	r := p.Span("capacity", "backpressure_wait", trace.ClassBackpressure)
 	s.waiters.Wait(p)
 	s.met.StallNanos += int64(r.End(0, s.name))
 }

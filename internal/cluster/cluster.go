@@ -174,9 +174,6 @@ func (s *SSD) Write(p *sim.Proc, n int64) (time.Duration, error) {
 	return elapsed, nil
 }
 
-// Device exposes the underlying queued resource (for utilization stats).
-func (s *SSD) Device() *sim.Resource { return s.dev }
-
 func (s *SSD) scale(d time.Duration) time.Duration {
 	if s.degrade > 1 {
 		return time.Duration(float64(d) * s.degrade)
@@ -250,9 +247,6 @@ func (n *Node) FailLinkUntil(t sim.Time) {
 		n.linkDownUntil = t
 	}
 }
-
-// LinkDown reports whether the node's link is down at the current time.
-func (n *Node) LinkDown() bool { return n.cl.e.Now() < n.linkDownUntil }
 
 func (n *Node) nicScale(d time.Duration) time.Duration {
 	if n.nicDegrade > 1 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/dyad"
 	"repro/internal/faults"
 )
 
@@ -146,7 +147,7 @@ func TestXFSCapacityNoSpaceIsCleanError(t *testing.T) {
 // mirror, and the consumer finishes every frame through degraded reads.
 func TestDYADCapacitySpillsToMirror(t *testing.T) {
 	m := tinyModel()
-	params := defaultDyadParams()
+	params := dyad.DefaultParams()
 	params.ClientOverhead = 25 * time.Millisecond // consumer lags ~5x the frame period
 	cfg := Config{Backend: DYAD, Model: m, Frames: 8, Pairs: 1, Seed: 5,
 		LustreFallback: true, DYADOverride: &params,
@@ -174,7 +175,7 @@ func TestDYADCapacitySpillsToMirror(t *testing.T) {
 // never hang or panic through Run.
 func TestDYADCapacityDropIsExhaustedError(t *testing.T) {
 	m := tinyModel()
-	params := defaultDyadParams()
+	params := dyad.DefaultParams()
 	params.ClientOverhead = 25 * time.Millisecond
 	cfg := Config{Backend: DYAD, Model: m, Frames: 8, Pairs: 1, Seed: 5,
 		DYADOverride: &params,
@@ -224,7 +225,7 @@ func TestCapacityProvisioningPlan(t *testing.T) {
 // injection — every run survives.
 func pressuredBatch() []Config {
 	m := tinyModel()
-	slow := defaultDyadParams()
+	slow := dyad.DefaultParams()
 	slow.ClientOverhead = 25 * time.Millisecond
 	horizon := m.Frequency(m.Stride) * 8
 	return []Config{

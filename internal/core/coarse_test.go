@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/dyad"
 )
 
 // ForceCoarseSync layers the traditional serialized coupling over DYAD
@@ -49,7 +51,7 @@ func TestDYADOverrideAblations(t *testing.T) {
 	full := run(nil)
 
 	noBB := run(func(c *Config) {
-		p := defaultDyadParams()
+		p := dyad.DefaultParams()
 		p.NoBurstBuffer = true
 		c.DYADOverride = &p
 	})
@@ -59,7 +61,7 @@ func TestDYADOverrideAblations(t *testing.T) {
 	}
 
 	noDirect := run(func(c *Config) {
-		p := defaultDyadParams()
+		p := dyad.DefaultParams()
 		p.NoDirectTransfer = true
 		c.DYADOverride = &p
 	})
@@ -69,7 +71,7 @@ func TestDYADOverrideAblations(t *testing.T) {
 	}
 
 	noSync := run(func(c *Config) {
-		p := defaultDyadParams()
+		p := dyad.DefaultParams()
 		p.NoAdaptiveSync = true
 		c.DYADOverride = &p
 	})

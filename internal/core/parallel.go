@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/caliper"
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -95,7 +94,6 @@ type runPool struct {
 	cl     *cluster.Cluster
 	clSpec cluster.Spec
 	reg    *metrics.Registry
-	anns   []caliper.Annotator
 	// free holds the chain states of every engine the pool builds, so
 	// they outlive an engine dropped after a failed run.
 	free sim.FreeLists
@@ -156,10 +154,10 @@ func putRunPool(pl *runPool) {
 // full profile) and always rides on its own engine. The registry is handed
 // out only to runs that will stream it to a MetricsSink — buffered runs
 // retain their registry on Result.Metrics, so those registries never enter
-// the pool in the first place. The annotator slab fits any run. Nil-safe.
-func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry, []caliper.Annotator) {
+// the pool in the first place. Nil-safe.
+func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry) {
 	if pl == nil {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
 	var eng *sim.Engine
 	var cl *cluster.Cluster
@@ -175,15 +173,13 @@ func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cl
 	if cfg.MetricsInterval > 0 && cfg.MetricsSink != nil {
 		reg = pl.reg
 	}
-	anns := pl.anns
-	pl.eng, pl.cl, pl.reg, pl.anns = nil, nil, nil, nil
-	return eng, cl, reg, anns
+	pl.eng, pl.cl, pl.reg = nil, nil, nil
+	return eng, cl, reg
 }
 
 // retire stores a successfully collected rig's state for the next take.
 // The registry is kept only when the run streamed it (otherwise the Result
-// retains it and it must not be reused). The annotators go back inert, so
-// the pooled slab pins none of the finished run's processes.
+// retains it and it must not be reused).
 func (pl *runPool) retire(r *rig) {
 	if pl == nil {
 		return
@@ -194,10 +190,6 @@ func (pl *runPool) retire(r *rig) {
 	if r.reg != nil && r.cfg.MetricsSink != nil {
 		pl.reg = r.reg
 	}
-	for i := range r.anns {
-		r.anns[i].Reset("", nil)
-	}
-	pl.anns = r.anns
 }
 
 // runPooled is Run with an optional state pool. A run that does not

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/caliper"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -265,11 +266,26 @@ func profileBytes(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// One pool carries its annotator slab through runs of changing shape —
-// fewer pairs, a different backend, more pairs than the slab holds, and a
-// run that fails — and every run's totals and kept profiles still equal an
-// unpooled run of the same config. Between runs the pooled annotators are
-// inert, holding no finished process as their clock.
+// probeRecycledSlot resets a pooled engine and runs two processes on it:
+// the first keeps a profile, the second does not. It returns the second's
+// profile, which must be empty whatever the last run recorded in its slot.
+func probeRecycledSlot(t *testing.T, eng *sim.Engine) *caliper.Profile {
+	t.Helper()
+	eng.Reset(1)
+	eng.Spawn("keeper", func(p *sim.Proc) { p.KeepProfile() })
+	probe := eng.Spawn("probe", func(*sim.Proc) {})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return probe.Profile()
+}
+
+// One pool carries its engine's profile tables through runs of changing
+// shape — fewer pairs, a different backend with its noise processes in
+// the low slots, more pairs than the slab holds, and a run that fails —
+// and every run's totals and kept profiles still equal an unpooled run of
+// the same config. A failed run takes its tables down with its engine,
+// and a recycled slot records nothing until its process keeps a profile.
 func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 	base := Config{Model: tinyModel(), Frames: 5, KeepProfiles: true, Seed: 9}
 	dyad4 := base
@@ -290,8 +306,8 @@ func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 			if err == nil {
 				t.Fatalf("run %d: watchdog-limited run unexpectedly succeeded", i)
 			}
-			if pool.anns != nil {
-				t.Fatalf("run %d: failed run returned its annotators to the pool", i)
+			if pool.eng != nil {
+				t.Fatalf("run %d: failed run returned its engine and profile tables to the pool", i)
 			}
 			continue
 		}
@@ -310,14 +326,8 @@ func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 		if g, w := profileBytes(t, got), profileBytes(t, want); !bytes.Equal(g, w) {
 			t.Errorf("%s: pooled profiles diverged from an unpooled run:\n%s\nwant\n%s", what, g, w)
 		}
-		if len(pool.anns) != 2*cfg.Pairs {
-			t.Fatalf("%s: pool holds %d annotators, want %d", what, len(pool.anns), 2*cfg.Pairs)
-		}
-		all := pool.anns[:cap(pool.anns)]
-		for j := range all {
-			if p := all[j].Profile(); p.Proc != "" || len(p.Root.Children) != 0 {
-				t.Errorf("%s: pooled annotator %d still records for %q", what, j, p.Proc)
-			}
+		if p := probeRecycledSlot(t, pool.eng); p.Proc != "" || p.Root.Name != "" || len(p.Root.Children) != 0 {
+			t.Errorf("%s: a recycled slot still reads a profile rooted at %q", what, p.Root.Name)
 		}
 	}
 }

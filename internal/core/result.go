@@ -127,11 +127,12 @@ func (r *rig) collect() (*Result, error) {
 	}
 	res.Recovery.LinkStalls += r.cl.LinkStalls
 	res.Recovery.RecoveryTime += r.cl.LinkStallTime
+	procs := r.eng.Procs()[r.firstProc:]
 	for pair := 0; pair < r.cfg.Pairs; pair++ {
-		t := SplitProducer(r.cfg.Backend, &r.anns[2*pair])
+		t := SplitProducer(r.cfg.Backend, procs[2*pair].TotalOf)
 		res.Producer.Movement += t.Movement
 		res.Producer.Idle += t.Idle
-		t = SplitConsumer(r.cfg.Backend, &r.anns[2*pair+1])
+		t = SplitConsumer(r.cfg.Backend, procs[2*pair+1].TotalOf)
 		res.Consumer.Movement += t.Movement
 		res.Consumer.Idle += t.Idle
 	}
@@ -145,8 +146,8 @@ func (r *rig) collect() (*Result, error) {
 		res.ProducerProfiles = make([]*caliper.Profile, r.cfg.Pairs)
 		res.ConsumerProfiles = make([]*caliper.Profile, r.cfg.Pairs)
 		for pair := range res.ProducerProfiles {
-			res.ProducerProfiles[pair] = r.anns[2*pair].Profile()
-			res.ConsumerProfiles[pair] = r.anns[2*pair+1].Profile()
+			res.ProducerProfiles[pair] = procs[2*pair].Profile()
+			res.ConsumerProfiles[pair] = procs[2*pair+1].Profile()
 		}
 	}
 	if r.rec != nil {
@@ -196,45 +197,40 @@ func checkCrit(s *critpath.Summary) error {
 	return nil
 }
 
-// RegionTotals is a per-process record of region times: a finished
-// *caliper.Profile, or the *caliper.Annotator that is recording one.
-type RegionTotals interface {
-	TotalOf(name string) time.Duration
-}
-
 // SplitProducer decomposes a producer profile into data movement and idle
 // time exactly as §IV-C describes: for DYAD, all time inside the DYAD
 // produce path counts as movement (including metadata management — the
 // source of DYAD's production overhead); for XFS/Lustre, movement is the
-// POSIX write and idle is the explicit synchronization.
-func SplitProducer(b Backend, prof RegionTotals) Totals {
+// POSIX write and idle is the explicit synchronization. totalOf reads the
+// profile (sim.Proc.TotalOf or caliper.Profile.TotalOf).
+func SplitProducer(b Backend, totalOf func(name string) time.Duration) Totals {
 	if b == DYAD {
 		return Totals{
-			Movement: prof.TotalOf("dyad_produce"),
+			Movement: totalOf("dyad_produce"),
 			// Zero in normal runs; nonzero only under ForceCoarseSync.
-			Idle: prof.TotalOf("explicit_sync"),
+			Idle: totalOf("explicit_sync"),
 		}
 	}
 	return Totals{
-		Movement: prof.TotalOf("write_single_buf"),
-		Idle:     prof.TotalOf("explicit_sync"),
+		Movement: totalOf("write_single_buf"),
+		Idle:     totalOf("explicit_sync"),
 	}
 }
 
 // SplitConsumer decomposes a consumer profile: for DYAD, idle is the KVS
 // synchronization (dyad_fetch) and movement is the rest of dyad_consume;
 // for XFS/Lustre, movement is the POSIX read and idle is explicit_sync.
-func SplitConsumer(b Backend, prof RegionTotals) Totals {
+func SplitConsumer(b Backend, totalOf func(name string) time.Duration) Totals {
 	if b == DYAD {
-		consume := prof.TotalOf("dyad_consume")
-		fetch := prof.TotalOf("dyad_fetch")
+		consume := totalOf("dyad_consume")
+		fetch := totalOf("dyad_fetch")
 		// explicit_sync is zero in normal DYAD runs; it appears only when
 		// ForceCoarseSync layers the coarse coupling over DYAD transport.
-		return Totals{Movement: consume - fetch, Idle: fetch + prof.TotalOf("explicit_sync")}
+		return Totals{Movement: consume - fetch, Idle: fetch + totalOf("explicit_sync")}
 	}
 	return Totals{
-		Movement: prof.TotalOf("read_single_buf"),
-		Idle:     prof.TotalOf("explicit_sync"),
+		Movement: totalOf("read_single_buf"),
+		Idle:     totalOf("explicit_sync"),
 	}
 }
 

@@ -20,13 +20,13 @@ func BenchmarkProduceConsume(b *testing.B) {
 	e.Spawn("prod", func(p *sim.Proc) {
 		c := sys.NewClient(cl.Node(0))
 		for i := 0; i < b.N; i++ {
-			c.Produce(p, nil, fmt.Sprintf("/flow/f%d", i), payload)
+			c.Produce(p, fmt.Sprintf("/flow/f%d", i), payload)
 		}
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
 		c := sys.NewClient(cl.Node(1))
 		for i := 0; i < b.N; i++ {
-			c.Consume(p, nil, fmt.Sprintf("/flow/f%d", i))
+			c.Consume(p, fmt.Sprintf("/flow/f%d", i))
 		}
 	})
 	b.ResetTimer()

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/caliper"
 	"repro/internal/capacity"
 	"repro/internal/cluster"
 	"repro/internal/faults"
@@ -223,9 +222,6 @@ func (s *System) KVS() *kvs.Store { return s.kvs }
 // (the default) disables mirroring.
 func (s *System) SetFallback(mount func(*cluster.Node) vfs.FS) { s.fallback = mount }
 
-// HasFallback reports whether a shared-filesystem mirror is installed.
-func (s *System) HasFallback() bool { return s.fallback != nil }
-
 // SetCapacity imposes finite burst-buffer budgets on every broker: spec's
 // StagingBytes bounds each node's NVMe staging area and CacheBytes its
 // consumer RAM cache (0 = infinite). Evicted-but-unconsumed staging frames
@@ -274,15 +270,6 @@ func (s *System) Provision(stagingBytes, cacheBytes int64) {
 func (s *System) StagingOccupancy(nodeID int) int64 {
 	if b, ok := s.brokers[nodeID]; ok {
 		return b.stagingCap.Used()
-	}
-	return 0
-}
-
-// CacheOccupancy returns node nodeID's consumer-cache occupancy in bytes
-// (0 when capacity is off or the node has no broker yet).
-func (s *System) CacheOccupancy(nodeID int) int64 {
-	if b, ok := s.brokers[nodeID]; ok {
-		return b.cacheCap.Used()
 	}
 	return 0
 }
@@ -347,14 +334,6 @@ func (b *Broker) Staging() *xfs.FS { return b.staging }
 
 // Cache exposes a node's consumer-side cache (tests and invariants).
 func (b *Broker) Cache() *vfs.Tree { return b.cache }
-
-// StagingCap exposes the node's staging capacity store (nil when capacity
-// is off; tests and metrics).
-func (b *Broker) StagingCap() *capacity.Store { return b.stagingCap }
-
-// CacheCap exposes the node's consumer-cache capacity store (nil when
-// capacity is off; tests and metrics).
-func (b *Broker) CacheCap() *capacity.Store { return b.cacheCap }
 
 // Crash kills the broker for d of virtual time: its RAM cache is lost and
 // fetch requests against it time out until the restart. The NVMe staging
@@ -439,20 +418,20 @@ func (c *Client) Node() *cluster.Node { return c.broker.node }
 // A failed staging write (the node's device died under fault injection)
 // surfaces as an error wrapping faults.ErrDeviceFailed; the frame is then
 // not committed, so consumers never see metadata for data that was lost.
-func (c *Client) Produce(p *sim.Proc, ann *caliper.Annotator, path string, pl vfs.Payload) error {
+func (c *Client) Produce(p *sim.Proc, path string, pl vfs.Payload) error {
 	path = vfs.Clean(path)
 	pStart := p.Now()
 	// The whole produce call is data movement in the paper's decomposition
 	// (the producer never waits on consumers), so one Movement region covers
 	// it; component detail (ssd, kvs, net) nests inside.
-	defer p.Region(ann, "dyad", "dyad_produce", trace.ClassMovement).End(pl.Size(), path)
+	defer p.Region("dyad", "dyad_produce", trace.ClassMovement).End(pl.Size(), path)
 
-	ann.Begin("dyad_prod_write")
+	write := p.Phase("dyad_prod_write")
 	var werr error
 	c.broker.locks.WithExclusive(p, path, func() {
 		werr = c.broker.staging.WriteFile(p, path, pl)
 	})
-	ann.End("dyad_prod_write")
+	write.End()
 	if werr != nil {
 		return fmt.Errorf("dyad: produce %s: %w", path, werr)
 	}
@@ -467,10 +446,10 @@ func (c *Client) Produce(p *sim.Proc, ann *caliper.Annotator, path string, pl vf
 
 	// Global metadata management: the extra production-side cost the paper
 	// measures as DYAD's ~1.4x production overhead versus raw XFS.
-	ann.Begin("dyad_commit")
+	commit := p.Phase("dyad_commit")
 	c.sys.kvs.Commit(p, c.broker.node, path, encodeMeta(meta{owner: c.broker.node.ID, size: pl.Size()}))
 	c.sys.Produced++
-	ann.End("dyad_commit")
+	commit.End()
 	c.sys.produceLat.Observe(p.Now() - pStart)
 	return nil
 }
@@ -494,37 +473,37 @@ func (c *Client) Produce(p *sim.Proc, ann *caliper.Annotator, path string, pl vf
 // degrade to a direct read of the producer's staging area or the shared
 // fallback mirror. An error is returned only when every path is exhausted;
 // it wraps faults.ErrExhausted plus the final cause.
-func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.Payload, error) {
+func (c *Client) Consume(p *sim.Proc, path string) (vfs.Payload, error) {
 	path = vfs.Clean(path)
-	defer ann.Region("dyad_consume")()
+	defer p.Phase("dyad_consume").End()
 
 	flow := flowOf(path)
 
 	// --- Synchronization (dyad_fetch) ---
 	fetchStart := p.Now()
-	fetch := p.Region(ann, "dyad", "dyad_fetch", trace.ClassIdle)
+	fetch := p.Region("dyad", "dyad_fetch", trace.ClassIdle)
 	var m meta
 	if c.sys.params.NoAdaptiveSync {
 		// Ablation: always use the loosely-coupled watch protocol.
-		ann.Begin("dyad_kvs_wait")
+		wait := p.Phase("dyad_kvs_wait")
 		m = decodeMeta(c.sys.kvs.WatchWait(p, c.broker.node, path))
-		ann.End("dyad_kvs_wait")
+		wait.End()
 	} else if !c.flowSynced[flow] {
 		// Loose first-touch synchronization: the blocking KVS watch gets
 		// its own region so analyses can split the one-time pipeline-fill
 		// wait from steady-state KVS load.
-		ann.Begin("dyad_kvs_wait")
+		wait := p.Phase("dyad_kvs_wait")
 		m = decodeMeta(c.sys.kvs.WaitFor(p, c.broker.node, path))
-		ann.End("dyad_kvs_wait")
+		wait.End()
 		c.flowSynced[flow] = true
 	} else {
 		raw, err := c.sys.kvs.Lookup(p, c.broker.node, path)
 		if err != nil {
 			// Producer fell behind the overlap: fall back to the loose
 			// protocol for this file.
-			ann.Begin("dyad_kvs_wait")
+			wait := p.Phase("dyad_kvs_wait")
 			raw = c.sys.kvs.WaitFor(p, c.broker.node, path)
-			ann.End("dyad_kvs_wait")
+			wait.End()
 		}
 		m = decodeMeta(raw)
 	}
@@ -534,9 +513,9 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 	// Paper decomposition (SplitConsumer): the metadata fetch is idle time,
 	// everything after it — client overhead, remote pull, cache store, local
 	// read — is data movement. Two disjoint workflow regions mirror that;
-	// the second stays out of the caliper profile, whose sub-regions below
+	// the second stays out of the call-path profile, whose phases below
 	// carry the movement split.
-	defer p.Region(nil, "dyad", "dyad_xfer", trace.ClassMovement).End(0, path)
+	defer p.Span("dyad", "dyad_xfer", trace.ClassMovement).End(0, path)
 	c.sys.FetchIdleNanos += int64(idle)
 	c.sys.fetchLat.Observe(idle)
 
@@ -549,23 +528,23 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 	var data vfs.Payload
 	if !local {
 		// --- Remote transfer (dyad_get_data) ---
-		ann.Begin("dyad_get_data")
+		get := p.Phase("dyad_get_data")
 		owner := c.sys.brokers[m.owner]
 		if owner == nil {
-			ann.End("dyad_get_data")
+			get.End()
 			return vfs.Payload{}, fmt.Errorf("dyad: consume %s: no broker on node %d", path, m.owner)
 		}
 		got, err := c.fetchRemote(p, owner, path)
 		if err != nil {
-			ann.End("dyad_get_data")
+			get.End()
 			return vfs.Payload{}, err
 		}
 		data = got
 		c.sys.Fetched++
-		ann.End("dyad_get_data")
+		get.End()
 
 		// --- Local cache store (dyad_cons_store) ---
-		ann.Begin("dyad_cons_store")
+		store := p.Phase("dyad_cons_store")
 		sStart := p.Now()
 		stored := false
 		var serr error
@@ -589,7 +568,7 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 			})
 			stored = serr == nil
 		}
-		ann.End("dyad_cons_store")
+		store.End()
 		if stored {
 			p.CritHop(path, "cache_store", sStart, data.Size())
 		}
@@ -605,7 +584,7 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 
 	// --- POSIX read from the node-local copy (read_single_buf) ---
 	rStart := p.Now()
-	ann.Begin("read_single_buf")
+	read := p.Phase("read_single_buf")
 	var rerr error
 	c.broker.locks.WithShared(p, path, func() {
 		var got vfs.Payload
@@ -647,7 +626,7 @@ func (c *Client) Consume(p *sim.Proc, ann *caliper.Annotator, path string) (vfs.
 		}
 		data = got
 	})
-	ann.End("read_single_buf")
+	read.End()
 	if rerr != nil {
 		if fb := c.fallbackFS(); fb != nil && (errors.Is(rerr, faults.ErrDeviceFailed) || errors.Is(rerr, capacity.ErrEvicted)) {
 			// Local copy unreadable (device failed) or evicted-but-spilled:

@@ -18,20 +18,16 @@ func rig(e *sim.Engine, n int) (*cluster.Cluster, *System) {
 	return cl, New(cl, cl.Node(0), DefaultParams())
 }
 
-func annotator(p *sim.Proc) *caliper.Annotator {
-	return caliper.New(p.Name(), p)
-}
-
 func TestProduceConsumeSameNode(t *testing.T) {
 	e := sim.NewEngine(1)
 	cl, sys := rig(e, 1)
 	payload := []byte("frame-0-bytes")
 	var got vfs.Payload
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.BytesPayload(payload))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.BytesPayload(payload))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
-		got, _ = sys.NewClient(cl.Node(0)).Consume(p, nil, "/flow/f0")
+		got, _ = sys.NewClient(cl.Node(0)).Consume(p, "/flow/f0")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -50,10 +46,10 @@ func TestProduceConsumeCrossNode(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 1<<20)
 	var got vfs.Payload
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.BytesPayload(payload))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.BytesPayload(payload))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
-		got, _ = sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		got, _ = sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -75,12 +71,12 @@ func TestConsumerBlocksUntilProduced(t *testing.T) {
 	cl, sys := rig(e, 2)
 	var consumedAt sim.Time
 	e.Spawn("cons", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 		consumedAt = p.Now()
 	})
 	e.Spawn("prod", func(p *sim.Proc) {
 		p.Sleep(100 * time.Millisecond)
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.BytesPayload([]byte("late")))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.BytesPayload([]byte("late")))
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -101,7 +97,7 @@ func TestProducerNeverBlocksOnConsumer(t *testing.T) {
 			c := sys.NewClient(cl.Node(0))
 			t0 := p.Now()
 			for i := 0; i < 10; i++ {
-				c.Produce(p, nil, fmt.Sprintf("/flow/f%d", i), vfs.SizeOnly(1<<16))
+				c.Produce(p, fmt.Sprintf("/flow/f%d", i), vfs.SizeOnly(1<<16))
 			}
 			prodTime = p.Now() - t0
 		})
@@ -109,7 +105,7 @@ func TestProducerNeverBlocksOnConsumer(t *testing.T) {
 			e.Spawn("cons", func(p *sim.Proc) {
 				c := sys.NewClient(cl.Node(1))
 				for i := 0; i < 10; i++ {
-					c.Consume(p, nil, fmt.Sprintf("/flow/f%d", i))
+					c.Consume(p, fmt.Sprintf("/flow/f%d", i))
 				}
 			})
 		}
@@ -136,7 +132,7 @@ func TestAdaptiveSyncSwitchesProtocols(t *testing.T) {
 	e.Spawn("prod", func(p *sim.Proc) {
 		c := sys.NewClient(cl.Node(0))
 		for i := 0; i < n; i++ {
-			c.Produce(p, nil, fmt.Sprintf("/flow/f%d", i), vfs.SizeOnly(1<<18))
+			c.Produce(p, fmt.Sprintf("/flow/f%d", i), vfs.SizeOnly(1<<18))
 			p.Sleep(10 * time.Millisecond)
 		}
 	})
@@ -144,11 +140,11 @@ func TestAdaptiveSyncSwitchesProtocols(t *testing.T) {
 	e.Spawn("cons", func(p *sim.Proc) {
 		c := sys.NewClient(cl.Node(1))
 		for i := 0; i < n; i++ {
-			ann := annotator(p)
+			p.KeepProfile()
 			// Consume lags production by half a period so data is ready
 			// for every frame after the first.
-			c.Consume(p, ann, fmt.Sprintf("/flow/f%d", i))
-			prof := ann.Profile()
+			c.Consume(p, fmt.Sprintf("/flow/f%d", i))
+			prof := p.Profile()
 			ft := prof.TotalOf("dyad_fetch")
 			if i == 0 {
 				fetchFirst = ft
@@ -175,12 +171,12 @@ func TestAnnotationsMatchDyadRegions(t *testing.T) {
 	cl, sys := rig(e, 2)
 	var prof *caliper.Profile
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.SizeOnly(4096))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.SizeOnly(4096))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
-		ann := annotator(p)
-		sys.NewClient(cl.Node(1)).Consume(p, ann, "/flow/f0")
-		prof = ann.Profile()
+		p.KeepProfile()
+		sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
+		prof = p.Profile()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -202,12 +198,12 @@ func TestSameNodeConsumeSkipsTransferRegions(t *testing.T) {
 	cl, sys := rig(e, 1)
 	var prof *caliper.Profile
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.SizeOnly(4096))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.SizeOnly(4096))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
-		ann := annotator(p)
-		sys.NewClient(cl.Node(0)).Consume(p, ann, "/flow/f0")
-		prof = ann.Profile()
+		p.KeepProfile()
+		sys.NewClient(cl.Node(0)).Consume(p, "/flow/f0")
+		prof = p.Profile()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -244,14 +240,14 @@ func TestManyPairsConserveBytes(t *testing.T) {
 		e.Spawn(fmt.Sprintf("prod%d", pair), func(p *sim.Proc) {
 			c := sys.NewClient(cl.Node(0))
 			for f := 0; f < frames; f++ {
-				c.Produce(p, nil, fmt.Sprintf("/flow%d/f%d", pair, f), vfs.SizeOnly(int64(size)))
+				c.Produce(p, fmt.Sprintf("/flow%d/f%d", pair, f), vfs.SizeOnly(int64(size)))
 				p.Sleep(time.Duration(p.Rand().Intn(5)) * time.Millisecond)
 			}
 		})
 		e.Spawn(fmt.Sprintf("cons%d", pair), func(p *sim.Proc) {
 			c := sys.NewClient(cl.Node(1))
 			for f := 0; f < frames; f++ {
-				got, _ := c.Consume(p, nil, fmt.Sprintf("/flow%d/f%d", pair, f))
+				got, _ := c.Consume(p, fmt.Sprintf("/flow%d/f%d", pair, f))
 				consumedBytes += int(got.Size())
 			}
 		})
@@ -277,7 +273,7 @@ func TestMultipleConsumersSameFlow(t *testing.T) {
 	e.Spawn("prod", func(p *sim.Proc) {
 		c := sys.NewClient(cl.Node(0))
 		for i := 0; i < n; i++ {
-			c.Produce(p, nil, fmt.Sprintf("/flow/f%d", i), payload)
+			c.Produce(p, fmt.Sprintf("/flow/f%d", i), payload)
 			p.Sleep(time.Millisecond)
 		}
 	})
@@ -288,7 +284,7 @@ func TestMultipleConsumersSameFlow(t *testing.T) {
 		e.Spawn(fmt.Sprintf("cons%d", ci), func(p *sim.Proc) {
 			c := sys.NewClient(node)
 			for i := 0; i < n; i++ {
-				data, _ := c.Consume(p, nil, fmt.Sprintf("/flow/f%d", i))
+				data, _ := c.Consume(p, fmt.Sprintf("/flow/f%d", i))
 				got[ci] += int(data.Size())
 			}
 		})

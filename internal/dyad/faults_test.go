@@ -22,13 +22,13 @@ func TestBrokerCrashRecoversViaRetry(t *testing.T) {
 	sys.Broker(cl.Node(0)).Crash(100 * time.Millisecond)
 	var got vfs.Payload
 	e.Spawn("prod", func(p *sim.Proc) {
-		if err := sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.BytesPayload(payload)); err != nil {
+		if err := sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.BytesPayload(payload)); err != nil {
 			t.Errorf("produce: %v", err)
 		}
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
 		var err error
-		got, err = sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		got, err = sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 		if err != nil {
 			t.Errorf("consume: %v", err)
 		}
@@ -67,11 +67,11 @@ func TestBrokerCrashDegradesToStagingRead(t *testing.T) {
 	sys.Broker(cl.Node(0)).Crash(time.Hour)
 	var got vfs.Payload
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.BytesPayload(payload))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.BytesPayload(payload))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
 		var err error
-		got, err = sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		got, err = sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 		if err != nil {
 			t.Errorf("consume: %v", err)
 		}
@@ -101,7 +101,7 @@ func TestBrokerAndDeviceDeadFallsBackToMirror(t *testing.T) {
 	sys.SetFallback(func(*cluster.Node) vfs.FS { return mirror })
 	payload := bytes.Repeat([]byte("z"), 1<<16)
 	e.Spawn("prod", func(p *sim.Proc) {
-		if err := sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.BytesPayload(payload)); err != nil {
+		if err := sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.BytesPayload(payload)); err != nil {
 			t.Errorf("produce: %v", err)
 		}
 		// After production, the producer node dies entirely.
@@ -112,7 +112,7 @@ func TestBrokerAndDeviceDeadFallsBackToMirror(t *testing.T) {
 	e.Spawn("cons", func(p *sim.Proc) {
 		p.Sleep(10 * time.Millisecond) // let the producer finish and die
 		var err error
-		got, err = sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		got, err = sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 		if err != nil {
 			t.Errorf("consume: %v", err)
 		}
@@ -136,13 +136,13 @@ func TestExhaustedRecoveryReturnsWrappedSentinels(t *testing.T) {
 	cl, sys := rig(e, 2)
 	var consumeErr error
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.SizeOnly(1<<16))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.SizeOnly(1<<16))
 		sys.Broker(cl.Node(0)).Crash(time.Hour)
 		cl.Node(0).SSD.Fail()
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
 		p.Sleep(10 * time.Millisecond)
-		_, consumeErr = sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		_, consumeErr = sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -162,10 +162,10 @@ func TestCrashLosesCacheKeepsStaging(t *testing.T) {
 	e := sim.NewEngine(1)
 	cl, sys := rig(e, 2)
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.SizeOnly(4096))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.SizeOnly(4096))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestProduceOnFailedDeviceErrorsWithoutCommit(t *testing.T) {
 	cl.Node(0).SSD.Fail()
 	var produceErr error
 	e.Spawn("prod", func(p *sim.Proc) {
-		produceErr = sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.SizeOnly(1<<16))
+		produceErr = sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.SizeOnly(1<<16))
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -215,10 +215,10 @@ func TestHealthyRunRecordsNoRecovery(t *testing.T) {
 	e := sim.NewEngine(1)
 	cl, sys := rig(e, 2)
 	e.Spawn("prod", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(0)).Produce(p, nil, "/flow/f0", vfs.SizeOnly(1<<20))
+		sys.NewClient(cl.Node(0)).Produce(p, "/flow/f0", vfs.SizeOnly(1<<20))
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
-		sys.NewClient(cl.Node(1)).Consume(p, nil, "/flow/f0")
+		sys.NewClient(cl.Node(1)).Consume(p, "/flow/f0")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

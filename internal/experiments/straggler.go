@@ -52,7 +52,7 @@ func Straggler(o Options) (*Report, error) {
 		k := keys[i]
 		var sum, worst float64
 		for _, prof := range res[0].ConsumerProfiles {
-			t := core.SplitConsumer(k.b, prof).Sum().Seconds()
+			t := core.SplitConsumer(k.b, prof.TotalOf).Sum().Seconds()
 			sum += t
 			if t > worst {
 				worst = t

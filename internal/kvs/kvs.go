@@ -91,15 +91,12 @@ func New(cl *cluster.Cluster, node *cluster.Node, params Params) *Store {
 // Node returns the hosting node.
 func (s *Store) Node() *cluster.Node { return s.node }
 
-// Server exposes the service queue (for utilization stats).
-func (s *Store) Server() *sim.Resource { return s.server }
-
 // Commit publishes value under key, firing any watches. The calling
 // process pays the round trip from its node plus queued server time.
 func (s *Store) Commit(p *sim.Proc, from *cluster.Node, key string, value []byte) {
 	s.Commits++
 	start := p.Now()
-	r := p.Region(nil, "kvs", "commit", trace.ClassDetail)
+	r := p.Span("kvs", "commit", trace.ClassDetail)
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes+int64(len(value)), 64, s.server, s.params.CommitService)
 	s.commitLat.Observe(r.End(int64(len(value)), key))
 	p.CritHop(key, "kvs_commit", start, int64(len(value)))
@@ -119,7 +116,7 @@ func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) ([]byte, err
 	if ok {
 		resp += int64(len(v))
 	}
-	r := p.Region(nil, "kvs", "lookup", trace.ClassDetail)
+	r := p.Span("kvs", "lookup", trace.ClassDetail)
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes, resp, s.server, s.params.LookupService)
 	r.End(0, key)
 	if ok {
@@ -155,7 +152,7 @@ func (s *Store) WaitFor(p *sim.Proc, from *cluster.Node, key string) []byte {
 		l = &sim.Latch{}
 		s.watches[key] = l
 	}
-	r := p.Region(nil, "kvs", "watch_block", trace.ClassDetail)
+	r := p.Span("kvs", "watch_block", trace.ClassDetail)
 	l.Wait(p)
 	r.End(0, key)
 	v := s.data[key]
@@ -179,7 +176,7 @@ func (s *Store) WatchWait(p *sim.Proc, from *cluster.Node, key string) []byte {
 		l = &sim.Latch{}
 		s.watches[key] = l
 	}
-	r := p.Region(nil, "kvs", "watch_block", trace.ClassDetail)
+	r := p.Span("kvs", "watch_block", trace.ClassDetail)
 	l.Wait(p)
 	r.End(0, key)
 	v := s.data[key]

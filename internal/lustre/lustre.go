@@ -177,9 +177,6 @@ func (f *FS) Tree() *vfs.Tree { return f.tree }
 // OSTs returns the number of object storage targets.
 func (f *FS) OSTs() int { return len(f.osts) }
 
-// MDSQueue exposes the MDS service queue.
-func (f *FS) MDSQueue() *sim.Resource { return f.mds }
-
 // StartNoise spawns background-interference processes, one per OST, that
 // keep ~BackgroundLoad of each OST busy with bursty foreign I/O. Call once
 // per engine before Run if interference is wanted.

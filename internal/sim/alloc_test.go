@@ -4,25 +4,23 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/caliper"
 	"repro/internal/trace"
 )
 
 // steadyAllocs measures the total heap allocations of one engine lifetime
-// delivering `events` sleep events, each inside a phase recorded through a
-// warmed caliper annotator, followed by a zero-length phase without one.
+// delivering `events` sleep events, each inside a phase recorded in the
+// process's profile, followed by a zero-length phase kept out of it.
 func steadyAllocs(t *testing.T, events int) float64 {
 	t.Helper()
-	var ann caliper.Annotator
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
 		e.Spawn("p", func(p *Proc) {
-			ann.Reset(p.Name(), p)
+			p.KeepProfile()
 			for i := 0; i < events; i++ {
-				r := p.Region(&ann, "test", "step", trace.ClassCompute)
+				r := p.Region("test", "step", trace.ClassCompute)
 				p.Sleep(time.Microsecond)
 				r.End(0, "")
-				p.Region(nil, "test", "mark", trace.ClassDetail).End(0, "")
+				p.Span("test", "mark", trace.ClassDetail).End(0, "")
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -52,19 +50,18 @@ func TestSteadyStateZeroAllocsWithTracingOff(t *testing.T) {
 // lifetime driving a Block/Wake-heavy workload: a waiter parked in a
 // Signal and a peer that broadcasts every microsecond — one release edge
 // per round, exercising exactly the kernel paths the critical-path
-// recorder hooks (Block, Wake, Spawn, next). Each wait is a phase, with a
-// warmed caliper annotator around a phase without one.
+// recorder hooks (Block, Wake, Spawn, next). Each wait is a profiled
+// phase around one kept out of the profile.
 func pingPongAllocs(t *testing.T, rounds int) float64 {
 	t.Helper()
-	var ann caliper.Annotator
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
 		var sig Signal
 		e.Spawn("waiter", func(p *Proc) {
-			ann.Reset(p.Name(), p)
+			p.KeepProfile()
 			for i := 0; i < rounds; i++ {
-				outer := p.Region(&ann, "test", "sync", trace.ClassIdle)
-				inner := p.Region(nil, "test", "wait", trace.ClassDetail)
+				outer := p.Region("test", "sync", trace.ClassIdle)
+				inner := p.Span("test", "wait", trace.ClassDetail)
 				sig.Wait(p)
 				inner.End(0, "")
 				outer.End(0, "")

@@ -22,10 +22,6 @@ import (
 // default) disables dependency recording at zero cost.
 func (e *Engine) SetCritRecorder(cp *critpath.Recorder) { e.cp = cp }
 
-// CritRecorder returns the installed critical-path recorder, or nil when
-// dependency recording is off.
-func (e *Engine) CritRecorder() *critpath.Recorder { return e.cp }
-
 // CritBegin opens a labeled region on the process's critical-path
 // timeline: time the proc spends (running or blocked) until the matching
 // CritEnd is blamed to this label when the critical path passes through

@@ -83,9 +83,13 @@ type Engine struct {
 	seq int64
 	// pq holds the pending events by (at, seq): an amortized-O(1) ladder
 	// queue with a lane for events due at the current instant (queue.go).
-	pq      eventq
-	coros   *coroList // idle coroutines; nil before the first Spawn or Retain
-	procs   []*Proc
+	pq    eventq
+	coros *coroList // idle coroutines; nil before the first Spawn or Retain
+	procs []*Proc
+	// profs holds the call-path profiles by spawn slot (profile.go). It
+	// makes the Engine 1528 bytes, which with its allocation header just
+	// fits the 1536-byte size class (see live).
+	profs   []profTable
 	seed    uint64
 	failure error
 	tracer  func(t Time, procName, msg string)
@@ -170,7 +174,7 @@ func (e *Engine) Close() {
 // Prealloc reserves capacity for an expected workload: procs processes and
 // events simultaneously pending events. Harnesses that know their ensemble
 // size call it once per run so repetition sweeps never re-grow the process
-// table or the event queue. Undersized (or unset) hints only cost the usual
+// table, the profile tables or the event queue. Undersized (or unset) hints only cost the usual
 // amortized growth; they never limit the run.
 func (e *Engine) Prealloc(procs, events int) {
 	if procs > cap(e.procs) {
@@ -178,12 +182,13 @@ func (e *Engine) Prealloc(procs, events int) {
 		copy(grown, e.procs)
 		e.procs = grown
 	}
+	e.growProfs(procs)
 	e.pq.grow(events)
 }
 
 // Reset returns the engine to its initial state under a new seed, keeping
-// every backing array — the event queue and the process table — and the
-// idle coroutines of a retained engine (Retain), so
+// every backing array — the event queue, the process table and the
+// profile tables — and the idle coroutines of a retained engine (Retain), so
 // harnesses can reuse one engine across repetitions instead of reallocating
 // the rig per rep (core's pooled RunMany; DESIGN.md §3h). A reset engine is
 // observationally identical to NewEngine(seed): every run-visible field is
@@ -202,6 +207,10 @@ func (e *Engine) Reset(seed uint64) {
 		e.procs[i] = nil
 	}
 	e.procs = e.procs[:0]
+	for i := range e.profs {
+		e.profs[i].nodes = e.profs[i].nodes[:0]
+	}
+	e.profs = e.profs[:0]
 	e.seed = seed
 	e.failure = nil
 	e.tracer = nil
@@ -215,6 +224,10 @@ func (e *Engine) Reset(seed uint64) {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Procs returns the processes spawned so far, in spawn order, until the
+// next Reset. The slice is the engine's own: read it, do not change it.
+func (e *Engine) Procs() []*Proc { return e.procs }
 
 // Seed returns the seed the engine was created with.
 func (e *Engine) Seed() uint64 { return e.seed }

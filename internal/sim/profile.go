@@ -1,0 +1,184 @@
+package sim
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/caliper"
+)
+
+// profNode is one call path of a profile table. Links index the table;
+// since the root is never a child or a sibling, 0 means "none".
+type profNode struct {
+	name                string
+	parent, child, next int32 // next is the following sibling
+	visits              int64
+	total               time.Duration
+}
+
+// profTable is one process's call-path profile, in the engine's slab by
+// spawn slot: its call paths in first-visit order, nodes[0] the root named
+// after the process, and cur the innermost open phase (0 when none). A
+// phase holds its node and start time, so the table needs no stack of
+// open phases. An empty table is a process that keeps no profile.
+type profTable struct {
+	nodes []profNode
+	cur   int32
+}
+
+// profShare is the call paths each table is carved with: the most any
+// process of the experiment sweeps was measured to use (a coarse-synced
+// DYAD consumer reading across nodes visits 10, the root included).
+const profShare = 10
+
+// KeepProfile starts p's call-path profile, discarding anything p
+// recorded before: from now on the phases p opens through Region and
+// Phase are recorded in it. A warmed engine records without allocating.
+func (p *Proc) KeepProfile() {
+	e := p.e
+	if int(p.idx) >= len(e.profs) {
+		e.growProfs(len(e.procs))
+	}
+	t := &e.profs[p.idx]
+	t.nodes = append(t.nodes[:0], profNode{name: p.name})
+	t.cur = 0
+}
+
+// growProfs extends the profile slab to n processes, none keeping a
+// profile yet. Tables past the old capacity are carved from one shared
+// array (Prealloc makes them before a run, or else its first
+// KeepProfile); one that outgrows its share grows on its own. Reset keeps
+// them, emptied, for the next run.
+func (e *Engine) growProfs(n int) {
+	if n > cap(e.profs) {
+		grown := make([]profTable, n)
+		fresh := grown[copy(grown, e.profs[:cap(e.profs)]):]
+		arr := make([]profNode, len(fresh)*profShare)
+		for i := range fresh {
+			fresh[i].nodes = arr[i*profShare : i*profShare : (i+1)*profShare]
+		}
+		e.profs = grown
+	}
+	if n > len(e.profs) {
+		e.profs = e.profs[:n]
+	}
+}
+
+// profile returns p's profile table, or nil when p keeps none.
+func (p *Proc) profile() *profTable {
+	if e := p.e; int(p.idx) < len(e.profs) {
+		if t := &e.profs[p.idx]; len(t.nodes) > 0 {
+			return t
+		}
+	}
+	return nil
+}
+
+// enter opens call path name under p's innermost open phase and counts
+// the visit. It returns the path's node, or 0 when p keeps no profile.
+func (p *Proc) enter(name string) int32 {
+	t := p.profile()
+	if t == nil {
+		return 0
+	}
+	parent := t.cur
+	c, last := t.nodes[parent].child, int32(0)
+	for c != 0 && t.nodes[c].name != name {
+		c, last = t.nodes[c].next, c
+	}
+	if c == 0 {
+		c = int32(len(t.nodes))
+		t.nodes = append(t.nodes, profNode{name: name, parent: parent})
+		if last == 0 {
+			t.nodes[parent].child = c
+		} else {
+			t.nodes[last].next = c
+		}
+	}
+	t.nodes[c].visits++
+	t.cur = c
+	return c
+}
+
+// leave closes the phase named name at node, opened at start, which must
+// be p's innermost open phase: anything else is an instrumentation bug
+// and panics. Node 0 (a phase of no profile) is a no-op.
+func (p *Proc) leave(node int32, name string, start Time) {
+	if node == 0 {
+		return
+	}
+	t := &p.e.profs[p.idx]
+	if t.cur != node {
+		p.badLeave(t, name)
+	}
+	t.nodes[node].total += p.e.now - start
+	t.cur = t.nodes[node].parent
+}
+
+//go:noinline
+func (p *Proc) badLeave(t *profTable, name string) {
+	if t.cur == 0 {
+		panic(fmt.Sprintf("sim: process %q ends phase %q with no open phase", p.name, name))
+	}
+	panic(fmt.Sprintf("sim: process %q ends phase %q but its innermost phase is %q", p.name, name, t.nodes[t.cur].name))
+}
+
+// TotalOf returns the inclusive time of the outermost phases named name
+// in p's profile, as Profile().TotalOf(name) does, without building the
+// tree; 0 when p keeps no profile.
+func (p *Proc) TotalOf(name string) time.Duration {
+	t := p.profile()
+	if t == nil {
+		return 0
+	}
+	var d time.Duration
+nodes:
+	for i := range t.nodes {
+		if t.nodes[i].name != name {
+			continue
+		}
+		// A node with a same-named ancestor is already inside that
+		// ancestor's inclusive total.
+		for anc := int32(i); anc != 0; {
+			anc = t.nodes[anc].parent
+			if t.nodes[anc].name == name {
+				continue nodes
+			}
+		}
+		d += t.nodes[i].total
+	}
+	return d
+}
+
+// Profile snapshots p's profile into a caliper tree, empty when p keeps
+// none. An open phase is a bug and panics.
+func (p *Proc) Profile() *caliper.Profile {
+	t := p.profile()
+	if t == nil {
+		return &caliper.Profile{Proc: "", Root: &caliper.Node{}}
+	}
+	if t.cur != 0 {
+		panic(fmt.Sprintf("sim: profile of process %q with phase %q open", p.name, t.nodes[t.cur].name))
+	}
+	// Two allocations for the whole tree: the nodes, and one array whose
+	// consecutive runs are each node's Children in first-visit order.
+	tree := make([]caliper.Node, len(t.nodes))
+	var kids []*caliper.Node
+	if len(t.nodes) > 1 {
+		kids = make([]*caliper.Node, len(t.nodes)-1)
+	}
+	off := 0
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		tree[i] = caliper.Node{Name: n.name, Visits: n.visits, Total: n.total}
+		start := off
+		for c := n.child; c != 0; c = t.nodes[c].next {
+			kids[off] = &tree[c]
+			off++
+		}
+		if off > start {
+			tree[i].Children = kids[start:off:off]
+		}
+	}
+	return &caliper.Profile{Proc: p.name, Root: &tree[0]}
+}

@@ -10,17 +10,25 @@ import (
 	"repro/internal/trace"
 )
 
-// openPhase opens a phase and returns the call that closes it.
-type openPhase func(p *Proc, ann *caliper.Annotator, component, name string, class trace.Class) func(bytes int64, attr string) time.Duration
+// openPhase opens a phase, in the process's profile when profiled, and
+// returns the call that closes it.
+type openPhase func(p *Proc, profiled bool, component, name string, class trace.Class) func(bytes int64, attr string) time.Duration
 
-func viaRegion(p *Proc, ann *caliper.Annotator, component, name string, class trace.Class) func(int64, string) time.Duration {
-	return p.Region(ann, component, name, class).End
+func viaRegion(p *Proc, profiled bool, component, name string, class trace.Class) func(int64, string) time.Duration {
+	if profiled {
+		return p.Region(component, name, class).End
+	}
+	return p.Span(component, name, class).End
 }
 
 // handHooks is the reference Region replaced: each sink's hook written
-// out by hand, in the order every instrumented site used.
-func handHooks(p *Proc, ann *caliper.Annotator, component, name string, class trace.Class) func(int64, string) time.Duration {
-	ann.Begin(name)
+// out by hand, in the order every instrumented site used, with the
+// profile's own front for the profile.
+func handHooks(p *Proc, profiled bool, component, name string, class trace.Class) func(int64, string) time.Duration {
+	var ph Phase
+	if profiled {
+		ph = p.Phase(name)
+	}
 	p.CritBegin(component, name, class)
 	start := p.Now()
 	return func(bytes int64, attr string) time.Duration {
@@ -28,7 +36,9 @@ func handHooks(p *Proc, ann *caliper.Annotator, component, name string, class tr
 		p.Rec().Emit(trace.Span{Proc: p.Name(), Component: component, Name: name,
 			Class: class, Start: start, Dur: d, Bytes: bytes, Attr: attr})
 		p.CritEnd()
-		ann.End(name)
+		if profiled {
+			ph.End()
+		}
 		return d
 	}
 }
@@ -52,23 +62,22 @@ func runRegions(t *testing.T, phase openPhase) regionRun {
 	cp := critpath.NewRecorder()
 	e.SetCritRecorder(cp)
 	var out regionRun
-	var prodAnn, consAnn caliper.Annotator
 	consumer := e.Spawn("consumer", func(p *Proc) {
-		consAnn.Reset(p.Name(), p)
-		wait := phase(p, &consAnn, "workflow", "wait", trace.ClassIdle)
+		p.KeepProfile()
+		wait := phase(p, true, "workflow", "wait", trace.ClassIdle)
 		p.Block()
 		out.lengths = append(out.lengths, wait(0, "/f0"))
-		work := phase(p, &consAnn, "workflow", "analytics", trace.ClassCompute)
+		work := phase(p, true, "workflow", "analytics", trace.ClassCompute)
 		p.Sleep(2 * time.Millisecond)
 		out.lengths = append(out.lengths, work(0, ""))
 	})
-	e.Spawn("producer", func(p *Proc) {
-		prodAnn.Reset(p.Name(), p)
-		produce := phase(p, &prodAnn, "workflow", "produce", trace.ClassMovement)
-		write := phase(p, nil, "dev", "write", trace.ClassDetail)
+	producer := e.Spawn("producer", func(p *Proc) {
+		p.KeepProfile()
+		produce := phase(p, true, "workflow", "produce", trace.ClassMovement)
+		write := phase(p, false, "dev", "write", trace.ClassDetail)
 		p.Sleep(3 * time.Millisecond)
 		out.lengths = append(out.lengths, write(4096, "/f0"))
-		mark := phase(p, &prodAnn, "workflow", "mark", trace.ClassDetail)
+		mark := phase(p, true, "workflow", "mark", trace.ClassDetail)
 		out.lengths = append(out.lengths, mark(0, ""))
 		p.Sleep(time.Millisecond)
 		consumer.Wake()
@@ -80,17 +89,17 @@ func runRegions(t *testing.T, phase openPhase) regionRun {
 	out.spans = rec.Spans()
 	out.graph = cp.Finish(e.Now())
 	out.path = critpath.Extract(out.graph)
-	out.profiles = []*caliper.Profile{prodAnn.Profile(), consAnn.Profile()}
+	out.profiles = []*caliper.Profile{producer.Profile(), consumer.Profile()}
 	return out
 }
 
-// Region records exactly what the hand-written hooks did: the same spans,
-// the same critical-path graph and path, the same caliper profiles, and
-// the same phase lengths.
+// Region and Span record exactly what the hand-written hooks did: the
+// same spans, the same critical-path graph and path, the same profiles,
+// and the same phase lengths.
 func TestRegionMatchesHandHooks(t *testing.T) {
 	ref := runRegions(t, handHooks)
 	got := runRegions(t, viaRegion)
-	if len(ref.spans) != 5 || ref.graph.Unclosed != 0 {
+	if len(ref.spans) != 5 || ref.graph.Unclosed != 0 || ref.profiles[0].Root.Find("produce") == nil {
 		t.Fatalf("weak scenario: %d spans, %d unclosed regions", len(ref.spans), ref.graph.Unclosed)
 	}
 	if !reflect.DeepEqual(got.spans, ref.spans) {

@@ -40,11 +40,7 @@ func TestCompareHandlesMissingPaths(t *testing.T) {
 		consumeProfile("c0", time.Millisecond, 2*time.Millisecond, time.Millisecond),
 	})
 	withoutGet := FromProfiles([]*caliper.Profile{
-		profileOf("c1", func(a *caliper.Annotator, c *clk) {
-			a.Begin("dyad_consume")
-			c.now += 4 * time.Millisecond
-			a.End("dyad_consume")
-		}),
+		profileOf("c1", node("dyad_consume", 4*time.Millisecond)),
 	})
 	cmp := Compare(withGet, withoutGet)
 	get := cmp.Row("dyad_get_data")

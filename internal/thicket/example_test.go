@@ -12,14 +12,9 @@ import (
 // the Hatchet-style path language.
 func ExampleEnsemble_Query() {
 	mkProfile := func(proc string, fetch time.Duration) *caliper.Profile {
-		var now time.Duration
-		a := caliper.New(proc, caliper.ClockFunc(func() time.Duration { return now }))
-		a.Begin("dyad_consume")
-		a.Begin("dyad_fetch")
-		now += fetch
-		a.End("dyad_fetch")
-		a.End("dyad_consume")
-		return a.Profile()
+		fetchNode := &caliper.Node{Name: "dyad_fetch", Visits: 1, Total: fetch}
+		consume := &caliper.Node{Name: "dyad_consume", Visits: 1, Total: fetch, Children: []*caliper.Node{fetchNode}}
+		return &caliper.Profile{Proc: proc, Root: &caliper.Node{Name: proc, Children: []*caliper.Node{consume}}}
 	}
 	ens := thicket.FromProfiles([]*caliper.Profile{
 		mkProfile("consumer0", 10*time.Millisecond),

@@ -9,30 +9,20 @@ import (
 	"repro/internal/caliper"
 )
 
-// buildProfile makes a profile with the region sequence name->durations.
-type clk struct{ now time.Duration }
-
-func profileOf(proc string, build func(a *caliper.Annotator, c *clk)) *caliper.Profile {
-	c := &clk{}
-	a := caliper.New(proc, caliper.ClockFunc(func() time.Duration { return c.now }))
-	build(a, c)
-	return a.Profile()
+// node builds a profile node visited once.
+func node(name string, total time.Duration, children ...*caliper.Node) *caliper.Node {
+	return &caliper.Node{Name: name, Visits: 1, Total: total, Children: children}
 }
 
+// profileOf builds the profile of process proc whose root holds children.
+func profileOf(proc string, children ...*caliper.Node) *caliper.Profile {
+	return &caliper.Profile{Proc: proc, Root: &caliper.Node{Name: proc, Children: children}}
+}
+
+// consumeProfile is a DYAD consumer's profile of one frame.
 func consumeProfile(proc string, fetch, get, read time.Duration) *caliper.Profile {
-	return profileOf(proc, func(a *caliper.Annotator, c *clk) {
-		a.Begin("dyad_consume")
-		a.Begin("dyad_fetch")
-		c.now += fetch
-		a.End("dyad_fetch")
-		a.Begin("dyad_get_data")
-		c.now += get
-		a.End("dyad_get_data")
-		a.Begin("read_single_buf")
-		c.now += read
-		a.End("read_single_buf")
-		a.End("dyad_consume")
-	})
+	return profileOf(proc, node("dyad_consume", fetch+get+read,
+		node("dyad_fetch", fetch), node("dyad_get_data", get), node("read_single_buf", read)))
 }
 
 func TestEnsembleMergesByPath(t *testing.T) {
@@ -62,13 +52,7 @@ func TestEnsembleMergesByPath(t *testing.T) {
 
 func TestMemberMissingNodeCountsZero(t *testing.T) {
 	withGet := consumeProfile("c0", 0, 10*time.Millisecond, 0)
-	withoutGet := profileOf("c1", func(a *caliper.Annotator, c *clk) {
-		a.Begin("dyad_consume")
-		a.Begin("read_single_buf")
-		c.now += 4 * time.Millisecond
-		a.End("read_single_buf")
-		a.End("dyad_consume")
-	})
+	withoutGet := profileOf("c1", node("dyad_consume", 4*time.Millisecond, node("read_single_buf", 4*time.Millisecond)))
 	e := FromProfiles([]*caliper.Profile{withGet, withoutGet})
 	get := e.Find("dyad_get_data")
 	if get.Total.N != 2 {

@@ -48,7 +48,7 @@ func Profiles(spans []Span) []*caliper.Profile {
 }
 
 // childNode finds or appends the named child, preserving insertion order,
-// so children keep first-visit order as in caliper.Annotator.Profile.
+// so children keep first-visit order as in sim.Proc.Profile.
 func childNode(n *caliper.Node, name string) *caliper.Node {
 	for _, c := range n.Children {
 		if c.Name == name {

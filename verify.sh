@@ -142,8 +142,8 @@ echo "== zero-alloc gate: tracing/metrics/capacity-off allocation budget =="
 # sim.Proc.Region phases, so the region primitive is covered with every
 # sink off. The core budget pins the per-run allocation count of
 # a Fig5-shaped DYAD, XFS and Lustre run with every sink off; cleaning a
-# canonical path, a steady lock/unlock cycle and a warmed caliper
-# annotator's Reset and region cycle allocate nothing. The
+# canonical path, a steady lock/unlock cycle and a warmed process
+# profile's restart and region cycle allocate nothing. The
 # export budgets (trace, metrics, critpath) require the Chrome,
 # CSV/Prometheus and waterfall writers to allocate no more for 8x the
 # events (run without -race; race instrumentation allocates).
@@ -157,6 +157,7 @@ echo "== fuzz smoke: every committed fuzz target, briefly =="
 go test -run '^$' -fuzz '^FuzzClean$' -fuzztime 10s ./internal/vfs
 go test -run '^$' -fuzz '^FuzzChromeEvent$' -fuzztime 10s ./internal/trace
 go test -run '^$' -fuzz '^FuzzAnnotator$' -fuzztime 10s ./internal/caliper
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/frame
 go test -run '^$' -fuzz '^FuzzEventQueue$' -fuzztime 10s ./internal/sim
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./... =="
