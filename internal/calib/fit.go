@@ -387,7 +387,8 @@ func fmtParam(name string, v float64) string {
 
 // Render writes the fit report: the fitted parameters, then every target
 // with its measured value and relative error. Byte-identical for any
-// worker count — verify.sh cmps -j 1 against -j 8.
+// worker count — TestOutputDigests' calibrate legs at -j 1 and -j 8 match
+// one pinned digest.
 func (f *Fit) Render(w io.Writer) {
 	mode := "full"
 	if f.Opts.Quick {

@@ -14,12 +14,15 @@ import (
 // replaced, kept as the reference it must match: each node owns a
 // Children slice, Begin finds or appends the child, and Profile
 // deep-clones the tree. End takes the node Begin returned and the time it
-// was opened, as a phase holds both.
+// was opened, as a phase holds both, and must close the innermost opening
+// of that node: a start other than that opening's is a phase ended again
+// after its call path was reopened.
 type refAnnotator struct {
-	proc  string
-	clock interface{ Now() time.Duration }
-	root  *caliper.Node
-	stack []*caliper.Node
+	proc   string
+	clock  interface{ Now() time.Duration }
+	root   *caliper.Node
+	stack  []*caliper.Node
+	starts []time.Duration // when each stack entry was opened
 }
 
 func newRef(proc string, clock interface{ Now() time.Duration }) *refAnnotator {
@@ -34,6 +37,7 @@ func (a *refAnnotator) Begin(name string) *caliper.Node {
 	node := refChild(parent, name)
 	node.Visits++
 	a.stack = append(a.stack, node)
+	a.starts = append(a.starts, a.clock.Now())
 	return node
 }
 
@@ -45,8 +49,12 @@ func (a *refAnnotator) End(n *caliper.Node, start time.Duration) {
 	if top != n {
 		panic(fmt.Sprintf("sim: process %q ends phase %q but its innermost phase is %q", a.proc, n.Name, top.Name))
 	}
+	if opened := a.starts[len(a.starts)-1]; opened != start {
+		panic(fmt.Sprintf("sim: process %q ends phase %q opened at %v, but it was opened again at %v", a.proc, n.Name, start, opened))
+	}
 	top.Total += a.clock.Now() - start
 	a.stack = a.stack[:len(a.stack)-1]
+	a.starts = a.starts[:len(a.starts)-1]
 }
 
 func (a *refAnnotator) Profile() *caliper.Profile {

@@ -114,6 +114,24 @@ func TestMismatchedEndPanics(t *testing.T) {
 	}
 }
 
+// Ending a phase a second time after its call path was opened again is an
+// instrumentation bug too, though the reopened phase is the innermost one:
+// the stale value would book the time since its own, earlier opening.
+func TestEndAfterReopenPanics(t *testing.T) {
+	_, err := record(func(p *sim.Proc) {
+		first := p.Phase("a")
+		p.Sleep(time.Millisecond)
+		first.End()
+		p.Sleep(time.Millisecond)
+		p.Phase("a")
+		p.Sleep(time.Millisecond)
+		first.End()
+	})
+	if err == nil || !strings.Contains(err.Error(), `ends phase "a" opened at 0s, but it was opened again at 2ms`) {
+		t.Fatalf("stale End: run error %v, want the reopened-phase panic", err)
+	}
+}
+
 func TestProfileWithOpenRegionPanics(t *testing.T) {
 	p := mustRecord(t, func(p *sim.Proc) { p.Phase("a") })
 	defer func() {

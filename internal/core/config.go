@@ -250,6 +250,9 @@ func (c Config) ComputeNodes() int {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	if c.Backend < DYAD || c.Backend > Lustre {
+		return fmt.Errorf("core: unknown backend %v", c.Backend)
+	}
 	if c.Pairs < 1 {
 		return fmt.Errorf("core: pairs %d < 1", c.Pairs)
 	}

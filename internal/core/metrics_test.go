@@ -99,7 +99,8 @@ func TestMetricsRegistryCoversSubsystems(t *testing.T) {
 
 // TestMetricsDeterministicAcrossRuns: two identically-configured sampled
 // runs must export byte-identical CSV and Prometheus documents — the
-// property the verify.sh -j1 vs -j8 gate checks end to end.
+// property TestOutputDigests' artifacts legs at -j 1 and -j 8 check end to
+// end (cmd/experiments).
 func TestMetricsDeterministicAcrossRuns(t *testing.T) {
 	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 16, Pairs: 2, SingleNode: true,
 		Seed: 5, MetricsInterval: 25 * time.Millisecond}

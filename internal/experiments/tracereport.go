@@ -3,13 +3,12 @@ package experiments
 import (
 	"strconv"
 	"strings"
+	"time"
 
-	"repro/internal/caliper"
 	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/stats"
-	"repro/internal/thicket"
 	"repro/internal/trace"
 )
 
@@ -17,8 +16,7 @@ import (
 // experiment sweep. It keeps every traced run verbatim for Chrome trace
 // export and folds each into paper-style time-breakdown rows: per role
 // (producer/consumer), the per-process mean±std of movement, idle, compute,
-// and recovery time, derived from the span stream through the same
-// caliper/thicket ensemble path the Fig. 9/10 analysis uses.
+// recovery and backpressure time, folded from the span stream.
 //
 // Pass one through Options.Trace to enable tracing: each experiment then
 // records spans on one repetition per configuration (recording is
@@ -63,44 +61,59 @@ func (c *Collector) Add(label string, results []*core.Result) {
 			run.Flows = critpath.FlowEvents(res.Crit.Frames)
 		}
 		c.Runs = append(c.Runs, run)
-		profiles := trace.Profiles(res.Spans)
-		var prod, cons []*caliper.Profile
-		for _, p := range profiles {
-			switch {
-			case strings.HasPrefix(p.Proc, "producer"):
-				prod = append(prod, p)
-			case strings.HasPrefix(p.Proc, "consumer"):
-				cons = append(cons, p)
-			}
-		}
-		c.rows = append(c.rows, breakdownRow(label, "producer", prod))
-		c.rows = append(c.rows, breakdownRow(label, "consumer", cons))
+		c.rows = append(c.rows, breakdownRows(label, res.Spans)...)
 	}
 }
 
-// breakdownRow ensembles one role's span-derived profiles and renders its
-// class totals (mean±std across the role's processes).
-func breakdownRow(label, role string, profs []*caliper.Profile) []string {
-	ens := thicket.FromProfiles(profs)
-	classMean := func(class string) float64 {
-		if n := ens.Find(class); n != nil {
-			return n.Total.Mean
+// breakdownRows folds one run's spans into its producer and consumer rows:
+// per role, the mean±std across the role's processes of each process's
+// total time in each class. A process is a member of its role from its
+// first span of any class and counts zero for a class it has no span of.
+// ClassDetail spans nest inside workflow spans and would double-count, so
+// they are skipped.
+func breakdownRows(label string, spans []trace.Span) [][]string {
+	type proc struct {
+		name   string
+		totals [trace.ClassBackpressure + 1]time.Duration
+	}
+	var procs []proc // in first-emission order
+	idx := map[string]int{}
+	for _, s := range spans {
+		if s.Class == trace.ClassDetail {
+			continue
 		}
-		return 0
-	}
-	cell := func(class string) string {
-		if n := ens.Find(class); n != nil {
-			return fmtMS(n.Total)
+		i, ok := idx[s.Proc]
+		if !ok {
+			i = len(procs)
+			idx[s.Proc] = i
+			procs = append(procs, proc{name: s.Proc})
 		}
-		return fmtMS(stats.Summary{})
+		procs[i].totals[s.Class] += s.Dur
 	}
-	total := classMean("movement") + classMean("idle")
-	return []string{
-		label, role, strconv.Itoa(len(profs)),
-		cell("movement"), cell("idle"), cell("compute"), cell("recovery"),
-		cell("backpressure"),
-		stats.FormatSeconds(total),
+	rows := make([][]string, 0, 2)
+	for _, role := range []string{"producer", "consumer"} {
+		var members []int
+		for i := range procs {
+			if strings.HasPrefix(procs[i].name, role) {
+				members = append(members, i)
+			}
+		}
+		class := func(c trace.Class) stats.Summary {
+			xs := make([]float64, len(members))
+			for j, i := range members {
+				xs[j] = procs[i].totals[c].Seconds()
+			}
+			return stats.Summarize(xs)
+		}
+		movement, idle := class(trace.ClassMovement), class(trace.ClassIdle)
+		rows = append(rows, []string{
+			label, role, strconv.Itoa(len(members)),
+			fmtMS(movement), fmtMS(idle), fmtMS(class(trace.ClassCompute)),
+			fmtMS(class(trace.ClassRecovery)), fmtMS(class(trace.ClassBackpressure)),
+			stats.FormatSeconds(movement.Mean + idle.Mean),
+		})
 	}
+	return rows
 }
 
 // Drain returns the breakdown rows accumulated since the last call as a

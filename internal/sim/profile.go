@@ -14,6 +14,7 @@ type profNode struct {
 	parent, child, next int32 // next is the following sibling
 	visits              int64
 	total               time.Duration
+	opened              Time // start of the path's latest opening
 }
 
 // profTable is one process's call-path profile, in the engine's slab by
@@ -96,29 +97,35 @@ func (p *Proc) enter(name string) int32 {
 		}
 	}
 	t.nodes[c].visits++
+	t.nodes[c].opened = p.e.now
 	t.cur = c
 	return c
 }
 
 // leave closes the phase named name at node, opened at start, which must
 // be p's innermost open phase: anything else is an instrumentation bug
-// and panics. Node 0 (a phase of no profile) is a no-op.
+// and panics. So is a second End of a phase whose call path was entered
+// again since, which the opening's start tells apart. Node 0 (a phase of
+// no profile) is a no-op.
 func (p *Proc) leave(node int32, name string, start Time) {
 	if node == 0 {
 		return
 	}
 	t := &p.e.profs[p.idx]
-	if t.cur != node {
-		p.badLeave(t, name)
+	if t.cur != node || t.nodes[node].opened != start {
+		p.badLeave(t, node, name, start)
 	}
 	t.nodes[node].total += p.e.now - start
 	t.cur = t.nodes[node].parent
 }
 
 //go:noinline
-func (p *Proc) badLeave(t *profTable, name string) {
+func (p *Proc) badLeave(t *profTable, node int32, name string, start Time) {
 	if t.cur == 0 {
 		panic(fmt.Sprintf("sim: process %q ends phase %q with no open phase", p.name, name))
+	}
+	if t.cur == node {
+		panic(fmt.Sprintf("sim: process %q ends phase %q opened at %v, but it was opened again at %v", p.name, name, start, t.nodes[node].opened))
 	}
 	panic(fmt.Sprintf("sim: process %q ends phase %q but its innermost phase is %q", p.name, name, t.nodes[t.cur].name))
 }

@@ -20,7 +20,8 @@ import (
 //
 // WriteChrome is itself built on ChromeStream, so the streamed bytes of a
 // run are identical to the buffered export of the same span sequence by
-// construction — the property verify.sh's streaming gate checks end to end.
+// construction — the property cmd/experiments'
+// TestEverySinkReachesEveryExperiment checks end to end, per experiment.
 //
 // A stream serializes one run at a time: StartRun opens the next Chrome
 // process and returns a streaming Recorder bound to it; the caller must

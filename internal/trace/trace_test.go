@@ -96,39 +96,6 @@ func TestHistBuckets(t *testing.T) {
 	}
 }
 
-func TestProfilesBuildClassTrees(t *testing.T) {
-	spans := []Span{
-		{Proc: "producer0", Name: "md_compute", Class: ClassCompute, Dur: 10 * time.Millisecond},
-		{Proc: "producer0", Component: "ssd", Name: "write", Class: ClassDetail, Dur: time.Millisecond},
-		{Proc: "producer0", Name: "write_buf", Class: ClassMovement, Dur: 2 * time.Millisecond},
-		{Proc: "consumer0", Name: "fetch", Class: ClassIdle, Dur: 5 * time.Millisecond},
-		{Proc: "producer0", Name: "write_buf", Class: ClassMovement, Dur: 2 * time.Millisecond},
-	}
-	profs := Profiles(spans)
-	if len(profs) != 2 {
-		t.Fatalf("got %d profiles, want 2", len(profs))
-	}
-	// First-emission order: producer0 first.
-	if profs[0].Proc != "producer0" || profs[1].Proc != "consumer0" {
-		t.Fatalf("profile order %q, %q", profs[0].Proc, profs[1].Proc)
-	}
-	p := profs[0]
-	if got := p.TotalOf("movement"); got != 4*time.Millisecond {
-		t.Fatalf("movement total %v, want 4ms", got)
-	}
-	if got := p.TotalOf("compute"); got != 10*time.Millisecond {
-		t.Fatalf("compute total %v, want 10ms", got)
-	}
-	// ClassDetail spans must not appear anywhere in the class trees.
-	if n := p.Root.Find("write"); n != nil {
-		t.Fatal("detail span leaked into breakdown profile")
-	}
-	wb := p.Root.Find("write_buf")
-	if wb == nil || wb.Visits != 2 {
-		t.Fatalf("op node under class missing or wrong visits: %+v", wb)
-	}
-}
-
 func buildTestRuns() []Run {
 	return []Run{
 		{Label: "run A", Spans: []Span{
