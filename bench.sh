@@ -1,8 +1,9 @@
 #!/bin/sh
 # bench.sh — measured benchmark run, printed to stdout.
 #
-# Runs the kernel microbenchmarks, each hand-written kernel chain (wire,
-# file op, noise) beside its blocking reference loop (the /ref rows), the
+# Runs the kernel microbenchmarks (the region hooks among them), each
+# hand-written kernel chain (wire, file op, noise) beside its blocking
+# reference loop (the /ref rows), the
 # end-to-end figure benchmarks the perf acceptance criteria track, and the
 # trace/metrics/waterfall export benchmarks, six samples each (-count 6),
 # so ns/op, B/op and allocs/op come with a spread. Compare two runs with benchstat, if installed.
@@ -18,7 +19,7 @@ run() {
 	go test -run=NONE -count 6 "$@"
 }
 
-run -bench='BenchmarkSleepEvents|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention' \
+run -bench='BenchmarkSleepEvents|BenchmarkManyProcs|BenchmarkWakeBlock|BenchmarkHeapChurn10k|BenchmarkResourceContention|BenchmarkRegion' \
 	-benchtime=200000x ./internal/sim/
 run -bench='BenchmarkScaleEvents' -benchtime=100000x ./internal/sim/
 run -bench='BenchmarkTransferFanIn' -benchtime=2000x ./internal/cluster/

@@ -11,10 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/caliper"
@@ -23,72 +24,95 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run writes the ensemble and any query matches to stdout and errors to
+// stderr, and returns the exit code: 2 for a usage error, 1 for a failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("thicketql", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // parse errors are reported below, in one line
 	var (
-		query = flag.String("q", "", "call-path query to run (e.g. //dyad_fetch[mean>1ms])")
-		demo  = flag.Bool("demo", false, "generate profiles from a small built-in DYAD run instead of reading files")
-		role  = flag.String("role", "consumer", "with -demo: which role's profiles to analyze (producer or consumer)")
+		query = fs.String("q", "", "call-path query to run (e.g. //dyad_fetch[mean>1ms])")
+		demo  = fs.Bool("demo", false, "generate profiles from a small built-in DYAD run instead of reading files")
+		role  = fs.String("role", "consumer", "with -demo: which role's profiles to analyze (producer or consumer)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		fmt.Fprintln(stderr, "thicketql:", err)
+		return 2
+	}
+	if *role != "producer" && *role != "consumer" {
+		fmt.Fprintf(stderr, "thicketql: -role must be producer or consumer (got %q)\n", *role)
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "thicketql:", err)
+		return 1
+	}
 
 	var profiles []*caliper.Profile
 	if *demo {
-		profiles = demoProfiles(*role)
-	} else {
-		if flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "thicketql: no profile files given (or use -demo)")
-			os.Exit(2)
+		var err error
+		if profiles, err = demoProfiles(*role); err != nil {
+			return fatal(err)
 		}
-		for _, path := range flag.Args() {
+	} else {
+		if fs.NArg() == 0 {
+			fmt.Fprintln(stderr, "thicketql: no profile files given (or use -demo)")
+			return 2
+		}
+		for _, path := range fs.Args() {
 			f, err := os.Open(path)
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			p, err := caliper.ReadJSON(f)
 			f.Close()
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
+				return fatal(fmt.Errorf("%s: %w", path, err))
 			}
 			profiles = append(profiles, p)
 		}
 	}
 
 	ens := thicket.FromProfiles(profiles)
-	fmt.Printf("ensemble of %d profiles\n\n", ens.Members())
-	ens.Render(os.Stdout)
+	fmt.Fprintf(stdout, "ensemble of %d profiles\n\n", ens.Members())
+	ens.Render(stdout)
 
 	if *query != "" {
 		nodes, err := ens.Query(*query)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Printf("\nquery %s -> %d match(es)\n", *query, len(nodes))
+		fmt.Fprintf(stdout, "\nquery %s -> %d match(es)\n", *query, len(nodes))
 		for _, n := range nodes {
-			fmt.Printf("  %-28s mean=%-12s std=%-12s visits=%.0f\n",
+			fmt.Fprintf(stdout, "  %-28s mean=%-12s std=%-12s visits=%.0f\n",
 				n.Name, stats.FormatSeconds(n.Total.Mean), stats.FormatSeconds(n.Total.Std), n.Visits.Mean)
 		}
 	}
+	return 0
 }
 
-// demoProfiles runs a small DYAD workflow and returns its profiles.
-func demoProfiles(role string) []*caliper.Profile {
+// demoProfiles runs a small DYAD workflow and returns role's profiles.
+func demoProfiles(role string) ([]*caliper.Profile, error) {
 	jac, err := repro.ModelByName("JAC")
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	res, err := repro.Run(repro.Config{
 		Backend: repro.DYAD, Model: jac, Pairs: 4, Frames: 16,
-		Seed: uint64(time.Now().UnixNano()), KeepProfiles: true,
+		Seed: 1, KeepProfiles: true, // a fixed seed: the demo prints the same every time
 	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	if role == "producer" {
-		return res.ProducerProfiles
+		return res.ProducerProfiles, nil
 	}
-	return res.ConsumerProfiles
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "thicketql:", err)
-	os.Exit(1)
+	return res.ConsumerProfiles, nil
 }

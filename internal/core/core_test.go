@@ -254,13 +254,28 @@ func TestKeepProfiles(t *testing.T) {
 	if res.ConsumerProfiles[0].Root.Find("dyad_consume") == nil {
 		t.Fatal("consumer profile missing dyad_consume")
 	}
-	// Without the flag, profiles are dropped.
+	// Each pair's consumer totals come with the profiles; their mean is
+	// the consumer column.
+	if len(res.ConsumerTotals) != 2 {
+		t.Fatalf("%d consumer totals, want 2", len(res.ConsumerTotals))
+	}
+	a, b := res.ConsumerTotals[0], res.ConsumerTotals[1]
+	if mean := (Totals{Movement: (a.Movement + b.Movement) / 2, Idle: (a.Idle + b.Idle) / 2}); mean != res.Consumer {
+		t.Fatalf("per-pair consumer totals %v average %v, want %v", res.ConsumerTotals, mean, res.Consumer)
+	}
+	// Without the flag, profiles are dropped, and nothing else moves.
 	res2, err := Run(Config{Backend: DYAD, Model: m, Frames: 4, Pairs: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.ProducerProfiles != nil {
+	if res2.ProducerProfiles != nil || res2.ConsumerTotals != nil {
 		t.Fatal("profiles kept without KeepProfiles")
+	}
+	stripped := *res
+	stripped.Cfg.KeepProfiles = false
+	stripped.ProducerProfiles, stripped.ConsumerProfiles, stripped.ConsumerTotals = nil, nil, nil
+	if with, without := canonical([]*Result{&stripped}), canonical([]*Result{res2}); with != without {
+		t.Fatalf("keeping profiles moved the results:\n%s\nwithout:\n%s", with, without)
 	}
 }
 

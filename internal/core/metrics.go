@@ -16,21 +16,15 @@ func (r *rig) registerMetrics() {
 
 	reg.Rate("core/frames_produced", func() float64 { return float64(r.framesProduced) }).OnDashboard()
 	reg.Rate("core/frames_consumed", func() float64 { return float64(r.framesRead) }).OnDashboard()
-	// Idle fractions normalize the per-role wait integrals over the whole
+	// Idle fractions normalize the per-role idle tallies over the whole
 	// ensemble: 1 means every producer (consumer) spent the full interval
-	// blocked on synchronization. DYAD consumers idle in the metadata fetch
-	// (System.FetchIdleNanos); gated backends idle in explicit_sync.
+	// blocked on synchronization.
 	pairs := r.cfg.Pairs
 	reg.Util("core/producer_idle_frac", pairs, func() float64 {
-		return float64(r.prodIdleNanos)
+		return float64(r.roleTotals(0).Idle)
 	}).OnDashboard()
-	dy := r.dy
 	reg.Util("core/consumer_idle_frac", pairs, func() float64 {
-		idle := r.consIdleNanos
-		if dy != nil {
-			idle += dy.FetchIdleNanos
-		}
-		return float64(idle)
+		return float64(r.roleTotals(1).Idle)
 	}).OnDashboard()
 
 	r.cl.RegisterMetrics(reg)

@@ -268,16 +268,17 @@ func profileBytes(t *testing.T, res *Result) []byte {
 
 // probeRecycledSlot resets a pooled engine and runs two processes on it:
 // the first keeps a profile, the second does not. It returns the second's
-// profile, which must be empty whatever the last run recorded in its slot.
-func probeRecycledSlot(t *testing.T, eng *sim.Engine) *caliper.Profile {
+// profile and the tally it started with, which must both be empty
+// whatever the last run recorded in its slot.
+func probeRecycledSlot(t *testing.T, eng *sim.Engine) (prof *caliper.Profile, start Totals) {
 	t.Helper()
 	eng.Reset(1)
 	eng.Spawn("keeper", func(p *sim.Proc) { p.KeepProfile() })
-	probe := eng.Spawn("probe", func(*sim.Proc) {})
+	probe := eng.Spawn("probe", func(p *sim.Proc) { start.Movement, start.Idle = p.Tally() })
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return probe.Profile()
+	return probe.Profile(), start
 }
 
 // One pool carries its engine's profile tables through runs of changing
@@ -285,7 +286,8 @@ func probeRecycledSlot(t *testing.T, eng *sim.Engine) *caliper.Profile {
 // the low slots, more pairs than the slab holds, and a run that fails —
 // and every run's totals and kept profiles still equal an unpooled run of
 // the same config. A failed run takes its tables down with its engine,
-// and a recycled slot records nothing until its process keeps a profile.
+// and a recycled slot starts with a zero tally and records nothing until
+// its process keeps a profile.
 func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 	base := Config{Model: tinyModel(), Frames: 5, KeepProfiles: true, Seed: 9}
 	dyad4 := base
@@ -326,8 +328,12 @@ func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 		if g, w := profileBytes(t, got), profileBytes(t, want); !bytes.Equal(g, w) {
 			t.Errorf("%s: pooled profiles diverged from an unpooled run:\n%s\nwant\n%s", what, g, w)
 		}
-		if p := probeRecycledSlot(t, pool.eng); p.Proc != "" || p.Root.Name != "" || len(p.Root.Children) != 0 {
+		p, start := probeRecycledSlot(t, pool.eng)
+		if p.Proc != "" || p.Root.Name != "" || len(p.Root.Children) != 0 {
 			t.Errorf("%s: a recycled slot still reads a profile rooted at %q", what, p.Root.Name)
+		}
+		if start != (Totals{}) {
+			t.Errorf("%s: a recycled slot starts with the tally %v", what, start)
 		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 
 // Totals is one role's time decomposition for a whole run (all frames),
 // averaged over the ensemble's pairs — the quantity the paper's bar charts
-// plot, split into red (data movement) and blue (idle) components.
+// plot, split into red (data movement) and blue (idle) components: the
+// time in the role's regions of that class (sim.Proc.Tally).
 type Totals struct {
 	Movement time.Duration
 	Idle     time.Duration
@@ -61,10 +62,12 @@ type Result struct {
 	// is off or the budgets were never pressured.
 	Capacity capacity.Metrics
 
-	// ProducerProfiles / ConsumerProfiles hold per-pair Caliper profiles
-	// when Config.KeepProfiles is set.
+	// ProducerProfiles / ConsumerProfiles hold per-pair Caliper profiles,
+	// and ConsumerTotals each pair's consumer decomposition, when
+	// Config.KeepProfiles is set.
 	ProducerProfiles []*caliper.Profile
 	ConsumerProfiles []*caliper.Profile
+	ConsumerTotals   []Totals
 
 	// Spans holds the run's virtual-time span trace when Config.RecordSpans
 	// is set (nil otherwise); emission order is event-execution order.
@@ -94,7 +97,20 @@ type HostCost struct {
 	Handoffs int64 // coroutine resumes by the driver (sim.Engine.Handoffs)
 }
 
-// collect derives the Result from the rig's profiles and counters.
+// roleTotals sums the tallies (sim.Proc.Tally) of one role's processes
+// over the pairs: the producers for role 0, the consumers for role 1.
+func (r *rig) roleTotals(role int) Totals {
+	var t Totals
+	procs := r.eng.Procs()[r.firstProc:]
+	for pair := 0; pair < r.cfg.Pairs; pair++ {
+		m, i := procs[2*pair+role].Tally()
+		t.Movement += m
+		t.Idle += i
+	}
+	return t
+}
+
+// collect derives the Result from the rig's process tallies and counters.
 func (r *rig) collect() (*Result, error) {
 	if len(r.decodeErrs) > 0 {
 		return nil, fmt.Errorf("core: %d frame verification failures, first: %w", len(r.decodeErrs), r.decodeErrs[0])
@@ -127,27 +143,21 @@ func (r *rig) collect() (*Result, error) {
 	}
 	res.Recovery.LinkStalls += r.cl.LinkStalls
 	res.Recovery.RecoveryTime += r.cl.LinkStallTime
-	procs := r.eng.Procs()[r.firstProc:]
-	for pair := 0; pair < r.cfg.Pairs; pair++ {
-		t := SplitProducer(r.cfg.Backend, procs[2*pair].TotalOf)
-		res.Producer.Movement += t.Movement
-		res.Producer.Idle += t.Idle
-		t = SplitConsumer(r.cfg.Backend, procs[2*pair+1].TotalOf)
-		res.Consumer.Movement += t.Movement
-		res.Consumer.Idle += t.Idle
-	}
 	n := time.Duration(r.cfg.Pairs)
-	res.Producer.Movement /= n
-	res.Producer.Idle /= n
-	res.Consumer.Movement /= n
-	res.Consumer.Idle /= n
+	prod, cons := r.roleTotals(0), r.roleTotals(1)
+	res.Producer = Totals{Movement: prod.Movement / n, Idle: prod.Idle / n}
+	res.Consumer = Totals{Movement: cons.Movement / n, Idle: cons.Idle / n}
 
 	if r.cfg.KeepProfiles {
+		procs := r.eng.Procs()[r.firstProc:]
 		res.ProducerProfiles = make([]*caliper.Profile, r.cfg.Pairs)
 		res.ConsumerProfiles = make([]*caliper.Profile, r.cfg.Pairs)
+		res.ConsumerTotals = make([]Totals, r.cfg.Pairs)
 		for pair := range res.ProducerProfiles {
 			res.ProducerProfiles[pair] = procs[2*pair].Profile()
 			res.ConsumerProfiles[pair] = procs[2*pair+1].Profile()
+			m, i := procs[2*pair+1].Tally()
+			res.ConsumerTotals[pair] = Totals{Movement: m, Idle: i}
 		}
 	}
 	if r.rec != nil {
@@ -195,43 +205,6 @@ func checkCrit(s *critpath.Summary) error {
 		return fmt.Errorf("core: %d processes ended with a critical-path region open", s.Unclosed)
 	}
 	return nil
-}
-
-// SplitProducer decomposes a producer profile into data movement and idle
-// time exactly as §IV-C describes: for DYAD, all time inside the DYAD
-// produce path counts as movement (including metadata management — the
-// source of DYAD's production overhead); for XFS/Lustre, movement is the
-// POSIX write and idle is the explicit synchronization. totalOf reads the
-// profile (sim.Proc.TotalOf or caliper.Profile.TotalOf).
-func SplitProducer(b Backend, totalOf func(name string) time.Duration) Totals {
-	if b == DYAD {
-		return Totals{
-			Movement: totalOf("dyad_produce"),
-			// Zero in normal runs; nonzero only under ForceCoarseSync.
-			Idle: totalOf("explicit_sync"),
-		}
-	}
-	return Totals{
-		Movement: totalOf("write_single_buf"),
-		Idle:     totalOf("explicit_sync"),
-	}
-}
-
-// SplitConsumer decomposes a consumer profile: for DYAD, idle is the KVS
-// synchronization (dyad_fetch) and movement is the rest of dyad_consume;
-// for XFS/Lustre, movement is the POSIX read and idle is explicit_sync.
-func SplitConsumer(b Backend, totalOf func(name string) time.Duration) Totals {
-	if b == DYAD {
-		consume := totalOf("dyad_consume")
-		fetch := totalOf("dyad_fetch")
-		// explicit_sync is zero in normal DYAD runs; it appears only when
-		// ForceCoarseSync layers the coarse coupling over DYAD transport.
-		return Totals{Movement: consume - fetch, Idle: fetch + totalOf("explicit_sync")}
-	}
-	return Totals{
-		Movement: totalOf("read_single_buf"),
-		Idle:     totalOf("explicit_sync"),
-	}
 }
 
 // Repeat runs cfg reps times with distinct seeds and returns all results.

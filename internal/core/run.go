@@ -61,11 +61,9 @@ type rig struct {
 
 	// reg samples resource metrics when Config.MetricsInterval is set; nil
 	// otherwise (sampling disabled at zero cost). framesProduced and the
-	// idle integrals feed its workflow-level series.
+	// processes' idle tallies feed its workflow-level series.
 	reg            *metrics.Registry
 	framesProduced int64
-	prodIdleNanos  int64
-	consIdleNanos  int64
 
 	// recovery counts injected fault events (backends record their own
 	// recovery activity; collect merges everything into Result.Recovery).
@@ -367,7 +365,9 @@ func newPairGate(cl *cluster.Cluster, prodNode, consNode *cluster.Node) *pairGat
 
 // runProducer emulates the MD simulation side of one pair.
 func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
-	p.KeepProfile()
+	if r.cfg.KeepProfiles {
+		p.KeepProfile()
+	}
 	var client *dyad.Client
 	var fs vfs.FS
 	switch r.cfg.Backend {
@@ -420,7 +420,7 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 		if gate != nil {
 			rg = p.Region("workflow", "explicit_sync", trace.ClassIdle)
 			gate.post.Post(p)
-			r.prodIdleNanos += int64(rg.End(0, ""))
+			rg.End(0, "")
 		}
 		r.framesProduced++
 		frameMark(p, "frame_produced", data.Size(), path)
@@ -430,7 +430,9 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 
 // runConsumer emulates the in situ analytics side of one pair.
 func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
-	p.KeepProfile()
+	if r.cfg.KeepProfiles {
+		p.KeepProfile()
+	}
 	var client *dyad.Client
 	var fs vfs.FS
 	switch r.cfg.Backend {
@@ -445,7 +447,7 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 	if r.cfg.ConsumerHeadStart > 0 {
 		// Producer job head start: the workflow manager launched this
 		// consumer job ConsumerHeadStart after the producers. Job-launch
-		// scheduling, not consumption — kept out of the profile, so it lands in
+		// scheduling, not consumption — a detail span, so it lands in
 		// neither the movement nor the idle column of the §IV-C split.
 		rg := p.Span("workflow", "job_start_delay", trace.ClassDetail)
 		p.Sleep(r.cfg.ConsumerHeadStart)
@@ -460,7 +462,7 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			gate.request.Post(p)
 			rg := p.Region("workflow", "explicit_sync", trace.ClassIdle)
 			gate.post.WaitSeq(p, f+1)
-			r.consIdleNanos += int64(rg.End(0, ""))
+			rg.End(0, "")
 		}
 		readStart := p.Now()
 		path := pairPath(pair, f)

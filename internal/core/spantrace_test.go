@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -41,9 +43,14 @@ func chromeOf(t *testing.T, cfgs []Config, workers int) []byte {
 }
 
 // Recording spans must not move a single measurement: the tracer observes
-// the virtual timeline, it never participates in it.
+// the virtual timeline, it never participates in it. And the measurement
+// is the span stream's own split: each role's Movement and Idle spans,
+// summed over its processes and averaged over the pairs, are exactly the
+// result's Producer and Consumer, healthy, faulted or coarse-synced.
 func TestTracedRunMatchesUntraced(t *testing.T) {
-	plain := mixedBatch()
+	coarse := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 2, Seed: 8,
+		ComputeJitter: 0.01, ForceCoarseSync: true}
+	plain := append(append(mixedBatch(), faultedBatch()...), coarse)
 	traced := make([]Config, len(plain))
 	copy(traced, plain)
 	for i := range traced {
@@ -67,7 +74,40 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		if len(b[i].Spans) == 0 || len(b[i].SpanStats) == 0 {
 			t.Fatalf("traced run %d carries no spans/stats", i)
 		}
+		prod, cons := spanSplit(b[i])
+		if prod != res.Producer || cons != res.Consumer {
+			t.Errorf("run %d (%s): span split producer %v consumer %v, result %v %v",
+				i, res.Cfg.Label(), prod, cons, res.Producer, res.Consumer)
+		}
+		if res.Consumer.Idle == 0 || res.Consumer.Movement == 0 {
+			t.Errorf("run %d (%s): consumer split %v has an empty column", i, res.Cfg.Label(), res.Consumer)
+		}
 	}
+}
+
+// spanSplit folds a traced result's spans into each role's movement and
+// idle: summed over the role's processes, then averaged over the pairs.
+func spanSplit(res *Result) (prod, cons Totals) {
+	for _, s := range res.Spans {
+		var role *Totals
+		switch {
+		case strings.HasPrefix(s.Proc, "producer"):
+			role = &prod
+		case strings.HasPrefix(s.Proc, "consumer"):
+			role = &cons
+		default:
+			continue
+		}
+		switch s.Class {
+		case trace.ClassMovement:
+			role.Movement += s.Dur
+		case trace.ClassIdle:
+			role.Idle += s.Dur
+		}
+	}
+	n := time.Duration(res.Cfg.Pairs)
+	return Totals{Movement: prod.Movement / n, Idle: prod.Idle / n},
+		Totals{Movement: cons.Movement / n, Idle: cons.Idle / n}
 }
 
 // The span stream — and therefore the serialized Chrome trace — must be

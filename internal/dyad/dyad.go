@@ -134,13 +134,11 @@ type System struct {
 	// consumer-side RAM-cache lookups; StagingReads counts reads served
 	// from a producer's NVMe staging area (local consumes, remote broker
 	// reads, and degraded direct reads); InflightFetches is the number of
-	// remote fetches currently in flight; FetchIdleNanos integrates
-	// consumer time blocked in metadata synchronization (dyad_fetch).
+	// remote fetches currently in flight.
 	CacheHits       int64
 	CacheMisses     int64
 	StagingReads    int64
 	InflightFetches int64
-	FetchIdleNanos  int64
 
 	// produceLat/fetchLat are sampled latency histograms (nil when no
 	// metrics registry is attached — Observe on nil is free).
@@ -510,13 +508,11 @@ func (c *Client) Consume(p *sim.Proc, path string) (vfs.Payload, error) {
 	idle := fetch.End(0, path)
 	p.CritHop(path, "sync_wait", fetchStart, 0)
 	p.CritDepend(path, "fetch")
-	// Paper decomposition (SplitConsumer): the metadata fetch is idle time,
-	// everything after it — client overhead, remote pull, cache store, local
-	// read — is data movement. Two disjoint workflow regions mirror that;
-	// the second stays out of the call-path profile, whose phases below
-	// carry the movement split.
+	// Paper decomposition: the metadata fetch is idle time, everything
+	// after it — client overhead, remote pull, cache store, local read — is
+	// data movement, one region of each class; the second stays out of the
+	// call-path profile, whose phases below break the movement down.
 	defer p.Span("dyad", "dyad_xfer", trace.ClassMovement).End(0, path)
-	c.sys.FetchIdleNanos += int64(idle)
 	c.sys.fetchLat.Observe(idle)
 
 	// Client-library path resolution and cache management (movement

@@ -51,8 +51,8 @@ func Straggler(o Options) (*Report, error) {
 	for i, res := range runs {
 		k := keys[i]
 		var sum, worst float64
-		for _, prof := range res[0].ConsumerProfiles {
-			t := core.SplitConsumer(k.b, prof.TotalOf).Sum().Seconds()
+		for _, tot := range res[0].ConsumerTotals {
+			t := tot.Sum().Seconds()
 			sum += t
 			if t > worst {
 				worst = t

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // BenchmarkSleepEvents measures kernel throughput: one process sleeping
@@ -43,6 +45,47 @@ func BenchmarkManyProcs(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkRegion measures the instrumentation hooks alone: one op opens
+// a Region, a Span inside it and a Phase inside that, then closes all
+// three, with every sink off and no simulated time passing. It runs on a
+// process without a profile, which still tallies the region classes, and
+// on one that keeps a profile. Both report 0 allocs/op: the timer starts
+// after a first cycle has carved the profile's call paths.
+func BenchmarkRegion(b *testing.B) {
+	for _, keep := range []bool{false, true} {
+		name := "noprofile"
+		if keep {
+			name = "profile"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine(1)
+			e.Spawn("p", func(p *Proc) {
+				if keep {
+					p.KeepProfile()
+				}
+				cycle := func() {
+					r := p.Region("bench", "outer", trace.ClassMovement)
+					s := p.Span("bench", "wait", trace.ClassIdle)
+					ph := p.Phase("inner")
+					ph.End()
+					s.End(0, "")
+					r.End(0, "")
+				}
+				cycle()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
+				}
+				b.StopTimer()
+			})
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

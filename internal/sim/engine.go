@@ -86,9 +86,9 @@ type Engine struct {
 	pq    eventq
 	coros *coroList // idle coroutines; nil before the first Spawn or Retain
 	procs []*Proc
-	// profs holds the call-path profiles by spawn slot (profile.go). It
-	// makes the Engine 1528 bytes, which with its allocation header just
-	// fits the 1536-byte size class (see live).
+	// profs holds each process's profile and tallies by spawn slot
+	// (profile.go). It makes the Engine 1528 bytes, which with its
+	// allocation header just fits the 1536-byte size class (see live).
 	profs   []profTable
 	seed    uint64
 	failure error
@@ -208,7 +208,7 @@ func (e *Engine) Reset(seed uint64) {
 	}
 	e.procs = e.procs[:0]
 	for i := range e.profs {
-		e.profs[i].nodes = e.profs[i].nodes[:0]
+		e.profs[i] = profTable{nodes: e.profs[i].nodes[:0]}
 	}
 	e.profs = e.profs[:0]
 	e.seed = seed

@@ -17,14 +17,15 @@ type profNode struct {
 	opened              Time // start of the path's latest opening
 }
 
-// profTable is one process's call-path profile, in the engine's slab by
-// spawn slot: its call paths in first-visit order, nodes[0] the root named
-// after the process, and cur the innermost open phase (0 when none). A
-// phase holds its node and start time, so the table needs no stack of
-// open phases. An empty table is a process that keeps no profile.
+// profTable is one process's record, in the engine's slab by spawn slot:
+// its profile's call paths in first-visit order, nodes[0] the root named
+// after the process (none when it keeps no profile), cur the innermost
+// open phase (0 when none), and its region tallies (Tally). A phase holds
+// its node and start time, so the table needs no stack of open phases.
 type profTable struct {
-	nodes []profNode
-	cur   int32
+	nodes          []profNode
+	cur            int32
+	movement, idle time.Duration
 }
 
 // profShare is the call paths each table is carved with: the most any
@@ -32,24 +33,43 @@ type profTable struct {
 // DYAD consumer reading across nodes visits 10, the root included).
 const profShare = 10
 
-// KeepProfile starts p's call-path profile, discarding anything p
-// recorded before: from now on the phases p opens through Region and
+// KeepProfile starts p's call-path profile, discarding any profile p
+// kept before: from now on the phases p opens through Region and
 // Phase are recorded in it. A warmed engine records without allocating.
+//
+// It stays out of line: inlined under its callers' branch, it widens the
+// frames that parked coroutines keep (DESIGN.md §3c).
+//
+//go:noinline
 func (p *Proc) KeepProfile() {
-	e := p.e
-	if int(p.idx) >= len(e.profs) {
-		e.growProfs(len(e.procs))
-	}
-	t := &e.profs[p.idx]
+	t := p.slot()
 	t.nodes = append(t.nodes[:0], profNode{name: p.name})
 	t.cur = 0
 }
 
-// growProfs extends the profile slab to n processes, none keeping a
-// profile yet. Tables past the old capacity are carved from one shared
-// array (Prealloc makes them before a run, or else its first
-// KeepProfile); one that outgrows its share grows on its own. Reset keeps
-// them, emptied, for the next run.
+// slot returns p's table in the slab, growing the slab to every process
+// spawned so far when p's slot is past it.
+func (p *Proc) slot() *profTable {
+	e := p.e
+	if int(p.idx) >= len(e.profs) {
+		e.growProfs(len(e.procs))
+	}
+	return &e.profs[p.idx]
+}
+
+// Tally returns the total length of p's closed regions of ClassMovement
+// and of ClassIdle, however they were opened (Region or Span) and whether
+// or not p keeps a profile: the paper's movement/idle split of p's time.
+func (p *Proc) Tally() (movement, idle time.Duration) {
+	t := p.slot()
+	return t.movement, t.idle
+}
+
+// growProfs extends the slab to n processes, none keeping a profile or
+// tallying yet. Tables past the old capacity are carved from one shared
+// array (Prealloc makes them before a run, or else the first slot lookup
+// past them); one that outgrows its share grows on its own. Reset keeps
+// them, emptied and their tallies zeroed, for the next run.
 func (e *Engine) growProfs(n int) {
 	if n > cap(e.profs) {
 		grown := make([]profTable, n)
@@ -128,33 +148,6 @@ func (p *Proc) badLeave(t *profTable, node int32, name string, start Time) {
 		panic(fmt.Sprintf("sim: process %q ends phase %q opened at %v, but it was opened again at %v", p.name, name, start, t.nodes[node].opened))
 	}
 	panic(fmt.Sprintf("sim: process %q ends phase %q but its innermost phase is %q", p.name, name, t.nodes[t.cur].name))
-}
-
-// TotalOf returns the inclusive time of the outermost phases named name
-// in p's profile, as Profile().TotalOf(name) does, without building the
-// tree; 0 when p keeps no profile.
-func (p *Proc) TotalOf(name string) time.Duration {
-	t := p.profile()
-	if t == nil {
-		return 0
-	}
-	var d time.Duration
-nodes:
-	for i := range t.nodes {
-		if t.nodes[i].name != name {
-			continue
-		}
-		// A node with a same-named ancestor is already inside that
-		// ancestor's inclusive total.
-		for anc := int32(i); anc != 0; {
-			anc = t.nodes[anc].parent
-			if t.nodes[anc].name == name {
-				continue nodes
-			}
-		}
-		d += t.nodes[i].total
-	}
-	return d
 }
 
 // Profile snapshots p's profile into a caliper tree, empty when p keeps

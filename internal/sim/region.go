@@ -10,7 +10,8 @@ import (
 // of three fronts: Region (profile, critical path and span), Span
 // (critical path and span) and Phase (profile only). The profile records
 // only processes that keep one (KeepProfile). Phases nest: each closes
-// before the one it was opened in.
+// before the one it was opened in. A region of ClassMovement or ClassIdle,
+// however opened, also adds its length to its process's tally (Tally).
 
 // Phase is a phase of a process's profile alone. Close it with End.
 type Phase struct {
@@ -47,16 +48,16 @@ func (p *Proc) Region(component, name string, class trace.Class) Region {
 }
 
 // Span opens a phase that the critical path and the span trace record and
-// the profile does not: a detail, or time the movement/idle split must
-// not count.
+// the profile does not: a detail, or time that needs no call path of its
+// own.
 func (p *Proc) Span(component, name string, class trace.Class) Region {
 	p.CritBegin(component, name, class)
 	return Region{p: p, component: component, name: name, class: class, start: p.e.now}
 }
 
 // End closes the phase: it emits the span when a recorder is installed,
-// then closes the critical-path region, then the profile phase, and
-// returns the phase's length.
+// then closes the critical-path region, then the profile phase, adds the
+// phase's length to p's tally by its class, and returns that length.
 func (r Region) End(bytes int64, attr string) time.Duration {
 	p := r.p
 	d := p.e.now - r.start
@@ -66,5 +67,11 @@ func (r Region) End(bytes int64, attr string) time.Duration {
 	}
 	p.CritEnd()
 	p.leave(r.node, r.name, r.start)
+	switch r.class {
+	case trace.ClassMovement:
+		p.slot().movement += d
+	case trace.ClassIdle:
+		p.slot().idle += d
+	}
 	return d
 }

@@ -118,3 +118,43 @@ func TestRegionMatchesHandHooks(t *testing.T) {
 		t.Errorf("phase lengths %v, want %v", got.lengths, ref.lengths)
 	}
 }
+
+// Closing a region adds its length to its process's tally by class:
+// Movement and Idle regions count, whether opened by Region or Span and
+// whether or not the process keeps a profile; other classes and Phases
+// do not, and neither does a region still open.
+func TestRegionTallyByClass(t *testing.T) {
+	for _, keep := range []bool{false, true} {
+		e := NewEngine(1)
+		p := e.Spawn("p", func(p *Proc) {
+			if keep {
+				p.KeepProfile()
+			}
+			move := p.Region("test", "move", trace.ClassMovement)
+			detail := p.Span("test", "detail", trace.ClassDetail)
+			p.Sleep(time.Millisecond)
+			detail.End(0, "")
+			p.Sleep(2 * time.Millisecond)
+			move.End(0, "")
+			wait := p.Span("test", "wait", trace.ClassIdle)
+			p.Sleep(4 * time.Millisecond)
+			wait.End(0, "")
+			for _, class := range []trace.Class{trace.ClassCompute, trace.ClassRecovery, trace.ClassBackpressure} {
+				r := p.Region("test", class.String(), class)
+				p.Sleep(8 * time.Millisecond)
+				r.End(0, "")
+			}
+			ph := p.Phase("phase")
+			p.Sleep(16 * time.Millisecond)
+			ph.End()
+			p.Span("test", "open", trace.ClassIdle)
+			p.Sleep(32 * time.Millisecond)
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m, i := p.Tally(); m != 3*time.Millisecond || i != 4*time.Millisecond {
+			t.Errorf("keep profile %v: tally movement %v idle %v, want 3ms and 4ms", keep, m, i)
+		}
+	}
+}

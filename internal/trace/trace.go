@@ -14,7 +14,8 @@
 // Span classes implement the paper's time-decomposition methodology
 // (Figs. 4-7): ClassMovement/ClassIdle/ClassCompute spans are emitted at
 // workflow level and are disjoint in time, so summing them per class
-// reproduces the caliper/thicket movement-vs-idle split. ClassRecovery
+// gives the movement-vs-idle split, which the simulator reads from the
+// same regions' per-process tallies (sim.Proc.Tally). ClassRecovery
 // spans mark fault-recovery waits (timeouts, backoff, failover, link
 // stalls); they nest inside workflow spans and are reported as a separate
 // overlapping column, mirroring faults.Metrics.RecoveryTime. ClassDetail
