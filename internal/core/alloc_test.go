@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -14,32 +15,59 @@ import (
 // per consumed frame (64 here) fails the test. The runs go through one
 // run pool, as in a RunMany worker: AllocsPerRun's warm-up call fills it,
 // so each measured run reuses the engine and the idle coroutines of its
-// processes.
+// processes. The traced DYAD row records spans and the critical path: the
+// pool keeps both recorders too, so the run allocates its Result's copy of
+// the spans and its critical-path summary, not the recorders' arrays. It
+// pins allocated bytes as well as objects, because that reuse saves bytes
+// far more than objects. The bytes are the least TotalAlloc delta of three
+// more pooled runs: a GC cycle that lands inside a run can add a few
+// hundred bytes of the runtime's own.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
 	for _, tc := range []struct {
 		backend Backend
+		traced  bool
 		budget  float64
+		bytes   uint64 // pinned only for traced runs
 	}{
-		{DYAD, 508},
-		{XFS, 317},
-		{Lustre, 429},
+		{DYAD, false, 508, 0},
+		{XFS, false, 317, 0},
+		{Lustre, false, 429, 0},
+		{DYAD, true, 818, 257408},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,
-			Seed: 1, ComputeJitter: 0.004}
+			Seed: 1, ComputeJitter: 0.004, RecordSpans: tc.traced, CritPath: tc.traced}
+		name := tc.backend.String()
+		if tc.traced {
+			name += " traced"
+		}
 		pool := &runPool{}
-		got := testing.AllocsPerRun(3, func() {
+		run := func() {
 			if _, err := runPooled(cfg, pool); err != nil {
 				t.Fatal(err)
 			}
-		})
-		pool.eng.Close()
-		if got > tc.budget {
-			t.Errorf("%s: Fig5-shaped run allocates %.0f objects, budget %.0f", tc.backend, got, tc.budget)
 		}
+		got := testing.AllocsPerRun(3, run)
+		if got > tc.budget {
+			t.Errorf("%s: Fig5-shaped run allocates %.0f objects, budget %.0f", name, got, tc.budget)
+		}
+		if tc.traced {
+			least := ^uint64(0)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > tc.bytes {
+				t.Errorf("%s: Fig5-shaped run allocates %d bytes, budget %d", name, least, tc.bytes)
+			}
+		}
+		pool.eng.Close()
 	}
 }
 

@@ -88,18 +88,3 @@ func TestRandomConfigProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Per-frame decomposition must scale: PerFrame(n) * n == totals.
-func TestTotalsPerFrame(t *testing.T) {
-	tt := Totals{Movement: 1280, Idle: 2560}
-	pf := tt.PerFrame(128)
-	if pf.Movement != 10 || pf.Idle != 20 {
-		t.Fatalf("per-frame %+v", pf)
-	}
-	if tt.PerFrame(0) != tt {
-		t.Fatal("PerFrame(0) should be identity")
-	}
-	if tt.Sum() != 3840 {
-		t.Fatal("Sum wrong")
-	}
-}

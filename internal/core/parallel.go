@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/critpath"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // This file is the parallel execution layer for workflow runs. Every run is
@@ -73,27 +75,35 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 }
 
 // runPool recycles the expensive parts of a rig — engine (event queue,
-// process table, RNG streams, idle process coroutines), cluster (nodes,
-// device resources, queue backing arrays), metrics registry (series sample
-// vectors), and the per-process caliper annotators (region tables) —
-// from each run it serves to the next, across calls (runPools). Batch
+// process table, RNG streams, idle process coroutines, per-process region
+// tables), cluster (nodes, device resources, queue backing arrays),
+// metrics registry (series sample vectors), and the buffered span and
+// critical-path recorders (span, segment and edge arrays) — from each run
+// it serves to the next, across calls (runPools). Batch
 // repetitions share shape, so after the first run a repetition allocates
 // O(1) rig state instead of rebuilding the whole kernel (DESIGN.md §3h).
 // A pool serves one caller at a time (never shared), and reuse is
 // observationally invisible:
-// Engine.Reset, Cluster.Reset, and Registry.Reset restore the exact
-// just-built state, so pooled batches stay byte-identical to unpooled ones.
+// Engine.Reset, Cluster.Reset, Registry.Reset and the recorders' Reset
+// restore the exact just-built state, so pooled batches stay
+// byte-identical to unpooled ones. Each recorder stays at the size of the
+// largest run it recorded until ReleasePools; a Result gets copies of
+// what it keeps (collect).
 //
-// Hand-out is one-shot: take clears the stored state, and retire is called
-// only after a successful collect — a run that fails or panics mid-flight
-// can never leak a dirty engine into the next run. Such a run closes its
-// engine instead (runPooled), releasing the coroutines it retains.
+// Hand-out is one-shot: take clears what it hands out, and retire is
+// called only after a successful collect — a run that fails or panics
+// mid-flight can never leak a dirty engine or recorder into the next run.
+// Such a run closes its engine instead (runPooled), releasing the
+// coroutines it retains. A recorder the run did not ask for stays in the
+// pool for a later run that does.
 
 type runPool struct {
 	eng    *sim.Engine
 	cl     *cluster.Cluster
 	clSpec cluster.Spec
 	reg    *metrics.Registry
+	rec    *trace.Recorder // buffered only: streaming recorders are per run
+	cp     *critpath.Recorder
 	// free holds the chain states of every engine the pool builds, so
 	// they outlive an engine dropped after a failed run.
 	free sim.FreeLists
@@ -148,38 +158,44 @@ func putRunPool(pl *runPool) {
 	runPools.Unlock()
 }
 
-// take hands out pooled state compatible with cfg, or nils where the pool
-// cannot help. The engine is always reusable; the cluster additionally
-// needs the same hardware spec (Spec is a value type, so == compares the
-// full profile) and always rides on its own engine. The registry is handed
-// out only to runs that will stream it to a MetricsSink — buffered runs
-// retain their registry on Result.Metrics, so those registries never enter
-// the pool in the first place. Nil-safe.
-func (pl *runPool) take(cfg Config, spec cluster.Spec) (*sim.Engine, *cluster.Cluster, *metrics.Registry) {
+// take hands out pooled state compatible with r's config into r, leaving
+// nils where the pool cannot help. The engine is always reusable; the
+// cluster additionally needs the same hardware spec (Spec is a value type,
+// so == compares the full profile) and always rides on its own engine.
+// The registry is handed out only to runs that will stream it to a
+// MetricsSink — buffered runs retain their registry on Result.Metrics, so
+// those registries never enter the pool in the first place. Each recorder
+// goes only to a run that records into it. Nil-safe.
+func (pl *runPool) take(r *rig, spec cluster.Spec) {
 	if pl == nil {
-		return nil, nil, nil
+		return
 	}
-	var eng *sim.Engine
-	var cl *cluster.Cluster
-	var reg *metrics.Registry
 	if pl.eng != nil {
-		eng = pl.eng
-		eng.Reset(cfg.Seed)
+		r.eng = pl.eng
+		r.eng.Reset(r.cfg.Seed)
 		if pl.cl != nil && pl.clSpec == spec {
-			cl = pl.cl
-			cl.Reset()
+			r.cl = pl.cl
+			r.cl.Reset()
 		}
 	}
-	if cfg.MetricsInterval > 0 && cfg.MetricsSink != nil {
-		reg = pl.reg
+	if r.cfg.MetricsInterval > 0 && r.cfg.MetricsSink != nil {
+		r.reg = pl.reg
 	}
 	pl.eng, pl.cl, pl.reg = nil, nil, nil
-	return eng, cl, reg
+	if r.cfg.RecordSpans && pl.rec != nil {
+		r.rec, pl.rec = pl.rec, nil
+		r.rec.Reset()
+	}
+	if r.cfg.CritPath && pl.cp != nil {
+		r.cp, pl.cp = pl.cp, nil
+		r.cp.Reset()
+	}
 }
 
 // retire stores a successfully collected rig's state for the next take.
 // The registry is kept only when the run streamed it (otherwise the Result
-// retains it and it must not be reused).
+// retains it and it must not be reused), and the span recorder only when
+// it buffered.
 func (pl *runPool) retire(r *rig) {
 	if pl == nil {
 		return
@@ -189,6 +205,12 @@ func (pl *runPool) retire(r *rig) {
 	pl.clSpec = r.cl.Spec
 	if r.reg != nil && r.cfg.MetricsSink != nil {
 		pl.reg = r.reg
+	}
+	if r.cfg.RecordSpans {
+		pl.rec = r.rec
+	}
+	if r.cp != nil {
+		pl.cp = r.cp
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,11 +246,11 @@ func TestMetricsSinkMatchesBuffered(t *testing.T) {
 func TestFailedRunRetiresNothing(t *testing.T) {
 	pool := &runPool{}
 	bad := Config{Backend: DYAD, Model: tinyModel(), Frames: 1000, Pairs: 1, SingleNode: true,
-		Seed: 5, MaxEvents: 50} // watchdog kills the run almost immediately
+		Seed: 5, MaxEvents: 50, RecordSpans: true, CritPath: true} // watchdog kills the run almost immediately
 	if _, err := runPooled(bad, pool); err == nil {
 		t.Fatal("watchdog-limited run unexpectedly succeeded")
 	}
-	if pool.eng != nil || pool.cl != nil || pool.reg != nil {
+	if pool.eng != nil || pool.cl != nil || pool.reg != nil || pool.rec != nil || pool.cp != nil {
 		t.Error("failed run leaked state into the pool")
 	}
 }
@@ -335,5 +337,127 @@ func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 		if start != (Totals{}) {
 			t.Errorf("%s: a recycled slot starts with the tally %v", what, start)
 		}
+	}
+}
+
+// spanCritDump renders what a traced, recorded run keeps: every span, the
+// per-operation statistics and the critical-path summary.
+func spanCritDump(res *Result) string {
+	var sb strings.Builder
+	for _, s := range res.Spans {
+		fmt.Fprintf(&sb, "%+v\n", s)
+	}
+	for _, st := range res.SpanStats {
+		fmt.Fprintf(&sb, "%+v\n", st)
+	}
+	fmt.Fprintf(&sb, "%+v unclosed=%d\n", *res.Crit.Path, res.Crit.Unclosed)
+	for _, fl := range res.Crit.Frames {
+		fmt.Fprintf(&sb, "%+v\n", fl)
+	}
+	return sb.String()
+}
+
+// The pool's span and critical-path recorders serve run after run, so a
+// Result must own what it keeps: later runs through the same pool — more
+// pairs, an untraced run, a streamed one, a Lustre run with its noise
+// processes in the low slots — leave an earlier result's spans, span
+// statistics and critical path as they were. Reuse is invisible too: each
+// pooled run equals the same config run unpooled, and a recorder the run
+// did not ask for (or a streaming one) neither leaves nor joins the pool.
+func TestPooledRecordersStayWithTheirResult(t *testing.T) {
+	a := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 2, SingleNode: true,
+		Seed: 13, RecordSpans: true, CritPath: true}
+	more := a
+	more.Pairs, more.Seed = 4, 14
+	plain := more
+	plain.RecordSpans, plain.CritPath = false, false
+	streamed := plain
+	streamed.TraceStream = trace.NewChromeStream(discard{})
+	lustre := a
+	lustre.Backend, lustre.SingleNode, lustre.LustreNoise = Lustre, false, true
+
+	pool := &runPool{}
+	resA, err := runPooled(a, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dumpA := spanCritDump(resA)
+	rec, cp := pool.rec, pool.cp
+	if rec == nil || cp == nil {
+		t.Fatal("a traced, recorded run retired no recorder")
+	}
+	for i, cfg := range []Config{more, plain, streamed, lustre, a} {
+		got, err := runPooled(cfg, pool)
+		if err != nil {
+			t.Fatalf("run %d (%s): %v", i, cfg.Label(), err)
+		}
+		what := fmt.Sprintf("run %d (%s)", i, cfg.Label())
+		if pool.rec != rec || pool.cp != cp {
+			t.Fatalf("%s: the pool does not hold the recorders it handed out", what)
+		}
+		if spanCritDump(resA) != dumpA {
+			t.Fatalf("%s: changed the spans or critical path of the first run's result", what)
+		}
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultScalars(t, what, got, want)
+		if !cfg.RecordSpans {
+			if got.Spans != nil || got.Crit != nil {
+				t.Errorf("%s: an unrecorded run carries spans or a critical path", what)
+			}
+			continue
+		}
+		if g, w := spanCritDump(got), spanCritDump(want); g != w {
+			t.Errorf("%s: pooled spans or critical path diverged from an unpooled run:\n%s\nwant\n%s", what, g, w)
+		}
+	}
+}
+
+// Results own what they keep while other RunMany calls reuse the pooled
+// recorders: one goroutine reads a batch's spans and critical paths while
+// two others record more batches through the process-wide pools. Under
+// -race a Result that shared memory with a recycled recorder is a
+// reported race; without it, a changed dump.
+func TestRecycledRecordersLeaveResultsAlone(t *testing.T) {
+	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 4, Pairs: 2, SingleNode: true,
+		Seed: 3, RecordSpans: true, CritPath: true}
+	batch := RepeatConfigs(cfg, 4)
+	cfg.Seed, cfg.Pairs = 4, 3
+	later := RepeatConfigs(cfg, 4)
+	dump := func(results []*Result) string {
+		var sb strings.Builder
+		for _, res := range results {
+			sb.WriteString(spanCritDump(res))
+		}
+		return sb.String()
+	}
+	first, err := RunMany(batch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dump(first)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if _, err := RunMany(later, 2); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		if dump(first) != want {
+			t.Error("a later batch changed an earlier batch's spans or critical paths")
+		}
+	}
+	wg.Wait()
+	if dump(first) != want {
+		t.Error("a later batch changed an earlier batch's spans or critical paths")
 	}
 }

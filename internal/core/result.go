@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/caliper"
@@ -24,14 +25,6 @@ type Totals struct {
 
 // Sum returns movement + idle.
 func (t Totals) Sum() time.Duration { return t.Movement + t.Idle }
-
-// PerFrame scales the totals to one frame.
-func (t Totals) PerFrame(frames int) Totals {
-	if frames < 1 {
-		return t
-	}
-	return Totals{Movement: t.Movement / time.Duration(frames), Idle: t.Idle / time.Duration(frames)}
-}
 
 func (t Totals) String() string {
 	return fmt.Sprintf("movement=%v idle=%v", t.Movement, t.Idle)
@@ -70,7 +63,9 @@ type Result struct {
 	ConsumerTotals   []Totals
 
 	// Spans holds the run's virtual-time span trace when Config.RecordSpans
-	// is set (nil otherwise); emission order is event-execution order.
+	// is set (nil otherwise); emission order is event-execution order. It
+	// is an exact-length copy owned by the Result: the recorder it came
+	// from serves the pool's next run.
 	Spans []trace.Span
 	// SpanStats are per-operation counters and latency histograms derived
 	// from Spans. Nil when tracing is off.
@@ -166,7 +161,7 @@ func (r *rig) collect() (*Result, error) {
 			// the per-operation statistics were folded incrementally.
 			res.SpanStats = r.rec.Stats()
 		} else {
-			res.Spans = r.rec.Spans()
+			res.Spans = slices.Clone(r.rec.Spans())
 			res.SpanStats = trace.Aggregate(res.Spans)
 		}
 	}

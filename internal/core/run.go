@@ -93,7 +93,8 @@ func (c cfgResolved) runLabel() string {
 }
 
 // newRig wires one run, drawing recyclable state (engine, cluster, metrics
-// registry) from pool when compatible state is available — nil pool or no
+// registry, span and critical-path recorders) from pool when compatible
+// state is available — nil pool or no
 // match builds everything fresh. Reuse is observationally invisible: the
 // Reset contracts restore exact just-built state, so a pooled run is
 // byte-identical to an unpooled one.
@@ -118,13 +119,16 @@ func newRig(cfg Config, pool *runPool) *rig {
 		// value, so a tuned run can never inherit an untuned cluster.
 		cfg.SpecTune(&spec)
 	}
-	eng, cl, reg := pool.take(cfg, spec)
+	r := &rig{cfg: rc}
+	pool.take(r, spec)
+	eng := r.eng
 	if eng == nil {
 		eng = sim.NewEngine(cfg.Seed)
 		if pool != nil {
 			eng.Retain() // its coroutines serve the pool's next run
 			eng.SetFreeLists(&pool.free)
 		}
+		r.eng = eng
 	}
 	// A pooled engine holds idle coroutines, and a panic while wiring
 	// drops it: release them (runPooled closes it on any later failure).
@@ -144,10 +148,10 @@ func newRig(cfg Config, pool *runPool) *rig {
 		procs += lustreServers - 1 // one noise process per OST
 	}
 	eng.Prealloc(procs, procs+8)
-	if cl == nil {
-		cl = cluster.New(eng, spec)
+	if r.cl == nil {
+		r.cl = cluster.New(eng, spec)
 	}
-	r := &rig{cfg: rc, eng: eng, cl: cl, reg: reg}
+	cl := r.cl
 
 	if cfg.Trace != nil {
 		eng.SetTracer(func(t time.Duration, proc, msg string) {
@@ -155,7 +159,9 @@ func newRig(cfg Config, pool *runPool) *rig {
 		})
 	}
 	if cfg.RecordSpans {
-		r.rec = trace.NewRecorder()
+		if r.rec == nil {
+			r.rec = trace.NewRecorder()
+		}
 		eng.SetRecorder(r.rec)
 	} else if cfg.TraceStream != nil {
 		// Streaming tracer: spans serialize on emission into the shared
@@ -167,7 +173,9 @@ func newRig(cfg Config, pool *runPool) *rig {
 	if cfg.CritPath {
 		// Install before any backend construction so every spawn (including
 		// Lustre noise processes) lands in the graph.
-		r.cp = critpath.NewRecorder()
+		if r.cp == nil {
+			r.cp = critpath.NewRecorder()
+		}
 		eng.SetCritRecorder(r.cp)
 	}
 

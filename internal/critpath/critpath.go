@@ -193,9 +193,44 @@ func NewRecorder() *Recorder {
 	}
 }
 
+// Reset empties the recorder for its next run, as NewRecorder would
+// leave it, but keeps its backing arrays and maps: a reused recorder grows
+// only past the largest run it served. Lineages start fresh, because a
+// Summary keeps the last run's. A Graph returned by Finish is invalid from
+// here on.
+func (r *Recorder) Reset() {
+	clearProcs(r.procs[:cap(r.procs)])
+	r.procs = r.procs[:0]
+	r.edges = r.edges[:0]
+	r.deps = r.deps[:0]
+	r.labels = r.labels[:0]
+	clear(r.labelIdx)
+	clear(r.tokens)
+	clear(r.lineIdx)
+	r.lineages = nil
+	r.unclosed = 0
+	r.OnDep, r.OnHop = nil, nil
+}
+
+// clearProcs puts each slot in the state of a proc not yet seen, keeping
+// its segment and stack arrays.
+func clearProcs(procs []procState) {
+	for i := range procs {
+		ps := &procs[i]
+		*ps = procState{parent: -1, pending: -1, stack: ps.stack[:0], segs: ps.segs[:0]}
+	}
+}
+
+// ps returns proc idx's slot, extending procs to it. Every slot between
+// len and cap is clear (Reset, and the growth here, see to it), so
+// extending within cap reuses a slot's arrays from an earlier run.
 func (r *Recorder) ps(idx int32) *procState {
 	for int(idx) >= len(r.procs) {
-		r.procs = append(r.procs, procState{parent: -1, pending: -1})
+		if n := len(r.procs); n == cap(r.procs) {
+			r.procs = append(r.procs, procState{})[:n]
+			clearProcs(r.procs[n:cap(r.procs)])
+		}
+		r.procs = r.procs[:len(r.procs)+1]
 	}
 	return &r.procs[idx]
 }
@@ -351,7 +386,9 @@ func (r *Recorder) Hop(key, hop string, proc int32, start, end Time, bytes int64
 }
 
 // Finish closes every open segment at `at` (the engine's final time) and
-// returns the completed graph. The recorder must not be used afterwards.
+// returns the completed graph. The graph shares the recorder's arrays: it
+// is valid until the recorder's next Reset, and the recorder records
+// nothing more until then. Its Lineages survive the Reset.
 func (r *Recorder) Finish(at Time) *Graph {
 	g := &Graph{
 		Makespan: at,

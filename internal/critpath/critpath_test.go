@@ -267,9 +267,9 @@ func TestFinishStrandedWaiter(t *testing.T) {
 	}
 }
 
-// TestExportAllocBudget pins the waterfall writer's allocations to a
-// constant: eight times the hops over the same frames and procs must
-// allocate no more than one time.
+// TestExportAllocBudget pins the waterfall writer's and FlowEvents'
+// allocations to a constant: eight times the hops over the same frames
+// and procs must allocate no more than one time.
 func TestExportAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -295,6 +295,13 @@ func TestExportAllocBudget(t *testing.T) {
 	one, eight := allocs(build(16)), allocs(build(128))
 	if eight > one {
 		t.Errorf("WriteWaterfall: %v allocs for 8x the hops, %v for 1x; want no growth", eight, one)
+	}
+	flowAllocs := func(runs []LineageSet) float64 {
+		return testing.AllocsPerRun(10, func() { _ = FlowEvents(runs[0].Frames) })
+	}
+	one, eight = flowAllocs(build(16)), flowAllocs(build(128))
+	if eight > one {
+		t.Errorf("FlowEvents: %v allocs for 8x the hops, %v for 1x; want no growth", eight, one)
 	}
 }
 

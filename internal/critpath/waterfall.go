@@ -56,20 +56,19 @@ func WriteWaterfall(w io.Writer, runs []LineageSet) error {
 // viewer. Frames whose lineage touches fewer than two procs' worth of
 // hops draw no arrow and are skipped.
 func FlowEvents(frames []FrameLineage) []trace.Flow {
-	var out []trace.Flow
+	flows := 0
+	for _, fl := range frames {
+		if _, n := procHops(fl.Hops); n >= 2 {
+			flows += n
+		}
+	}
+	if flows == 0 {
+		return nil
+	}
+	out := make([]trace.Flow, 0, flows)
 	id := int64(0)
 	for _, fl := range frames {
-		first := -1
-		n := 0
-		for i, h := range fl.Hops {
-			if h.Proc == "" {
-				continue
-			}
-			if first < 0 {
-				first = i
-			}
-			n++
-		}
+		first, n := procHops(fl.Hops)
 		if n < 2 {
 			continue
 		}
@@ -84,4 +83,21 @@ func FlowEvents(frames []FrameLineage) []trace.Flow {
 		}
 	}
 	return out
+}
+
+// procHops returns the index of the first proc-bound hop (-1 if none) and
+// the number of proc-bound hops: the flow events the lineage draws when
+// there are at least two.
+func procHops(hops []Hop) (first, n int) {
+	first = -1
+	for i, h := range hops {
+		if h.Proc == "" {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		n++
+	}
+	return first, n
 }

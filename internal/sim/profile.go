@@ -43,6 +43,9 @@ const profShare = 10
 //go:noinline
 func (p *Proc) KeepProfile() {
 	t := p.slot()
+	if cap(t.nodes) == 0 {
+		p.e.carveProfs()
+	}
 	t.nodes = append(t.nodes[:0], profNode{name: p.name})
 	t.cur = 0
 }
@@ -66,22 +69,38 @@ func (p *Proc) Tally() (movement, idle time.Duration) {
 }
 
 // growProfs extends the slab to n processes, none keeping a profile or
-// tallying yet. Tables past the old capacity are carved from one shared
-// array (Prealloc makes them before a run, or else the first slot lookup
-// past them); one that outgrows its share grows on its own. Reset keeps
-// them, emptied and their tallies zeroed, for the next run.
+// tallying yet. Prealloc makes the tables before a run, or else the first
+// slot lookup past them; Reset keeps them, emptied and their tallies
+// zeroed, for the next run. Their call paths are carved only once a
+// process keeps a profile (carveProfs), so runs that keep none never pay
+// for them.
 func (e *Engine) growProfs(n int) {
 	if n > cap(e.profs) {
 		grown := make([]profTable, n)
-		fresh := grown[copy(grown, e.profs[:cap(e.profs)]):]
-		arr := make([]profNode, len(fresh)*profShare)
-		for i := range fresh {
-			fresh[i].nodes = arr[i*profShare : i*profShare : (i+1)*profShare]
-		}
+		copy(grown, e.profs[:cap(e.profs)])
 		e.profs = grown
 	}
 	if n > len(e.profs) {
 		e.profs = e.profs[:n]
+	}
+}
+
+// carveProfs gives every table of the slab that has no call paths yet
+// its profShare of them, carved from one shared array; a table that
+// outgrows its share grows on its own.
+func (e *Engine) carveProfs() {
+	all := e.profs[:cap(e.profs)]
+	bare := 0
+	for i := range all {
+		if cap(all[i].nodes) == 0 {
+			bare++
+		}
+	}
+	arr := make([]profNode, bare*profShare)
+	for i := range all {
+		if cap(all[i].nodes) == 0 {
+			all[i].nodes, arr = arr[:0:profShare], arr[profShare:]
+		}
 	}
 }
 

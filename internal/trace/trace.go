@@ -113,6 +113,11 @@ type Recorder struct {
 // NewRecorder returns an empty buffered recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// Reset empties a buffered recorder for its next run, keeping the span
+// array, so a reused recorder grows only past the largest run it served.
+// Spans returned before the Reset are overwritten by the next run's.
+func (r *Recorder) Reset() { r.spans = r.spans[:0] }
+
 // Emit records one span: appended in buffered mode, serialized to the
 // Chrome stream (and folded into the incremental statistics) in streaming
 // mode. On a nil recorder it is a no-op; the span value stays on the
@@ -160,7 +165,8 @@ func (r *Recorder) Len() int {
 }
 
 // Spans returns the recorded spans in emission order (event-execution
-// order, deterministic). The slice is owned by the recorder.
+// order, deterministic). The slice is owned by the recorder and valid
+// until its next Reset; copy it to keep it.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
