@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"runtime"
 	"strings"
@@ -36,7 +37,7 @@ func main() {
 // memstats, artifact notes, and errors go to stderr — the two streams never
 // interleave, so `experiments ... > report.txt` always captures exactly the
 // report bytes.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(io.Discard) // parse errors are reported below, in one line
 	var (
@@ -175,13 +176,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// Every output file is created before any simulation, so a path that
+	// cannot be created refuses the run up front; an invocation that fails
+	// removes the files it created.
+	var files outputs
+	defer func() { files.finish(code != 0) }()
 	out := stdout
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
+		f, err := files.create(*outPath)
 		if err != nil {
 			return fatal(err)
 		}
-		defer f.Close()
 		out = f
 	}
 
@@ -208,19 +213,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runCalibSubcommand(ids[0], ids[1:], co, out, stderr, *quiet)
 	}
 
+	// The artifact files, created before the first experiment runs.
+	var traceFile, traceStrmFile, metricsFile, promFile, metricsStrmFile, critFile *os.File
+	for _, a := range []struct {
+		path string
+		f    **os.File
+	}{
+		{*traceOut, &traceFile}, {*traceStrm, &traceStrmFile}, {*metricsOut, &metricsFile},
+		{*promOut, &promFile}, {*metricsStm, &metricsStrmFile}, {*critOut, &critFile},
+	} {
+		if a.path == "" {
+			continue
+		}
+		f, err := files.create(a.path)
+		if err != nil {
+			return fatal(err)
+		}
+		*a.f = f
+	}
 	var collector *repro.TraceCollector
 	if *traceOut != "" {
 		collector = repro.NewTraceCollector()
 		opts.Trace = collector
 	}
-	var traceFile *os.File
-	if *traceStrm != "" {
-		f, err := os.Create(*traceStrm)
-		if err != nil {
-			return fatal(err)
-		}
-		traceFile = f
-		opts.TraceStream = repro.NewChromeTraceStream(f)
+	if traceStrmFile != nil {
+		opts.TraceStream = repro.NewChromeTraceStream(traceStrmFile)
 	}
 	var mcollector *repro.MetricsCollector
 	if *metricsOut != "" || *promOut != "" {
@@ -234,14 +251,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.CritPath = ccollector
 	}
 	var mstream *repro.MetricsStreamer
-	var metricsFile *os.File
-	if *metricsStm != "" {
-		f, err := os.Create(*metricsStm)
-		if err != nil {
-			return fatal(err)
-		}
-		metricsFile = f
-		mstream = &repro.MetricsStreamer{Sink: repro.NewMetricsCSVSink(f), Interval: *metricsInt}
+	if metricsStrmFile != nil {
+		mstream = &repro.MetricsStreamer{Sink: repro.NewMetricsCSVSink(metricsStrmFile), Interval: *metricsInt}
 		opts.MetricsStream = mstream
 	}
 	effWorkers := *workers
@@ -313,7 +324,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if collector != nil {
-		if err := writeFile(*traceOut, func(f io.Writer) error {
+		if err := writeFile(traceFile, func(f io.Writer) error {
 			return repro.WriteChromeTrace(f, collector.Runs)
 		}); err != nil {
 			return fatal(err)
@@ -322,8 +333,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "wrote %d traced run(s) to %s\n", len(collector.Runs), *traceOut)
 		}
 	}
-	if mcollector != nil && *metricsOut != "" {
-		if err := writeFile(*metricsOut, func(f io.Writer) error {
+	if metricsFile != nil {
+		if err := writeFile(metricsFile, func(f io.Writer) error {
 			return repro.WriteMetricsCSV(f, mcollector.Runs)
 		}); err != nil {
 			return fatal(err)
@@ -332,22 +343,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "wrote %d sampled run(s) to %s\n", len(mcollector.Runs), *metricsOut)
 		}
 	}
-	if traceFile != nil {
-		if err := opts.TraceStream.Close(); err != nil {
-			return fatal(err)
-		}
-		if err := traceFile.Close(); err != nil {
+	if traceStrmFile != nil {
+		if err := writeFile(traceStrmFile, func(io.Writer) error {
+			return opts.TraceStream.Close()
+		}); err != nil {
 			return fatal(err)
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "streamed traces to %s\n", *traceStrm)
 		}
 	}
-	if metricsFile != nil {
-		if err := mstream.Sink.Flush(); err != nil {
-			return fatal(err)
-		}
-		if err := metricsFile.Close(); err != nil {
+	if metricsStrmFile != nil {
+		if err := writeFile(metricsStrmFile, func(io.Writer) error {
+			return mstream.Sink.Flush()
+		}); err != nil {
 			return fatal(err)
 		}
 		if !*quiet {
@@ -355,7 +364,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if ccollector != nil {
-		if err := writeFile(*critOut, func(f io.Writer) error {
+		if err := writeFile(critFile, func(f io.Writer) error {
 			return ccollector.WriteWaterfall(f)
 		}); err != nil {
 			return fatal(err)
@@ -364,8 +373,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "wrote %d frame lineage set(s) to %s\n", len(ccollector.Lineages), *critOut)
 		}
 	}
-	if mcollector != nil && *promOut != "" {
-		if err := writeFile(*promOut, func(f io.Writer) error {
+	if promFile != nil {
+		if err := writeFile(promFile, func(f io.Writer) error {
 			return repro.WriteMetricsProm(f, mcollector.Runs)
 		}); err != nil {
 			return fatal(err)
@@ -390,18 +399,48 @@ func explainTargetIDs() string {
 	return strings.Join(ids, ", ")
 }
 
-// writeFile creates path, streams write into it, and surfaces the first
-// error (including Close, which matters for buffered filesystems).
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+// writeFile streams write into an output file and closes it, surfacing
+// the first error (including Close, which matters for buffered
+// filesystems).
+func writeFile(f *os.File, write func(io.Writer) error) error {
 	if err := write(f); err != nil {
-		f.Close()
 		return err
 	}
 	return f.Close()
+}
+
+// outputs tracks the files an invocation opens for writing.
+type outputs struct {
+	files   []*os.File
+	created []string // paths that did not exist before the invocation
+}
+
+// create opens path for writing, truncating it, and remembers whether
+// this invocation created it.
+func (o *outputs) create(path string) (*os.File, error) {
+	_, statErr := os.Lstat(path)
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	o.files = append(o.files, f)
+	if errors.Is(statErr, fs.ErrNotExist) {
+		o.created = append(o.created, path)
+	}
+	return f, nil
+}
+
+// finish closes every file still open and, when the invocation failed,
+// removes the files it created.
+func (o *outputs) finish(failed bool) {
+	for _, f := range o.files {
+		f.Close() // already closed after a successful write; the error is moot
+	}
+	if failed {
+		for _, path := range o.created {
+			os.Remove(path)
+		}
+	}
 }
 
 // reportMemStats prints the host-side allocation delta one experiment

@@ -125,7 +125,8 @@ func TestErrorsGoToStderr(t *testing.T) {
 
 // A run refused for its arguments leaves no -o file: ids, subcommand
 // arguments and sink-flag conflicts are all checked before the file is
-// created.
+// created, and an artifact path that cannot be created refuses the run
+// before any simulation and takes the files created so far with it.
 func TestRefusedRunCreatesNoOutput(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -137,6 +138,9 @@ func TestRefusedRunCreatesNoOutput(t *testing.T) {
 		{[]string{"explain", "nosuch"}, 1},
 		{[]string{"search", "nosuchgoal"}, 1},
 		{[]string{"-trace", "$DIR/a", "-trace-stream", "$DIR/b", "fig5"}, 1},
+		{[]string{"-quick", "-q", "-trace", "$DIR/nodir/x.json", "fig5"}, 1},
+		{[]string{"-quick", "-q", "-trace-stream", "$DIR/nodir/x.json", "fig5"}, 1},
+		{[]string{"-quick", "-q", "-metrics-stream", "$DIR/nodir/x.csv", "fig5"}, 1},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -161,6 +165,23 @@ func TestRefusedRunCreatesNoOutput(t *testing.T) {
 		for _, e := range entries {
 			t.Errorf("%v: left %s behind", c.args, e.Name())
 		}
+	}
+}
+
+// A refused run removes only the files it created: an -o file that was
+// there before stays.
+func TestRefusedRunKeepsExistingOutput(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.txt")
+	if err := os.WriteFile(out, []byte("earlier report\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut := capture(t, "-o", out, "-quick", "-q", "-metrics", filepath.Join(dir, "nodir", "m.csv"), "fig5")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr %q)", code, errOut)
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Errorf("the existing -o file is gone: %v", err)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dyad"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/trace"
 )
@@ -172,7 +171,7 @@ type Config struct {
 	Trace io.Writer
 	// RecordSpans enables the virtual-time span tracer: every modeled
 	// operation (SSD I/O, transfers, RPCs, KVS ops, journal commits,
-	// recovery waits) emits a span, surfaced on Result.Spans/SpanStats.
+	// recovery waits) emits a span, surfaced on Result.Spans.
 	// Spans are observations only — recording never touches the virtual
 	// timeline or any RNG stream, so a traced run's measurements are
 	// byte-identical to the same run untraced. Off (the default) costs one
@@ -198,27 +197,17 @@ type Config struct {
 	MetricsInterval time.Duration
 	// TraceStream, when non-nil, streams the run's spans straight into a
 	// shared Chrome trace writer instead of retaining them: each span is
-	// serialized the moment it is emitted, Result.Spans stays nil, and
-	// Result.SpanStats comes from an incremental fold — recorder memory is
-	// O(live procs + operation kinds) regardless of run length. The bytes
+	// serialized the moment it is emitted and Result.Spans stays nil —
+	// recorder memory is O(live procs) regardless of run length. The bytes
 	// written are identical to buffered RecordSpans export of the same run
 	// (WriteChrome is a loop over the same stream). Mutually exclusive with
 	// RecordSpans. The stream is not safe for concurrent runs: at most one
 	// run per RunMany batch may set it (the experiments layer streams only
 	// the first repetition, matching buffered tracing).
 	TraceStream *trace.ChromeStream
-	// MetricsSink, when non-nil, streams each metrics sample as one CSV row
-	// the moment the sampler fires instead of buffering sample vectors:
-	// Result.Metrics stays nil and registry memory is O(series count)
-	// regardless of run length, with bytes identical to buffered WriteCSV.
-	// Requires MetricsInterval > 0. Like TraceStream, at most one run per
-	// batch may set it. Because the samples are not retained, streaming
-	// runs cannot feed the Prometheus/dashboard exporters.
-	MetricsSink *metrics.CSVSink
-	// RunLabel names the run in the streaming sinks: the Chrome process of
-	// TraceStream and the CSV block of MetricsSink, as buffered collection
-	// names it (the experiments layer passes its sweep cell's label).
-	// Empty means Label().
+	// RunLabel names the run's Chrome process in TraceStream, as buffered
+	// collection names it (the experiments layer passes its sweep cell's
+	// label). Empty means Label().
 	RunLabel string
 }
 
@@ -316,9 +305,6 @@ func (c Config) Validate() error {
 	}
 	if c.CritPath && c.TraceStream != nil {
 		return fmt.Errorf("core: CritPath and TraceStream are mutually exclusive (flow-event merging needs buffered spans)")
-	}
-	if c.MetricsSink != nil && c.MetricsInterval <= 0 {
-		return fmt.Errorf("core: MetricsSink requires MetricsInterval > 0")
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/critpath"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -76,15 +75,14 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 
 // runPool recycles the expensive parts of a rig — engine (event queue,
 // process table, RNG streams, idle process coroutines, per-process region
-// tables), cluster (nodes, device resources, queue backing arrays),
-// metrics registry (series sample vectors), and the buffered span and
-// critical-path recorders (span, segment and edge arrays) — from each run
+// tables), cluster (nodes, device resources, queue backing arrays), and
+// the buffered span and critical-path recorders (span, segment and edge arrays) — from each run
 // it serves to the next, across calls (runPools). Batch
 // repetitions share shape, so after the first run a repetition allocates
 // O(1) rig state instead of rebuilding the whole kernel (DESIGN.md §3h).
 // A pool serves one caller at a time (never shared), and reuse is
 // observationally invisible:
-// Engine.Reset, Cluster.Reset, Registry.Reset and the recorders' Reset
+// Engine.Reset, Cluster.Reset and the recorders' Reset
 // restore the exact just-built state, so pooled batches stay
 // byte-identical to unpooled ones. Each recorder stays at the size of the
 // largest run it recorded until ReleasePools; a Result gets copies of
@@ -101,7 +99,6 @@ type runPool struct {
 	eng    *sim.Engine
 	cl     *cluster.Cluster
 	clSpec cluster.Spec
-	reg    *metrics.Registry
 	rec    *trace.Recorder // buffered only: streaming recorders are per run
 	cp     *critpath.Recorder
 	// free holds the chain states of every engine the pool builds, so
@@ -162,10 +159,7 @@ func putRunPool(pl *runPool) {
 // nils where the pool cannot help. The engine is always reusable; the
 // cluster additionally needs the same hardware spec (Spec is a value type,
 // so == compares the full profile) and always rides on its own engine.
-// The registry is handed out only to runs that will stream it to a
-// MetricsSink — buffered runs retain their registry on Result.Metrics, so
-// those registries never enter the pool in the first place. Each recorder
-// goes only to a run that records into it. Nil-safe.
+// Each recorder goes only to a run that records into it. Nil-safe.
 func (pl *runPool) take(r *rig, spec cluster.Spec) {
 	if pl == nil {
 		return
@@ -178,10 +172,7 @@ func (pl *runPool) take(r *rig, spec cluster.Spec) {
 			r.cl.Reset()
 		}
 	}
-	if r.cfg.MetricsInterval > 0 && r.cfg.MetricsSink != nil {
-		r.reg = pl.reg
-	}
-	pl.eng, pl.cl, pl.reg = nil, nil, nil
+	pl.eng, pl.cl = nil, nil
 	if r.cfg.RecordSpans && pl.rec != nil {
 		r.rec, pl.rec = pl.rec, nil
 		r.rec.Reset()
@@ -193,9 +184,7 @@ func (pl *runPool) take(r *rig, spec cluster.Spec) {
 }
 
 // retire stores a successfully collected rig's state for the next take.
-// The registry is kept only when the run streamed it (otherwise the Result
-// retains it and it must not be reused), and the span recorder only when
-// it buffered.
+// The span recorder is kept only when it buffered.
 func (pl *runPool) retire(r *rig) {
 	if pl == nil {
 		return
@@ -203,9 +192,6 @@ func (pl *runPool) retire(r *rig) {
 	pl.eng = r.eng
 	pl.cl = r.cl
 	pl.clSpec = r.cl.Spec
-	if r.reg != nil && r.cfg.MetricsSink != nil {
-		pl.reg = r.reg
-	}
 	if r.cfg.RecordSpans {
 		pl.rec = r.rec
 	}

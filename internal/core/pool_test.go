@@ -6,10 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/caliper"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -99,44 +97,27 @@ func TestPoolShapeMismatchFallsBack(t *testing.T) {
 
 // The pooling payoff (DESIGN.md §3h): after the first repetition warms the
 // pool, wiring the next repetition's rig allocates O(1) — the engine (event
-// queue, proc table, RNG streams), the cluster (nodes, device resources,
-// queue arrays), and, for streaming runs, the metrics registry all come
-// back from the pool instead of being rebuilt. Measured on the rig
-// construction path itself so the bound is independent of how much the
-// workflow body allocates.
+// queue, proc table, RNG streams) and the cluster (nodes, device
+// resources, queue arrays) come back from the pool instead of being
+// rebuilt. Measured on the rig construction path itself so the bound is
+// independent of how much the workflow body allocates.
 func TestPooledRigConstructionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
-	var buf bytes.Buffer
-	sink := metrics.NewCSVSink(&buf)
-	for _, tc := range []struct {
-		name    string
-		metered bool
-		maxFrac float64
-	}{
-		{"plain", false, 0.6},
-		{"metered", true, 0.7}, // series/histogram handles are recycled; probe closures re-allocate
-	} {
-		cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 2, Pairs: 16, Seed: 11}
-		if tc.metered {
-			cfg.MetricsInterval = 2 * time.Millisecond
-			cfg.MetricsSink = sink
-		}
-		fresh := testing.AllocsPerRun(10, func() { _ = newRig(cfg, nil) })
-		pool := &runPool{}
-		if _, err := runPooled(cfg, pool); err != nil {
-			t.Fatal(err)
-		}
-		pooled := testing.AllocsPerRun(10, func() {
-			r := newRig(cfg, pool)
-			r.eng.Reset(cfg.Seed) // drop the wiring so retire hands back a clean engine
-			pool.retire(r)
-		})
-		if pooled >= fresh*tc.maxFrac {
-			t.Errorf("%s: pooled rig wiring allocates %.0f objects, want < %.0f%% of fresh %.0f",
-				tc.name, pooled, 100*tc.maxFrac, fresh)
-		}
+	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 2, Pairs: 16, Seed: 11}
+	fresh := testing.AllocsPerRun(10, func() { _ = newRig(cfg, nil) })
+	pool := &runPool{}
+	if _, err := runPooled(cfg, pool); err != nil {
+		t.Fatal(err)
+	}
+	pooled := testing.AllocsPerRun(10, func() {
+		r := newRig(cfg, pool)
+		r.eng.Reset(cfg.Seed) // drop the wiring so retire hands back a clean engine
+		pool.retire(r)
+	})
+	if pooled >= fresh*0.6 {
+		t.Errorf("pooled rig wiring allocates %.0f objects, want < 60%% of fresh %.0f", pooled, fresh)
 	}
 }
 
@@ -173,72 +154,7 @@ func TestTraceStreamMatchesBuffered(t *testing.T) {
 	if sres.Spans != nil {
 		t.Errorf("streaming run retained %d spans, want none", len(sres.Spans))
 	}
-	// The incremental statistics must equal the buffered aggregation.
-	if len(sres.SpanStats) != len(res.SpanStats) {
-		t.Fatalf("streaming SpanStats has %d ops, buffered %d", len(sres.SpanStats), len(res.SpanStats))
-	}
-	for i := range sres.SpanStats {
-		if sres.SpanStats[i] != res.SpanStats[i] {
-			t.Errorf("SpanStats[%d] diverged: %+v vs %+v", i, sres.SpanStats[i], res.SpanStats[i])
-		}
-	}
 	resultScalars(t, "trace stream", sres, res)
-}
-
-// Streaming sampled metrics into a CSVSink — across a pooled batch, so the
-// registry itself is recycled between repetitions — must produce byte-for-
-// byte the CSV that buffered sampling plus WriteCSV produces.
-func TestMetricsSinkMatchesBuffered(t *testing.T) {
-	base := Config{Backend: DYAD, Model: tinyModel(), Frames: 5, Pairs: 2, SingleNode: true, Seed: 33}
-	const reps = 3
-	interval := 2 * time.Millisecond
-
-	// Buffered reference: each rep retains its registry.
-	cfgs := RepeatConfigs(base, reps)
-	for i := range cfgs {
-		cfgs[i].MetricsInterval = interval
-	}
-	results, err := RunMany(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs []metrics.Run
-	for _, res := range results {
-		if res.Metrics == nil || res.Metrics.Len() == 0 {
-			t.Fatal("buffered rep missing metrics")
-		}
-		runs = append(runs, metrics.Run{Label: base.Label(), Reg: res.Metrics})
-	}
-	var want bytes.Buffer
-	if err := metrics.WriteCSV(&want, runs); err != nil {
-		t.Fatal(err)
-	}
-
-	// Streamed: all reps share one sink on one serial worker, so the second
-	// and third rep run on a pool-recycled registry.
-	var got bytes.Buffer
-	sink := metrics.NewCSVSink(&got)
-	cfgs = RepeatConfigs(base, reps)
-	for i := range cfgs {
-		cfgs[i].MetricsInterval = interval
-		cfgs[i].MetricsSink = sink
-	}
-	sresults, err := RunMany(cfgs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("streamed metrics CSV diverged from buffered export:\n got:\n%s\nwant:\n%s", got.String(), want.String())
-	}
-	for i, res := range sresults {
-		if res.Metrics != nil {
-			t.Errorf("streaming rep %d retained its registry", i)
-		}
-		resultScalars(t, "metrics sink", res, results[i])
-	}
 }
 
 // A failed run must retire nothing: the pool stays empty (or keeps its
@@ -250,7 +166,7 @@ func TestFailedRunRetiresNothing(t *testing.T) {
 	if _, err := runPooled(bad, pool); err == nil {
 		t.Fatal("watchdog-limited run unexpectedly succeeded")
 	}
-	if pool.eng != nil || pool.cl != nil || pool.reg != nil || pool.rec != nil || pool.cp != nil {
+	if pool.eng != nil || pool.cl != nil || pool.rec != nil || pool.cp != nil {
 		t.Error("failed run leaked state into the pool")
 	}
 }
@@ -340,15 +256,12 @@ func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 	}
 }
 
-// spanCritDump renders what a traced, recorded run keeps: every span, the
-// per-operation statistics and the critical-path summary.
+// spanCritDump renders what a traced, recorded run keeps: every span and
+// the critical-path summary.
 func spanCritDump(res *Result) string {
 	var sb strings.Builder
 	for _, s := range res.Spans {
 		fmt.Fprintf(&sb, "%+v\n", s)
-	}
-	for _, st := range res.SpanStats {
-		fmt.Fprintf(&sb, "%+v\n", st)
 	}
 	fmt.Fprintf(&sb, "%+v unclosed=%d\n", *res.Crit.Path, res.Crit.Unclosed)
 	for _, fl := range res.Crit.Frames {
@@ -360,8 +273,8 @@ func spanCritDump(res *Result) string {
 // The pool's span and critical-path recorders serve run after run, so a
 // Result must own what it keeps: later runs through the same pool — more
 // pairs, an untraced run, a streamed one, a Lustre run with its noise
-// processes in the low slots — leave an earlier result's spans, span
-// statistics and critical path as they were. Reuse is invisible too: each
+// processes in the low slots — leave an earlier result's spans and
+// critical path as they were. Reuse is invisible too: each
 // pooled run equals the same config run unpooled, and a recorder the run
 // did not ask for (or a streaming one) neither leaves nor joins the pool.
 func TestPooledRecordersStayWithTheirResult(t *testing.T) {

@@ -67,12 +67,10 @@ type Result struct {
 	// is an exact-length copy owned by the Result: the recorder it came
 	// from serves the pool's next run.
 	Spans []trace.Span
-	// SpanStats are per-operation counters and latency histograms derived
-	// from Spans. Nil when tracing is off.
-	SpanStats []trace.OpStat
 
 	// Metrics holds the run's sampled resource registry when
-	// Config.MetricsInterval is set (nil otherwise).
+	// Config.MetricsInterval is set (nil otherwise). Its probes are
+	// dropped, so it holds the samples and not the run's components.
 	Metrics *metrics.Registry
 
 	// Crit holds the run's extracted critical path and per-frame provenance
@@ -155,15 +153,8 @@ func (r *rig) collect() (*Result, error) {
 			res.ConsumerTotals[pair] = Totals{Movement: m, Idle: i}
 		}
 	}
-	if r.rec != nil {
-		if r.rec.Streaming() {
-			// Streamed spans were serialized on emission and never retained;
-			// the per-operation statistics were folded incrementally.
-			res.SpanStats = r.rec.Stats()
-		} else {
-			res.Spans = slices.Clone(r.rec.Spans())
-			res.SpanStats = trace.Aggregate(res.Spans)
-		}
+	if r.rec != nil && !r.rec.Streaming() {
+		res.Spans = slices.Clone(r.rec.Spans())
 	}
 	if r.cp != nil {
 		g := r.cp.Finish(r.eng.Now())
@@ -172,14 +163,13 @@ func (r *rig) collect() (*Result, error) {
 			return nil, err
 		}
 	}
-	if r.reg != nil && r.cfg.MetricsSink == nil {
-		// A streamed registry's samples are already on disk and its series
-		// are pool-recycled, so only buffered runs retain the registry.
+	if r.reg != nil {
+		r.reg.DropProbes()
 		res.Metrics = r.reg
 	}
 	if r.rec != nil && r.rec.Streaming() {
 		// Close out the run in the shared Chrome stream, appending counter
-		// tracks when this run also buffered metrics (nil-safe otherwise).
+		// tracks when this run is also metered (nil-safe otherwise).
 		r.cfg.TraceStream.EndRun(r.rec, metrics.CounterTracks(res.Metrics))
 	}
 	return res, nil

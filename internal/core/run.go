@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"time"
@@ -84,20 +85,11 @@ type cfgResolved struct {
 	frameSize int64
 }
 
-// runLabel is the name the streaming sinks give the run.
-func (c cfgResolved) runLabel() string {
-	if c.RunLabel != "" {
-		return c.RunLabel
-	}
-	return c.Label()
-}
-
-// newRig wires one run, drawing recyclable state (engine, cluster, metrics
-// registry, span and critical-path recorders) from pool when compatible
-// state is available — nil pool or no
-// match builds everything fresh. Reuse is observationally invisible: the
-// Reset contracts restore exact just-built state, so a pooled run is
-// byte-identical to an unpooled one.
+// newRig wires one run, drawing recyclable state (engine, cluster, span
+// and critical-path recorders) from pool when compatible state is
+// available — nil pool or no match builds everything fresh. Reuse is
+// observationally invisible: the Reset contracts restore exact just-built
+// state, so a pooled run is byte-identical to an unpooled one.
 func newRig(cfg Config, pool *runPool) *rig {
 	rc := cfgResolved{
 		Config:    cfg,
@@ -165,9 +157,8 @@ func newRig(cfg Config, pool *runPool) *rig {
 		eng.SetRecorder(r.rec)
 	} else if cfg.TraceStream != nil {
 		// Streaming tracer: spans serialize on emission into the shared
-		// Chrome stream; the recorder holds only proc tids and incremental
-		// per-operation statistics.
-		r.rec = cfg.TraceStream.StartRun(rc.runLabel())
+		// Chrome stream; the recorder holds only proc tids.
+		r.rec = cfg.TraceStream.StartRun(cmp.Or(cfg.RunLabel, cfg.Label()))
 		eng.SetRecorder(r.rec)
 	}
 	if cfg.CritPath {
@@ -240,19 +231,8 @@ func newRig(cfg Config, pool *runPool) *rig {
 	}
 
 	if cfg.MetricsInterval > 0 {
-		if r.reg != nil {
-			// Pooled registry (streaming runs only): retire the old series
-			// into its free pools and rebuild, reusing sample storage.
-			r.reg.Reset(cfg.MetricsInterval)
-		} else {
-			r.reg = metrics.New(cfg.MetricsInterval)
-		}
+		r.reg = metrics.New(cfg.MetricsInterval)
 		r.registerMetrics()
-		if cfg.MetricsSink != nil {
-			// Streaming sink: every series is registered by now, so the run's
-			// CSV header is complete; subsequent samples write one row each.
-			cfg.MetricsSink.StartRun(rc.runLabel(), r.reg)
-		}
 		reg := r.reg
 		eng.SetSampler(cfg.MetricsInterval, func(t sim.Time) { reg.Sample(t) })
 	}

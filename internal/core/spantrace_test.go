@@ -68,11 +68,11 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		t.Fatalf("tracing changed measurements:\n--- untraced ---\n%s--- traced ---\n%s", canonical(a), canonical(b))
 	}
 	for i, res := range a {
-		if res.Spans != nil || res.SpanStats != nil {
+		if res.Spans != nil {
 			t.Fatalf("untraced run %d carries spans", i)
 		}
-		if len(b[i].Spans) == 0 || len(b[i].SpanStats) == 0 {
-			t.Fatalf("traced run %d carries no spans/stats", i)
+		if len(b[i].Spans) == 0 {
+			t.Fatalf("traced run %d carries no spans", i)
 		}
 		prod, cons := spanSplit(b[i])
 		if prod != res.Producer || cons != res.Consumer {
@@ -174,8 +174,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// Spans must cover the component layers the tentpole instruments, and the
-// derived OpStats must be consistent with the raw stream.
+// Spans must cover every instrumented component layer.
 func TestSpanCoverageAndStats(t *testing.T) {
 	results, err := RunMany(tracedBatch(), 4)
 	if err != nil {
@@ -185,13 +184,6 @@ func TestSpanCoverageAndStats(t *testing.T) {
 	for _, res := range results {
 		for _, s := range res.Spans {
 			components[s.Component] = true
-		}
-		var spanCount int64
-		for _, st := range res.SpanStats {
-			spanCount += st.Count
-		}
-		if spanCount != int64(len(res.Spans)) {
-			t.Fatalf("%s: SpanStats cover %d spans, stream has %d", res.Cfg.Label(), spanCount, len(res.Spans))
 		}
 	}
 	for _, want := range []string{"workflow", "ssd", "net", "kvs", "xfs", "lustre"} {

@@ -68,8 +68,7 @@ var dashboardCols = []string{"config", "resource", "activity", "mean", "peak", "
 // each, plus one dashboard row per dashboard-marked series. Results without
 // a registry (unmetered repetitions, runs killed by an injected fault) are
 // skipped. A metered run that ended before its first sample boundary is
-// exported as a header-only block, as the streaming sink writes it, and
-// has no dashboard rows.
+// exported as a header-only block and has no dashboard rows.
 func (c *MetricsCollector) Add(label string, results []*core.Result) {
 	if c.scope != "" {
 		label = c.scope + " " + label
@@ -121,13 +120,14 @@ func dashboardRow(label string, s *metrics.Series, times []time.Duration) []stri
 func fmtG(v float64) string { return fmt.Sprintf("%.3g", v) }
 
 // MetricsStream is the bounded-memory counterpart of MetricsCollector:
-// instead of retaining every sampled registry for end-of-sweep export, each
-// metered repetition streams its samples straight into Sink as CSV rows the
-// moment the sampler fires. The bytes written are identical to buffered
-// collection followed by metrics.WriteCSV over the same runs; what is lost
-// is everything that needs the retained sample vectors (the utilization
-// dashboard, the Prometheus snapshot). Use it for large-N sweeps where
-// holding every sample vector would dominate host memory.
+// instead of retaining every sampled registry for end-of-sweep export, it
+// writes each metered repetition's CSV block into Sink as the sweep
+// collects the run, then drops the registry from the run's Result.
+// Options.Run gives a streamed sweep one batch per cell, so at most one
+// cell's metered run holds samples at a time. The bytes written are
+// identical to buffered collection followed by metrics.WriteCSV over the
+// same runs; what is lost is everything that needs the retained registries
+// after the sweep (the utilization dashboard, the Prometheus snapshot).
 //
 // Pass one through Options.MetricsStream (mutually exclusive with
 // Options.Metrics); the driver sets the experiment scope before each
@@ -137,6 +137,8 @@ type MetricsStream struct {
 	Sink *metrics.CSVSink
 	// Interval is the virtual sampling period (0 = 250ms default).
 	Interval time.Duration
+
+	scope string
 }
 
 // SampleInterval returns the virtual sampling period runs should use.
@@ -147,11 +149,28 @@ func (c *MetricsStream) SampleInterval() time.Duration {
 	return 250 * time.Millisecond
 }
 
-// SetScope prefixes the labels of the sink's subsequent runs with an
-// experiment id, mirroring MetricsCollector.SetScope. Nil-safe.
+// SetScope prefixes subsequently added run labels with an experiment id,
+// mirroring MetricsCollector.SetScope. Nil-safe.
 func (c *MetricsStream) SetScope(id string) {
 	if c != nil {
-		c.Sink.SetScope(id)
+		c.scope = id
+	}
+}
+
+// Add writes the CSV block of every metered result in the batch, in
+// order, and drops the registry from its Result. Results without a
+// registry (unmetered repetitions, killed runs) are skipped, as
+// MetricsCollector.Add skips them.
+func (c *MetricsStream) Add(label string, results []*core.Result) {
+	if c.scope != "" {
+		label = c.scope + " " + label
+	}
+	for _, res := range results {
+		if res == nil || res.Metrics == nil {
+			continue
+		}
+		c.Sink.WriteRun(metrics.Run{Label: label, Reg: res.Metrics})
+		res.Metrics = nil
 	}
 }
 

@@ -47,13 +47,14 @@ var (
 //
 // The cells run as one RunMany batch. The exception is a sweep with a
 // streaming sink: then each cell is its own batch, in cell order, so a
-// shared stream only ever has one writer and its runs appear in the order
-// buffered collection records them.
+// shared stream only ever has one writer, its runs appear in the order
+// buffered collection records them, and a streamed metrics block is
+// written, and its registry dropped, before the next cell runs.
 //
 // A batch error whose every run died of a tolerated sentinel is dropped;
-// any other error aborts. Each cell's results (nil for a killed run) are
-// then added to every collector under the cell's label, and returned in
-// cell order.
+// any other error aborts before the next batch. Each cell's results (nil
+// for a killed run) are added to every collector under the cell's label
+// once its batch is done, and returned in cell order.
 func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error) {
 	o = o.Defaults()
 	streaming := o.TraceStream != nil || o.MetricsStream != nil
@@ -91,49 +92,48 @@ func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error)
 		}
 	}
 
-	var results []*core.Result
-	var errs []error
-	runBatch := func(batch []core.Config) {
-		res, err := core.RunMany(batch, o.Workers)
-		results = append(results, res...)
-		if err != nil {
-			errs = append(errs, err)
-		}
-	}
+	step := len(cells) // cells per batch
 	if streaming {
-		for _, sp := range spans {
-			runBatch(cfgs[sp.lo:sp.hi])
-		}
-	} else {
-		runBatch(cfgs)
-	}
-	for _, err := range errs {
-		if !tolerates(err, tolerated) {
-			return nil, errors.Join(errs...)
-		}
-	}
-
-	if observeBatch != nil {
-		observeBatch(results)
+		step = 1
 	}
 	out := make([][]*core.Result, len(cells))
-	for i, sp := range spans {
-		out[i] = results[sp.lo:sp.hi]
-		if o.Trace != nil {
-			o.Trace.Add(sp.label, out[i])
+	var errs []error
+	for lo := 0; lo < len(cells); lo += step {
+		hi := lo + step
+		first := spans[lo].lo
+		results, err := core.RunMany(cfgs[first:spans[hi-1].hi], o.Workers)
+		if err != nil {
+			errs = append(errs, err)
+			if !tolerates(err, tolerated) {
+				return nil, errors.Join(errs...)
+			}
 		}
-		if o.Metrics != nil {
-			o.Metrics.Add(sp.label, out[i])
+		if observeBatch != nil {
+			observeBatch(results)
 		}
-		if o.CritPath != nil {
-			o.CritPath.Add(sp.label, out[i])
+		for i := lo; i < hi; i++ {
+			sp := spans[i]
+			out[i] = results[sp.lo-first : sp.hi-first]
+			if o.Trace != nil {
+				o.Trace.Add(sp.label, out[i])
+			}
+			if o.Metrics != nil {
+				o.Metrics.Add(sp.label, out[i])
+			}
+			if o.MetricsStream != nil {
+				o.MetricsStream.Add(sp.label, out[i])
+			}
+			if o.CritPath != nil {
+				o.CritPath.Add(sp.label, out[i])
+			}
 		}
 	}
 	return out, nil
 }
 
-// observeBatch, when set, sees the results of every Run, killed runs as
-// nil. Tests use it to count a sweep's kernel work (core.Result.HostCost).
+// observeBatch, when set, sees the results of every batch Run makes,
+// killed runs as nil. Tests use it to count a sweep's kernel work
+// (core.Result.HostCost).
 var observeBatch func([]*core.Result)
 
 // observe turns every sink in o on for one run. A run both traced and
@@ -149,9 +149,8 @@ func (o Options) observe(cfg *core.Config, label string) {
 		cfg.MetricsInterval = o.Metrics.SampleInterval()
 	} else if o.MetricsStream != nil {
 		cfg.MetricsInterval = o.MetricsStream.SampleInterval()
-		cfg.MetricsSink = o.MetricsStream.Sink
 	}
-	if cfg.TraceStream != nil || cfg.MetricsSink != nil {
+	if cfg.TraceStream != nil {
 		cfg.RunLabel = label
 	}
 	if o.CritPath != nil {

@@ -88,12 +88,6 @@ type Series struct {
 	prevDen float64
 	totNum  float64 // KindRatio: cumulative numerator/denominator deltas
 	totDen  float64
-	// Vector-free snapshot state, maintained at every boundary so the
-	// Prometheus snapshot never needs the Samples vector — what keeps
-	// WriteProm exact for sink-streamed runs that retain no samples.
-	last    float64 // most recent sampled value (gauge snapshot)
-	utilSum float64 // KindUtil: running sum of sampled fractions
-	n       int64   // boundaries sampled
 }
 
 // OnDashboard marks the series for the dashboard and Chrome counter
@@ -105,18 +99,18 @@ func (s *Series) OnDashboard() *Series {
 	return s
 }
 
-// Histogram is a log-bucket duration histogram sharing trace.OpStat's
-// power-of-four-microseconds bucketing, so the same percentile estimator
-// serves span aggregates and sampled metrics. A nil *Histogram is valid
-// and inert: Observe on it is one nil check, which is what instrumented
-// components pay when no registry is attached.
+// Histogram is a log-bucket duration histogram on trace's
+// power-of-four-microseconds bucketing (trace.HistBucket), estimated by
+// trace.HistogramPercentile. A nil *Histogram is valid and inert: Observe
+// on it is one nil check, which is what instrumented components pay when
+// no registry is attached.
 type Histogram struct {
 	Name  string
 	Count int64
 	Sum   time.Duration
 	Min   time.Duration
 	Max   time.Duration
-	// Buckets follows trace.OpStat.Hist: bucket i counts durations d with
+	// Buckets follows trace.HistBuckets: bucket i counts durations d with
 	// 4^(i-1)µs <= d < 4^i µs (bucket 0 is d < 1µs, the last unbounded).
 	Buckets [trace.HistBuckets]int64
 }
@@ -138,7 +132,7 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Percentile estimates the p-th percentile (0-100) from the log-scale
-// buckets via trace.HistogramPercentile — the same estimator OpStat uses.
+// buckets via trace.HistogramPercentile.
 func (h *Histogram) Percentile(p float64) time.Duration {
 	if h == nil {
 		return 0
@@ -162,16 +156,6 @@ type Registry struct {
 	times    []time.Duration
 	series   []*Series
 	hists    []*Histogram
-
-	// sink, when bound by CSVSink.StartRun, streams one CSV row per sample
-	// boundary instead of growing the per-series Samples vectors.
-	sink *CSVSink
-
-	// spool/hpool hold the structs retired by Reset, handed back out in
-	// registration order so a pooled run's re-registration wave reuses them
-	// (Samples capacity included) instead of allocating.
-	spool []*Series
-	hpool []*Histogram
 }
 
 // New creates a registry sampling at the given fixed virtual interval.
@@ -190,40 +174,10 @@ func (r *Registry) Interval() time.Duration {
 	return r.interval
 }
 
-// Reset returns the registry to its just-created state under a (possibly
-// new) interval, retiring every registered series and histogram into the
-// reuse pools: the next registration wave — the same deterministic wiring
-// code — gets the retired structs back in order, Samples capacity intact,
-// so pooled runs (core's RunMany rig pool, DESIGN.md §3h) re-register
-// without reallocating. Only registries the caller owns exclusively may be
-// reset; a registry retained by a run's Result must never be pooled.
-func (r *Registry) Reset(interval time.Duration) {
-	if interval <= 0 {
-		panic("metrics: nonpositive sample interval")
-	}
-	r.interval = interval
-	r.times = r.times[:0]
-	r.sink = nil
-	r.spool = append(r.spool[:0], r.series...)
-	r.series = r.series[:0]
-	r.hpool = append(r.hpool[:0], r.hists...)
-	r.hists = r.hists[:0]
-}
-
-// add registers s, reusing a pool-retired struct when one is available at
-// this registration position.
+// add registers s.
 func (r *Registry) add(s Series) *Series {
-	if n := len(r.series); n < len(r.spool) {
-		p := r.spool[n]
-		s.Samples = p.Samples[:0]
-		*p = s
-		r.series = append(r.series, p)
-		return p
-	}
-	p := new(Series)
-	*p = s
-	r.series = append(r.series, p)
-	return p
+	r.series = append(r.series, &s)
+	return &s
 }
 
 // Gauge registers an instantaneous-value series.
@@ -281,13 +235,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	var h *Histogram
-	if n := len(r.hists); n < len(r.hpool) {
-		h = r.hpool[n]
-		*h = Histogram{Name: name}
-	} else {
-		h = &Histogram{Name: name}
-	}
+	h := &Histogram{Name: name}
 	r.hists = append(r.hists, h)
 	return h
 }
@@ -295,22 +243,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Sample records one value per registered series at virtual time t. The
 // engine sampler calls it at every interval boundary; probes must only
 // read state (no event scheduling, no RNG draws), which keeps sampling
-// observation-only. A sink-bound registry (CSVSink.StartRun) writes the
-// boundary as one CSV row instead of growing the Samples vectors, so
-// registry memory stays O(series count) on runs of any length.
+// observation-only. Every boundary appends one value to each series'
+// Samples.
 func (r *Registry) Sample(t time.Duration) {
 	if r == nil {
 		return
 	}
 	sec := r.interval.Seconds()
-	if k := r.sink; k != nil {
-		k.vals = k.vals[:0]
-		for _, s := range r.series {
-			k.vals = append(k.vals, s.sample(r.interval, sec))
-		}
-		k.row(t, k.vals)
-		return
-	}
 	r.times = append(r.times, t)
 	for _, s := range r.series {
 		s.Samples = append(s.Samples, s.sample(r.interval, sec))
@@ -318,8 +257,7 @@ func (r *Registry) Sample(t time.Duration) {
 }
 
 // sample computes the series' value at one boundary and advances its
-// cursors and vector-free snapshot state — shared by the buffered and
-// sink-streamed paths so both produce identical values and snapshots.
+// cursors.
 func (s *Series) sample(interval time.Duration, sec float64) float64 {
 	var v float64
 	switch s.Kind {
@@ -347,12 +285,21 @@ func (s *Series) sample(interval time.Duration, sec float64) float64 {
 			v = dn / dd
 		}
 	}
-	s.last = v
-	if s.Kind == KindUtil {
-		s.utilSum += v
-	}
-	s.n++
 	return v
+}
+
+// DropProbes releases every series' probes, so a registry kept after its
+// run no longer holds the run's components (the probes close over them).
+// The samples, histograms and snapshot state stay, so every exporter
+// writes what it wrote before; the registry must not be sampled again.
+// Nil-safe.
+func (r *Registry) DropProbes() {
+	if r == nil {
+		return
+	}
+	for _, s := range r.series {
+		s.probe, s.den = nil, nil
+	}
 }
 
 // Len returns the number of samples taken (0 on a nil registry).
@@ -405,90 +352,60 @@ func appendFloat(dst []byte, v float64) []byte { return strconv.AppendFloat(dst,
 // comment line, a header (time_s then series names in registration order),
 // and one row per elapsed sample interval. Runs are separated by one blank
 // line. Column order and number formatting are fixed, so deterministic
-// samples serialize to deterministic bytes. It feeds the retained samples
-// through a CSVSink's header and row encoders, so buffered and streamed
-// exports of the same runs are byte-identical by construction.
+// samples serialize to deterministic bytes. It is a loop of CSVSink.WriteRun,
+// so a sweep that writes each run's block as it completes writes the same
+// bytes.
 func WriteCSV(w io.Writer, runs []Run) error {
 	k := NewCSVSink(w)
 	for _, run := range runs {
-		series := run.Reg.Series()
-		k.header(run.Label, series)
-		for i, t := range run.Reg.Times() {
-			k.vals = k.vals[:0]
-			for _, s := range series {
-				k.vals = append(k.vals, s.Samples[i])
-			}
-			k.row(t, k.vals)
-		}
+		k.WriteRun(run)
 	}
 	return k.Flush()
 }
 
-// CSVSink streams sampled metrics as they are taken: StartRun binds a
-// run's registry to the sink, and every subsequent sample boundary writes
-// one CSV row through the sink's buffer instead of growing the registry's
-// sample vectors. The byte stream is identical to WriteCSV over the same
-// runs (shared header and row encoders), while memory stays O(series
-// count + one I/O buffer) on runs of any length. Rows are append-encoded
-// into one reused line buffer, so writing a row allocates nothing. A sink
-// serializes one run at a time: concurrently executing sampled runs must
-// not share it.
+// CSVSink is the CSV encoder behind WriteCSV: each WriteRun appends one
+// run's block to a buffered writer, so a caller can write runs one at a
+// time and drop each registry once its block is written. Lines are
+// append-encoded into one reused buffer, so writing a row allocates
+// nothing.
 type CSVSink struct {
-	bw    *bufio.Writer
-	line  []byte    // the row being encoded, reused across rows
-	vals  []float64 // one boundary's values, reused across rows
-	runs  int
-	scope string // prefix of StartRun's labels (SetScope)
+	bw   *bufio.Writer
+	line []byte // the line being encoded, reused across lines
+	runs int
 }
 
-// NewCSVSink returns a sink streaming CSV rows to w.
+// NewCSVSink returns a sink writing CSV blocks to w.
 func NewCSVSink(w io.Writer) *CSVSink {
 	return &CSVSink{bw: bufio.NewWriter(w), line: make([]byte, 0, 256)}
 }
 
-// StartRun opens the next run on the sink: it writes the run separator,
-// the "# label" comment, and the header row — so every series must already
-// be registered — and redirects the registry's subsequent Sample calls
-// into the sink.
-func (k *CSVSink) StartRun(label string, reg *Registry) {
-	if k.scope != "" {
-		label = k.scope + " " + label
-	}
-	k.header(label, reg.Series())
-	reg.sink = k
-}
-
-// SetScope prefixes the labels of subsequently started runs with scope and
-// a space, as a scoped buffered collection labels its runs; "" clears it.
-func (k *CSVSink) SetScope(scope string) { k.scope = scope }
-
-// header writes one run's separator (a blank line after the first run),
-// "# label" comment and header row.
-func (k *CSVSink) header(label string, series []*Series) {
+// WriteRun writes one run's block: the separator (a blank line after the
+// first run), the "# label" comment, the header row and one row per sample
+// boundary, with the time in seconds and then one value per series in
+// registration order.
+func (k *CSVSink) WriteRun(run Run) {
+	series := run.Reg.Series()
 	b := k.line[:0]
 	if k.runs > 0 {
 		b = append(b, '\n')
 	}
 	k.runs++
 	b = append(b, "# "...)
-	b = appendCSVComment(b, label)
+	b = appendCSVComment(b, run.Label)
 	b = append(b, "\ntime_s"...)
 	for _, s := range series {
 		b = append(b, ',')
 		b = append(b, s.Name...)
 	}
 	k.write(append(b, '\n'))
-}
-
-// row writes one sample boundary: the time in seconds, then one value per
-// series in registration order.
-func (k *CSVSink) row(t time.Duration, vals []float64) {
-	b := appendFloat(k.line[:0], t.Seconds())
-	for _, v := range vals {
-		b = append(b, ',')
-		b = appendFloat(b, v)
+	for i, t := range run.Reg.Times() {
+		b := appendFloat(k.line[:0], t.Seconds())
+		for _, s := range series {
+			b = append(b, ',')
+			b = appendFloat(b, s.Samples[i])
+		}
+		k.write(append(b, '\n'))
 	}
-	k.write(append(b, '\n'))
 }
 
 // write copies an encoded line into the I/O buffer and keeps the line
@@ -499,34 +416,48 @@ func (k *CSVSink) write(b []byte) {
 }
 
 // Flush forces buffered rows to the underlying writer. Call it before
-// closing the file the sink streams into.
+// closing the file the sink writes into.
 func (k *CSVSink) Flush() error { return k.bw.Flush() }
 
-// snapshot reduces a series' sampled window to one end-of-run value and
-// its Prometheus type. Counters and rates export the cumulative total at
-// the last boundary; gauges the last sample; utilizations the mean busy
-// fraction; ratios the delta-weighted whole-run ratio. Pure: it reads the
-// vector-free snapshot state only (maintained identically by the buffered
-// and sink-streamed paths) and never calls probes, so exporting is safe at
-// any point after the run, idempotent, and exact for streamed runs that
-// retain no sample vectors.
-func (s *Series) snapshot() (promType string, v float64) {
+// promType is the series' Prometheus type: counters and rates export a
+// cumulative total, every other kind a gauge.
+func (s *Series) promType() string {
+	if s.Kind == KindCounter || s.Kind == KindRate {
+		return "counter"
+	}
+	return "gauge"
+}
+
+// snapshot reduces a series' sampled window to one end-of-run value.
+// Counters and rates export the cumulative total at the last boundary;
+// gauges the last sample; utilizations the mean busy fraction; ratios the
+// delta-weighted whole-run ratio. Pure: it reads the samples and the
+// sampling cursors and never calls probes, so exporting is safe at any
+// point after the run and idempotent.
+func (s *Series) snapshot() float64 {
+	n := len(s.Samples)
 	switch s.Kind {
 	case KindCounter, KindRate:
-		return "counter", s.prev
+		return s.prev
 	case KindUtil:
-		sum := s.utilSum
-		if s.n > 0 {
-			sum /= float64(s.n)
+		var sum float64
+		for _, v := range s.Samples {
+			sum += v
 		}
-		return "gauge", sum
+		if n > 0 {
+			sum /= float64(n)
+		}
+		return sum
 	case KindRatio:
 		if s.totDen == 0 {
-			return "gauge", 0
+			return 0
 		}
-		return "gauge", s.totNum / s.totDen
+		return s.totNum / s.totDen
 	default:
-		return "gauge", s.last
+		if n == 0 {
+			return 0
+		}
+		return s.Samples[n-1]
 	}
 }
 
@@ -637,7 +568,7 @@ func WriteProm(w io.Writer, runs []Run) error {
 	var metric []byte
 	for _, name := range order {
 		entries := byName[name]
-		promType, _ := entries[0].s.snapshot()
+		promType := entries[0].s.promType()
 		metric = appendPromName(metric[:0], name)
 		if promType == "counter" {
 			metric = append(metric, "_total"...)
@@ -648,9 +579,8 @@ func WriteProm(w io.Writer, runs []Run) error {
 		line = append(line, promType...)
 		line = append(line, '\n')
 		for _, e := range entries {
-			_, v := e.s.snapshot()
 			line = appendSample(line, metric, "", e.run, -1)
-			line = append(appendFloat(line, v), '\n')
+			line = append(appendFloat(line, e.s.snapshot()), '\n')
 			bw.Write(line)
 			line = line[:0]
 		}

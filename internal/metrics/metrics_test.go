@@ -124,27 +124,28 @@ func TestHistogramObserve(t *testing.T) {
 	}
 }
 
-// TestHistogramPercentileMatchesMetricsHistogram pins the satellite
-// requirement that metrics histograms reuse the trace estimator verbatim:
-// identical observations must yield identical percentile estimates.
+// TestHistogramPercentileMatchesTrace pins that metrics histograms reuse
+// the trace estimator verbatim: identical observations must yield the
+// estimate trace.HistogramPercentile gives over the same buckets.
 func TestHistogramPercentileMatchesTrace(t *testing.T) {
 	h := New(time.Second).Histogram("lat")
-	var op trace.OpStat
-	op.Min = time.Duration(1<<63 - 1)
+	var hist [trace.HistBuckets]int64
+	var count int64
+	min, max := time.Duration(1<<63-1), time.Duration(0)
 	durs := []time.Duration{2 * time.Microsecond, 17 * time.Microsecond, 900 * time.Microsecond, 5 * time.Millisecond, 5 * time.Millisecond}
 	for _, d := range durs {
 		h.Observe(d)
-		op.Count++
-		if d < op.Min {
-			op.Min = d
+		count++
+		if d < min {
+			min = d
 		}
-		if d > op.Max {
-			op.Max = d
+		if d > max {
+			max = d
 		}
-		op.Hist[trace.HistBucket(d)]++
+		hist[trace.HistBucket(d)]++
 	}
 	for _, p := range []float64{0, 25, 50, 75, 99, 100} {
-		if got, want := h.Percentile(p), op.Percentile(p); got != want {
+		if got, want := h.Percentile(p), trace.HistogramPercentile(&hist, count, min, max, p); got != want {
 			t.Errorf("p%v: metrics %v != trace %v", p, got, want)
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -28,91 +29,68 @@ func drive(r *Registry, h *Histogram, total, busy, inFlight *float64, n int) {
 	}
 }
 
-// A sink-attached registry must write byte-for-byte the CSV that buffered
-// sampling plus WriteCSV produces for the same probe history — across
-// multiple runs on one sink, including a Registry.Reset recycle in between.
+// Writing runs one at a time through a CSVSink, flushing after each as a
+// streamed sweep does, must give byte-for-byte the CSV that WriteCSV gives
+// over the same runs, a run with no sample boundary included.
 func TestCSVSinkMatchesWriteCSV(t *testing.T) {
-	const boundaries = 5
-
-	// Buffered reference: two runs, fresh registries.
 	var runs []Run
-	for run := 0; run < 2; run++ {
+	for run, boundaries := range []int{5, 3, 0} {
 		r := New(time.Second)
 		var total, busy, inFlight float64
 		h := registerSinkSeries(r, &total, &busy, &inFlight)
 		drive(r, h, &total, &busy, &inFlight, boundaries)
-		runs = append(runs, Run{Label: "sinkrun", Reg: r})
+		runs = append(runs, Run{Label: "sinkrun " + strconv.Itoa(run), Reg: r})
 	}
 	var want bytes.Buffer
 	if err := WriteCSV(&want, runs); err != nil {
 		t.Fatal(err)
 	}
 
-	// Streamed: one registry recycled through Reset between the two runs.
 	var got bytes.Buffer
 	sink := NewCSVSink(&got)
-	r := New(time.Second)
-	for run := 0; run < 2; run++ {
-		if run > 0 {
-			r.Reset(time.Second)
+	for _, run := range runs {
+		sink.WriteRun(run)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		var total, busy, inFlight float64
-		h := registerSinkSeries(r, &total, &busy, &inFlight)
-		sink.StartRun("sinkrun", r)
-		drive(r, h, &total, &busy, &inFlight, boundaries)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("sink CSV diverged from WriteCSV:\n got:\n%s\nwant:\n%s", got.String(), want.String())
-	}
-	// A sink-attached registry retains no sample vectors.
-	if r.Len() != 0 {
-		t.Errorf("sink-attached registry buffered %d sample rows", r.Len())
-	}
-	for _, s := range r.Series() {
-		if len(s.Samples) != 0 {
-			t.Errorf("series %q buffered %d samples in sink mode", s.Name, len(s.Samples))
-		}
+		t.Errorf("per-run CSV diverged from WriteCSV:\n got:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }
 
-// Reset must recycle series and histogram storage: re-registering the same
-// layout after a Reset hands back the same handles (by registration order)
-// with their sample capacity intact, and the rebuilt registry samples
-// exactly like a fresh one.
-func TestRegistryResetRecyclesSeries(t *testing.T) {
+// A registry whose probes were dropped exports the CSV and the Prometheus
+// snapshot it exported before, for every series kind and the histogram.
+func TestDropProbesKeepsExports(t *testing.T) {
 	r := New(time.Second)
 	var total, busy, inFlight float64
-	h1 := registerSinkSeries(r, &total, &busy, &inFlight)
-	first := append([]*Series(nil), r.Series()...)
-	drive(r, h1, &total, &busy, &inFlight, 3)
-
-	r.Reset(2 * time.Second)
-	if r.Interval() != 2*time.Second {
-		t.Errorf("Reset interval = %v, want 2s", r.Interval())
-	}
-	if r.Len() != 0 || len(r.Series()) != 0 || len(r.Histograms()) != 0 {
-		t.Error("Reset left series or samples behind")
-	}
-	h2 := registerSinkSeries(r, &total, &busy, &inFlight)
-	second := r.Series()
-	if len(second) != len(first) {
-		t.Fatalf("re-registration built %d series, want %d", len(second), len(first))
-	}
-	for i := range second {
-		if second[i] != first[i] {
-			t.Errorf("series %d not recycled (got %p, want %p)", i, second[i], first[i])
+	h := registerSinkSeries(r, &total, &busy, &inFlight)
+	drive(r, h, &total, &busy, &inFlight, 7)
+	runs := []Run{{Label: "dropped", Reg: r}}
+	export := func() (csv, prom []byte) {
+		var c, p bytes.Buffer
+		if err := WriteCSV(&c, runs); err != nil {
+			t.Fatal(err)
 		}
-		if len(second[i].Samples) != 0 {
-			t.Errorf("recycled series %q kept %d samples", second[i].Name, len(second[i].Samples))
+		if err := WriteProm(&p, runs); err != nil {
+			t.Fatal(err)
+		}
+		return c.Bytes(), p.Bytes()
+	}
+	csv, prom := export()
+	r.DropProbes()
+	for _, s := range r.Series() {
+		if s.probe != nil || s.den != nil {
+			t.Errorf("series %q kept a probe", s.Name)
 		}
 	}
-	if h2 != h1 {
-		t.Errorf("histogram not recycled")
+	gotCSV, gotProm := export()
+	if !bytes.Equal(gotCSV, csv) {
+		t.Errorf("CSV changed after DropProbes:\n got:\n%s\nwant:\n%s", gotCSV, csv)
 	}
-	if h2.Count != 0 {
-		t.Errorf("recycled histogram kept %d observations", h2.Count)
+	if !bytes.Equal(gotProm, prom) {
+		t.Errorf("snapshot changed after DropProbes:\n got:\n%s\nwant:\n%s", gotProm, prom)
 	}
+	var nilReg *Registry
+	nilReg.DropProbes()
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // histOf builds a histogram plus the (count, min, max) sidecar from raw
-// observations, the way Aggregate and metrics.Histogram do.
+// observations, the way metrics.Histogram does.
 func histOf(durs []time.Duration) (hist [HistBuckets]int64, count int64, min, max time.Duration) {
 	for _, d := range durs {
 		if count == 0 || d < min {
@@ -109,29 +109,5 @@ func TestHistogramPercentileBucketBoundError(t *testing.T) {
 		if relErr := math.Abs(float64(got)-float64(want)) / float64(want); relErr > 0.35 {
 			t.Errorf("p%v estimate %v vs exact %v: relative error %.2f", p, got, want, relErr)
 		}
-	}
-}
-
-// TestOpStatPercentileFromAggregate exercises the OpStat wrappers over a
-// real span stream through Aggregate.
-func TestOpStatPercentileFromAggregate(t *testing.T) {
-	var spans []Span
-	for i := 1; i <= 9; i++ {
-		d := time.Duration(i) * time.Microsecond
-		spans = append(spans, Span{Component: "dev", Name: "op", Start: 0, Dur: d})
-	}
-	sts := Aggregate(spans)
-	if len(sts) != 1 {
-		t.Fatalf("got %d op stats, want 1", len(sts))
-	}
-	st := sts[0]
-	if st.P50() < st.Min || st.P50() > st.Max {
-		t.Fatalf("P50 %v outside [%v, %v]", st.P50(), st.Min, st.Max)
-	}
-	if st.P99() < st.P50() {
-		t.Fatalf("P99 %v < P50 %v", st.P99(), st.P50())
-	}
-	if st.Percentile(0) != st.Min || st.Percentile(100) != st.Max {
-		t.Fatalf("P0/P100 = %v/%v, want %v/%v", st.Percentile(0), st.Percentile(100), st.Min, st.Max)
 	}
 }

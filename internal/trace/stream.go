@@ -77,8 +77,7 @@ func (cs *ChromeStream) meta(pid, tid int, kind, name string) {
 
 // StartRun opens the next run as a Chrome process named by label and
 // returns a streaming recorder for it: every span emitted through the
-// recorder is serialized immediately instead of retained, and per-operation
-// statistics (Recorder.Stats) are folded incrementally.
+// recorder is serialized immediately instead of retained.
 func (cs *ChromeStream) StartRun(label string) *Recorder {
 	cs.runs++
 	cs.meta(cs.runs, 0, "process_name", label)

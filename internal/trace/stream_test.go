@@ -69,37 +69,10 @@ func TestChromeStreamMatchesWriteChrome(t *testing.T) {
 	}
 }
 
-// A streaming recorder's incremental statistics must equal the buffered
-// aggregation of the same span stream.
-func TestStreamingStatsMatchAggregate(t *testing.T) {
-	spans := synthSpans(500)
-	cs := NewChromeStream(io.Discard)
-	rec := cs.StartRun("stats")
-	for _, s := range spans {
-		rec.Emit(s)
-	}
-	if !rec.Streaming() {
-		t.Fatal("recorder not in streaming mode")
-	}
-	if rec.Len() != 0 {
-		t.Fatalf("streaming recorder retained %d spans", rec.Len())
-	}
-	got, want := rec.Stats(), Aggregate(spans)
-	if len(got) != len(want) {
-		t.Fatalf("stats length %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("stats[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 // The bounded-memory contract: a million-span run through a streaming
 // recorder must not grow the heap with the span count — spans serialize and
 // die. A buffered recorder would retain ~96 MB of spans for the same run;
-// the streaming recorder's live state is the tid map and the per-operation
-// aggregates.
+// the streaming recorder's live state is the tid map.
 func TestStreamingRecorderBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews heap accounting")
@@ -116,7 +89,7 @@ func TestStreamingRecorderBoundedMemory(t *testing.T) {
 			})
 		}
 	}
-	emit(10_000) // warm the stream buffer, tid map, and aggregator
+	emit(10_000) // warm the stream buffer and tid map
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -132,9 +105,5 @@ func TestStreamingRecorderBoundedMemory(t *testing.T) {
 	// incidental churn.
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 4<<20 {
 		t.Errorf("heap grew %d bytes across 1M streamed spans, want bounded", growth)
-	}
-	st := rec.Stats()
-	if len(st) != 1 || st[0].Count != 1_010_000 {
-		t.Errorf("stats = %+v, want one op with 1010000 spans", st)
 	}
 }

@@ -19,14 +19,11 @@
 // spans mark fault-recovery waits (timeouts, backoff, failover, link
 // stalls); they nest inside workflow spans and are reported as a separate
 // overlapping column, mirroring faults.Metrics.RecoveryTime. ClassDetail
-// spans are fine-grained component operations for the Chrome timeline and
-// the per-operation counters; they are excluded from the breakdown sums.
+// spans are fine-grained component operations for the Chrome timeline;
+// they are excluded from the breakdown sums.
 package trace
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Class tags how a span participates in the paper-style time breakdown.
 type Class uint8
@@ -96,9 +93,8 @@ type Span struct {
 // when tracing is off.
 //
 // A recorder returned by ChromeStream.StartRun runs in streaming mode:
-// spans are serialized the moment they are emitted and never retained, and
-// per-operation statistics are folded incrementally (Stats). Streaming
-// recorder memory is O(distinct procs + operation kinds) regardless of run
+// spans are serialized the moment they are emitted and never retained.
+// Streaming recorder memory is O(distinct procs) regardless of run
 // length — the bounded-memory mode for million-event runs.
 type Recorder struct {
 	spans []Span
@@ -107,7 +103,6 @@ type Recorder struct {
 	stream *ChromeStream
 	pid    int
 	tids   map[string]int // proc -> Chrome tid, in first-appearance order
-	agg    Aggregator
 }
 
 // NewRecorder returns an empty buffered recorder.
@@ -119,8 +114,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 func (r *Recorder) Reset() { r.spans = r.spans[:0] }
 
 // Emit records one span: appended in buffered mode, serialized to the
-// Chrome stream (and folded into the incremental statistics) in streaming
-// mode. On a nil recorder it is a no-op; the span value stays on the
+// Chrome stream in streaming mode. On a nil recorder it is a no-op; the span value stays on the
 // caller's stack, so disabled tracing allocates nothing.
 func (r *Recorder) Emit(s Span) {
 	if r == nil {
@@ -128,7 +122,6 @@ func (r *Recorder) Emit(s Span) {
 	}
 	if r.stream != nil {
 		r.stream.span(r, s)
-		r.agg.Observe(s)
 		return
 	}
 	r.spans = append(r.spans, s)
@@ -137,19 +130,6 @@ func (r *Recorder) Emit(s Span) {
 // Streaming reports whether the recorder serializes spans on emission
 // instead of retaining them (false on a nil recorder).
 func (r *Recorder) Streaming() bool { return r != nil && r.stream != nil }
-
-// Stats returns the run's per-operation statistics: the incrementally
-// folded aggregates of a streaming recorder, or Aggregate over the retained
-// spans of a buffered one. Nil on a nil recorder.
-func (r *Recorder) Stats() []OpStat {
-	if r == nil {
-		return nil
-	}
-	if r.stream != nil {
-		return r.agg.Stats()
-	}
-	return Aggregate(r.spans)
-}
 
 // Enabled reports whether spans are being recorded. Sites that must build
 // an attribute string or capture a start time guard on it so disabled
@@ -174,30 +154,14 @@ func (r *Recorder) Spans() []Span {
 	return r.spans
 }
 
-// OpStat aggregates every span of one (component, name) operation:
-// invocation count, bytes moved, total/min/max duration, and a coarse
-// log-scale duration histogram.
-type OpStat struct {
-	Component string
-	Name      string
-	Class     Class
-	Count     int64
-	Bytes     int64
-	Total     time.Duration
-	Min       time.Duration
-	Max       time.Duration
-	// Hist buckets span durations by power-of-four microseconds:
-	// bucket i counts durations d with 4^(i-1)µs <= d < 4^i µs (bucket 0
-	// is d < 1µs, the last bucket is unbounded).
-	Hist [HistBuckets]int64
-}
-
-// HistBuckets is the number of duration histogram buckets in OpStat.
+// HistBuckets is the number of log-scale duration histogram buckets:
+// bucket i counts durations d with 4^(i-1)µs <= d < 4^i µs (bucket 0 is
+// d < 1µs, the last bucket is unbounded).
 const HistBuckets = 9
 
 // HistBucket maps a duration to its log-scale histogram bucket. The
-// bucketing is shared with metrics.Histogram so one percentile estimator
-// serves both.
+// bucketing is shared by metrics.Histogram and the critical-path slack
+// histogram; HistogramPercentile estimates percentiles over either.
 func HistBucket(d time.Duration) int {
 	us := d.Microseconds()
 	b := 0
@@ -267,76 +231,4 @@ func HistogramPercentile(hist *[HistBuckets]int64, count int64, min, max time.Du
 		return lo + time.Duration(frac*float64(hi-lo))
 	}
 	return max
-}
-
-// Percentile estimates the p-th percentile (0-100) of the operation's span
-// durations from its log-scale histogram.
-func (st *OpStat) Percentile(p float64) time.Duration {
-	return HistogramPercentile(&st.Hist, st.Count, st.Min, st.Max, p)
-}
-
-// P50 estimates the operation's median duration.
-func (st *OpStat) P50() time.Duration { return st.Percentile(50) }
-
-// P99 estimates the operation's 99th-percentile duration.
-func (st *OpStat) P99() time.Duration { return st.Percentile(99) }
-
-// Aggregator folds spans into per-operation statistics one at a time — the
-// incremental core of Aggregate, and what streaming recorders use so
-// SpanStats survive without the span vector. The zero value is ready.
-type Aggregator struct {
-	idx   map[[2]string]int
-	stats []OpStat
-}
-
-// Observe folds one span into its (component, name) operation.
-func (a *Aggregator) Observe(s Span) {
-	if a.idx == nil {
-		a.idx = make(map[[2]string]int)
-	}
-	key := [2]string{s.Component, s.Name}
-	i, ok := a.idx[key]
-	if !ok {
-		i = len(a.stats)
-		a.idx[key] = i
-		a.stats = append(a.stats, OpStat{
-			Component: s.Component, Name: s.Name, Class: s.Class,
-			Min: s.Dur, Max: s.Dur,
-		})
-	}
-	st := &a.stats[i]
-	st.Count++
-	st.Bytes += s.Bytes
-	st.Total += s.Dur
-	if s.Dur < st.Min {
-		st.Min = s.Dur
-	}
-	if s.Dur > st.Max {
-		st.Max = s.Dur
-	}
-	st.Hist[HistBucket(s.Dur)]++
-}
-
-// Stats returns a copy of the folded statistics sorted by (component,
-// name); the aggregator can keep observing afterwards.
-func (a *Aggregator) Stats() []OpStat {
-	stats := append([]OpStat(nil), a.stats...)
-	sort.SliceStable(stats, func(i, j int) bool {
-		if stats[i].Component != stats[j].Component {
-			return stats[i].Component < stats[j].Component
-		}
-		return stats[i].Name < stats[j].Name
-	})
-	return stats
-}
-
-// Aggregate folds a span stream into per-operation statistics, sorted by
-// (component, name). The result is deterministic for a deterministic span
-// stream.
-func Aggregate(spans []Span) []OpStat {
-	var a Aggregator
-	for _, s := range spans {
-		a.Observe(s)
-	}
-	return a.Stats()
 }

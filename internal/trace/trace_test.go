@@ -52,30 +52,6 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	spans := []Span{
-		{Proc: "p0", Component: "ssd", Name: "write", Dur: 3 * time.Microsecond, Bytes: 100},
-		{Proc: "p0", Component: "net", Name: "rpc", Dur: 10 * time.Microsecond},
-		{Proc: "p1", Component: "ssd", Name: "write", Dur: 5 * time.Microsecond, Bytes: 200},
-		{Proc: "p1", Component: "ssd", Name: "read", Dur: time.Microsecond, Bytes: 50},
-	}
-	stats := Aggregate(spans)
-	if len(stats) != 3 {
-		t.Fatalf("got %d op stats, want 3: %+v", len(stats), stats)
-	}
-	// Sorted by (component, name): net/rpc, ssd/read, ssd/write.
-	if stats[0].Component != "net" || stats[1].Name != "read" || stats[2].Name != "write" {
-		t.Fatalf("unexpected order: %+v", stats)
-	}
-	w := stats[2]
-	if w.Count != 2 || w.Bytes != 300 || w.Total != 8*time.Microsecond {
-		t.Fatalf("ssd/write stats wrong: %+v", w)
-	}
-	if w.Min != 3*time.Microsecond || w.Max != 5*time.Microsecond {
-		t.Fatalf("ssd/write min/max wrong: %+v", w)
-	}
-}
-
 func TestHistBuckets(t *testing.T) {
 	cases := []struct {
 		d    time.Duration

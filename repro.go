@@ -160,9 +160,6 @@ func CustomModel(name string, atoms int, stepsPerSecond float64, stride int) (Mo
 // Config.RecordSpans is set). See trace.Span for field semantics.
 type TraceSpan = trace.Span
 
-// TraceOpStat is one operation's aggregated counters (Result.SpanStats).
-type TraceOpStat = trace.OpStat
-
 // TraceRun pairs a label with one run's span stream for Chrome export.
 type TraceRun = trace.Run
 
@@ -211,18 +208,18 @@ type MetricsCollector = experiments.MetricsCollector
 // NewMetricsCollector returns an empty metrics collector.
 func NewMetricsCollector() *MetricsCollector { return experiments.NewMetricsCollector() }
 
-// MetricsCSVSink is an incremental metrics CSV writer: runs attached to it
-// (Config.MetricsSink) write each sample as one CSV row the moment the
-// sampler fires instead of buffering sample vectors, keeping metering
-// memory bounded on arbitrarily long runs. Bytes are identical to buffered
-// collection followed by WriteMetricsCSV. Flush before closing the file.
+// MetricsCSVSink is an incremental metrics CSV writer: WriteRun appends
+// one run's block, so a sweep can write each metered run as it completes
+// and drop its samples. Bytes are identical to buffered collection
+// followed by WriteMetricsCSV. Flush before closing the file.
 type MetricsCSVSink = metrics.CSVSink
 
 // NewMetricsCSVSink starts a metrics time-series CSV document on w.
 func NewMetricsCSVSink(w io.Writer) *MetricsCSVSink { return metrics.NewCSVSink(w) }
 
-// MetricsStreamer streams each experiment's metered repetition into a
-// MetricsCSVSink; attach one via ExperimentOptions.MetricsStream.
+// MetricsStreamer writes each experiment's metered repetition into a
+// MetricsCSVSink as the sweep collects it; attach one via
+// ExperimentOptions.MetricsStream.
 type MetricsStreamer = experiments.MetricsStream
 
 // CritPath is one run's extracted critical path: the gating chain's blame
