@@ -42,7 +42,7 @@ func main() {
 		real        = flag.Bool("real-frames", false, "encode/verify genuine frame payloads")
 		profiles    = flag.Bool("profiles", false, "print the ensembled Thicket call trees")
 		saveDir     = flag.String("save-profiles", "", "write per-process Caliper profiles (JSON) into this directory for cmd/thicketql")
-		tracePath   = flag.String("trace", "", "write the first repetition's per-event execution timeline to this file")
+		tracePath   = flag.String("trace", "", "write the first repetition's span trace (Chrome trace-event JSON) to this file")
 	)
 	// Parse errors are one line on stderr (exit 2); -h still prints usage.
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
@@ -83,35 +83,40 @@ func main() {
 		RealFrames:    *real,
 		KeepProfiles:  *profiles || *saveDir != "",
 	}
-	if *tracePath != "" {
-		tf, err := os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer tf.Close()
-		cfg.Trace = tf
-	}
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 	if *reps < 1 {
 		fatal(fmt.Errorf("-reps must be >= 1 (got %d)", *reps))
 	}
+	var traceFile *os.File
+	if *tracePath != "" {
+		if traceFile, err = os.Create(*tracePath); err != nil {
+			fatal(err)
+		}
+	}
 
 	fmt.Printf("config: %s\n", cfg.Label())
 	fmt.Printf("frame size: %d bytes, frequency: %v, nodes: %d\n",
 		model.FrameBytes(), cfg.Frequency(), cfg.ComputeNodes())
 
-	// The timeline is one repetition's, as the experiments trace only their
-	// first: repetitions run concurrently and would interleave in the file.
+	// The trace is one repetition's, as the experiments trace only their
+	// first, so it is the same at any -reps and -j.
 	cfgs := core.RepeatConfigs(cfg, *reps)
-	for i := 1; i < len(cfgs); i++ {
-		cfgs[i].Trace = nil
-	}
+	cfgs[0].RecordSpans = traceFile != nil
 	start := time.Now()
 	results, err := repro.RunMany(cfgs, *workers)
 	if err != nil {
 		fatal(err)
+	}
+	if traceFile != nil {
+		err := repro.WriteChromeTrace(traceFile, []repro.TraceRun{{Label: cfgs[0].Label(), Spans: results[0].Spans}})
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fatal(err)
+		}
 	}
 	fmt.Printf("ran %d repetition(s) in %.2fs\n", *reps, time.Since(start).Seconds())
 	agg := repro.Aggregated(results)

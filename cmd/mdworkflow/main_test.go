@@ -51,15 +51,14 @@ func TestUnknownFlagIsOneLineUsageError(t *testing.T) {
 	}
 }
 
-// -trace writes the first repetition's timeline only: repetitions running
-// on parallel workers would otherwise interleave their lines in a
-// different order each time. Each of the 2 pairs' producer and consumer
-// logs one line per frame.
+// -trace writes the first repetition's span trace only, so the file is
+// the same at any -reps and -j. Each of the 2 pairs' producer and
+// consumer marks each frame once.
 func TestTraceIsOneRepetitionsTimeline(t *testing.T) {
 	const pairs, frames = 2, 4
 	var timelines [2][]byte
 	for i := range timelines {
-		path := filepath.Join(t.TempDir(), "timeline.txt")
+		path := filepath.Join(t.TempDir(), "trace.json")
 		code, _, errOut := command(t, "-backend", "DYAD", "-pairs", strconv.Itoa(pairs),
 			"-frames", strconv.Itoa(frames), "-reps", "4", "-j", "4", "-trace", path)
 		if code != 0 {
@@ -74,7 +73,9 @@ func TestTraceIsOneRepetitionsTimeline(t *testing.T) {
 	if !bytes.Equal(timelines[0], timelines[1]) {
 		t.Error("two identical invocations wrote different timelines")
 	}
-	if n := bytes.Count(timelines[0], []byte("\n")); n != 2*pairs*frames {
-		t.Errorf("timeline has %d lines, want 2*pairs*frames = %d", n, 2*pairs*frames)
+	produced := bytes.Count(timelines[0], []byte(`"name":"frame_produced"`))
+	consumed := bytes.Count(timelines[0], []byte(`"name":"frame_consumed"`))
+	if produced != pairs*frames || consumed != pairs*frames {
+		t.Errorf("trace marks %d frames produced and %d consumed, want pairs*frames = %d each", produced, consumed, pairs*frames)
 	}
 }

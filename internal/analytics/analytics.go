@@ -166,70 +166,6 @@ func LargestEigenvalue(f *frame.Frame, subset []int) float64 {
 	return Eigenvalues3(GyrationTensor(f, subset))[0]
 }
 
-// PowerIteration returns the dominant eigenvalue of a dense symmetric
-// matrix, for pairwise-distance analyses over atom subsets.
-func PowerIteration(m [][]float64, iters int, tol float64) float64 {
-	n := len(m)
-	if n == 0 {
-		return 0
-	}
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(n))
-	}
-	next := make([]float64, n)
-	var lambda float64
-	for it := 0; it < iters; it++ {
-		for i := 0; i < n; i++ {
-			var s float64
-			row := m[i]
-			for j := 0; j < n; j++ {
-				s += row[j] * v[j]
-			}
-			next[i] = s
-		}
-		var norm float64
-		for _, x := range next {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			return 0
-		}
-		for i := range next {
-			next[i] /= norm
-		}
-		newLambda := norm
-		v, next = next, v
-		if math.Abs(newLambda-lambda) < tol*math.Abs(newLambda) {
-			return newLambda
-		}
-		lambda = newLambda
-	}
-	return lambda
-}
-
-// DistanceMatrix builds the pairwise distance matrix of a subset of atoms.
-func DistanceMatrix(f *frame.Frame, subset []int) [][]float64 {
-	n := len(subset)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			i, j := subset[a], subset[b]
-			dx := f.Pos[3*i] - f.Pos[3*j]
-			dy := f.Pos[3*i+1] - f.Pos[3*j+1]
-			dz := f.Pos[3*i+2] - f.Pos[3*j+2]
-			d := math.Sqrt(dx*dx + dy*dy + dz*dz)
-			m[a][b] = d
-			m[b][a] = d
-		}
-	}
-	return m
-}
-
 // ChangeDetector tracks a scalar time series online and flags points whose
 // deviation from the running mean exceeds Threshold standard deviations —
 // the "sudden changes in the molecular model" trigger of Figure 1.

@@ -96,36 +96,6 @@ func TestSubsetSelection(t *testing.T) {
 	}
 }
 
-func TestPowerIterationKnownMatrix(t *testing.T) {
-	// [[2,1],[1,2]] dominant eigenvalue 3.
-	m := [][]float64{{2, 1}, {1, 2}}
-	got := PowerIteration(m, 200, 1e-12)
-	if math.Abs(got-3) > 1e-6 {
-		t.Fatalf("dominant eigenvalue %v, want 3", got)
-	}
-	if PowerIteration(nil, 10, 1e-6) != 0 {
-		t.Fatal("empty matrix should yield 0")
-	}
-}
-
-func TestDistanceMatrixSymmetric(t *testing.T) {
-	f := frameOf([3]float64{0, 0, 0}, [3]float64{3, 4, 0}, [3]float64{0, 0, 5})
-	m := DistanceMatrix(f, []int{0, 1, 2})
-	if m[0][1] != 5 || m[1][0] != 5 {
-		t.Fatalf("d(0,1) = %v, want 5", m[0][1])
-	}
-	for i := range m {
-		if m[i][i] != 0 {
-			t.Fatal("diagonal must be zero")
-		}
-		for j := range m {
-			if m[i][j] != m[j][i] {
-				t.Fatal("matrix not symmetric")
-			}
-		}
-	}
-}
-
 func TestChangeDetectorFlagsJump(t *testing.T) {
 	cd := &ChangeDetector{Threshold: 4, MinSample: 10}
 	vals := []float64{10, 10.1, 9.9, 10.05, 9.95, 10.02, 9.98, 10.01, 10, 10.03, 9.97, 10.02}

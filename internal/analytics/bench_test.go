@@ -25,19 +25,3 @@ func BenchmarkLargestEigenvalue(b *testing.B) {
 		_ = LargestEigenvalue(f, nil)
 	}
 }
-
-// BenchmarkPowerIteration measures the dominant eigenvalue of a 256x256
-// distance matrix.
-func BenchmarkPowerIteration(b *testing.B) {
-	b.ReportAllocs()
-	f := frame.NewSynthetic("JAC", 1, 512, 7)
-	subset := make([]int, 256)
-	for i := range subset {
-		subset[i] = i
-	}
-	m := DistanceMatrix(f, subset)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = PowerIteration(m, 50, 1e-9)
-	}
-}

@@ -8,7 +8,7 @@ import (
 
 // Per-run allocation budget of a Fig5-shaped run (JAC, 4 pairs on one node,
 // the experiment harness's compute jitter) with every sink off: no spans,
-// metrics, critical path, profiles, or trace. Lustre runs the same pairs
+// metrics, critical path or profiles. Lustre runs the same pairs
 // two-node, against its servers, with the background noise on.
 // Allocation counts are deterministic, so each backend is pinned to the
 // count measured when the budget was set; a regression of one allocation
@@ -32,10 +32,10 @@ func TestRunAllocBudget(t *testing.T) {
 		budget  float64
 		bytes   uint64 // pinned only for traced runs
 	}{
-		{DYAD, false, 508, 0},
-		{XFS, false, 317, 0},
-		{Lustre, false, 429, 0},
-		{DYAD, true, 818, 257408},
+		{DYAD, false, 379, 0},
+		{XFS, false, 188, 0},
+		{Lustre, false, 300, 0},
+		{DYAD, true, 673, 246000},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,

@@ -28,7 +28,7 @@ package core
 
 import (
 	"fmt"
-	"io"
+	"math"
 	"time"
 
 	"repro/internal/capacity"
@@ -98,7 +98,8 @@ type Config struct {
 	// Seed drives all stochastic elements (compute jitter, noise).
 	Seed uint64
 	// ComputeJitter is the relative standard deviation of per-frame MD
-	// compute time (run-to-run variability). Zero disables jitter.
+	// compute time (run-to-run variability): finite and >= 0. Zero
+	// disables jitter.
 	ComputeJitter float64
 	// LustreNoise enables background interference on the Lustre OSTs.
 	LustreNoise bool
@@ -138,7 +139,7 @@ type Config struct {
 	ForceCoarseSync bool
 	// StragglerFactor, when > 1, degrades the SSD of compute node 0 (a
 	// producer node) by that factor — fault injection for straggler
-	// studies.
+	// studies. It is 0 (off) or a finite value >= 1.
 	StragglerFactor float64
 	// Faults, when non-nil and enabled, derives a deterministic fault plan
 	// from the spec and the run seed and injects it at scheduled virtual
@@ -165,10 +166,6 @@ type Config struct {
 	// so a livelocked recovery loop aborts instead of hanging the batch.
 	MaxEvents      int64
 	MaxVirtualTime time.Duration
-	// Trace, when non-nil, receives one line per workflow event
-	// (frame produced/consumed) with virtual timestamps — an execution
-	// timeline for debugging runs.
-	Trace io.Writer
 	// RecordSpans enables the virtual-time span tracer: every modeled
 	// operation (SSD I/O, transfers, RPCs, KVS ops, journal commits,
 	// recovery waits) emits a span, surfaced on Result.Spans.
@@ -287,6 +284,12 @@ func (c Config) Validate() error {
 				return fmt.Errorf("core: Capacity.CacheBytes is a DYAD consumer-cache budget; backend is %s", c.Backend)
 			}
 		}
+	}
+	if !(c.ComputeJitter >= 0) || math.IsInf(c.ComputeJitter, 1) {
+		return fmt.Errorf("core: ComputeJitter %v is not a finite value >= 0", c.ComputeJitter)
+	}
+	if f := c.StragglerFactor; f != 0 && (!(f >= 1) || math.IsInf(f, 1)) {
+		return fmt.Errorf("core: StragglerFactor %v is neither 0 nor a finite value >= 1", f)
 	}
 	if c.ConsumerHeadStart < 0 {
 		return fmt.Errorf("core: ConsumerHeadStart %v < 0", c.ConsumerHeadStart)

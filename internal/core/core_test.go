@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -46,6 +47,29 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: validation passed, want error", c.name)
+		}
+	}
+}
+
+// Jitter and straggler inputs that the run would silently misread are
+// refused: a NaN jitter collapses every compute phase, a negative one
+// reads as zero, an infinite straggler factor sleeps a negative duration,
+// and one below 1 or NaN is ignored.
+func TestValidateRejectsBadJitterAndStraggler(t *testing.T) {
+	base := Config{Backend: DYAD, Model: tinyModel(), Frames: 1, Pairs: 1, SingleNode: true}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		jitter, straggler float64
+		ok                bool
+	}{
+		{0, 0, true}, {0.004, 0, true}, {0, 1, true}, {0, 8, true},
+		{nan, 0, false}, {-1, 0, false}, {inf, 0, false}, {math.Inf(-1), 0, false},
+		{0, 0.5, false}, {0, nan, false}, {0, inf, false}, {0, -2, false},
+	} {
+		cfg := base
+		cfg.ComputeJitter, cfg.StragglerFactor = c.jitter, c.straggler
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("jitter %v, straggler %v: Validate = %v, want ok %v", c.jitter, c.straggler, err, c.ok)
 		}
 	}
 }

@@ -11,22 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// strander is a Config.Trace writer that, on the first trace line of a
-// run, spawns a process on eng that blocks forever, so the run ends
-// stranded.
-type strander struct {
-	eng     *sim.Engine
-	spawned bool
-}
-
-func (s *strander) Write(b []byte) (int, error) {
-	if !s.spawned {
-		s.spawned = true
-		s.eng.Spawn("stranded", func(p *sim.Proc) { p.Block() })
-	}
-	return len(b), nil
-}
-
 // settledGoroutines returns the goroutine count once it stops falling, so
 // RunMany workers that are still exiting are not counted.
 func settledGoroutines() int {
@@ -43,12 +27,11 @@ func settledGoroutines() int {
 }
 
 // RunMany draws its pools from the process-wide free list, and a pooled
-// engine keeps its idle coroutines between calls. A run that fails drops
-// its engine, so it must release them: batch after batch of fault-killed,
-// watchdog-aborted and stranded runs mixed with healthy ones must leave
-// the goroutine count where the first batch left it, give or take the
-// coroutines one more healthy run per pool could keep. ReleasePools then
-// frees what the pools kept.
+// engine keeps its idle coroutines between calls, a killed run's too:
+// batch after batch of fault-killed, watchdog-aborted and stranded runs
+// mixed with healthy ones must leave the goroutine count where the first
+// batch left it, give or take the coroutines one more healthy run per
+// pool could keep. ReleasePools then frees what the pools kept.
 func TestRunPoolLifecycle(t *testing.T) {
 	m := tinyModel()
 	ok := Config{Backend: DYAD, Model: m, Frames: 4, Pairs: 2, SingleNode: true, Seed: 1}
@@ -72,18 +55,14 @@ func TestRunPoolLifecycle(t *testing.T) {
 		if _, err := RunMany([]Config{watchdog}, 1); !errors.Is(err, sim.ErrWatchdog) {
 			t.Fatalf("watchdog run: %v", err)
 		}
-		// The stranded run needs the engine a one-worker RunMany is about
-		// to take: the one in the pool on top of the free list, which a
-		// healthy run fills.
-		if _, err := RunMany([]Config{ok}, 1); err != nil {
-			t.Fatal(err)
-		}
+		// No config strands a run: spawn a process that blocks forever
+		// beside the workflow of a pooled rig.
 		pool := getRunPool()
-		eng := pool.eng
+		r := newRig(ok, pool)
+		r.eng.Spawn("stranded", func(p *sim.Proc) { p.Block() })
+		_, err = r.run(pool)
 		putRunPool(pool)
-		stranded := ok
-		stranded.Trace = &strander{eng: eng}
-		if _, err := RunMany([]Config{stranded}, 1); !errors.Is(err, sim.ErrStranded) {
+		if !errors.Is(err, sim.ErrStranded) {
 			t.Fatalf("stranded run: %v", err)
 		}
 		if _, err := RunMany([]Config{ok}, 1); err != nil {

@@ -88,12 +88,14 @@ func RunMany(cfgs []Config, workers int) ([]*Result, error) {
 // largest run it recorded until ReleasePools; a Result gets copies of
 // what it keeps (collect).
 //
-// Hand-out is one-shot: take clears what it hands out, and retire is
-// called only after a successful collect — a run that fails or panics
-// mid-flight can never leak a dirty engine or recorder into the next run.
-// Such a run closes its engine instead (runPooled), releasing the
-// coroutines it retains. A recorder the run did not ask for stays in the
-// pool for a later run that does.
+// Hand-out is one-shot: take clears what it hands out, and a run retires
+// its rig whenever its engine unwound every process, failed or not: the
+// next take resets the engine, cluster and recorders (a reset resource
+// drops a killed run's waiters), so even a killed run leaks no state into
+// the next. A run whose engine could not unwind — a panic escaped, or a
+// process stayed live — closes the engine instead (rig.run), releasing
+// the coroutines it retains. A recorder the run did not ask for stays in
+// the pool for a later run that does.
 
 type runPool struct {
 	eng    *sim.Engine
@@ -101,9 +103,6 @@ type runPool struct {
 	clSpec cluster.Spec
 	rec    *trace.Recorder // buffered only: streaming recorders are per run
 	cp     *critpath.Recorder
-	// free holds the chain states of every engine the pool builds, so
-	// they outlive an engine dropped after a failed run.
-	free sim.FreeLists
 }
 
 // runPools is the process-wide free list of run pools. Every RunMany
@@ -183,8 +182,8 @@ func (pl *runPool) take(r *rig, spec cluster.Spec) {
 	}
 }
 
-// retire stores a successfully collected rig's state for the next take.
-// The span recorder is kept only when it buffered.
+// retire stores a finished rig's state for the next take. The span
+// recorder is kept only when it buffered.
 func (pl *runPool) retire(r *rig) {
 	if pl == nil {
 		return
@@ -200,35 +199,43 @@ func (pl *runPool) retire(r *rig) {
 	}
 }
 
-// runPooled is Run with an optional state pool. A run that does not
-// retire its rig — it failed, its collect failed, or it panicked — closes
-// the engine, whose idle coroutines would otherwise outlive it.
-func runPooled(cfg Config, pool *runPool) (res *Result, err error) {
+// runPooled is Run with an optional state pool.
+func runPooled(cfg Config, pool *runPool) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := newRig(cfg, pool)
+	return newRig(cfg, pool).run(pool)
+}
+
+// run spawns the workflow, runs it and collects its result. The rig goes
+// back to pool whenever the engine unwound every process, so a killed run
+// keeps its engine, cluster and recorders for the next; when a panic
+// escapes or a process stays live, run closes the engine instead, whose
+// idle coroutines would otherwise outlive it.
+func (r *rig) run(pool *runPool) (res *Result, err error) {
+	retired := false
 	defer func() {
-		if res == nil {
+		if !retired {
 			r.eng.Close()
 		}
 	}()
 	r.spawnAll()
-	if err := r.eng.Run(); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", cfg.Label(), err)
+	if err = r.eng.Run(); err != nil {
+		err = fmt.Errorf("core: %s: %w", r.cfg.Label(), err)
+	} else {
+		res, err = r.collect()
 	}
-	res, err = r.collect()
-	if err != nil {
-		return nil, err
+	if r.eng.Live() == 0 {
+		pool.retire(r)
+		retired = true
 	}
-	pool.retire(r)
-	return res, nil
+	return res, err
 }
 
 // runIndexed runs one batch entry, tagging errors with the batch index and
 // converting panics into errors so one broken run cannot take down the
-// workers of an otherwise healthy batch. A failed or panicked run retires
-// nothing, so the pool stays clean.
+// workers of an otherwise healthy batch. A panicked run retires nothing,
+// so the pool stays clean.
 func runIndexed(i int, cfg Config, pool *runPool) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {

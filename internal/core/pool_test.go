@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -157,17 +158,60 @@ func TestTraceStreamMatchesBuffered(t *testing.T) {
 	resultScalars(t, "trace stream", sres, res)
 }
 
-// A failed run must retire nothing: the pool stays empty (or keeps its
-// previous clean state) so the next run cannot inherit half-mutated state.
-func TestFailedRunRetiresNothing(t *testing.T) {
+// A run the watchdog kills unwinds every process, so it retires its rig
+// as a healthy run does: the pool keeps its engine, cluster and
+// recorders, and the next pooled run equals the same config run
+// unpooled. A run whose process stays live cannot be reset: it closes its
+// engine and retires nothing.
+func TestKilledRunRetiresItsRig(t *testing.T) {
+	killed := Config{Backend: DYAD, Model: tinyModel(), Frames: 1000, Pairs: 1, SingleNode: true,
+		Seed: 5, MaxEvents: 50, RecordSpans: true, CritPath: true} // the watchdog kills it almost at once
+	next := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 2, SingleNode: true,
+		Seed: 13, RecordSpans: true, CritPath: true}
 	pool := &runPool{}
-	bad := Config{Backend: DYAD, Model: tinyModel(), Frames: 1000, Pairs: 1, SingleNode: true,
-		Seed: 5, MaxEvents: 50, RecordSpans: true, CritPath: true} // watchdog kills the run almost immediately
-	if _, err := runPooled(bad, pool); err == nil {
-		t.Fatal("watchdog-limited run unexpectedly succeeded")
+	if _, err := runPooled(killed, pool); !errors.Is(err, sim.ErrWatchdog) {
+		t.Fatalf("watchdog-limited run: %v, want a watchdog abort", err)
+	}
+	eng, cl, rec, cp := pool.eng, pool.cl, pool.rec, pool.cp
+	if eng == nil || cl == nil || rec == nil || cp == nil {
+		t.Fatal("the killed run left no engine, cluster or recorder in the pool")
+	}
+	got, err := runPooled(next, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool.eng != eng || pool.cl != cl || pool.rec != rec || pool.cp != cp {
+		t.Error("the next run did not reuse the killed run's rig")
+	}
+	want, err := Run(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultScalars(t, "after a killed run", got, want)
+	if g, w := spanCritDump(got), spanCritDump(want); g != w {
+		t.Errorf("spans or critical path after a killed run diverged from an unpooled run:\n%s\nwant\n%s", g, w)
+	}
+
+	// A process that swallows its abort and blocks again stays live.
+	pool = &runPool{}
+	r := newRig(next, pool)
+	var stubborn func(p *sim.Proc)
+	stubborn = func(p *sim.Proc) {
+		defer func() {
+			recover()
+			stubborn(p)
+		}()
+		p.Block()
+	}
+	r.eng.Spawn("stubborn", stubborn)
+	if _, err := r.run(pool); !errors.Is(err, sim.ErrStranded) {
+		t.Fatalf("run with a stubborn process: %v, want stranded", err)
+	}
+	if r.eng.Live() == 0 {
+		t.Fatal("the stubborn process did not stay live")
 	}
 	if pool.eng != nil || pool.cl != nil || pool.rec != nil || pool.cp != nil {
-		t.Error("failed run leaked state into the pool")
+		t.Error("a run with a live process retired its rig")
 	}
 }
 
@@ -201,11 +245,11 @@ func probeRecycledSlot(t *testing.T, eng *sim.Engine) (prof *caliper.Profile, st
 
 // One pool carries its engine's profile tables through runs of changing
 // shape — fewer pairs, a different backend with its noise processes in
-// the low slots, more pairs than the slab holds, and a run that fails —
-// and every run's totals and kept profiles still equal an unpooled run of
-// the same config. A failed run takes its tables down with its engine,
-// and a recycled slot starts with a zero tally and records nothing until
-// its process keeps a profile.
+// the low slots, more pairs than the slab holds, and a run the watchdog
+// kills mid-region — and every run's totals and kept profiles still equal
+// an unpooled run of the same config. A killed run leaves its tables in
+// the pool for the next run to reset, and a recycled slot starts with a
+// zero tally and records nothing until its process keeps a profile.
 func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 	base := Config{Model: tinyModel(), Frames: 5, KeepProfiles: true, Seed: 9}
 	dyad4 := base
@@ -226,8 +270,8 @@ func TestPooledAnnotatorsIsolateRuns(t *testing.T) {
 			if err == nil {
 				t.Fatalf("run %d: watchdog-limited run unexpectedly succeeded", i)
 			}
-			if pool.eng != nil {
-				t.Fatalf("run %d: failed run returned its engine and profile tables to the pool", i)
+			if pool.eng == nil {
+				t.Fatalf("run %d: the killed run dropped its engine and profile tables", i)
 			}
 			continue
 		}

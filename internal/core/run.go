@@ -118,12 +118,11 @@ func newRig(cfg Config, pool *runPool) *rig {
 		eng = sim.NewEngine(cfg.Seed)
 		if pool != nil {
 			eng.Retain() // its coroutines serve the pool's next run
-			eng.SetFreeLists(&pool.free)
 		}
 		r.eng = eng
 	}
 	// A pooled engine holds idle coroutines, and a panic while wiring
-	// drops it: release them (runPooled closes it on any later failure).
+	// drops it: release them (run closes it on any later loss).
 	defer func() {
 		if p := recover(); p != nil {
 			eng.Close()
@@ -145,11 +144,6 @@ func newRig(cfg Config, pool *runPool) *rig {
 	}
 	cl := r.cl
 
-	if cfg.Trace != nil {
-		eng.SetTracer(func(t time.Duration, proc, msg string) {
-			fmt.Fprintf(cfg.Trace, "%12.6f %-14s %s\n", t.Seconds(), proc, msg)
-		})
-	}
 	if cfg.RecordSpans {
 		if r.rec == nil {
 			r.rec = trace.NewRecorder()
@@ -412,7 +406,6 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 		}
 		r.framesProduced++
 		frameMark(p, "frame_produced", data.Size(), path)
-		p.Tracef("produced frame %d (%d bytes)", f, data.Size())
 	}
 }
 
@@ -474,7 +467,6 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 		p.CritDepend(path, "consume")
 		p.CritHop(path, "consume", readStart, data.Size())
 		frameMark(p, "frame_consumed", data.Size(), "")
-		p.Tracef("consumed frame %d (%d bytes)", f, data.Size())
 		r.framesRead++
 		r.bytesRead += data.Size()
 		if r.cfg.RealFrames {

@@ -560,9 +560,6 @@ type Client struct {
 	node *cluster.Node
 }
 
-// Name implements vfs.FS.
-func (c *Client) Name() string { return "lustre" }
-
 // Node returns the client's node.
 func (c *Client) Node() *cluster.Node { return c.node }
 
@@ -600,34 +597,6 @@ func (c *Client) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 	p.CritDepend(path, "read")
 	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
-}
-
-// Stat implements vfs.FS: one MDS round trip.
-func (c *Client) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
-	path = vfs.Clean(path)
-	f := c.fs
-	f.mdsRPC(p, c.node)
-	sz, ok := f.tree.Size(path)
-	if !ok {
-		return vfs.FileInfo{}, vfs.PathError("stat", path, vfs.ErrNotExist)
-	}
-	return vfs.FileInfo{Path: path, Size: sz}, nil
-}
-
-// Unlink implements vfs.FS: MDS unlink + object destroy on the first OST.
-func (c *Client) Unlink(p *sim.Proc, path string) error {
-	path = vfs.Clean(path)
-	f := c.fs
-	f.mdsRPC(p, c.node)
-	first, had := f.layout[path]
-	if !f.tree.Remove(path) {
-		return vfs.PathError("unlink", path, vfs.ErrNotExist)
-	}
-	if had {
-		f.rpc(p, c.node, f.osts[first], 256, 64, f.params.OSTService/4)
-		delete(f.layout, path)
-	}
-	return nil
 }
 
 var _ vfs.FS = (*Client)(nil)

@@ -60,12 +60,6 @@ func TestMissingFileErrors(t *testing.T) {
 		if _, err := c.ReadFile(p, "/none"); !errors.Is(err, vfs.ErrNotExist) {
 			t.Errorf("read: %v", err)
 		}
-		if _, err := c.Stat(p, "/none"); !errors.Is(err, vfs.ErrNotExist) {
-			t.Errorf("stat: %v", err)
-		}
-		if err := c.Unlink(p, "/none"); !errors.Is(err, vfs.ErrNotExist) {
-			t.Errorf("unlink: %v", err)
-		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -87,12 +87,11 @@ type Engine struct {
 	coros *coroList // idle coroutines; nil before the first Spawn or Retain
 	procs []*Proc
 	// profs holds each process's profile and tallies by spawn slot
-	// (profile.go). It makes the Engine 1528 bytes, which with its
-	// allocation header just fits the 1536-byte size class (see live).
+	// (profile.go). It makes the Engine 1520 bytes, which with its
+	// allocation header fits the 1536-byte size class (see live).
 	profs   []profTable
 	seed    uint64
 	failure error
-	tracer  func(t Time, procName, msg string)
 	rec     *trace.Recorder
 	cp      *critpath.Recorder
 	// curProc is the proc whose turn it is, for release attribution in
@@ -108,7 +107,7 @@ type Engine struct {
 	// firing is the sequence number of the event being run (FiringBefore).
 	firing int64
 	// free holds the engine's free lists of chain states (FreeList).
-	free *FreeLists
+	free *freeLists
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
 	maxEvents int64
@@ -213,7 +212,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.profs = e.profs[:0]
 	e.seed = seed
 	e.failure = nil
-	e.tracer = nil
 	e.rec = nil
 	e.cp = nil
 	e.curProc = noProc
@@ -225,16 +223,16 @@ func (e *Engine) Reset(seed uint64) {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// Live returns the number of processes spawned and not yet finished. It
+// is zero after a Run that unwound every process, failed or not.
+func (e *Engine) Live() int { return int(e.live) }
+
 // Procs returns the processes spawned so far, in spawn order, until the
 // next Reset. The slice is the engine's own: read it, do not change it.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
 // Seed returns the seed the engine was created with.
 func (e *Engine) Seed() uint64 { return e.seed }
-
-// SetTracer installs a callback invoked by Proc.Tracef. A nil tracer (the
-// default) makes tracing free.
-func (e *Engine) SetTracer(fn func(t Time, procName, msg string)) { e.tracer = fn }
 
 // SetRecorder installs a span recorder: modeled operations emit virtual-time
 // spans through it (see Proc.Rec and package trace). A nil recorder (the

@@ -347,31 +347,6 @@ func TestAfterCallbackRuns(t *testing.T) {
 	}
 }
 
-func TestResourceUseN(t *testing.T) {
-	e := NewEngine(1)
-	r := NewResource(e, "dev", 4)
-	var order []string
-	// Holder takes all 4 units for 10ms; a 2-unit user must wait.
-	e.Spawn("big", func(p *Proc) {
-		r.UseN(p, 4, 10*time.Millisecond)
-		order = append(order, "big")
-	})
-	e.Spawn("small", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		r.UseN(p, 2, time.Millisecond)
-		order = append(order, "small")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order %v", order)
-	}
-	if e.Now() != 11*time.Millisecond {
-		t.Fatalf("end %v, want 11ms", e.Now())
-	}
-}
-
 func TestNegativeSleepPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("bad", func(p *Proc) {

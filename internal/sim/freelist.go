@@ -12,18 +12,12 @@ import "sync/atomic"
 type FreeList[T any] struct{ slot int }
 
 // freeSlots counts the lists made so far: each gets its own slot in
-// every FreeLists.
+// every engine's freeLists.
 var freeSlots atomic.Int32
 
-// FreeLists holds an engine's free lists, one slot per FreeList. An
-// engine makes its own on first use and starts empty. A harness that
-// replaces engines hands each one the same FreeLists (SetFreeLists), so
-// the states outlive them: core's run pools drop an engine whose run
-// failed. Like the engine, it serves one run at a time.
-type FreeLists struct{ slots []any }
-
-// SetFreeLists makes e keep its free lists in l.
-func (e *Engine) SetFreeLists(l *FreeLists) { e.free = l }
+// freeLists holds an engine's free lists, one slot per FreeList. An
+// engine makes its own on first use, and it lives as long as the engine.
+type freeLists struct{ slots []any }
 
 // NewFreeList returns a new, empty list kind.
 func NewFreeList[T any]() FreeList[T] {
@@ -52,7 +46,7 @@ func (l FreeList[T]) Get(e *Engine) *T {
 // Put gives x to e's list.
 func (l FreeList[T]) Put(e *Engine, x *T) {
 	if e.free == nil {
-		e.free = new(FreeLists)
+		e.free = new(freeLists)
 	}
 	f := e.free
 	for len(f.slots) <= l.slot {

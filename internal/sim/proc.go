@@ -359,13 +359,6 @@ func (p *Proc) critRelease() {
 	p.e.cp.Release(p.e.curProc, p.idx, p.e.now)
 }
 
-// Tracef emits a trace line through the engine's tracer, if one is set.
-func (p *Proc) Tracef(format string, args ...any) {
-	if p.e.tracer != nil {
-		p.e.tracer(p.e.now, p.name, fmt.Sprintf(format, args...))
-	}
-}
-
 // hash64 is FNV-1a, used to derive per-process RNG streams from names.
 func hash64(s string) uint64 {
 	h := uint64(14695981039346656037)

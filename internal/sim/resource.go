@@ -225,12 +225,3 @@ func (r *Resource) Use(p *Proc, d time.Duration) time.Duration {
 	r.Release(1)
 	return p.Now() - start
 }
-
-// UseN is Use with n capacity units held during service.
-func (r *Resource) UseN(p *Proc, n int, d time.Duration) time.Duration {
-	start := p.Now()
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
-	return p.Now() - start
-}

@@ -159,8 +159,7 @@ func TestOnQueueFiresPerWaiter(t *testing.T) {
 	}
 }
 
-// Each engine keeps its own free list of each kind, unless given a
-// FreeLists to share.
+// Each engine keeps its own free list of each kind.
 func TestFreeListPerEngine(t *testing.T) {
 	type a struct{ x int }
 	type b struct{ y int }
@@ -183,15 +182,5 @@ func TestFreeListPerEngine(t *testing.T) {
 	}
 	if got := lb.Get(e1); got == nil || got.y != 2 {
 		t.Errorf("the other kind's list: %v", got)
-	}
-	// Engines handed one FreeLists share it: a state one returns, the
-	// next takes.
-	var shared FreeLists
-	e3, e4 := NewEngine(3), NewEngine(4)
-	e3.SetFreeLists(&shared)
-	e4.SetFreeLists(&shared)
-	la.Put(e3, x)
-	if got := la.Get(e4); got != x {
-		t.Errorf("shared lists: Get = %v, want the state put", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Summary describes a sample of float64 observations.
@@ -100,27 +99,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// SummarizeDurations is Summarize over durations, in seconds.
-func SummarizeDurations(ds []time.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
-	}
-	return Summarize(xs)
-}
-
-// MeanDuration returns the mean of ds.
-func MeanDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
 }
 
 // Ratio returns a/b, or NaN when b == 0.

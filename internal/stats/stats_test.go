@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSummarizeBasics(t *testing.T) {
@@ -40,20 +39,6 @@ func TestPercentile(t *testing.T) {
 	}
 	if Percentile(nil, 50) != 0 {
 		t.Error("empty percentile")
-	}
-}
-
-func TestDurationHelpers(t *testing.T) {
-	ds := []time.Duration{time.Second, 3 * time.Second}
-	if MeanDuration(ds) != 2*time.Second {
-		t.Fatalf("mean %v", MeanDuration(ds))
-	}
-	if MeanDuration(nil) != 0 {
-		t.Fatal("empty mean")
-	}
-	s := SummarizeDurations(ds)
-	if s.Mean != 2 {
-		t.Fatalf("duration summary mean %v", s.Mean)
 	}
 }
 

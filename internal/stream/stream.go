@@ -81,17 +81,6 @@ func (s *Store) Consume(ctx context.Context, path string) ([]byte, error) {
 	return data, nil
 }
 
-// TryConsume returns the payload if already produced, without blocking.
-func (s *Store) TryConsume(path string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.files[path]
-	if ok {
-		s.consumed++
-	}
-	return data, ok
-}
-
 // Discard removes a consumed payload to bound memory in long pipelines.
 func (s *Store) Discard(path string) {
 	s.mu.Lock()

@@ -19,8 +19,6 @@ import (
 // Errors returned by filesystem operations.
 var (
 	ErrNotExist = errors.New("vfs: file does not exist")
-	ErrExist    = errors.New("vfs: file already exists")
-	ErrCrossed  = errors.New("vfs: operation crosses filesystem reach")
 	// ErrClosed marks an operation on a closed handle (including a second
 	// Close).
 	ErrClosed = errors.New("vfs: handle closed")
@@ -29,28 +27,16 @@ var (
 	ErrInvalidRange = errors.New("vfs: invalid byte range")
 )
 
-// FileInfo describes a stored file.
-type FileInfo struct {
-	Path string
-	Size int64
-}
-
 // FS is the storage interface producers and consumers program against.
 // Every operation takes the calling simulated process and charges virtual
 // time according to the backend's cost model. Content moves as immutable
 // Payload handles: a write hands the backend a shared reference and a read
 // returns the same reference — no backend copies payload bytes.
 type FS interface {
-	// Name identifies the backend ("xfs", "lustre", ...).
-	Name() string
 	// WriteFile creates (or replaces) path with pl.
 	WriteFile(p *sim.Proc, path string, pl Payload) error
 	// ReadFile returns the payload stored at path.
 	ReadFile(p *sim.Proc, path string) (Payload, error)
-	// Stat returns metadata for path.
-	Stat(p *sim.Proc, path string) (FileInfo, error)
-	// Unlink removes path.
-	Unlink(p *sim.Proc, path string) error
 }
 
 // Clean canonicalizes a path: forward slashes, single separators, leading

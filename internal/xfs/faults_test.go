@@ -25,9 +25,6 @@ func TestDeviceFailureSurfacesSentinel(t *testing.T) {
 		if _, err := f.ReadFile(p, "/f0"); !errors.Is(err, faults.ErrDeviceFailed) {
 			t.Errorf("read on failed device: err = %v, want ErrDeviceFailed", err)
 		}
-		if err := f.Unlink(p, "/f0"); !errors.Is(err, faults.ErrDeviceFailed) {
-			t.Errorf("unlink on failed device: err = %v, want ErrDeviceFailed", err)
-		}
 		f.Node().SSD.Repair()
 		if err := f.WriteFile(p, "/f2", vfs.SizeOnly(4096)); err != nil {
 			t.Errorf("post-repair write: %v", err)

@@ -20,7 +20,7 @@ import (
 // Params is the XFS cost model.
 type Params struct {
 	// JournalBytes is charged to the device per metadata-mutating
-	// operation (create, unlink), modelling the log write.
+	// operation (a create), modelling the log write.
 	JournalBytes int64
 	// MetaLatency is the in-memory bookkeeping cost per operation.
 	MetaLatency time.Duration
@@ -85,9 +85,6 @@ func (f *FS) SetCapacity(s *capacity.Store) { f.cap = s }
 
 // Capacity returns the attached capacity store (nil when capacity is off).
 func (f *FS) Capacity() *capacity.Store { return f.cap }
-
-// Name implements vfs.FS.
-func (f *FS) Name() string { return "xfs" }
 
 // Node returns the node the filesystem is local to.
 func (f *FS) Node() *cluster.Node { return f.node }
@@ -173,38 +170,6 @@ func (f *FS) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 	p.CritDepend(path, "read")
 	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
-}
-
-// Stat implements vfs.FS: metadata only, no data transfer.
-func (f *FS) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
-	path = vfs.Clean(path)
-	p.Sleep(f.params.MetaLatency)
-	sz, ok := f.tree.Size(path)
-	if !ok {
-		return vfs.FileInfo{}, vfs.PathError("stat", path, vfs.ErrNotExist)
-	}
-	return vfs.FileInfo{Path: path, Size: sz}, nil
-}
-
-// Unlink implements vfs.FS: journal commit, entry removal.
-func (f *FS) Unlink(p *sim.Proc, path string) error {
-	path = vfs.Clean(path)
-	p.Sleep(f.params.MetaLatency)
-	f.journalPending++
-	f.journalOps++
-	f.journalBytes += f.params.JournalBytes
-	_, err := f.node.SSD.Write(p, f.params.JournalBytes)
-	f.journalPending--
-	if err != nil {
-		return vfs.PathError("unlink", path, err)
-	}
-	if !f.tree.Remove(path) {
-		return vfs.PathError("unlink", path, vfs.ErrNotExist)
-	}
-	if f.cap != nil {
-		f.cap.Remove(path)
-	}
-	return nil
 }
 
 var _ vfs.FS = (*FS)(nil)
