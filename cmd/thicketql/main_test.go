@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,6 +36,22 @@ func TestDemoIsDeterministic(t *testing.T) {
 			t.Fatal("producer and consumer demos print the same ensemble")
 		}
 		first = a
+	}
+}
+
+// A profile with a null child is refused as a failure: exit 1 and one
+// stderr line, not a panic in the ensemble merge.
+func TestNullChildIsError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.json")
+	if err := os.WriteFile(path, []byte(`{"proc":"a","root":{"name":"r","children":[null]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := capture(t, path)
+	if code != 1 || out != "" {
+		t.Fatalf("exit %d, stdout %q; want 1 and nothing", code, out)
+	}
+	if strings.Count(errOut, "\n") != 1 || !strings.HasPrefix(errOut, "thicketql: ") || !strings.Contains(errOut, "null node") {
+		t.Fatalf("stderr %q, want one thicketql line naming the null node", errOut)
 	}
 }
 

@@ -92,7 +92,8 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ReadJSON deserializes a profile written by WriteJSON.
+// ReadJSON deserializes a profile written by WriteJSON. It rejects a
+// profile whose root, or any node below it, is null.
 func ReadJSON(r io.Reader) (*Profile, error) {
 	var p Profile
 	if err := json.NewDecoder(r).Decode(&p); err != nil {
@@ -101,7 +102,20 @@ func ReadJSON(r io.Reader) (*Profile, error) {
 	if p.Root == nil {
 		return nil, fmt.Errorf("caliper: profile has no root")
 	}
+	if hasNull(p.Root.Children) {
+		return nil, fmt.Errorf("caliper: profile has a null node")
+	}
 	return &p, nil
+}
+
+// hasNull reports whether any of nodes, or any node below them, is nil.
+func hasNull(nodes []*Node) bool {
+	for _, n := range nodes {
+		if n == nil || hasNull(n.Children) {
+			return true
+		}
+	}
+	return false
 }
 
 // Render pretty-prints the call tree with inclusive times, largest

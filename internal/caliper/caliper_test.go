@@ -34,6 +34,20 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// A null node anywhere in the tree is an error, not a profile that panics
+// whoever walks it.
+func TestReadJSONRejectsNullNode(t *testing.T) {
+	for _, in := range []string{
+		`{"proc":"a","root":null}`,
+		`{"proc":"a","root":{"name":"r","children":[null]}}`,
+		`{"proc":"a","root":{"name":"r","children":[{"name":"c","children":[{"name":"d"},null]}]}}`,
+	} {
+		if p, err := ReadJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted as %+v", in, p)
+		}
+	}
+}
+
 func TestRenderShowsTree(t *testing.T) {
 	p := profile(node("dyad_consume", time.Millisecond, node("dyad_fetch", time.Millisecond)))
 	var buf bytes.Buffer

@@ -195,20 +195,26 @@ func BenchmarkHeapChurn10k(b *testing.B) {
 // workloads instead: a few events held 1–3 s (Lustre noise, frame compute)
 // fix wide rung buckets, and the rest churn with short holds, 7 in 8 of
 // 1–10 µs (wire, hop) and the others up to 1 ms (SSD op), so nearly every
-// push lands in the bottom band ahead of most of it.
+// push lands in the bottom band ahead of most of it. The 1k/same-instant
+// row drives the same-instant lane: each event the ladder pops fans out
+// into 8 events due at its instant (pushNow), the way a grant or a notify
+// wakes its waiters, and the last of them takes the uniform hold to its
+// successor.
 func BenchmarkScaleEvents(b *testing.B) {
 	depths := []struct {
 		name    string
 		pending int
 		far     int // events held 1–3 s; the rest take short holds
+		fan     int // events due now that each ladder event fans out into
 	}{
-		{"16", 16, 0},
-		{"64", 64, 0},
-		{"256", 256, 0},
-		{"1k", 1_000, 0},
-		{"100k", 100_000, 0},
-		{"1M", 1_000_000, 0},
-		{"32/near", 32, 4},
+		{"16", 16, 0, 0},
+		{"64", 64, 0, 0},
+		{"256", 256, 0, 0},
+		{"1k", 1_000, 0, 0},
+		{"100k", 100_000, 0, 0},
+		{"1M", 1_000_000, 0, 0},
+		{"32/near", 32, 4, 0},
+		{"1k/same-instant", 1_000, 0, 8},
 	}
 	for _, d := range depths {
 		b.Run("pending="+d.name, func(b *testing.B) {
@@ -248,10 +254,21 @@ func BenchmarkScaleEvents(b *testing.B) {
 			if warm < b.N {
 				warm = b.N
 			}
+			// A fanned-out event is tagged with its place 1..fan in the fan.
 			churn := func() {
 				ev := q.pop()
-				far := ev.proc == 0
-				push(ev.at+hold(far), far)
+				switch {
+				case d.fan > 0 && ev.proc == noProc:
+					for i := int32(1); i <= int32(d.fan); i++ {
+						q.pushNow(event{at: ev.at, seq: seq, proc: i})
+						seq++
+					}
+				case ev.proc > 0 && ev.proc < int32(d.fan):
+					// Not the last of its fan: no successor.
+				default:
+					far := ev.proc == 0
+					push(ev.at+hold(far), far)
+				}
 			}
 			for i := 0; i < warm; i++ {
 				churn()

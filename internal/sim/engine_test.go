@@ -220,9 +220,8 @@ func TestResourceUtilization(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	u := r.Utilization()
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization %v, want ~0.5", u)
+	if got := r.BusyUnitNanos(); got != int64(5*time.Millisecond) {
+		t.Fatalf("busy %d unit-ns, want %d", got, int64(5*time.Millisecond))
 	}
 }
 

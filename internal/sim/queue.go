@@ -16,11 +16,12 @@ package sim
 // pending at that instant and earlier than every event at a later one, so
 // the engine appends it to a FIFO (pushNow) instead of placing it in the
 // ladder, and pop merges the two: the lane's head unless the ladder's
-// minimum is before it. The lane drains before the clock moves on. Its
-// slots are a share of the array grow reserves, never an allocation of
-// their own: when the lane is full an event goes to the ladder, which
-// keeps the merge exact, and when the top band needs the slots it takes
-// them back.
+// minimum is before it. The lane drains before the clock moves on. It is a
+// ring over an array of its own: a push takes the slot after the tail,
+// wrapping to the slots that pops freed at the front, so no event moves
+// until every slot holds one, and then the array doubles. A long cascade
+// at one instant therefore costs O(1) per event and cannot grow the array
+// past twice the most events the lane held at once.
 //
 // Ordering contract: pop returns pending events in exactly ascending
 // (at, seq) for ANY interleaving of pushes and pops, including pushes of
@@ -171,95 +172,61 @@ type eventq struct {
 	bottom   []event // earliest band, descending (at, seq): the minimum is last
 	top      []event // unsorted overflow: events with at >= topStart
 	topStart Time    // 0 before the first transfer: virtual time is never negative
+	topMin   Time    // earliest time in top, while top is non-empty
 	rungs    [maxRungs]rung
 	nr       int // active rungs; rungs[nr-1] is the finest/earliest
 
-	// buf is the array grow reserves: the top band in buf[:split] (top is
-	// buf[:len(top):split]) and the same-instant lane's slots in
-	// buf[split:], which hold its events, ascending (at, seq), in
-	// buf[lh:lt]. When the top band fills its share it reclaims the lane's
-	// (split = len(buf)), and the lane takes it back once the band has
-	// shrunk (laneRoom). The indices are int32 so that an Engine with its
-	// allocation header stays in its size class (see Engine.live).
-	buf    []event
-	split  int32
-	lh, lt int32
+	// The same-instant lane: ln events, ascending (at, seq), from lane[lh]
+	// on, wrapping past the end of lane to its start. The head and count
+	// are int32 so that an Engine with its allocation header stays in its
+	// size class (see Engine.live).
+	lane   []event
+	lh, ln int32
 }
 
-// minQueue is the length of the array a queue that grow never sized makes
-// on its first push.
+// minQueue is the length of the lane's array when pushNow makes it for a
+// queue that grow never sized.
 const minQueue = 32
 
 // len returns the number of pending events.
-func (q *eventq) len() int { return q.size + int(q.lt-q.lh) }
+func (q *eventq) len() int { return q.size + int(q.ln) }
 
-// grow reserves capacity for n simultaneously pending events (Prealloc):
-// it makes buf n events long, a quarter for the lane and the rest for the
-// top band, whose slice is capped at its share so an append never runs
-// into the lane. The split costs the ladder nothing it would need: an
-// event in the lane is one the top band might otherwise hold, a full lane
-// hands events to the ladder, and a full top band reclaims the lane.
+// grow reserves capacity for n simultaneously pending events (Prealloc) in
+// the top band and in the lane: either may hold all of them (the spawns of
+// a run sit in the lane until it starts).
 func (q *eventq) grow(n int) {
-	if n <= len(q.buf) {
-		return
+	if n > cap(q.top) {
+		q.top = append(make([]event, 0, n), q.top...)
 	}
-	buf := make([]event, n)
-	split := max(n-n/4, len(q.top))
-	copy(buf, q.top)
-	lt := split + copy(buf[split:], q.buf[q.lh:q.lt])
-	q.buf, q.top = buf, buf[:len(q.top):split]
-	q.split, q.lh, q.lt = int32(split), int32(split), int32(lt)
+	if n > len(q.lane) {
+		q.growLane(n)
+	}
 }
 
 // pushNow inserts ev, which must be later in (at, seq) than every event in
 // the lane: the engine's events due at the current instant, in schedule
-// order. When the lane has no room ev goes to the ladder, which keeps
-// pop's merge exact.
+// order.
 func (q *eventq) pushNow(ev event) {
-	if int(q.lt) == len(q.buf) {
-		q.pushNowFull(ev)
-		return
+	if int(q.ln) == len(q.lane) {
+		q.growLane(max(2*len(q.lane), minQueue))
 	}
-	q.buf[q.lt] = ev
-	q.lt++
+	i := q.lh + q.ln
+	if int(i) >= len(q.lane) {
+		i -= int32(len(q.lane))
+	}
+	q.lane[i] = ev
+	q.ln++
 }
 
-// pushNowFull is pushNow's path when the lane has no room at its end.
-func (q *eventq) pushNowFull(ev event) {
-	if !q.laneRoom() {
-		q.push(ev)
-		return
-	}
-	q.buf[q.lt] = ev
-	q.lt++
-}
-
-// laneRoom makes room at the end of a lane with none, and reports whether
-// it could: it moves the lane's events to the front of its slots, or
-// takes the lane's share of buf back from the top band once that has
-// shrunk to half of buf, or makes buf on a queue's first push.
-func (q *eventq) laneRoom() bool {
-	if int(q.split) < len(q.buf) {
-		if q.lh == q.split {
-			return false // full
-		}
-		n := int32(copy(q.buf[q.split:], q.buf[q.lh:q.lt]))
-		clear(q.buf[q.split+n : q.lt])
-		q.lh, q.lt = q.split, q.split+n
-		return true
-	}
-	if q.buf == nil {
-		q.grow(minQueue)
-		return true
-	}
-	k := len(q.buf) / 4
-	split := len(q.buf) - k
-	if k == 0 || len(q.top) > split-k {
-		return false
-	}
-	q.top = q.top[:len(q.top):split]
-	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
-	return true
+// growLane moves the lane's events, in order, to the front of a new array
+// of n events, longer than the lane's array.
+//
+//go:noinline
+func (q *eventq) growLane(n int) {
+	lane := make([]event, n)
+	k := copy(lane, q.lane[q.lh:min(int(q.lh+q.ln), len(q.lane))])
+	copy(lane[k:], q.lane[:int(q.ln)-k])
+	q.lane, q.lh = lane, 0
 }
 
 // push inserts ev into the ladder: the top band, the first rung whose
@@ -267,8 +234,8 @@ func (q *eventq) laneRoom() bool {
 func (q *eventq) push(ev event) {
 	q.size++
 	if ev.at >= q.topStart {
-		if len(q.top) == cap(q.top) {
-			q.topRoom()
+		if len(q.top) == 0 || ev.at < q.topMin {
+			q.topMin = ev.at
 		}
 		q.top = append(q.top, ev)
 		return
@@ -283,37 +250,15 @@ func (q *eventq) push(ev event) {
 	q.bottomInsert(ev)
 }
 
-// topRoom gives a full top band room for one more event: the lane's
-// slots, its events moving into the ladder (any event may wait there),
-// or, failing that, a buf twice as long.
-//
-//go:noinline
-func (q *eventq) topRoom() {
-	if int(q.split) < len(q.buf) {
-		lh, lt := q.lh, q.lt
-		q.top = q.buf[:len(q.top)]
-		q.split = int32(len(q.buf))
-		q.lh, q.lt = q.split, q.split
-		// Appends to the top band land at the old split and on, never past
-		// a lane slot not yet read.
-		for i := lh; i < lt; i++ {
-			q.push(q.buf[i])
-		}
-		clear(q.buf[len(q.top):lt])
-	}
-	if len(q.top) == cap(q.top) {
-		q.grow(max(2*len(q.buf), minQueue))
-	}
-}
-
 // pop removes and returns the earliest pending event: the lane's head
 // unless the ladder's minimum is before it. The queue must be non-empty.
 func (q *eventq) pop() event {
-	if q.lh != q.lt && q.laneFirst() {
-		ev := q.buf[q.lh]
-		q.buf[q.lh] = event{} // do not pin fired callbacks
-		if q.lh++; q.lh == q.lt {
-			q.lh, q.lt = q.split, q.split
+	if q.ln != 0 && q.laneFirst() {
+		ev := q.lane[q.lh]
+		q.lane[q.lh] = event{} // do not pin fired callbacks
+		q.lh++
+		if q.ln--; q.ln == 0 || int(q.lh) == len(q.lane) {
+			q.lh = 0
 		}
 		return ev
 	}
@@ -331,16 +276,22 @@ func (q *eventq) pop() event {
 // peek returns the earliest pending event without removing it. The queue
 // must be non-empty. A peek may prime the bottom band.
 func (q *eventq) peek() event {
-	if q.lh != q.lt && q.laneFirst() {
-		return q.buf[q.lh]
+	if q.ln != 0 && q.laneFirst() {
+		return q.lane[q.lh]
 	}
 	return *q.peekMain()
 }
 
 // laneFirst reports whether the earliest pending event is the head of the
-// lane, which must be non-empty: the two-way merge of pop and peek.
+// lane, which must be non-empty: the two-way merge of pop and peek. A top
+// band that is the whole ladder and starts after the lane's head is left
+// unspread: spread while a run's spawns wait in the lane, rung 0 would fit
+// the first few holds, and each shorter hold would then be a bottom insert.
 func (q *eventq) laneFirst() bool {
-	return q.size == 0 || !q.peekMain().before(&q.buf[q.lh])
+	if q.size == 0 || (q.nr == 0 && len(q.bottom) == 0 && q.lane[q.lh].at < q.topMin) {
+		return true
+	}
+	return !q.peekMain().before(&q.lane[q.lh])
 }
 
 // peekMain returns the ladder's earliest event, priming the bottom band.
@@ -353,12 +304,12 @@ func (q *eventq) peekMain() *event {
 }
 
 // reset empties the queue, zeroes every slot (so no callback outlives the
-// run), and keeps all backing arrays for reuse, with the lane holding its
-// share of buf.
+// run), and keeps all backing arrays for reuse.
 func (q *eventq) reset() {
 	clear(q.bottom)
 	q.bottom = q.bottom[:0]
 	clear(q.top)
+	q.top = q.top[:0]
 	for i := 0; i < q.nr; i++ {
 		r := &q.rungs[i]
 		clear(r.slab)
@@ -371,10 +322,10 @@ func (q *eventq) reset() {
 	q.nr = 0
 	q.size = 0
 	q.topStart = 0
-	clear(q.buf[q.lh:q.lt])
-	split := len(q.buf) - len(q.buf)/4
-	q.top = q.buf[:0:split]
-	q.split, q.lh, q.lt = int32(split), int32(split), int32(split)
+	if q.ln != 0 { // a killed run's events, wrapped or not
+		clear(q.lane)
+	}
+	q.lh, q.ln = 0, 0
 }
 
 // bottomInsert sorted-inserts ev into the descending bottom band: it

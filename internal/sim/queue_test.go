@@ -35,18 +35,22 @@ func (h *refHeap) Pop() any {
 // "same-instant" pushes half its events at the last popped time through
 // the engine's routing rule (the lane for the current instant, the ladder
 // otherwise), on a queue sized by grow or not, and resets once with the
-// lane holding events. Each shape runs from four starting states of the
-// queue's arrays, named by the first level of the subtest name (see
-// starts). Runs in the -race suite (no alloc assertions here).
+// lane holding events. "same-instant-fanout" is one long cascade at an
+// instant: nearly every push is due now, so the lane holds thousands of
+// events while pops drain it from the front, and its array must still
+// stay within twice the most events it held at once (laneWatch). Each
+// shape runs from four starting states of the queue's arrays, named by
+// the first level of the subtest name (see starts). Runs in the -race
+// suite (no alloc assertions here).
 func TestQueueEquivalenceRandom(t *testing.T) {
 	starts := []struct {
 		name  string
 		setup func(q *eventq)
 	}{
-		// The zero queue: buf is made on the first push and doubled as
-		// the top band fills.
+		// The zero queue: the lane's array is made on its first push and
+		// doubled as it fills, and the top band grows by append.
 		{"adaptive", func(q *eventq) {}},
-		// A pooled engine's queue: rungs, bottom and buf left behind by
+		// A pooled engine's queue: rungs, bottom and top left behind by
 		// an earlier workload, then reset.
 		{"ladder", func(q *eventq) {
 			rng := NewRNG(5)
@@ -58,14 +62,14 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 			}
 			q.reset()
 		}},
-		// Preallocated past the workload's peak: the top band never
-		// leaves its first array (checked after the run).
+		// Preallocated past the workload's peak: neither the top band
+		// nor the lane leaves its first array (checked after the run).
 		{"heap", func(q *eventq) { q.grow(1 << 14) }},
-		// A 4-event buf: the top band reclaims the lane's slots and moves
-		// to a longer array again and again while the workload grows.
+		// 4-event arrays: the top band and the lane move to longer
+		// arrays again and again while the workload grows.
 		{"migrating", func(q *eventq) { q.grow(4) }},
 	}
-	shapes := []string{"arbitrary", "advancing", "same-instant", "same-instant-grown"}
+	shapes := []string{"arbitrary", "advancing", "same-instant", "same-instant-grown", "same-instant-fanout"}
 	for _, start := range starts {
 		for _, shape := range shapes {
 			for seed := uint64(1); seed <= 3; seed++ {
@@ -74,18 +78,19 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 					rng := NewRNG(seed * 0x9e3779b97f4a7c15)
 					var q eventq
 					start.setup(&q)
-					startBuf := len(q.buf)
+					startTop, startLane := cap(q.top), len(q.lane)
 					sameInstant := strings.HasPrefix(shape, "same-instant")
 					if shape == "same-instant-grown" {
 						q.grow(64)
 					}
+					lane := laneWatch{reserved: len(q.lane)}
 					ref := &refHeap{}
 					var seq int64
 					var now Time
 					reset := false
 					const ops = 30_000
 					for i := 0; i < ops; i++ {
-						if sameInstant && !reset && i >= ops/2 && q.lt > q.lh {
+						if sameInstant && !reset && i >= ops/2 && q.ln > 0 {
 							// A failed run's queue is reset with events
 							// left in the lane.
 							q.reset()
@@ -107,6 +112,11 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 								at = Time(rng.Intn(64)) * time.Millisecond
 							case "advancing":
 								at = now + Time(rng.Intn(2000))*time.Microsecond
+							case "same-instant-fanout":
+								at = now
+								if rng.Intn(16) == 0 {
+									at += Time(1+rng.Intn(2000)) * time.Microsecond
+								}
 							default:
 								switch rng.Intn(4) {
 								case 0, 1:
@@ -139,6 +149,7 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 						if q.len() != ref.Len() {
 							t.Fatalf("op %d: size %d vs reference %d", i, q.len(), ref.Len())
 						}
+						lane.check(t, &q)
 					}
 					if sameInstant && !reset {
 						t.Fatal("weak workload: the lane was never non-empty to reset")
@@ -154,8 +165,9 @@ func TestQueueEquivalenceRandom(t *testing.T) {
 					if q.len() != 0 {
 						t.Fatalf("drained queue still reports %d events", q.len())
 					}
-					if start.name == "heap" && len(q.buf) != startBuf {
-						t.Fatalf("weak start: buf grew from %d to %d events", startBuf, len(q.buf))
+					if start.name == "heap" && (cap(q.top) != startTop || len(q.lane) != startLane) {
+						t.Fatalf("weak start: top grew from %d to %d events, lane from %d to %d",
+							startTop, cap(q.top), startLane, len(q.lane))
 					}
 				})
 			}
@@ -209,6 +221,23 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// laneWatch tracks the most events a queue's lane has held at once and
+// the longest array grow reserved for it. The lane may double its array
+// only when every slot holds an event, so the array is never longer than
+// twice that peak, minQueue or the reserve.
+type laneWatch struct{ peak, reserved int }
+
+// check updates the peak after an operation on q and fails if the lane's
+// array is longer than the bound.
+func (w *laneWatch) check(t *testing.T, q *eventq) {
+	t.Helper()
+	w.peak = max(w.peak, int(q.ln))
+	if limit := max(minQueue, w.reserved, 2*w.peak); len(q.lane) > limit {
+		t.Fatalf("lane array is %d events, past %d: twice its peak of %d events, minQueue or the reserve of %d",
+			len(q.lane), limit, w.peak, w.reserved)
+	}
+}
+
 // checkQueueClear fails unless a reset or drained queue is empty and holds
 // no event in any slot of any of its arrays.
 func checkQueueClear(t *testing.T, q *eventq) {
@@ -223,7 +252,7 @@ func checkQueueClear(t *testing.T, q *eventq) {
 			}
 		}
 	}
-	check("buf", q.buf)
+	check("lane", q.lane)
 	check("bottom", q.bottom)
 	check("top", q.top)
 	for ri := range q.rungs {
@@ -272,6 +301,68 @@ func TestQueueSpawnCoverageHole(t *testing.T) {
 	}
 	if q.len() != 0 {
 		t.Fatalf("queue reports %d pending after drain", q.len())
+	}
+}
+
+// TestQueueFullLaneWraps fills the lane with a run's spawns, then
+// interleaves pops with pushes due now, as processes that each loop on
+// Sleep(0) do. Each push must take a slot that a pop freed: the lane keeps
+// its array and its head advances one slot a pop, wrapping at the end, so
+// no event is moved however long the cascade at one instant runs.
+func TestQueueFullLaneWraps(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		reserve int
+	}{
+		{"adaptive", 0},    // doubled from minQueue to exactly the spawns
+		{"prealloc", 1032}, // Prealloc(1024, 1032): 8 slots past the spawns
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const spawns = 1024
+			var q eventq
+			q.grow(c.reserve)
+			var seq int64
+			for ; seq < spawns; seq++ {
+				q.pushNow(event{seq: seq, proc: noProc})
+			}
+			arr, n := &q.lane[0], len(q.lane)
+			if n != max(spawns, c.reserve) {
+				t.Fatalf("weak setup: the lane's array is %d events, want %d", n, max(spawns, c.reserve))
+			}
+			for i := 0; i < 4*n; i++ {
+				if ev := q.pop(); ev.seq != int64(i) {
+					t.Fatalf("pop %d: seq %d", i, ev.seq)
+				}
+				q.pushNow(event{seq: seq, proc: noProc})
+				seq++
+				if &q.lane[0] != arr || len(q.lane) != n || int(q.lh) != (i+1)%n {
+					t.Fatalf("round %d: lane array %p of %d events, head %d; want %p of %d, head %d",
+						i, &q.lane[0], len(q.lane), q.lh, arr, n, (i+1)%n)
+				}
+			}
+		})
+	}
+}
+
+// TestQueueLaneDefersSpread checks that the holds a run's spawned
+// processes push while the lane still holds the other spawns stay in the
+// top band, unspread, so that the first transfer sizes rung 0 to all of
+// them. Spread at the second pop, rung 0 would fit the first hold alone,
+// and every shorter hold after it would be a bottom insert.
+func TestQueueLaneDefersSpread(t *testing.T) {
+	var q eventq
+	rng := NewRNG(1)
+	const procs = 1000
+	for i := 0; i < procs; i++ {
+		q.pushNow(event{seq: int64(i), proc: noProc})
+	}
+	for i := 0; i < procs; i++ {
+		q.pop()
+		q.push(event{at: Time(1 + rng.Intn(1_000_000)), seq: int64(procs + i), proc: noProc})
+	}
+	if q.nr != 0 || len(q.bottom) != 0 || len(q.top) != procs {
+		t.Fatalf("after the spawns: %d rungs, %d events in bottom, %d in top; want all %d in top",
+			q.nr, len(q.bottom), len(q.top), procs)
 	}
 }
 
@@ -434,13 +525,15 @@ func TestQueueReuseAfterReset(t *testing.T) {
 // byte is one operation — a push a few nanoseconds ahead, routed as the
 // engine routes (the lane when due now, the main queue otherwise), a push
 // due now, a pop, a grow, or a reset. Every peek and pop must match the
-// container/heap reference, and a reset must leave no event in any slot.
+// container/heap reference, a reset must leave no event in any slot, and
+// the lane's array must stay within its bound (laneWatch).
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte("\x20\x20\xa0\x21\x60\x80\x61\x80"))
 	f.Add([]byte("\x20\x20\x20\x20\x02\x03\xa0\xa0\x21\x21\x80\x80\x80\xff\x20\x80"))
 	f.Add([]byte("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x20\x20\x20\x20\x80\x20\x80\x80\xe8\x80"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var q eventq
+		var lane laneWatch
 		ref := &refHeap{}
 		marker := func() {}
 		var seq int64
@@ -479,6 +572,7 @@ func FuzzEventQueue(f *testing.F) {
 			case 7:
 				if b&1 == 0 {
 					q.grow(int(arg) * 4)
+					lane.reserved = max(lane.reserved, int(arg)*4)
 				} else {
 					q.reset()
 					checkQueueClear(t, &q)
@@ -488,6 +582,7 @@ func FuzzEventQueue(f *testing.F) {
 			if q.len() != ref.Len() {
 				t.Fatalf("op %d: size %d vs reference %d", i, q.len(), ref.Len())
 			}
+			lane.check(t, &q)
 		}
 		for ref.Len() > 0 {
 			got, want := q.pop(), heap.Pop(ref).(event)

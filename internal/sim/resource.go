@@ -13,8 +13,8 @@ import (
 // request queues of the real devices being modelled.
 type Resource struct {
 	name string
-	// The counts are int32 so that a Resource stays in the 112-byte size
-	// class with its watcher.
+	// The counts are int32 so that a Resource (96 bytes) stays in the
+	// 96-byte size class with its watcher.
 	cap   int32
 	inUse int32
 	// queue[qhead:] are the live waiters, stored by value so queueing
@@ -27,10 +27,9 @@ type Resource struct {
 	watcher   QueueWatcher // told when a process queues (OnQueue)
 
 	// Busy accumulates total grant-duration (units * time) for utilization
-	// accounting; see Utilization.
+	// accounting; see BusyUnitNanos.
 	busyUnitNanos int64
 	lastChange    Time
-	createdAt     Time
 	e             *Engine
 }
 
@@ -45,7 +44,7 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	if capacity < 1 || capacity > math.MaxInt32 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d outside [1, %d]", name, capacity, math.MaxInt32))
 	}
-	return &Resource{name: name, cap: int32(capacity), e: e, createdAt: e.Now()}
+	return &Resource{name: name, cap: int32(capacity), e: e}
 }
 
 // Name returns the resource name.
@@ -93,7 +92,6 @@ func (r *Resource) Reset() {
 	r.inUse = 0
 	r.busyUnitNanos = 0
 	r.lastChange = r.e.Now()
-	r.createdAt = r.e.Now()
 }
 
 func (r *Resource) account() {
@@ -109,16 +107,6 @@ func (r *Resource) account() {
 func (r *Resource) BusyUnitNanos() int64 {
 	r.account()
 	return r.busyUnitNanos
-}
-
-// Utilization returns mean busy fraction (0..1) since creation.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	elapsed := r.e.Now() - r.createdAt
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.busyUnitNanos) / (float64(r.cap) * float64(elapsed))
 }
 
 // Acquire blocks p until n units are granted. n must be in [1, capacity].
