@@ -2,6 +2,7 @@ package repro
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/experiments"
@@ -111,19 +112,44 @@ func BenchmarkWorkflowLargePairs(b *testing.B) {
 
 // BenchmarkRepeatPooled measures RunMany over 8 repetitions on one worker —
 // the pooled-reuse hot path: after the first repetition, engine, cluster,
-// and event-queue state recycle across reps instead of being rebuilt.
+// event-queue state and the backends' tables recycle across reps instead
+// of being rebuilt.
 func BenchmarkRepeatPooled(b *testing.B) {
-	b.ReportAllocs()
 	jac, err := ModelByName("JAC")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := Config{Backend: DYAD, Model: jac, Pairs: 8, Frames: 16, Seed: 1}
+	benchPooled(b, func() error { _, err := RepeatWorkers(cfg, 8, 1); return err })
+}
+
+// BenchmarkEnsemblePooled is the perfbench ensemble-1024 workload's shape:
+// two repetitions of a 1,024-pair DYAD run (2,048 processes) in one
+// RunMany call on one worker, so the second reuses the first's pooled rig.
+// Its gc-cycles/op shows what the run's garbage costs: every GC cycle
+// scans the parked stacks of all 2,048 coroutines.
+func BenchmarkEnsemblePooled(b *testing.B) {
+	jac, err := ModelByName("JAC")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Backend: DYAD, Model: jac, Pairs: 1024, Frames: 4, Seed: 1, ComputeJitter: 0.004}
+	benchPooled(b, func() error { _, err := RepeatWorkers(cfg, 2, 1); return err })
+}
+
+// benchPooled times one pooled batch per iteration, reporting
+// allocations and the GC cycles each batch set off (gc-cycles/op).
+func benchPooled(b *testing.B, batch func() error) {
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		if _, err := RepeatWorkers(cfg, 8, 1); err != nil {
+		if err := batch(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc-cycles/op")
 }
 
 // exportRuns runs the Fig 5 (one node, DYAD vs XFS, 1-4 pairs) and Fig 6

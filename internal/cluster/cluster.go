@@ -261,6 +261,9 @@ func (n *Node) Name() string { return fmt.Sprintf("node%d", n.ID) }
 // NIC exposes the node's NIC resource.
 func (n *Node) NIC() *sim.Resource { return n.nic }
 
+// Engine returns the engine the node's cluster runs on.
+func (n *Node) Engine() *sim.Engine { return n.cl.e }
+
 // Cluster is a set of nodes joined by a fabric.
 type Cluster struct {
 	Spec  Spec
@@ -584,8 +587,9 @@ func (w *wire) advance(p *sim.Proc) {
 			}
 		case wireRecvHeld:
 			w.phase = wireRecvDone
-			p.SleepThen(0, w.step)
-			return
+			if !p.YieldThen(w.step) {
+				return
+			}
 		case wireRecvDone:
 			w.dst.nic.Release(1)
 			w.endMessage(p, "")

@@ -570,3 +570,61 @@ func TestWireFreeListPerConcurrentEngine(t *testing.T) {
 		}
 	}
 }
+
+// A message's receive completion is a zero-length hold of the destination
+// NIC: every event already due at its instant runs first. Booked without
+// the queue when nothing else is due (Proc.YieldThen), it must still
+// queue behind another event due then, whether that event waits in the
+// ladder or in the same-instant lane. On testSpec a 1,000-byte message
+// from t=0 holds its NIC 2µs and hops 1µs, so its completion is due at
+// 3µs, from a hop delivery scheduled at 2µs; an observer delivered at 3µs
+// from a later schedule must see the transfer not yet done.
+func TestRecvCompletionQueuesBehindDueEvents(t *testing.T) {
+	const due = 3 * time.Microsecond
+	for _, tc := range []struct {
+		name    string
+		observe func(p *sim.Proc) // runs the observer up to its look at 3µs
+		events  int64
+	}{
+		// Alone, the completion is booked as fired: four events, the
+		// spawn, the segment hold, the hop and the completion.
+		{"alone", nil, 4},
+		// Woken at 2.5µs, after the hop was scheduled, the observer
+		// sleeps into the ladder for 3µs.
+		{"ladder", func(p *sim.Proc) { p.Sleep(due - 500*time.Nanosecond); p.Sleep(500 * time.Nanosecond) }, 7},
+		// Woken at 3µs ahead of the hop, the observer yields into the
+		// lane, behind the hop delivery.
+		{"lane", func(p *sim.Proc) { p.Sleep(due); p.Sleep(0) }, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			c := New(e, testSpec(2))
+			var doneAt time.Duration
+			done := false
+			e.Spawn("sender", func(p *sim.Proc) {
+				c.Transfer(p, c.Node(0), c.Node(1), 1000)
+				doneAt, done = p.Now(), true
+			})
+			if tc.observe != nil {
+				e.Spawn("observer", func(p *sim.Proc) {
+					tc.observe(p)
+					if p.Now() != due {
+						t.Errorf("observer looks at %v, want %v", p.Now(), due)
+					}
+					if done {
+						t.Error("the receive completion ran before an event due at its instant")
+					}
+				})
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !done || doneAt != due {
+				t.Errorf("transfer done %v at %v, want at %v", done, doneAt, due)
+			}
+			if got := e.Events(); got != tc.events {
+				t.Errorf("run fires %d events, want %d", got, tc.events)
+			}
+		})
+	}
+}

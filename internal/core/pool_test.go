@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/caliper"
+	"repro/internal/capacity"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -416,5 +418,67 @@ func TestRecycledRecordersLeaveResultsAlone(t *testing.T) {
 	wg.Wait()
 	if dump(first) != want {
 		t.Error("a later batch changed an earlier batch's spans or critical paths")
+	}
+}
+
+// A pooled engine lends each run the tables its last run filled (the
+// staging, cache and Lustre mirror file tables, the Lustre layouts, the
+// KVS, the lock tables and the clients' synced flows), so each must start
+// the next run empty. Each first run here leaves them full, with one more
+// pair and two more frames per pair than the run after it, so it lays its
+// files out across the OSTs in another order: a completed run leaves every
+// frame staged, cached, mirrored and committed; a run the watchdog kills
+// mid-frame leaves locks held and flows half synced; a run under a
+// two-frame staging budget has evicted and spilled frames. A pooled run
+// after each must equal the same config run unpooled, and hold only its
+// own frames.
+func TestLentTablesStartEmpty(t *testing.T) {
+	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 4, Seed: 21,
+		LustreFallback: true, RecordSpans: true, CritPath: true}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := cfg
+	completed.Pairs, completed.Frames, completed.Seed = 5, 8, 22
+	killed := completed
+	killed.MaxEvents = 400
+	evicting := completed
+	evicting.Capacity = &capacity.Spec{StagingBytes: 2 * cfg.Model.FrameBytes(), Policy: capacity.PolicyLRU}
+	// tables counts the frames a run left in each lent table.
+	tables := func(r *rig) [4]int {
+		return [4]int{r.dy.Broker(r.producerNode(0)).Staging().Tree().Len(),
+			r.dy.Broker(r.consumerNode(0)).Cache().Len(), r.lfs.Tree().Len(), r.dy.KVS().Len()}
+	}
+	own := cfg.Pairs * cfg.Frames // every pair runs on the same two nodes
+	for _, first := range []struct {
+		name string
+		cfg  Config
+	}{{"completed", completed}, {"killed", killed}, {"evicting", evicting}} {
+		pool := &runPool{}
+		r := newRig(first.cfg, pool)
+		_, err := r.run(pool)
+		if (err != nil) != (first.name == "killed") {
+			t.Fatalf("%s: first run: %v", first.name, err)
+		}
+		if left := tables(r); slices.Contains(left[:], 0) {
+			t.Fatalf("%s: first run left %v staged, cached, mirrored and committed frames, want some of each",
+				first.name, left)
+		}
+		r2 := newRig(cfg, pool)
+		got, err := r2.run(pool)
+		if err != nil {
+			t.Fatalf("after a %s run: %v", first.name, err)
+		}
+		if r2.eng != r.eng {
+			t.Fatalf("after a %s run: the engine was not reused", first.name)
+		}
+		if left := tables(r2); left != [4]int{own, own, own, own} {
+			t.Errorf("after a %s run: tables hold %v frames, want %d each", first.name, left, own)
+		}
+		resultScalars(t, "after a "+first.name+" run", got, want)
+		if g, w := spanCritDump(got), spanCritDump(want); g != w {
+			t.Errorf("after a %s run: spans and critical path differ from an unpooled run", first.name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/capacity"
@@ -45,7 +46,9 @@ type rig struct {
 
 	// firstProc is the spawn slot of pair 0's producer: pair i's producer
 	// is at firstProc+2i, its consumer at firstProc+2i+1.
-	firstProc  int
+	firstProc int
+	// paths holds each pair's frame paths (pairPaths).
+	paths      []string
 	framesRead int
 	bytesRead  int64
 	decodeErrs []error
@@ -284,17 +287,45 @@ func (r *rig) consumerNode(pair int) *cluster.Node {
 	return r.cl.Node(r.cfg.ComputeNodes()/2 + pair/MaxProcsPerNode)
 }
 
-// pairPath names frame f of a pair's flow: the canonical path
-// "/ensemble/pair%03d/frame%05d.pb", built in a stack buffer so that the
-// string itself is the one allocation. Every layer below takes it as is.
-func pairPath(pair, f int) string {
-	var buf [64]byte // fits both numbers at any int width
-	b := append(buf[:0], "/ensemble/pair"...)
+// appendFramePath appends the name of frame f of a pair's flow: the
+// canonical path "/ensemble/pair%03d/frame%05d.pb". Every layer below
+// takes it as is.
+func appendFramePath(b []byte, pair, f int) []byte {
+	b = append(b, "/ensemble/pair"...)
 	b = appendPadded(b, pair, 3)
 	b = append(b, "/frame"...)
 	b = appendPadded(b, f, 5)
-	b = append(b, ".pb"...)
-	return string(b)
+	return append(b, ".pb"...)
+}
+
+// pairPaths spells the paths of a pair's frames 0 to frames-1, in order,
+// in one string and one allocation, which the pair's producer and
+// consumer share (rig.framePath).
+func pairPaths(pair, frames int) string {
+	var buf [64]byte // one path, at any int width
+	var b strings.Builder
+	b.Grow(frames * len(appendFramePath(buf[:0], pair, frames))) // no path is wider
+	for f := 0; f < frames; f++ {
+		b.Write(appendFramePath(buf[:0], pair, f))
+	}
+	return b.String()
+}
+
+// framePath returns the path of frame f of pair's flow, cut from the
+// pair's paths. Every frame below 100000 has the width of frame 0's path,
+// and each power of ten from there on adds a digit. It is out of line for
+// the frames of runProducer and runConsumer (see frameMark).
+//
+//go:noinline
+func (r *rig) framePath(pair, f int) string {
+	paths := r.paths[pair]
+	w := strings.Index(paths, ".pb") + len(".pb")
+	at, n := f*w, w
+	for d := 100000; d <= f; d *= 10 {
+		at += f - d // frames d to f-1 are a digit wider
+		n++
+	}
+	return paths[at : at+n]
 }
 
 // appendPadded appends the decimal form of a non-negative n, zero-padded
@@ -313,12 +344,14 @@ func appendPadded(b []byte, n, width int) []byte {
 // spawnAll creates all producer and consumer processes.
 func (r *rig) spawnAll() {
 	r.firstProc = len(r.eng.Procs())
+	r.paths = make([]string, r.cfg.Pairs)
 	for pair := 0; pair < r.cfg.Pairs; pair++ {
 		pair := pair
 		var gate *pairGate
 		if r.cfg.Backend != DYAD || r.cfg.ForceCoarseSync {
 			gate = newPairGate(r.cl, r.producerNode(pair), r.consumerNode(pair))
 		}
+		r.paths[pair] = pairPaths(pair, r.cfg.Frames)
 		r.eng.Spawn(fmt.Sprintf("producer%03d", pair), func(p *sim.Proc) {
 			r.runProducer(p, pair, gate)
 		})
@@ -383,7 +416,7 @@ func (r *rig) runProducer(p *sim.Proc, pair int, gate *pairGate) {
 		p.Sleep(cpuTime(data.Size(), 2.5e9))
 		rg.End(0, "")
 
-		path := pairPath(pair, f)
+		path := r.framePath(pair, f)
 		switch r.cfg.Backend {
 		case DYAD:
 			if err := client.Produce(p, path, data); err != nil {
@@ -446,7 +479,7 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			rg.End(0, "")
 		}
 		readStart := p.Now()
-		path := pairPath(pair, f)
+		path := r.framePath(pair, f)
 		var data vfs.Payload
 		switch r.cfg.Backend {
 		case DYAD:

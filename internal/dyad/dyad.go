@@ -116,7 +116,7 @@ type System struct {
 	cl       *cluster.Cluster
 	params   Params
 	kvs      *kvs.Store
-	brokers  map[int]*Broker
+	brokers  []*Broker // by node ID, nil until the node's first client
 	fallback func(*cluster.Node) vfs.FS
 
 	// Finite burst-buffer capacity (SetCapacity). capSpec nil or disabled
@@ -205,7 +205,7 @@ func New(cl *cluster.Cluster, kvsNode *cluster.Node, params Params) *System {
 		cl:      cl,
 		params:  params,
 		kvs:     kvs.New(cl, kvsNode, params.KVS),
-		brokers: make(map[int]*Broker),
+		brokers: make([]*Broker, cl.Nodes()),
 	}
 }
 
@@ -238,8 +238,8 @@ func (s *System) SetCapacity(spec *capacity.Spec, met *capacity.Metrics) {
 	cp := *spec // private copy: Provision mutates the budgets at runtime
 	s.capSpec = &cp
 	s.capMet = met
-	for id := 0; id < s.cl.Nodes(); id++ { // deterministic order, never map order
-		if b, ok := s.brokers[id]; ok {
+	for _, b := range s.brokers {
+		if b != nil {
 			b.buildCapacity()
 		}
 	}
@@ -255,8 +255,8 @@ func (s *System) Provision(stagingBytes, cacheBytes int64) {
 	}
 	s.capSpec.StagingBytes = stagingBytes
 	s.capSpec.CacheBytes = cacheBytes
-	for id := 0; id < s.cl.Nodes(); id++ { // deterministic order, never map order
-		if b, ok := s.brokers[id]; ok {
+	for _, b := range s.brokers {
+		if b != nil {
 			b.stagingCap.Resize(stagingBytes)
 			b.cacheCap.Resize(cacheBytes)
 		}
@@ -266,7 +266,7 @@ func (s *System) Provision(stagingBytes, cacheBytes int64) {
 // StagingOccupancy returns node nodeID's staging-store occupancy in bytes
 // (0 when capacity is off or the node has no broker yet).
 func (s *System) StagingOccupancy(nodeID int) int64 {
-	if b, ok := s.brokers[nodeID]; ok {
+	if b := s.brokers[nodeID]; b != nil {
 		return b.stagingCap.Used()
 	}
 	return 0
@@ -274,15 +274,15 @@ func (s *System) StagingOccupancy(nodeID int) int64 {
 
 // Broker returns (creating on first use) the broker on node.
 func (s *System) Broker(node *cluster.Node) *Broker {
-	b, ok := s.brokers[node.ID]
-	if !ok {
+	b := s.brokers[node.ID]
+	if b == nil {
 		b = &Broker{
 			sys:     s,
 			node:    node,
 			staging: xfs.New(node, s.params.Staging),
-			cache:   vfs.NewTree(),
+			cache:   vfs.NewTree(s.cl.Engine()),
 			srv:     sim.NewResource(s.cl.Engine(), node.Name()+"/dyad-broker", 1),
-			locks:   locks.NewManager(s.params.Locks),
+			locks:   locks.NewManager(s.cl.Engine(), s.params.Locks),
 		}
 		if s.capSpec != nil {
 			b.buildCapacity()
@@ -341,7 +341,7 @@ func (b *Broker) Crash(d time.Duration) {
 	if until := b.sys.cl.Engine().Now() + d; until > b.downUntil {
 		b.downUntil = until
 	}
-	b.cache = vfs.NewTree()
+	b.cache = vfs.NewTree(b.sys.cl.Engine())
 	b.cacheCap.Clear() // the lost cache frees its budget (nil-safe)
 	b.sys.Recovery.BrokerRestarts++
 }
@@ -397,12 +397,17 @@ func (c *Client) fallbackFS() vfs.FS {
 	return c.fallback
 }
 
-// NewClient creates a client for processes on node.
+// flowTables is the engines' free list of the clients' synced flows.
+var flowTables = sim.NewFreeList[map[string]bool]()
+
+// NewClient creates a client for processes on node. Its table of synced
+// flows is lent by the cluster's engine (sim.LendMap): the client is
+// valid until the engine's next Reset.
 func (s *System) NewClient(node *cluster.Node) *Client {
 	return &Client{
 		sys:        s,
 		broker:     s.Broker(node),
-		flowSynced: make(map[string]bool),
+		flowSynced: sim.LendMap(flowTables, s.cl.Engine()),
 	}
 }
 

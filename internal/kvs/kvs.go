@@ -8,7 +8,6 @@ package kvs
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -17,8 +16,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrNoSuchKey marks a lookup of a key that has not been committed. Callers
-// test it with errors.Is; the loose WaitFor path is the blocking alternative.
+// ErrNoSuchKey is the error of a lookup of a key that has not been
+// committed. Callers test it with errors.Is; the loose WaitFor path is the
+// blocking alternative. A miss returns it as is, so it costs no allocation:
+// DYAD misses whenever a producer falls behind its consumer.
 var ErrNoSuchKey = errors.New("kvs: no such key")
 
 // Params is the KVS cost model.
@@ -76,15 +77,24 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s.commitLat = reg.Histogram(prefix + "/commit_lat")
 }
 
-// New creates a store hosted on the given node.
+// The engines' free lists of the stores' tables.
+var (
+	dataTables  = sim.NewFreeList[map[string][]byte]()
+	watchTables = sim.NewFreeList[map[string]*sim.Latch]()
+)
+
+// New creates a store hosted on the given node. Its tables are lent by
+// the cluster's engine (sim.LendMap): the store is valid until the
+// engine's next Reset.
 func New(cl *cluster.Cluster, node *cluster.Node, params Params) *Store {
+	e := cl.Engine()
 	return &Store{
 		cl:      cl,
 		node:    node,
 		params:  params,
-		server:  sim.NewResource(cl.Engine(), node.Name()+"/kvs", 1),
-		data:    make(map[string][]byte),
-		watches: make(map[string]*sim.Latch),
+		server:  sim.NewResource(e, node.Name()+"/kvs", 1),
+		data:    sim.LendMap(dataTables, e),
+		watches: sim.LendMap(watchTables, e),
 	}
 }
 
@@ -107,8 +117,8 @@ func (s *Store) Commit(p *sim.Proc, from *cluster.Node, key string, value []byte
 }
 
 // Lookup fetches the value under key. A key that has not been committed
-// returns an error wrapping ErrNoSuchKey (the round trip is still paid: the
-// server answered "not found").
+// returns ErrNoSuchKey (the round trip is still paid: the server answered
+// "not found").
 func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) ([]byte, error) {
 	s.Lookups++
 	v, ok := s.data[key]
@@ -119,12 +129,10 @@ func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) ([]byte, err
 	r := p.Span("kvs", "lookup", trace.ClassDetail)
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes, resp, s.server, s.params.LookupService)
 	r.End(0, key)
-	if ok {
-		p.CritDepend(key, "kvs_lookup")
-	}
 	if !ok {
-		return nil, fmt.Errorf("kvs: lookup %q: %w", key, ErrNoSuchKey)
+		return nil, ErrNoSuchKey
 	}
+	p.CritDepend(key, "kvs_lookup")
 	return v, nil
 }
 

@@ -60,9 +60,13 @@ type waiter struct {
 	mode Mode
 }
 
-// NewManager returns an empty lock table.
-func NewManager(params Params) *Manager {
-	return &Manager{params: params, locks: make(map[string]*pathLock)}
+// lockTables is the engines' free list of lock tables.
+var lockTables = sim.NewFreeList[map[string]*pathLock]()
+
+// NewManager returns an empty lock table for e's current run, on a table
+// e lends (sim.LendMap): the manager is valid until e's next Reset.
+func NewManager(e *sim.Engine, params Params) *Manager {
+	return &Manager{params: params, locks: sim.LendMap(lockTables, e)}
 }
 
 // lockFor returns the entry for a cleaned path, taking one from the free

@@ -11,7 +11,7 @@ import (
 
 func TestSharedLocksCoexist(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	holders := 0
 	maxHolders := 0
 	for i := 0; i < 4; i++ {
@@ -40,7 +40,7 @@ func TestSharedLocksCoexist(t *testing.T) {
 
 func TestExclusiveExcludes(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	inside := 0
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
@@ -69,7 +69,7 @@ func TestSharedBlockedBehindQueuedExclusive(t *testing.T) {
 	// r1 holds shared; w queues exclusive; r2 arriving later must NOT jump
 	// the queue (FIFO prevents writer starvation).
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	var order []string
 	e.Spawn("r1", func(p *sim.Proc) {
 		m.Lock(p, "/f", Shared)
@@ -103,7 +103,7 @@ func TestSharedBlockedBehindQueuedExclusive(t *testing.T) {
 
 func TestDistinctPathsIndependent(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	for i := 0; i < 2; i++ {
 		path := fmt.Sprintf("/f%d", i)
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
@@ -120,7 +120,7 @@ func TestDistinctPathsIndependent(t *testing.T) {
 
 func TestPathSpellingNormalized(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	var got []string
 	e.Spawn("a", func(p *sim.Proc) {
 		m.Lock(p, "/d//f", Exclusive)
@@ -147,7 +147,7 @@ func TestPathSpellingNormalized(t *testing.T) {
 // the free list bounded by the peak number of live locks.
 func TestTableEmptiesAfterBalancedLocks(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	for i := 0; i < 4; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 			for f := 0; f < 100; f++ {
@@ -185,7 +185,7 @@ func TestSteadyLockCycleZeroAllocs(t *testing.T) {
 		paths[i] = fmt.Sprintf("/ensemble/pair%03d/frame%05d.pb", i%4, i)
 	}
 	e := sim.NewEngine(1)
-	m := NewManager(DefaultParams())
+	m := NewManager(e, DefaultParams())
 	var allocs uint64
 	e.Spawn("p", func(p *sim.Proc) {
 		cycle := func() {

@@ -124,9 +124,13 @@ type FS struct {
 	Recovery faults.Metrics
 }
 
+// layouts is the engines' free list of layout tables.
+var layouts = sim.NewFreeList[map[string]int]()
+
 // New builds a Lustre instance with its MDS on mdsNode and one OST on each
 // of ostNodes. Server nodes should be distinct from compute nodes, as in a
-// real center.
+// real center. Its file table and layouts are lent by the cluster's engine
+// (sim.LendMap): the instance is valid until the engine's next Reset.
 func New(cl *cluster.Cluster, mdsNode *cluster.Node, ostNodes []*cluster.Node, params Params) *FS {
 	if len(ostNodes) == 0 {
 		panic("lustre: need at least one OST")
@@ -156,8 +160,8 @@ func New(cl *cluster.Cluster, mdsNode *cluster.Node, ostNodes []*cluster.Node, p
 		params:  params,
 		mdsNode: mdsNode,
 		mds:     sim.NewResource(cl.Engine(), mdsNode.Name()+"/mds", 1),
-		tree:    vfs.NewTree(),
-		layout:  make(map[string]int),
+		tree:    vfs.NewTree(cl.Engine()),
+		layout:  sim.LendMap(layouts, cl.Engine()),
 	}
 	for i, n := range ostNodes {
 		f.osts = append(f.osts, &ost{

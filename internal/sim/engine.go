@@ -106,7 +106,8 @@ type Engine struct {
 	live int32
 	// firing is the sequence number of the event being run (FiringBefore).
 	firing int64
-	// free holds the engine's free lists of chain states (FreeList).
+	// free holds the engine's free lists (FreeList): chain states, and
+	// the tables lent to the current run.
 	free *freeLists
 
 	// Watchdog limits (0 = unlimited); see SetWatchdog.
@@ -189,7 +190,9 @@ func (e *Engine) Prealloc(procs, events int) {
 // every backing array — the event queue, the process table and the
 // profile tables — and the idle coroutines of a retained engine (Retain), so
 // harnesses can reuse one engine across repetitions instead of reallocating
-// the rig per rep (core's pooled RunMany; DESIGN.md §3h). A reset engine is
+// the rig per rep (core's pooled RunMany; DESIGN.md §3h). Every table lent
+// to the ending run (FreeList.Lend) goes back to its free list, for the
+// next run to take. A reset engine is
 // observationally identical to NewEngine(seed): every run-visible field is
 // cleared, and per-process random streams derive only from the seed and the
 // spawn order. Call between Runs only.
@@ -218,6 +221,9 @@ func (e *Engine) Reset(seed uint64) {
 	e.maxEvents, e.maxTime = 0, 0
 	e.sampleEvery, e.sampleNext, e.sampleFn = 0, 0, nil
 	e.pq.reset()
+	if e.free != nil {
+		e.free.reclaim()
+	}
 }
 
 // Now returns the current virtual time.

@@ -2,22 +2,45 @@ package sim
 
 import "sync/atomic"
 
-// FreeList is a free list of T kept with an engine: chain states
-// (package cluster's wires, package lustre's file operations) are taken
-// from the engine that runs the chain and go back to it when the chain is
-// done. A harness that reuses its engine (core's run pools) reuses them
-// too, so a warmed run allocates none, and since only the code an engine
-// is running touches its state, no list takes a lock. Make each list
-// once, in a package-level variable.
+// FreeList is a free list of T kept with an engine. Its values come back
+// to it one of two ways:
+//
+//   - Chain states (package cluster's wires, package lustre's file
+//     operations) are taken with Get by the chain that needs one and Put
+//     back when the chain is done.
+//   - Per-run tables (file tables, layouts, key-value and lock maps) are
+//     lent with Lend, usually through LendMap, and come back by
+//     themselves: the engine's next Reset returns every value it lent.
+//
+// A harness that reuses its engine (core's run pools) reuses both, so a
+// warmed run allocates no chain state and grows no table it grew before,
+// and since only the code an engine is running touches its state, no
+// list takes a lock. A lent value is valid until its engine's next Reset:
+// keep nothing past it. An engine that is never reset, or is dropped,
+// takes its lists to the garbage collector with it. Make each list once,
+// in a package-level variable.
 type FreeList[T any] struct{ slot int }
 
 // freeSlots counts the lists made so far: each gets its own slot in
 // every engine's freeLists.
 var freeSlots atomic.Int32
 
-// freeLists holds an engine's free lists, one slot per FreeList. An
-// engine makes its own on first use, and it lives as long as the engine.
-type freeLists struct{ slots []any }
+// freeLists holds an engine's free lists, one slot per FreeList, and the
+// values lent since its last Reset. An engine makes its own on first use,
+// and it lives as long as the engine.
+type freeLists struct {
+	slots []any
+	lent  []loan
+}
+
+// loan is one lent value and the list it goes back to.
+type loan struct {
+	to giver
+	x  any
+}
+
+// giver is a freeStack of any kind, which takes back a value it lent.
+type giver interface{ give(x any) }
 
 // NewFreeList returns a new, empty list kind.
 func NewFreeList[T any]() FreeList[T] {
@@ -26,6 +49,8 @@ func NewFreeList[T any]() FreeList[T] {
 
 // freeStack is one engine's list of one kind.
 type freeStack[T any] []*T
+
+func (s *freeStack[T]) give(x any) { *s = append(*s, x.(*T)) }
 
 // Get takes a T from e's list, or returns nil when it is empty.
 func (l FreeList[T]) Get(e *Engine) *T {
@@ -45,6 +70,39 @@ func (l FreeList[T]) Get(e *Engine) *T {
 
 // Put gives x to e's list.
 func (l FreeList[T]) Put(e *Engine, x *T) {
+	s := l.stack(e)
+	*s = append(*s, x)
+}
+
+// Lend takes a T from e's list, or a new zero one, for e's current run:
+// e's next Reset gives it back. The T is as its last borrower left it;
+// the taker empties what it reuses (LendMap clears a map, keeping its
+// storage). Values lent in a run come back in reverse order, so a run of
+// the same shape gets each one in the role it had before.
+func (l FreeList[T]) Lend(e *Engine) *T {
+	x := l.Get(e)
+	if x == nil {
+		x = new(T)
+	}
+	s := l.stack(e) // makes e.free on an engine's first lend
+	e.free.lent = append(e.free.lent, loan{to: s, x: x})
+	return x
+}
+
+// LendMap lends an empty map of l's kind for e's current run (Lend): a
+// map an earlier run grew is cleared, and keeps the storage it grew.
+func LendMap[K comparable, V any](l FreeList[map[K]V], e *Engine) map[K]V {
+	m := l.Lend(e)
+	if *m == nil {
+		*m = make(map[K]V)
+	} else {
+		clear(*m)
+	}
+	return *m
+}
+
+// stack returns e's list of l's kind, making it on first use.
+func (l FreeList[T]) stack(e *Engine) *freeStack[T] {
 	if e.free == nil {
 		e.free = new(freeLists)
 	}
@@ -57,5 +115,14 @@ func (l FreeList[T]) Put(e *Engine, x *T) {
 		s = new(freeStack[T])
 		f.slots[l.slot] = s
 	}
-	*s = append(*s, x)
+	return s
+}
+
+// reclaim gives every lent value back to its list, the last lent first.
+func (f *freeLists) reclaim() {
+	for i := len(f.lent) - 1; i >= 0; i-- {
+		f.lent[i].to.give(f.lent[i].x)
+		f.lent[i] = loan{}
+	}
+	f.lent = f.lent[:0]
 }

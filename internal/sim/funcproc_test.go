@@ -237,3 +237,71 @@ func TestCritFuncProcMatchesGoroutineProc(t *testing.T) {
 		t.Fatalf("graph differs:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// YieldThen books what SleepThen(0, fn) would have fired: the same event
+// count, watermark and firing event at every step, and the same watchdog
+// trip when the zero-length hold is the event past the budget. A process
+// spawned after the chain and ticking every 250ns puts an event due at
+// some of its yields, where YieldThen must queue instead: its spawn waits
+// in the same-instant lane at the first, and at 500ns its tick, scheduled
+// after the chain's sleep, waits in the ladder.
+func TestYieldThenBooksTheSleepItStandsFor(t *testing.T) {
+	type mark struct {
+		at               Time
+		events, seq      int64
+		firingBeforeSeq  bool
+		firingBeforeLast bool
+	}
+	run := func(yield bool, maxEvents int64) ([]mark, error) {
+		e := NewEngine(1)
+		e.SetWatchdog(maxEvents, 0)
+		var marks []mark
+		steps := 0
+		var step func(p *Proc)
+		step = func(p *Proc) {
+			last := e.Watermark()
+			for {
+				marks = append(marks, mark{e.Now(), e.Events(), e.Watermark(),
+					e.FiringBefore(last), e.FiringBefore(last - 1)})
+				if steps++; steps == 12 {
+					return
+				}
+				if steps%3 == 0 {
+					p.SleepThen(500*time.Nanosecond, step)
+					return
+				}
+				if !yield {
+					p.SleepThen(0, step)
+					return
+				}
+				if !p.YieldThen(step) {
+					return
+				}
+				last = e.Watermark()
+			}
+		}
+		e.SpawnFunc("chain", step)
+		e.SpawnFunc("ticker", func(p *Proc) {
+			n := 0
+			var tick func(p *Proc)
+			tick = func(p *Proc) {
+				if n++; n < 8 {
+					p.SleepThen(250*time.Nanosecond, tick)
+				}
+			}
+			tick(p)
+		})
+		err := e.Run()
+		return marks, err
+	}
+	for _, budget := range []int64{0, 6, 9} {
+		want, wantErr := run(false, budget)
+		got, gotErr := run(true, budget)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("budget %d: YieldThen steps\n%v\nSleepThen(0) steps\n%v", budget, got, want)
+		}
+		if errors.Is(gotErr, ErrWatchdog) != errors.Is(wantErr, ErrWatchdog) || (budget == 0) != (gotErr == nil) {
+			t.Errorf("budget %d: YieldThen run ends %v, SleepThen(0) run %v", budget, gotErr, wantErr)
+		}
+	}
+}

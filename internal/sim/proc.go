@@ -241,6 +241,29 @@ func (p *Proc) SleepThen(d time.Duration, fn func(p *Proc)) {
 	p.e.scheduleDeliver(p.e.now+d, p.idx)
 }
 
+// YieldThen is SleepThen(0, fn), a zero-length hold that lets every event
+// already due at this instant run before fn, booked without the queue
+// when nothing else is due: when the same-instant lane is empty, the queue
+// holds no event due now, and the watchdog would let the delivery fire,
+// the delivery counts as fired at once. It takes the sequence number it
+// would have had, which becomes the firing one (FiringBefore), and counts
+// toward Events and the watchdog's budget; YieldThen then reports true,
+// and the caller goes on as fn would have. Otherwise it schedules fn as
+// SleepThen does and reports false.
+func (p *Proc) YieldThen(fn func(p *Proc)) bool {
+	p.then(fn)
+	e := p.e
+	if e.failure != nil || (e.maxEvents > 0 && e.fired >= e.maxEvents) || !e.pq.quietAt(e.now) {
+		e.scheduleDeliver(e.now, p.idx)
+		return false
+	}
+	p.cont = nil
+	e.seq++
+	e.firing = e.seq
+	e.fired++
+	return true
+}
+
 //go:noinline
 func (p *Proc) negativeSleep(d time.Duration) {
 	panic(fmt.Sprintf("sim: process %q sleeping negative duration %v", p.name, d))

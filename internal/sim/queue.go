@@ -294,6 +294,20 @@ func (q *eventq) laneFirst() bool {
 	return !q.peekMain().before(&q.lane[q.lh])
 }
 
+// quietAt reports whether no event is pending at now, the current
+// instant: the lane is empty and the ladder's earliest event is later.
+func (q *eventq) quietAt(now Time) bool {
+	switch {
+	case q.ln != 0:
+		return false
+	case q.size == 0:
+		return true
+	case q.nr == 0 && len(q.bottom) == 0:
+		return now < q.topMin // the top band alone, left unspread (laneFirst)
+	}
+	return now < q.peekMain().at
+}
+
 // peekMain returns the ladder's earliest event, priming the bottom band.
 // The ladder must be non-empty.
 func (q *eventq) peekMain() *event {

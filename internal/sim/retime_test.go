@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -182,5 +183,34 @@ func TestFreeListPerEngine(t *testing.T) {
 	}
 	if got := lb.Get(e1); got == nil || got.y != 2 {
 		t.Errorf("the other kind's list: %v", got)
+	}
+}
+
+// A table lent for a run comes back at the engine's next Reset, and not
+// before: a run of the same shape gets each table back in the role it
+// had, emptied, with a new one only for a table it lends beyond those.
+// Another engine lends its own.
+func TestLentTablesComeBackAtReset(t *testing.T) {
+	l := NewFreeList[map[string]int]()
+	id := func(m map[string]int) uintptr { return reflect.ValueOf(m).Pointer() }
+	e := NewEngine(1)
+	a, b := LendMap(l, e), LendMap(l, e)
+	if id(a) == id(b) {
+		t.Fatal("one run was lent one table twice")
+	}
+	a["x"], b["y"], b["z"] = 1, 2, 3
+	if other := LendMap(l, NewEngine(2)); id(other) == id(a) || id(other) == id(b) {
+		t.Error("another engine lent this engine's table")
+	}
+	e.Reset(2)
+	a2, b2, c := LendMap(l, e), LendMap(l, e), LendMap(l, e)
+	if id(a2) != id(a) || id(b2) != id(b) {
+		t.Error("a reset engine lent its tables in other roles")
+	}
+	if len(a2) != 0 || len(b2) != 0 || len(c) != 0 {
+		t.Errorf("lent tables hold %d, %d and %d entries, want none", len(a2), len(b2), len(c))
+	}
+	if id(c) == id(a) || id(c) == id(b) {
+		t.Error("a third table in one run was one already lent")
 	}
 }

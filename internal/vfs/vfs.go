@@ -98,9 +98,14 @@ type Tree struct {
 	files map[string]Payload
 }
 
-// NewTree returns an empty file table.
-func NewTree() *Tree {
-	return &Tree{files: make(map[string]Payload)}
+// fileTables is the engines' free list of file tables.
+var fileTables = sim.NewFreeList[map[string]Payload]()
+
+// NewTree returns an empty file table for e's current run, on a table e
+// lends (sim.LendMap): a warmed engine hands back one an earlier run grew.
+// The tree is valid until e's next Reset.
+func NewTree(e *sim.Engine) *Tree {
+	return &Tree{files: sim.LendMap(fileTables, e)}
 }
 
 // Put stores pl at path (replacing any existing file).

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 // refClean is the split/join Clean with no fast path: the reference the
@@ -43,7 +45,7 @@ func TestCleanPaths(t *testing.T) {
 }
 
 func TestTreePutGetRemove(t *testing.T) {
-	tr := NewTree()
+	tr := NewTree(sim.NewEngine(1))
 	if _, ok := tr.Get("/x"); ok {
 		t.Fatal("empty tree should miss")
 	}
@@ -69,7 +71,7 @@ func TestTreePutGetRemove(t *testing.T) {
 }
 
 func TestTreeListAndTotals(t *testing.T) {
-	tr := NewTree()
+	tr := NewTree(sim.NewEngine(1))
 	tr.Put("/d/1", SizeOnly(10))
 	tr.Put("/d/2", BytesPayload(make([]byte, 20)))
 	tr.Put("/e/3", SizeOnly(30))
@@ -85,7 +87,7 @@ func TestTreeListAndTotals(t *testing.T) {
 // buffer — zero-copy), and Size agrees.
 func TestTreeRoundTripProperty(t *testing.T) {
 	f := func(path string, data []byte) bool {
-		tr := NewTree()
+		tr := NewTree(sim.NewEngine(1))
 		tr.Put(path, BytesPayload(data))
 		got, ok := tr.Get(path)
 		if !ok || got.Size() != int64(len(data)) {

@@ -72,9 +72,11 @@ func (f *FS) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	f.journalLat = reg.Histogram(prefix + "/journal_lat")
 }
 
-// New mounts an XFS instance on the given node's SSD.
+// New mounts an XFS instance on the given node's SSD. Its file table is
+// lent by the node's engine (vfs.NewTree): the instance is valid until the
+// engine's next Reset.
 func New(node *cluster.Node, params Params) *FS {
-	return &FS{node: node, params: params, tree: vfs.NewTree()}
+	return &FS{node: node, params: params, tree: vfs.NewTree(node.Engine())}
 }
 
 // SetCapacity attaches a finite byte budget to the filesystem. Evicted
