@@ -9,7 +9,6 @@ import (
 	"repro/internal/dyad"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/models"
 	"repro/internal/stats"
 )
 
@@ -60,7 +59,8 @@ func RunGoal(id string, o Options) (*experiments.Report, error) {
 // searchXFSBeatsDYAD scans a deterministic scenario grid — output stride
 // (the frame-frequency axis), forced coarse-grained synchronization (the
 // loose-coupling axis), and the all-mechanisms ablation (the transport
-// axis) — for single-node JAC configurations where XFS's overall
+// axis) — around the Fig 5 workload (single-node JAC, 4 pairs; the fig5
+// explain target) for configurations where XFS's overall
 // consumption is faster than DYAD's. The paper's Finding 1 predicts where
 // the reversal lives: take away the loose coupling and DYAD pays its
 // metadata overhead (dyad_produce > raw XFS write) with nothing left to
@@ -72,7 +72,7 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 	noAll.NoBurstBuffer = true
 	noAll.NoDirectTransfer = true
 
-	jac, err := models.ByName("JAC")
+	fig5, err := experiments.ExplainTargetByID("fig5")
 	if err != nil {
 		return nil, err
 	}
@@ -93,17 +93,16 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 	// the same strided model, one repetition each.
 	var cells []experiments.Cell
 	for _, sc := range scenarios {
-		m := jac
-		m.Stride = sc.stride
-		dyCfg := core.Config{
-			Backend: core.DYAD, Model: m, Pairs: 4, SingleNode: true,
-			ForceCoarseSync: sc.coarse,
-		}
+		xfCfg := fig5.Base
+		xfCfg.Model.Stride = sc.stride
+		xfCfg.Backend = core.XFS
+		dyCfg := xfCfg
+		dyCfg.Backend = core.DYAD
+		dyCfg.ForceCoarseSync = sc.coarse
 		if sc.ablated {
 			params := noAll
 			dyCfg.DYADOverride = &params
 		}
-		xfCfg := core.Config{Backend: core.XFS, Model: m, Pairs: 4, SingleNode: true}
 		cells = append(cells, experiments.Cell{Cfg: dyCfg, Reps: 1}, experiments.Cell{Cfg: xfCfg, Reps: 1})
 	}
 	results, err := o.sweep().Run(cells)
@@ -163,16 +162,17 @@ func searchXFSBeatsDYAD(o Options) (*experiments.Report, error) {
 
 // searchFaultBreaks10x bisects the fault-rate axis for the smallest rate
 // at which DYAD's overall-consumption win over a clean Lustre baseline
-// drops below 10x (or DYAD stops surviving at all). The fault mix is the
+// drops below 10x (or DYAD stops surviving at all), on the Fig 6 workload
+// (two-node JAC, 8 pairs; the fig6 explain target). The fault mix is the
 // fault sweep's DYAD mix; recovery runs with the Lustre fallback mirror
 // deployed, so what breaks first is time, not data.
 func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 	o = o.Defaults()
-	jac, err := models.ByName("JAC")
+	fig6, err := experiments.ExplainTargetByID("fig6")
 	if err != nil {
 		return nil, err
 	}
-	const pairs = 8
+	pairs := fig6.Base.Pairs
 	base := faults.Spec{DeviceStalls: 1, LinkDegrades: 2, LinkOutages: 1, BrokerCrashes: 1}
 
 	// meanCons runs o.Reps repetitions of cfg and returns the mean
@@ -193,7 +193,9 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 		return stats.Ratio(sum, float64(ok)), o.Reps - ok, nil
 	}
 
-	luCons, _, err := meanCons(core.Config{Backend: core.Lustre, Model: jac, Pairs: pairs})
+	luCfg := fig6.Base
+	luCfg.Backend = core.Lustre
+	luCons, _, err := meanCons(luCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +208,9 @@ func searchFaultBreaks10x(o Options) (*experiments.Report, error) {
 	}
 	probe := func(rate float64) (broken bool, err error) {
 		spec := base.Scale(rate)
-		cfg := core.Config{Backend: core.DYAD, Model: jac, Pairs: pairs, LustreFallback: true}
+		cfg := fig6.Base
+		cfg.Backend = core.DYAD
+		cfg.LustreFallback = true
 		if rate > 0 {
 			cfg.Faults = &spec
 		}

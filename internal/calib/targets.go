@@ -1,5 +1,7 @@
 package calib
 
+import "repro/internal/experiments"
+
 // Target is one published paper number the objective pulls toward,
 // joined to a measurement by name (experiments.MeasureCalibration emits
 // the measured side under the same names).
@@ -13,33 +15,20 @@ type Target struct {
 	Weight float64
 }
 
-// Targets returns the paper-number fixture: Table I frame sizes (KiB),
-// Table II generation frequencies (seconds), and the Fig 5–6 headline
-// ratios; full adds Fig 7. Values are transcribed from the paper
-// (§IV, Tables I–II, Figures 5–7).
+// Targets returns the objective's targets: experiments.PaperValues(full),
+// the paper side of MeasureCalibration's measurements — Table I frame
+// sizes (KiB), Table II frequencies (seconds) and the Fig 5–6 headline
+// claims, with Fig 7's when full — weighted 0.25 for a table entry and 1
+// for a figure claim. The values themselves are declared in
+// internal/experiments, beside the tables and figures that print them.
 func Targets(full bool) []Target {
-	t := []Target{
-		{"table1.frame_kib.JAC", 644.21, 0.25},
-		{"table1.frame_kib.ApoA1", 2.46 * 1024, 0.25},
-		{"table1.frame_kib.F1 ATPase", 8.75 * 1024, 0.25},
-		{"table1.frame_kib.STMV", 28.48 * 1024, 0.25},
-		{"table2.freq_s.JAC", 0.82, 0.25},
-		{"table2.freq_s.ApoA1", 0.82, 0.25},
-		{"table2.freq_s.F1 ATPase", 0.82, 0.25},
-		{"table2.freq_s.STMV", 0.82, 0.25},
-		{"fig5.prod_total.dyad_over_xfs", 1.4, 1},
-		{"fig5.cons_move.dyad_over_xfs", 1.4, 1},
-		{"fig5.cons_total.xfs_over_dyad", 192.9, 1},
-		{"fig6.prod_move.lustre_over_dyad", 7.5, 1},
-		{"fig6.cons_move.lustre_over_dyad", 6.9, 1},
-		{"fig6.cons_total.lustre_over_dyad", 197.4, 1},
-	}
-	if full {
-		t = append(t,
-			Target{"fig7.prod_move.lustre_over_dyad", 5.3, 1},
-			Target{"fig7.cons_move.lustre_over_dyad", 5.8, 1},
-			Target{"fig7.cons_total.lustre_over_dyad", 192.0, 1},
-		)
+	var t []Target
+	for _, pv := range experiments.PaperValues(full) {
+		w := 0.25
+		if pv.Figure {
+			w = 1
+		}
+		t = append(t, Target{Name: pv.Name, Paper: pv.Paper, Weight: w})
 	}
 	return t
 }

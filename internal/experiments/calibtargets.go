@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/core"
-	"repro/internal/models"
-	"repro/internal/stats"
-)
+import "repro/internal/core"
 
 // CalibMeasurement is one named scalar the calibration objective compares
 // against its paper target: a Table I/II derivation or a Fig 5–7 headline
@@ -22,88 +18,75 @@ type CalibMeasurement struct {
 	NaNs int
 }
 
+// PaperValue is one published number of the paper, under the name of the
+// measurement MeasureCalibration compares with it.
+type PaperValue struct {
+	Name  string
+	Paper float64
+	// Figure marks a figure's headline ratio; the others are Table I/II
+	// entries.
+	Figure bool
+}
+
+// PaperValues returns the paper value of each of MeasureCalibration's
+// measurements, in the same order. The Table I/II values are declared
+// beside Table1 and Table2, the Fig 5–7 claims in the ensemble figures'
+// table (ensembleFigs); these are the only places they are written.
+func PaperValues(full bool) []PaperValue {
+	var pv []PaperValue
+	for _, t := range tableValues() {
+		pv = append(pv, PaperValue{Name: t.name, Paper: t.paper})
+	}
+	for _, f := range ensembleFigs {
+		if f.fullOnly && !full {
+			continue
+		}
+		for _, c := range f.claims {
+			pv = append(pv, PaperValue{Name: c.name, Paper: c.paper, Figure: true})
+		}
+	}
+	return pv
+}
+
 // MeasureCalibration replays the calibration protocol under tune and
 // returns the named measurements in deterministic order. The protocol is
 // the paper comparison set that internal/calib fits against: the Table I/II
 // derivations (pure model arithmetic — they pin the workload, not the
-// hardware) plus the headline ratios of Fig 5 (single-node DYAD vs XFS,
-// 4 pairs) and Fig 6 (two-node DYAD vs Lustre, 8 pairs). When full is set
-// the Fig 7 headline is measured too, on the 64-pair ensemble — the
-// largest size whose cost still tolerates being inside an optimizer loop;
-// the paper's per-pair breakdowns are scale-stable, so the 256-pair
-// headline ratio transfers.
+// hardware) plus the headline claims of each ensemble figure, evaluated on
+// the figure's two cells (DYAD and the other backend) at its last quick
+// size: Fig 5 at 4 pairs and Fig 6 at 8 pairs. Fig 7 is measured only
+// when full is set, on its 64-pair ensemble — the largest size whose cost
+// still tolerates being inside an optimizer loop; the paper's per-pair
+// breakdowns are scale-stable, so the 256-pair headline ratio transfers.
+// PaperValues(full) lists the paper's side in the same order.
 //
 // tune is applied to every Config before it runs (nil means unmodified);
 // it is where calibration installs SpecTune, DYADOverride, and the
-// consumer head start. Everything downstream is the ordinary runAgg path,
-// so measurements here match the figures' own notes byte-for-byte given
-// the same Options.
+// consumer head start. Everything downstream is the ordinary runAgg path
+// and the claims are the figures' own, so at quick Options each Fig 5/6
+// measurement is the ratio its figure's note prints, byte for byte
+// (TestFigureNotesMatchCalibration).
 func MeasureCalibration(o Options, tune func(core.Config) core.Config, full bool) ([]CalibMeasurement, error) {
 	o = o.Defaults()
 	if tune == nil {
-		tune = func(c core.Config) core.Config { return c }
+		tune = untuned
 	}
 	var ms []CalibMeasurement
-	for _, m := range models.Registry() {
-		ms = append(ms, CalibMeasurement{
-			Name: "table1.frame_kib." + m.Name, Value: float64(m.FrameBytes()) / 1024})
+	for _, t := range tableValues() {
+		ms = append(ms, CalibMeasurement{Name: t.name, Value: t.model})
 	}
-	for _, m := range models.Registry() {
-		ms = append(ms, CalibMeasurement{
-			Name: "table2.freq_s." + m.Name, Value: m.DefaultFrequency().Seconds()})
-	}
-
-	jac := mustModel("JAC")
-	run := func(cfg core.Config) (core.Aggregate, error) { return runAgg(tune(cfg), o) }
-	ratio := func(name string, num, den float64, nans int) {
-		ms = append(ms, CalibMeasurement{Name: name, Value: stats.Ratio(num, den), NaNs: nans})
-	}
-
-	dy5, err := run(core.Config{Backend: core.DYAD, Model: jac, Pairs: 4, SingleNode: true})
-	if err != nil {
-		return nil, err
-	}
-	xf5, err := run(core.Config{Backend: core.XFS, Model: jac, Pairs: 4, SingleNode: true})
-	if err != nil {
-		return nil, err
-	}
-	totalNaNs := func(a, b core.Aggregate) int {
-		return a.ConsMovement.NaNs + a.ConsIdle.NaNs + b.ConsMovement.NaNs + b.ConsIdle.NaNs
-	}
-	ratio("fig5.prod_total.dyad_over_xfs", dy5.ProdTotalMean(), xf5.ProdTotalMean(),
-		dy5.ProdMovement.NaNs+dy5.ProdIdle.NaNs+xf5.ProdMovement.NaNs+xf5.ProdIdle.NaNs)
-	ratio("fig5.cons_move.dyad_over_xfs", dy5.ConsMovement.Mean, xf5.ConsMovement.Mean,
-		dy5.ConsMovement.NaNs+xf5.ConsMovement.NaNs)
-	ratio("fig5.cons_total.xfs_over_dyad", xf5.ConsTotalMean(), dy5.ConsTotalMean(), totalNaNs(xf5, dy5))
-
-	dy6, err := run(core.Config{Backend: core.DYAD, Model: jac, Pairs: 8})
-	if err != nil {
-		return nil, err
-	}
-	lu6, err := run(core.Config{Backend: core.Lustre, Model: jac, Pairs: 8})
-	if err != nil {
-		return nil, err
-	}
-	ratio("fig6.prod_move.lustre_over_dyad", lu6.ProdMovement.Mean, dy6.ProdMovement.Mean,
-		lu6.ProdMovement.NaNs+dy6.ProdMovement.NaNs)
-	ratio("fig6.cons_move.lustre_over_dyad", lu6.ConsMovement.Mean, dy6.ConsMovement.Mean,
-		lu6.ConsMovement.NaNs+dy6.ConsMovement.NaNs)
-	ratio("fig6.cons_total.lustre_over_dyad", lu6.ConsTotalMean(), dy6.ConsTotalMean(), totalNaNs(lu6, dy6))
-
-	if full {
-		dy7, err := run(core.Config{Backend: core.DYAD, Model: jac, Pairs: 64})
+	for _, f := range ensembleFigs {
+		if f.fullOnly && !full {
+			continue
+		}
+		aggs, err := f.cells(f.calibCell(), o, tune)
 		if err != nil {
 			return nil, err
 		}
-		lu7, err := run(core.Config{Backend: core.Lustre, Model: jac, Pairs: 64})
-		if err != nil {
-			return nil, err
+		for _, c := range f.claims {
+			v, nans := c.eval(aggs)
+			ms = append(ms, CalibMeasurement{Name: c.name, Value: v, NaNs: nans})
 		}
-		ratio("fig7.prod_move.lustre_over_dyad", lu7.ProdMovement.Mean, dy7.ProdMovement.Mean,
-			lu7.ProdMovement.NaNs+dy7.ProdMovement.NaNs)
-		ratio("fig7.cons_move.lustre_over_dyad", lu7.ConsMovement.Mean, dy7.ConsMovement.Mean,
-			lu7.ConsMovement.NaNs+dy7.ConsMovement.NaNs)
-		ratio("fig7.cons_total.lustre_over_dyad", lu7.ConsTotalMean(), dy7.ConsTotalMean(), totalNaNs(lu7, dy7))
 	}
 	return ms, nil
 }

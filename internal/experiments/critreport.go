@@ -113,23 +113,23 @@ type ExplainTarget struct {
 	Other core.Backend
 }
 
-// ExplainTargets lists the available differential workloads: the largest
-// ensemble of the single-node Fig 5 comparison (DYAD vs XFS) and of the
-// two-node Fig 6 comparison (DYAD vs Lustre).
+// ExplainTargets lists the available differential workloads: the
+// calibration cell of the single-node Fig 5 comparison (DYAD vs XFS) and
+// of the two-node Fig 6 comparison (DYAD vs Lustre), each the figure's
+// largest ensemble.
 func ExplainTargets() []ExplainTarget {
-	jac := mustModel("JAC")
 	return []ExplainTarget{
 		{
-			ID:    "fig5",
+			ID:    fig5Spec.id,
 			Title: "single-node 4-pair JAC workload, DYAD vs XFS (Fig 5 largest ensemble)",
-			Base:  core.Config{Model: jac, Pairs: 4, SingleNode: true},
-			Other: core.XFS,
+			Base:  fig5Spec.calibCell(),
+			Other: fig5Spec.other,
 		},
 		{
-			ID:    "fig6",
+			ID:    fig6Spec.id,
 			Title: "two-node 8-pair JAC workload, DYAD vs Lustre (Fig 6 largest ensemble)",
-			Base:  core.Config{Model: jac, Pairs: 8},
-			Other: core.Lustre,
+			Base:  fig6Spec.calibCell(),
+			Other: fig6Spec.other,
 		},
 	}
 }

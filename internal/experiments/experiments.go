@@ -121,9 +121,9 @@ func All() []Experiment {
 	return []Experiment{
 		{"table1", "Table I: targeted molecular models", Table1},
 		{"table2", "Table II: stride for each molecular model", Table2},
-		{"fig5", "Fig 5: single-node ensemble scaling, DYAD vs XFS (JAC)", Fig5},
-		{"fig6", "Fig 6: two-node ensemble scaling, DYAD vs Lustre (JAC)", Fig6},
-		{"fig7", "Fig 7: multi-node ensemble scaling to 256 pairs, DYAD vs Lustre (JAC)", Fig7},
+		{"fig5", "Fig 5: single-node ensemble scaling, DYAD vs XFS (JAC)", fig5Spec.run},
+		{"fig6", "Fig 6: two-node ensemble scaling, DYAD vs Lustre (JAC)", fig6Spec.run},
+		{"fig7", "Fig 7: multi-node ensemble scaling to 256 pairs, DYAD vs Lustre (JAC)", fig7Spec.run},
 		{"fig8", "Fig 8: molecular model size scaling, DYAD vs Lustre", Fig8},
 		{"fig9", "Fig 9: Thicket call-tree analysis of DYAD (JAC vs STMV)", Fig9},
 		{"fig10", "Fig 10: Thicket call-tree analysis of Lustre (JAC vs STMV)", Fig10},

@@ -73,7 +73,7 @@ func TestTable2FrequenciesEqualized(t *testing.T) {
 }
 
 func TestFig5RowsCoverBothBackendsAndSizes(t *testing.T) {
-	rep, err := Fig5(quickOpts())
+	rep, err := fig5Spec.run(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestHeadStartReachesCallTreeFigures(t *testing.T) {
 }
 
 func TestQuickShrinksFig7(t *testing.T) {
-	rep, err := Fig7(quickOpts())
+	rep, err := fig7Spec.run(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

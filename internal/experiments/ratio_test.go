@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // A headline ratio over a fault-killed or zero baseline is undefined; the
@@ -67,6 +69,45 @@ func TestMeasureCalibrationDeterministicNames(t *testing.T) {
 	for _, name := range want {
 		if !have[name] {
 			t.Errorf("missing measurement %s", name)
+		}
+	}
+}
+
+// Calibration evaluates the figures' own claims on the figures' own
+// largest cells, so at the same quick Options each Fig 5/6 note prints
+// exactly the paper value and measured ratio calibration fits.
+func TestFigureNotesMatchCalibration(t *testing.T) {
+	o := Options{Reps: 1, Frames: 4, Quick: true}
+	ms, err := MeasureCalibration(o, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := map[string]float64{}
+	for _, m := range ms {
+		measured[m.Name] = m.Value
+	}
+	for _, fig := range []*ensembleFig{&fig5Spec, &fig6Spec} {
+		r, err := fig.run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range fig.claims {
+			v, ok := measured[c.name]
+			if !ok {
+				t.Errorf("%s: no calibration measurement", c.name)
+				continue
+			}
+			var note string
+			for _, n := range r.Notes {
+				if strings.HasPrefix(n, c.label+":") {
+					note = n
+				}
+			}
+			paper := fmt.Sprintf("paper %.1fx", c.paper)
+			got := "measured " + stats.FormatRatioPrec(v, 1)
+			if !strings.Contains(note, paper) || !strings.Contains(note, got) {
+				t.Errorf("%s: note %q, want %q and %q", c.name, note, paper, got)
+			}
 		}
 	}
 }

@@ -2,9 +2,35 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/models"
 )
+
+// The paper's Table I frame sizes (KiB) and Table II frequency (seconds,
+// the same for every model).
+var table1PaperKiB = map[string]float64{"JAC": 644.21, "ApoA1": 2.46 * 1024, "F1 ATPase": 8.75 * 1024, "STMV": 28.48 * 1024}
+
+const table2PaperFreqS = 0.82
+
+// tableValue is one Table I/II entry: the paper's number and the model's.
+type tableValue struct {
+	name         string
+	paper, model float64
+}
+
+// tableValues lists Table I's frame sizes (KiB), then Table II's
+// frequencies (seconds), each in Registry order.
+func tableValues() []tableValue {
+	var tv []tableValue
+	for _, m := range models.Registry() {
+		tv = append(tv, tableValue{"table1.frame_kib." + m.Name, table1PaperKiB[m.Name], float64(m.FrameBytes()) / 1024})
+	}
+	for _, m := range models.Registry() {
+		tv = append(tv, tableValue{"table2.freq_s." + m.Name, table2PaperFreqS, m.DefaultFrequency().Seconds()})
+	}
+	return tv
+}
 
 // Table1 regenerates Table I: the molecular model characteristics.
 func Table1(o Options) (*Report, error) {
@@ -13,16 +39,18 @@ func Table1(o Options) (*Report, error) {
 		Title:   "Targeted molecular models",
 		Columns: []string{"Name", "Num Atoms", "Frame size", "Steps/second"},
 	}
+	var paper []string
 	for _, m := range models.Registry() {
 		r.Rows = append(r.Rows, []string{
 			m.Name,
 			fmt.Sprintf("%d", m.Atoms),
-			humanSize(m.FrameBytes()),
+			humanSize(float64(m.FrameBytes())),
 			fmt.Sprintf("%.2f", m.StepsPerSecond),
 		})
+		paper = append(paper, humanSize(table1PaperKiB[m.Name]*1024))
 	}
 	r.Notes = append(r.Notes,
-		"frame sizes derive from the 28-byte/atom wire format; paper values: 644.21 KiB, 2.46 MiB, 8.75 MiB, 28.48 MiB")
+		"frame sizes derive from the 28-byte/atom wire format; paper values: "+strings.Join(paper, ", "))
 	return r, nil
 }
 
@@ -42,17 +70,17 @@ func Table2(o Options) (*Report, error) {
 			fmt.Sprintf("%.2f", m.DefaultFrequency().Seconds()),
 		})
 	}
-	r.Notes = append(r.Notes, "paper frequency column: 0.82 s for every model")
+	r.Notes = append(r.Notes, fmt.Sprintf("paper frequency column: %.2f s for every model", table2PaperFreqS))
 	return r, nil
 }
 
 // humanSize renders bytes in KiB/MiB as the paper does.
-func humanSize(n int64) string {
+func humanSize(n float64) string {
 	switch {
 	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
+		return fmt.Sprintf("%.2f MiB", n/(1<<20))
 	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KiB", float64(n)/(1<<10))
+		return fmt.Sprintf("%.2f KiB", n/(1<<10))
 	}
-	return fmt.Sprintf("%d B", n)
+	return fmt.Sprintf("%.0f B", n)
 }

@@ -2,7 +2,7 @@
 // simulation emits every stride — and its binary wire format. The encoded
 // size is ~28 bytes per atom (a 32-bit atom id plus three float64
 // coordinates), which reproduces the paper's Table I frame sizes
-// (e.g. JAC: 23,558 atoms -> 644.21 KiB).
+// (e.g. JAC: 23,558 atoms -> 644.19 KiB, within 0.01% of Table I).
 package frame
 
 import (

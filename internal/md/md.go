@@ -93,14 +93,6 @@ func NewLattice(n int, density, temp float64, seed uint64) *System {
 // Params returns the active parameters.
 func (s *System) Params() Params { return s.params }
 
-// SetParams replaces the parameters (before running).
-func (s *System) SetParams(p Params) {
-	if p.Cutoff <= 0 || p.Dt <= 0 {
-		panic("md: cutoff and dt must be positive")
-	}
-	s.params = p
-}
-
 // Step returns the number of completed integration steps.
 func (s *System) StepCount() int64 { return s.step }
 

@@ -33,11 +33,6 @@ type Node struct {
 	visits []float64
 }
 
-// MeanDuration returns the node's mean inclusive time.
-func (n *Node) MeanDuration() time.Duration {
-	return time.Duration(n.Total.Mean * float64(time.Second))
-}
-
 // Find returns the first descendant (depth-first, self included) with the
 // given name, or nil.
 func (n *Node) Find(name string) *Node {

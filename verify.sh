@@ -4,8 +4,9 @@
 # Runs the tier-1 gate (build + tests) plus static vetting, the
 # race-enabled suite that locks in the parallel runner's no-shared-state
 # guarantee (see DESIGN.md §3b), stress loops, a fuzz smoke and a bench
-# smoke. Output determinism is checked in Go, by TestOutputDigests
-# (cmd/experiments), not here. Referenced from ROADMAP.md.
+# smoke. Output determinism at the quick protocol is checked in Go, by
+# TestOutputDigests (cmd/experiments); the full protocol is checked here,
+# against the committed results_full.txt. Referenced from ROADMAP.md.
 set -eu
 
 cd "$(dirname "$0")"
@@ -25,6 +26,13 @@ fi
 
 echo "== tier-1: go test ./... =="
 go test ./...
+
+echo "== full protocol: experiments -reps 5 all equals results_full.txt =="
+# results_full.txt is the report EXPERIMENTS.md quotes. TestOutputDigests
+# runs only -quick, so this is the one check of the full-size sweeps (Fig 7
+# at 256 pairs) and of their headline notes; it takes about 10 s. A failed
+# run cuts the report short, so cmp catches that too.
+go run ./cmd/experiments -q -reps 5 all | cmp - results_full.txt
 
 echo "== go vet ./... =="
 go vet ./...
