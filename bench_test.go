@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -120,7 +121,7 @@ func BenchmarkRepeatPooled(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{Backend: DYAD, Model: jac, Pairs: 8, Frames: 16, Seed: 1}
-	benchPooled(b, func() error { _, err := RepeatWorkers(cfg, 8, 1); return err })
+	benchPooled(b, func() error { _, err := core.RepeatWorkers(cfg, 8, 1); return err })
 }
 
 // BenchmarkEnsemblePooled is the perfbench ensemble-1024 workload's shape:
@@ -134,7 +135,7 @@ func BenchmarkEnsemblePooled(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{Backend: DYAD, Model: jac, Pairs: 1024, Frames: 4, Seed: 1, ComputeJitter: 0.004}
-	benchPooled(b, func() error { _, err := RepeatWorkers(cfg, 2, 1); return err })
+	benchPooled(b, func() error { _, err := core.RepeatWorkers(cfg, 2, 1); return err })
 }
 
 // benchPooled times one pooled batch per iteration, reporting

@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		quiet      = fs.Bool("q", false, "suppress per-experiment progress on stderr")
 		memstats   = fs.Bool("memstats", false, "report per-experiment host allocation deltas on stderr")
 		traceOut   = fs.String("trace", "", "record virtual-time span traces: write a Chrome trace-event JSON file here and emit per-experiment time-breakdown reports")
-		traceStrm  = fs.String("trace-stream", "", "like -trace but bounded-memory: stream spans into the Chrome trace file as they are emitted (same bytes; no breakdown reports)")
+		traceStrm  = fs.String("trace-stream", "", "like -trace but bounded-memory: stream spans into the Chrome trace file as they are emitted (same bytes, plus the partial block of any run a fault or capacity kill cut short; no breakdown reports)")
 		metricsOut = fs.String("metrics", "", "sample virtual-time resource metrics: write a time-series CSV file here and emit per-experiment utilization dashboards")
 		promOut    = fs.String("metrics-prom", "", "with metrics sampling, also write an end-of-run Prometheus text-format snapshot here")
 		metricsStm = fs.String("metrics-stream", "", "like -metrics but bounded-memory: stream samples into the CSV file as they are taken (same bytes; no dashboards or -metrics-prom)")

@@ -1,145 +1,455 @@
 package repro
 
 import (
+	"errors"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// uncalledAllowed names the internal packages whose package-level
-// declarations may go without a non-test caller, each with its reason.
+// uncalledAllowed names the internal packages whose declarations may go
+// without a caller, each with its reason.
 var uncalledAllowed = map[string]string{
-	"internal/wfm": "the DAG workflow manager is the reference core's TestCoarseCouplingMatchesDAGChain checks the pair gate against; only tests run it",
+	"internal/wfm": "the DAG workflow manager is the reference that its own TestCoarseCouplingMatchesDAGChain checks core's coarse coupling against; only tests run it",
 }
 
-// Every package-level func, type, var and const under internal/ must be
-// referenced by some non-test file of the module: cmd, examples and
-// perfbench included. A reference is a pkg.Name selector from another
-// package or, within the declaring package, any identifier of that name
-// other than the declaration itself. The scan is syntactic (go/parser,
-// no type checker), so it cannot decide methods, which interfaces may
-// call; they are out of its scope.
+// facadeAllowed names the funcs and consts of package repro that no other
+// package has to name, each with its reason.
+var facadeAllowed = map[string]string{
+	"ReleasePools": "the only way a long-lived caller frees the parked goroutines that RunMany keeps; core's TestRunPoolLifecycle checks it",
+}
+
+// TestInternalDeclarationsHaveCallers type-checks the module (go/types,
+// standard library only, offline) and holds every declaration to one
+// caller rule. A package-level func, type, var or const under internal/,
+// and every exported method there (interface methods included), passes
+// when at least one of these holds:
+//
+//  1. a non-test file anywhere in the module uses it, outside its own
+//     body: cmd, examples, perfbench and the root package count;
+//  2. it is a method that implements a method of an interface that passes:
+//     every standard-library interface passes, a module interface only if
+//     its own method does;
+//  3. a test file of another package uses it (a cross-package seam).
+//
+// A method that only its own package's tests call fails. Each func and
+// const of the repro facade must be named by a non-test file of another
+// package; its type aliases and error sentinels are exempt, since they name
+// what the kept exports hand out.
 func TestInternalDeclarationsHaveCallers(t *testing.T) {
-	type file struct {
-		dir string // slash-separated, relative to the module root
-		f   *ast.File
-	}
-	fset := token.NewFileSet()
-	var files []file
-	pkgName := map[string]string{} // dir -> package name
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		files = append(files, file{dir, f})
-		pkgName[dir] = f.Name.Name
-		return nil
-	})
-	if err != nil {
+	l := newModuleLoader()
+	if err := l.loadModule("."); err != nil {
 		t.Fatal(err)
 	}
 
-	type key struct{ dir, name string }
-	decls := map[key]token.Pos{}
-	declIdent := map[*ast.Ident]bool{}
-	declare := func(dir string, id *ast.Ident) {
-		if id.Name == "_" || id.Name == "init" {
-			return
+	used := map[types.Object]bool{}        // rules 1 and 3
+	usedOutside := map[types.Object]bool{} // non-test uses from another package
+	for _, m := range l.mods {
+		for id, obj := range m.info.Uses {
+			obj = origin(obj)
+			if body, ok := l.bodies[obj]; ok && body[0] <= id.Pos() && id.Pos() < body[1] {
+				continue // a recursive call is no caller
+			}
+			used[obj] = true
+			if obj.Pkg() != nil && obj.Pkg() != m.pkg {
+				usedOutside[obj] = true
+			}
 		}
-		decls[key{dir, id.Name}] = id.Pos()
-		declIdent[id] = true
 	}
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.dir, "internal/") {
-			continue
-		}
-		for _, d := range fl.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					declare(fl.dir, d.Name)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						declare(fl.dir, s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declare(fl.dir, id)
-						}
-					}
+	for _, m := range l.mods {
+		for _, test := range m.tests {
+			for _, obj := range test.Uses {
+				// An in-package test check re-checks the package's own
+				// files too, but their objects are copies that never
+				// match a declaration; another package's objects are
+				// shared, and uses of them from non-test files count
+				// under rule 1 already.
+				if obj = origin(obj); obj.Pkg() != nil && modDir(obj.Pkg().Path()) != m.dir {
+					used[obj] = true
 				}
 			}
 		}
 	}
+	if len(l.testErrs) > 0 {
+		t.Fatalf("type-checking the tests: %v", errors.Join(l.testErrs...))
+	}
 
-	used := map[key]bool{}
-	for _, fl := range files {
-		imports := map[string]string{} // local name -> dir
-		for _, imp := range fl.f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			rel, ok := strings.CutPrefix(ip, "repro/")
-			if !ok {
+	// Rule 2: a method passes through an interface it implements.
+	implements := l.implementations()
+	for changed := true; changed; {
+		changed = false
+		for m, ifaceMethods := range implements {
+			if used[m] {
 				continue
 			}
-			name := pkgName[rel]
-			if imp.Name != nil {
-				name = imp.Name.Name
+			for _, im := range ifaceMethods {
+				if used[im] || modDir(im.Pkg().Path()) == "" {
+					used[m] = true
+					changed = true
+					break
+				}
 			}
-			imports[name] = rel
 		}
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						used[key{dir, n.Sel.Name}] = true
-					}
-				}
-			case *ast.Ident:
-				if !declIdent[n] {
-					used[key{fl.dir, n.Name}] = true
-				}
-			}
-			return true
-		})
 	}
 
-	var uncalled []string
-	for k, pos := range decls {
-		if used[k] {
+	var failures []string
+	report := func(obj types.Object, name, why string) {
+		p := l.fset.Position(obj.Pos())
+		failures = append(failures, p.Filename+":"+strconv.Itoa(p.Line)+": "+name+" "+why)
+	}
+	for _, m := range l.mods {
+		if !strings.HasPrefix(m.dir, "internal/") {
 			continue
 		}
-		if _, ok := uncalledAllowed[k.dir]; ok {
+		if _, ok := uncalledAllowed[m.dir]; ok {
 			continue
 		}
-		p := fset.Position(pos)
-		uncalled = append(uncalled, p.Filename+":"+strconv.Itoa(p.Line)+": "+path.Base(k.dir)+"."+k.name)
+		for _, obj := range declared(m.pkg) {
+			if !used[obj] {
+				report(obj, qualified(obj), "has no caller outside tests")
+			}
+		}
 	}
-	sort.Strings(uncalled)
-	for _, u := range uncalled {
-		t.Errorf("%s has no caller outside tests", u)
+	facade := l.byDir["."].pkg
+	for _, name := range facade.Scope().Names() {
+		obj := facade.Scope().Lookup(name)
+		switch obj.(type) {
+		case *types.Func, *types.Const:
+		default:
+			continue
+		}
+		if _, ok := facadeAllowed[name]; ok || !obj.Exported() || usedOutside[obj] {
+			continue
+		}
+		report(obj, "repro."+name, "is named by no other package's non-test file")
 	}
+	sort.Strings(failures)
+	for _, f := range failures {
+		t.Error(f)
+	}
+}
+
+// origin maps an instantiated generic func or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// modDir is the module directory of an import path under repro, or "" for
+// any other path.
+func modDir(importPath string) string {
+	if importPath == "repro" {
+		return "."
+	}
+	if rest, ok := strings.CutPrefix(importPath, "repro/"); ok {
+		return rest
+	}
+	return ""
+}
+
+// qualified names obj as pkg.Name, pkg.T.M or pkg.(*T).M.
+func qualified(obj types.Object) string {
+	name := obj.Pkg().Name() + "."
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			rt := recv.Type()
+			ptr, isPtr := rt.(*types.Pointer)
+			if isPtr {
+				rt = ptr.Elem()
+			}
+			tn := rt.(*types.Named).Obj().Name()
+			if isPtr {
+				tn = "(*" + tn + ")"
+			}
+			name += tn + "."
+		}
+	}
+	return name + obj.Name()
+}
+
+// modPkg is one module package: its non-test check and the Uses of its
+// test checks (in-package and external).
+type modPkg struct {
+	dir   string
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
+	bp    *build.Package
+	tests []*types.Info
+}
+
+// moduleLoader type-checks the module's packages from source, and the
+// standard library from GOROOT with function bodies skipped.
+type moduleLoader struct {
+	fset     *token.FileSet
+	ctxt     build.Context
+	byDir    map[string]*modPkg
+	mods     []*modPkg // in dependency order
+	std      map[string]*types.Package
+	bodies   map[types.Object][2]token.Pos // module func -> its body's extent
+	testErrs []error
+}
+
+func newModuleLoader() *moduleLoader {
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	return &moduleLoader{
+		fset:   token.NewFileSet(),
+		ctxt:   ctxt,
+		byDir:  map[string]*modPkg{},
+		std:    map[string]*types.Package{},
+		bodies: map[types.Object][2]token.Pos{},
+	}
+}
+
+// Import resolves repro/... to the module and every other path to GOROOT.
+func (l *moduleLoader) Import(importPath string) (*types.Package, error) {
+	if importPath == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if dir := modDir(importPath); dir != "" {
+		m, err := l.module(dir)
+		if err != nil {
+			return nil, err
+		}
+		return m.pkg, nil
+	}
+	if p, ok := l.std[importPath]; ok {
+		return p, nil
+	}
+	dir := filepath.Join(l.ctxt.GOROOT, "src", importPath)
+	bp, err := l.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		dir = filepath.Join(l.ctxt.GOROOT, "src", "vendor", importPath)
+		if bp, err = l.ctxt.ImportDir(dir, 0); err != nil {
+			return nil, err
+		}
+	}
+	files, err := l.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{
+		Importer:         l,
+		IgnoreFuncBodies: true,
+		FakeImportC:      true,
+		Sizes:            types.SizesFor(l.ctxt.Compiler, l.ctxt.GOARCH),
+		Error:            func(error) {}, // declarations are all the scan needs
+	}
+	p, _ := conf.Check(importPath, l.fset, files, nil)
+	l.std[importPath] = p
+	return p, nil
+}
+
+// parse parses the named files of dir, concurrently: parsing is most of
+// the scan's time.
+func (l *moduleLoader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			files[i], errs[i] = parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		}()
+	}
+	wg.Wait()
+	return files, errors.Join(errs...)
+}
+
+// module type-checks the non-test files of the package in dir once.
+func (l *moduleLoader) module(dir string) (*modPkg, error) {
+	if m, ok := l.byDir[dir]; ok {
+		if m.pkg == nil {
+			return nil, errors.New("import cycle through " + dir)
+		}
+		return m, nil
+	}
+	bp, err := l.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	m := &modPkg{dir: dir, bp: bp}
+	l.byDir[dir] = m
+	if m.files, err = l.parse(dir, bp.GoFiles); err != nil {
+		return nil, err
+	}
+	importPath := "repro"
+	if dir != "." {
+		importPath += "/" + dir
+	}
+	m.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: l}
+	if m.pkg, err = conf.Check(importPath, l.fset, m.files, m.info); err != nil {
+		return nil, err
+	}
+	for _, f := range m.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				l.bodies[m.info.Defs[fd.Name]] = [2]token.Pos{fd.Body.Pos(), fd.Body.End()}
+			}
+		}
+	}
+	l.mods = append(l.mods, m)
+	return m, nil
+}
+
+// loadModule checks every package under root, then each one's tests.
+func (l *moduleLoader) loadModule(root string) error {
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		var noGo *build.NoGoError
+		if _, err := l.module(filepath.ToSlash(p)); err != nil && !errors.As(err, &noGo) {
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, m := range l.mods {
+		if len(m.bp.TestGoFiles) > 0 {
+			tests, err := l.parse(m.dir, m.bp.TestGoFiles)
+			if err != nil {
+				return err
+			}
+			l.checkTest(m, m.pkg.Path(), append(tests, m.files...))
+		}
+		if len(m.bp.XTestGoFiles) > 0 {
+			tests, err := l.parse(m.dir, m.bp.XTestGoFiles)
+			if err != nil {
+				return err
+			}
+			l.checkTest(m, m.pkg.Path()+"_test", tests)
+		}
+	}
+	return nil
+}
+
+// checkTest type-checks one test package of m and keeps its Uses; its
+// type errors fail the scan.
+func (l *moduleLoader) checkTest(m *modPkg, importPath string, files []*ast.File) {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: l, Error: func(err error) { l.testErrs = append(l.testErrs, err) }}
+	conf.Check(importPath, l.fset, files, info)
+	m.tests = append(m.tests, info)
+}
+
+// declared lists what the rule checks in pkg: every package-level object
+// and every exported method of its named types.
+func declared(pkg *types.Package) []types.Object {
+	var objs []types.Object
+	for _, name := range pkg.Scope().Names() {
+		obj := pkg.Scope().Lookup(name)
+		objs = append(objs, obj)
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named := tn.Type().(*types.Named)
+		if iface, ok := named.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumExplicitMethods(); i++ {
+				if m := iface.ExplicitMethod(i); m.Exported() {
+					objs = append(objs, m)
+				}
+			}
+			continue
+		}
+		for i := 0; i < named.NumMethods(); i++ {
+			if m := named.Method(i); m.Exported() {
+				objs = append(objs, m)
+			}
+		}
+	}
+	return objs
+}
+
+// implementations maps each method of a module named type to the
+// interface methods it implements: those of every named interface of the
+// standard library packages loaded, and of every module interface, named
+// or literal.
+func (l *moduleLoader) implementations() map[types.Object][]types.Object {
+	var ifaces []types.Type
+	seen := map[types.Type]bool{}
+	addIface := func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+			if named, ok := t.(*types.Named); !ok || named.TypeParams().Len() == 0 {
+				ifaces = append(ifaces, t)
+			}
+		}
+	}
+	for _, p := range l.std {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				addIface(tn.Type())
+			}
+		}
+	}
+	for _, m := range l.mods {
+		for _, obj := range m.info.Defs {
+			if fn, ok := obj.(*types.Func); ok {
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					addIface(recv.Type())
+				}
+			}
+		}
+	}
+
+	edges := map[types.Object][]types.Object{}
+	for _, m := range l.mods {
+		for _, name := range m.pkg.Scope().Names() {
+			tn, ok := m.pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if named.TypeParams().Len() > 0 {
+				continue
+			}
+			var t types.Type = named
+			if !types.IsInterface(named) {
+				t = types.NewPointer(named)
+			}
+			mset := types.NewMethodSet(t)
+			for _, it := range ifaces {
+				if it == types.Type(named) {
+					continue
+				}
+				iface := it.Underlying().(*types.Interface)
+				if mset.Lookup(iface.Method(0).Pkg(), iface.Method(0).Name()) == nil || !types.Implements(t, iface) {
+					continue
+				}
+				for i := 0; i < iface.NumMethods(); i++ {
+					im := iface.Method(i)
+					sel := mset.Lookup(im.Pkg(), im.Name())
+					edges[sel.Obj()] = append(edges[sel.Obj()], im)
+				}
+			}
+		}
+	}
+	return edges
 }

@@ -94,6 +94,9 @@ func runPostProcessing(model models.Model, payload *frame.Frame) (first, last ti
 			}
 		}
 		last = p.Now()
+		if err := r.Close(p); err != nil {
+			panic(err)
+		}
 	})
 	if err := e.Run(); err != nil {
 		log.Fatal(err)

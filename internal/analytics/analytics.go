@@ -211,6 +211,3 @@ func (c *ChangeDetector) Observe(x float64) bool {
 // a value matching a zero-variance history, +Inf for a value departing a
 // zero-variance history.
 func (c *ChangeDetector) ZScore() float64 { return c.lastZScore }
-
-// Count returns the number of observations so far.
-func (c *ChangeDetector) Count() int { return c.n }

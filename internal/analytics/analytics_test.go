@@ -107,8 +107,8 @@ func TestChangeDetectorFlagsJump(t *testing.T) {
 	if !cd.Observe(25) {
 		t.Fatalf("jump to 25 not detected (z=%v)", cd.ZScore())
 	}
-	if cd.Count() != len(vals)+1 {
-		t.Fatalf("count %d", cd.Count())
+	if cd.n != len(vals)+1 {
+		t.Fatalf("count %d", cd.n)
 	}
 }
 

@@ -22,8 +22,8 @@ func TestChangeDetectorRampNoDetection(t *testing.T) {
 			t.Fatalf("ramp flagged at sample %d (z=%.2f)", i, det.ZScore())
 		}
 	}
-	if det.Count() != 200 {
-		t.Fatalf("count = %d, want 200", det.Count())
+	if det.n != 200 {
+		t.Fatalf("count = %d, want 200", det.n)
 	}
 }
 

@@ -156,22 +156,6 @@ func TestTuneAppliesEveryLayer(t *testing.T) {
 	}
 }
 
-func TestFitParamLookup(t *testing.T) {
-	f := &Fit{Space: Space{Params: []Param{{Name: ParamHeadStart}}}, Best: []float64{0.375}}
-	if v, ok := f.Param(ParamHeadStart); !ok || v != 0.375 {
-		t.Errorf("Param = %g, %v", v, ok)
-	}
-	if _, ok := f.Param("no.such"); ok {
-		t.Error("Param found an absent name")
-	}
-	if hs := f.HeadStart(); hs != 375*time.Millisecond {
-		t.Errorf("HeadStart = %v", hs)
-	}
-	if hs := (&Fit{}).HeadStart(); hs != 0 {
-		t.Errorf("HeadStart without the param = %v", hs)
-	}
-}
-
 func TestRunGoalUnknown(t *testing.T) {
 	_, err := RunGoal("no-such-goal", Options{})
 	if err == nil {

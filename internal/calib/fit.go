@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -86,26 +85,6 @@ type Fit struct {
 	Evals, CacheHits int
 	// Measurements are the measured values at Best, in protocol order.
 	Measurements []experiments.CalibMeasurement
-}
-
-// Param returns the fitted value of the named parameter.
-func (f *Fit) Param(name string) (float64, bool) {
-	for i, p := range f.Space.Params {
-		if p.Name == name {
-			return f.Best[i], true
-		}
-	}
-	return 0, false
-}
-
-// HeadStart returns the fitted consumer head start (zero if the space
-// does not tune one).
-func (f *Fit) HeadStart() time.Duration {
-	v, ok := f.Param(ParamHeadStart)
-	if !ok {
-		return 0
-	}
-	return time.Duration(math.Round(v * float64(time.Second)))
 }
 
 // objective scores measurements against targets: the weighted mean of

@@ -24,15 +24,6 @@ type Node struct {
 	Children []*Node       `json:"children,omitempty"`
 }
 
-// Exclusive returns the node's time not attributed to children.
-func (n *Node) Exclusive() time.Duration {
-	t := n.Total
-	for _, c := range n.Children {
-		t -= c.Total
-	}
-	return t
-}
-
 // Find returns the first descendant (depth-first) named name, or nil.
 func (n *Node) Find(name string) *Node {
 	if n.Name == name {
@@ -44,19 +35,6 @@ func (n *Node) Find(name string) *Node {
 		}
 	}
 	return nil
-}
-
-// Walk visits n and every descendant with its slash-joined call path.
-func (n *Node) Walk(fn func(path string, node *Node)) {
-	n.walk("", fn)
-}
-
-func (n *Node) walk(prefix string, fn func(string, *Node)) {
-	path := prefix + "/" + n.Name
-	fn(path, n)
-	for _, c := range n.Children {
-		c.walk(path, fn)
-	}
 }
 
 // Profile is a finished per-process call-path profile.

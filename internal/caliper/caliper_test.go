@@ -58,20 +58,6 @@ func TestRenderShowsTree(t *testing.T) {
 	}
 }
 
-func TestWalkPaths(t *testing.T) {
-	var paths []string
-	profile(node("a", 0, node("b", 0))).Root.Walk(func(path string, _ *Node) { paths = append(paths, path) })
-	want := map[string]bool{"/p0": true, "/p0/a": true, "/p0/a/b": true}
-	for _, p := range paths {
-		if !want[p] {
-			t.Fatalf("unexpected path %q in %v", p, paths)
-		}
-	}
-	if len(paths) != 3 {
-		t.Fatalf("paths %v", paths)
-	}
-}
-
 func TestTotalOfSumsAcrossPaths(t *testing.T) {
 	p := profile(
 		node("a", time.Millisecond, node("io", time.Millisecond)),

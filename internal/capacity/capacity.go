@@ -111,8 +111,6 @@ type Entry struct {
 // when the policy refuses — the store then applies back-pressure, or evicts
 // unconditionally with forced=true on a shrinking provision).
 type Evictor interface {
-	// Name returns the policy name (a Spec.Policy value).
-	Name() string
 	// Reset empties the policy state (broker crash wiping a cache).
 	Reset()
 	// Added records a newly inserted entry.
@@ -174,8 +172,7 @@ func (l *entryList) front() *Entry {
 // lruEvictor keeps entries in access order (front = coldest).
 type lruEvictor struct{ l entryList }
 
-func (e *lruEvictor) Name() string { return PolicyLRU }
-func (e *lruEvictor) Reset()       { e.l.init() }
+func (e *lruEvictor) Reset() { e.l.init() }
 func (e *lruEvictor) Added(en *Entry) {
 	e.l.pushBack(en)
 }
@@ -193,7 +190,6 @@ func (e *lruEvictor) Victim(forced bool) *Entry {
 // the oldest entry regardless.
 type consumedDropEvictor struct{ l entryList }
 
-func (e *consumedDropEvictor) Name() string       { return PolicyConsumedDrop }
 func (e *consumedDropEvictor) Reset()             { e.l.init() }
 func (e *consumedDropEvictor) Added(en *Entry)    { e.l.pushBack(en) }
 func (e *consumedDropEvictor) Accessed(en *Entry) {}
@@ -258,36 +254,12 @@ func NewStore(name string, capBytes int64, ev Evictor, cache bool, met *Metrics,
 	}
 }
 
-// Name returns the store's display name ("" on a nil store).
-func (s *Store) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Cap returns the current byte budget (0 = infinite; 0 on a nil store).
-func (s *Store) Cap() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.capBytes
-}
-
 // Used returns the resident byte occupancy (0 on a nil store).
 func (s *Store) Used() int64 {
 	if s == nil {
 		return 0
 	}
 	return s.used
-}
-
-// Len returns the number of resident frames (0 on a nil store).
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.entries)
 }
 
 // Reserve claims n bytes for path before the backend writes it, evicting
@@ -532,23 +504,6 @@ type Metrics struct {
 	StallNanos int64
 	// NoSpace counts writes rejected with ErrNoSpace.
 	NoSpace int64
-}
-
-// Add accumulates o into m.
-func (m *Metrics) Add(o Metrics) {
-	m.Evictions += o.Evictions
-	m.EvictedBytes += o.EvictedBytes
-	m.SpilledFrames += o.SpilledFrames
-	m.SpilledBytes += o.SpilledBytes
-	m.DroppedFrames += o.DroppedFrames
-	m.DroppedBytes += o.DroppedBytes
-	m.ForcedEvictions += o.ForcedEvictions
-	m.CacheEvictions += o.CacheEvictions
-	m.CacheEvictedBytes += o.CacheEvictedBytes
-	m.CacheBypasses += o.CacheBypasses
-	m.Stalls += o.Stalls
-	m.StallNanos += o.StallNanos
-	m.NoSpace += o.NoSpace
 }
 
 // Zero reports whether no capacity pressure was recorded.

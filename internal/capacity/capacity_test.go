@@ -29,8 +29,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 			t.Fatalf("Reserve(%s): %v", p, err)
 		}
 	}
-	if s.Used() != 30 || s.Len() != 3 {
-		t.Fatalf("Used=%d Len=%d, want 30/3", s.Used(), s.Len())
+	if s.Used() != 30 || len(s.entries) != 3 {
+		t.Fatalf("Used=%d Len=%d, want 30/3", s.Used(), len(s.entries))
 	}
 
 	// Refresh "a": the coldest entry is now "b".
@@ -113,8 +113,8 @@ func TestOverwriteReleasesOldBytes(t *testing.T) {
 	if err := s.Reserve(nil, "a", 20); err != nil {
 		t.Fatalf("overwrite: %v", err)
 	}
-	if s.Used() != 20 || s.Len() != 1 || s.met.Evictions != 0 {
-		t.Fatalf("Used=%d Len=%d Evictions=%d after overwrite", s.Used(), s.Len(), s.met.Evictions)
+	if s.Used() != 20 || len(s.entries) != 1 || s.met.Evictions != 0 {
+		t.Fatalf("Used=%d Len=%d Evictions=%d after overwrite", s.Used(), len(s.entries), s.met.Evictions)
 	}
 }
 
@@ -138,12 +138,12 @@ func TestRemoveAndClear(t *testing.T) {
 		t.Fatalf("State(a) after Remove = %v, want unknown", s.State("a"))
 	}
 	s.Remove("b")
-	if s.Used() != 10 || s.Len() != 1 {
-		t.Fatalf("Used=%d Len=%d after Remove(b)", s.Used(), s.Len())
+	if s.Used() != 10 || len(s.entries) != 1 {
+		t.Fatalf("Used=%d Len=%d after Remove(b)", s.Used(), len(s.entries))
 	}
 	s.Clear()
-	if s.Used() != 0 || s.Len() != 0 || s.State("c") != StateUnknown {
-		t.Fatalf("Clear left Used=%d Len=%d State(c)=%v", s.Used(), s.Len(), s.State("c"))
+	if s.Used() != 0 || len(s.entries) != 0 || s.State("c") != StateUnknown {
+		t.Fatalf("Clear left Used=%d Len=%d State(c)=%v", s.Used(), len(s.entries), s.State("c"))
 	}
 }
 
@@ -156,8 +156,8 @@ func TestResize(t *testing.T) {
 	}
 	// Infinite budget tracked 40 B; shrinking to 25 must force out a and b.
 	s.Resize(25)
-	if s.Used() != 20 || s.Len() != 2 {
-		t.Fatalf("Used=%d Len=%d after shrink, want 20/2", s.Used(), s.Len())
+	if s.Used() != 20 || len(s.entries) != 2 {
+		t.Fatalf("Used=%d Len=%d after shrink, want 20/2", s.Used(), len(s.entries))
 	}
 	if s.met.ForcedEvictions != 2 {
 		t.Fatalf("ForcedEvictions = %d, want 2", s.met.ForcedEvictions)
@@ -166,8 +166,8 @@ func TestResize(t *testing.T) {
 		t.Fatalf("states a=%v c=%v after shrink", s.State("a"), s.State("c"))
 	}
 	s.Resize(0) // back to infinite
-	if s.Cap() != 0 {
-		t.Fatalf("Cap = %d after Resize(0)", s.Cap())
+	if s.capBytes != 0 {
+		t.Fatalf("Cap = %d after Resize(0)", s.capBytes)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestNilStoreSafe(t *testing.T) {
 	s.Remove("a")
 	s.Resize(10)
 	s.Clear()
-	if s.Name() != "" || s.Cap() != 0 || s.Used() != 0 || s.Len() != 0 {
-		t.Fatal("nil getters not zero")
+	if s.Used() != 0 {
+		t.Fatal("nil Used not zero")
 	}
 	if s.State("a") != StateUnknown {
 		t.Fatal("nil State not unknown")
@@ -329,13 +329,13 @@ func TestNewEvictorUnknownPanics(t *testing.T) {
 	NewEvictor("fifo")
 }
 
-func TestMetricsAddStringZero(t *testing.T) {
+func TestMetricsStringZero(t *testing.T) {
 	var m Metrics
 	if !m.Zero() {
 		t.Fatal("zero Metrics not Zero")
 	}
-	m.Add(Metrics{Evictions: 2, EvictedBytes: 20, SpilledFrames: 1, SpilledBytes: 10,
-		Stalls: 3, StallNanos: int64(time.Second), NoSpace: 1})
+	m = Metrics{Evictions: 2, EvictedBytes: 20, SpilledFrames: 1, SpilledBytes: 10,
+		Stalls: 3, StallNanos: int64(time.Second), NoSpace: 1}
 	if m.Zero() {
 		t.Fatal("populated Metrics Zero")
 	}

@@ -123,9 +123,6 @@ func (s *SSD) Fail() { s.failed = true }
 // Repair returns a failed device to service.
 func (s *SSD) Repair() { s.failed = false }
 
-// Failed reports whether the device is currently failed.
-func (s *SSD) Failed() bool { return s.failed }
-
 // fail charges the caller the device's fixed latency (the time a request
 // takes to come back with EIO) and returns the wrapped sentinel.
 func (s *SSD) fail(p *sim.Proc, op string, lat time.Duration) error {
@@ -257,9 +254,6 @@ func (n *Node) nicScale(d time.Duration) time.Duration {
 
 // Name returns a stable display name.
 func (n *Node) Name() string { return fmt.Sprintf("node%d", n.ID) }
-
-// NIC exposes the node's NIC resource.
-func (n *Node) NIC() *sim.Resource { return n.nic }
 
 // Engine returns the engine the node's cluster runs on.
 func (n *Node) Engine() *sim.Engine { return n.cl.e }

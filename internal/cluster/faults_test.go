@@ -17,7 +17,7 @@ func TestSSDFailReturnsSentinelAndRepairs(t *testing.T) {
 	var failTook time.Duration
 	e.Spawn("io", func(p *sim.Proc) {
 		ssd.Fail()
-		if !ssd.Failed() {
+		if !ssd.failed {
 			t.Error("Fail did not mark the device failed")
 		}
 		t0 := p.Now()

@@ -3,10 +3,7 @@ package cluster
 // This file gives the hardware profile a reflective parameter surface: every
 // scalar of the cost model is addressable by a stable dotted name in SI units
 // (seconds, bytes per second). The calibration harness (internal/calib)
-// perturbs specs through SetParam inside its optimization loop, and
-// EncodeParams gives fit reports a deterministic serialization of a profile —
-// sorted name order, %g rendering — so two fits that landed on the same spec
-// produce byte-identical output.
+// perturbs specs through SetParam inside its optimization loop.
 
 import (
 	"fmt"
@@ -107,20 +104,6 @@ func (s *Spec) SetParam(name string, v float64) error {
 		s.SSD.WriteLatency = secsToDur(v)
 	}
 	return nil
-}
-
-// EncodeParams serializes the profile's named parameters deterministically:
-// sorted name order, space-separated name=value pairs, %g values.
-func (s *Spec) EncodeParams() string {
-	var b strings.Builder
-	for i, name := range specParamNames {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		v, _ := s.Param(name)
-		fmt.Fprintf(&b, "%s=%g", name, v)
-	}
-	return b.String()
 }
 
 // secsToDur converts SI seconds to a duration, rounding to the nanosecond

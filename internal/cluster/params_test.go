@@ -3,9 +3,7 @@ package cluster
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
-	"time"
 )
 
 // Every declared parameter must be gettable, settable, and round-trip
@@ -68,25 +66,5 @@ func TestSpecParamRejectsInvalid(t *testing.T) {
 	// Rejected sets must leave the spec untouched.
 	if spec != CoronaProfile(1) {
 		t.Error("rejected SetParam mutated the spec")
-	}
-}
-
-func TestEncodeParamsDeterministic(t *testing.T) {
-	a := CoronaProfile(4)
-	b := CoronaProfile(4)
-	ea, eb := a.EncodeParams(), b.EncodeParams()
-	if ea != eb {
-		t.Fatalf("identical specs encode differently:\n%s\n%s", ea, eb)
-	}
-	for _, name := range SpecParamNames() {
-		if !strings.Contains(ea, name+"=") {
-			t.Errorf("encoding missing %s: %s", name, ea)
-		}
-	}
-	if err := b.SetParam(ParamSSDWriteLat, 123*time.Microsecond.Seconds()); err != nil {
-		t.Fatal(err)
-	}
-	if b.EncodeParams() == ea {
-		t.Error("encoding did not change after SetParam")
 	}
 }

@@ -411,9 +411,6 @@ func (s *System) NewClient(node *cluster.Node) *Client {
 	}
 }
 
-// Node returns the client's node.
-func (c *Client) Node() *cluster.Node { return c.broker.node }
-
 // Produce stages the payload under path in the node-local staging area and
 // publishes its metadata globally. The producer never blocks on any
 // consumer. Annotations: dyad_produce{dyad_prod_write, dyad_commit}.

@@ -54,8 +54,10 @@ type Options struct {
 	// like Trace but serializes spans into the shared Chrome stream as they
 	// are emitted instead of retaining them — bounded-memory tracing for
 	// large-N sweeps, with bytes identical to buffered collection followed
-	// by trace.WriteChrome. Mutually exclusive with Trace (breakdown
-	// reports need retained spans and are skipped when streaming).
+	// by trace.WriteChrome, except that a run killed mid-sweep leaves its
+	// partial block in the stream, which buffered collection drops.
+	// Mutually exclusive with Trace (breakdown reports need retained spans
+	// and are skipped when streaming).
 	TraceStream *trace.ChromeStream
 	// MetricsStream, when non-nil, meters one repetition of each
 	// configuration like Metrics but writes each metered run's CSV block

@@ -7,11 +7,9 @@ import (
 	"repro/internal/models"
 )
 
-// The paper's Table I frame sizes (KiB) and Table II frequency (seconds,
-// the same for every model).
+// The paper's Table I frame sizes (KiB). Its Table II frequency is
+// models.Table2FreqS.
 var table1PaperKiB = map[string]float64{"JAC": 644.21, "ApoA1": 2.46 * 1024, "F1 ATPase": 8.75 * 1024, "STMV": 28.48 * 1024}
-
-const table2PaperFreqS = 0.82
 
 // tableValue is one Table I/II entry: the paper's number and the model's.
 type tableValue struct {
@@ -27,7 +25,7 @@ func tableValues() []tableValue {
 		tv = append(tv, tableValue{"table1.frame_kib." + m.Name, table1PaperKiB[m.Name], float64(m.FrameBytes()) / 1024})
 	}
 	for _, m := range models.Registry() {
-		tv = append(tv, tableValue{"table2.freq_s." + m.Name, table2PaperFreqS, m.DefaultFrequency().Seconds()})
+		tv = append(tv, tableValue{"table2.freq_s." + m.Name, models.Table2FreqS, m.DefaultFrequency().Seconds()})
 	}
 	return tv
 }
@@ -70,7 +68,7 @@ func Table2(o Options) (*Report, error) {
 			fmt.Sprintf("%.2f", m.DefaultFrequency().Seconds()),
 		})
 	}
-	r.Notes = append(r.Notes, fmt.Sprintf("paper frequency column: %.2f s for every model", table2PaperFreqS))
+	r.Notes = append(r.Notes, fmt.Sprintf("paper frequency column: %.2f s for every model", models.Table2FreqS))
 	return r, nil
 }
 

@@ -206,7 +206,7 @@ var fileScenarios = []fileScenario{
 		// c0's create goes out first but stalls on its link; c1's create
 		// is answered first and so takes the first OST: a layout is
 		// assigned at the MDS reply, not when the call is made.
-		cs[0].Node().FailLinkUntil(time.Millisecond)
+		cs[0].node.FailLinkUntil(time.Millisecond)
 		client(e, "c0", func(p *sim.Proc) {
 			ops.write(cs[0], p, "/slow", vfs.SizeOnly(1<<20))
 		})

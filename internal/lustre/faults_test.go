@@ -71,7 +71,7 @@ func TestOSTOutageFailsOverOnce(t *testing.T) {
 	if rec.Failovers != 1 {
 		t.Fatalf("Failovers = %d, want exactly 1", rec.Failovers)
 	}
-	p := fs.Params()
+	p := fs.params
 	budget := time.Duration(p.Retry.Max+1)*p.RPCTimeout + p.FailoverDelay
 	if first < budget {
 		t.Fatalf("first write took %v, below the retry+failover budget %v", first, budget)

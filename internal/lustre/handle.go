@@ -37,8 +37,6 @@ func (c *Client) CreateFile(p *sim.Proc, path string) (vfs.Handle, error) {
 	return &handle{c: c, path: path}, nil
 }
 
-func (h *handle) Path() string { return h.path }
-
 func (h *handle) Size() int64 {
 	sz, _ := h.c.fs.tree.Size(h.path)
 	return sz

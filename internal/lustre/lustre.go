@@ -172,9 +172,6 @@ func New(cl *cluster.Cluster, mdsNode *cluster.Node, ostNodes []*cluster.Node, p
 	return f
 }
 
-// Params returns the active cost model.
-func (f *FS) Params() Params { return f.params }
-
 // Tree exposes the file table (for invariant checks in tests).
 func (f *FS) Tree() *vfs.Tree { return f.tree }
 
@@ -563,9 +560,6 @@ type Client struct {
 	fs   *FS
 	node *cluster.Node
 }
-
-// Node returns the client's node.
-func (c *Client) Node() *cluster.Node { return c.node }
 
 // WriteFile implements vfs.FS: MDS create + striped OST writes + MDS close,
 // as one fileOp chain. The payload is stored by reference, never copied.

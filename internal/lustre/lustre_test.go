@@ -137,7 +137,7 @@ func TestMDSSerializesMetadataStorm(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	min := time.Duration(n) * fs.Params().MDSService
+	min := time.Duration(n) * fs.params.MDSService
 	if e.Now() < min {
 		t.Fatalf("metadata storm finished in %v, want >= %v", e.Now(), min)
 	}

@@ -90,12 +90,6 @@ func NewLattice(n int, density, temp float64, seed uint64) *System {
 	return s
 }
 
-// Params returns the active parameters.
-func (s *System) Params() Params { return s.params }
-
-// Step returns the number of completed integration steps.
-func (s *System) StepCount() int64 { return s.step }
-
 func (s *System) rand() float64 {
 	s.rng ^= s.rng << 13
 	s.rng ^= s.rng >> 7
@@ -272,13 +266,6 @@ func (s *System) Step() {
 	s.step++
 }
 
-// Run advances n steps.
-func (s *System) Run(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
-}
-
 // Berendsen rescales velocities toward temp with coupling tau (in steps).
 func (s *System) Berendsen(temp float64, tau float64) {
 	cur := s.Temperature()
@@ -300,35 +287,10 @@ func (s *System) KineticEnergy() float64 {
 	return ke / 2
 }
 
-// PotentialEnergy recomputes and returns the potential energy.
-func (s *System) PotentialEnergy() float64 { return s.computeForces() }
-
-// TotalEnergy returns kinetic + potential energy.
-func (s *System) TotalEnergy() float64 { return s.KineticEnergy() + s.PotentialEnergy() }
-
 // Temperature returns the instantaneous kinetic temperature.
 func (s *System) Temperature() float64 {
 	dof := float64(3*s.N - 3)
 	return 2 * s.KineticEnergy() / dof
-}
-
-// Pressure returns the instantaneous virial pressure
-// P = (N*k_B*T + W/3) / V with k_B = 1 in reduced units, using the virial
-// W from the most recent force evaluation.
-func (s *System) Pressure() float64 {
-	volume := s.Box * s.Box * s.Box
-	return (float64(s.N)*s.Temperature() + s.virial/3) / volume
-}
-
-// Momentum returns the total momentum vector.
-func (s *System) Momentum() [3]float64 {
-	var m [3]float64
-	for i := 0; i < s.N; i++ {
-		m[0] += s.Vel[3*i]
-		m[1] += s.Vel[3*i+1]
-		m[2] += s.Vel[3*i+2]
-	}
-	return m
 }
 
 // Frame exports the current positions as a serializable MD frame.

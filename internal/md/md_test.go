@@ -5,6 +5,35 @@ import (
 	"testing"
 )
 
+// run advances s by n steps.
+func run(s *System, n int) {
+	for i := 0; i < n; i++ {
+		s.Step()
+	}
+}
+
+// totalEnergy returns kinetic + potential energy.
+func totalEnergy(s *System) float64 { return s.KineticEnergy() + s.computeForces() }
+
+// pressure returns the instantaneous virial pressure
+// P = (N*k_B*T + W/3) / V with k_B = 1 in reduced units, using the virial
+// W from the most recent force evaluation.
+func pressure(s *System) float64 {
+	volume := s.Box * s.Box * s.Box
+	return (float64(s.N)*s.Temperature() + s.virial/3) / volume
+}
+
+// momentum returns the total momentum vector.
+func momentum(s *System) [3]float64 {
+	var m [3]float64
+	for i := 0; i < s.N; i++ {
+		m[0] += s.Vel[3*i]
+		m[1] += s.Vel[3*i+1]
+		m[2] += s.Vel[3*i+2]
+	}
+	return m
+}
+
 func TestLatticeConstruction(t *testing.T) {
 	s := NewLattice(100, 0.8, 1.0, 7) // rounds up to 5^3 = 125
 	if s.N != 125 {
@@ -31,14 +60,14 @@ func TestInitialTemperatureNearTarget(t *testing.T) {
 
 func TestMomentumConserved(t *testing.T) {
 	s := NewLattice(125, 0.7, 1.0, 11)
-	m0 := s.Momentum()
+	m0 := momentum(s)
 	for d := 0; d < 3; d++ {
 		if math.Abs(m0[d]) > 1e-9 {
 			t.Fatalf("initial momentum %v not removed", m0)
 		}
 	}
-	s.Run(50)
-	m := s.Momentum()
+	run(s, 50)
+	m := momentum(s)
 	for d := 0; d < 3; d++ {
 		if math.Abs(m[d]) > 1e-6 {
 			t.Fatalf("momentum drifted to %v after 50 steps", m)
@@ -49,10 +78,10 @@ func TestMomentumConserved(t *testing.T) {
 func TestEnergyConservationNVE(t *testing.T) {
 	s := NewLattice(125, 0.7, 0.8, 5)
 	// Let the lattice relax briefly before measuring drift.
-	s.Run(50)
-	e0 := s.TotalEnergy()
-	s.Run(400)
-	e1 := s.TotalEnergy()
+	run(s, 50)
+	e0 := totalEnergy(s)
+	run(s, 400)
+	e1 := totalEnergy(s)
 	drift := math.Abs(e1-e0) / math.Abs(e0)
 	if drift > 0.02 {
 		t.Fatalf("NVE energy drift %.4f over 400 steps (E %v -> %v)", drift, e0, e1)
@@ -61,7 +90,7 @@ func TestEnergyConservationNVE(t *testing.T) {
 
 func TestPositionsStayInBox(t *testing.T) {
 	s := NewLattice(64, 0.6, 2.0, 9)
-	s.Run(200)
+	run(s, 200)
 	for i, p := range s.Pos {
 		if p < 0 || p >= s.Box {
 			t.Fatalf("pos[%d]=%v escaped box [0,%v)", i, p, s.Box)
@@ -84,18 +113,18 @@ func TestBerendsenPullsTemperature(t *testing.T) {
 
 func TestStepCountAdvances(t *testing.T) {
 	s := NewLattice(27, 0.5, 1.0, 1)
-	if s.StepCount() != 0 {
+	if s.step != 0 {
 		t.Fatal("fresh system has nonzero step count")
 	}
-	s.Run(17)
-	if s.StepCount() != 17 {
-		t.Fatalf("step count %d, want 17", s.StepCount())
+	run(s, 17)
+	if s.step != 17 {
+		t.Fatalf("step count %d, want 17", s.step)
 	}
 }
 
 func TestFrameExportRoundTrips(t *testing.T) {
 	s := NewLattice(64, 0.7, 1.0, 21)
-	s.Run(5)
+	run(s, 5)
 	f := s.Frame("LJ64")
 	if f.Atoms() != s.N || f.Step != 5 || f.Model != "LJ64" {
 		t.Fatalf("frame header wrong: %d atoms step %d model %q", f.Atoms(), f.Step, f.Model)
@@ -106,8 +135,8 @@ func TestFrameExportRoundTrips(t *testing.T) {
 		}
 	}
 	// Mutating the system must not change the exported frame.
-	s.Run(1)
-	if f.Step == s.StepCount() {
+	run(s, 1)
+	if f.Step == s.step {
 		t.Fatal("frame step aliased to system")
 	}
 }
@@ -115,8 +144,8 @@ func TestFrameExportRoundTrips(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	a := NewLattice(64, 0.7, 1.0, 42)
 	b := NewLattice(64, 0.7, 1.0, 42)
-	a.Run(50)
-	b.Run(50)
+	run(a, 50)
+	run(b, 50)
 	for i := range a.Pos {
 		if a.Pos[i] != b.Pos[i] {
 			t.Fatal("same-seed trajectories diverged")
@@ -126,7 +155,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestForcesAreFinite(t *testing.T) {
 	s := NewLattice(125, 0.9, 1.2, 17)
-	s.Run(100)
+	run(s, 100)
 	for i, f := range s.Force {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			t.Fatalf("force[%d] = %v", i, f)
@@ -136,9 +165,9 @@ func TestForcesAreFinite(t *testing.T) {
 
 func TestPressureFinitePositiveForDenseFluid(t *testing.T) {
 	s := NewLattice(216, 0.8, 1.5, 31)
-	s.Run(100)
-	s.PotentialEnergy() // refresh forces/virial
-	p := s.Pressure()
+	run(s, 100)
+	s.computeForces() // refresh forces/virial
+	p := pressure(s)
 	if math.IsNaN(p) || math.IsInf(p, 0) {
 		t.Fatalf("pressure %v", p)
 	}
@@ -151,9 +180,9 @@ func TestPressureFinitePositiveForDenseFluid(t *testing.T) {
 func TestPressureIncreasesWithDensity(t *testing.T) {
 	measure := func(density float64) float64 {
 		s := NewLattice(216, density, 1.5, 7)
-		s.Run(100)
-		s.PotentialEnergy()
-		return s.Pressure()
+		run(s, 100)
+		s.computeForces()
+		return pressure(s)
 	}
 	lo, hi := measure(0.4), measure(0.9)
 	if hi <= lo {

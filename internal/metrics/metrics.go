@@ -100,8 +100,8 @@ func (s *Series) OnDashboard() *Series {
 }
 
 // Histogram is a log-bucket duration histogram on trace's
-// power-of-four-microseconds bucketing (trace.HistBucket), estimated by
-// trace.HistogramPercentile. A nil *Histogram is valid and inert: Observe
+// power-of-four-microseconds bucketing (trace.HistBucket), the one
+// trace.HistogramPercentile estimates over. A nil *Histogram is valid and inert: Observe
 // on it is one nil check, which is what instrumented components pay when
 // no registry is attached.
 type Histogram struct {
@@ -131,21 +131,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.Buckets[trace.HistBucket(d)]++
 }
 
-// Percentile estimates the p-th percentile (0-100) from the log-scale
-// buckets via trace.HistogramPercentile.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	return trace.HistogramPercentile(&h.Buckets, h.Count, h.Min, h.Max, p)
-}
-
-// P50 estimates the median observation.
-func (h *Histogram) P50() time.Duration { return h.Percentile(50) }
-
-// P99 estimates the 99th-percentile observation.
-func (h *Histogram) P99() time.Duration { return h.Percentile(99) }
-
 // Registry holds one run's registered series and histograms. Components
 // register probes once at wiring time; the engine sampler calls Sample at
 // every interval boundary the event timeline reaches. A nil *Registry is
@@ -164,14 +149,6 @@ func New(interval time.Duration) *Registry {
 		panic("metrics: nonpositive sample interval")
 	}
 	return &Registry{interval: interval}
-}
-
-// Interval returns the sampling interval (0 on a nil registry).
-func (r *Registry) Interval() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.interval
 }
 
 // add registers s.

@@ -11,6 +11,11 @@ import (
 	"repro/internal/frame"
 )
 
+// Table2FreqS is the paper's Table II frame-generation frequency in
+// seconds, the same for every model: the default strides emit one frame
+// per ~0.82 s.
+const Table2FreqS = 0.82
+
 // Model describes one molecular structure in an MD workflow.
 type Model struct {
 	// Name is the structure's common name ("JAC", "STMV", ...).
@@ -51,7 +56,7 @@ func ByName(name string) (Model, error) {
 }
 
 // Custom builds a user-defined model for studies beyond the paper's four
-// structures. Stride, when zero, is derived to hit the paper's ~0.82 s
+// structures. Stride, when zero, is derived to hit the paper's Table2FreqS
 // frame-generation frequency.
 func Custom(name string, atoms int, stepsPerSecond float64, stride int) (Model, error) {
 	if name == "" || atoms <= 0 || stepsPerSecond <= 0 {
@@ -59,7 +64,7 @@ func Custom(name string, atoms int, stepsPerSecond float64, stride int) (Model, 
 			name, atoms, stepsPerSecond)
 	}
 	if stride <= 0 {
-		stride = int(0.82*stepsPerSecond + 0.5)
+		stride = int(Table2FreqS*stepsPerSecond + 0.5)
 		if stride < 1 {
 			stride = 1
 		}

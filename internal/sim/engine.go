@@ -237,18 +237,11 @@ func (e *Engine) Live() int { return int(e.live) }
 // next Reset. The slice is the engine's own: read it, do not change it.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() uint64 { return e.seed }
-
 // SetRecorder installs a span recorder: modeled operations emit virtual-time
 // spans through it (see Proc.Rec and package trace). A nil recorder (the
 // default) disables span tracing at zero cost — emission sites pay one nil
 // check and never allocate.
 func (e *Engine) SetRecorder(r *trace.Recorder) { e.rec = r }
-
-// Recorder returns the installed span recorder, or nil when span tracing
-// is off.
-func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 
 // SetWatchdog arms run limits: Run aborts with an error wrapping ErrWatchdog
 // once it has fired more than maxEvents events or virtual time passes

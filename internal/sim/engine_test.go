@@ -92,8 +92,8 @@ func TestSignalBroadcastWakesAllWaiters(t *testing.T) {
 	}
 	e.Spawn("firer", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
-		if sig.Pending() != 3 {
-			t.Errorf("pending %d, want 3", sig.Pending())
+		if n := len(sig.waiters); n != 3 {
+			t.Errorf("pending %d, want 3", n)
 		}
 		sig.Broadcast()
 	})
@@ -230,7 +230,7 @@ func TestSpawnFromProcess(t *testing.T) {
 	var childAt Time
 	e.Spawn("parent", func(p *Proc) {
 		p.Sleep(3 * time.Millisecond)
-		p.Engine().Spawn("child", func(c *Proc) {
+		p.e.Spawn("child", func(c *Proc) {
 			c.Sleep(2 * time.Millisecond)
 			childAt = c.Now()
 		})
@@ -370,7 +370,7 @@ func TestDrainStopsOnCleanupFailure(t *testing.T) {
 		defer func() {
 			// Abort-time cleanup: schedule follow-up work. The first
 			// cleanup process panics; the second must then never run.
-			eng := p.Engine()
+			eng := p.e
 			eng.Spawn("bad-cleanup", func(c *Proc) { panic("cleanup boom") })
 			eng.Spawn("after-cleanup", func(c *Proc) { ranAfter = true })
 		}()

@@ -206,9 +206,6 @@ func (p *Proc) abort() {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
@@ -217,7 +214,7 @@ func (p *Proc) Rand() *RNG { return &p.rng }
 
 // Rec returns the engine's span recorder, nil when span tracing is off.
 // Instrumentation sites call p.Rec().Emit(...) unconditionally (Emit is
-// nil-safe) or guard extra work with p.Rec().Enabled().
+// nil-safe) or guard extra work with p.Rec() != nil.
 func (p *Proc) Rec() *trace.Recorder { return p.e.rec }
 
 // Sleep advances the process by d of virtual time. Negative d panics;

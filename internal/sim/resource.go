@@ -50,9 +50,6 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Capacity returns the total capacity units.
-func (r *Resource) Capacity() int { return int(r.cap) }
-
 // InUse returns the currently granted units.
 func (r *Resource) InUse() int { return int(r.inUse) }
 

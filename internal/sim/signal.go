@@ -24,9 +24,6 @@ func (s *Signal) Broadcast() {
 	s.waiters = s.waiters[:0]
 }
 
-// Pending returns the number of processes blocked on the signal.
-func (s *Signal) Pending() int { return len(s.waiters) }
-
 // Latch is a one-way gate: once fired, every past and future Wait returns
 // immediately. It models "data has been published" conditions such as a
 // key appearing in a key-value store.

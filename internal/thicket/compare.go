@@ -80,16 +80,6 @@ func Compare(a, b *Ensemble) *Comparison {
 	return cmp
 }
 
-// Row returns the first row whose node name matches, or nil.
-func (c *Comparison) Row(name string) *ComparisonRow {
-	for i := range c.Rows {
-		if c.Rows[i].Name == name {
-			return &c.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render writes the aligned comparison table.
 func (c *Comparison) Render(w io.Writer, leftLabel, rightLabel string) {
 	fmt.Fprintf(w, "%-34s %-14s %-14s %s\n", "call path", leftLabel, rightLabel, "ratio")

@@ -10,6 +10,16 @@ import (
 	"repro/internal/caliper"
 )
 
+// row returns c's first row whose node name matches, or nil.
+func row(c *Comparison, name string) *ComparisonRow {
+	for i := range c.Rows {
+		if c.Rows[i].Name == name {
+			return &c.Rows[i]
+		}
+	}
+	return nil
+}
+
 func TestCompareAlignsByPath(t *testing.T) {
 	jac := FromProfiles([]*caliper.Profile{
 		consumeProfile("c0", 10*time.Millisecond, 20*time.Millisecond, 5*time.Millisecond),
@@ -18,14 +28,14 @@ func TestCompareAlignsByPath(t *testing.T) {
 		consumeProfile("c0", 5*time.Millisecond, 200*time.Millisecond, 50*time.Millisecond),
 	})
 	cmp := Compare(jac, stmv)
-	get := cmp.Row("dyad_get_data")
+	get := row(cmp, "dyad_get_data")
 	if get == nil {
 		t.Fatal("dyad_get_data missing")
 	}
 	if math.Abs(get.Ratio-10) > 1e-9 {
 		t.Fatalf("get_data ratio %v, want 10", get.Ratio)
 	}
-	fetch := cmp.Row("dyad_fetch")
+	fetch := row(cmp, "dyad_fetch")
 	if math.Abs(fetch.Ratio-0.5) > 1e-9 {
 		t.Fatalf("fetch ratio %v, want 0.5", fetch.Ratio)
 	}
@@ -43,7 +53,7 @@ func TestCompareHandlesMissingPaths(t *testing.T) {
 		profileOf("c1", node("dyad_consume", 4*time.Millisecond)),
 	})
 	cmp := Compare(withGet, withoutGet)
-	get := cmp.Row("dyad_get_data")
+	get := row(cmp, "dyad_get_data")
 	if get == nil {
 		t.Fatal("path present in only one ensemble dropped")
 	}

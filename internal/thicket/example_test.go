@@ -20,7 +20,11 @@ func ExampleEnsemble_Query() {
 		mkProfile("consumer0", 10*time.Millisecond),
 		mkProfile("consumer1", 30*time.Millisecond),
 	})
-	for _, n := range ens.MustQuery("//dyad_consume/dyad_fetch[mean>1ms]") {
+	nodes, err := ens.Query("//dyad_consume/dyad_fetch[mean>1ms]")
+	if err != nil {
+		panic(err)
+	}
+	for _, n := range nodes {
 		fmt.Printf("%s mean=%.0fms members=%d\n", n.Name, n.Total.Mean*1000, n.Total.N)
 	}
 	// Output:

@@ -46,16 +46,6 @@ func (e *Ensemble) Query(q string) ([]*Node, error) {
 	return out, nil
 }
 
-// MustQuery is Query that panics on a malformed query (for tooling where
-// the query is a literal).
-func (e *Ensemble) MustQuery(q string) []*Node {
-	out, err := e.Query(q)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 func collectMatches(n *Node, rest []segment, seen map[*Node]bool, out *[]*Node) {
 	if len(rest) == 0 {
 		if !seen[n] {

@@ -33,20 +33,6 @@ type Node struct {
 	visits []float64
 }
 
-// Find returns the first descendant (depth-first, self included) with the
-// given name, or nil.
-func (n *Node) Find(name string) *Node {
-	if n.Name == name {
-		return n
-	}
-	for _, c := range n.Children {
-		if f := c.Find(name); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
 // Walk visits the node and all descendants depth-first.
 func (n *Node) Walk(fn func(*Node)) {
 	fn(n)
@@ -113,12 +99,6 @@ func mergeInto(dst *Node, src *caliper.Node, idx int) {
 
 // Members returns the number of profiles ensembled.
 func (e *Ensemble) Members() int { return e.members }
-
-// Tree returns the ensembled root.
-func (e *Ensemble) Tree() *Node { return e.root }
-
-// Find locates the first node with the given name anywhere in the tree.
-func (e *Ensemble) Find(name string) *Node { return e.root.Find(name) }
 
 // MeanOf returns the mean inclusive time of all nodes named name (summed
 // per member first, so nested duplicates are not double counted beyond

@@ -9,6 +9,20 @@ import (
 	"repro/internal/caliper"
 )
 
+// find returns the first node of n's tree (depth-first, n included) with
+// the given name, or nil.
+func find(n *Node, name string) *Node {
+	if n.Name == name {
+		return n
+	}
+	for _, c := range n.Children {
+		if f := find(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // node builds a profile node visited once.
 func node(name string, total time.Duration, children ...*caliper.Node) *caliper.Node {
 	return &caliper.Node{Name: name, Visits: 1, Total: total, Children: children}
@@ -34,7 +48,7 @@ func TestEnsembleMergesByPath(t *testing.T) {
 	if e.Members() != 2 {
 		t.Fatalf("members %d", e.Members())
 	}
-	fetch := e.Find("dyad_fetch")
+	fetch := find(e.root, "dyad_fetch")
 	if fetch == nil {
 		t.Fatal("dyad_fetch missing")
 	}
@@ -44,7 +58,7 @@ func TestEnsembleMergesByPath(t *testing.T) {
 	if fetch.Total.Min != 0.010 || fetch.Total.Max != 0.030 {
 		t.Fatalf("fetch min/max %v/%v", fetch.Total.Min, fetch.Total.Max)
 	}
-	consume := e.Find("dyad_consume")
+	consume := find(e.root, "dyad_consume")
 	if math.Abs(consume.Total.Mean-0.060) > 1e-9 {
 		t.Fatalf("consume mean %v, want 0.060", consume.Total.Mean)
 	}
@@ -54,7 +68,7 @@ func TestMemberMissingNodeCountsZero(t *testing.T) {
 	withGet := consumeProfile("c0", 0, 10*time.Millisecond, 0)
 	withoutGet := profileOf("c1", node("dyad_consume", 4*time.Millisecond, node("read_single_buf", 4*time.Millisecond)))
 	e := FromProfiles([]*caliper.Profile{withGet, withoutGet})
-	get := e.Find("dyad_get_data")
+	get := find(e.root, "dyad_get_data")
 	if get.Total.N != 2 {
 		t.Fatalf("get N=%d, want 2 (zero-padded)", get.Total.N)
 	}

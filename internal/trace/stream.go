@@ -22,6 +22,9 @@ import (
 // run are identical to the buffered export of the same span sequence by
 // construction — the property cmd/experiments'
 // TestEverySinkReachesEveryExperiment checks end to end, per experiment.
+// The one difference is a run its caller kills mid-sweep: the stream keeps
+// the block it had started, while buffered collection drops the run
+// (internal/experiments' TestTraceStreamKeepsKilledRun).
 //
 // A stream serializes one run at a time: StartRun opens the next Chrome
 // process and returns a streaming Recorder bound to it; the caller must

@@ -98,8 +98,8 @@ func TestStreamingRecorderBoundedMemory(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 
-	if rec.Len() != 0 {
-		t.Fatalf("streaming recorder retained %d spans", rec.Len())
+	if n := len(rec.spans); n != 0 {
+		t.Fatalf("streaming recorder retained %d spans", n)
 	}
 	// One million retained spans would be ~96 MB; allow a generous 4 MB of
 	// incidental churn.

@@ -131,19 +131,6 @@ func (r *Recorder) Emit(s Span) {
 // instead of retaining them (false on a nil recorder).
 func (r *Recorder) Streaming() bool { return r != nil && r.stream != nil }
 
-// Enabled reports whether spans are being recorded. Sites that must build
-// an attribute string or capture a start time guard on it so disabled
-// tracing skips the work entirely.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Len returns the number of recorded spans (0 on a nil recorder).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.spans)
-}
-
 // Spans returns the recorded spans in emission order (event-execution
 // order, deterministic). The slice is owned by the recorder and valid
 // until its next Reset; copy it to keep it.

@@ -10,12 +10,6 @@ import (
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Emit(Span{Proc: "p", Name: "op", Dur: time.Millisecond})
-	if r.Enabled() {
-		t.Fatal("nil recorder reports enabled")
-	}
-	if r.Len() != 0 {
-		t.Fatalf("nil recorder Len = %d", r.Len())
-	}
 	if r.Spans() != nil {
 		t.Fatal("nil recorder returned spans")
 	}
@@ -23,14 +17,11 @@ func TestNilRecorderIsInert(t *testing.T) {
 
 func TestRecorderKeepsEmissionOrder(t *testing.T) {
 	r := NewRecorder()
-	if !r.Enabled() {
-		t.Fatal("live recorder reports disabled")
-	}
 	for i := 0; i < 5; i++ {
 		r.Emit(Span{Proc: "p", Name: "op", Start: time.Duration(i)})
 	}
 	spans := r.Spans()
-	if len(spans) != 5 || r.Len() != 5 {
+	if len(spans) != 5 || len(r.spans) != 5 {
 		t.Fatalf("recorded %d spans, want 5", len(spans))
 	}
 	for i, s := range spans {

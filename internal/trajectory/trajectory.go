@@ -27,10 +27,9 @@ const (
 
 // Writer appends frames to a trajectory file.
 type Writer struct {
-	h      vfs.Handle
-	model  string
-	atoms  int
-	frames int
+	h     vfs.Handle
+	model string
+	atoms int
 }
 
 // Create starts a new trajectory at path on fs.
@@ -65,12 +64,8 @@ func (w *Writer) AppendFrame(p *sim.Proc, f *frame.Frame) error {
 	if err := w.h.Append(p, rec); err != nil {
 		return fmt.Errorf("trajectory: append frame: %w", err)
 	}
-	w.frames++
 	return nil
 }
-
-// Frames returns the number of appended frames.
-func (w *Writer) Frames() int { return w.frames }
 
 // Close finishes the trajectory.
 func (w *Writer) Close(p *sim.Proc) error { return w.h.Close(p) }

@@ -34,9 +34,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 				t.Errorf("append %d: %v", i, err)
 			}
 		}
-		if w.Frames() != frames {
-			t.Errorf("writer frames %d", w.Frames())
-		}
 		if err := w.Close(p); err != nil {
 			t.Errorf("close: %v", err)
 		}

@@ -12,8 +12,6 @@ import (
 // touches the OSTs whose stripes a range covers. Range access needs real
 // content: operating on a file stored as a size-only Payload is an error.
 type Handle interface {
-	// Path returns the cleaned path the handle refers to.
-	Path() string
 	// Size returns the current file size.
 	Size() int64
 	// ReadAt returns n bytes starting at off. Reading past EOF is an

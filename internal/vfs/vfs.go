@@ -139,15 +139,6 @@ func (t *Tree) Remove(path string) bool {
 // Len returns the number of stored files.
 func (t *Tree) Len() int { return len(t.files) }
 
-// TotalBytes returns the sum of stored file sizes.
-func (t *Tree) TotalBytes() int64 {
-	var n int64
-	for _, pl := range t.files {
-		n += pl.Size()
-	}
-	return n
-}
-
 // PathError decorates an error with the operation and path, in the style
 // of os.PathError.
 func PathError(op, path string, err error) error {

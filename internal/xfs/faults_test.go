@@ -18,14 +18,14 @@ func TestDeviceFailureSurfacesSentinel(t *testing.T) {
 		if err := f.WriteFile(p, "/f0", vfs.SizeOnly(4096)); err != nil {
 			t.Errorf("healthy write: %v", err)
 		}
-		f.Node().SSD.Fail()
+		f.node.SSD.Fail()
 		if err := f.WriteFile(p, "/f1", vfs.SizeOnly(4096)); !errors.Is(err, faults.ErrDeviceFailed) {
 			t.Errorf("write on failed device: err = %v, want ErrDeviceFailed", err)
 		}
 		if _, err := f.ReadFile(p, "/f0"); !errors.Is(err, faults.ErrDeviceFailed) {
 			t.Errorf("read on failed device: err = %v, want ErrDeviceFailed", err)
 		}
-		f.Node().SSD.Repair()
+		f.node.SSD.Repair()
 		if err := f.WriteFile(p, "/f2", vfs.SizeOnly(4096)); err != nil {
 			t.Errorf("post-repair write: %v", err)
 		}
@@ -48,9 +48,9 @@ func TestFailedWriteLeavesNoPartialState(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := newTestFS(e)
 	e.Spawn("io", func(p *sim.Proc) {
-		f.Node().SSD.Fail()
+		f.node.SSD.Fail()
 		f.WriteFile(p, "/f0", vfs.SizeOnly(1<<20))
-		f.Node().SSD.Repair()
+		f.node.SSD.Repair()
 		if _, err := f.ReadFile(p, "/f0"); !errors.Is(err, vfs.ErrNotExist) {
 			t.Errorf("read of never-written file: err = %v, want ErrNotExist", err)
 		}

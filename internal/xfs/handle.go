@@ -36,8 +36,6 @@ func (f *FS) CreateFile(p *sim.Proc, path string) (vfs.Handle, error) {
 	return &handle{fs: f, path: path}, nil
 }
 
-func (h *handle) Path() string { return h.path }
-
 func (h *handle) Size() int64 {
 	sz, _ := h.fs.tree.Size(h.path)
 	return sz

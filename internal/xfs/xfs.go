@@ -88,9 +88,6 @@ func (f *FS) SetCapacity(s *capacity.Store) { f.cap = s }
 // Capacity returns the attached capacity store (nil when capacity is off).
 func (f *FS) Capacity() *capacity.Store { return f.cap }
 
-// Node returns the node the filesystem is local to.
-func (f *FS) Node() *cluster.Node { return f.node }
-
 // Tree exposes the file table (for invariant checks in tests).
 func (f *FS) Tree() *vfs.Tree { return f.tree }
 

@@ -59,7 +59,7 @@ func TestWriteChargesJournalAndData(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ssd := f.Node().SSD
+	ssd := f.node.SSD
 	if ssd.Writes != 2 { // journal + data
 		t.Fatalf("device writes %d, want 2", ssd.Writes)
 	}

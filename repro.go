@@ -123,12 +123,6 @@ func Run(cfg Config) (*Result, error) { return core.Run(cfg) }
 // workers' engines pooled until ReleasePools.
 func Repeat(cfg Config, reps int) ([]*Result, error) { return core.Repeat(cfg, reps) }
 
-// RepeatWorkers is Repeat with an explicit worker count (<= 0 means one
-// per available core).
-func RepeatWorkers(cfg Config, reps, workers int) ([]*Result, error) {
-	return core.RepeatWorkers(cfg, reps, workers)
-}
-
 // RunMany executes independent workflow runs across a worker pool,
 // preserving input order and collecting every run's error instead of
 // aborting the batch on the first. Its workers reuse engines from
@@ -136,9 +130,8 @@ func RepeatWorkers(cfg Config, reps, workers int) ([]*Result, error) {
 // largest run each pool served until ReleasePools. See core.RunMany.
 func RunMany(cfgs []Config, workers int) ([]*Result, error) { return core.RunMany(cfgs, workers) }
 
-// ReleasePools frees the engines that RunMany, Repeat and RepeatWorkers
-// keep pooled between calls, with their parked goroutines. Later calls
-// build new ones.
+// ReleasePools frees the engines that RunMany and Repeat keep pooled
+// between calls, with their parked goroutines. Later calls build new ones.
 func ReleasePools() { core.ReleasePools() }
 
 // Aggregated summarizes repeated results of one configuration.
@@ -180,7 +173,9 @@ func NewTraceCollector() *TraceCollector { return experiments.NewCollector() }
 // it (Config.TraceStream, ExperimentOptions.TraceStream) serialize each
 // span the moment it is emitted instead of retaining it, keeping tracing
 // memory bounded on arbitrarily long runs. Bytes are identical to buffered
-// collection followed by WriteChromeTrace. Close finishes the document.
+// collection followed by WriteChromeTrace, except that a run killed
+// mid-sweep (by a fault or capacity kill) leaves its partial block in the
+// stream, which buffered collection drops. Close finishes the document.
 type ChromeTraceStream = trace.ChromeStream
 
 // NewChromeTraceStream starts a Chrome trace-event JSON document on w.
@@ -243,12 +238,6 @@ type ExplainDiff = critpath.ExplainDiff
 // DiffCritPaths diffs two extracted critical paths edge-by-edge.
 func DiffCritPaths(labelA string, a *CritPath, labelB string, b *CritPath) *ExplainDiff {
 	return critpath.Diff(labelA, a, labelB, b)
-}
-
-// WriteWaterfallCSV writes frame lineages as a long-format waterfall CSV
-// (one row per provenance hop). Byte-deterministic.
-func WriteWaterfallCSV(w io.Writer, label string, frames []FrameLineage) error {
-	return critpath.WriteWaterfall(w, []critpath.LineageSet{{Label: label, Frames: frames}})
 }
 
 // CritPathCollector accumulates critical-path summaries and blame rows
@@ -323,13 +312,6 @@ type CalibTarget = calib.Target
 
 // CalibGoal is one scenario-search predicate.
 type CalibGoal = calib.Goal
-
-// Names of the calibration dimensions that live outside the hardware
-// spec: DYAD's KVS commit cost and the consumer head start.
-const (
-	CalibParamKVSCommit = calib.ParamKVSCommit
-	CalibParamHeadStart = calib.ParamHeadStart
-)
 
 // DefaultCalibSpace brackets every tunable cost-model parameter around
 // its current default.

@@ -67,14 +67,6 @@ func TestFacadeCritPath(t *testing.T) {
 		t.Fatalf("attribution %.1f%%, want >= 95%%", pct)
 	}
 
-	var wf bytes.Buffer
-	if err := WriteWaterfallCSV(&wf, "dyad", res.Crit.Frames); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(wf.String(), "run,frame,hop,proc,start_us,dur_us,bytes\n") {
-		t.Fatalf("waterfall header: %q", wf.String()[:min(len(wf.String()), 60)])
-	}
-
 	// CritPath+TraceStream is rejected up front, not at run time.
 	bad := cfg
 	bad.TraceStream = NewChromeTraceStream(&bytes.Buffer{})

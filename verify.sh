@@ -14,6 +14,14 @@ cd "$(dirname "$0")"
 echo "== tier-1: go build ./... =="
 go build ./...
 
+echo "== line count: Go outside perfbench/ (prints only) =="
+# Every change reports its net line count as the difference of these two
+# numbers against its parent's. The benchmark harness (perfbench/) and its
+# build directory are not counted. This stage prints and cannot fail.
+go_files="$(find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' -print)"
+echo "non-test Go lines: $(echo "$go_files" | grep -v '_test\.go$' | xargs cat | wc -l)"
+echo "test Go lines:     $(echo "$go_files" | grep '_test\.go$' | xargs cat | wc -l)"
+
 echo "== gofmt: every Go file is formatted =="
 # gofmt -l lists the files whose formatting differs; any listed file fails
 # the gate. The benchmark's build directory holds no source of ours.
