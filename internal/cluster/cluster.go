@@ -215,13 +215,14 @@ func (n *Node) DegradeNIC(factor float64) {
 	n.nicDegrade = factor
 }
 
-// nicWatch is a node as the watcher of its NIC's queue (sim.Resource's
-// OnQueue): a waiter splits the segment train that holds the NIC, if one
-// does.
+// nicWatch is a node as the watcher of its NIC (sim.Resource's Watch):
+// an acquire splits the segment train that holds the NIC, if one does,
+// since it queues behind it. Reads leave the train alone: it holds the
+// NIC throughout, so they find the NIC as the per-segment model would.
 type nicWatch Node
 
-func (w *nicWatch) Queued() {
-	if n := (*Node)(w); n.train != nil {
+func (w *nicWatch) Touch(acquire bool) {
+	if n := (*Node)(w); acquire && n.train != nil {
 		n.train.split()
 	}
 }
@@ -293,7 +294,7 @@ func New(e *sim.Engine, spec Spec) *Cluster {
 			nic: sim.NewResource(e, fmt.Sprintf("node%d/nic", i), 1),
 			cl:  c,
 		}
-		n.nic.OnQueue((*nicWatch)(n))
+		n.nic.Watch((*nicWatch)(n))
 		if spec.QueueHint > 0 {
 			n.SSD.dev.SetQueueHint(spec.QueueHint)
 			n.nic.SetQueueHint(spec.QueueHint)
@@ -633,7 +634,7 @@ func (w *wire) advance(p *sim.Proc) {
 // truncated on its own. Every segment after the granted one is a full
 // wireSegment but the last, so the sum is O(1), as is finding a boundary
 // in split. The NIC stays held throughout, so a process that wants it
-// queues, and the queue's watcher splits the train (nicWatch); so does a
+// queues, and the NIC's watcher splits the train first (nicWatch); so does a
 // change of the NIC's degradation. Zero-time segments (an absurd
 // bandwidth) leave no boundary to split at, so they are never booked.
 func (w *wire) train(p *sim.Proc) time.Duration {
@@ -655,18 +656,22 @@ func (w *wire) train(p *sim.Proc) time.Duration {
 // the holder's delivery moves there (sim.Proc.Retime) and the bytes after
 // it go back to per-segment requests, so whoever queued meanwhile is
 // granted there, as in the per-segment model. A boundary at now itself
-// counts when the event being run was scheduled before the train was
-// booked: then it would have fired before the per-segment delivery there,
-// as a waiter that queued just ahead of the release. With no boundary
-// left the train runs to its end.
+// counts when the code running (the waiter's acquire, or a change of
+// degradation) would have come before the per-segment delivery there:
+// when it was scheduled before that delivery was. The first boundary's
+// delivery would have been scheduled when the train was booked (its
+// watermark), each later one's at the boundary before it
+// (sim.Engine.ScheduledAfter). With no boundary left the train runs to
+// its end.
 func (w *wire) split() {
 	w.src.train = nil
-	now := w.c.e.Now()
+	e := w.c.e
+	now := e.Now()
 	at, k := w.boundary, time.Duration(0)
 	if now > at {
 		k = (now - at + w.segHold - 1) / w.segHold // first boundary at or after now
 	}
-	if at+k*w.segHold == now && !w.c.e.FiringBefore(w.mark) {
+	if at+k*w.segHold == now && (k == 0 && !e.FiringBefore(w.mark) || k > 0 && e.ScheduledAfter(at+(k-1)*w.segHold)) {
 		k++
 	}
 	if rest := w.booked - int64(k)*wireSegment; rest > 0 {

@@ -290,6 +290,20 @@ var wireScenarios = []wireScenario{
 			return w.transfer(c, p, c.Node(1), c.Node(2), 2<<20)
 		})
 	}},
+	{"waiter on a boundary, scheduled during the train", 14, func(e *sim.Engine, c *Cluster, w wireImpl, done func(*sim.Proc, time.Duration)) {
+		// mid's last sleep is scheduled after tx books its train, but
+		// before the train's second boundary, and ends exactly on its
+		// third: it fires ahead of the per-segment delivery there, which
+		// the second boundary's would have scheduled, so mid is granted
+		// at that boundary, not the next.
+		sender(e, "tx", 0, done, func(p *sim.Proc) time.Duration {
+			return w.transfer(c, p, c.Node(1), c.Node(2), 2<<20)
+		})
+		sender(e, "mid", 100*time.Microsecond, done, func(p *sim.Proc) time.Duration {
+			p.Sleep(segB(3) - p.Now())
+			return w.transfer(c, p, c.Node(1), c.Node(3), 100<<10)
+		})
+	}},
 	{"waiter on a boundary, woken there", 15, func(e *sim.Engine, c *Cluster, w wireImpl, done func(*sim.Proc, time.Duration)) {
 		// woken's wake is issued at the train's third boundary, after the
 		// per-segment delivery there was scheduled: it queues behind the

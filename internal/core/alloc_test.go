@@ -34,7 +34,7 @@ func TestRunAllocBudget(t *testing.T) {
 	}{
 		{DYAD, false, 165, 7688},
 		{XFS, false, 54, 5096},
-		{Lustre, false, 155, 8696},
+		{Lustre, false, 131, 7928},
 		{DYAD, true, 459, 211840},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
@@ -112,7 +112,7 @@ func TestRunHandoffBudget(t *testing.T) {
 	}{
 		{DYAD, 1326, 220},
 		{XFS, 840, 286},
-		{Lustre, 28278, 390},
+		{Lustre, 3621, 390},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: 4,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,

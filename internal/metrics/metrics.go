@@ -100,8 +100,8 @@ func (s *Series) OnDashboard() *Series {
 }
 
 // Histogram is a log-bucket duration histogram on trace's
-// power-of-four-microseconds bucketing (trace.HistBucket), the one
-// trace.HistogramPercentile estimates over. A nil *Histogram is valid and inert: Observe
+// power-of-four-microseconds bucketing (trace.HistBucket). A nil
+// *Histogram is valid and inert: Observe
 // on it is one nil check, which is what instrumented components pay when
 // no registry is attached.
 type Histogram struct {

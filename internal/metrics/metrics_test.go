@@ -113,44 +113,6 @@ func TestHistogramObserve(t *testing.T) {
 	if h.Buckets[0] != 1 || h.Buckets[trace.HistBucket(3*time.Microsecond)] != 2 {
 		t.Fatalf("bucket counts wrong: %v", h.Buckets)
 	}
-	if p := percentile(h, 50); p < h.Min || p > h.Max {
-		t.Fatalf("P50 %v outside [min,max]", p)
-	}
-	if p50, p99 := percentile(h, 50), percentile(h, 99); p99 < p50 {
-		t.Fatalf("P99 %v < P50 %v", p99, p50)
-	}
-}
-
-// percentile estimates h's p-th percentile with trace's estimator.
-func percentile(h *Histogram, p float64) time.Duration {
-	return trace.HistogramPercentile(&h.Buckets, h.Count, h.Min, h.Max, p)
-}
-
-// TestHistogramPercentileMatchesTrace pins that metrics histograms feed the
-// trace estimator verbatim: identical observations must yield the estimate
-// trace.HistogramPercentile gives over hand-built buckets.
-func TestHistogramPercentileMatchesTrace(t *testing.T) {
-	h := New(time.Second).Histogram("lat")
-	var hist [trace.HistBuckets]int64
-	var count int64
-	min, max := time.Duration(1<<63-1), time.Duration(0)
-	durs := []time.Duration{2 * time.Microsecond, 17 * time.Microsecond, 900 * time.Microsecond, 5 * time.Millisecond, 5 * time.Millisecond}
-	for _, d := range durs {
-		h.Observe(d)
-		count++
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
-		hist[trace.HistBucket(d)]++
-	}
-	for _, p := range []float64{0, 25, 50, 75, 99, 100} {
-		if got, want := percentile(h, p), trace.HistogramPercentile(&hist, count, min, max, p); got != want {
-			t.Errorf("p%v: metrics %v != trace %v", p, got, want)
-		}
-	}
 }
 
 func TestWriteCSVDeterministicShape(t *testing.T) {

@@ -86,9 +86,10 @@ type Engine struct {
 	pq    eventq
 	coros *coroList // idle coroutines; nil before the first Spawn or Retain
 	procs []*Proc
-	// profs holds each process's profile and tallies by spawn slot
-	// (profile.go). It makes the Engine 1520 bytes, which with its
-	// allocation header fits the 1536-byte size class (see live).
+	// profs holds each process's profile, tallies and the instant its
+	// pending delivery was scheduled, by spawn slot (profile.go). It makes
+	// the Engine 1528 bytes, which with its allocation header fits the
+	// 1536-byte size class (see live).
 	profs   []profTable
 	seed    uint64
 	failure error
@@ -104,8 +105,11 @@ type Engine struct {
 	// beside curProc, like eventq's lane indices, so that an Engine with
 	// its allocation header fits the 1536-byte size class.
 	live int32
-	// firing is the sequence number of the event being run (FiringBefore).
-	firing int64
+	// firing is the sequence number of the event being run (FiringBefore),
+	// and firingSince the instant at which it was scheduled, -1 when that
+	// is unknown (ScheduledAfter).
+	firing      int64
+	firingSince Time
 	// free holds the engine's free lists (FreeList): chain states, and
 	// the tables lent to the current run.
 	free *freeLists
@@ -202,7 +206,7 @@ func (e *Engine) Reset(seed uint64) {
 	}
 	e.now = 0
 	e.seq = 0
-	e.firing = 0
+	e.firing, e.firingSince = 0, 0
 	e.fired = 0
 	e.handoffs = 0
 	for i := range e.procs {
@@ -274,6 +278,23 @@ func (e *Engine) Watermark() int64 { return e.seq }
 // run would have fired there.
 func (e *Engine) FiringBefore(mark int64) bool { return e.firing <= mark }
 
+// ScheduledAfter reports whether the delivery being run was scheduled
+// after instant t. It places code running at an instant against a
+// delivery there that a model booked ahead stands in for: one the
+// per-step model would have scheduled at t, when its previous step ran.
+// A delivery scheduled before t fires before it, and one scheduled after
+// t fires after it. (A delivery scheduled at t itself is reported as
+// before: whether it followed the step at t is not recorded.) A callback
+// and the sampler report false: they count as scheduled before any
+// instant.
+func (e *Engine) ScheduledAfter(t Time) bool { return e.firingSince > t }
+
+// Quiet reports whether no event other than the one being run is due at
+// the current instant. A delivery that fires earlier in its instant than
+// the one it stands in for would (a booked run of steps ends there) steps
+// aside when it is not quiet, with a zero sleep.
+func (e *Engine) Quiet() bool { return e.pq.quietAt(e.now) }
+
 // Handoffs returns the number of times the driver has resumed a process's
 // coroutine so far: the switches between processes the run paid for (each
 // is a yield to the driver and a resume). A delivery the parking process
@@ -338,6 +359,7 @@ func (e *Engine) scheduleDeliver(at Time, idx int32) {
 		e.schedulePast(at)
 	}
 	e.seq++
+	e.profs[idx].since = e.now
 	if ev := (event{at: at, seq: e.seq, proc: idx}); at == e.now {
 		e.pq.pushNow(ev)
 	} else {
@@ -425,9 +447,11 @@ func (e *Engine) next() *Proc {
 		e.fired++
 		if ev.proc == noProc {
 			e.curProc = noProc // callbacks are the kernel's, whoever pops them
+			e.firingSince = -1
 			ev.fn()
 			continue
 		}
+		e.firingSince = e.profs[ev.proc].since
 		p := e.procs[ev.proc]
 		if p.done {
 			e.wakeFinished(p)
@@ -476,6 +500,8 @@ func (e *Engine) wakeFinished(p *Proc) {
 // an event's (recoverInline).
 func (e *Engine) sample(upTo Time) {
 	e.curProc = noProc
+	// The sampler comes before every event at its boundary.
+	e.firing, e.firingSince = 0, -1
 	for e.sampleNext <= upTo {
 		e.now = e.sampleNext
 		e.sampleFn(e.sampleNext)

@@ -92,6 +92,9 @@ func (e *Engine) newProc(name string) *Proc {
 		rng:  NewRNG(e.seed ^ hash64(name) ^ uint64(len(e.procs)+1)*0x9e3779b97f4a7c15),
 	}
 	e.procs = append(e.procs, p)
+	if len(e.procs) > len(e.profs) {
+		e.growProfs(len(e.procs))
+	}
 	e.live++
 	return p
 }
@@ -256,7 +259,8 @@ func (p *Proc) YieldThen(fn func(p *Proc)) bool {
 	}
 	p.cont = nil
 	e.seq++
-	e.firing = e.seq
+	e.firing, e.firingSince = e.seq, e.now
+	e.profs[p.idx].since = e.now
 	e.fired++
 	return true
 }
@@ -287,6 +291,31 @@ func (p *Proc) Retime(at Time) {
 //go:noinline
 func (p *Proc) badRetime(at Time) {
 	panic(fmt.Sprintf("sim: retime of process %q to %v at %v: not sleeping, or into the past", p.name, at, p.e.now))
+}
+
+// Preempt runs the pending continuation of p, a goroutine-free process
+// sleeping until now, at once, ahead of the code now running, which is
+// not p's: p's delivery is dropped unfired and its continuation runs as
+// that delivery would have, as p and counted as an event. A model that
+// booked p's delivery ahead, and so later in its instant than the
+// per-step delivery it stands in for (Retime), calls it when it learns
+// that code running at that instant comes after that delivery.
+func (p *Proc) Preempt() {
+	e := p.e
+	if p.co != nil || p.cont == nil || p.waiting || p.done || p.idx == e.curProc {
+		p.badPreempt()
+	}
+	p.stale = e.seq
+	cur := e.curProc
+	e.curProc = p.idx
+	e.fired++
+	e.resumeFunc(p, false)
+	e.curProc = cur
+}
+
+//go:noinline
+func (p *Proc) badPreempt() {
+	panic(fmt.Sprintf("sim: preempt of process %q at %v: not a goroutine-free process sleeping", p.name, p.e.now))
 }
 
 // blockThen is Block for a continuation: it parks until Wake, and fn runs

@@ -20,12 +20,15 @@ type profNode struct {
 // profTable is one process's record, in the engine's slab by spawn slot:
 // its profile's call paths in first-visit order, nodes[0] the root named
 // after the process (none when it keeps no profile), cur the innermost
-// open phase (0 when none), and its region tallies (Tally). A phase holds
-// its node and start time, so the table needs no stack of open phases.
+// open phase (0 when none), its region tallies (Tally), and the instant
+// its pending delivery was scheduled (Engine.ScheduledAfter). A phase
+// holds its node and start time, so the table needs no stack of open
+// phases.
 type profTable struct {
 	nodes          []profNode
 	cur            int32
 	movement, idle time.Duration
+	since          Time
 }
 
 // profShare is the call paths each table is carved with: the most any
@@ -50,15 +53,8 @@ func (p *Proc) KeepProfile() {
 	t.cur = 0
 }
 
-// slot returns p's table in the slab, growing the slab to every process
-// spawned so far when p's slot is past it.
-func (p *Proc) slot() *profTable {
-	e := p.e
-	if int(p.idx) >= len(e.profs) {
-		e.growProfs(len(e.procs))
-	}
-	return &e.profs[p.idx]
-}
+// slot returns p's table in the slab.
+func (p *Proc) slot() *profTable { return &p.e.profs[p.idx] }
 
 // Tally returns the total length of p's closed regions of ClassMovement
 // and of ClassIdle, however they were opened (Region or Span) and whether
@@ -69,14 +65,14 @@ func (p *Proc) Tally() (movement, idle time.Duration) {
 }
 
 // growProfs extends the slab to n processes, none keeping a profile or
-// tallying yet. Prealloc makes the tables before a run, or else the first
-// slot lookup past them; Reset keeps them, emptied and their tallies
-// zeroed, for the next run. Their call paths are carved only once a
-// process keeps a profile (carveProfs), so runs that keep none never pay
-// for them.
+// tallying yet. Prealloc makes the tables before a run, or else the spawn
+// past them, which doubles the slab; Reset keeps them, emptied and their
+// tallies zeroed, for the next run. Their call paths are carved only once
+// a process keeps a profile (carveProfs), so runs that keep none never
+// pay for them.
 func (e *Engine) growProfs(n int) {
 	if n > cap(e.profs) {
-		grown := make([]profTable, n)
+		grown := make([]profTable, max(n, 2*cap(e.profs)))
 		copy(grown, e.profs[:cap(e.profs)])
 		e.profs = grown
 	}

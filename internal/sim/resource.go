@@ -23,8 +23,8 @@ type Resource struct {
 	// backing array is compacted once the dead prefix dominates.
 	queue     []resWaiter
 	qhead     int32
-	queueHint int32        // pre-size applied on first enqueue (0 = none)
-	watcher   QueueWatcher // told when a process queues (OnQueue)
+	queueHint int32   // pre-size applied on first enqueue (0 = none)
+	watcher   Watcher // told before each grant decision and read (Watch)
 
 	// Busy accumulates total grant-duration (units * time) for utilization
 	// accounting; see BusyUnitNanos.
@@ -51,28 +51,74 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 func (r *Resource) Name() string { return r.name }
 
 // InUse returns the currently granted units.
-func (r *Resource) InUse() int { return int(r.inUse) }
+func (r *Resource) InUse() int {
+	r.touch(false)
+	return int(r.inUse)
+}
 
 // QueueLen returns the number of processes waiting for a grant.
-func (r *Resource) QueueLen() int { return len(r.queue) - int(r.qhead) }
+func (r *Resource) QueueLen() int {
+	r.touch(false)
+	return len(r.queue) - int(r.qhead)
+}
 
 // SetQueueHint sizes the wait queue's first allocation for an expected
 // number of concurrent waiters. Applied lazily, so uncontended resources
 // still allocate nothing.
 func (r *Resource) SetQueueHint(n int) { r.queueHint = int32(min(n, math.MaxInt32)) }
 
-// QueueWatcher is told each time a process queues on a resource it
-// watches (Resource.OnQueue).
-type QueueWatcher interface{ Queued() }
+// Watcher is told before each grant decision of a resource it watches
+// (Resource.Watch), with acquire true, and before each read of its state
+// (InUse, QueueLen, BusyUnitNanos), with acquire false. A model that books
+// a run of steps ahead as one event uses it to settle its books first, so
+// that whoever meets the run finds the resource as the per-step model
+// would have left it at that point: a NIC's segment train (package
+// cluster) splits when an acquire would queue behind it, and an OST's
+// background noise (package lustre) records the bursts already passed
+// (HoldFrom, ReleaseAt) and, when someone acquires, goes back to one
+// event per step. A read must not schedule anything: the metrics sampler
+// reads. An interface rather than a func, so that a pointer watcher costs
+// no allocation.
+type Watcher interface{ Touch(acquire bool) }
 
-// OnQueue makes w the watcher of r: each time a process queues on r (its
-// acquire finds the units taken or earlier waiters), w.Queued runs right
-// after it joins the queue. The resource's owner uses it to learn that
-// someone waits: a NIC that booked a run of holds as one (package
-// cluster) splits it there. An interface rather than a func, so that a
-// pointer watcher costs no allocation. A nil w (the default) removes the
-// watcher. Reset keeps it.
-func (r *Resource) OnQueue(w QueueWatcher) { r.watcher = w }
+// Watch makes w the watcher of r; a nil w (the default) removes it. Reset
+// keeps it.
+func (r *Resource) Watch(w Watcher) { r.watcher = w }
+
+func (r *Resource) touch(acquire bool) {
+	if r.watcher != nil {
+		r.watcher.Touch(acquire)
+	}
+}
+
+// HoldFrom grants n units to the holder of a run that its watcher booked
+// ahead, as of instant from: no earlier than r's last change of state,
+// not after now, with the units free and nobody queued. The busy integral
+// counts the hold from then on, as if it had been granted at from.
+func (r *Resource) HoldFrom(n int, from Time) {
+	if n < 1 || r.inUse+int32(n) > r.cap || int(r.qhead) != len(r.queue) || from < r.lastChange || from > r.e.Now() {
+		r.badBooking(n, from)
+	}
+	r.settle(from)
+	r.inUse += int32(n)
+}
+
+// ReleaseAt returns n units a watcher's holder took with HoldFrom, as of
+// instant at, no earlier than r's last change of state and not after now,
+// with nobody queued: it ends the hold in the busy integral at at.
+func (r *Resource) ReleaseAt(n int, at Time) {
+	if n < 1 || n > int(r.inUse) || int(r.qhead) != len(r.queue) || at < r.lastChange || at > r.e.Now() {
+		r.badBooking(-n, at)
+	}
+	r.settle(at)
+	r.inUse -= int32(n)
+}
+
+//go:noinline
+func (r *Resource) badBooking(n int, at Time) {
+	panic(fmt.Sprintf("sim: booked hold %+d of resource %q at %v: %d of %d in use, %d queued, last change %v, now %v",
+		n, r.name, at, r.inUse, r.cap, len(r.queue)-int(r.qhead), r.lastChange, r.e.Now()))
+}
 
 // Reset returns the resource to its just-created state at the engine's
 // current instant, keeping the wait queue's backing array and the queue
@@ -91,10 +137,12 @@ func (r *Resource) Reset() {
 	r.lastChange = r.e.Now()
 }
 
-func (r *Resource) account() {
-	now := r.e.Now()
-	r.busyUnitNanos += int64(r.inUse) * int64(now-r.lastChange)
-	r.lastChange = now
+func (r *Resource) account() { r.settle(r.e.Now()) }
+
+// settle brings the busy integral up to instant t.
+func (r *Resource) settle(t Time) {
+	r.busyUnitNanos += int64(r.inUse) * int64(t-r.lastChange)
+	r.lastChange = t
 }
 
 // BusyUnitNanos returns the cumulative busy integral up to the current
@@ -102,6 +150,7 @@ func (r *Resource) account() {
 // adds n*d. Metrics samplers difference it across a sample interval to get
 // the windowed busy fraction (see internal/metrics).
 func (r *Resource) BusyUnitNanos() int64 {
+	r.touch(false)
 	r.account()
 	return r.busyUnitNanos
 }
@@ -145,6 +194,9 @@ func (r *Resource) grantOrQueue(p *Proc, n int) bool {
 	if n < 1 || n > int(r.cap) {
 		r.badAcquire(n)
 	}
+	if r.watcher != nil {
+		r.watcher.Touch(true)
+	}
 	if int(r.qhead) == len(r.queue) && r.inUse+int32(n) <= r.cap {
 		r.account()
 		r.inUse += int32(n)
@@ -154,9 +206,6 @@ func (r *Resource) grantOrQueue(p *Proc, n int) bool {
 		r.queue = make([]resWaiter, 0, r.queueHint)
 	}
 	r.queue = append(r.queue, resWaiter{p: p, n: int32(n)})
-	if r.watcher != nil {
-		r.watcher.Queued()
-	}
 	return false
 }
 

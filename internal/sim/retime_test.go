@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/critpath"
 )
 
 // retimed runs one process that sleeps for 10ms while a callback at 1ms
@@ -133,30 +136,185 @@ func TestFiringBefore(t *testing.T) {
 	}
 }
 
-// queueLog records the queue length each time its resource's watcher is
-// told.
-type queueLog struct {
-	r      *Resource
-	queued []int
+// ScheduledAfter places the delivery being run by the instant it was
+// scheduled at: a sleep, a retimed sleep, a wake and a zero-length yield
+// each report their own instant, and callbacks and the sampler count as
+// scheduled before any instant.
+func TestScheduledAfter(t *testing.T) {
+	e := NewEngine(1)
+	const ms = time.Millisecond
+	got := map[string][2]bool{}
+	probe := func(name string, t Time) { got[name] = [2]bool{e.ScheduledAfter(t - 1), e.ScheduledAfter(t)} }
+	var sleeper *Proc
+	sleeper = e.SpawnFunc("sleeper", func(p *Proc) {
+		p.SleepThen(10*ms, func(p *Proc) {
+			probe("retimed", 2*ms)
+			p.SleepThen(ms, func(p *Proc) { probe("sleep", 5*ms) })
+		})
+	})
+	e.After(2*ms, func() {
+		probe("callback", 0)
+		sleeper.Retime(5 * ms)
+	})
+	e.Spawn("waker", func(p *Proc) {
+		var l Latch
+		e.Spawn("waiter", func(q *Proc) {
+			l.Wait(q)
+			probe("wake", 7*ms)
+			q.Inline(func(q *Proc) {
+				if q.YieldThen(func(*Proc) {}) {
+					probe("yield", 7*ms)
+				}
+			})
+		})
+		p.Sleep(7 * ms)
+		l.Fire()
+	})
+	e.SetSampler(4*ms, func(Time) {
+		if _, ok := got["sampler"]; !ok {
+			probe("sampler", 0)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][2]bool{
+		"retimed": {true, false}, "sleep": {true, false}, "wake": {true, false}, "yield": {true, false},
+		"callback": {false, false}, "sampler": {false, false},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ScheduledAfter(instant-1, instant): %v, want %v", got, want)
+	}
 }
 
-func (l *queueLog) Queued() { l.queued = append(l.queued, l.r.QueueLen()) }
+// Quiet reports whether another event is due at the current instant.
+func TestQuiet(t *testing.T) {
+	e := NewEngine(1)
+	var got []bool
+	e.Spawn("a", func(p *Proc) {
+		got = append(got, e.Quiet()) // b's first delivery is due now
+		p.Sleep(time.Millisecond)
+		got = append(got, e.Quiet())
+	})
+	e.Spawn("b", func(p *Proc) { p.Sleep(2 * time.Millisecond) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []bool{false, true}) {
+		t.Errorf("Quiet: %v, want [false true]", got)
+	}
+}
 
-// The watcher is told once for each acquire that queues, and never for a
-// grant.
-func TestOnQueueFiresPerWaiter(t *testing.T) {
+// Preempt runs a goroutine-free process's continuation due now at once,
+// as that process, ahead of the code running: its release edges are its
+// own, it counts as the event it stands in for, and the delivery it
+// replaces is dropped.
+func TestPreempt(t *testing.T) {
+	e := NewEngine(1)
+	cp := critpath.NewRecorder()
+	e.SetCritRecorder(cp)
+	r := NewResource(e, "r", 1)
+	var order []string
+	var holder *Proc
+	holder = e.SpawnFunc("holder", func(p *Proc) {
+		r.AcquireThen(p, 1, func(p *Proc) {
+			p.SleepThen(time.Millisecond, func(p *Proc) {
+				order = append(order, fmt.Sprintf("release@%v", p.Now()))
+				r.Release(1)
+			})
+		})
+	})
+	e.Spawn("user", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		r.Acquire(p, 1) // queues behind the holder
+		order = append(order, fmt.Sprintf("user@%v", p.Now()))
+		r.Release(1)
+	})
+	e.After(time.Millisecond, func() {
+		order = append(order, "callback")
+		holder.Preempt()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"callback", "release@1ms", "user@1ms"}; !reflect.DeepEqual(order, want) {
+		t.Errorf("order %v, want %v", order, want)
+	}
+	// Spawns, the holder's and the user's sleeps, the callback, the
+	// preempted release and the user's wake-up.
+	if e.Events() != 6 {
+		t.Errorf("%d events, want 6", e.Events())
+	}
+	g := cp.Finish(e.Now())
+	if len(g.Edges) != 1 || g.Edges[0].From != holder.idx || g.Edges[0].At != time.Millisecond {
+		t.Errorf("release edges %+v, want one from the holder at 1ms", g.Edges)
+	}
+}
+
+// A watcher books holds off the event queue: HoldFrom and ReleaseAt put
+// them on the busy integral as of their instants, and refuse an instant
+// before the last change or after now, or a hold with someone queued.
+func TestHoldFromReleaseAt(t *testing.T) {
+	e := NewEngine(1)
+	r := NewResource(e, "r", 2)
+	var busy []int64
+	e.After(10*time.Millisecond, func() {
+		r.HoldFrom(1, 2*time.Millisecond)
+		r.ReleaseAt(1, 5*time.Millisecond)
+		r.HoldFrom(2, 6*time.Millisecond)
+		busy = append(busy, r.BusyUnitNanos())
+		r.ReleaseAt(2, 10*time.Millisecond)
+	})
+	e.After(12*time.Millisecond, func() { busy = append(busy, r.BusyUnitNanos()) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{11e6, 11e6}; !reflect.DeepEqual(busy, want) {
+		t.Errorf("busy integral %v, want %v", busy, want)
+	}
+	for name, bad := range map[string]func(r *Resource){
+		"before last change": func(r *Resource) { r.BusyUnitNanos(); r.HoldFrom(1, 0) },
+		"after now":          func(r *Resource) { r.HoldFrom(1, 2*time.Millisecond) },
+		"release unheld":     func(r *Resource) { r.ReleaseAt(1, time.Millisecond) },
+		"over capacity":      func(r *Resource) { r.HoldFrom(3, time.Millisecond) },
+	} {
+		e := NewEngine(1)
+		r := NewResource(e, "r", 2)
+		e.After(time.Millisecond, func() { bad(r) })
+		if err := e.Run(); err == nil || !strings.Contains(err.Error(), "booked hold") {
+			t.Errorf("%s: err = %v, want a booked-hold panic", name, err)
+		}
+	}
+}
+
+// touchLog records each call of its resource's watcher: whether it came
+// before a grant decision, and the queue length then.
+type touchLog struct {
+	r       *Resource
+	touches []string
+}
+
+func (l *touchLog) Touch(acquire bool) {
+	l.touches = append(l.touches, fmt.Sprintf("%v/%d", acquire, len(l.r.queue)-int(l.r.qhead)))
+}
+
+// The watcher is told before each grant decision, whether it grants or
+// queues, and before each read; never on a release.
+func TestWatcherToldBeforeGrantsAndReads(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "r", 1)
-	l := &queueLog{r: r}
-	r.OnQueue(l)
+	l := &touchLog{r: r}
+	r.Watch(l)
 	for i := 0; i < 3; i++ {
 		e.Spawn("user", func(p *Proc) { r.Use(p, time.Millisecond) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.queued) != 2 || l.queued[0] != 1 || l.queued[1] != 2 {
-		t.Errorf("watcher saw queue lengths %v, want [1 2]", l.queued)
+	_, _, _ = r.InUse(), r.QueueLen(), r.BusyUnitNanos()
+	want := []string{"true/0", "true/0", "true/1", "false/0", "false/0", "false/0"}
+	if !reflect.DeepEqual(l.touches, want) {
+		t.Errorf("watcher told %v, want %v", l.touches, want)
 	}
 }
 

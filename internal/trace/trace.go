@@ -148,7 +148,7 @@ const HistBuckets = 9
 
 // HistBucket maps a duration to its log-scale histogram bucket. The
 // bucketing is shared by metrics.Histogram and the critical-path slack
-// histogram; HistogramPercentile estimates percentiles over either.
+// histogram.
 func HistBucket(d time.Duration) int {
 	us := d.Microseconds()
 	b := 0
@@ -157,65 +157,4 @@ func HistBucket(d time.Duration) int {
 		b++
 	}
 	return b
-}
-
-// histBucketLo returns bucket b's inclusive lower duration bound.
-func histBucketLo(b int) time.Duration {
-	if b <= 0 {
-		return 0
-	}
-	return time.Duration(int64(1)<<(2*uint(b-1))) * time.Microsecond // 4^(b-1)µs
-}
-
-// histBucketHi returns bucket b's exclusive upper duration bound, or max
-// for the unbounded last bucket.
-func histBucketHi(b int, max time.Duration) time.Duration {
-	if b >= HistBuckets-1 {
-		return max
-	}
-	return time.Duration(int64(1)<<(2*uint(b))) * time.Microsecond // 4^b µs
-}
-
-// HistogramPercentile estimates the p-th percentile (0-100) of a log-scale
-// duration histogram with the given observation count and observed min/max.
-// It walks the buckets to the one containing the fractional target rank and
-// interpolates linearly inside it, with the bucket's bounds tightened to
-// [min, max]. Accuracy is bounded by bucket width (a factor of 4), exact
-// when all observations share one bucket clamped by min==max. Deterministic:
-// pure integer/float arithmetic over the counts.
-func HistogramPercentile(hist *[HistBuckets]int64, count int64, min, max time.Duration, p float64) time.Duration {
-	if count <= 0 {
-		return 0
-	}
-	if p <= 0 {
-		return min
-	}
-	if p >= 100 {
-		return max
-	}
-	target := p / 100 * float64(count)
-	var cum int64
-	for b := 0; b < HistBuckets; b++ {
-		n := hist[b]
-		if n == 0 {
-			continue
-		}
-		if float64(cum+n) < target {
-			cum += n
-			continue
-		}
-		lo, hi := histBucketLo(b), histBucketHi(b, max)
-		if lo < min {
-			lo = min
-		}
-		if hi > max {
-			hi = max
-		}
-		if hi < lo {
-			hi = lo
-		}
-		frac := (target - float64(cum)) / float64(n)
-		return lo + time.Duration(frac*float64(hi-lo))
-	}
-	return max
 }

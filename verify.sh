@@ -22,6 +22,13 @@ go_files="$(find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git 
 echo "non-test Go lines: $(echo "$go_files" | grep -v '_test\.go$' | xargs cat | wc -l)"
 echo "test Go lines:     $(echo "$go_files" | grep '_test\.go$' | xargs cat | wc -l)"
 
+echo "== event count: one paper-figs iteration (prints only) =="
+# The events the benchmark's paper-figs iteration fires, as
+# TestRunEventBudget logs them; its per-figure pins are checked in the
+# test stage. This stage prints and cannot fail.
+go test -count=1 -run '^TestRunEventBudget$' -v ./internal/experiments 2>&1 |
+	grep -o 'paper-figs iteration: [0-9]* events' || true
+
 echo "== gofmt: every Go file is formatted =="
 # gofmt -l lists the files whose formatting differs; any listed file fails
 # the gate. The benchmark's build directory holds no source of ours.
