@@ -231,11 +231,19 @@ type Store struct {
 	met     *Metrics
 }
 
-// NewStore builds a store named for errors and traces (e.g.
-// "node0/staging"). capBytes <= 0 means infinite (the store still tracks
-// occupancy, and a later Resize can make it finite). met may be nil (a
-// private record is kept). onEvict may be nil (nothing to remove).
-func NewStore(name string, capBytes int64, ev Evictor, cache bool, met *Metrics, onEvict func(path string, size int64, consumed bool) bool) *Store {
+// The engines' free lists of the stores' entry and tombstone tables.
+var (
+	entryTables = sim.NewFreeList[map[string]*Entry]()
+	tombTables  = sim.NewFreeList[map[string]State]()
+)
+
+// NewStore builds a store for e's current run, named for errors and
+// traces (e.g. "node0/staging"). Its entry and tombstone tables are lent
+// by e (sim.LendMap): the store is valid until e's next Reset. capBytes
+// <= 0 means infinite (the store still tracks occupancy, and a later
+// Resize can make it finite). met may be nil (a private record is kept).
+// onEvict may be nil (nothing to remove).
+func NewStore(e *sim.Engine, name string, capBytes int64, ev Evictor, cache bool, met *Metrics, onEvict func(path string, size int64, consumed bool) bool) *Store {
 	if capBytes < 0 {
 		capBytes = 0
 	}
@@ -246,8 +254,8 @@ func NewStore(name string, capBytes int64, ev Evictor, cache bool, met *Metrics,
 		name:     name,
 		cache:    cache,
 		capBytes: capBytes,
-		entries:  make(map[string]*Entry),
-		tomb:     make(map[string]State),
+		entries:  sim.LendMap(entryTables, e),
+		tomb:     sim.LendMap(tombTables, e),
 		ev:       ev,
 		onEvict:  onEvict,
 		met:      met,
@@ -389,8 +397,8 @@ func (s *Store) Clear() {
 	if s == nil {
 		return
 	}
-	s.entries = make(map[string]*Entry)
-	s.tomb = make(map[string]State)
+	clear(s.entries)
+	clear(s.tomb)
 	s.used = 0
 	s.ev.Reset()
 	s.waiters.Broadcast()

@@ -22,7 +22,7 @@ func (l *evictLog) hook(path string, size int64, consumed bool) bool {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	log := &evictLog{spill: true}
-	s := NewStore("test/staging", 30, NewEvictor(PolicyLRU), false, nil, log.hook)
+	s := NewStore(sim.NewEngine(1), "test/staging", 30, NewEvictor(PolicyLRU), false, nil, log.hook)
 
 	for _, p := range []string{"a", "b", "c"} {
 		if err := s.Reserve(nil, p, 10); err != nil {
@@ -55,7 +55,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestConsumedDropVictims(t *testing.T) {
 	log := &evictLog{}
-	s := NewStore("test/staging", 30, NewEvictor(PolicyConsumedDrop), false, nil, log.hook)
+	s := NewStore(sim.NewEngine(1), "test/staging", 30, NewEvictor(PolicyConsumedDrop), false, nil, log.hook)
 
 	for _, p := range []string{"a", "b", "c"} {
 		if err := s.Reserve(nil, p, 10); err != nil {
@@ -88,7 +88,7 @@ func TestConsumedDropVictims(t *testing.T) {
 }
 
 func TestNoSpace(t *testing.T) {
-	s := NewStore("node0/staging", 16, NewEvictor(PolicyLRU), false, nil, nil)
+	s := NewStore(sim.NewEngine(1), "node0/staging", 16, NewEvictor(PolicyLRU), false, nil, nil)
 	err := s.Reserve(nil, "big", 17)
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("Reserve over budget: err = %v, want ErrNoSpace", err)
@@ -105,7 +105,7 @@ func TestNoSpace(t *testing.T) {
 }
 
 func TestOverwriteReleasesOldBytes(t *testing.T) {
-	s := NewStore("t", 20, NewEvictor(PolicyLRU), false, nil, nil)
+	s := NewStore(sim.NewEngine(1), "t", 20, NewEvictor(PolicyLRU), false, nil, nil)
 	if err := s.Reserve(nil, "a", 15); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestOverwriteReleasesOldBytes(t *testing.T) {
 
 func TestRemoveAndClear(t *testing.T) {
 	log := &evictLog{}
-	s := NewStore("t", 20, NewEvictor(PolicyLRU), false, nil, log.hook)
+	s := NewStore(sim.NewEngine(1), "t", 20, NewEvictor(PolicyLRU), false, nil, log.hook)
 	if err := s.Reserve(nil, "a", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRemoveAndClear(t *testing.T) {
 }
 
 func TestResize(t *testing.T) {
-	s := NewStore("t", 0, NewEvictor(PolicyLRU), false, nil, nil)
+	s := NewStore(sim.NewEngine(1), "t", 0, NewEvictor(PolicyLRU), false, nil, nil)
 	for _, p := range []string{"a", "b", "c", "d"} {
 		if err := s.Reserve(nil, p, 10); err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestResize(t *testing.T) {
 
 func TestCacheStoreAccounting(t *testing.T) {
 	log := &evictLog{}
-	s := NewStore("node1/cache", 20, NewEvictor(PolicyLRU), true, nil, log.hook)
+	s := NewStore(sim.NewEngine(1), "node1/cache", 20, NewEvictor(PolicyLRU), true, nil, log.hook)
 	if !s.TryReserve("a", 10) || !s.TryReserve("b", 10) {
 		t.Fatal("TryReserve refused with space available")
 	}
@@ -201,7 +201,7 @@ func TestCacheStoreAccounting(t *testing.T) {
 func TestBackpressure(t *testing.T) {
 	eng := sim.NewEngine(1)
 	met := &Metrics{}
-	s := NewStore("node0/staging", 20, NewEvictor(PolicyConsumedDrop), false, met, nil)
+	s := NewStore(eng, "node0/staging", 20, NewEvictor(PolicyConsumedDrop), false, met, nil)
 
 	var produced []string
 	eng.Spawn("producer", func(p *sim.Proc) {
@@ -351,7 +351,7 @@ func TestMetricsStringZero(t *testing.T) {
 // store where every Reserve evicts exactly one victim.
 func BenchmarkCapacityEvict(b *testing.B) {
 	const frames = 1024
-	s := NewStore("bench", frames*4096, NewEvictor(PolicyLRU), false, nil, nil)
+	s := NewStore(sim.NewEngine(1), "bench", frames*4096, NewEvictor(PolicyLRU), false, nil, nil)
 	names := make([]string, frames+1)
 	for i := range names {
 		names[i] = "frame" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))

@@ -180,9 +180,10 @@ func (s *SSD) scale(d time.Duration) time.Duration {
 
 // Node is one compute node: an SSD and a NIC.
 type Node struct {
-	ID  int
-	SSD *SSD
-	nic *sim.Resource
+	ID   int
+	SSD  *SSD
+	nic  *sim.Resource
+	name string // "node<ID>", spelt once by New
 
 	// nicDegrade multiplies this NIC's wire service times (fault
 	// injection; values <= 1 mean healthy).
@@ -253,8 +254,8 @@ func (n *Node) nicScale(d time.Duration) time.Duration {
 	return d
 }
 
-// Name returns a stable display name.
-func (n *Node) Name() string { return fmt.Sprintf("node%d", n.ID) }
+// Name returns a stable display name, "node<ID>".
+func (n *Node) Name() string { return n.name }
 
 // Engine returns the engine the node's cluster runs on.
 func (n *Node) Engine() *sim.Engine { return n.cl.e }
@@ -285,14 +286,16 @@ func New(e *sim.Engine, spec Spec) *Cluster {
 	c := &Cluster{Spec: spec, e: e}
 	c.nodes = make([]*Node, 0, spec.Nodes)
 	for i := 0; i < spec.Nodes; i++ {
+		name := fmt.Sprintf("node%d", i)
 		n := &Node{
 			ID: i,
 			SSD: &SSD{
 				spec: spec.SSD,
-				dev:  sim.NewResource(e, fmt.Sprintf("node%d/ssd", i), spec.SSD.Channels),
+				dev:  sim.NewResource(e, name+"/ssd", spec.SSD.Channels),
 			},
-			nic: sim.NewResource(e, fmt.Sprintf("node%d/nic", i), 1),
-			cl:  c,
+			nic:  sim.NewResource(e, name+"/nic", 1),
+			name: name,
+			cl:   c,
 		}
 		n.nic.Watch((*nicWatch)(n))
 		if spec.QueueHint > 0 {

@@ -423,62 +423,132 @@ func TestRecycledRecordersLeaveResultsAlone(t *testing.T) {
 
 // A pooled engine lends each run the tables its last run filled (the
 // staging, cache and Lustre mirror file tables, the Lustre layouts, the
-// KVS, the lock tables and the clients' synced flows), so each must start
-// the next run empty. Each first run here leaves them full, with one more
-// pair and two more frames per pair than the run after it, so it lays its
-// files out across the OSTs in another order: a completed run leaves every
-// frame staged, cached, mirrored and committed; a run the watchdog kills
-// mid-frame leaves locks held and flows half synced; a run under a
-// two-frame staging budget has evicted and spilled frames. A pooled run
-// after each must equal the same config run unpooled, and hold only its
-// own frames.
+// KVS, the lock tables and the clients' synced flows), and the processes,
+// pair table, gates, clients and servers it built, so each must start the
+// next run as new. Each DYAD first run here leaves them full, with one
+// more pair and two more frames per pair than the run after it, so it
+// lays its files out across the OSTs in another order: a completed run
+// leaves every frame staged, cached, mirrored and committed; a run the
+// watchdog kills mid-frame leaves locks held and flows half synced; a run
+// under a two-frame staging budget has evicted and spilled frames. A run
+// of fewer frames than the run after it leaves frame paths too short for
+// it. An XFS run killed mid-frame leaves its pair gates with waiters, a
+// Lustre run killed mid-frame leaves its MDS and OST queues with waiters
+// and its noise booked ahead and watching the OSTs, which a DYAD run after
+// it takes without noise. A pooled run after each must
+// equal the same config run unpooled, and hold only its own frames.
 func TestLentTablesStartEmpty(t *testing.T) {
 	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 4, Seed: 21,
 		LustreFallback: true, RecordSpans: true, CritPath: true}
-	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	completed := cfg
 	completed.Pairs, completed.Frames, completed.Seed = 5, 8, 22
 	killed := completed
-	killed.MaxEvents = 400
+	killed.MaxEvents = 600
 	evicting := completed
 	evicting.Capacity = &capacity.Spec{StagingBytes: 2 * cfg.Model.FrameBytes(), Policy: capacity.PolicyLRU}
-	// tables counts the frames a run left in each lent table.
-	tables := func(r *rig) [4]int {
-		return [4]int{r.dy.Broker(r.producerNode(0)).Staging().Tree().Len(),
-			r.dy.Broker(r.consumerNode(0)).Cache().Len(), r.lfs.Tree().Len(), r.dy.KVS().Len()}
+	shorter := completed
+	shorter.Frames = cfg.Frames - 2
+	xfsCfg := cfg
+	xfsCfg.Backend, xfsCfg.LustreFallback, xfsCfg.SingleNode = XFS, false, true
+	xfsKilled := killed
+	xfsKilled.Backend, xfsKilled.LustreFallback, xfsKilled.SingleNode = XFS, false, true
+	xfsKilled.MaxEvents = 400 // an XFS run is over by 600
+	lustreCfg := cfg
+	lustreCfg.Backend, lustreCfg.LustreFallback, lustreCfg.LustreNoise = Lustre, false, true
+	lustreKilled := killed
+	lustreKilled.Backend, lustreKilled.LustreFallback, lustreKilled.LustreNoise = Lustre, false, true
+	// tables counts the frames a run left in each lent table: a DYAD run's
+	// staged, cached, mirrored and committed frames, or the frames in an
+	// XFS or Lustre file table.
+	tables := func(r *rig) []int {
+		switch {
+		case r.dy != nil:
+			return []int{r.dy.Broker(r.producerNode(0)).Staging().Tree().Len(),
+				r.dy.Broker(r.consumerNode(0)).Cache().Len(), r.lfs.Tree().Len(), r.dy.KVS().Len()}
+		case r.xf != nil:
+			return []int{r.xf.Tree().Len()}
+		}
+		return []int{r.lfs.Tree().Len()}
 	}
-	own := cfg.Pairs * cfg.Frames // every pair runs on the same two nodes
-	for _, first := range []struct {
-		name string
-		cfg  Config
-	}{{"completed", completed}, {"killed", killed}, {"evicting", evicting}} {
+	wants := map[*Config]*Result{}
+	for _, tc := range []struct {
+		name         string
+		first, after *Config
+	}{
+		{"completed", &completed, &cfg},
+		{"killed", &killed, &cfg},
+		{"evicting", &evicting, &cfg},
+		{"shorter", &shorter, &cfg},
+		{"xfs killed", &xfsKilled, &xfsCfg},
+		{"lustre killed", &lustreKilled, &lustreCfg},
+		{"lustre killed, then no noise", &lustreKilled, &cfg},
+	} {
+		want := wants[tc.after]
+		if want == nil {
+			var err error
+			if want, err = Run(*tc.after); err != nil {
+				t.Fatal(err)
+			}
+			wants[tc.after] = want
+		}
 		pool := &runPool{}
-		r := newRig(first.cfg, pool)
+		r := newRig(*tc.first, pool)
 		_, err := r.run(pool)
-		if (err != nil) != (first.name == "killed") {
-			t.Fatalf("%s: first run: %v", first.name, err)
+		if (err != nil) != (tc.first.MaxEvents > 0) {
+			t.Fatalf("%s: first run: %v", tc.name, err)
 		}
-		if left := tables(r); slices.Contains(left[:], 0) {
-			t.Fatalf("%s: first run left %v staged, cached, mirrored and committed frames, want some of each",
-				first.name, left)
+		if left := tables(r); slices.Contains(left, 0) {
+			t.Fatalf("%s: first run left %v frames in its tables, want some in each", tc.name, left)
 		}
-		r2 := newRig(cfg, pool)
+		r2 := newRig(*tc.after, pool)
 		got, err := r2.run(pool)
 		if err != nil {
-			t.Fatalf("after a %s run: %v", first.name, err)
+			t.Fatalf("after a %s run: %v", tc.name, err)
 		}
 		if r2.eng != r.eng {
-			t.Fatalf("after a %s run: the engine was not reused", first.name)
+			t.Fatalf("after a %s run: the engine was not reused", tc.name)
 		}
-		if left := tables(r2); left != [4]int{own, own, own, own} {
-			t.Errorf("after a %s run: tables hold %v frames, want %d each", first.name, left, own)
+		own := tc.after.Pairs * tc.after.Frames // every pair runs on the same two nodes
+		for _, n := range tables(r2) {
+			if n != own {
+				t.Errorf("after a %s run: tables hold %v frames, want %d each", tc.name, tables(r2), own)
+				break
+			}
 		}
-		resultScalars(t, "after a "+first.name+" run", got, want)
+		resultScalars(t, "after a "+tc.name+" run", got, want)
 		if g, w := spanCritDump(got), spanCritDump(want); g != w {
-			t.Errorf("after a %s run: spans and critical path differ from an unpooled run", first.name)
+			t.Errorf("after a %s run: spans and critical path differ from an unpooled run", tc.name)
+		}
+	}
+}
+
+// A pair table entry's process names are made once, for its pair index,
+// and seed the processes' random streams, so each must be spelt as the
+// fmt.Sprintf it stands for, past pair 999 too; a pooled run that grows
+// the table spawns its processes under them.
+func TestPairNamesMatchSprintf(t *testing.T) {
+	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 1, Pairs: 4, Seed: 1}
+	pool := &runPool{}
+	defer func() { pool.eng.Close() }()
+	for _, pairs := range []int{4, 1024} {
+		cfg.Pairs = pairs
+		r := newRig(cfg, pool)
+		if _, err := r.run(pool); err != nil {
+			t.Fatal(err)
+		}
+		procs := r.eng.Procs()
+		for _, pair := range []int{0, 999, 1000, 1023} {
+			if pair >= pairs {
+				continue
+			}
+			prod, cons := fmt.Sprintf("producer%03d", pair), fmt.Sprintf("consumer%03d", pair)
+			pe := r.pairs[pair]
+			if pe.prodName != prod || pe.consName != cons {
+				t.Errorf("pair %d: names %q and %q, want %q and %q", pair, pe.prodName, pe.consName, prod, cons)
+			}
+			if p, c := procs[r.firstProc+2*pair].Name(), procs[r.firstProc+2*pair+1].Name(); p != prod || c != cons {
+				t.Errorf("pair %d: spawned as %q and %q, want %q and %q", pair, p, c, prod, cons)
+			}
 		}
 	}
 }

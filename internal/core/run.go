@@ -47,8 +47,9 @@ type rig struct {
 	// firstProc is the spawn slot of pair 0's producer: pair i's producer
 	// is at firstProc+2i, its consumer at firstProc+2i+1.
 	firstProc int
-	// paths holds each pair's frame paths (pairPaths).
-	paths      []string
+	// pairs is the run's part of the pair table the engine lends
+	// (spawnAll): pair i's names, frame paths, gate and entry points.
+	pairs      pairTable
 	framesRead int
 	bytesRead  int64
 	decodeErrs []error
@@ -213,7 +214,7 @@ func newRig(cfg Config, pool *runPool) *rig {
 			r.dy.SetCapacity(cfg.Capacity, r.capMet)
 		case XFS:
 			xf := r.xf
-			store := capacity.NewStore(cl.Node(0).Name()+"/xfs", cfg.Capacity.StagingBytes,
+			store := capacity.NewStore(eng, cl.Node(0).Name()+"/xfs", cfg.Capacity.StagingBytes,
 				capacity.NewEvictor(cfg.Capacity.Policy), false, r.capMet,
 				func(path string, size int64, consumed bool) bool {
 					xf.Tree().Remove(path)
@@ -318,7 +319,7 @@ func pairPaths(pair, frames int) string {
 //
 //go:noinline
 func (r *rig) framePath(pair, f int) string {
-	paths := r.paths[pair]
+	paths := r.pairs[pair].paths
 	w := strings.Index(paths, ".pb") + len(".pb")
 	at, n := f*w, w
 	for d := 100000; d <= f; d *= 10 {
@@ -341,23 +342,69 @@ func appendPadded(b []byte, n, width int) []byte {
 	return strconv.AppendInt(b, int64(n), 10)
 }
 
-// spawnAll creates all producer and consumer processes.
+// pairTable holds what a run builds per pair, by pair index. Each engine
+// lends its runs one table (pairTables), so a run of a shape the engine
+// has seen spawns its pairs without allocating.
+type pairTable []*pairEntry
+
+// pairTables is the engines' free list of pair tables.
+var pairTables = sim.NewFreeList[pairTable]()
+
+// pairEntry is one pair's entry of a pair table. The names and entry
+// points are made once per entry; the frame paths are kept while the
+// frame count is unchanged; r and the gate are the current run's.
+type pairEntry struct {
+	r    *rig
+	pair int
+	// prodName and consName are "producer%03d" and "consumer%03d": a
+	// process's name seeds its random stream.
+	prodName, consName string
+	// paths spells the pair's frames 0 to frames-1 (pairPaths).
+	frames int
+	paths  string
+	// gate is &coarse on a run with coarse-grained coupling, nil on
+	// DYAD's.
+	gate   *pairGate
+	coarse pairGate
+	// produce and consume are the pair's process bodies, bound once.
+	produce, consume func(p *sim.Proc)
+}
+
+func newPairEntry(pair int) *pairEntry {
+	pe := &pairEntry{pair: pair,
+		prodName: fmt.Sprintf("producer%03d", pair), consName: fmt.Sprintf("consumer%03d", pair)}
+	pe.produce = func(p *sim.Proc) { pe.r.runProducer(p, pe.pair, pe.gate) }
+	pe.consume = func(p *sim.Proc) { pe.r.runConsumer(p, pe.pair, pe.gate) }
+	return pe
+}
+
+// spawnAll creates all producer and consumer processes, from the pair
+// table the engine lends: the table is valid until the engine's next
+// Reset.
 func (r *rig) spawnAll() {
 	r.firstProc = len(r.eng.Procs())
-	r.paths = make([]string, r.cfg.Pairs)
-	for pair := 0; pair < r.cfg.Pairs; pair++ {
-		pair := pair
-		var gate *pairGate
-		if r.cfg.Backend != DYAD || r.cfg.ForceCoarseSync {
-			gate = newPairGate(r.cl, r.producerNode(pair), r.consumerNode(pair))
+	t := pairTables.Lend(r.eng)
+	for len(*t) < r.cfg.Pairs {
+		*t = append(*t, newPairEntry(len(*t)))
+	}
+	r.pairs = (*t)[:r.cfg.Pairs]
+	coarse := r.cfg.Backend != DYAD || r.cfg.ForceCoarseSync
+	for pair, pe := range r.pairs {
+		pe.r = r
+		if pe.frames != r.cfg.Frames {
+			pe.frames, pe.paths = r.cfg.Frames, pairPaths(pair, r.cfg.Frames)
 		}
-		r.paths[pair] = pairPaths(pair, r.cfg.Frames)
-		r.eng.Spawn(fmt.Sprintf("producer%03d", pair), func(p *sim.Proc) {
-			r.runProducer(p, pair, gate)
-		})
-		r.eng.Spawn(fmt.Sprintf("consumer%03d", pair), func(p *sim.Proc) {
-			r.runConsumer(p, pair, gate)
-		})
+		pe.gate = nil
+		if coarse {
+			prod, cons := r.producerNode(pair), r.consumerNode(pair)
+			pe.coarse = pairGate{
+				request: mpi.NewNotify(r.cl, cons, prod),
+				post:    mpi.NewNotify(r.cl, prod, cons),
+			}
+			pe.gate = &pe.coarse
+		}
+		r.eng.Spawn(pe.prodName, pe.produce)
+		r.eng.Spawn(pe.consName, pe.consume)
 	}
 }
 
@@ -369,13 +416,6 @@ func (r *rig) spawnAll() {
 type pairGate struct {
 	request *mpi.Notify // consumer -> producer: "ready for frame k"
 	post    *mpi.Notify // producer -> consumer: "frame k written"
-}
-
-func newPairGate(cl *cluster.Cluster, prodNode, consNode *cluster.Node) *pairGate {
-	return &pairGate{
-		request: mpi.NewNotify(cl, consNode, prodNode),
-		post:    mpi.NewNotify(cl, prodNode, consNode),
-	}
 }
 
 // runProducer emulates the MD simulation side of one pair.

@@ -191,7 +191,16 @@ func decodeMeta(b []byte) meta {
 	}
 }
 
-// New deploys DYAD over the cluster with its KVS hosted on kvsNode.
+// The engines' free lists of deployments, brokers and clients.
+var (
+	systems    = sim.NewFreeList[System]()
+	brokerList = sim.NewFreeList[Broker]()
+	clients    = sim.NewFreeList[Client]()
+)
+
+// New deploys DYAD over the cluster with its KVS hosted on kvsNode. The
+// deployment, its KVS, brokers and clients are lent by the cluster's
+// engine (sim.FreeList.Lend): each is valid until the engine's next Reset.
 func New(cl *cluster.Cluster, kvsNode *cluster.Node, params Params) *System {
 	// Recovery knobs only matter when a fault actually lands, so defaulting
 	// them here cannot change healthy-run timelines.
@@ -201,12 +210,14 @@ func New(cl *cluster.Cluster, kvsNode *cluster.Node, params Params) *System {
 	if params.FetchRetry == (faults.Backoff{}) {
 		params.FetchRetry = faults.Backoff{Base: 50 * time.Millisecond, Cap: 800 * time.Millisecond, Max: 3}
 	}
-	return &System{
+	s := systems.Lend(cl.Engine())
+	*s = System{
 		cl:      cl,
 		params:  params,
 		kvs:     kvs.New(cl, kvsNode, params.KVS),
-		brokers: make([]*Broker, cl.Nodes()),
+		brokers: append(s.brokers[:0], make([]*Broker, cl.Nodes())...),
 	}
+	return s
 }
 
 // KVS exposes the metadata store (for stats and tests).
@@ -272,17 +283,27 @@ func (s *System) StagingOccupancy(nodeID int) int64 {
 	return 0
 }
 
-// Broker returns (creating on first use) the broker on node.
+// Broker returns (creating on first use) the broker on node. A broker an
+// earlier run had on a node of the same name keeps its server queue,
+// reset.
 func (s *System) Broker(node *cluster.Node) *Broker {
 	b := s.brokers[node.ID]
 	if b == nil {
-		b = &Broker{
+		e := s.cl.Engine()
+		b = brokerList.Lend(e)
+		srv := b.srv
+		if srv != nil && b.node.Name() == node.Name() {
+			srv.Reset()
+		} else {
+			srv = sim.NewResource(e, node.Name()+"/dyad-broker", 1)
+		}
+		*b = Broker{
 			sys:     s,
 			node:    node,
 			staging: xfs.New(node, s.params.Staging),
-			cache:   vfs.NewTree(s.cl.Engine()),
-			srv:     sim.NewResource(s.cl.Engine(), node.Name()+"/dyad-broker", 1),
-			locks:   locks.NewManager(s.cl.Engine(), s.params.Locks),
+			cache:   vfs.NewTree(e),
+			srv:     srv,
+			locks:   locks.NewManager(e, s.params.Locks),
 		}
 		if s.capSpec != nil {
 			b.buildCapacity()
@@ -296,7 +317,7 @@ func (s *System) Broker(node *cluster.Node) *Broker {
 func (b *Broker) buildCapacity() {
 	spec, met := b.sys.capSpec, b.sys.capMet
 	ev := capacity.NewEvictor(spec.Policy)
-	b.stagingCap = capacity.NewStore(b.node.Name()+"/staging", spec.StagingBytes, ev, false, met,
+	b.stagingCap = capacity.NewStore(b.sys.cl.Engine(), b.node.Name()+"/staging", spec.StagingBytes, ev, false, met,
 		func(path string, size int64, consumed bool) bool {
 			b.staging.Tree().Remove(path)
 			// The frame spills iff the deployment mirrors every produce to
@@ -304,7 +325,7 @@ func (b *Broker) buildCapacity() {
 			return b.sys.fallback != nil
 		})
 	b.staging.SetCapacity(b.stagingCap)
-	b.cacheCap = capacity.NewStore(b.node.Name()+"/cache", spec.CacheBytes, capacity.NewEvictor(spec.Policy), true, met,
+	b.cacheCap = capacity.NewStore(b.sys.cl.Engine(), b.node.Name()+"/cache", spec.CacheBytes, capacity.NewEvictor(spec.Policy), true, met,
 		func(path string, size int64, consumed bool) bool {
 			b.cache.Remove(path)
 			return false // only a copy is lost; the staging original survives
@@ -400,15 +421,19 @@ func (c *Client) fallbackFS() vfs.FS {
 // flowTables is the engines' free list of the clients' synced flows.
 var flowTables = sim.NewFreeList[map[string]bool]()
 
-// NewClient creates a client for processes on node. Its table of synced
-// flows is lent by the cluster's engine (sim.LendMap): the client is
-// valid until the engine's next Reset.
+// NewClient creates a client for processes on node. The client and its
+// table of synced flows are lent by the cluster's engine
+// (sim.FreeList.Lend, sim.LendMap): the client is valid until the
+// engine's next Reset.
 func (s *System) NewClient(node *cluster.Node) *Client {
-	return &Client{
+	e := s.cl.Engine()
+	c := clients.Lend(e)
+	*c = Client{
 		sys:        s,
 		broker:     s.Broker(node),
-		flowSynced: sim.LendMap(flowTables, s.cl.Engine()),
+		flowSynced: sim.LendMap(flowTables, e),
 	}
+	return c
 }
 
 // Produce stages the payload under path in the node-local staging area and

@@ -301,3 +301,39 @@ func TestMultipleConsumersSameFlow(t *testing.T) {
 		t.Fatalf("remote fetches %d, want %d", sys.Fetched, 2*n)
 	}
 }
+
+// A deployment and its brokers are lent by the engine, and a broker keeps
+// its server queue from run to run, so a run after one that stranded a
+// process holding a broker's server and another queued at it must get the
+// same broker and server back idle: nothing in use, nobody queued, no
+// busy time, under its node's name.
+func TestLentBrokerServerStartsIdle(t *testing.T) {
+	e := sim.NewEngine(1)
+	cl, sys := rig(e, 2)
+	b := sys.Broker(cl.Node(1))
+	e.Spawn("holder", func(p *sim.Proc) {
+		b.srv.Acquire(p, 1)
+		p.Sleep(time.Millisecond)
+		p.Block()
+	})
+	e.Spawn("waiter", func(p *sim.Proc) { b.srv.Acquire(p, 1) })
+	if err := e.Run(); err == nil {
+		t.Fatal("the first run stranded nobody")
+	}
+	if b.srv.InUse() != 1 || b.srv.QueueLen() != 1 || b.srv.BusyUnitNanos() == 0 {
+		t.Fatalf("first run left the server %d in use, %d queued, %d busy: the case tests nothing",
+			b.srv.InUse(), b.srv.QueueLen(), b.srv.BusyUnitNanos())
+	}
+	srv := b.srv
+	e.Reset(2)
+	cl.Reset()
+	sys = New(cl, cl.Node(0), DefaultParams())
+	b2 := sys.Broker(cl.Node(1))
+	if b2 != b || b2.srv != srv {
+		t.Fatalf("the next run got broker %p server %p, want the lent %p and %p", b2, b2.srv, b, srv)
+	}
+	if srv.InUse() != 0 || srv.QueueLen() != 0 || srv.BusyUnitNanos() != 0 || srv.Name() != "node1/dyad-broker" {
+		t.Errorf("lent server %q starts with %d in use, %d queued, %d busy", srv.Name(),
+			srv.InUse(), srv.QueueLen(), srv.BusyUnitNanos())
+	}
+}

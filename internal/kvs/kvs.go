@@ -77,25 +77,35 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	s.commitLat = reg.Histogram(prefix + "/commit_lat")
 }
 
-// The engines' free lists of the stores' tables.
+// The engines' free lists of the stores and their tables.
 var (
+	stores      = sim.NewFreeList[Store]()
 	dataTables  = sim.NewFreeList[map[string][]byte]()
 	watchTables = sim.NewFreeList[map[string]*sim.Latch]()
 )
 
-// New creates a store hosted on the given node. Its tables are lent by
-// the cluster's engine (sim.LendMap): the store is valid until the
-// engine's next Reset.
+// New creates a store hosted on the given node. The store and its tables
+// are lent by the cluster's engine (sim.FreeList.Lend, sim.LendMap), and a
+// store an earlier run hosted on a node of the same name keeps its server
+// queue, reset: the store is valid until the engine's next Reset.
 func New(cl *cluster.Cluster, node *cluster.Node, params Params) *Store {
 	e := cl.Engine()
-	return &Store{
+	s := stores.Lend(e)
+	server := s.server
+	if server != nil && s.node.Name() == node.Name() {
+		server.Reset()
+	} else {
+		server = sim.NewResource(e, node.Name()+"/kvs", 1)
+	}
+	*s = Store{
 		cl:      cl,
 		node:    node,
 		params:  params,
-		server:  sim.NewResource(e, node.Name()+"/kvs", 1),
+		server:  server,
 		data:    sim.LendMap(dataTables, e),
 		watches: sim.LendMap(watchTables, e),
 	}
+	return s
 }
 
 // Node returns the hosting node.

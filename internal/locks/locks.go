@@ -60,13 +60,20 @@ type waiter struct {
 	mode Mode
 }
 
-// lockTables is the engines' free list of lock tables.
-var lockTables = sim.NewFreeList[map[string]*pathLock]()
+// The engines' free lists of managers and of their lock tables.
+var (
+	managers   = sim.NewFreeList[Manager]()
+	lockTables = sim.NewFreeList[map[string]*pathLock]()
+)
 
-// NewManager returns an empty lock table for e's current run, on a table
-// e lends (sim.LendMap): the manager is valid until e's next Reset.
+// NewManager returns an empty lock table for e's current run. e lends the
+// manager and its table (sim.FreeList.Lend, sim.LendMap), and a manager
+// keeps the idle entries of its earlier runs: the manager is valid until
+// e's next Reset.
 func NewManager(e *sim.Engine, params Params) *Manager {
-	return &Manager{params: params, locks: sim.LendMap(lockTables, e)}
+	m := managers.Lend(e)
+	*m = Manager{params: params, locks: sim.LendMap(lockTables, e), free: m.free}
+	return m
 }
 
 // lockFor returns the entry for a cleaned path, taking one from the free

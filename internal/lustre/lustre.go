@@ -128,13 +128,18 @@ type FS struct {
 	Recovery faults.Metrics
 }
 
-// layouts is the engines' free list of layout tables.
-var layouts = sim.NewFreeList[map[string]int]()
+// The engines' free lists of instances and of their layout tables.
+var (
+	instances = sim.NewFreeList[FS]()
+	layouts   = sim.NewFreeList[map[string]int]()
+)
 
 // New builds a Lustre instance with its MDS on mdsNode and one OST on each
 // of ostNodes. Server nodes should be distinct from compute nodes, as in a
-// real center. Its file table and layouts are lent by the cluster's engine
-// (sim.LendMap): the instance is valid until the engine's next Reset.
+// real center. The instance, its file table and layouts are lent by the
+// cluster's engine (sim.FreeList.Lend, sim.LendMap), and each server an
+// earlier run had on a node of the same name, in the same role, keeps its
+// queue, reset: the instance is valid until the engine's next Reset.
 func New(cl *cluster.Cluster, mdsNode *cluster.Node, ostNodes []*cluster.Node, params Params) *FS {
 	if len(ostNodes) == 0 {
 		panic("lustre: need at least one OST")
@@ -159,19 +164,36 @@ func New(cl *cluster.Cluster, mdsNode *cluster.Node, ostNodes []*cluster.Node, p
 	if params.FailoverDelay <= 0 {
 		params.FailoverDelay = 800 * time.Millisecond
 	}
-	f := &FS{
+	e := cl.Engine()
+	f := instances.Lend(e)
+	mds, osts := f.mds, f.osts
+	if mds != nil && f.mdsNode.Name() == mdsNode.Name() {
+		mds.Reset()
+	} else {
+		mds = sim.NewResource(e, mdsNode.Name()+"/mds", 1)
+	}
+	for i, n := range ostNodes {
+		if i == len(osts) {
+			osts = append(osts, new(ost))
+		}
+		o := osts[i]
+		srv := o.srv
+		if srv != nil && o.node.Name() == n.Name() {
+			srv.Reset()
+			srv.Watch(nil) // the noise, if any, watches it again
+		} else {
+			srv = sim.NewResource(e, fmt.Sprintf("%s/ost%d", n.Name(), i), 1)
+		}
+		*o = ost{node: n, srv: srv}
+	}
+	*f = FS{
 		cl:      cl,
 		params:  params,
 		mdsNode: mdsNode,
-		mds:     sim.NewResource(cl.Engine(), mdsNode.Name()+"/mds", 1),
-		tree:    vfs.NewTree(cl.Engine()),
-		layout:  sim.LendMap(layouts, cl.Engine()),
-	}
-	for i, n := range ostNodes {
-		f.osts = append(f.osts, &ost{
-			node: n,
-			srv:  sim.NewResource(cl.Engine(), fmt.Sprintf("%s/ost%d", n.Name(), i), 1),
-		})
+		mds:     mds,
+		osts:    osts[:len(ostNodes)],
+		tree:    vfs.NewTree(e),
+		layout:  sim.LendMap(layouts, e),
 	}
 	return f
 }

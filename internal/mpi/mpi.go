@@ -30,9 +30,17 @@ type waiter struct {
 	seqno int
 }
 
-// NewNotify creates a doorbell from src to dst.
+// notifies is the engines' free list of doorbells.
+var notifies = sim.NewFreeList[Notify]()
+
+// NewNotify creates a doorbell from src to dst, lent by the cluster's
+// engine (sim.FreeList.Lend) with the waiter array an earlier run grew:
+// the doorbell is valid until the engine's next Reset.
 func NewNotify(cl *cluster.Cluster, src, dst *cluster.Node) *Notify {
-	return &Notify{cl: cl, src: src, dst: dst}
+	n := notifies.Lend(cl.Engine())
+	clear(n.waiters) // a killed run's waiters
+	*n = Notify{cl: cl, src: src, dst: dst, waiters: n.waiters[:0]}
+	return n
 }
 
 // Post rings the doorbell (the k-th post unblocks waiters of seqno <= k).

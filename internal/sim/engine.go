@@ -194,9 +194,9 @@ func (e *Engine) Prealloc(procs, events int) {
 // every backing array — the event queue, the process table and the
 // profile tables — and the idle coroutines of a retained engine (Retain), so
 // harnesses can reuse one engine across repetitions instead of reallocating
-// the rig per rep (core's pooled RunMany; DESIGN.md §3h). Every table lent
-// to the ending run (FreeList.Lend) goes back to its free list, for the
-// next run to take. A reset engine is
+// the rig per rep (core's pooled RunMany; DESIGN.md §3h). Every value lent
+// to the ending run (FreeList.Lend), its processes included, goes back to
+// its free list, for the next run to take. A reset engine is
 // observationally identical to NewEngine(seed): every run-visible field is
 // cleared, and per-process random streams derive only from the seed and the
 // spawn order. Call between Runs only.

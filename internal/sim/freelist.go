@@ -8,9 +8,10 @@ import "sync/atomic"
 //   - Chain states (package cluster's wires, package lustre's file
 //     operations) are taken with Get by the chain that needs one and Put
 //     back when the chain is done.
-//   - Per-run tables (file tables, layouts, key-value and lock maps) are
-//     lent with Lend, usually through LendMap, and come back by
-//     themselves: the engine's next Reset returns every value it lent.
+//   - Per-run values (processes, file tables, layouts, key-value and
+//     lock maps, the backends' clients and servers) are lent with Lend,
+//     or LendMap for a map, and come back by themselves: the engine's
+//     next Reset returns every value it lent.
 //
 // A harness that reuses its engine (core's run pools) reuses both, so a
 // warmed run allocates no chain state and grows no table it grew before,

@@ -36,6 +36,7 @@ type procAbort struct{}
 
 // Spawn creates a process named name running fn, starting at the current
 // virtual time. It may be called before Run or from within another process.
+// The Proc is lent by e (FreeList.Lend): it is valid until e's next Reset.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := e.newProc(name)
 	p.co = e.takeCoro()
@@ -73,7 +74,8 @@ func (p *Proc) run(fn func(p *Proc)) {
 // doing so, which ends the process at that instant as a coroutine
 // process's return would. Continuations must not call the blocking
 // methods (Sleep, Block, Resource.Acquire, Use); a panic in one fails the
-// run under the process's name.
+// run under the process's name. The Proc is lent by e, as Spawn's is: it
+// is valid until e's next Reset.
 func (e *Engine) SpawnFunc(name string, fn func(p *Proc)) *Proc {
 	p := e.newProc(name)
 	p.cont = fn
@@ -81,11 +83,17 @@ func (e *Engine) SpawnFunc(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// newProc registers a live process in the next spawn slot. Its random
-// stream derives from the seed, the name and the slot only, so the two
-// kinds of process can interleave without shifting anyone's stream.
+// procList is the engines' free list of processes: a warmed engine
+// spawns a run of a shape it has seen without allocating a Proc.
+var procList = NewFreeList[Proc]()
+
+// newProc registers a live process in the next spawn slot, on a Proc e
+// lends, with nothing left of its last run. Its random stream derives
+// from the seed, the name and the slot only, so the two kinds of process
+// can interleave without shifting anyone's stream.
 func (e *Engine) newProc(name string) *Proc {
-	p := &Proc{
+	p := procList.Lend(e)
+	*p = Proc{
 		e:    e,
 		name: name,
 		idx:  int32(len(e.procs)),

@@ -157,3 +157,83 @@ func TestSetWatchdogRejectsNegativeLimits(t *testing.T) {
 	}()
 	NewEngine(1).SetWatchdog(-1, 0)
 }
+
+// A Proc is lent by its engine (newProc), so a run after a watchdog kill
+// gets back the Procs the killed run left in every state a process can be
+// cut down in: retimed (a stale watermark), parked in an Inline chain (a
+// continuation and the inline flag), blocked (waiting), a goroutine-free
+// process with its continuation pending, and all of them aborted and done.
+// Each must come back as a fresh engine would make it: nothing but its
+// name, slot and random stream, which derives from the new seed.
+func TestLentProcStartsClean(t *testing.T) {
+	names := []string{"sleeper", "retimer", "inline", "blocked", "func", "livelock"}
+	spawnAll := func(e *Engine, run bool) {
+		var sleeper *Proc
+		for _, name := range names {
+			switch {
+			case !run:
+				e.Spawn(name, func(p *Proc) {})
+			case name == "sleeper":
+				sleeper = e.Spawn(name, func(p *Proc) { p.Sleep(time.Hour) })
+			case name == "retimer":
+				e.Spawn(name, func(p *Proc) { sleeper.Retime(time.Minute) })
+			case name == "inline":
+				e.Spawn(name, func(p *Proc) {
+					p.Inline(func(p *Proc) { p.SleepThen(time.Hour, func(p *Proc) {}) })
+				})
+			case name == "blocked":
+				e.Spawn(name, func(p *Proc) { p.Block() })
+			case name == "func":
+				e.SpawnFunc(name, func(p *Proc) { p.SleepThen(time.Hour, func(p *Proc) {}) })
+			default:
+				e.Spawn(name, func(p *Proc) {
+					for {
+						p.Sleep(time.Microsecond)
+					}
+				})
+			}
+		}
+	}
+	e := NewEngine(1)
+	e.Retain()
+	defer e.Close()
+	spawnAll(e, true)
+	e.SetWatchdog(1000, 0)
+	if err := e.Run(); !errors.Is(err, ErrWatchdog) {
+		t.Fatalf("first run: err = %v, want ErrWatchdog", err)
+	}
+	killed := map[*Proc]bool{}
+	for _, p := range e.Procs() {
+		if !p.done || p.aborted != (p.name != "retimer") {
+			t.Fatalf("%s: killed run left it done=%v aborted=%v", p.name, p.done, p.aborted)
+		}
+		killed[p] = true
+	}
+	// The states the killed run must leave, or the case tests nothing.
+	procs := e.Procs()
+	if procs[0].stale == 0 || procs[2].cont == nil || !procs[2].inline || !procs[3].waiting || procs[4].cont == nil {
+		t.Fatalf("killed run left sleeper stale=%d, inline cont=%v inline=%v, blocked waiting=%v, func cont=%v",
+			procs[0].stale, procs[2].cont != nil, procs[2].inline, procs[3].waiting, procs[4].cont != nil)
+	}
+
+	e.Reset(2)
+	spawnAll(e, false)
+	fresh := NewEngine(2)
+	spawnAll(fresh, false)
+	for i, p := range e.Procs() {
+		want := fresh.Procs()[i]
+		if !killed[p] {
+			t.Errorf("%s: spawned on a new Proc, not on one the killed run left", p.name)
+		}
+		if p.e != e || p.name != want.name || p.idx != want.idx || p.rng != want.rng ||
+			p.stale != 0 || p.cont != nil || p.inline || p.done || p.waiting || p.aborted ||
+			(p.co == nil) != (want.co == nil) {
+			t.Errorf("%s: lent Proc starts as %+v, want %+v", p.name, *p, *want)
+		}
+	}
+	for _, eng := range []*Engine{e, fresh} {
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

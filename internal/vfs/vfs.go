@@ -98,14 +98,20 @@ type Tree struct {
 	files map[string]Payload
 }
 
-// fileTables is the engines' free list of file tables.
-var fileTables = sim.NewFreeList[map[string]Payload]()
+// The engines' free lists of trees and of their file tables.
+var (
+	trees      = sim.NewFreeList[Tree]()
+	fileTables = sim.NewFreeList[map[string]Payload]()
+)
 
-// NewTree returns an empty file table for e's current run, on a table e
-// lends (sim.LendMap): a warmed engine hands back one an earlier run grew.
-// The tree is valid until e's next Reset.
+// NewTree returns an empty file table for e's current run: e lends the
+// tree and its table (sim.FreeList.Lend, sim.LendMap), so a warmed engine
+// hands back one an earlier run grew. The tree is valid until e's next
+// Reset.
 func NewTree(e *sim.Engine) *Tree {
-	return &Tree{files: sim.LendMap(fileTables, e)}
+	t := trees.Lend(e)
+	*t = Tree{files: sim.LendMap(fileTables, e)}
+	return t
 }
 
 // Put stores pl at path (replacing any existing file).

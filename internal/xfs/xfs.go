@@ -72,11 +72,17 @@ func (f *FS) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	f.journalLat = reg.Histogram(prefix + "/journal_lat")
 }
 
-// New mounts an XFS instance on the given node's SSD. Its file table is
-// lent by the node's engine (vfs.NewTree): the instance is valid until the
-// engine's next Reset.
+// mounts is the engines' free list of XFS instances.
+var mounts = sim.NewFreeList[FS]()
+
+// New mounts an XFS instance on the given node's SSD. The instance and
+// its file table are lent by the node's engine (sim.FreeList.Lend,
+// vfs.NewTree): the instance is valid until the engine's next Reset.
 func New(node *cluster.Node, params Params) *FS {
-	return &FS{node: node, params: params, tree: vfs.NewTree(node.Engine())}
+	e := node.Engine()
+	f := mounts.Lend(e)
+	*f = FS{node: node, params: params, tree: vfs.NewTree(e)}
+	return f
 }
 
 // SetCapacity attaches a finite byte budget to the filesystem. Evicted

@@ -29,6 +29,13 @@ echo "== event count: one paper-figs iteration (prints only) =="
 go test -count=1 -run '^TestRunEventBudget$' -v ./internal/experiments 2>&1 |
 	grep -o 'paper-figs iteration: [0-9]* events' || true
 
+echo "== allocations: each TestRunAllocBudget row (prints only) =="
+# The objects and bytes a warm pooled run allocates, per row, as
+# TestRunAllocBudget logs them; its pins are checked in the test stage.
+# This stage prints and cannot fail.
+go test -count=1 -run '^TestRunAllocBudget$' -v ./internal/core 2>&1 |
+	grep -o 'alloc row .*' || true
+
 echo "== gofmt: every Go file is formatted =="
 # gofmt -l lists the files whose formatting differs; any listed file fails
 # the gate. The benchmark's build directory holds no source of ours.
