@@ -138,6 +138,15 @@ func BenchmarkEnsemblePooled(b *testing.B) {
 	benchPooled(b, func() error { _, err := core.RepeatWorkers(cfg, 2, 1); return err })
 }
 
+// BenchmarkObservedPooled is the perfbench observed workload's shape: the
+// Fig 5/6 run set of exportRuns, spans, metrics and critical paths all
+// on, one RunMany call per run, so after the first iteration each run
+// takes a warm engine, the sample block it lends and the pooled
+// recorders. Its B/op and allocs/op are what the sinks cost a warm run.
+func BenchmarkObservedPooled(b *testing.B) {
+	benchPooled(b, func() error { exportRuns(b); return nil })
+}
+
 // benchPooled times one pooled batch per iteration, reporting
 // allocations and the GC cycles each batch set off (gc-cycles/op).
 func benchPooled(b *testing.B, batch func() error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // Per-run allocation budget of a Fig5-shaped run (JAC, 4 pairs on one node,
@@ -20,13 +21,19 @@ import (
 // tables the last run grew. The traced DYAD row records spans and the
 // critical path: the pool keeps both recorders too, so the run allocates
 // its Result's copy of the spans and its critical-path summary, not the
-// recorders' arrays. The many-pair row is a DYAD ensemble of 256 pairs of
+// recorders' arrays. The metered DYAD row runs 32 frames with spans,
+// metrics (at the experiments' 250 ms interval) and the critical path on:
+// its engine lends it the block it samples into and the pool keeps the
+// recorder its lineage hops go to, so it allocates its Result's exact
+// copies, and one allocation more per sample boundary or per hop fails it
+// (it logs both counts). The many-pair row is a DYAD ensemble of 256 pairs of
 // 2 frames across 64 nodes: what a warm run allocates there is its Result
 // and its per-frame data, so one allocation more per pair (256) fails it,
-// which the 4-pair rows cannot see. Each pin is the least delta of three
+// which the 4-pair rows cannot see. Each pin is the least delta of five
 // pooled runs: a GC cycle that lands inside a run can add a few objects
 // and a few hundred bytes of the runtime's own (a sync.Pool refilled, as
-// fmt's). Each row logs what it measured (go test -v).
+// fmt's), and the metered row allocates enough for one to land in three
+// runs in a row. Each row logs what it measured (go test -v).
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
@@ -34,21 +41,27 @@ func TestRunAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		backend Backend
 		traced  bool
+		metered bool
 		pairs   int
 		objects uint64
 		bytes   uint64
 	}{
-		{DYAD, false, 4, 107, 3120},
-		{XFS, false, 4, 3, 1296},
-		{Lustre, false, 4, 15, 1544},
-		{DYAD, true, 4, 401, 207272},
-		{DYAD, false, 256, 1085, 20888},
+		{DYAD, false, false, 4, 107, 3120},
+		{XFS, false, false, 4, 3, 1296},
+		{Lustre, false, false, 4, 15, 1544},
+		{DYAD, true, false, 4, 140, 168328},
+		{DYAD, true, true, 4, 372, 369240},
+		{DYAD, false, false, 256, 1085, 20888},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: tc.pairs,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,
 			Seed: 1, ComputeJitter: 0.004, RecordSpans: tc.traced, CritPath: tc.traced}
 		name := tc.backend.String()
-		if tc.traced {
+		switch {
+		case tc.metered:
+			cfg.Frames, cfg.MetricsInterval = 32, 250*time.Millisecond
+			name += " metered"
+		case tc.traced:
 			name += " traced"
 		}
 		if tc.pairs > 4 {
@@ -56,14 +69,23 @@ func TestRunAllocBudget(t *testing.T) {
 			name = fmt.Sprintf("%s %d pairs", name, tc.pairs)
 		}
 		pool := &runPool{}
+		var res *Result
 		run := func() {
-			if _, err := runPooled(cfg, pool); err != nil {
+			var err error
+			if res, err = runPooled(cfg, pool); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run()
+		if tc.metered {
+			hops := 0
+			for _, fl := range res.Crit.Frames {
+				hops += len(fl.Hops)
+			}
+			t.Logf("%s: %d sample boundaries, %d lineage hops", name, res.Metrics.Len(), hops)
+		}
 		objects, bytes := ^uint64(0), ^uint64(0)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 5; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			run()

@@ -136,3 +136,50 @@ func TestConfigRejectsNegativeMetricsInterval(t *testing.T) {
 		t.Fatal("negative MetricsInterval validated")
 	}
 }
+
+// A Result keeps its samples and lineage hops at their final size:
+// Registry.DropProbes copies the samples out of the block the engine
+// lent, and critpath's Finish lays the lineages out, so every series'
+// Samples, the sample times and every lineage's Hops have their capacity
+// equal to their length, and appending to one cannot write into another.
+// That holds for a run with a block of its own and for pooled runs that
+// take the block and the recorder an earlier, larger run grew.
+func TestResultSamplesAndHopsAreExact(t *testing.T) {
+	dy := Config{Backend: DYAD, Model: tinyModel(), Frames: 12, Pairs: 3, Seed: 9,
+		CritPath: true, MetricsInterval: time.Millisecond}
+	lu := dy
+	lu.Backend, lu.LustreNoise, lu.Pairs = Lustre, true, 9
+	check := func(what string, res *Result) {
+		t.Helper()
+		reg := res.Metrics
+		if n := reg.Len(); n == 0 || cap(reg.Times()) != n {
+			t.Errorf("%s: %d sample times in an array of %d", what, n, cap(reg.Times()))
+		}
+		for _, s := range reg.Series() {
+			if len(s.Samples) != reg.Len() || cap(s.Samples) != len(s.Samples) {
+				t.Errorf("%s: series %s holds %d of %d samples in %d", what, s.Name, len(s.Samples), reg.Len(), cap(s.Samples))
+			}
+		}
+		if len(res.Crit.Frames) == 0 {
+			t.Errorf("%s: no frame lineage", what)
+		}
+		for _, fl := range res.Crit.Frames {
+			if len(fl.Hops) == 0 || cap(fl.Hops) != len(fl.Hops) {
+				t.Errorf("%s: lineage %s holds %d hops in %d", what, fl.Key, len(fl.Hops), cap(fl.Hops))
+			}
+		}
+	}
+	pool := &runPool{}
+	for _, cfg := range []Config{dy, lu, dy, lu} {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(cfg.Label()+" unpooled", res)
+		if res, err = runPooled(cfg, pool); err != nil {
+			t.Fatal(err)
+		}
+		check(cfg.Label()+" pooled", res)
+	}
+	pool.eng.Close()
+}

@@ -8,9 +8,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/caliper"
 	"repro/internal/capacity"
+	"repro/internal/critpath"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -316,20 +319,41 @@ func spanCritDump(res *Result) string {
 	return sb.String()
 }
 
-// The pool's span and critical-path recorders serve run after run, so a
-// Result must own what it keeps: later runs through the same pool — more
-// pairs, an untraced run, a streamed one, a Lustre run with its noise
-// processes in the low slots — leave an earlier result's spans and
-// critical path as they were. Reuse is invisible too: each
+// sinkDump renders everything a traced, metered, recorded run exports: its
+// spans and critical path (spanCritDump), its metrics CSV and Prometheus
+// snapshot, and its frame waterfall.
+func sinkDump(t *testing.T, res *Result) string {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString(spanCritDump(res))
+	runs := []metrics.Run{{Label: "run", Reg: res.Metrics}}
+	if err := metrics.WriteCSV(&sb, runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.WriteProm(&sb, runs); err != nil {
+		t.Fatal(err)
+	}
+	if err := critpath.WriteWaterfall(&sb, []critpath.LineageSet{{Label: "run", Frames: res.Crit.Frames}}); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// The pool's span and critical-path recorders, and the block its engine
+// lends a metered run to sample into, serve run after run, so a Result
+// must own what it keeps: later runs through the same pool — more pairs,
+// an unrecorded run, a streamed one, a Lustre run with its noise
+// processes in the low slots — leave an earlier result's spans, critical
+// path and metrics as they were. Reuse is invisible too: each
 // pooled run equals the same config run unpooled, and a recorder the run
 // did not ask for (or a streaming one) neither leaves nor joins the pool.
 func TestPooledRecordersStayWithTheirResult(t *testing.T) {
 	a := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 2, SingleNode: true,
-		Seed: 13, RecordSpans: true, CritPath: true}
+		Seed: 13, RecordSpans: true, CritPath: true, MetricsInterval: time.Millisecond}
 	more := a
 	more.Pairs, more.Seed = 4, 14
 	plain := more
-	plain.RecordSpans, plain.CritPath = false, false
+	plain.RecordSpans, plain.CritPath, plain.MetricsInterval = false, false, 0
 	streamed := plain
 	streamed.TraceStream = trace.NewChromeStream(discard{})
 	lustre := a
@@ -340,7 +364,7 @@ func TestPooledRecordersStayWithTheirResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dumpA := spanCritDump(resA)
+	dumpA := sinkDump(t, resA)
 	rec, cp := pool.rec, pool.cp
 	if rec == nil || cp == nil {
 		t.Fatal("a traced, recorded run retired no recorder")
@@ -354,8 +378,8 @@ func TestPooledRecordersStayWithTheirResult(t *testing.T) {
 		if pool.rec != rec || pool.cp != cp {
 			t.Fatalf("%s: the pool does not hold the recorders it handed out", what)
 		}
-		if spanCritDump(resA) != dumpA {
-			t.Fatalf("%s: changed the spans or critical path of the first run's result", what)
+		if sinkDump(t, resA) != dumpA {
+			t.Fatalf("%s: changed the spans, critical path or metrics of the first run's result", what)
 		}
 		want, err := Run(cfg)
 		if err != nil {
@@ -363,13 +387,13 @@ func TestPooledRecordersStayWithTheirResult(t *testing.T) {
 		}
 		resultScalars(t, what, got, want)
 		if !cfg.RecordSpans {
-			if got.Spans != nil || got.Crit != nil {
-				t.Errorf("%s: an unrecorded run carries spans or a critical path", what)
+			if got.Spans != nil || got.Crit != nil || got.Metrics != nil {
+				t.Errorf("%s: an unrecorded run carries spans, a critical path or metrics", what)
 			}
 			continue
 		}
-		if g, w := spanCritDump(got), spanCritDump(want); g != w {
-			t.Errorf("%s: pooled spans or critical path diverged from an unpooled run:\n%s\nwant\n%s", what, g, w)
+		if g, w := sinkDump(t, got), sinkDump(t, want); g != w {
+			t.Errorf("%s: pooled spans, critical path or metrics diverged from an unpooled run:\n%s\nwant\n%s", what, g, w)
 		}
 	}
 }
@@ -423,11 +447,13 @@ func TestRecycledRecordersLeaveResultsAlone(t *testing.T) {
 
 // A pooled engine lends each run the tables its last run filled (the
 // staging, cache and Lustre mirror file tables, the Lustre layouts, the
-// KVS, the lock tables and the clients' synced flows), and the processes,
-// pair table, gates, clients and servers it built, so each must start the
-// next run as new. Each DYAD first run here leaves them full, with one
-// more pair and two more frames per pair than the run after it, so it
-// lays its files out across the OSTs in another order: a completed run
+// KVS, the lock tables and the clients' synced flows), the processes,
+// pair table, gates, clients and servers it built, and the block its
+// metrics sampled into, so each must start the next run as new. Every
+// run here is metered and records the critical path. Each DYAD first run
+// leaves them full, with one more pair and two more frames per pair than
+// the run after it, so it lays its files out across the OSTs in another
+// order: a completed run
 // leaves every frame staged, cached, mirrored and committed; a run the
 // watchdog kills mid-frame leaves locks held and flows half synced; a run
 // under a two-frame staging budget has evicted and spilled frames. A run
@@ -435,11 +461,14 @@ func TestRecycledRecordersLeaveResultsAlone(t *testing.T) {
 // it. An XFS run killed mid-frame leaves its pair gates with waiters, a
 // Lustre run killed mid-frame leaves its MDS and OST queues with waiters
 // and its noise booked ahead and watching the OSTs, which a DYAD run after
-// it takes without noise. A pooled run after each must
-// equal the same config run unpooled, and hold only its own frames.
+// it takes without noise. A killed run leaves its sample block part
+// filled, and a larger Lustre run leaves it laid out for more series and
+// more sample boundaries than the run after it takes. A pooled run after
+// each must equal the same config run unpooled, export the same metrics,
+// critical path and waterfall, and hold only its own frames.
 func TestLentTablesStartEmpty(t *testing.T) {
 	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 6, Pairs: 4, Seed: 21,
-		LustreFallback: true, RecordSpans: true, CritPath: true}
+		LustreFallback: true, RecordSpans: true, CritPath: true, MetricsInterval: time.Millisecond}
 	completed := cfg
 	completed.Pairs, completed.Frames, completed.Seed = 5, 8, 22
 	killed := completed
@@ -457,6 +486,8 @@ func TestLentTablesStartEmpty(t *testing.T) {
 	lustreCfg.Backend, lustreCfg.LustreFallback, lustreCfg.LustreNoise = Lustre, false, true
 	lustreKilled := killed
 	lustreKilled.Backend, lustreKilled.LustreFallback, lustreKilled.LustreNoise = Lustre, false, true
+	lustreLarger := lustreCfg
+	lustreLarger.Pairs, lustreLarger.Frames, lustreLarger.Seed = 16, 12, 23
 	// tables counts the frames a run left in each lent table: a DYAD run's
 	// staged, cached, mirrored and committed frames, or the frames in an
 	// XFS or Lustre file table.
@@ -482,6 +513,7 @@ func TestLentTablesStartEmpty(t *testing.T) {
 		{"xfs killed", &xfsKilled, &xfsCfg},
 		{"lustre killed", &lustreKilled, &lustreCfg},
 		{"lustre killed, then no noise", &lustreKilled, &cfg},
+		{"larger lustre", &lustreLarger, &cfg},
 	} {
 		want := wants[tc.after]
 		if want == nil {
@@ -500,6 +532,9 @@ func TestLentTablesStartEmpty(t *testing.T) {
 		if left := tables(r); slices.Contains(left, 0) {
 			t.Fatalf("%s: first run left %v frames in its tables, want some in each", tc.name, left)
 		}
+		if r.reg.Len() == 0 {
+			t.Fatalf("%s: first run took no metrics sample", tc.name)
+		}
 		r2 := newRig(*tc.after, pool)
 		got, err := r2.run(pool)
 		if err != nil {
@@ -516,8 +551,8 @@ func TestLentTablesStartEmpty(t *testing.T) {
 			}
 		}
 		resultScalars(t, "after a "+tc.name+" run", got, want)
-		if g, w := spanCritDump(got), spanCritDump(want); g != w {
-			t.Errorf("after a %s run: spans and critical path differ from an unpooled run", tc.name)
+		if g, w := sinkDump(t, got), sinkDump(t, want); g != w {
+			t.Errorf("after a %s run: spans, critical path, metrics or waterfall differ from an unpooled run", tc.name)
 		}
 	}
 }

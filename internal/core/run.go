@@ -229,7 +229,7 @@ func newRig(cfg Config, pool *runPool) *rig {
 	}
 
 	if cfg.MetricsInterval > 0 {
-		r.reg = metrics.New(cfg.MetricsInterval)
+		r.reg = metrics.New(cfg.MetricsInterval, sampleBlocks.Lend(eng))
 		r.registerMetrics()
 		reg := r.reg
 		eng.SetSampler(cfg.MetricsInterval, func(t sim.Time) { reg.Sample(t) })
@@ -349,6 +349,11 @@ type pairTable []*pairEntry
 
 // pairTables is the engines' free list of pair tables.
 var pairTables = sim.NewFreeList[pairTable]()
+
+// sampleBlocks is the engines' free list of the blocks a metered run
+// samples into. Result.Metrics keeps copies (Registry.DropProbes), so a
+// warm run of a shape its engine has metered grows no sample column.
+var sampleBlocks = sim.NewFreeList[metrics.SampleBlock]()
 
 // pairEntry is one pair's entry of a pair table. The names and entry
 // points are made once per entry; the frame paths are kept while the

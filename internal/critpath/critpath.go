@@ -160,6 +160,18 @@ type tokenInfo struct {
 	bytes int64
 }
 
+// lineRec is a lineage as recorded: its key and its number of hops.
+type lineRec struct {
+	key  string
+	hops int
+}
+
+// hopRec is one recorded hop and the index of its lineage.
+type hopRec struct {
+	line int32
+	hop  Hop
+}
+
 // Recorder accumulates the dependency graph while a run executes. Methods
 // are not safe for concurrent use; the sim kernel's serialized event
 // execution is the required synchronization. Hooks must nil-check the
@@ -173,7 +185,11 @@ type Recorder struct {
 	deps     []Dep
 	tokens   map[string]tokenInfo
 	lineIdx  map[string]int32
-	lineages []FrameLineage
+	// lines holds each lineage's key and hop count, by first appearance,
+	// and hops every hop, in recording order, with its lineage's index:
+	// Finish lays them out as the Graph's Lineages.
+	lines    []lineRec
+	hops     []hopRec
 	unclosed int // see Graph.Unclosed
 
 	// OnDep, when set, observes every dependency's slack (age of the
@@ -195,9 +211,8 @@ func NewRecorder() *Recorder {
 
 // Reset empties the recorder for its next run, as NewRecorder would
 // leave it, but keeps its backing arrays and maps: a reused recorder grows
-// only past the largest run it served. Lineages start fresh, because a
-// Summary keeps the last run's. A Graph returned by Finish is invalid from
-// here on.
+// only past the largest run it served. A Graph returned by Finish is
+// invalid from here on, except its Lineages, which Finish laid out anew.
 func (r *Recorder) Reset() {
 	clearProcs(r.procs[:cap(r.procs)])
 	r.procs = r.procs[:0]
@@ -207,7 +222,8 @@ func (r *Recorder) Reset() {
 	clear(r.labelIdx)
 	clear(r.tokens)
 	clear(r.lineIdx)
-	r.lineages = nil
+	r.lines = r.lines[:0]
+	r.hops = r.hops[:0]
 	r.unclosed = 0
 	r.OnDep, r.OnHop = nil, nil
 }
@@ -371,15 +387,16 @@ func (r *Recorder) Depend(token, kind string, proc int32, at Time) {
 func (r *Recorder) Hop(key, hop string, proc int32, start, end Time, bytes int64) {
 	li, ok := r.lineIdx[key]
 	if !ok {
-		li = int32(len(r.lineages))
+		li = int32(len(r.lines))
 		r.lineIdx[key] = li
-		r.lineages = append(r.lineages, FrameLineage{Key: key})
+		r.lines = append(r.lines, lineRec{key: key})
 	}
+	r.lines[li].hops++
 	name := ""
 	if proc >= 0 && int(proc) < len(r.procs) {
 		name = r.procs[proc].name
 	}
-	r.lineages[li].Hops = append(r.lineages[li].Hops, Hop{Name: hop, Proc: name, Start: start, End: end, Bytes: bytes})
+	r.hops = append(r.hops, hopRec{line: li, hop: Hop{Name: hop, Proc: name, Start: start, End: end, Bytes: bytes}})
 	if r.OnHop != nil {
 		r.OnHop(hop, end-start)
 	}
@@ -388,14 +405,14 @@ func (r *Recorder) Hop(key, hop string, proc int32, start, end Time, bytes int64
 // Finish closes every open segment at `at` (the engine's final time) and
 // returns the completed graph. The graph shares the recorder's arrays: it
 // is valid until the recorder's next Reset, and the recorder records
-// nothing more until then. Its Lineages survive the Reset.
+// nothing more until then. Its Lineages are its own, and survive the Reset.
 func (r *Recorder) Finish(at Time) *Graph {
 	g := &Graph{
 		Makespan: at,
 		Labels:   r.labels,
 		Edges:    r.edges,
 		Deps:     r.deps,
-		Lineages: r.lineages,
+		Lineages: r.layoutLineages(),
 		Unclosed: r.unclosed,
 	}
 	g.Procs = make([]ProcTimeline, len(r.procs))
@@ -413,4 +430,24 @@ func (r *Recorder) Finish(at Time) *Graph {
 		g.Procs[i] = ProcTimeline{Name: ps.name, Parent: ps.parent, Background: ps.background, Segments: ps.segs}
 	}
 	return g
+}
+
+// layoutLineages lays the recorded lineages out at their final size: one
+// array of lineages and one of hops, where each lineage's Hops is its own
+// part, in recording order, with its capacity equal to its length. Nil
+// when no hop was recorded.
+func (r *Recorder) layoutLineages() []FrameLineage {
+	if len(r.lines) == 0 {
+		return nil
+	}
+	lines := make([]FrameLineage, len(r.lines))
+	hops := make([]Hop, len(r.hops))
+	for i, l := range r.lines {
+		lines[i] = FrameLineage{Key: l.key, Hops: hops[:0:l.hops]}
+		hops = hops[l.hops:]
+	}
+	for _, h := range r.hops {
+		lines[h.line].Hops = append(lines[h.line].Hops, h.hop)
+	}
+	return lines
 }

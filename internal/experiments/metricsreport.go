@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -91,10 +92,24 @@ func (c *MetricsCollector) Add(label string, results []*core.Result) {
 }
 
 // dashboardRow renders one resource's sampled series as a dashboard row.
+// Mean, peak and p99 are over the defined samples (NaNs skipped, as
+// stats.Summarize does), from one sorted copy; the mean is summed in
+// sample order.
 func dashboardRow(label string, s *metrics.Series, times []time.Duration) []string {
-	sum := stats.Summarize(s.Samples)
-	sorted := append([]float64(nil), s.Samples...)
-	sort.Float64s(sorted)
+	sorted := make([]float64, 0, len(s.Samples))
+	var mean float64
+	for _, v := range s.Samples {
+		if !math.IsNaN(v) {
+			sorted = append(sorted, v)
+			mean += v
+		}
+	}
+	var peak float64
+	if n := len(sorted); n > 0 {
+		mean /= float64(n)
+		sort.Float64s(sorted)
+		peak = sorted[n-1]
+	}
 	p99 := stats.Percentile(sorted, 99)
 
 	// Regime-shift detection over the sampled series: the first sample
@@ -112,7 +127,7 @@ func dashboardRow(label string, s *metrics.Series, times []time.Duration) []stri
 
 	return []string{
 		label, s.Name, metrics.Sparkline(s.Samples, 24),
-		fmtG(sum.Mean), fmtG(sum.Max), fmtG(p99), shift,
+		fmtG(mean), fmtG(peak), fmtG(p99), shift,
 	}
 }
 

@@ -79,6 +79,9 @@ type Series struct {
 	// stay CSV-only so large ensembles do not flood the dashboard.
 	Dash bool
 	// Samples holds one value per elapsed interval, in boundary order.
+	// While the run samples, it is the series' column of the registry's
+	// SampleBlock; after DropProbes it is the series' own part of one
+	// exact-size array, its capacity equal to its length.
 	Samples []float64
 
 	probe   func() float64
@@ -133,22 +136,43 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // Registry holds one run's registered series and histograms. Components
 // register probes once at wiring time; the engine sampler calls Sample at
-// every interval boundary the event timeline reaches. A nil *Registry is
-// valid and inert: every method is nil-safe, so wiring code registers
-// unconditionally and pays nothing when metrics are off.
+// every interval boundary the event timeline reaches, which records into
+// the registry's SampleBlock. DropProbes, at the end of the run, copies
+// the samples out of the block into arrays of their exact size, which the
+// registry keeps. A nil *Registry is valid and inert: every method is
+// nil-safe, so wiring code registers unconditionally and pays nothing when
+// metrics are off.
 type Registry struct {
 	interval time.Duration
 	times    []time.Duration
 	series   []*Series
 	hists    []*Histogram
+	block    *SampleBlock // nil once DropProbes copied the samples out
 }
 
-// New creates a registry sampling at the given fixed virtual interval.
-func New(interval time.Duration) *Registry {
+// SampleBlock is the scratch a registry samples into: the boundary times,
+// and one column per series, laid out one after another (column-major), so
+// each series' Samples is a slice of it. A block that runs out of room is
+// laid out again, twice as tall, in a new array that it keeps. The zero
+// SampleBlock is empty; a block handed from one run to the next keeps its
+// arrays, so a run no larger than one it served before grows nothing.
+type SampleBlock struct {
+	times []time.Duration
+	vals  []float64
+}
+
+// New creates a registry sampling at the given fixed virtual interval into
+// block b, which it uses until DropProbes and overwrites from the start, or
+// into a block of its own when b is nil.
+func New(interval time.Duration, b *SampleBlock) *Registry {
 	if interval <= 0 {
 		panic("metrics: nonpositive sample interval")
 	}
-	return &Registry{interval: interval}
+	if b == nil {
+		b = new(SampleBlock)
+	}
+	b.times = b.times[:0]
+	return &Registry{interval: interval, block: b}
 }
 
 // add registers s.
@@ -220,17 +244,50 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Sample records one value per registered series at virtual time t. The
 // engine sampler calls it at every interval boundary; probes must only
 // read state (no event scheduling, no RNG draws), which keeps sampling
-// observation-only. Every boundary appends one value to each series'
-// Samples.
+// observation-only. Every boundary writes one value into each series'
+// column of the block, and lays the columns out again first when one is
+// full.
 func (r *Registry) Sample(t time.Duration) {
 	if r == nil {
 		return
 	}
 	sec := r.interval.Seconds()
-	r.times = append(r.times, t)
+	b := r.block
+	b.times = append(b.times, t)
+	r.times = b.times
 	for _, s := range r.series {
+		if len(s.Samples) == cap(s.Samples) {
+			r.layout()
+		}
 		s.Samples = append(s.Samples, s.sample(r.interval, sec))
 	}
+}
+
+// layout gives every series a column of the block with room for one more
+// sample than the longest holds, keeping the samples taken. A block that
+// holds no sample yet is laid out in place, with the tallest columns its
+// array fits; a block too short for that gets a new array twice as tall.
+// Each series' Samples is capped at its column's end, so appending to it
+// stays in its column.
+func (r *Registry) layout() {
+	b, cols := r.block, len(r.series)
+	rows, taken := 1, 0
+	for _, s := range r.series {
+		rows = max(rows, len(s.Samples)+1)
+		taken += len(s.Samples)
+	}
+	stride := cap(b.vals) / cols
+	vals := b.vals[:cap(b.vals)]
+	if taken > 0 || stride < rows {
+		stride = max(2*stride, rows, 16)
+		vals = make([]float64, cols*stride)
+	}
+	for i, s := range r.series {
+		col := vals[i*stride : i*stride+len(s.Samples) : (i+1)*stride]
+		copy(col, s.Samples)
+		s.Samples = col
+	}
+	b.vals = vals
 }
 
 // sample computes the series' value at one boundary and advances its
@@ -266,16 +323,42 @@ func (s *Series) sample(interval time.Duration, sec float64) float64 {
 }
 
 // DropProbes releases every series' probes, so a registry kept after its
-// run no longer holds the run's components (the probes close over them).
-// The samples, histograms and snapshot state stay, so every exporter
-// writes what it wrote before; the registry must not be sampled again.
-// Nil-safe.
+// run no longer holds the run's components (the probes close over them),
+// and copies the times and samples out of the block into arrays of their
+// exact size: one for the times, and one for every series' samples, each
+// series' Samples its own part, with its capacity equal to its length.
+// The registry no longer uses the block, which can serve another. The
+// samples, histograms and snapshot state stay, so every exporter writes
+// what it wrote before; the registry must not be sampled again. Nil-safe.
 func (r *Registry) DropProbes() {
 	if r == nil {
 		return
 	}
 	for _, s := range r.series {
 		s.probe, s.den = nil, nil
+	}
+	if r.block == nil {
+		return
+	}
+	r.block = nil
+	times := r.times
+	r.times = nil
+	if len(times) > 0 {
+		r.times = make([]time.Duration, len(times))
+		copy(r.times, times)
+	}
+	total := 0
+	for _, s := range r.series {
+		total += len(s.Samples)
+	}
+	vals := make([]float64, total)
+	for _, s := range r.series {
+		n := copy(vals, s.Samples)
+		s.Samples = nil
+		if n > 0 {
+			s.Samples = vals[:n:n]
+		}
+		vals = vals[n:]
 	}
 }
 

@@ -43,14 +43,14 @@ func TestNewRejectsNonpositiveInterval(t *testing.T) {
 			t.Fatal("New(0) did not panic")
 		}
 	}()
-	New(0)
+	New(0, nil)
 }
 
 // TestSampleKinds drives one series of each kind through three boundaries
 // with a hand-built cumulative state and checks each sample against the
 // kind's documented semantic.
 func TestSampleKinds(t *testing.T) {
-	r := New(time.Second)
+	r := New(time.Second, nil)
 	var total, busy, hits, accesses, inFlight float64
 	r.Gauge("gauge", func() float64 { return inFlight })
 	r.Counter("counter", func() float64 { return total })
@@ -97,7 +97,7 @@ func TestSampleKinds(t *testing.T) {
 }
 
 func TestHistogramObserve(t *testing.T) {
-	h := New(time.Second).Histogram("lat")
+	h := New(time.Second, nil).Histogram("lat")
 	durs := []time.Duration{500 * time.Nanosecond, 3 * time.Microsecond, 3 * time.Microsecond, 100 * time.Millisecond}
 	var sum time.Duration
 	for _, d := range durs {
@@ -117,7 +117,7 @@ func TestHistogramObserve(t *testing.T) {
 
 func TestWriteCSVDeterministicShape(t *testing.T) {
 	mk := func() Run {
-		r := New(time.Second)
+		r := New(time.Second, nil)
 		var n float64
 		r.Counter("a/total", func() float64 { return n })
 		r.Gauge("b/now", func() float64 { return n / 2 })
@@ -144,7 +144,7 @@ func TestWriteCSVDeterministicShape(t *testing.T) {
 }
 
 func TestWritePromSnapshot(t *testing.T) {
-	r := New(time.Second)
+	r := New(time.Second, nil)
 	var n, busy float64
 	r.Counter("ops", func() float64 { return n })
 	r.Util("dev/util", 1, func() float64 { return busy })
@@ -192,7 +192,7 @@ func TestWritePromSnapshot(t *testing.T) {
 // cannot inject data rows.
 func TestExportersEscapeHostileLabel(t *testing.T) {
 	hostile := "bad\"run\\name\nwith=\"x\\n\"\r tail\\"
-	r := New(time.Second)
+	r := New(time.Second, nil)
 	n := 0.0
 	r.Counter("ops", func() float64 { return n })
 	n = 3
@@ -229,7 +229,7 @@ func TestExportersEscapeHostileLabel(t *testing.T) {
 // metric name appearing in several runs gets exactly one # TYPE line.
 func TestWritePromGroupsTypeLines(t *testing.T) {
 	mk := func(label string) Run {
-		r := New(time.Second)
+		r := New(time.Second, nil)
 		var n float64
 		r.Counter("shared", func() float64 { return n })
 		n = 1
@@ -246,7 +246,7 @@ func TestWritePromGroupsTypeLines(t *testing.T) {
 }
 
 func TestCounterTracksDashOnly(t *testing.T) {
-	r := New(time.Second)
+	r := New(time.Second, nil)
 	var n float64
 	r.Counter("quiet", func() float64 { return n })
 	r.Gauge("loud", func() float64 { return n }).OnDashboard()
@@ -292,7 +292,7 @@ func TestObserveZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation budget checked without -race")
 	}
-	h := New(time.Second).Histogram("lat")
+	h := New(time.Second, nil).Histogram("lat")
 	if n := testing.AllocsPerRun(100, func() { h.Observe(3 * time.Microsecond) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %.0f/op", n)
 	}
@@ -312,7 +312,7 @@ func TestExportAllocBudget(t *testing.T) {
 	build := func(boundaries int) []Run {
 		var runs []Run
 		for _, label := range []string{"run one", "run two"} {
-			r := New(time.Second)
+			r := New(time.Second, nil)
 			var total, busy, inFlight float64
 			h := registerSinkSeries(r, &total, &busy, &inFlight)
 			drive(r, h, &total, &busy, &inFlight, boundaries)

@@ -35,7 +35,7 @@ func drive(r *Registry, h *Histogram, total, busy, inFlight *float64, n int) {
 func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 	var runs []Run
 	for run, boundaries := range []int{5, 3, 0} {
-		r := New(time.Second)
+		r := New(time.Second, nil)
 		var total, busy, inFlight float64
 		h := registerSinkSeries(r, &total, &busy, &inFlight)
 		drive(r, h, &total, &busy, &inFlight, boundaries)
@@ -62,7 +62,7 @@ func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 // A registry whose probes were dropped exports the CSV and the Prometheus
 // snapshot it exported before, for every series kind and the histogram.
 func TestDropProbesKeepsExports(t *testing.T) {
-	r := New(time.Second)
+	r := New(time.Second, nil)
 	var total, busy, inFlight float64
 	h := registerSinkSeries(r, &total, &busy, &inFlight)
 	drive(r, h, &total, &busy, &inFlight, 7)
