@@ -58,8 +58,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		traceStrm  = fs.String("trace-stream", "", "like -trace but bounded-memory: stream spans into the Chrome trace file as they are emitted (same bytes, plus the partial block of any run a fault or capacity kill cut short; no breakdown reports)")
 		metricsOut = fs.String("metrics", "", "sample virtual-time resource metrics: write a time-series CSV file here and emit per-experiment utilization dashboards")
 		promOut    = fs.String("metrics-prom", "", "with metrics sampling, also write an end-of-run Prometheus text-format snapshot here")
-		metricsStm = fs.String("metrics-stream", "", "like -metrics but bounded-memory: stream samples into the CSV file as they are taken (same bytes; no dashboards or -metrics-prom)")
-		metricsInt = fs.Duration("metrics-interval", 0, "virtual-time sampling period for -metrics/-metrics-prom/-metrics-stream (0 = 250ms)")
+		metricsInt = fs.Duration("metrics-interval", 0, "virtual-time sampling period for -metrics/-metrics-prom (0 = 250ms); needs one of them")
 		critOut    = fs.String("critpath", "", "record causal dependency graphs: write a frame-provenance waterfall CSV file here and emit per-experiment critical-path blame reports")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,24 +75,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 
-	// Up-front flag validation: a nonsensical count is a usage error (exit
-	// 2, one line, stderr only) before any simulation starts. `-reps 0`
-	// must be distinguished from an omitted -reps (0 = paper default), so
-	// explicit zeros are detected via Visit.
-	explicitZero := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) {
-		if (f.Name == "reps" || f.Name == "frames") && f.Value.String() == "0" {
-			explicitZero[f.Name] = true
-		}
-	})
+	// Up-front flag validation: a nonsensical count, or a flag that would
+	// be ignored, is a usage error (exit 2, one line, stderr only) before
+	// any simulation starts. `-reps 0` must be distinguished from an
+	// omitted -reps (0 = paper default), so the flags given are found via
+	// Visit.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usage := func(format string, args ...any) int {
 		fmt.Fprintf(stderr, "experiments: "+format+"\n", args...)
 		return 2
 	}
 	switch {
-	case *reps < 0 || explicitZero["reps"]:
+	case *reps < 0 || set["reps"] && *reps == 0:
 		return usage("-reps must be a positive integer (got %d); omit the flag for the paper default", *reps)
-	case *frames < 0 || explicitZero["frames"]:
+	case *frames < 0 || set["frames"] && *frames == 0:
 		return usage("-frames must be a positive integer (got %d); omit the flag for the paper default", *frames)
 	case *workers < 0:
 		return usage("-j must be >= 0 (got %d); 0 means one worker per core", *workers)
@@ -103,6 +99,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return usage("-budget must be >= 0 (got %d); 0 means the default budget", *budget)
 	case *metricsInt < 0:
 		return usage("-metrics-interval must be >= 0 (got %v); 0 means 250ms", *metricsInt)
+	case set["metrics-interval"] && *metricsOut == "" && *promOut == "":
+		return usage("-metrics-interval needs -metrics or -metrics-prom")
 	}
 
 	if *list {
@@ -168,9 +166,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *traceOut != "" && *traceStrm != "" {
 			return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
 		}
-		if *metricsStm != "" && (*metricsOut != "" || *promOut != "") {
-			return fatal(errors.New("-metrics-stream cannot be combined with -metrics or -metrics-prom (streamed samples are not retained for dashboards or snapshots)"))
-		}
 		if *critOut != "" && *traceStrm != "" {
 			return fatal(errors.New("-critpath and -trace-stream are mutually exclusive (flow-event merging needs buffered spans)"))
 		}
@@ -214,13 +209,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	// The artifact files, created before the first experiment runs.
-	var traceFile, traceStrmFile, metricsFile, promFile, metricsStrmFile, critFile *os.File
+	var traceFile, traceStrmFile, metricsFile, promFile, critFile *os.File
 	for _, a := range []struct {
 		path string
 		f    **os.File
 	}{
 		{*traceOut, &traceFile}, {*traceStrm, &traceStrmFile}, {*metricsOut, &metricsFile},
-		{*promOut, &promFile}, {*metricsStm, &metricsStrmFile}, {*critOut, &critFile},
+		{*promOut, &promFile}, {*critOut, &critFile},
 	} {
 		if a.path == "" {
 			continue
@@ -250,11 +245,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ccollector = repro.NewCritPathCollector()
 		opts.CritPath = ccollector
 	}
-	var mstream *repro.MetricsStreamer
-	if metricsStrmFile != nil {
-		mstream = &repro.MetricsStreamer{Sink: repro.NewMetricsCSVSink(metricsStrmFile), Interval: *metricsInt}
-		opts.MetricsStream = mstream
-	}
 	effWorkers := *workers
 	if effWorkers <= 0 {
 		effWorkers = runtime.GOMAXPROCS(0)
@@ -273,7 +263,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// Run labels repeat across experiments (fig6/fig7 sweep overlapping
 		// ensembles); the scope keeps exported series distinguishable.
 		mcollector.SetScope(id)
-		mstream.SetScope(id)
 		rep, err := repro.RunExperiment(id, opts)
 		if err != nil {
 			if !*quiet {
@@ -351,16 +340,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "streamed traces to %s\n", *traceStrm)
-		}
-	}
-	if metricsStrmFile != nil {
-		if err := writeFile(metricsStrmFile, func(io.Writer) error {
-			return mstream.Sink.Flush()
-		}); err != nil {
-			return fatal(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(stderr, "streamed metrics to %s\n", *metricsStm)
 		}
 	}
 	if ccollector != nil {

@@ -140,7 +140,7 @@ func TestRefusedRunCreatesNoOutput(t *testing.T) {
 		{[]string{"-trace", "$DIR/a", "-trace-stream", "$DIR/b", "fig5"}, 1},
 		{[]string{"-quick", "-q", "-trace", "$DIR/nodir/x.json", "fig5"}, 1},
 		{[]string{"-quick", "-q", "-trace-stream", "$DIR/nodir/x.json", "fig5"}, 1},
-		{[]string{"-quick", "-q", "-metrics-stream", "$DIR/nodir/x.csv", "fig5"}, 1},
+		{[]string{"-quick", "-q", "-metrics", "$DIR/nodir/x.csv", "fig5"}, 1},
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
@@ -200,6 +200,7 @@ func TestFlagValidationUpFront(t *testing.T) {
 		{"-headstart", "-5ms", "fig5"},
 		{"-budget", "-1", "calibrate"},
 		{"-metrics-interval", "-1s", "-metrics", "x.csv", "fig5"},
+		{"-metrics-interval", "100ms", "fig5"}, // no sampling sink to pace
 	}
 	for _, args := range cases {
 		code, out, errOut := capture(t, args...)

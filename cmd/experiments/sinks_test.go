@@ -13,13 +13,12 @@ import (
 
 // TestEverySinkReachesEveryExperiment runs each simulating experiment with
 // every observation sink at a tiny protocol. Each of -trace, -metrics and
-// -critpath must drain a report for the experiment, and a streaming sink
-// must write the bytes its buffered twin writes. -metrics-stream writes a
-// run's block only once the run completes, so it matches everywhere.
-// -trace-stream is exempt on faultsweep and capsweep: a run killed
-// mid-stream leaves a partial block in the stream, while buffered
-// collection drops it. Their streamed runs must still carry the buffered
-// runs' names.
+// -critpath must drain a report for the experiment, -metrics must write
+// the same bytes whichever sinks ride with it, and -trace-stream must
+// write the bytes -trace writes. -trace-stream is exempt on faultsweep and
+// capsweep: a run killed mid-stream leaves a partial block in the stream,
+// while buffered collection drops it. Their streamed runs must still carry
+// the buffered runs' names.
 func TestEverySinkReachesEveryExperiment(t *testing.T) {
 	noSim := map[string]bool{"table1": true, "table2": true}
 	killsRuns := map[string]bool{"faultsweep": true, "capsweep": true}
@@ -58,15 +57,15 @@ func TestEverySinkReachesEveryExperiment(t *testing.T) {
 			}
 
 			drains(runOK("-trace", path("buffered.json"), "-metrics", path("buffered.csv")), "trace", "metrics")
-			// -critpath cannot join -trace-stream, so it rides with the
-			// streamed metrics.
-			drains(runOK("-metrics-stream", path("streamed.csv"), "-critpath", path("waterfall.csv")), "critpath")
-			// A streamed trace carries the counter tracks of the streamed
-			// metrics, as the buffered trace carries those of -metrics.
-			runOK("-trace-stream", path("streamed.json"), "-metrics-stream", path("paired.csv"))
-			for _, name := range []string{"streamed.csv", "paired.csv"} {
+			// -critpath cannot join -trace-stream, so it rides with
+			// -metrics alone.
+			drains(runOK("-metrics", path("critpath.csv"), "-critpath", path("waterfall.csv")), "critpath", "metrics")
+			// A streamed trace carries the counter tracks of -metrics, as
+			// the buffered trace does.
+			runOK("-trace-stream", path("streamed.json"), "-metrics", path("paired.csv"))
+			for _, name := range []string{"critpath.csv", "paired.csv"} {
 				if !bytes.Equal(read(name), read("buffered.csv")) {
-					t.Errorf("-metrics-stream wrote %d bytes to %s, -metrics %d; want the same bytes",
+					t.Errorf("-metrics wrote %d bytes to %s, %d beside -trace; want the same bytes",
 						len(read(name)), name, len(read("buffered.csv")))
 				}
 			}

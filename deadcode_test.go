@@ -28,11 +28,20 @@ var facadeAllowed = map[string]string{
 	"ReleasePools": "the only way a long-lived caller frees the parked goroutines that RunMany keeps; core's TestRunPoolLifecycle checks it",
 }
 
+// declAllowed names the fields and methods under internal/ that may go
+// unread or uncalled, each with its reason.
+var declAllowed = map[string]string{
+	"core.Result.HostCost": "a test-only seam: the event and handoff budget tests read the kernel work each run booked",
+	"sim.(*eventq).peek":   "FuzzEventQueue's oracle: it checks that the queue's head is the least pending event",
+}
+
 // TestInternalDeclarationsHaveCallers type-checks the module (go/types,
-// standard library only, offline) and holds every declaration to one
-// caller rule. A package-level func, type, var or const under internal/,
-// and every exported method there (interface methods included), passes
-// when at least one of these holds:
+// standard library only, offline) and holds every declaration under
+// internal/ to one of two rules.
+//
+// A package-level func, type, var or const, and every method (exported or
+// not, interface methods included), has a caller when at least one of these
+// holds:
 //
 //  1. a non-test file anywhere in the module uses it, outside its own
 //     body: cmd, examples, perfbench and the root package count;
@@ -41,18 +50,88 @@ var facadeAllowed = map[string]string{
 //     its own method does;
 //  3. a test file of another package uses it (a cross-package seam).
 //
-// A method that only its own package's tests call fails. Each func and
-// const of the repro facade must be named by a non-test file of another
-// package; its type aliases and error sentinels are exempt, since they name
-// what the kept exports hand out.
+// A method that only its own package's tests call fails. A struct field
+// (embedded ones aside) must be read by a non-test file of the module: the
+// left side of =, := or an op-assign, the operand of ++ or --, and a
+// composite-literal key are writes, not reads. Every field of a struct
+// counts as read when the struct is a map key, an operand of == or !=, or
+// an argument (or a pointer argument's target) passed to an interface-typed
+// parameter (fmt's %+v, encoding/json), or when any of its fields carries a
+// tag; the mark reaches its nested struct and array fields. An allowlisted
+// field counts as read, with all it holds. declAllowed and uncalledAllowed
+// list the exceptions, each with its reason.
+//
+// Each func and const of the repro facade must be named by a non-test file
+// of another package; its type aliases and error sentinels are exempt,
+// since they name what the kept exports hand out.
 func TestInternalDeclarationsHaveCallers(t *testing.T) {
 	l := newModuleLoader()
 	if err := l.loadModule("."); err != nil {
 		t.Fatal(err)
 	}
+	if len(l.testErrs) > 0 {
+		t.Fatalf("type-checking the tests: %v", errors.Join(l.testErrs...))
+	}
+	failures := l.deadDeclarations(func(dir string) bool {
+		_, ok := uncalledAllowed[dir]
+		return strings.HasPrefix(dir, "internal/") && !ok
+	}, declAllowed)
 
-	used := map[types.Object]bool{}        // rules 1 and 3
 	usedOutside := map[types.Object]bool{} // non-test uses from another package
+	for _, m := range l.mods {
+		for _, obj := range m.info.Uses {
+			if obj = origin(obj); obj.Pkg() != nil && obj.Pkg() != m.pkg {
+				usedOutside[obj] = true
+			}
+		}
+	}
+	facade := l.byDir["."].pkg
+	for _, name := range facade.Scope().Names() {
+		obj := facade.Scope().Lookup(name)
+		switch obj.(type) {
+		case *types.Func, *types.Const:
+		default:
+			continue
+		}
+		if _, ok := facadeAllowed[name]; ok || !obj.Exported() || usedOutside[obj] {
+			continue
+		}
+		failures = append(failures, l.where(obj)+"repro."+name+" is named by no other package's non-test file")
+	}
+	sort.Strings(failures)
+	for _, f := range failures {
+		t.Error(f)
+	}
+}
+
+// TestDeadCodeGateFixture runs the gate's rules on testdata/deadcode, whose
+// internal package holds one case of each rule, and checks its exact
+// findings.
+func TestDeadCodeGateFixture(t *testing.T) {
+	l := newModuleLoader()
+	if _, err := l.module("testdata/deadcode"); err != nil {
+		t.Fatal(err)
+	}
+	got := l.deadDeclarations(func(dir string) bool {
+		return strings.HasPrefix(dir, "testdata/deadcode/internal/")
+	}, nil)
+	sort.Strings(got)
+	want := []string{
+		"testdata/deadcode/internal/fix/fix.go:11: fix.Counter.assigned is never read outside tests",
+		"testdata/deadcode/internal/fix/fix.go:12: fix.Counter.summed is never read outside tests",
+		"testdata/deadcode/internal/fix/fix.go:13: fix.Counter.bumped is never read outside tests",
+		"testdata/deadcode/internal/fix/fix.go:28: fix.(*Counter).reset has no caller outside tests",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// deadDeclarations applies the caller and read rules to the declarations
+// of the packages that check selects, and lists each one that fails and
+// that allowed does not name.
+func (l *moduleLoader) deadDeclarations(check func(dir string) bool, allowed map[string]string) []string {
+	used := map[types.Object]bool{} // rules 1 and 3
 	for _, m := range l.mods {
 		for id, obj := range m.info.Uses {
 			obj = origin(obj)
@@ -60,9 +139,6 @@ func TestInternalDeclarationsHaveCallers(t *testing.T) {
 				continue // a recursive call is no caller
 			}
 			used[obj] = true
-			if obj.Pkg() != nil && obj.Pkg() != m.pkg {
-				usedOutside[obj] = true
-			}
 		}
 	}
 	for _, m := range l.mods {
@@ -78,9 +154,6 @@ func TestInternalDeclarationsHaveCallers(t *testing.T) {
 				}
 			}
 		}
-	}
-	if len(l.testErrs) > 0 {
-		t.Fatalf("type-checking the tests: %v", errors.Join(l.testErrs...))
 	}
 
 	// Rule 2: a method passes through an interface it implements.
@@ -103,39 +176,170 @@ func TestInternalDeclarationsHaveCallers(t *testing.T) {
 
 	var failures []string
 	report := func(obj types.Object, name, why string) {
-		p := l.fset.Position(obj.Pos())
-		failures = append(failures, p.Filename+":"+strconv.Itoa(p.Line)+": "+name+" "+why)
+		if _, ok := allowed[name]; !ok {
+			failures = append(failures, l.where(obj)+name+" "+why)
+		}
 	}
 	for _, m := range l.mods {
-		if !strings.HasPrefix(m.dir, "internal/") {
-			continue
-		}
-		if _, ok := uncalledAllowed[m.dir]; ok {
-			continue
-		}
-		for _, obj := range declared(m.pkg) {
-			if !used[obj] {
-				report(obj, qualified(obj), "has no caller outside tests")
+		if check(m.dir) {
+			for _, obj := range declared(m.pkg) {
+				if !used[obj] {
+					report(obj, qualified(obj), "has no caller outside tests")
+				}
 			}
 		}
 	}
-	facade := l.byDir["."].pkg
-	for _, name := range facade.Scope().Names() {
-		obj := facade.Scope().Lookup(name)
-		switch obj.(type) {
-		case *types.Func, *types.Const:
-		default:
-			continue
-		}
-		if _, ok := facadeAllowed[name]; ok || !obj.Exported() || usedOutside[obj] {
-			continue
-		}
-		report(obj, "repro."+name, "is named by no other package's non-test file")
+	for _, f := range l.unreadFields(check, allowed) {
+		report(f.obj, f.name, "is never read outside tests")
 	}
-	sort.Strings(failures)
-	for _, f := range failures {
-		t.Error(f)
+	return failures
+}
+
+// where is obj's file:line position, as a report line's prefix.
+func (l *moduleLoader) where(obj types.Object) string {
+	p := l.fset.Position(obj.Pos())
+	return p.Filename + ":" + strconv.Itoa(p.Line) + ": "
+}
+
+// field is a struct field that the read rule checks, with the name it is
+// reported by: pkg.T.f, or pkg.f in a struct literal type.
+type field struct {
+	obj  *types.Var
+	name string
+}
+
+// unreadFields lists the fields declared in the packages that check selects
+// which no non-test file of the module reads. A field that allowed names
+// counts as read, with every field of the struct it holds.
+func (l *moduleLoader) unreadFields(check func(dir string) bool, allowed map[string]string) []field {
+	read := map[*types.Var]bool{}
+	seen := map[*types.Struct]bool{}
+	// readAll marks every field of each struct that a value of type t
+	// holds in place: its own, and those of its struct and array fields.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		if t == nil {
+			return
+		}
+		if named, ok := t.(*types.Named); ok {
+			t = named.Origin()
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if seen[u] {
+				return
+			}
+			seen[u] = true
+			for i := 0; i < u.NumFields(); i++ {
+				read[u.Field(i)] = true
+				readAll(u.Field(i).Type())
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
 	}
+
+	var fields []field
+	writes := map[*ast.Ident]bool{}
+	write := func(e ast.Expr) {
+		e = ast.Unparen(e)
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, m := range l.mods {
+		checked := check(m.dir)
+		names := map[*ast.StructType]string{}
+		for _, f := range m.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						names[st] = n.Name.Name + "."
+					}
+				case *ast.StructType:
+					s, _ := m.info.TypeOf(n).(*types.Struct)
+					if !checked || s == nil {
+						break
+					}
+					for i := 0; i < s.NumFields(); i++ {
+						fv := s.Field(i)
+						name := m.pkg.Name() + "." + names[n] + fv.Name()
+						if _, ok := allowed[name]; ok {
+							read[fv] = true
+							readAll(fv.Type())
+						} else if !fv.Embedded() && fv.Name() != "_" {
+							fields = append(fields, field{fv, name})
+						}
+						if s.Tag(i) != "" {
+							readAll(s) // an encoder reads every field
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.KeyValueExpr:
+					// A struct literal's key is a write; a map literal's
+					// identifier key names no field, so marking it is moot.
+					if id, ok := n.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(m.info.TypeOf(n.X))
+						readAll(m.info.TypeOf(n.Y))
+					}
+				case *ast.MapType:
+					readAll(m.info.TypeOf(n.Key))
+				case *ast.CallExpr:
+					tv := m.info.Types[n.Fun]
+					sig, ok := tv.Type.(*types.Signature)
+					if !ok || tv.IsType() {
+						break
+					}
+					params := sig.Params()
+					for i, arg := range n.Args {
+						var pt types.Type
+						switch {
+						case sig.Variadic() && i >= params.Len()-1:
+							pt = params.At(params.Len() - 1).Type()
+							if !n.Ellipsis.IsValid() {
+								pt = pt.(*types.Slice).Elem()
+							}
+						case i < params.Len():
+							pt = params.At(i).Type()
+						}
+						if _, tp := pt.(*types.TypeParam); pt == nil || tp || !types.IsInterface(pt) {
+							continue
+						}
+						at := m.info.TypeOf(arg)
+						if p, ok := at.(*types.Pointer); ok {
+							at = p.Elem() // fmt prints a struct's fields through one pointer
+						}
+						readAll(at)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, m := range l.mods {
+		for id, obj := range m.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[v.Origin()] = true
+			}
+		}
+	}
+	var unread []field
+	for _, f := range fields {
+		if !read[f.obj] {
+			unread = append(unread, f)
+		}
+	}
+	return unread
 }
 
 // origin maps an instantiated generic func or field to its declaration.
@@ -293,7 +497,11 @@ func (l *moduleLoader) module(dir string) (*modPkg, error) {
 	if dir != "." {
 		importPath += "/" + dir
 	}
-	m.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	m.info = &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
+	}
 	conf := types.Config{Importer: l}
 	if m.pkg, err = conf.Check(importPath, l.fset, m.files, m.info); err != nil {
 		return nil, err
@@ -355,8 +563,8 @@ func (l *moduleLoader) checkTest(m *modPkg, importPath string, files []*ast.File
 	m.tests = append(m.tests, info)
 }
 
-// declared lists what the rule checks in pkg: every package-level object
-// and every exported method of its named types.
+// declared lists what the caller rule checks in pkg: every package-level
+// object and every method of its named types.
 func declared(pkg *types.Package) []types.Object {
 	var objs []types.Object
 	for _, name := range pkg.Scope().Names() {
@@ -369,16 +577,12 @@ func declared(pkg *types.Package) []types.Object {
 		named := tn.Type().(*types.Named)
 		if iface, ok := named.Underlying().(*types.Interface); ok {
 			for i := 0; i < iface.NumExplicitMethods(); i++ {
-				if m := iface.ExplicitMethod(i); m.Exported() {
-					objs = append(objs, m)
-				}
+				objs = append(objs, iface.ExplicitMethod(i))
 			}
 			continue
 		}
 		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Exported() {
-				objs = append(objs, m)
-			}
+			objs = append(objs, named.Method(i))
 		}
 	}
 	return objs
@@ -427,9 +631,6 @@ func (l *moduleLoader) implementations() map[types.Object][]types.Object {
 				continue
 			}
 			named := tn.Type().(*types.Named)
-			if named.TypeParams().Len() > 0 {
-				continue
-			}
 			var t types.Type = named
 			if !types.IsInterface(named) {
 				t = types.NewPointer(named)

@@ -439,7 +439,6 @@ func (s *Store) evictOne(p *sim.Proc, forced bool) bool {
 		// producer's staging area — so they keep separate counters and no
 		// tombstones (a later miss falls back to the in-flight copy).
 		s.met.CacheEvictions++
-		s.met.CacheEvictedBytes += v.Size
 	} else {
 		s.met.Evictions++
 		s.met.EvictedBytes += v.Size
@@ -499,10 +498,9 @@ type Metrics struct {
 	DroppedBytes  int64
 	// ForcedEvictions counts evictions forced by a shrinking provision.
 	ForcedEvictions int64
-	// CacheEvictions / CacheEvictedBytes count consumer RAM-cache evictions
-	// (harmless: the staging copy survives).
-	CacheEvictions    int64
-	CacheEvictedBytes int64
+	// CacheEvictions counts consumer RAM-cache evictions (harmless: the
+	// staging copy survives).
+	CacheEvictions int64
 	// CacheBypasses counts cache admissions refused for lack of space (the
 	// consumer served its in-flight copy uncached).
 	CacheBypasses int64

@@ -88,8 +88,6 @@ type SSD struct {
 
 	BytesRead    int64
 	BytesWritten int64
-	Reads        int64
-	Writes       int64
 	FailedOps    int64
 
 	// readLat/writeLat are sampled latency histograms, shared across the
@@ -142,7 +140,6 @@ func (s *SSD) Read(p *sim.Proc, n int64) (time.Duration, error) {
 	if s.failed {
 		return 0, s.fail(p, "read", s.spec.ReadLatency)
 	}
-	s.Reads++
 	s.BytesRead += n
 	service := s.scale(s.spec.ReadLatency + bwTime(n, s.spec.ReadBandwidth))
 	elapsed := s.dev.Use(p, service)
@@ -161,7 +158,6 @@ func (s *SSD) Write(p *sim.Proc, n int64) (time.Duration, error) {
 	if s.failed {
 		return 0, s.fail(p, "write", s.spec.WriteLatency)
 	}
-	s.Writes++
 	s.BytesWritten += n
 	service := s.scale(s.spec.WriteLatency + bwTime(n, s.spec.WriteBandwidth))
 	elapsed := s.dev.Use(p, service)
@@ -333,8 +329,6 @@ func (c *Cluster) Reset() {
 		s.failed = false
 		s.BytesRead = 0
 		s.BytesWritten = 0
-		s.Reads = 0
-		s.Writes = 0
 		s.FailedOps = 0
 		s.readLat = nil
 		s.writeLat = nil

@@ -49,8 +49,8 @@ func TestRunAllocBudget(t *testing.T) {
 		{DYAD, false, false, 4, 107, 3120},
 		{XFS, false, false, 4, 3, 1296},
 		{Lustre, false, false, 4, 15, 1544},
-		{DYAD, true, false, 4, 140, 168328},
-		{DYAD, true, true, 4, 372, 369240},
+		{DYAD, true, false, 4, 140, 168184},
+		{DYAD, true, true, 4, 372, 369096},
 		{DYAD, false, false, 256, 1085, 20888},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: tc.pairs,

@@ -92,7 +92,7 @@ func (r *rig) registerMetrics() {
 		for _, name := range critHopNames {
 			hopLat[name] = reg.Histogram("critpath/hop_" + name + "_lat")
 		}
-		cp.OnDep = func(kind string, slack time.Duration) { age.Observe(slack) }
+		cp.OnDep = func(slack time.Duration) { age.Observe(slack) }
 		cp.OnHop = func(hop string, d time.Duration) { hopLat[hop].Observe(d) }
 	}
 }

@@ -153,11 +153,8 @@ func TestRepeatWorkersDeterministicAggregates(t *testing.T) {
 	if canonical(serial) != canonical(parallel) {
 		t.Fatal("RepeatWorkers results differ between workers=1 and workers=8")
 	}
-	// Aggregate embeds Config, which carries func-typed hooks (SpecTune) and
-	// is not comparable; compare the summaries field by field.
 	sa, pa := Aggregated(serial), Aggregated(parallel)
-	if sa.Reps != pa.Reps || sa.ProdMovement != pa.ProdMovement || sa.ProdIdle != pa.ProdIdle ||
-		sa.ConsMovement != pa.ConsMovement || sa.ConsIdle != pa.ConsIdle || sa.Makespan != pa.Makespan {
+	if sa != pa {
 		t.Fatalf("aggregates differ:\n%+v\n%+v", sa, pa)
 	}
 	if sa.Makespan.Std == 0 {

@@ -202,9 +202,6 @@ func Repeat(cfg Config, reps int) ([]*Result, error) {
 
 // Aggregate summarizes repeated runs of one configuration.
 type Aggregate struct {
-	Cfg  Config
-	Reps int
-
 	ProdMovement stats.Summary // seconds
 	ProdIdle     stats.Summary
 	ConsMovement stats.Summary
@@ -215,11 +212,6 @@ type Aggregate struct {
 // Aggregated computes the cross-run summary of results (all from the same
 // configuration).
 func Aggregated(results []*Result) Aggregate {
-	agg := Aggregate{Reps: len(results)}
-	if len(results) == 0 {
-		return agg
-	}
-	agg.Cfg = results[0].Cfg
 	var pm, pi, cm, ci, mk []float64
 	for _, r := range results {
 		pm = append(pm, r.Producer.Movement.Seconds())
@@ -228,12 +220,13 @@ func Aggregated(results []*Result) Aggregate {
 		ci = append(ci, r.Consumer.Idle.Seconds())
 		mk = append(mk, r.Makespan.Seconds())
 	}
-	agg.ProdMovement = stats.Summarize(pm)
-	agg.ProdIdle = stats.Summarize(pi)
-	agg.ConsMovement = stats.Summarize(cm)
-	agg.ConsIdle = stats.Summarize(ci)
-	agg.Makespan = stats.Summarize(mk)
-	return agg
+	return Aggregate{
+		ProdMovement: stats.Summarize(pm),
+		ProdIdle:     stats.Summarize(pi),
+		ConsMovement: stats.Summarize(cm),
+		ConsIdle:     stats.Summarize(ci),
+		Makespan:     stats.Summarize(mk),
+	}
 }
 
 // ProdTotalMean returns mean production time (movement + idle) in seconds.

@@ -84,7 +84,6 @@ type rig struct {
 // cfgResolved caches derived quantities next to the user config.
 type cfgResolved struct {
 	Config
-	stride    int
 	frequency time.Duration
 	frameSize int64
 }
@@ -97,7 +96,6 @@ type cfgResolved struct {
 func newRig(cfg Config, pool *runPool) *rig {
 	rc := cfgResolved{
 		Config:    cfg,
-		stride:    cfg.EffectiveStride(),
 		frequency: cfg.Frequency(),
 		frameSize: cfg.Model.FrameBytes(),
 	}
@@ -542,7 +540,7 @@ func (r *rig) runConsumer(p *sim.Proc, pair int, gate *pairGate) {
 			rg.End(0, "")
 			data = got
 		}
-		p.CritDepend(path, "consume")
+		p.CritDepend(path)
 		p.CritHop(path, "consume", readStart, data.Size())
 		frameMark(p, "frame_consumed", data.Size(), "")
 		r.framesRead++

@@ -67,12 +67,12 @@ func BenchmarkProvenanceRecord(b *testing.B) {
 		r.StartProc(1, "consumer000", -1, 0)
 		for j, key := range keys {
 			at := Time(j) * time.Millisecond
-			r.Produce(key, 0, at, 659655)
+			r.Produce(key, at)
 			r.Hop(key, "write", 0, at, at+time.Microsecond, 659655)
 			r.Hop(key, "kvs_commit", 0, at, at+time.Microsecond, 16)
 			r.Hop(key, "transfer", 1, at, at+time.Microsecond, 659655)
 			r.Hop(key, "read", 1, at, at+time.Microsecond, 659655)
-			r.Depend(key, "consume", 1, at+2*time.Microsecond)
+			r.Depend(key, at+2*time.Microsecond)
 		}
 	}
 }

@@ -70,27 +70,22 @@ type Segment struct {
 	Edge  int32 // wait segments: index of the releasing edge, -1 if external
 }
 
-// Edge is a causal release: proc From woke proc To at time At. From is -1
-// when the wake came from a kernel timer callback rather than a proc (the
-// wait was then gated by time, not by another proc's work).
+// Edge is a causal release: proc From woke the proc whose wait segment
+// names the edge, at time At. From is -1 when the wake came from a kernel
+// timer callback rather than a proc (the wait was then gated by time, not
+// by another proc's work).
 type Edge struct {
 	From int32
-	To   int32
 	At   Time
 }
 
 // Dep is a recorded data dependency on a produced token (a frame path):
-// the consumer observed at ConsumedAt a value produced at ProducedAt.
+// a consumer observed at ConsumedAt a value produced at ProducedAt.
 // ConsumedAt-ProducedAt is the dependency's slack — how close the
 // dependency came to gating the consumer.
 type Dep struct {
-	Token      string
-	Kind       string // "fetch", "consume", ...
-	Producer   int32
-	Consumer   int32
 	ProducedAt Time
 	ConsumedAt Time
-	Bytes      int64
 }
 
 // Hop is one stage of a frame's provenance lineage.
@@ -111,7 +106,6 @@ type FrameLineage struct {
 
 // ProcTimeline is one proc's recorded history.
 type ProcTimeline struct {
-	Name       string
 	Parent     int32 // spawning proc, -1 when spawned from the driver
 	Background bool  // excluded as a critical-path root (e.g. noise procs)
 	Segments   []Segment
@@ -119,7 +113,6 @@ type ProcTimeline struct {
 
 // Graph is the finished dependency graph of one run.
 type Graph struct {
-	Makespan Time
 	Labels   []Label
 	Procs    []ProcTimeline
 	Edges    []Edge
@@ -154,12 +147,6 @@ type procState struct {
 	segs       []Segment
 }
 
-type tokenInfo struct {
-	proc  int32
-	at    Time
-	bytes int64
-}
-
 // lineRec is a lineage as recorded: its key and its number of hops.
 type lineRec struct {
 	key  string
@@ -183,7 +170,7 @@ type Recorder struct {
 	procs    []procState
 	edges    []Edge
 	deps     []Dep
-	tokens   map[string]tokenInfo
+	tokens   map[string]Time // each token's birth
 	lineIdx  map[string]int32
 	// lines holds each lineage's key and hop count, by first appearance,
 	// and hops every hop, in recording order, with its lineage's index:
@@ -193,10 +180,10 @@ type Recorder struct {
 	unclosed int // see Graph.Unclosed
 
 	// OnDep, when set, observes every dependency's slack (age of the
-	// token at consumption) keyed by dep kind. OnHop observes every
-	// lineage hop's duration keyed by hop name. Both let core feed
-	// metrics histograms without this package importing metrics.
-	OnDep func(kind string, slack Time)
+	// token at consumption). OnHop observes every lineage hop's duration
+	// keyed by hop name. Both let core feed metrics histograms without
+	// this package importing metrics.
+	OnDep func(slack Time)
 	OnHop func(hop string, d Time)
 }
 
@@ -204,7 +191,7 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	return &Recorder{
 		labelIdx: make(map[Label]int32),
-		tokens:   make(map[string]tokenInfo),
+		tokens:   make(map[string]Time),
 		lineIdx:  make(map[string]int32),
 	}
 }
@@ -352,33 +339,28 @@ func (r *Recorder) EndWait(idx int32, at Time) {
 func (r *Recorder) Release(from, to int32, at Time) {
 	ps := r.ps(to)
 	ps.pending = int32(len(r.edges))
-	r.edges = append(r.edges, Edge{From: from, To: to, At: at})
+	r.edges = append(r.edges, Edge{From: from, At: at})
 }
 
 // Produce registers a token (a frame path) as available from `at`. Only
 // the first registration counts: the token's birth is its first durable
 // write; later copies (mirror, cache) are hops, not new births.
-func (r *Recorder) Produce(token string, proc int32, at Time, bytes int64) {
-	if _, ok := r.tokens[token]; ok {
-		return
+func (r *Recorder) Produce(token string, at Time) {
+	if _, ok := r.tokens[token]; !ok {
+		r.tokens[token] = at
 	}
-	r.tokens[token] = tokenInfo{proc: proc, at: at, bytes: bytes}
 }
 
-// Depend records that proc consumed the token at `at`. Unknown tokens
+// Depend records that the token was consumed at `at`. Unknown tokens
 // (reads of files the recorder never saw produced) are ignored.
-func (r *Recorder) Depend(token, kind string, proc int32, at Time) {
-	t, ok := r.tokens[token]
+func (r *Recorder) Depend(token string, at Time) {
+	born, ok := r.tokens[token]
 	if !ok {
 		return
 	}
-	r.deps = append(r.deps, Dep{
-		Token: token, Kind: kind,
-		Producer: t.proc, Consumer: proc,
-		ProducedAt: t.at, ConsumedAt: at, Bytes: t.bytes,
-	})
+	r.deps = append(r.deps, Dep{ProducedAt: born, ConsumedAt: at})
 	if r.OnDep != nil {
-		r.OnDep(kind, at-t.at)
+		r.OnDep(at - born)
 	}
 }
 
@@ -408,7 +390,6 @@ func (r *Recorder) Hop(key, hop string, proc int32, start, end Time, bytes int64
 // nothing more until then. Its Lineages are its own, and survive the Reset.
 func (r *Recorder) Finish(at Time) *Graph {
 	g := &Graph{
-		Makespan: at,
 		Labels:   r.labels,
 		Edges:    r.edges,
 		Deps:     r.deps,
@@ -427,7 +408,7 @@ func (r *Recorder) Finish(at Time) *Graph {
 				ps.closeRun(at)
 			}
 		}
-		g.Procs[i] = ProcTimeline{Name: ps.name, Parent: ps.parent, Background: ps.background, Segments: ps.segs}
+		g.Procs[i] = ProcTimeline{Parent: ps.parent, Background: ps.background, Segments: ps.segs}
 	}
 	return g
 }

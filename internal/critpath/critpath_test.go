@@ -138,17 +138,17 @@ func TestProduceFirstWinsAndDepSlack(t *testing.T) {
 	r.StartProc(0, "p", -1, 0)
 	r.StartProc(1, "c", -1, 0)
 	var slacks []Time
-	r.OnDep = func(kind string, slack Time) { slacks = append(slacks, slack) }
-	r.Produce("/f0", 0, 2*ms, 100)
-	r.Produce("/f0", 0, 7*ms, 999) // mirror copy: ignored
-	r.Depend("/f0", "read", 1, 5*ms)
-	r.Depend("/missing", "read", 1, 5*ms) // unknown token: ignored
+	r.OnDep = func(slack Time) { slacks = append(slacks, slack) }
+	r.Produce("/f0", 2*ms)
+	r.Produce("/f0", 7*ms) // mirror copy: ignored
+	r.Depend("/f0", 5*ms)
+	r.Depend("/missing", 5*ms) // unknown token: ignored
 	g := r.Finish(10 * ms)
 	if len(g.Deps) != 1 {
 		t.Fatalf("deps: %+v", g.Deps)
 	}
 	d := g.Deps[0]
-	if d.ProducedAt != 2*ms || d.ConsumedAt != 5*ms || d.Bytes != 100 {
+	if d.ProducedAt != 2*ms || d.ConsumedAt != 5*ms {
 		t.Errorf("dep: %+v", d)
 	}
 	if len(slacks) != 1 || slacks[0] != 3*ms {

@@ -534,7 +534,7 @@ func (c *Client) Consume(p *sim.Proc, path string) (vfs.Payload, error) {
 	}
 	idle := fetch.End(0, path)
 	p.CritHop(path, "sync_wait", fetchStart, 0)
-	p.CritDepend(path, "fetch")
+	p.CritDepend(path)
 	// Paper decomposition: the metadata fetch is idle time, everything
 	// after it — client overhead, remote pull, cache store, local read — is
 	// data movement, one region of each class; the second stays out of the

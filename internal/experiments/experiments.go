@@ -59,14 +59,6 @@ type Options struct {
 	// Mutually exclusive with Trace (breakdown reports need retained spans
 	// and are skipped when streaming).
 	TraceStream *trace.ChromeStream
-	// MetricsStream, when non-nil, meters one repetition of each
-	// configuration like Metrics but writes each metered run's CSV block
-	// as the sweep collects it and then drops the run's registry —
-	// bounded-memory metering, bytes identical to buffered collection
-	// followed by metrics.WriteCSV. Mutually exclusive with Metrics (the
-	// dashboard and Prometheus exporters need retained samples and are
-	// unavailable when streaming).
-	MetricsStream *MetricsStream
 	// CritPath, when non-nil, records the causal dependency graph on one
 	// repetition of each configuration and collects the extracted critical
 	// paths for per-experiment blame reports plus frame-provenance waterfall

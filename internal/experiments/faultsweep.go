@@ -81,9 +81,9 @@ func FaultSweep(o Options) (*Report, error) {
 	}
 
 	type cell struct {
-		ok, failed                                              int
-		makespan, cons                                          float64
-		timeouts, retries, failovers, degradedMB, recovery, inj float64
+		ok, failed                                         int
+		makespan, cons                                     float64
+		timeouts, retries, failovers, degradedMB, recovery float64
 	}
 	cellOf := map[key]*cell{}
 	for i, reps := range results {
@@ -102,7 +102,6 @@ func FaultSweep(o Options) (*Report, error) {
 			c.failovers += float64(res.Recovery.Failovers)
 			c.degradedMB += float64(res.Recovery.DegradedBytes) / (1 << 20)
 			c.recovery += res.Recovery.RecoveryTime.Seconds()
-			c.inj += float64(res.Recovery.Injected)
 		}
 	}
 	// meanMakespan is the per-cell mean over surviving reps (NaN if none —

@@ -134,61 +134,6 @@ func dashboardRow(label string, s *metrics.Series, times []time.Duration) []stri
 // fmtG renders a dashboard value compactly with fixed precision.
 func fmtG(v float64) string { return fmt.Sprintf("%.3g", v) }
 
-// MetricsStream is the bounded-memory counterpart of MetricsCollector:
-// instead of retaining every sampled registry for end-of-sweep export, it
-// writes each metered repetition's CSV block into Sink as the sweep
-// collects the run, then drops the registry from the run's Result.
-// Options.Run gives a streamed sweep one batch per cell, so at most one
-// cell's metered run holds samples at a time. The bytes written are
-// identical to buffered collection followed by metrics.WriteCSV over the
-// same runs; what is lost is everything that needs the retained registries
-// after the sweep (the utilization dashboard, the Prometheus snapshot).
-//
-// Pass one through Options.MetricsStream (mutually exclusive with
-// Options.Metrics); the driver sets the experiment scope before each
-// experiment so run labels match buffered collection.
-type MetricsStream struct {
-	// Sink receives one CSV block per metered run.
-	Sink *metrics.CSVSink
-	// Interval is the virtual sampling period (0 = 250ms default).
-	Interval time.Duration
-
-	scope string
-}
-
-// SampleInterval returns the virtual sampling period runs should use.
-func (c *MetricsStream) SampleInterval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return 250 * time.Millisecond
-}
-
-// SetScope prefixes subsequently added run labels with an experiment id,
-// mirroring MetricsCollector.SetScope. Nil-safe.
-func (c *MetricsStream) SetScope(id string) {
-	if c != nil {
-		c.scope = id
-	}
-}
-
-// Add writes the CSV block of every metered result in the batch, in
-// order, and drops the registry from its Result. Results without a
-// registry (unmetered repetitions, killed runs) are skipped, as
-// MetricsCollector.Add skips them.
-func (c *MetricsStream) Add(label string, results []*core.Result) {
-	if c.scope != "" {
-		label = c.scope + " " + label
-	}
-	for _, res := range results {
-		if res == nil || res.Metrics == nil {
-			continue
-		}
-		c.Sink.WriteRun(metrics.Run{Label: label, Reg: res.Metrics})
-		res.Metrics = nil
-	}
-}
-
 // Drain returns the dashboard rows accumulated since the last call as a
 // report, or nil if no sampled run contributed. The pending rows are
 // cleared; the exporter runs are kept.

@@ -46,10 +46,9 @@ var (
 // repetition keeps the seed of an unobserved run.
 //
 // The cells run as one RunMany batch. The exception is a sweep with a
-// streaming sink: then each cell is its own batch, in cell order, so a
-// shared stream only ever has one writer, its runs appear in the order
-// buffered collection records them, and a streamed metrics block is
-// written, and its registry dropped, before the next cell runs.
+// trace stream: then each cell is its own batch, in cell order, so the
+// shared stream only ever has one writer and its runs appear in the order
+// buffered collection records them.
 //
 // A batch error whose every run died of a tolerated sentinel is dropped;
 // any other error aborts before the next batch. Each cell's results (nil
@@ -57,7 +56,7 @@ var (
 // once its batch is done, and returned in cell order.
 func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error) {
 	o = o.Defaults()
-	streaming := o.TraceStream != nil || o.MetricsStream != nil
+	streaming := o.TraceStream != nil
 	observed := streaming || o.Trace != nil || o.Metrics != nil || o.CritPath != nil
 	n := 0
 	for _, c := range cells {
@@ -120,9 +119,6 @@ func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error)
 			if o.Metrics != nil {
 				o.Metrics.Add(sp.label, out[i])
 			}
-			if o.MetricsStream != nil {
-				o.MetricsStream.Add(sp.label, out[i])
-			}
 			if o.CritPath != nil {
 				o.CritPath.Add(sp.label, out[i])
 			}
@@ -147,8 +143,6 @@ func (o Options) observe(cfg *core.Config, label string) {
 	}
 	if o.Metrics != nil {
 		cfg.MetricsInterval = o.Metrics.SampleInterval()
-	} else if o.MetricsStream != nil {
-		cfg.MetricsInterval = o.MetricsStream.SampleInterval()
 	}
 	if cfg.TraceStream != nil {
 		cfg.RunLabel = label

@@ -142,7 +142,7 @@ func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) ([]byte, err
 	if !ok {
 		return nil, ErrNoSuchKey
 	}
-	p.CritDepend(key, "kvs_lookup")
+	p.CritDepend(key)
 	return v, nil
 }
 
@@ -174,7 +174,7 @@ func (s *Store) WaitFor(p *sim.Proc, from *cluster.Node, key string) []byte {
 	l.Wait(p)
 	r.End(0, key)
 	v := s.data[key]
-	p.CritDepend(key, "kvs_watch")
+	p.CritDepend(key)
 	s.cl.Transfer(p, s.node, from, 64+int64(len(v)))
 	return v
 }
@@ -198,7 +198,7 @@ func (s *Store) WatchWait(p *sim.Proc, from *cluster.Node, key string) []byte {
 	l.Wait(p)
 	r.End(0, key)
 	v := s.data[key]
-	p.CritDepend(key, "kvs_watch")
+	p.CritDepend(key)
 	s.cl.Transfer(p, s.node, from, 64+int64(len(v)))
 	return v
 }

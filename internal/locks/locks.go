@@ -43,10 +43,6 @@ type Manager struct {
 	// queue's backing array, for reuse. An idle entry behaves exactly like
 	// a missing one, so recycling changes no grant or wake order.
 	free []*pathLock
-
-	// Contended counts acquisitions that had to wait.
-	Contended int64
-	Acquired  int64
 }
 
 type pathLock struct {
@@ -101,13 +97,10 @@ func (m *Manager) Lock(p *sim.Proc, path string, mode Mode) {
 	l := m.lockFor(path)
 	if l.grantable(mode) && len(l.queue) == 0 {
 		l.grant(mode)
-		m.Acquired++
 		return
 	}
-	m.Contended++
 	l.queue = append(l.queue, waiter{p: p, mode: mode})
 	p.Block()
-	m.Acquired++
 }
 
 // Unlock releases one holder of the lock on path.

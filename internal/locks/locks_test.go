@@ -41,10 +41,14 @@ func TestSharedLocksCoexist(t *testing.T) {
 func TestExclusiveExcludes(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewManager(e, DefaultParams())
-	inside := 0
+	inside, contended := 0, 0
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
+			start := p.Now()
 			m.WithExclusive(p, "/f", func() {
+				if p.Now()-start > m.params.SyscallLatency {
+					contended++ // waited in the queue
+				}
 				inside++
 				if inside != 1 {
 					t.Errorf("two exclusive holders at once")
@@ -60,8 +64,8 @@ func TestExclusiveExcludes(t *testing.T) {
 	if e.Now() < 3*time.Millisecond {
 		t.Fatalf("exclusive sections overlapped: end %v", e.Now())
 	}
-	if m.Contended != 2 {
-		t.Fatalf("contended %d, want 2", m.Contended)
+	if contended != 2 {
+		t.Fatalf("contended %d, want 2", contended)
 	}
 }
 
@@ -148,6 +152,7 @@ func TestPathSpellingNormalized(t *testing.T) {
 func TestTableEmptiesAfterBalancedLocks(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewManager(e, DefaultParams())
+	contended := 0
 	for i := 0; i < 4; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *sim.Proc) {
 			for f := 0; f < 100; f++ {
@@ -157,7 +162,11 @@ func TestTableEmptiesAfterBalancedLocks(t *testing.T) {
 				if f%3 == 0 {
 					mode = Exclusive
 				}
+				start := p.Now()
 				m.Lock(p, path, mode)
+				if p.Now()-start > m.params.SyscallLatency {
+					contended++ // waited in the queue
+				}
 				p.Sleep(time.Microsecond)
 				m.Unlock(p, path, mode)
 			}
@@ -166,7 +175,7 @@ func TestTableEmptiesAfterBalancedLocks(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Contended == 0 {
+	if contended == 0 {
 		t.Fatal("no lock contended; the test exercises no queue")
 	}
 	if len(m.locks) != 0 {

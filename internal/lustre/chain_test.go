@@ -36,7 +36,7 @@ func refWriteFile(c *Client, p *sim.Proc, path string, pl vfs.Payload) error {
 	writeChunks(f, p, c.node, first, pl.Size())
 	f.mdsRPC(p, c.node) // close: size/attr update at the MDS
 	f.tree.Put(path, pl)
-	p.CritProduce(path, pl.Size())
+	p.CritProduce(path)
 	p.CritHop(path, "write", wStart, pl.Size())
 	return nil
 }
@@ -54,7 +54,7 @@ func refReadFile(c *Client, p *sim.Proc, path string) (vfs.Payload, error) {
 		return vfs.Payload{}, vfs.PathError("read", path, vfs.ErrNotExist)
 	}
 	readChunks(f, p, c.node, f.layout[path], pl.Size())
-	p.CritDepend(path, "read")
+	p.CritDepend(path)
 	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
 }

@@ -520,7 +520,7 @@ func (c *Client) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 	op.run(p)
 	op.free()
 	c.fs.tree.Put(path, pl)
-	p.CritProduce(path, pl.Size())
+	p.CritProduce(path)
 	p.CritHop(path, "write", wStart, pl.Size())
 	return nil
 }
@@ -539,7 +539,7 @@ func (c *Client) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 	if !found {
 		return vfs.Payload{}, vfs.PathError("read", path, vfs.ErrNotExist)
 	}
-	p.CritDepend(path, "read")
+	p.CritDepend(path)
 	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
 }

@@ -152,14 +152,20 @@ func fewerPinned(t *testing.T, got, ref, pinned int64) {
 }
 
 // releaseEdges counts the critical-path release edges from the noise
-// (process 0) to the client (process 1) and back.
+// (process 0) to the client (process 1) and back: each edge is bound to
+// the wait segment its target closed.
 func releaseEdges(g *critpath.Graph) (toClient, toNoise int) {
-	for _, ed := range g.Edges {
-		switch {
-		case ed.From == 0 && ed.To == 1:
-			toClient++
-		case ed.From == 1 && ed.To == 0:
-			toNoise++
+	for to, pt := range g.Procs {
+		for _, s := range pt.Segments {
+			if s.Kind != critpath.Wait || s.Edge < 0 {
+				continue
+			}
+			switch from := g.Edges[s.Edge].From; {
+			case from == 0 && to == 1:
+				toClient++
+			case from == 1 && to == 0:
+				toNoise++
+			}
 		}
 	}
 	return toClient, toNoise

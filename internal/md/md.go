@@ -41,10 +41,6 @@ type System struct {
 
 	step int64
 
-	// virial accumulates sum(r_ij . f_ij) over the last force evaluation,
-	// for the pressure calculation.
-	virial float64
-
 	// cell list scratch
 	cells     [][]int32
 	cellsDim  int
@@ -180,7 +176,6 @@ func (s *System) computeForces() float64 {
 	for i := range s.Force {
 		s.Force[i] = 0
 	}
-	s.virial = 0
 	eps, sig, rc := s.params.Epsilon, s.params.Sigma, s.params.Cutoff
 	rc2 := rc * rc
 	sig2 := sig * sig
@@ -233,7 +228,6 @@ func (s *System) pairForce(i, j int, eps, sig2, rc2 float64) float64 {
 	sr6 := sr2 * sr2 * sr2
 	sr12 := sr6 * sr6
 	f := 24 * eps * (2*sr12 - sr6) / r2
-	s.virial += f * r2 // r_ij . f_ij for the pressure virial
 	s.Force[3*i] += f * dx
 	s.Force[3*i+1] += f * dy
 	s.Force[3*i+2] += f * dz

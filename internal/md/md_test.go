@@ -16,11 +16,26 @@ func run(s *System, n int) {
 func totalEnergy(s *System) float64 { return s.KineticEnergy() + s.computeForces() }
 
 // pressure returns the instantaneous virial pressure
-// P = (N*k_B*T + W/3) / V with k_B = 1 in reduced units, using the virial
-// W from the most recent force evaluation.
+// P = (N*k_B*T + W/3) / V with k_B = 1 in reduced units, where the virial
+// W sums r_ij . f_ij over every pair within the cutoff (minimum image).
 func pressure(s *System) float64 {
+	eps, sig2, rc := s.params.Epsilon, s.params.Sigma*s.params.Sigma, s.params.Cutoff
+	var w float64
+	for i := 0; i < s.N; i++ {
+		for j := i + 1; j < s.N; j++ {
+			dx := s.minImage(s.Pos[3*i] - s.Pos[3*j])
+			dy := s.minImage(s.Pos[3*i+1] - s.Pos[3*j+1])
+			dz := s.minImage(s.Pos[3*i+2] - s.Pos[3*j+2])
+			r2 := dx*dx + dy*dy + dz*dz
+			if r2 >= rc*rc || r2 == 0 {
+				continue
+			}
+			sr6 := sig2 * sig2 * sig2 / (r2 * r2 * r2)
+			w += 24 * eps * (2*sr6*sr6 - sr6) // f * r2, as pairForce charges it
+		}
+	}
 	volume := s.Box * s.Box * s.Box
-	return (float64(s.N)*s.Temperature() + s.virial/3) / volume
+	return (float64(s.N)*s.Temperature() + w/3) / volume
 }
 
 // momentum returns the total momentum vector.
@@ -166,7 +181,6 @@ func TestForcesAreFinite(t *testing.T) {
 func TestPressureFinitePositiveForDenseFluid(t *testing.T) {
 	s := NewLattice(216, 0.8, 1.5, 31)
 	run(s, 100)
-	s.computeForces() // refresh forces/virial
 	p := pressure(s)
 	if math.IsNaN(p) || math.IsInf(p, 0) {
 		t.Fatalf("pressure %v", p)
@@ -181,7 +195,6 @@ func TestPressureIncreasesWithDensity(t *testing.T) {
 	measure := func(density float64) float64 {
 		s := NewLattice(216, density, 1.5, 7)
 		run(s, 100)
-		s.computeForces()
 		return pressure(s)
 	}
 	lo, hi := measure(0.4), measure(0.9)

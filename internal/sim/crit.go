@@ -41,17 +41,17 @@ func (p *Proc) CritEnd() {
 
 // CritProduce registers a data token (a frame path) as produced now.
 // Only the first registration per token counts (its durable birth).
-func (p *Proc) CritProduce(token string, bytes int64) {
+func (p *Proc) CritProduce(token string) {
 	if cp := p.e.cp; cp != nil {
-		cp.Produce(token, p.idx, p.e.now, bytes)
+		cp.Produce(token, p.e.now)
 	}
 }
 
 // CritDepend records that the process consumed a token now; the recorder
 // derives the dependency's slack (age at consumption) from its birth.
-func (p *Proc) CritDepend(token, kind string) {
+func (p *Proc) CritDepend(token string) {
 	if cp := p.e.cp; cp != nil {
-		cp.Depend(token, kind, p.idx, p.e.now)
+		cp.Depend(token, p.e.now)
 	}
 }
 

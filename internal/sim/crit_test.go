@@ -27,10 +27,11 @@ func TestCritReleaseAttribution(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	got := cp.Finish(e.Now()).Edges
+	g := cp.Finish(e.Now())
+	got := g.Edges
 	want := []critpath.Edge{
-		{From: noProc, To: relay.idx, At: time.Millisecond},
-		{From: relay.idx, To: waiter.idx, At: time.Millisecond},
+		{From: noProc, At: time.Millisecond},
+		{From: relay.idx, At: time.Millisecond},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("edges %v, want %v", got, want)
@@ -38,6 +39,14 @@ func TestCritReleaseAttribution(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("edges %v, want %v", got, want)
+		}
+	}
+	// Each edge is bound to the wait its target closed: the timer woke
+	// the relay, and the relay the waiter.
+	for i, to := range []*Proc{relay, waiter} {
+		segs := g.Procs[to.idx].Segments
+		if w := segs[0]; w.Kind != critpath.Wait || w.Edge != int32(i) {
+			t.Errorf("%s's first segment %+v, want a wait released by edge %d", to.name, w, i)
 		}
 	}
 }

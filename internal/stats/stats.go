@@ -6,28 +6,24 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary describes a sample of float64 observations.
 type Summary struct {
-	// N counts the observations summarized; NaN inputs are excluded.
-	N int
 	// NaNs counts NaN inputs dropped from the sample. A nonzero count
 	// means an upstream computation produced undefined values (e.g. a
 	// ratio over zero) — the summary describes only the defined ones.
-	NaNs   int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
+	NaNs int
+	Mean float64
+	Std  float64
+	Min  float64
+	Max  float64
 }
 
 // Summarize computes a Summary of xs. An empty sample yields zeros. NaN
 // inputs are filtered out and counted in Summary.NaNs rather than silently
-// poisoning every statistic (one NaN used to turn Mean, Std, and — through
-// sort's undefined NaN ordering — Min/Max/Median into garbage).
+// poisoning every statistic (one NaN would turn Mean, Std, Min and Max into
+// garbage).
 func Summarize(xs []float64) Summary {
 	nans := 0
 	for _, x := range xs {
@@ -51,16 +47,14 @@ func Summarize(xs []float64) Summary {
 
 // summarizeDefined summarizes a NaN-free sample.
 func summarizeDefined(xs []float64) Summary {
-	s := Summary{N: len(xs)}
+	var s Summary
 	if len(xs) == 0 {
 		return s
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
-	s.Median = Percentile(sorted, 50)
+	s.Min, s.Max = xs[0], xs[0]
 	var sum float64
 	for _, x := range xs {
+		s.Min, s.Max = min(s.Min, x), max(s.Max, x)
 		sum += x
 	}
 	s.Mean = sum / float64(len(xs))

@@ -33,7 +33,6 @@ func Compare(a, b *Ensemble) *Comparison {
 	type cell struct {
 		name        string
 		left, right stats.Summary
-		hasL, hasR  bool
 	}
 	cells := map[string]*cell{}
 	collect := func(e *Ensemble, right bool) {
@@ -46,9 +45,9 @@ func Compare(a, b *Ensemble) *Comparison {
 				cells[path] = c
 			}
 			if right {
-				c.right, c.hasR = n.Total, true
+				c.right = n.Total
 			} else {
-				c.left, c.hasL = n.Total, true
+				c.left = n.Total
 			}
 			for _, ch := range n.Children {
 				walk(ch, path)

@@ -25,7 +25,7 @@ func ExampleEnsemble_Query() {
 		panic(err)
 	}
 	for _, n := range nodes {
-		fmt.Printf("%s mean=%.0fms members=%d\n", n.Name, n.Total.Mean*1000, n.Total.N)
+		fmt.Printf("%s mean=%.0fms members=%d\n", n.Name, n.Total.Mean*1000, ens.Members())
 	}
 	// Output:
 	// dyad_fetch mean=20ms members=2

@@ -69,8 +69,8 @@ func TestMemberMissingNodeCountsZero(t *testing.T) {
 	withoutGet := profileOf("c1", node("dyad_consume", 4*time.Millisecond, node("read_single_buf", 4*time.Millisecond)))
 	e := FromProfiles([]*caliper.Profile{withGet, withoutGet})
 	get := find(e.root, "dyad_get_data")
-	if get.Total.N != 2 {
-		t.Fatalf("get N=%d, want 2 (zero-padded)", get.Total.N)
+	if len(get.totals) != 2 {
+		t.Fatalf("get has %d totals, want 2 (zero-padded)", len(get.totals))
 	}
 	if math.Abs(get.Total.Mean-0.005) > 1e-9 {
 		t.Fatalf("get mean %v, want 0.005", get.Total.Mean)

@@ -72,9 +72,7 @@ func (w *Writer) Close(p *sim.Proc) error { return w.h.Close(p) }
 
 // Reader provides indexed access to a finished trajectory.
 type Reader struct {
-	h     vfs.Handle
-	Model string
-	Atoms int
+	h vfs.Handle
 	// offsets[i] is the byte offset of frame i's payload; sizes[i] its length.
 	offsets []int64
 	sizes   []int64
@@ -97,13 +95,13 @@ func Open(p *sim.Proc, fs vfs.HandleFS, path string) (*Reader, error) {
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
 		return nil, fmt.Errorf("trajectory: %s: unsupported version %d", path, v)
 	}
+	// Each frame carries its own model and atom count, so the header's
+	// are read, as a reader must to reach the first frame, but not kept.
 	nameLen := int64(binary.LittleEndian.Uint32(hdr[8:]))
-	atoms := int(binary.LittleEndian.Uint64(hdr[12:]))
-	name, err := h.ReadAt(p, headerBase, nameLen)
-	if err != nil {
+	if _, err := h.ReadAt(p, headerBase, nameLen); err != nil {
 		return nil, fmt.Errorf("trajectory: model name: %w", err)
 	}
-	r := &Reader{h: h, Model: string(name), Atoms: atoms}
+	r := &Reader{h: h}
 	off := int64(headerBase) + nameLen
 	size := h.Size()
 	for off < size {

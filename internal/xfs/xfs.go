@@ -134,7 +134,7 @@ func (f *FS) WriteFile(p *sim.Proc, path string, pl vfs.Payload) error {
 		return vfs.PathError("write", path, err)
 	}
 	f.tree.Put(path, pl)
-	p.CritProduce(path, pl.Size())
+	p.CritProduce(path)
 	p.CritHop(path, "write", wStart, pl.Size())
 	return nil
 }
@@ -172,7 +172,7 @@ func (f *FS) ReadFile(p *sim.Proc, path string) (vfs.Payload, error) {
 	if f.cap != nil {
 		f.cap.MarkConsumed(path)
 	}
-	p.CritDepend(path, "read")
+	p.CritDepend(path)
 	p.CritHop(path, "read", rStart, pl.Size())
 	return pl, nil
 }

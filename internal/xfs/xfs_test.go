@@ -60,10 +60,7 @@ func TestWriteChargesJournalAndData(t *testing.T) {
 		t.Fatal(err)
 	}
 	ssd := f.node.SSD
-	if ssd.Writes != 2 { // journal + data
-		t.Fatalf("device writes %d, want 2", ssd.Writes)
-	}
-	if ssd.BytesWritten != 4096+1<<20 {
+	if ssd.BytesWritten != 4096+1<<20 { // journal + data
 		t.Fatalf("bytes written %d", ssd.BytesWritten)
 	}
 }

@@ -203,20 +203,6 @@ type MetricsCollector = experiments.MetricsCollector
 // NewMetricsCollector returns an empty metrics collector.
 func NewMetricsCollector() *MetricsCollector { return experiments.NewMetricsCollector() }
 
-// MetricsCSVSink is an incremental metrics CSV writer: WriteRun appends
-// one run's block, so a sweep can write each metered run as it completes
-// and drop its samples. Bytes are identical to buffered collection
-// followed by WriteMetricsCSV. Flush before closing the file.
-type MetricsCSVSink = metrics.CSVSink
-
-// NewMetricsCSVSink starts a metrics time-series CSV document on w.
-func NewMetricsCSVSink(w io.Writer) *MetricsCSVSink { return metrics.NewCSVSink(w) }
-
-// MetricsStreamer writes each experiment's metered repetition into a
-// MetricsCSVSink as the sweep collects it; attach one via
-// ExperimentOptions.MetricsStream.
-type MetricsStreamer = experiments.MetricsStream
-
 // CritPath is one run's extracted critical path: the gating chain's blame
 // totals per labeled region and class, the synchronization waits it flowed
 // through, and near-critical slack statistics (Result.Crit.Path when

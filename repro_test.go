@@ -16,7 +16,7 @@ func TestFacadeRunAndAggregate(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := Aggregated(results)
-	if agg.Reps != 2 || agg.ConsTotalMean() <= 0 {
+	if agg.ConsTotalMean() <= 0 {
 		t.Fatalf("aggregate %+v", agg)
 	}
 }
