@@ -54,8 +54,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		outPath    = fs.String("o", "", "write output to file instead of stdout")
 		quiet      = fs.Bool("q", false, "suppress per-experiment progress on stderr")
 		memstats   = fs.Bool("memstats", false, "report per-experiment host allocation deltas on stderr")
-		traceOut   = fs.String("trace", "", "record virtual-time span traces: write a Chrome trace-event JSON file here and emit per-experiment time-breakdown reports")
-		traceStrm  = fs.String("trace-stream", "", "like -trace but bounded-memory: stream spans into the Chrome trace file as they are emitted (same bytes, plus the partial block of any run a fault or capacity kill cut short; no breakdown reports)")
+		traceOut   = fs.String("trace", "", "record virtual-time span traces: stream a Chrome trace-event JSON file here as spans are emitted (bounded memory; a run a fault or capacity kill cut short leaves its partial block) and emit per-experiment time-breakdown reports")
 		metricsOut = fs.String("metrics", "", "sample virtual-time resource metrics: write a time-series CSV file here and emit per-experiment utilization dashboards")
 		promOut    = fs.String("metrics-prom", "", "with metrics sampling, also write an end-of-run Prometheus text-format snapshot here")
 		metricsInt = fs.Duration("metrics-interval", 0, "virtual-time sampling period for -metrics/-metrics-prom (0 = 250ms); needs one of them")
@@ -163,12 +162,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				return fatal(err)
 			}
 		}
-		if *traceOut != "" && *traceStrm != "" {
-			return fatal(errors.New("-trace and -trace-stream are mutually exclusive"))
-		}
-		if *critOut != "" && *traceStrm != "" {
-			return fatal(errors.New("-critpath and -trace-stream are mutually exclusive (flow-event merging needs buffered spans)"))
-		}
 	}
 
 	// Every output file is created before any simulation, so a path that
@@ -209,12 +202,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	// The artifact files, created before the first experiment runs.
-	var traceFile, traceStrmFile, metricsFile, promFile, critFile *os.File
+	var traceFile, metricsFile, promFile, critFile *os.File
 	for _, a := range []struct {
 		path string
 		f    **os.File
 	}{
-		{*traceOut, &traceFile}, {*traceStrm, &traceStrmFile}, {*metricsOut, &metricsFile},
+		{*traceOut, &traceFile}, {*metricsOut, &metricsFile},
 		{*promOut, &promFile}, {*critOut, &critFile},
 	} {
 		if a.path == "" {
@@ -227,12 +220,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		*a.f = f
 	}
 	var collector *repro.TraceCollector
-	if *traceOut != "" {
-		collector = repro.NewTraceCollector()
+	if traceFile != nil {
+		collector = repro.NewStreamTraceCollector(traceFile)
 		opts.Trace = collector
-	}
-	if traceStrmFile != nil {
-		opts.TraceStream = repro.NewChromeTraceStream(traceStrmFile)
 	}
 	var mcollector *repro.MetricsCollector
 	if *metricsOut != "" || *promOut != "" {
@@ -313,13 +303,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 	if collector != nil {
-		if err := writeFile(traceFile, func(f io.Writer) error {
-			return repro.WriteChromeTrace(f, collector.Runs)
+		if err := writeFile(traceFile, func(io.Writer) error {
+			return collector.Close()
 		}); err != nil {
 			return fatal(err)
 		}
 		if !*quiet {
-			fmt.Fprintf(stderr, "wrote %d traced run(s) to %s\n", len(collector.Runs), *traceOut)
+			fmt.Fprintf(stderr, "streamed traces to %s\n", *traceOut)
 		}
 	}
 	if metricsFile != nil {
@@ -330,16 +320,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "wrote %d sampled run(s) to %s\n", len(mcollector.Runs), *metricsOut)
-		}
-	}
-	if traceStrmFile != nil {
-		if err := writeFile(traceStrmFile, func(io.Writer) error {
-			return opts.TraceStream.Close()
-		}); err != nil {
-			return fatal(err)
-		}
-		if !*quiet {
-			fmt.Fprintf(stderr, "streamed traces to %s\n", *traceStrm)
 		}
 	}
 	if ccollector != nil {

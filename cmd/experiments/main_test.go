@@ -78,7 +78,7 @@ func TestArtifactFlagsKeepStreamsSeparate(t *testing.T) {
 			t.Errorf("report file missing %q", want)
 		}
 	}
-	for _, want := range []string{"[memstats] fig5:", "traced run(s)", "sampled run(s)", "wrote metrics snapshot"} {
+	for _, want := range []string{"[memstats] fig5:", "streamed traces to", "sampled run(s)", "wrote metrics snapshot"} {
 		if !strings.Contains(errOut, want) {
 			t.Errorf("stderr missing %q:\n%s", want, errOut)
 		}
@@ -123,9 +123,8 @@ func TestErrorsGoToStderr(t *testing.T) {
 	}
 }
 
-// A run refused for its arguments leaves no -o file: ids, subcommand
-// arguments and sink-flag conflicts are all checked before the file is
-// created, and an artifact path that cannot be created refuses the run
+// A run refused for its arguments leaves no -o file: ids and subcommand
+// arguments are checked before the file is created, and an artifact path that cannot be created refuses the run
 // before any simulation and takes the files created so far with it.
 func TestRefusedRunCreatesNoOutput(t *testing.T) {
 	cases := []struct {
@@ -137,9 +136,7 @@ func TestRefusedRunCreatesNoOutput(t *testing.T) {
 		{[]string{"nosuchfig"}, 1},
 		{[]string{"explain", "nosuch"}, 1},
 		{[]string{"search", "nosuchgoal"}, 1},
-		{[]string{"-trace", "$DIR/a", "-trace-stream", "$DIR/b", "fig5"}, 1},
 		{[]string{"-quick", "-q", "-trace", "$DIR/nodir/x.json", "fig5"}, 1},
-		{[]string{"-quick", "-q", "-trace-stream", "$DIR/nodir/x.json", "fig5"}, 1},
 		{[]string{"-quick", "-q", "-metrics", "$DIR/nodir/x.csv", "fig5"}, 1},
 	}
 	for _, c := range cases {
@@ -199,19 +196,28 @@ func TestFlagValidationUpFront(t *testing.T) {
 		{"-pdes-j", "-1", "table1"}, // unknown flag
 		{"-headstart", "-5ms", "fig5"},
 		{"-budget", "-1", "calibrate"},
-		{"-metrics-interval", "-1s", "-metrics", "x.csv", "fig5"},
-		{"-metrics-interval", "100ms", "fig5"}, // no sampling sink to pace
+		{"-metrics-interval", "-1s", "-metrics", "$DIR/x.csv", "fig5"},
+		{"-metrics-interval", "100ms", "fig5"},   // no sampling sink to pace
+		{"-trace-stream", "$DIR/t.json", "fig5"}, // gone: -trace streams
 	}
-	for _, args := range cases {
+	for _, c := range cases {
+		dir := t.TempDir()
+		var args []string
+		for _, a := range c {
+			args = append(args, strings.ReplaceAll(a, "$DIR", dir))
+		}
 		code, out, errOut := capture(t, args...)
 		if code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
+			t.Errorf("%v: exit %d, want 2", c, code)
 		}
 		if out != "" {
-			t.Errorf("%v: usage error leaked to stdout: %q", args, out)
+			t.Errorf("%v: usage error leaked to stdout: %q", c, out)
 		}
 		if !strings.HasPrefix(errOut, "experiments: ") || strings.Count(errOut, "\n") != 1 {
-			t.Errorf("%v: want one 'experiments: ...' line on stderr, got %q", args, errOut)
+			t.Errorf("%v: want one 'experiments: ...' line on stderr, got %q", c, errOut)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%v: usage error left %d file(s) behind", c, len(left))
 		}
 	}
 	// Omitted -reps/-frames still mean the paper defaults.
@@ -338,12 +344,6 @@ func TestCritpathStreamsAndArtifacts(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(wf), "run,frame,hop,proc,start_us,dur_us,bytes\n") {
 		t.Fatalf("waterfall header wrong: %q", string(wf[:min(len(wf), 60)]))
-	}
-	// Mutually exclusive with -trace-stream: flow-event merging needs
-	// buffered spans.
-	code, out, errOut = capture(t, "-critpath", wPath, "-trace-stream", filepath.Join(dir, "t.json"), "fig5")
-	if code != 1 || out != "" || !strings.Contains(errOut, "mutually exclusive") {
-		t.Fatalf("-critpath -trace-stream: exit %d stdout %q stderr %q", code, out, errOut)
 	}
 }
 

@@ -12,13 +12,15 @@ import (
 )
 
 // TestEverySinkReachesEveryExperiment runs each simulating experiment with
-// every observation sink at a tiny protocol. Each of -trace, -metrics and
-// -critpath must drain a report for the experiment, -metrics must write
-// the same bytes whichever sinks ride with it, and -trace-stream must
-// write the bytes -trace writes. -trace-stream is exempt on faultsweep and
-// capsweep: a run killed mid-stream leaves a partial block in the stream,
-// while buffered collection drops it. Their streamed runs must still carry
-// the buffered runs' names.
+// every observation sink at a tiny protocol: -trace, -metrics and
+// -critpath together, and -metrics alone. Each sink must drain a report
+// for the experiment, and -metrics must write the same bytes whichever
+// sinks ride with it. The streamed -trace file must equal a keeping
+// collector's runs written by WriteChromeTrace, flows and counter tracks
+// included. faultsweep and capsweep may kill a traced run mid-stream: the
+// stream keeps the killed run's partial block, which a keeping collector
+// drops, so there every run the keeping collector has must be streamed
+// under its name.
 func TestEverySinkReachesEveryExperiment(t *testing.T) {
 	noSim := map[string]bool{"table1": true, "table2": true}
 	killsRuns := map[string]bool{"faultsweep": true, "capsweep": true}
@@ -56,33 +58,42 @@ func TestEverySinkReachesEveryExperiment(t *testing.T) {
 				}
 			}
 
-			drains(runOK("-trace", path("buffered.json"), "-metrics", path("buffered.csv")), "trace", "metrics")
-			// -critpath cannot join -trace-stream, so it rides with
-			// -metrics alone.
-			drains(runOK("-metrics", path("critpath.csv"), "-critpath", path("waterfall.csv")), "critpath", "metrics")
-			// A streamed trace carries the counter tracks of -metrics, as
-			// the buffered trace does.
-			runOK("-trace-stream", path("streamed.json"), "-metrics", path("paired.csv"))
-			for _, name := range []string{"critpath.csv", "paired.csv"} {
-				if !bytes.Equal(read(name), read("buffered.csv")) {
-					t.Errorf("-metrics wrote %d bytes to %s, %d beside -trace; want the same bytes",
-						len(read(name)), name, len(read("buffered.csv")))
-				}
+			drains(runOK("-trace", path("streamed.json"), "-metrics", path("all.csv"), "-critpath", path("waterfall.csv")),
+				"trace", "metrics", "critpath")
+			drains(runOK("-metrics", path("alone.csv")), "metrics")
+			if !bytes.Equal(read("all.csv"), read("alone.csv")) {
+				t.Errorf("-metrics wrote %d bytes beside -trace and -critpath, %d alone; want the same bytes",
+					len(read("all.csv")), len(read("alone.csv")))
 			}
+
+			// The keeping reference: the same sweep through the library,
+			// its runs written after the sweep.
+			tc, mc := repro.NewTraceCollector(), repro.NewMetricsCollector()
+			opts := repro.ExperimentOptions{Quick: true, Reps: 1, Frames: 2,
+				Trace: tc, Metrics: mc, CritPath: repro.NewCritPathCollector()}
+			if _, err := repro.RunExperiment(id, opts); err != nil {
+				t.Fatal(err)
+			}
+			var buffered bytes.Buffer
+			if err := repro.WriteChromeTrace(&buffered, tc.Runs); err != nil {
+				t.Fatal(err)
+			}
+			streamed := read("streamed.json")
 			if killsRuns[id] {
-				// Killed runs leave partial blocks in the stream, but every
-				// run the buffered trace kept is streamed under its name.
-				streamed := processNames(read("streamed.json"))
-				for name := range processNames(read("buffered.json")) {
-					if !streamed[name] {
-						t.Errorf("-trace names run %s; -trace-stream has no such process", name)
+				names := processNames(streamed)
+				for name := range processNames(buffered.Bytes()) {
+					if !names[name] {
+						t.Errorf("the keeping collector names run %s; -trace has no such process", name)
 					}
 				}
 				return
 			}
-			if !bytes.Equal(read("streamed.json"), read("buffered.json")) {
-				t.Errorf("-trace-stream wrote %d bytes, -trace %d; want the same bytes",
-					len(read("streamed.json")), len(read("buffered.json")))
+			if !bytes.Equal(streamed, buffered.Bytes()) {
+				t.Errorf("-trace streamed %d bytes, the keeping collector wrote %d; want the same bytes",
+					len(streamed), buffered.Len())
+			}
+			if !bytes.Contains(streamed, []byte(`"cat":"provenance"`)) || !bytes.Contains(streamed, []byte(`"ph":"C"`)) {
+				t.Error("-trace beside -critpath and -metrics wrote no flow or no counter event")
 			}
 		})
 	}

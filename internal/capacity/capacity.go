@@ -512,9 +512,6 @@ type Metrics struct {
 	NoSpace int64
 }
 
-// Zero reports whether no capacity pressure was recorded.
-func (m Metrics) Zero() bool { return m == Metrics{} }
-
 // StallTime returns the accumulated back-pressure wait as a duration.
 func (m Metrics) StallTime() time.Duration { return time.Duration(m.StallNanos) }
 

@@ -331,12 +331,12 @@ func TestNewEvictorUnknownPanics(t *testing.T) {
 
 func TestMetricsStringZero(t *testing.T) {
 	var m Metrics
-	if !m.Zero() {
+	if m != (Metrics{}) {
 		t.Fatal("zero Metrics not Zero")
 	}
 	m = Metrics{Evictions: 2, EvictedBytes: 20, SpilledFrames: 1, SpilledBytes: 10,
 		Stalls: 3, StallNanos: int64(time.Second), NoSpace: 1}
-	if m.Zero() {
+	if m == (Metrics{}) {
 		t.Fatal("populated Metrics Zero")
 	}
 	s := m.String()

@@ -20,8 +20,8 @@ import (
 // processes, pair table, clients and servers the engine lends, and the
 // tables the last run grew. The traced DYAD row records spans and the
 // critical path: the pool keeps both recorders too, so the run allocates
-// its Result's copy of the spans and its critical-path summary, not the
-// recorders' arrays. The metered DYAD row runs 32 frames with spans,
+// its Result's copies of the spans and of their per-process class totals
+// and its critical-path summary, not the recorders' arrays. The metered DYAD row runs 32 frames with spans,
 // metrics (at the experiments' 250 ms interval) and the critical path on:
 // its engine lends it the block it samples into and the pool keeps the
 // recorder its lineage hops go to, so it allocates its Result's exact
@@ -46,12 +46,12 @@ func TestRunAllocBudget(t *testing.T) {
 		objects uint64
 		bytes   uint64
 	}{
-		{DYAD, false, false, 4, 107, 3120},
+		{DYAD, false, false, 4, 43, 2096},
 		{XFS, false, false, 4, 3, 1296},
 		{Lustre, false, false, 4, 15, 1544},
-		{DYAD, true, false, 4, 140, 168184},
-		{DYAD, true, true, 4, 372, 369096},
-		{DYAD, false, false, 256, 1085, 20888},
+		{DYAD, true, false, 4, 77, 167672},
+		{DYAD, true, true, 4, 245, 367560},
+		{DYAD, false, false, 256, 573, 12696},
 	} {
 		cfg := Config{Backend: tc.backend, Model: jac(t), Frames: 16, Pairs: tc.pairs,
 			SingleNode: tc.backend != Lustre, LustreNoise: tc.backend == Lustre,

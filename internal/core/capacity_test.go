@@ -86,7 +86,7 @@ func TestUnpressuredCapacityIsByteIdentical(t *testing.T) {
 	if c := canonical([]*Result{hres}); a != c {
 		t.Fatalf("unpressured finite spec perturbed the run:\n--- nil ---\n%s--- finite ---\n%s", a, c)
 	}
-	if !hres.Capacity.Zero() {
+	if hres.Capacity != (capacity.Metrics{}) {
 		t.Fatalf("unpressured run recorded capacity activity: %v", hres.Capacity)
 	}
 }

@@ -181,8 +181,8 @@ type Config struct {
 	// Recording is observation-only — it never touches the virtual timeline
 	// or any RNG stream, so a recorded run's measurements are byte-identical
 	// to the same run unrecorded. Off (the default) costs one nil check per
-	// hook site and zero allocations. Mutually exclusive with TraceStream
-	// (flow-event merging needs buffered spans).
+	// hook site and zero allocations. A run that is also traced gets its
+	// frame lineages written as Chrome flow events.
 	CritPath bool
 	// MetricsInterval, when > 0, attaches a virtual-time metrics registry
 	// sampling every resource series at this fixed interval, surfaced on
@@ -195,12 +195,14 @@ type Config struct {
 	// TraceStream, when non-nil, streams the run's spans straight into a
 	// shared Chrome trace writer instead of retaining them: each span is
 	// serialized the moment it is emitted and Result.Spans stays nil —
-	// recorder memory is O(live procs) regardless of run length. The bytes
-	// written are identical to buffered RecordSpans export of the same run
-	// (WriteChrome is a loop over the same stream). Mutually exclusive with
-	// RecordSpans. The stream is not safe for concurrent runs: at most one
-	// run per RunMany batch may set it (the experiments layer streams only
-	// the first repetition, matching buffered tracing).
+	// recorder memory is O(live procs) regardless of run length. The run
+	// ends with its critical-path flows (CritPath) and metrics counter
+	// tracks (MetricsInterval), so the bytes written are identical to
+	// buffered RecordSpans export of the same run (WriteChrome is a loop
+	// over the same stream). Mutually exclusive with RecordSpans. The
+	// stream is not safe for concurrent runs: at most one run per RunMany
+	// batch may set it (the experiments layer streams only the first
+	// repetition of each cell, one cell per batch).
 	TraceStream *trace.ChromeStream
 	// RunLabel names the run's Chrome process in TraceStream, as buffered
 	// collection names it (the experiments layer passes its sweep cell's
@@ -305,9 +307,6 @@ func (c Config) Validate() error {
 	}
 	if c.TraceStream != nil && c.RecordSpans {
 		return fmt.Errorf("core: TraceStream and RecordSpans are mutually exclusive (streamed spans are not retained)")
-	}
-	if c.CritPath && c.TraceStream != nil {
-		return fmt.Errorf("core: CritPath and TraceStream are mutually exclusive (flow-event merging needs buffered spans)")
 	}
 	return nil
 }

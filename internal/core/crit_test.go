@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/critpath"
-	"repro/internal/trace"
 )
 
 func critCfg(b Backend) Config {
@@ -97,14 +96,6 @@ func TestCritPathPooledReuseInvisible(t *testing.T) {
 		if results[0].Makespan != plain.Makespan {
 			t.Errorf("recorded pooled rep diverges from plain run: %v vs %v", results[0].Makespan, plain.Makespan)
 		}
-	}
-}
-
-func TestValidateRejectsCritPathWithTraceStream(t *testing.T) {
-	cfg := critCfg(DYAD)
-	cfg.TraceStream = trace.NewChromeStream(discard{})
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("CritPath+TraceStream validated, want rejection")
 	}
 }
 

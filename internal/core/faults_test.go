@@ -142,7 +142,7 @@ func TestDYADRunSurvivesBrokerCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !href.Recovery.Zero() {
+	if href.Recovery != (faults.Metrics{}) {
 		t.Fatalf("healthy run recorded recovery: %+v", href.Recovery)
 	}
 	if res.Makespan <= href.Makespan {
@@ -231,7 +231,7 @@ func TestStragglerFactorSlowsRun(t *testing.T) {
 	if slow.Makespan <= healthy.Makespan {
 		t.Fatalf("throttled makespan %v not above healthy %v", slow.Makespan, healthy.Makespan)
 	}
-	if !slow.Recovery.Zero() {
+	if slow.Recovery != (faults.Metrics{}) {
 		t.Fatalf("straggler study is not fault recovery; got %+v", slow.Recovery)
 	}
 }

@@ -139,14 +139,15 @@ func TestConfigRejectsNegativeMetricsInterval(t *testing.T) {
 
 // A Result keeps its samples and lineage hops at their final size:
 // Registry.DropProbes copies the samples out of the block the engine
-// lent, and critpath's Finish lays the lineages out, so every series'
-// Samples, the sample times and every lineage's Hops have their capacity
-// equal to their length, and appending to one cannot write into another.
+// lent, critpath's Finish lays the lineages out and collect copies the
+// span fold, so every series' Samples, the sample times, every lineage's
+// Hops and the SpanTotals have their capacity equal to their length, and
+// appending to one cannot write into another.
 // That holds for a run with a block of its own and for pooled runs that
 // take the block and the recorder an earlier, larger run grew.
 func TestResultSamplesAndHopsAreExact(t *testing.T) {
 	dy := Config{Backend: DYAD, Model: tinyModel(), Frames: 12, Pairs: 3, Seed: 9,
-		CritPath: true, MetricsInterval: time.Millisecond}
+		RecordSpans: true, CritPath: true, MetricsInterval: time.Millisecond}
 	lu := dy
 	lu.Backend, lu.LustreNoise, lu.Pairs = Lustre, true, 9
 	check := func(what string, res *Result) {
@@ -167,6 +168,9 @@ func TestResultSamplesAndHopsAreExact(t *testing.T) {
 			if len(fl.Hops) == 0 || cap(fl.Hops) != len(fl.Hops) {
 				t.Errorf("%s: lineage %s holds %d hops in %d", what, fl.Key, len(fl.Hops), cap(fl.Hops))
 			}
+		}
+		if n := len(res.SpanTotals); n < 2*res.Cfg.Pairs || cap(res.SpanTotals) != n {
+			t.Errorf("%s: %d process totals in %d, want at least %d", what, n, cap(res.SpanTotals), 2*res.Cfg.Pairs)
 		}
 	}
 	pool := &runPool{}

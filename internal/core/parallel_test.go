@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/capacity"
 )
 
 // mixedBatch is a heterogeneous DYAD/XFS/Lustre config batch exercising
@@ -32,7 +34,7 @@ func canonical(results []*Result) string {
 		}
 		fmt.Fprintf(&sb, "[%d] %s prod=%v cons=%v makespan=%v frames=%d bytes=%d recovery=%v\n",
 			i, r.Cfg.Label(), r.Producer, r.Consumer, r.Makespan, r.FramesRead, r.BytesRead, r.Recovery)
-		if !r.Capacity.Zero() {
+		if r.Capacity != (capacity.Metrics{}) {
 			// Only pressured runs print the capacity record, so pre-capacity
 			// golden fixtures stay byte-identical.
 			fmt.Fprintf(&sb, "    capacity=%v\n", r.Capacity)

@@ -128,9 +128,13 @@ func TestPooledRigConstructionAllocs(t *testing.T) {
 }
 
 // Streaming a run's spans into a ChromeStream must produce byte-for-byte
-// the document that buffered recording plus WriteChrome produces.
+// the document that buffered recording plus WriteChrome produces. A run
+// that also records its critical path and samples metrics ends with its
+// frame-lineage flows and counter tracks, in WriteChrome's order, and
+// folds the same class totals.
 func TestTraceStreamMatchesBuffered(t *testing.T) {
-	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 5, Pairs: 2, SingleNode: true, Seed: 21}
+	cfg := Config{Backend: DYAD, Model: tinyModel(), Frames: 5, Pairs: 2, SingleNode: true, Seed: 21,
+		CritPath: true, MetricsInterval: time.Millisecond}
 
 	buffered := cfg
 	buffered.RecordSpans = true
@@ -139,7 +143,12 @@ func TestTraceStreamMatchesBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := trace.WriteChrome(&want, []trace.Run{{Label: cfg.Label(), Spans: res.Spans}}); err != nil {
+	run := trace.Run{Label: cfg.Label(), Spans: res.Spans, Flows: critpath.FlowEvents(res.Crit.Frames),
+		Counters: metrics.CounterTracks(res.Metrics)}
+	if len(run.Flows) == 0 || len(run.Counters) == 0 {
+		t.Fatalf("buffered run has %d flows and %d counter tracks, want some of each", len(run.Flows), len(run.Counters))
+	}
+	if err := trace.WriteChrome(&want, []trace.Run{run}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,6 +156,9 @@ func TestTraceStreamMatchesBuffered(t *testing.T) {
 	stream := trace.NewChromeStream(&got)
 	streamed := cfg
 	streamed.TraceStream = stream
+	if err := streamed.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	sres, err := Run(streamed)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +171,9 @@ func TestTraceStreamMatchesBuffered(t *testing.T) {
 	}
 	if sres.Spans != nil {
 		t.Errorf("streaming run retained %d spans, want none", len(sres.Spans))
+	}
+	if !slices.Equal(sres.SpanTotals, res.SpanTotals) || len(res.SpanTotals) == 0 {
+		t.Errorf("streamed class totals %+v, buffered %+v", sres.SpanTotals, res.SpanTotals)
 	}
 	resultScalars(t, "trace stream", sres, res)
 }
@@ -312,6 +327,7 @@ func spanCritDump(res *Result) string {
 	for _, s := range res.Spans {
 		fmt.Fprintf(&sb, "%+v\n", s)
 	}
+	fmt.Fprintf(&sb, "%+v\n", res.SpanTotals)
 	fmt.Fprintf(&sb, "%+v unclosed=%d\n", *res.Crit.Path, res.Crit.Unclosed)
 	for _, fl := range res.Crit.Frames {
 		fmt.Fprintf(&sb, "%+v\n", fl)

@@ -68,6 +68,13 @@ type Result struct {
 	// from serves the pool's next run.
 	Spans []trace.Span
 
+	// SpanTotals holds each process's span time per class, folded from the
+	// non-detail spans as they were emitted, in the order of each process's
+	// first one, when the run was traced (Config.RecordSpans or
+	// Config.TraceStream; nil otherwise). It is an exact-size copy owned by
+	// the Result, and the input of the experiments' breakdown reports.
+	SpanTotals []trace.ProcTotals
+
 	// Metrics holds the run's sampled resource registry when
 	// Config.MetricsInterval is set (nil otherwise). Its probes are
 	// dropped, so it holds the samples and not the run's components.
@@ -153,8 +160,12 @@ func (r *rig) collect() (*Result, error) {
 			res.ConsumerTotals[pair] = Totals{Movement: m, Idle: i}
 		}
 	}
-	if r.rec != nil && !r.rec.Streaming() {
-		res.Spans = slices.Clone(r.rec.Spans())
+	if r.rec != nil {
+		res.SpanTotals = make([]trace.ProcTotals, len(r.rec.Totals()))
+		copy(res.SpanTotals, r.rec.Totals())
+		if !r.rec.Streaming() {
+			res.Spans = slices.Clone(r.rec.Spans())
+		}
 	}
 	if r.cp != nil {
 		g := r.cp.Finish(r.eng.Now())
@@ -167,10 +178,15 @@ func (r *rig) collect() (*Result, error) {
 		r.reg.DropProbes()
 		res.Metrics = r.reg
 	}
-	if r.rec != nil && r.rec.Streaming() {
-		// Close out the run in the shared Chrome stream, appending counter
-		// tracks when this run is also metered (nil-safe otherwise).
-		r.cfg.TraceStream.EndRun(r.rec, metrics.CounterTracks(res.Metrics))
+	if r.rec.Streaming() {
+		// Close out the run in the shared Chrome stream, appending its
+		// flows when it also recorded the critical path and its counter
+		// tracks when it was also metered, as buffered collection does.
+		var flows []trace.Flow
+		if res.Crit != nil {
+			flows = critpath.FlowEvents(res.Crit.Frames)
+		}
+		r.cfg.TraceStream.EndRun(r.rec, flows, metrics.CounterTracks(res.Metrics))
 	}
 	return res, nil
 }

@@ -21,7 +21,6 @@
 package dyad
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -169,26 +168,6 @@ type Broker struct {
 	// downUntil marks the broker crashed until the given virtual time
 	// (fault injection; zero means it has never crashed).
 	downUntil sim.Time
-}
-
-// meta is the KVS metadata record for a produced file.
-type meta struct {
-	owner int
-	size  int64
-}
-
-func encodeMeta(m meta) []byte {
-	buf := make([]byte, 16)
-	binary.LittleEndian.PutUint64(buf[0:], uint64(m.owner))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(m.size))
-	return buf
-}
-
-func decodeMeta(b []byte) meta {
-	return meta{
-		owner: int(binary.LittleEndian.Uint64(b[0:])),
-		size:  int64(binary.LittleEndian.Uint64(b[8:])),
-	}
 }
 
 // The engines' free lists of deployments, brokers and clients.
@@ -472,7 +451,7 @@ func (c *Client) Produce(p *sim.Proc, path string, pl vfs.Payload) error {
 	// Global metadata management: the extra production-side cost the paper
 	// measures as DYAD's ~1.4x production overhead versus raw XFS.
 	commit := p.Phase("dyad_commit")
-	c.sys.kvs.Commit(p, c.broker.node, path, encodeMeta(meta{owner: c.broker.node.ID, size: pl.Size()}))
+	c.sys.kvs.Commit(p, c.broker.node, path, kvs.Record{Owner: c.broker.node.ID})
 	c.sys.Produced++
 	commit.End()
 	c.sys.produceLat.Observe(p.Now() - pStart)
@@ -507,30 +486,29 @@ func (c *Client) Consume(p *sim.Proc, path string) (vfs.Payload, error) {
 	// --- Synchronization (dyad_fetch) ---
 	fetchStart := p.Now()
 	fetch := p.Region("dyad", "dyad_fetch", trace.ClassIdle)
-	var m meta
+	var m kvs.Record
 	if c.sys.params.NoAdaptiveSync {
 		// Ablation: always use the loosely-coupled watch protocol.
 		wait := p.Phase("dyad_kvs_wait")
-		m = decodeMeta(c.sys.kvs.WatchWait(p, c.broker.node, path))
+		m = c.sys.kvs.WatchWait(p, c.broker.node, path)
 		wait.End()
 	} else if !c.flowSynced[flow] {
 		// Loose first-touch synchronization: the blocking KVS watch gets
 		// its own region so analyses can split the one-time pipeline-fill
 		// wait from steady-state KVS load.
 		wait := p.Phase("dyad_kvs_wait")
-		m = decodeMeta(c.sys.kvs.WaitFor(p, c.broker.node, path))
+		m = c.sys.kvs.WaitFor(p, c.broker.node, path)
 		wait.End()
 		c.flowSynced[flow] = true
 	} else {
-		raw, err := c.sys.kvs.Lookup(p, c.broker.node, path)
-		if err != nil {
+		var err error
+		if m, err = c.sys.kvs.Lookup(p, c.broker.node, path); err != nil {
 			// Producer fell behind the overlap: fall back to the loose
 			// protocol for this file.
 			wait := p.Phase("dyad_kvs_wait")
-			raw = c.sys.kvs.WaitFor(p, c.broker.node, path)
+			m = c.sys.kvs.WaitFor(p, c.broker.node, path)
 			wait.End()
 		}
-		m = decodeMeta(raw)
 	}
 	idle := fetch.End(0, path)
 	p.CritHop(path, "sync_wait", fetchStart, 0)
@@ -546,16 +524,16 @@ func (c *Client) Consume(p *sim.Proc, path string) (vfs.Payload, error) {
 	// overhead of the middleware versus a raw filesystem call).
 	p.Sleep(c.sys.params.ClientOverhead)
 
-	local := m.owner == c.broker.node.ID
+	local := m.Owner == c.broker.node.ID
 
 	var data vfs.Payload
 	if !local {
 		// --- Remote transfer (dyad_get_data) ---
 		get := p.Phase("dyad_get_data")
-		owner := c.sys.brokers[m.owner]
+		owner := c.sys.brokers[m.Owner]
 		if owner == nil {
 			get.End()
-			return vfs.Payload{}, fmt.Errorf("dyad: consume %s: no broker on node %d", path, m.owner)
+			return vfs.Payload{}, fmt.Errorf("dyad: consume %s: no broker on node %d", path, m.Owner)
 		}
 		got, err := c.fetchRemote(p, owner, path)
 		if err != nil {

@@ -223,7 +223,7 @@ func TestHealthyRunRecordsNoRecovery(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Recovery.Zero() {
+	if sys.Recovery != (faults.Metrics{}) {
 		t.Fatalf("healthy run recorded recovery activity: %+v", sys.Recovery)
 	}
 }

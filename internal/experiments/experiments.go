@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/models"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Options tune experiment execution.
@@ -41,30 +40,22 @@ type Options struct {
 	// knob.
 	ConsumerHeadStart time.Duration
 	// Trace, when non-nil, enables span tracing on one repetition of each
-	// configuration and collects the traces for Chrome export plus
-	// per-experiment breakdown reports. Recording is observation-only:
-	// every measured number is byte-identical with or without it.
+	// configuration and collects the traces for Chrome export (kept, or
+	// streamed by a NewStreamCollector) plus per-experiment breakdown
+	// reports. Recording is observation-only: every measured number is
+	// byte-identical with or without it.
 	Trace *Collector
 	// Metrics, when non-nil, enables virtual-time metrics sampling on one
 	// repetition of each configuration and collects the registries for CSV
 	// and Prometheus export plus per-experiment utilization dashboards.
 	// Sampling is observation-only, like tracing.
 	Metrics *MetricsCollector
-	// TraceStream, when non-nil, traces one repetition of each configuration
-	// like Trace but serializes spans into the shared Chrome stream as they
-	// are emitted instead of retaining them — bounded-memory tracing for
-	// large-N sweeps, with bytes identical to buffered collection followed
-	// by trace.WriteChrome, except that a run killed mid-sweep leaves its
-	// partial block in the stream, which buffered collection drops.
-	// Mutually exclusive with Trace (breakdown reports need retained spans
-	// and are skipped when streaming).
-	TraceStream *trace.ChromeStream
 	// CritPath, when non-nil, records the causal dependency graph on one
 	// repetition of each configuration and collects the extracted critical
 	// paths for per-experiment blame reports plus frame-provenance waterfall
 	// export. Recording is observation-only, like tracing. A repetition that
 	// is both traced and recorded gets its frame lineages merged into the
-	// Chrome trace as flow events. Mutually exclusive with TraceStream.
+	// Chrome trace as flow events.
 	CritPath *CritCollector
 }
 

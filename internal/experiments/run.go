@@ -45,10 +45,10 @@ var (
 // only, so trace and metrics volume stay linear in the sweep and every
 // repetition keeps the seed of an unobserved run.
 //
-// The cells run as one RunMany batch. The exception is a sweep with a
-// trace stream: then each cell is its own batch, in cell order, so the
-// shared stream only ever has one writer and its runs appear in the order
-// buffered collection records them.
+// The cells run as one RunMany batch. The exception is a sweep traced by a
+// streaming collector: then each cell is its own batch, in cell order, so
+// the shared stream only ever has one writer and its runs appear in the
+// order a keeping collector records them.
 //
 // A batch error whose every run died of a tolerated sentinel is dropped;
 // any other error aborts before the next batch. Each cell's results (nil
@@ -56,8 +56,8 @@ var (
 // once its batch is done, and returned in cell order.
 func (o Options) Run(cells []Cell, tolerated ...error) ([][]*core.Result, error) {
 	o = o.Defaults()
-	streaming := o.TraceStream != nil
-	observed := streaming || o.Trace != nil || o.Metrics != nil || o.CritPath != nil
+	streaming := o.Trace != nil && o.Trace.stream != nil
+	observed := o.Trace != nil || o.Metrics != nil || o.CritPath != nil
 	n := 0
 	for _, c := range cells {
 		n += cmp.Or(c.Reps, o.Reps)
@@ -137,15 +137,14 @@ var observeBatch func([]*core.Result)
 // traced and recorded gets its frame lineages merged as flows.
 func (o Options) observe(cfg *core.Config, label string) {
 	if o.Trace != nil {
-		cfg.RecordSpans = true
-	} else if o.TraceStream != nil {
-		cfg.TraceStream = o.TraceStream
+		if o.Trace.stream != nil {
+			cfg.TraceStream, cfg.RunLabel = o.Trace.stream, label
+		} else {
+			cfg.RecordSpans = true
+		}
 	}
 	if o.Metrics != nil {
 		cfg.MetricsInterval = o.Metrics.SampleInterval()
-	}
-	if cfg.TraceStream != nil {
-		cfg.RunLabel = label
 	}
 	if o.CritPath != nil {
 		cfg.CritPath = true

@@ -14,9 +14,10 @@ import (
 )
 
 // The breakdown rows are the mean±std of per-process class totals within a
-// role. Detail spans count nowhere, a process with spans of other classes
-// counts zero for a class it lacks, and a process with detail spans alone
-// is no member of its role.
+// role, as the recorder folds them from the spans. Detail spans count
+// nowhere, a process with spans of other classes counts zero for a class
+// it lacks, and a process with detail spans alone is no member of its
+// role.
 func TestBreakdownRowsFoldSpans(t *testing.T) {
 	ms := time.Millisecond
 	spans := []trace.Span{
@@ -35,18 +36,23 @@ func TestBreakdownRowsFoldSpans(t *testing.T) {
 		{"run", "producer", "2", sum(0.004, 0.006), sum(0, 0), sum(0.010, 0), zero, zero, stats.FormatSeconds(0.005)},
 		{"run", "consumer", "1", sum(0), sum(0.005), zero, zero, zero, stats.FormatSeconds(0.005)},
 	}
-	if got := breakdownRows("run", spans); !reflect.DeepEqual(got, want) {
+	rec := trace.NewRecorder()
+	for _, s := range spans {
+		rec.Emit(s)
+	}
+	if got := breakdownRows("run", rec.Totals()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows\n%q\nwant\n%q", got, want)
 	}
 }
 
-// A run that a fault kills mid-sweep is the one place the streamed trace
-// and the buffered one differ: the stream has already written the block
-// the run started, while buffered collection never sees the killed run. So
-// the buffered document, minus its footer, is a byte prefix of the
-// streamed one, and only the stream names the killed run. Quick sweeps
+// A run that a fault kills mid-sweep is the one place a streaming
+// collector's trace and a keeping one's differ: the stream has already
+// written the block the run started, while a keeping collector never sees
+// the killed run. So the kept document, minus its footer, is a byte prefix
+// of the streamed one, and only the stream names the killed run. Both
+// drain the same breakdown rows, from the healthy run alone. Quick sweeps
 // never kill a traced repetition, which is why this case is built here.
-func TestTraceStreamKeepsKilledRun(t *testing.T) {
+func TestTraceKeepsKilledRunBlock(t *testing.T) {
 	m := models.Model{Name: "TINY", Atoms: 2_000, StepsPerSecond: 10_000, Stride: 50}
 	healthy := core.Config{Backend: core.XFS, Model: m, Pairs: 2, SingleNode: true}
 	killed := healthy
@@ -70,28 +76,34 @@ func TestTraceStreamKeepsKilledRun(t *testing.T) {
 
 	var got bytes.Buffer
 	streamed := o
-	streamed.TraceStream = trace.NewChromeStream(&got)
+	streamed.Trace = NewStreamCollector(&got)
 	if _, err := streamed.Run(cells, FaultKills...); err != nil {
 		t.Fatal(err)
 	}
-	if err := streamed.TraceStream.Close(); err != nil {
+	if err := streamed.Trace.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(streamed.Trace.Runs); n != 0 {
+		t.Errorf("the streaming collector kept %d runs, want none", n)
+	}
+	if g, w := streamed.Trace.Drain("x"), buffered.Trace.Drain("x"); !reflect.DeepEqual(g, w) || len(w.Rows) != 2 {
+		t.Errorf("streamed breakdown %v, kept %v; want the same two rows", g, w)
 	}
 
 	footer := []byte("\n]}\n") // what ChromeStream.Close writes
 	body, ok := bytes.CutSuffix(want.Bytes(), footer)
 	if !ok {
-		t.Fatalf("buffered trace does not end with the footer %q", footer)
+		t.Fatalf("kept trace does not end with the footer %q", footer)
 	}
 	if !bytes.HasPrefix(got.Bytes(), body) || got.Len() <= want.Len() {
-		t.Errorf("buffered trace (%d bytes) minus its footer is not a proper prefix of the streamed one (%d bytes)", want.Len(), got.Len())
+		t.Errorf("kept trace (%d bytes) minus its footer is not a proper prefix of the streamed one (%d bytes)", want.Len(), got.Len())
 	}
 	for _, c := range []struct {
 		doc  []byte
 		name string
 		want bool
 	}{
-		{want.Bytes(), "buffered", false},
+		{want.Bytes(), "kept", false},
 		{got.Bytes(), "streamed", true},
 	} {
 		if has := bytes.Contains(c.doc, []byte(`"killed-run"`)); has != c.want {

@@ -352,9 +352,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.RecoveryTime += o.RecoveryTime
 }
 
-// Zero reports whether no recovery activity was recorded.
-func (m Metrics) Zero() bool { return m == Metrics{} }
-
 // String renders the metrics compactly for reports and golden fixtures.
 func (m Metrics) String() string {
 	return fmt.Sprintf("injected=%d timeouts=%d retries=%d failovers=%d restarts=%d stalls=%d degraded=%d/%dB recovery=%v",

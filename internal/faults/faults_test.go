@@ -161,7 +161,7 @@ func TestBackoffDelayCapsAndClamps(t *testing.T) {
 
 func TestMetricsAddAndZero(t *testing.T) {
 	var m Metrics
-	if !m.Zero() {
+	if m != (Metrics{}) {
 		t.Fatal("fresh metrics not zero")
 	}
 	m.Add(Metrics{Injected: 1, Timeouts: 2, Retries: 3, Failovers: 4,
@@ -171,7 +171,7 @@ func TestMetricsAddAndZero(t *testing.T) {
 	if m.Injected != 2 || m.Timeouts != 2 || m.RecoveryTime != 10*time.Second {
 		t.Fatalf("accumulated %+v", m)
 	}
-	if m.Zero() {
+	if m == (Metrics{}) {
 		t.Fatal("non-empty metrics report zero")
 	}
 }

@@ -40,6 +40,17 @@ func DefaultParams() Params {
 	}
 }
 
+// Record is a committed value: the metadata of one produced file, the id
+// of the node that owns its data.
+type Record struct {
+	Owner int
+}
+
+// RecordBytes is a record's size on the wire, which every commit, lookup
+// and notification carries: DYAD's owner and file-size words. The size
+// word is not kept, since a consumer sizes its pull from the payload.
+const RecordBytes = 16
+
 // Store is the key-value service.
 type Store struct {
 	cl     *cluster.Cluster
@@ -47,7 +58,7 @@ type Store struct {
 	params Params
 	server *sim.Resource
 
-	data    map[string][]byte
+	data    map[string]Record
 	watches map[string]*sim.Latch
 
 	Commits int64
@@ -80,7 +91,7 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry, prefix string) {
 // The engines' free lists of the stores and their tables.
 var (
 	stores      = sim.NewFreeList[Store]()
-	dataTables  = sim.NewFreeList[map[string][]byte]()
+	dataTables  = sim.NewFreeList[map[string]Record]()
 	watchTables = sim.NewFreeList[map[string]*sim.Latch]()
 )
 
@@ -111,49 +122,49 @@ func New(cl *cluster.Cluster, node *cluster.Node, params Params) *Store {
 // Node returns the hosting node.
 func (s *Store) Node() *cluster.Node { return s.node }
 
-// Commit publishes value under key, firing any watches. The calling
+// Commit publishes rec under key, firing any watches. The calling
 // process pays the round trip from its node plus queued server time.
-func (s *Store) Commit(p *sim.Proc, from *cluster.Node, key string, value []byte) {
+func (s *Store) Commit(p *sim.Proc, from *cluster.Node, key string, rec Record) {
 	s.Commits++
 	start := p.Now()
 	r := p.Span("kvs", "commit", trace.ClassDetail)
-	s.cl.RPC(p, from, s.node, s.params.MsgBytes+int64(len(value)), 64, s.server, s.params.CommitService)
-	s.commitLat.Observe(r.End(int64(len(value)), key))
-	p.CritHop(key, "kvs_commit", start, int64(len(value)))
-	s.data[key] = value
+	s.cl.RPC(p, from, s.node, s.params.MsgBytes+RecordBytes, 64, s.server, s.params.CommitService)
+	s.commitLat.Observe(r.End(RecordBytes, key))
+	p.CritHop(key, "kvs_commit", start, RecordBytes)
+	s.data[key] = rec
 	if l, ok := s.watches[key]; ok {
 		l.Fire()
 	}
 }
 
-// Lookup fetches the value under key. A key that has not been committed
+// Lookup fetches the record under key. A key that has not been committed
 // returns ErrNoSuchKey (the round trip is still paid: the server answered
 // "not found").
-func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) ([]byte, error) {
+func (s *Store) Lookup(p *sim.Proc, from *cluster.Node, key string) (Record, error) {
 	s.Lookups++
 	v, ok := s.data[key]
 	resp := int64(64)
 	if ok {
-		resp += int64(len(v))
+		resp += RecordBytes
 	}
 	r := p.Span("kvs", "lookup", trace.ClassDetail)
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes, resp, s.server, s.params.LookupService)
 	r.End(0, key)
 	if !ok {
-		return nil, ErrNoSuchKey
+		return Record{}, ErrNoSuchKey
 	}
 	p.CritDepend(key)
 	return v, nil
 }
 
-// WaitFor blocks until key exists, then returns its value. If the key is
+// WaitFor blocks until key exists, then returns its record. If the key is
 // already present it degenerates to a Lookup. This is DYAD's loose
 // first-consumption synchronization: the consumer waits, the producer is
 // never involved.
-func (s *Store) WaitFor(p *sim.Proc, from *cluster.Node, key string) []byte {
+func (s *Store) WaitFor(p *sim.Proc, from *cluster.Node, key string) Record {
 	if v, ok := s.data[key]; ok {
 		s.Lookups++
-		s.cl.RPC(p, from, s.node, s.params.MsgBytes, 64+int64(len(v)), s.server, s.params.LookupService)
+		s.cl.RPC(p, from, s.node, s.params.MsgBytes, 64+RecordBytes, s.server, s.params.LookupService)
 		return v
 	}
 	s.Waits++
@@ -173,20 +184,19 @@ func (s *Store) WaitFor(p *sim.Proc, from *cluster.Node, key string) []byte {
 	r := p.Span("kvs", "watch_block", trace.ClassDetail)
 	l.Wait(p)
 	r.End(0, key)
-	v := s.data[key]
 	p.CritDepend(key)
-	s.cl.Transfer(p, s.node, from, 64+int64(len(v)))
-	return v
+	s.cl.Transfer(p, s.node, from, 64+RecordBytes)
+	return s.data[key]
 }
 
 // WatchWait is the non-adaptive variant of WaitFor: it always pays the
 // watch-registration round trip, even when the key is already present.
 // Used by ablation studies that disable DYAD's protocol switching.
-func (s *Store) WatchWait(p *sim.Proc, from *cluster.Node, key string) []byte {
+func (s *Store) WatchWait(p *sim.Proc, from *cluster.Node, key string) Record {
 	s.Waits++
 	s.cl.RPC(p, from, s.node, s.params.MsgBytes, 64, s.server, s.params.WatchService)
 	if v, ok := s.data[key]; ok {
-		s.cl.Transfer(p, s.node, from, 64+int64(len(v)))
+		s.cl.Transfer(p, s.node, from, 64+RecordBytes)
 		return v
 	}
 	l, ok := s.watches[key]
@@ -197,10 +207,9 @@ func (s *Store) WatchWait(p *sim.Proc, from *cluster.Node, key string) []byte {
 	r := p.Span("kvs", "watch_block", trace.ClassDetail)
 	l.Wait(p)
 	r.End(0, key)
-	v := s.data[key]
 	p.CritDepend(key)
-	s.cl.Transfer(p, s.node, from, 64+int64(len(v)))
-	return v
+	s.cl.Transfer(p, s.node, from, 64+RecordBytes)
+	return s.data[key]
 }
 
 // Len returns the number of committed keys.

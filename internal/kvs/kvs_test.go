@@ -19,10 +19,10 @@ func TestCommitThenLookup(t *testing.T) {
 	e := sim.NewEngine(1)
 	cl, s := newStore(e, 2)
 	e.Spawn("c", func(p *sim.Proc) {
-		s.Commit(p, cl.Node(1), "k", []byte("v"))
+		s.Commit(p, cl.Node(1), "k", Record{Owner: 7})
 		v, err := s.Lookup(p, cl.Node(1), "k")
-		if err != nil || string(v) != "v" {
-			t.Errorf("lookup = %q, %v", v, err)
+		if err != nil || v != (Record{Owner: 7}) {
+			t.Errorf("lookup = %+v, %v", v, err)
 		}
 		if _, err := s.Lookup(p, cl.Node(1), "missing"); !errors.Is(err, ErrNoSuchKey) {
 			t.Errorf("missing key: err = %v, want ErrNoSuchKey", err)
@@ -43,13 +43,13 @@ func TestWaitForBlocksUntilCommit(t *testing.T) {
 	e.Spawn("consumer", func(p *sim.Proc) {
 		v := s.WaitFor(p, cl.Node(2), "frame0")
 		consumerGot = p.Now()
-		if string(v) != "meta" {
-			t.Errorf("WaitFor value %q", v)
+		if v != (Record{Owner: 1}) {
+			t.Errorf("WaitFor record %+v", v)
 		}
 	})
 	e.Spawn("producer", func(p *sim.Proc) {
 		p.Sleep(50 * time.Millisecond)
-		s.Commit(p, cl.Node(1), "frame0", []byte("meta"))
+		s.Commit(p, cl.Node(1), "frame0", Record{Owner: 1})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestWaitForPresentKeyIsCheap(t *testing.T) {
 	cl, s := newStore(e, 2)
 	var waitCost time.Duration
 	e.Spawn("c", func(p *sim.Proc) {
-		s.Commit(p, cl.Node(1), "k", []byte("v"))
+		s.Commit(p, cl.Node(1), "k", Record{Owner: 1})
 		t0 := p.Now()
 		s.WaitFor(p, cl.Node(1), "k")
 		waitCost = p.Now() - t0
@@ -96,7 +96,7 @@ func TestMultipleWatchersAllWake(t *testing.T) {
 	}
 	e.Spawn("producer", func(p *sim.Proc) {
 		p.Sleep(time.Millisecond)
-		s.Commit(p, cl.Node(0), "k", []byte("v"))
+		s.Commit(p, cl.Node(0), "k", Record{Owner: 1})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestServerQueuesConcurrentCommits(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
 		e.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
-			s.Commit(p, cl.Node(1), key, []byte("v"))
+			s.Commit(p, cl.Node(1), key, Record{Owner: 1})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -135,7 +135,7 @@ func TestWatchWaitAlwaysPaysRegistration(t *testing.T) {
 	cl, s := newStore(e, 2)
 	var adaptive, always time.Duration
 	e.Spawn("c", func(p *sim.Proc) {
-		s.Commit(p, cl.Node(1), "k", []byte("v"))
+		s.Commit(p, cl.Node(1), "k", Record{Owner: 1})
 		t0 := p.Now()
 		s.WaitFor(p, cl.Node(1), "k") // adaptive: present key -> cheap lookup
 		adaptive = p.Now() - t0
@@ -154,7 +154,7 @@ func TestWatchWaitAlwaysPaysRegistration(t *testing.T) {
 func TestWatchWaitBlocksUntilCommit(t *testing.T) {
 	e := sim.NewEngine(1)
 	cl, s := newStore(e, 2)
-	var got []byte
+	var got Record
 	var at sim.Time
 	e.Spawn("c", func(p *sim.Proc) {
 		got = s.WatchWait(p, cl.Node(1), "late")
@@ -162,12 +162,12 @@ func TestWatchWaitBlocksUntilCommit(t *testing.T) {
 	})
 	e.Spawn("p", func(p *sim.Proc) {
 		p.Sleep(30 * time.Millisecond)
-		s.Commit(p, cl.Node(0), "late", []byte("v"))
+		s.Commit(p, cl.Node(0), "late", Record{Owner: 9})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "v" || at < 30*time.Millisecond {
-		t.Fatalf("WatchWait got %q at %v", got, at)
+	if got != (Record{Owner: 9}) || at < 30*time.Millisecond {
+		t.Fatalf("WatchWait got %+v at %v", got, at)
 	}
 }

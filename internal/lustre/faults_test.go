@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
@@ -168,7 +169,7 @@ func TestHealthyLustreRecordsNoRecovery(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Recovery.Zero() {
+	if fs.Recovery != (faults.Metrics{}) {
 		t.Fatalf("healthy run recorded recovery: %+v", fs.Recovery)
 	}
 }

@@ -410,74 +410,41 @@ func appendFloat(dst []byte, v float64) []byte { return strconv.AppendFloat(dst,
 
 // WriteCSV writes the sampled time series of every run: per run, a "# label"
 // comment line, a header (time_s then series names in registration order),
-// and one row per elapsed sample interval. Runs are separated by one blank
-// line. Column order and number formatting are fixed, so deterministic
-// samples serialize to deterministic bytes. It is a loop of CSVSink.WriteRun,
-// so a sweep that writes each run's block as it completes writes the same
-// bytes.
+// and one row per elapsed sample interval, with the time in seconds and
+// then one value per series. Runs are separated by one blank line. Column
+// order and number formatting are fixed, so deterministic samples
+// serialize to deterministic bytes. Lines are append-encoded into one
+// reused buffer, so writing a row allocates nothing.
 func WriteCSV(w io.Writer, runs []Run) error {
-	k := NewCSVSink(w)
-	for _, run := range runs {
-		k.WriteRun(run)
-	}
-	return k.Flush()
-}
-
-// CSVSink is the CSV encoder behind WriteCSV: each WriteRun appends one
-// run's block to a buffered writer, so a caller can write runs one at a
-// time and drop each registry once its block is written. Lines are
-// append-encoded into one reused buffer, so writing a row allocates
-// nothing.
-type CSVSink struct {
-	bw   *bufio.Writer
-	line []byte // the line being encoded, reused across lines
-	runs int
-}
-
-// NewCSVSink returns a sink writing CSV blocks to w.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{bw: bufio.NewWriter(w), line: make([]byte, 0, 256)}
-}
-
-// WriteRun writes one run's block: the separator (a blank line after the
-// first run), the "# label" comment, the header row and one row per sample
-// boundary, with the time in seconds and then one value per series in
-// registration order.
-func (k *CSVSink) WriteRun(run Run) {
-	series := run.Reg.Series()
-	b := k.line[:0]
-	if k.runs > 0 {
-		b = append(b, '\n')
-	}
-	k.runs++
-	b = append(b, "# "...)
-	b = appendCSVComment(b, run.Label)
-	b = append(b, "\ntime_s"...)
-	for _, s := range series {
-		b = append(b, ',')
-		b = append(b, s.Name...)
-	}
-	k.write(append(b, '\n'))
-	for i, t := range run.Reg.Times() {
-		b := appendFloat(k.line[:0], t.Seconds())
+	bw := bufio.NewWriter(w)
+	line := make([]byte, 0, 256)
+	for i, run := range runs {
+		series := run.Reg.Series()
+		b := line[:0]
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		b = append(b, "# "...)
+		b = appendCSVComment(b, run.Label)
+		b = append(b, "\ntime_s"...)
 		for _, s := range series {
 			b = append(b, ',')
-			b = appendFloat(b, s.Samples[i])
+			b = append(b, s.Name...)
 		}
-		k.write(append(b, '\n'))
+		line = append(b, '\n')
+		bw.Write(line)
+		for j, t := range run.Reg.Times() {
+			b := appendFloat(line[:0], t.Seconds())
+			for _, s := range series {
+				b = append(b, ',')
+				b = appendFloat(b, s.Samples[j])
+			}
+			line = append(b, '\n')
+			bw.Write(line)
+		}
 	}
+	return bw.Flush()
 }
-
-// write copies an encoded line into the I/O buffer and keeps the line
-// buffer's grown capacity for the next one.
-func (k *CSVSink) write(b []byte) {
-	k.bw.Write(b)
-	k.line = b
-}
-
-// Flush forces buffered rows to the underlying writer. Call it before
-// closing the file the sink writes into.
-func (k *CSVSink) Flush() error { return k.bw.Flush() }
 
 // promType is the series' Prometheus type: counters and rates export a
 // cumulative total, every other kind a gauge.

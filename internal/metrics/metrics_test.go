@@ -127,17 +127,23 @@ func TestWriteCSVDeterministicShape(t *testing.T) {
 		r.Sample(2 * time.Second)
 		return Run{Label: "run one", Reg: r}
 	}
+	// A run with no sample boundary writes its comment and header only.
+	unsampled := New(time.Second, nil)
+	unsampled.Gauge("c/now", func() float64 { return 1 })
+	empty := Run{Label: "empty", Reg: unsampled}
 	var b1, b2 strings.Builder
-	if err := WriteCSV(&b1, []Run{mk(), mk()}); err != nil {
+	if err := WriteCSV(&b1, []Run{mk(), empty, mk()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSV(&b2, []Run{mk(), mk()}); err != nil {
+	if err := WriteCSV(&b2, []Run{mk(), empty, mk()}); err != nil {
 		t.Fatal(err)
 	}
 	if b1.String() != b2.String() {
 		t.Fatal("WriteCSV not deterministic")
 	}
-	want := "# run one\ntime_s,a/total,b/now\n1,4,2\n2,6,3\n\n# run one\ntime_s,a/total,b/now\n1,4,2\n2,6,3\n"
+	want := "# run one\ntime_s,a/total,b/now\n1,4,2\n2,6,3\n" +
+		"\n# empty\ntime_s,c/now\n" +
+		"\n# run one\ntime_s,a/total,b/now\n1,4,2\n2,6,3\n"
 	if b1.String() != want {
 		t.Fatalf("CSV:\n%s\nwant:\n%s", b1.String(), want)
 	}

@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -29,33 +30,59 @@ func drive(r *Registry, h *Histogram, total, busy, inFlight *float64, n int) {
 	}
 }
 
-// Writing runs one at a time through a CSVSink, flushing after each as a
-// streamed sweep does, must give byte-for-byte the CSV that WriteCSV gives
-// over the same runs, a run with no sample boundary included.
-func TestCSVSinkMatchesWriteCSV(t *testing.T) {
+// WriteCSV over runs carrying every series kind, a run with no sample
+// boundary among them, writes one block per run whose header names the
+// series in registration order and whose rows parse back to the sampled
+// times and values.
+func TestWriteCSVRowsMatchSamples(t *testing.T) {
 	var runs []Run
-	for run, boundaries := range []int{5, 3, 0} {
+	for run, boundaries := range []int{5, 0, 3} {
 		r := New(time.Second, nil)
 		var total, busy, inFlight float64
 		h := registerSinkSeries(r, &total, &busy, &inFlight)
 		drive(r, h, &total, &busy, &inFlight, boundaries)
-		runs = append(runs, Run{Label: "sinkrun " + strconv.Itoa(run), Reg: r})
+		runs = append(runs, Run{Label: "csvrun " + strconv.Itoa(run), Reg: r})
 	}
-	var want bytes.Buffer
-	if err := WriteCSV(&want, runs); err != nil {
+	var b bytes.Buffer
+	if err := WriteCSV(&b, runs); err != nil {
 		t.Fatal(err)
 	}
-
-	var got bytes.Buffer
-	sink := NewCSVSink(&got)
-	for _, run := range runs {
-		sink.WriteRun(run)
-		if err := sink.Flush(); err != nil {
-			t.Fatal(err)
-		}
+	blocks := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n\n")
+	if len(blocks) != len(runs) {
+		t.Fatalf("%d CSV blocks, want %d:\n%s", len(blocks), len(runs), b.String())
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("per-run CSV diverged from WriteCSV:\n got:\n%s\nwant:\n%s", got.String(), want.String())
+	for i, run := range runs {
+		lines := strings.Split(blocks[i], "\n")
+		series, times := run.Reg.Series(), run.Reg.Times()
+		if len(lines) != 2+len(times) {
+			t.Fatalf("run %d: %d lines, want %d", i, len(lines), 2+len(times))
+		}
+		if want := "# " + run.Label; lines[0] != want {
+			t.Errorf("run %d comment = %q, want %q", i, lines[0], want)
+		}
+		header := []string{"time_s"}
+		for _, s := range series {
+			header = append(header, s.Name)
+		}
+		if want := strings.Join(header, ","); lines[1] != want {
+			t.Errorf("run %d header = %q, want %q", i, lines[1], want)
+		}
+		for j, line := range lines[2:] {
+			cells := strings.Split(line, ",")
+			if len(cells) != len(header) {
+				t.Fatalf("run %d row %d: %d cells, want %d", i, j, len(cells), len(header))
+			}
+			want := []float64{times[j].Seconds()}
+			for _, s := range series {
+				want = append(want, s.Samples[j])
+			}
+			for k, c := range cells {
+				v, err := strconv.ParseFloat(c, 64)
+				if err != nil || v != want[k] {
+					t.Errorf("run %d row %d column %s = %q, want %v", i, j, header[k], c, want[k])
+				}
+			}
+		}
 	}
 }
 

@@ -66,10 +66,7 @@ func WriteChrome(w io.Writer, runs []Run) error {
 		for _, s := range run.Spans {
 			cs.span(rec, s)
 		}
-		for _, f := range run.Flows {
-			cs.flow(rec, f)
-		}
-		cs.EndRun(rec, run.Counters)
+		cs.EndRun(rec, run.Flows, run.Counters)
 	}
 	return cs.Close()
 }

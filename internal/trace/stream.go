@@ -20,11 +20,9 @@ import (
 //
 // WriteChrome is itself built on ChromeStream, so the streamed bytes of a
 // run are identical to the buffered export of the same span sequence by
-// construction — the property cmd/experiments'
-// TestEverySinkReachesEveryExperiment checks end to end, per experiment.
-// The one difference is a run its caller kills mid-sweep: the stream keeps
-// the block it had started, while buffered collection drops the run
-// (internal/experiments' TestTraceStreamKeepsKilledRun).
+// construction. The one difference is a run its caller kills mid-sweep:
+// the stream keeps the block it had started, while buffered collection
+// drops the run (internal/experiments' TestTraceKeepsKilledRunBlock).
 //
 // A stream serializes one run at a time: StartRun opens the next Chrome
 // process and returns a streaming Recorder bound to it; the caller must
@@ -161,10 +159,14 @@ func (cs *ChromeStream) flow(rec *Recorder, f Flow) {
 	cs.emit(append(b, `,"cat":"provenance"`...))
 }
 
-// EndRun closes rec's run, emitting its sampled counter tracks (nil for
-// none). Runs aborted before EndRun leave a valid document — their partial
-// span stream shows the timeline up to the failure.
-func (cs *ChromeStream) EndRun(rec *Recorder, counters []Counter) {
+// EndRun closes rec's run, emitting its flow events and then its sampled
+// counter tracks (nil for none). Runs aborted before EndRun leave a valid
+// document — their partial span stream shows the timeline up to the
+// failure.
+func (cs *ChromeStream) EndRun(rec *Recorder, flows []Flow, counters []Counter) {
+	for _, f := range flows {
+		cs.flow(rec, f)
+	}
 	for _, c := range counters {
 		for i, t := range c.Times {
 			b := cs.event(`"C"`, rec.pid, 0)

@@ -34,9 +34,10 @@ func synthSpans(n int) []Span {
 	return spans
 }
 
-// Driving a ChromeStream span by span must produce byte-for-byte the
-// document WriteChrome renders from the buffered runs — the identity that
-// makes streamed traces drop-in replacements for buffered ones.
+// Driving a ChromeStream span by span, with each run's flows and counter
+// tracks at EndRun, must produce byte-for-byte the document WriteChrome
+// renders from the buffered runs — the identity that makes streamed traces
+// drop-in replacements for buffered ones.
 func TestChromeStreamMatchesWriteChrome(t *testing.T) {
 	runs := []Run{
 		{Label: "run one", Spans: synthSpans(100)},
@@ -44,7 +45,10 @@ func TestChromeStreamMatchesWriteChrome(t *testing.T) {
 			Name:   "core/frames_produced",
 			Times:  []time.Duration{250 * time.Millisecond, 500 * time.Millisecond},
 			Values: []float64{0, 4.5},
-		}}},
+		}}, Flows: []Flow{
+			{Name: "/f0", ID: 1, Proc: "producer000", At: 1500, Start: true},
+			{Name: "/f0", ID: 1, Proc: "wfm", At: 2500}, // a proc with no span
+		}},
 		{Label: "empty run"},
 	}
 	var want bytes.Buffer
@@ -59,7 +63,7 @@ func TestChromeStreamMatchesWriteChrome(t *testing.T) {
 		for _, s := range run.Spans {
 			rec.Emit(s)
 		}
-		cs.EndRun(rec, run.Counters)
+		cs.EndRun(rec, run.Flows, run.Counters)
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)

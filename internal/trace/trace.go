@@ -87,6 +87,13 @@ type Span struct {
 	Attr      string
 }
 
+// ProcTotals is one process's span time per class, summed over the
+// non-detail spans it emitted: the input of the paper-style breakdown.
+type ProcTotals struct {
+	Proc   string
+	Totals [ClassBackpressure + 1]time.Duration
+}
+
 // Recorder accumulates the spans of one run. The zero value is ready to
 // use. A nil *Recorder is valid and inert: every method is nil-safe, so
 // instrumentation sites call Emit unconditionally and pay only a nil check
@@ -96,8 +103,15 @@ type Span struct {
 // spans are serialized the moment they are emitted and never retained.
 // Streaming recorder memory is O(distinct procs) regardless of run
 // length — the bounded-memory mode for million-event runs.
+//
+// In both modes the recorder folds each non-detail span into its process's
+// class totals as it is emitted (Totals), so the time breakdown needs no
+// retained spans.
 type Recorder struct {
 	spans []Span
+
+	totals []ProcTotals     // in order of each process's first non-detail span
+	procs  map[string]int32 // proc -> index in totals
 
 	// Streaming mode (ChromeStream.StartRun); nil for buffered recorders.
 	stream *ChromeStream
@@ -109,22 +123,46 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Reset empties a buffered recorder for its next run, keeping the span
-// array, so a reused recorder grows only past the largest run it served.
-// Spans returned before the Reset are overwritten by the next run's.
-func (r *Recorder) Reset() { r.spans = r.spans[:0] }
+// array and the fold's table, so a reused recorder grows only past the
+// largest run it served. Spans and totals returned before the Reset are
+// overwritten by the next run's.
+func (r *Recorder) Reset() {
+	r.spans = r.spans[:0]
+	r.totals = r.totals[:0]
+	clear(r.procs)
+}
 
 // Emit records one span: appended in buffered mode, serialized to the
-// Chrome stream in streaming mode. On a nil recorder it is a no-op; the span value stays on the
-// caller's stack, so disabled tracing allocates nothing.
+// Chrome stream in streaming mode, and folded into its process's class
+// totals unless it is a detail span. On a nil recorder it is a no-op; the
+// span value stays on the caller's stack, so disabled tracing allocates
+// nothing.
 func (r *Recorder) Emit(s Span) {
 	if r == nil {
 		return
+	}
+	if s.Class != ClassDetail {
+		r.fold(s)
 	}
 	if r.stream != nil {
 		r.stream.span(r, s)
 		return
 	}
 	r.spans = append(r.spans, s)
+}
+
+// fold adds a non-detail span's duration to its process's class total.
+func (r *Recorder) fold(s Span) {
+	i, ok := r.procs[s.Proc]
+	if !ok {
+		if r.procs == nil {
+			r.procs = make(map[string]int32)
+		}
+		i = int32(len(r.totals))
+		r.procs[s.Proc] = i
+		r.totals = append(r.totals, ProcTotals{Proc: s.Proc})
+	}
+	r.totals[i].Totals[s.Class] += s.Dur
 }
 
 // Streaming reports whether the recorder serializes spans on emission
@@ -139,6 +177,16 @@ func (r *Recorder) Spans() []Span {
 		return nil
 	}
 	return r.spans
+}
+
+// Totals returns each process's class totals, in the order of its first
+// non-detail span. The slice is owned by the recorder and valid until its
+// next Reset; copy it to keep it.
+func (r *Recorder) Totals() []ProcTotals {
+	if r == nil {
+		return nil
+	}
+	return r.totals
 }
 
 // HistBuckets is the number of log-scale duration histogram buckets:

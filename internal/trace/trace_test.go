@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"slices"
 	"testing"
 	"time"
 )
@@ -10,8 +12,8 @@ import (
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
 	r.Emit(Span{Proc: "p", Name: "op", Dur: time.Millisecond})
-	if r.Spans() != nil {
-		t.Fatal("nil recorder returned spans")
+	if r.Spans() != nil || r.Totals() != nil {
+		t.Fatal("nil recorder returned spans or totals")
 	}
 }
 
@@ -28,6 +30,43 @@ func TestRecorderKeepsEmissionOrder(t *testing.T) {
 		if s.Start != time.Duration(i) {
 			t.Fatalf("span %d has start %v: emission order not preserved", i, s.Start)
 		}
+	}
+}
+
+// The fold sums each process's non-detail spans per class, in the order of
+// its first non-detail span, in both recorder modes; a process with detail
+// spans alone has no entry, and Reset empties the fold.
+func TestRecorderFoldsClassTotals(t *testing.T) {
+	ms := time.Millisecond
+	spans := []Span{
+		{Proc: "consumer0", Component: "ssd", Name: "read", Class: ClassDetail, Dur: ms},
+		{Proc: "producer0", Name: "md_compute", Class: ClassCompute, Dur: 10 * ms},
+		{Proc: "producer0", Name: "write_buf", Class: ClassMovement, Dur: 2 * ms},
+		{Proc: "consumer0", Name: "fetch", Class: ClassIdle, Dur: 5 * ms},
+		{Proc: "ssd-only", Name: "write", Class: ClassDetail, Dur: ms},
+		{Proc: "producer0", Name: "write_buf", Class: ClassMovement, Dur: 3 * ms},
+		{Proc: "producer0", Name: "stall", Class: ClassBackpressure, Dur: 4 * ms},
+	}
+	var p0, c0 ProcTotals
+	p0.Proc, c0.Proc = "producer0", "consumer0"
+	p0.Totals[ClassCompute], p0.Totals[ClassMovement], p0.Totals[ClassBackpressure] = 10*ms, 5*ms, 4*ms
+	c0.Totals[ClassIdle] = 5 * ms
+	want := []ProcTotals{p0, c0}
+
+	buffered := NewRecorder()
+	streamed := NewChromeStream(io.Discard).StartRun("run")
+	for _, r := range []*Recorder{buffered, streamed} {
+		for _, s := range spans {
+			r.Emit(s)
+		}
+		if got := r.Totals(); !slices.Equal(got, want) {
+			t.Errorf("streaming %v: totals %+v, want %+v", r.Streaming(), got, want)
+		}
+	}
+	buffered.Reset()
+	buffered.Emit(spans[3])
+	if got := buffered.Totals(); !slices.Equal(got, want[1:]) {
+		t.Errorf("after Reset: totals %+v, want %+v", got, want[1:])
 	}
 }
 

@@ -166,20 +166,17 @@ func WriteChromeTrace(w io.Writer, runs []TraceRun) error { return trace.WriteCh
 // rows across experiments; attach one via ExperimentOptions.Trace.
 type TraceCollector = experiments.Collector
 
-// NewTraceCollector returns an empty trace collector.
+// NewTraceCollector returns an empty trace collector that keeps its runs
+// (TraceCollector.Runs) for WriteChromeTrace.
 func NewTraceCollector() *TraceCollector { return experiments.NewCollector() }
 
-// ChromeTraceStream is an incremental Chrome trace writer: runs attached to
-// it (Config.TraceStream, ExperimentOptions.TraceStream) serialize each
-// span the moment it is emitted instead of retaining it, keeping tracing
-// memory bounded on arbitrarily long runs. Bytes are identical to buffered
-// collection followed by WriteChromeTrace, except that a run killed
-// mid-sweep (by a fault or capacity kill) leaves its partial block in the
-// stream, which buffered collection drops. Close finishes the document.
-type ChromeTraceStream = trace.ChromeStream
-
-// NewChromeTraceStream starts a Chrome trace-event JSON document on w.
-func NewChromeTraceStream(w io.Writer) *ChromeTraceStream { return trace.NewChromeStream(w) }
+// NewStreamTraceCollector returns an empty trace collector that writes its
+// runs' Chrome trace to w as their spans are emitted and keeps none, so
+// tracing memory stays bounded on any sweep. The bytes equal
+// WriteChromeTrace over a keeping collector's runs, except that a run
+// killed mid-sweep (by a fault or capacity kill) leaves its partial block.
+// Close finishes the document.
+func NewStreamTraceCollector(w io.Writer) *TraceCollector { return experiments.NewStreamCollector(w) }
 
 // MetricsRegistry is a run's sampled virtual-time metrics (Result.Metrics
 // when Config.MetricsInterval is set). See metrics.Registry.

@@ -66,13 +66,6 @@ func TestFacadeCritPath(t *testing.T) {
 	if pct := d.AttributionPct(); pct < 95 {
 		t.Fatalf("attribution %.1f%%, want >= 95%%", pct)
 	}
-
-	// CritPath+TraceStream is rejected up front, not at run time.
-	bad := cfg
-	bad.TraceStream = NewChromeTraceStream(&bytes.Buffer{})
-	if err := bad.Validate(); err == nil {
-		t.Fatal("CritPath+TraceStream validated, want rejection")
-	}
 }
 
 func TestFacadeExplainWorkloads(t *testing.T) {
